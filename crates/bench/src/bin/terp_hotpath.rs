@@ -1,12 +1,11 @@
 //! `terp-hotpath` — microbenchmark for the lock-free data path
 //! (DESIGN.md §11).
 //!
-//! Phase A pits the seqlock fast path against the locked baseline
-//! (`ServiceConfig::with_fastpath(false)`, the PR-2 code shape) on a
-//! read-mostly data-op loop across a 1/2/4/8-thread sweep, reporting
-//! per-thread ns/op for both modes and the speedup ratio. Timing is
-//! *batched* — `Instant::now()` brackets the whole loop, never a single
-//! op — so the measurement doesn't drown the ~100 ns ops it measures.
+//! Phase A runs a read-mostly data-op loop over the seqlock fast path
+//! across a 1/2/4/8-thread sweep, with and without attach/detach churn on
+//! sibling shards, reporting per-thread ns/op. Timing is *batched* —
+//! `Instant::now()` brackets the whole loop, never a single op — so the
+//! measurement doesn't drown the ~100 ns ops it measures.
 //!
 //! Phase B samples per-op fast-path read latency into a histogram, and
 //! phase C churns attach/detach under the full server (sweeper on,
@@ -43,8 +42,8 @@ const CHURN_CLIENT: usize = 900;
 
 /// Shards for the phase-A service: 8, so the 8 data pools (ids 1–8) and
 /// the 8 churn pools (ids 9–16) land pairwise on the same shards and the
-/// churner's attach/detach critical sections contend with locked-mode
-/// data ops the way live window churn does.
+/// churner's attach/detach critical sections hold the mutexes a locked
+/// data op would queue behind, the way live window churn does.
 const DATA_SHARDS: usize = 8;
 
 /// One worker's pools, each holding one 8-byte object.
@@ -65,20 +64,19 @@ fn setup_worker_pools(svc: &PmoService, tid: usize) -> Vec<ObjectId> {
 /// A service for the data-path phases: TT, windows pinned open (10 s EW, no
 /// sweeper), zero cost charges — nothing but the permission/data machinery
 /// itself is on the clock.
-fn data_service(fastpath: bool) -> Arc<PmoService> {
+fn data_service() -> Arc<PmoService> {
     Arc::new(PmoService::new(
         ServiceConfig::new(Scheme::terp_full())
             .with_shards(DATA_SHARDS)
             .with_ew_target_us(10_000_000)
             .with_sweep_period_us(0)
-            .with_cost(CostModel::zero())
-            .with_fastpath(fastpath),
+            .with_cost(CostModel::zero()),
     ))
 }
 
 /// Shared working set for phase A: `POOLS_PER_WORKER` pools that **every**
 /// worker attaches to — the paper's TT sharing story, and the shape where
-/// the locked baseline serializes all clients of a shard on its mutex
+/// a locked data path would serialize all clients of a shard on its mutex
 /// while the fast path reads the published window state lock-free. With at
 /// most 8 workers the grant mirror never overflows its 8 slots.
 fn setup_shared_pools(svc: &PmoService, threads: usize) -> Vec<ObjectId> {
@@ -117,10 +115,9 @@ fn setup_churn_pools(svc: &PmoService) -> Vec<PmoId> {
 /// With `churn` set, antagonist threads (one per two workers, as window
 /// churn scales with client count) attach/detach-cycle the sibling pools
 /// throughout — the steady-state TERP condition, where window churn holds
-/// the shard mutexes that locked-mode data ops must queue behind and the
-/// fast path never touches.
-fn data_cell(fastpath: bool, threads: usize, duration: Duration, churn: bool) -> f64 {
-    let svc = data_service(fastpath);
+/// the shard mutexes that the fast path never touches.
+fn data_cell(threads: usize, duration: Duration, churn: bool) -> f64 {
+    let svc = data_service();
     let oids = setup_shared_pools(&svc, threads);
     let churn_pools = setup_churn_pools(&svc);
     let churners = if churn { threads.div_ceil(2) } else { 0 };
@@ -194,7 +191,7 @@ impl JoinSum for Vec<std::thread::ScopedJoinHandle<'_, u64>> {
 
 /// Phase B: per-op timed fast-path reads.
 fn read_latency(threads: usize, per_thread_ops: u64) -> LatencyHistogram {
-    let svc = data_service(true);
+    let svc = data_service();
     let oids: Vec<Vec<ObjectId>> = (0..threads).map(|t| setup_worker_pools(&svc, t)).collect();
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
@@ -286,21 +283,18 @@ fn hist_json(h: &LatencyHistogram) -> Json {
 }
 
 fn main() {
-    let cli = Cli::standard(
-        "terp-hotpath",
-        "lock-free fast path vs locked baseline microbenchmark",
-    )
-    .opt_uint(
-        "--duration-ms",
-        "MS",
-        "per-cell run length (default 300; scale test: 40)",
-    )
-    .opt_str(
-        "--out",
-        "PATH",
-        "output path (default: results/BENCH_hotpath.json)",
-    )
-    .parse_env();
+    let cli = Cli::standard("terp-hotpath", "lock-free data-path microbenchmark")
+        .opt_uint(
+            "--duration-ms",
+            "MS",
+            "per-cell run length (default 300; scale test: 40)",
+        )
+        .opt_str(
+            "--out",
+            "PATH",
+            "output path (default: results/BENCH_hotpath.json)",
+        )
+        .parse_env();
     let scale = cli.scale();
     // --threads caps the sweep here (default 8) rather than sizing a pool.
     let max_threads = if cli.uint("--threads").is_some() {
@@ -318,47 +312,26 @@ fn main() {
     println!(
         "terp-hotpath ({scale:?} scale): thread sweep up to {max_threads}, {cell_ms} ms per cell\n"
     );
-    println!("— phase A: data-path ns/op under attach/detach churn, locked vs fast —");
+    println!("— phase A: data-path ns/op, with and without attach/detach churn —");
     let sweep: Vec<usize> = [1, 2, 4, 8]
         .into_iter()
         .filter(|&t| t <= max_threads)
         .collect();
-    let mut cells = Vec::new();
-    let mut headline_speedup = 0.0f64;
-    for &t in &sweep {
-        let locked = data_cell(false, t, cell, true);
-        let fast = data_cell(true, t, cell, true);
-        let speedup = locked / fast;
-        println!(
-            "  {t} thread(s): locked {locked:8.1} ns/op   fast {fast:8.1} ns/op   speedup {speedup:4.2}x"
-        );
-        if t >= 4 {
-            headline_speedup = headline_speedup.max(speedup);
-        }
-        cells.push(Json::obj([
-            ("threads", Json::Num(t as f64)),
-            ("locked_ns_per_op", Json::Num(locked)),
-            ("fastpath_ns_per_op", Json::Num(fast)),
-            ("speedup", Json::Num(speedup)),
-        ]));
-    }
-
-    println!("\n— phase A': quiescent data path (no churn; shared per-op costs dominate) —");
-    let mut quiescent = Vec::new();
-    for &t in &sweep {
-        let locked = data_cell(false, t, cell, false);
-        let fast = data_cell(true, t, cell, false);
-        println!(
-            "  {t} thread(s): locked {locked:8.1} ns/op   fast {fast:8.1} ns/op   speedup {:4.2}x",
-            locked / fast
-        );
-        quiescent.push(Json::obj([
-            ("threads", Json::Num(t as f64)),
-            ("locked_ns_per_op", Json::Num(locked)),
-            ("fastpath_ns_per_op", Json::Num(fast)),
-            ("speedup", Json::Num(locked / fast)),
-        ]));
-    }
+    let cells: Vec<Json> = sweep
+        .iter()
+        .map(|&t| {
+            let churned = data_cell(t, cell, true);
+            let quiescent = data_cell(t, cell, false);
+            println!(
+                "  {t} thread(s): under churn {churned:8.1} ns/op   quiescent {quiescent:8.1} ns/op"
+            );
+            Json::obj([
+                ("threads", Json::Num(t as f64)),
+                ("churn_ns_per_op", Json::Num(churned)),
+                ("quiescent_ns_per_op", Json::Num(quiescent)),
+            ])
+        })
+        .collect();
 
     println!("\n— phase B: fast-path read latency —");
     let lat_threads = sweep.iter().copied().max().unwrap_or(1).min(4);
@@ -394,16 +367,13 @@ fn main() {
     );
 
     let doc = Json::obj([
-        // Matches terp-analyze's JSON schema version (the result documents
-        // evolve together; see that binary's docs).
-        ("schema_version", Json::Num(2.0)),
+        // 3: per cell, ns/op under churn and quiescent.
+        ("schema_version", Json::Num(3.0)),
         ("benchmark", Json::Str("terp-hotpath".to_string())),
         ("scale", Json::Str(format!("{scale:?}").to_lowercase())),
         ("max_threads", Json::Num(max_threads as f64)),
         ("cell_duration_ms", Json::Num(cell_ms as f64)),
         ("data_path", Json::Arr(cells)),
-        ("data_path_quiescent", Json::Arr(quiescent)),
-        ("speedup_at_4plus_threads", Json::Num(headline_speedup)),
         ("fast_read_latency", hist_json(&read_hist)),
         (
             "attach",

@@ -1,20 +1,16 @@
 //! `terp-persist` — durability benchmark for the file-backed PMO store
-//! (DESIGN.md §10).
+//! (DESIGN.md §10, §16).
 //!
-//! Four experiments, all landing in `results/BENCH_persist.json`:
+//! Three experiments, all landing in `results/BENCH_persist.json`:
 //!
 //! 1. **Durable vs in-memory service throughput** — the same closed-loop
 //!    attach/data/detach workload as `terp-serve`, run against a purely
-//!    in-memory TERP-full service and against durable services under each
-//!    fsync policy (`os`, `group`, `always`) plus the pipelined `async`
-//!    writer, so the journaling overhead is directly comparable.
-//! 2. **Commit latency** — per-write submit→durable latency percentiles
-//!    (p50/p95/p99) under `visibility = durable`, per durable mode: what a
-//!    caller actually waits when it demands durability before the ack.
-//! 3. **Group-commit batch sweep** — durable throughput as the group-commit
-//!    batch grows (1 ≈ fsync-per-record, up to 256), the paper-style
-//!    latency/durability trade.
-//! 4. **Recovery time vs log length** — un-checkpointed WALs of increasing
+//!    in-memory TERP-full service and against a durable one under each
+//!    visibility rule: `submit` (ack at submit, pipelined background
+//!    writer) and `durable` (ack after the caller's inline write + fsync).
+//! 2. **Ack latency** — per-write latency percentiles (p50/p95/p99) under
+//!    each rule: what a caller actually waits for its acknowledgement.
+//! 3. **Recovery time vs log length** — un-checkpointed WALs of increasing
 //!    record counts are re-opened through full recovery (replay, rollback,
 //!    window resealing), reporting wall-clock recovery latency per length.
 //!
@@ -29,11 +25,9 @@ use std::time::{Duration, Instant};
 use terp_analysis::Json;
 use terp_bench::cli::Cli;
 use terp_core::config::Scheme;
-use terp_persist::{DurableStore, FsyncPolicy, WalMode, WalRecord};
+use terp_persist::{DurableStore, WalRecord};
 use terp_pmo::{OpenMode, Permission, PmoId};
-use terp_service::{
-    CostModel, DurableConfig, LatencyHistogram, PmoServer, PmoService, ServiceConfig, Visibility,
-};
+use terp_service::{CostModel, LatencyHistogram, PmoServer, PmoService, ServiceConfig, Visibility};
 
 struct RunSettings {
     threads: usize,
@@ -75,21 +69,34 @@ fn worker(svc: &PmoService, tid: usize, pools: &[PmoId], deadline: Instant, roun
     ops
 }
 
-/// Runs the closed-loop workload against one service configuration and
-/// returns `(total ops, elapsed seconds)`.
-fn run_mode(durable: Option<DurableConfig>, s: &RunSettings) -> (u64, f64) {
-    if let Some(d) = &durable {
-        let _ = std::fs::remove_dir_all(&d.dir);
+fn key(visibility: Visibility) -> &'static str {
+    match visibility {
+        Visibility::Submit => "submit",
+        Visibility::Durable => "durable",
     }
-    let mut config = ServiceConfig::new(Scheme::terp_full())
+}
+
+/// The service configuration every experiment shares; `durable` adds a
+/// (freshly emptied) store directory under the given visibility rule.
+fn config(s: &RunSettings, durable: Option<(&Path, Visibility)>) -> ServiceConfig {
+    let config = ServiceConfig::new(Scheme::terp_full())
         .with_shards(s.shards)
         .with_sweep_period_us(0)
         .with_seed(s.seed)
         .with_cost(CostModel::zero());
-    if let Some(d) = durable.clone() {
-        config = config.with_durable_config(d);
+    match durable {
+        None => config,
+        Some((dir, visibility)) => {
+            let _ = std::fs::remove_dir_all(dir);
+            config.with_durable(dir).with_visibility(visibility)
+        }
     }
-    let server = PmoServer::try_start(config).expect("service start");
+}
+
+/// Experiment 1 cell: runs the closed-loop workload against one service
+/// configuration and returns its `modes` entry plus the throughput.
+fn run_mode(label: &str, durable: Option<(&Path, Visibility)>, s: &RunSettings) -> (Json, f64) {
+    let server = PmoServer::try_start(config(s, durable)).expect("service start");
     let svc = server.service();
     let pools: Vec<PmoId> = (0..s.pools)
         .map(|i| {
@@ -100,7 +107,7 @@ fn run_mode(durable: Option<DurableConfig>, s: &RunSettings) -> (u64, f64) {
 
     let started = Instant::now();
     let deadline = started + s.duration;
-    let mut total = 0u64;
+    let mut ops = 0u64;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..s.threads)
             .map(|tid| {
@@ -110,91 +117,31 @@ fn run_mode(durable: Option<DurableConfig>, s: &RunSettings) -> (u64, f64) {
             })
             .collect();
         for h in handles {
-            total += h.join().expect("worker panicked");
+            ops += h.join().expect("worker panicked");
         }
     });
-    let elapsed = started.elapsed().as_secs_f64();
+    let secs = started.elapsed().as_secs_f64();
     server.shutdown();
-    if let Some(d) = &durable {
-        let _ = std::fs::remove_dir_all(&d.dir);
+    if let Some((dir, _)) = durable {
+        let _ = std::fs::remove_dir_all(dir);
     }
-    (total, elapsed)
-}
-
-fn fsync_key(policy: FsyncPolicy) -> &'static str {
-    match policy {
-        FsyncPolicy::Always => "always",
-        FsyncPolicy::Group => "group",
-        FsyncPolicy::Os => "os",
-    }
-}
-
-/// One durable write-path configuration under test: a synchronous fsync
-/// policy, or the pipelined asynchronous writer (which group-batches and
-/// fsyncs on its background thread).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum DurableMode {
-    Sync(FsyncPolicy),
-    Async,
-}
-
-impl DurableMode {
-    fn key(self) -> &'static str {
-        match self {
-            DurableMode::Sync(p) => fsync_key(p),
-            DurableMode::Async => "async",
-        }
-    }
-
-    fn wal_mode(self) -> &'static str {
-        match self {
-            DurableMode::Sync(_) => "sync",
-            DurableMode::Async => "async",
-        }
-    }
-
-    fn config(self, dir: PathBuf) -> DurableConfig {
-        match self {
-            DurableMode::Sync(p) => DurableConfig::new(dir).with_fsync(p),
-            // The async writer fsyncs once per adaptive batch regardless of
-            // policy; Group keeps the underlying WalWriter honest.
-            DurableMode::Async => DurableConfig::new(dir)
-                .with_fsync(FsyncPolicy::Group)
-                .with_wal_mode(WalMode::Async),
-        }
-    }
-}
-
-fn throughput_json(label: &str, mode: &str, wal: &str, batch: u64, ops: u64, secs: f64) -> Json {
-    Json::obj([
+    let tput = ops as f64 / secs.max(f64::MIN_POSITIVE);
+    let cell = Json::obj([
         ("mode", Json::Str(label.to_string())),
-        ("fsync", Json::Str(mode.to_string())),
-        ("wal_mode", Json::Str(wal.to_string())),
-        ("group_batch", Json::Num(batch as f64)),
         ("ops", Json::Num(ops as f64)),
         ("elapsed_s", Json::Num(secs)),
-        (
-            "throughput_ops_per_s",
-            Json::Num(ops as f64 / secs.max(f64::MIN_POSITIVE)),
-        ),
-    ])
+        ("throughput_ops_per_s", Json::Num(tput)),
+    ]);
+    (cell, tput)
 }
 
-/// Experiment 2: per-write commit latency (submit → durable ack) under
-/// `visibility = durable`. Each thread hammers its own pre-allocated object
-/// with timed `write()` calls; the service only acks once the record is
-/// past the durability watermark, so the timed call *is* the commit.
-fn run_commit_latency(mode: DurableMode, s: &RunSettings, scratch: &Path) -> Json {
-    let dir = scratch.join(format!("lat-{}", mode.key()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = ServiceConfig::new(Scheme::terp_full())
-        .with_shards(s.shards)
-        .with_sweep_period_us(0)
-        .with_seed(s.seed)
-        .with_cost(CostModel::zero())
-        .with_visibility(Visibility::Durable)
-        .with_durable_config(mode.config(dir.clone()));
-    let server = PmoServer::try_start(config).expect("service start");
+/// Experiment 2: per-write ack latency under one visibility rule. Each
+/// thread hammers its own pre-allocated object with timed `write()` calls;
+/// under `durable` the service only acks once the record is fsynced, so the
+/// timed call *is* the commit.
+fn run_ack_latency(visibility: Visibility, s: &RunSettings, scratch: &Path) -> Json {
+    let dir = scratch.join(format!("lat-{}", key(visibility)));
+    let server = PmoServer::try_start(config(s, Some((&dir, visibility)))).expect("service start");
     let svc = server.service();
     let pools: Vec<PmoId> = (0..s.threads)
         .map(|i| {
@@ -234,16 +181,15 @@ fn run_commit_latency(mode: DurableMode, s: &RunSettings, scratch: &Path) -> Jso
     let _ = std::fs::remove_dir_all(&dir);
     let us = |ns: u64| ns as f64 / 1e3;
     println!(
-        "  commit-{:<6} p50 {:>8.1} us   p95 {:>8.1} us   p99 {:>8.1} us   ({} commits)",
-        mode.key(),
+        "  ack-{:<8} p50 {:>8.1} us   p95 {:>8.1} us   p99 {:>8.1} us   ({} writes)",
+        key(visibility),
         us(hist.quantile(0.50)),
         us(hist.quantile(0.95)),
         us(hist.quantile(0.99)),
         hist.count(),
     );
     Json::obj([
-        ("mode", Json::Str(mode.key().to_string())),
-        ("wal_mode", Json::Str(mode.wal_mode().to_string())),
+        ("mode", Json::Str(key(visibility).to_string())),
         ("commits", Json::Num(hist.count() as f64)),
         ("p50_us", Json::Num(us(hist.quantile(0.50)))),
         ("p95_us", Json::Num(us(hist.quantile(0.95)))),
@@ -258,7 +204,7 @@ fn run_commit_latency(mode: DurableMode, s: &RunSettings, scratch: &Path) -> Jso
 /// randomizations, and data writes cycling through the pool.
 fn build_recovery_log(dir: &Path, records: usize) {
     let _ = std::fs::remove_dir_all(dir);
-    let (mut store, _, _) = DurableStore::open(dir, FsyncPolicy::Os, 1).expect("store open");
+    let (mut store, _, _) = DurableStore::open(dir, Visibility::Submit).expect("store open");
     let pmo = PmoId::new(1).expect("pmo id");
     store
         .log(&WalRecord::PoolCreate {
@@ -298,7 +244,7 @@ fn recovery_json(dir: &Path, records: usize) -> Json {
     let wal_bytes = std::fs::metadata(dir.join("wal.log"))
         .map(|m| m.len())
         .unwrap_or(0);
-    let (_, recovered, report) = DurableStore::open(dir, FsyncPolicy::Os, 1).expect("recovery");
+    let (_, recovered, report) = DurableStore::open(dir, Visibility::Submit).expect("recovery");
     assert_eq!(recovered.resealed.len(), 1, "crash-open window resealed");
     let ms = report.recovery_ns as f64 / 1e6;
     println!(
@@ -324,7 +270,7 @@ fn recovery_json(dir: &Path, records: usize) -> Json {
 fn main() {
     let cli = Cli::new(
         "terp-persist",
-        "durability benchmark: durable vs in-memory throughput, group-commit sweep, recovery latency",
+        "durability benchmark: durable vs in-memory throughput, ack latency, recovery latency",
     )
     .opt_uint("--threads", "N", "worker threads (default: 4)")
     .opt_uint("--duration-ms", "MS", "run length per mode (default: 400)")
@@ -333,9 +279,9 @@ fn main() {
     .opt_uint("--rounds", "N", "data rounds per attach (default: 4)")
     .opt_uint("--seed", "SEED", "placement RNG seed (default: 0x7e2f)")
     .opt_choice(
-        "--fsync",
-        &["always", "group", "os", "async", "all"],
-        "durable write paths to compare against memory (default: all)",
+        "--visibility",
+        &["submit", "durable", "all"],
+        "visibility rules to compare against memory (default: all)",
     )
     .opt_uint(
         "--recovery-scale",
@@ -369,82 +315,41 @@ fn main() {
         settings.duration.as_millis(),
     );
 
-    // Experiment 1: in-memory baseline vs each durable write path.
-    let mut modes = Vec::new();
-    let (ops, secs) = run_mode(None, &settings);
-    let memory_tput = ops as f64 / secs.max(f64::MIN_POSITIVE);
+    // Experiment 1: in-memory baseline vs each visibility rule.
+    let (cell, memory_tput) = run_mode("memory", None, &settings);
     println!("  memory       {:>12.0} ops/s", memory_tput);
-    modes.push(throughput_json("memory", "none", "none", 0, ops, secs));
-    let requested = cli.choice("--fsync", "all");
-    let durable_modes: Vec<DurableMode> = match requested {
-        "async" => vec![DurableMode::Async],
-        "all" => vec![
-            DurableMode::Sync(FsyncPolicy::Os),
-            DurableMode::Sync(FsyncPolicy::Group),
-            DurableMode::Sync(FsyncPolicy::Always),
-            DurableMode::Async,
-        ],
-        other => vec![DurableMode::Sync(
-            FsyncPolicy::parse(other).expect("choice list matches parse"),
-        )],
+    let mut modes = vec![cell];
+    let rules: Vec<Visibility> = match cli.choice("--visibility", "all") {
+        "all" => vec![Visibility::Submit, Visibility::Durable],
+        one => vec![Visibility::parse(one).expect("choice list matches parse")],
     };
-    for mode in &durable_modes {
-        let durable = mode.config(scratch.join(format!("mode-{}", mode.key())));
-        let batch = durable.group as u64;
-        let (ops, secs) = run_mode(Some(durable), &settings);
-        let tput = ops as f64 / secs.max(f64::MIN_POSITIVE);
+    for &rule in &rules {
+        let dir = scratch.join(format!("mode-{}", key(rule)));
+        let (cell, tput) = run_mode(key(rule), Some((&dir, rule)), &settings);
         println!(
-            "  durable-{:<6} {:>11.0} ops/s   ({:.1}% of memory)",
-            mode.key(),
+            "  {:<12} {:>12.0} ops/s   ({:.1}% of memory)",
+            key(rule),
             tput,
             100.0 * tput / memory_tput.max(f64::MIN_POSITIVE),
         );
-        modes.push(throughput_json(
-            "durable",
-            mode.key(),
-            mode.wal_mode(),
-            batch,
-            ops,
-            secs,
-        ));
+        modes.push(cell);
     }
 
-    // Experiment 2: commit latency (submit → durable) under
-    // `visibility = durable`, per durable mode.
-    let commit_latency: Vec<Json> = durable_modes
+    // Experiment 2: per-write ack latency under each rule.
+    let commit_latency: Vec<Json> = rules
         .iter()
-        .map(|mode| run_commit_latency(*mode, &settings, &scratch))
+        .map(|&rule| run_ack_latency(rule, &settings, &scratch))
         .collect();
 
-    // Experiment 3: group-commit batch sweep.
-    let mut sweep = Vec::new();
-    for batch in [1u64, 4, 16, 64, 256] {
-        let durable = DurableConfig::new(scratch.join(format!("group-{batch}")))
-            .with_fsync(FsyncPolicy::Group)
-            .with_group(batch as usize);
-        let (ops, secs) = run_mode(Some(durable), &settings);
-        let tput = ops as f64 / secs.max(f64::MIN_POSITIVE);
-        println!("  group-commit batch {:>3}  {:>12.0} ops/s", batch, tput);
-        sweep.push(throughput_json(
-            "group-sweep",
-            "group",
-            "sync",
-            batch,
-            ops,
-            secs,
-        ));
-    }
-
-    // Experiment 4: recovery latency vs log length.
+    // Experiment 3: recovery latency vs log length.
     let recovery: Vec<Json> = [1_000usize, 8_000, 32_000]
         .iter()
         .map(|n| recovery_json(&scratch.join(format!("rec-{n}")), n * scale))
         .collect();
 
     let doc = Json::obj([
-        // Matches terp-analyze's JSON schema version (the result documents
-        // evolve together; see that binary's docs).
-        ("schema_version", Json::Num(3.0)),
+        // 4: cells are `memory` / `submit` / `durable`.
+        ("schema_version", Json::Num(4.0)),
         ("benchmark", Json::Str("terp-persist".to_string())),
         ("threads", Json::Num(settings.threads as f64)),
         ("pools", Json::Num(settings.pools as f64)),
@@ -456,7 +361,6 @@ fn main() {
         ("data_rounds", Json::Num(settings.rounds as f64)),
         ("modes", Json::Arr(modes)),
         ("commit_latency", Json::Arr(commit_latency)),
-        ("group_commit", Json::Arr(sweep)),
         ("recovery", Json::Arr(recovery)),
     ]);
     if let Some(dir) = Path::new(out_path).parent() {

@@ -21,7 +21,7 @@
 //! Results land in `results/BENCH_repl.json`.
 //!
 //! ```text
-//! terp-repl-bench --ops 4000 --shards 2 --fsync always
+//! terp-repl-bench --ops 4000 --shards 2 --visibility durable
 //! ```
 
 use std::path::{Path, PathBuf};
@@ -32,10 +32,10 @@ use terp_analysis::Json;
 use terp_bench::cli::Cli;
 use terp_core::config::Scheme;
 use terp_persist::store::WAL_FILE;
-use terp_persist::{FsyncPolicy, TailReader, TailStatus};
+use terp_persist::{TailReader, TailStatus};
 use terp_pmo::{ObjectId, OpenMode, Permission, PmoId};
 use terp_repl::{ReplFollower, ReplFollowerConfig, ReplLeader, ReplLeaderConfig};
-use terp_service::{DurableConfig, LatencyHistogram, PmoServer, ServiceConfig};
+use terp_service::{LatencyHistogram, PmoServer, ServiceConfig, Visibility};
 
 const CLIENT: usize = 1;
 
@@ -130,9 +130,9 @@ fn main() {
         "ops between write→applied latency probes (default: 16)",
     )
     .opt_choice(
-        "--fsync",
-        &["always", "group", "os"],
-        "leader WAL fsync policy (default: always)",
+        "--visibility",
+        &["submit", "durable"],
+        "leader ack rule (default: durable)",
     )
     .opt_str(
         "--out",
@@ -145,18 +145,19 @@ fn main() {
     let shards = cli.uint("--shards").unwrap_or(2).max(1) as usize;
     let payload = cli.uint("--payload").unwrap_or(64).max(1) as usize;
     let probe_every = cli.uint("--probe-every").unwrap_or(16).max(1);
-    let fsync_key = cli.choice("--fsync", "always").to_string();
-    let fsync = FsyncPolicy::parse(&fsync_key).expect("valid fsync policy");
+    let visibility_key = cli.choice("--visibility", "durable").to_string();
+    let visibility = Visibility::parse(&visibility_key).expect("valid visibility");
     let out_path = cli.choice("--out", "results/BENCH_repl.json");
 
     let leader_dir = temp_dir("leader");
     let mirror_dir = temp_dir("mirror");
     let config = ServiceConfig::for_tests(Scheme::terp_full())
         .with_shards(shards)
-        .with_durable_config(DurableConfig::new(&leader_dir).with_fsync(fsync));
+        .with_durable(&leader_dir)
+        .with_visibility(visibility);
 
     println!(
-        "terp-repl-bench: {shards} shard(s), fsync {fsync_key}, {ops} ops, \
+        "terp-repl-bench: {shards} shard(s), visibility {visibility_key}, {ops} ops, \
          {payload}-byte writes, probe every {probe_every}"
     );
 
@@ -280,7 +281,7 @@ fn main() {
         // completes; probe latencies are per-op write→standby-applied.
         ("loop_mode", Json::Str("closed".to_string())),
         ("shards", Json::Num(shards as f64)),
-        ("fsync", Json::Str(fsync_key)),
+        ("visibility", Json::Str(visibility_key)),
         ("ops", Json::Num(ops as f64)),
         ("payload_bytes", Json::Num(payload as f64)),
         (

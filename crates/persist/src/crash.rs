@@ -108,11 +108,11 @@ pub fn inject(log: &[u8], point: CrashPoint) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::record::{read_log, WalRecord};
-    use crate::wal::{FsyncPolicy, WalWriter};
+    use crate::wal::WalWriter;
     use terp_pmo::PmoId;
 
     fn sample_log(n: u64) -> Vec<u8> {
-        let mut w = WalWriter::in_memory(FsyncPolicy::Always, 1);
+        let mut w = WalWriter::in_memory();
         for i in 0..n {
             w.append(&WalRecord::DataWrite {
                 pmo: PmoId::new(1).unwrap(),
@@ -121,6 +121,7 @@ mod tests {
             })
             .unwrap();
         }
+        w.sync().unwrap();
         w.durable_bytes().unwrap().to_vec()
     }
 

@@ -12,8 +12,8 @@
 //!
 //! * [`record`] — the WAL record set and its CRC-framed binary encoding;
 //!   decoding truncates at the first invalid frame (torn-tail semantics).
-//! * [`wal`] — [`WalWriter`]: group-commit append with selectable
-//!   [`FsyncPolicy`], file-backed or in-memory.
+//! * [`wal`] — [`WalWriter`]: buffered append + explicit sync, file-backed
+//!   or in-memory.
 //! * [`snapshot`] — segmented, per-segment-checksummed pool images with an
 //!   embedded replay watermark ([`PoolSnapshot`]).
 //! * [`crash`] — deterministic crash injection: [`enumerate_crash_points`]
@@ -28,25 +28,25 @@
 //! * [`writer`] — the pipelined asynchronous log path:
 //!   [`AsyncWalWriter`] accepts appends at *submit* through a bounded
 //!   queue, batches adaptively on a background thread, and publishes a
-//!   monotonic durability watermark ([`DurabilityGate`]) that callers (or
-//!   per-append [`DurableTicket`]s) wait on only when they need
-//!   durability.
+//!   monotonic durability watermark ([`DurabilityGate`]) that callers wait
+//!   on only when they need durability.
 //! * [`store`] — [`DurableStore`]: one directory (WAL + snapshots +
-//!   incremental-checkpoint delta log) with open-time recovery, sync or
-//!   async ([`WalMode`]) write paths, and the crash-safe full and
-//!   incremental checkpoint protocols.
+//!   incremental-checkpoint delta log) with open-time recovery, the one
+//!   durable policy ([`Visibility`]: ack at submit through the pipelined
+//!   writer, or ack once durable through the inline one), and the
+//!   crash-safe full and incremental checkpoint protocols.
 //! * [`tail`] — [`TailReader`]: stable tail reads over a *live* WAL for log
-//!   shipping; a torn tail under a racing group-commit append reads as
+//!   shipping; a torn tail under a racing append reads as
 //!   [`TailStatus::NeedMore`], never as corruption.
 //!
 //! # Quick start
 //!
 //! ```
-//! use terp_persist::{DurableStore, FsyncPolicy, WalRecord};
+//! use terp_persist::{DurableStore, Visibility, WalRecord};
 //! use terp_pmo::{OpenMode, PmoRegistry};
 //! # fn main() -> Result<(), terp_persist::PersistError> {
 //! let dir = std::env::temp_dir().join(format!("terp-doc-{}", std::process::id()));
-//! let (mut store, recovered, report) = DurableStore::open(&dir, FsyncPolicy::Group, 8)?;
+//! let (mut store, recovered, report) = DurableStore::open(&dir, Visibility::Durable)?;
 //! assert_eq!(report.pools_recovered, 0); // fresh directory
 //!
 //! // Mirror every mutation into the log…
@@ -61,7 +61,7 @@
 //! store.sync()?;
 //!
 //! // …and the next open replays it.
-//! let (_, recovered, _) = DurableStore::open(&dir, FsyncPolicy::Group, 8)?;
+//! let (_, recovered, _) = DurableStore::open(&dir, Visibility::Durable)?;
 //! assert!(recovered.registry.lookup("ledger").is_some());
 //! # std::fs::remove_dir_all(&dir).ok();
 //! # Ok(())
@@ -87,7 +87,7 @@ pub use error::PersistError;
 pub use record::{read_log, LogContents, WalRecord};
 pub use recovery::{recover, recover_segments, RecoveredState, RecoveryReport};
 pub use snapshot::{load_snapshots, PoolSnapshot};
-pub use store::{DurableStore, CKPT_FILE, PROT_FILE, WAL_FILE};
+pub use store::{DurableStore, Visibility, CKPT_FILE, PROT_FILE, WAL_FILE};
 pub use tail::{TailChunk, TailReader, TailStatus};
-pub use wal::{FsyncPolicy, WalStats, WalWriter};
-pub use writer::{AsyncWalWriter, DurabilityGate, DurableTicket, WalMode};
+pub use wal::{WalStats, WalWriter};
+pub use writer::{AsyncWalWriter, DurabilityGate};

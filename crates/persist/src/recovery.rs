@@ -305,7 +305,7 @@ pub fn recover_segments(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{FsyncPolicy, WalWriter};
+    use crate::wal::WalWriter;
     use terp_pmo::{OpenMode, Permission};
 
     fn id(raw: u16) -> PmoId {
@@ -316,7 +316,7 @@ mod tests {
     /// returns (registry, durable log bytes).
     fn logged_workload() -> (PmoRegistry, Vec<u8>) {
         let mut reg = PmoRegistry::new();
-        let mut wal = WalWriter::in_memory(FsyncPolicy::Always, 1);
+        let mut wal = WalWriter::in_memory();
         let pid = reg.create("wk", 1 << 18, OpenMode::ReadWrite).unwrap();
         wal.append(&WalRecord::PoolCreate {
             id: pid,
@@ -350,6 +350,7 @@ mod tests {
         .unwrap();
         wal.append(&WalRecord::WindowOpen { pmo: pid }).unwrap();
         wal.append(&WalRecord::Randomize { pmo: pid }).unwrap();
+        wal.sync().unwrap();
         let bytes = wal.durable_bytes().unwrap().to_vec();
         (reg, bytes)
     }
@@ -380,7 +381,7 @@ mod tests {
     #[test]
     fn closed_windows_are_not_resealed() {
         let (_, mut log) = logged_workload();
-        let mut wal = WalWriter::in_memory(FsyncPolicy::Always, 1);
+        let mut wal = WalWriter::in_memory();
         wal.set_next_seq(6);
         wal.append(&WalRecord::WindowClose { pmo: id(1) }).unwrap();
         wal.append(&WalRecord::SessionClose {
@@ -388,6 +389,7 @@ mod tests {
             pmo: id(1),
         })
         .unwrap();
+        wal.sync().unwrap();
         log.extend_from_slice(wal.durable_bytes().unwrap());
 
         let (state, report) = recover(&[], &log).unwrap();
@@ -415,7 +417,7 @@ mod tests {
     fn root_directory_replays_last_writer_wins_and_survives_torn_tails() {
         let (_, mut log) = logged_workload();
         let pid = id(1);
-        let mut wal = WalWriter::in_memory(FsyncPolicy::Always, 1);
+        let mut wal = WalWriter::in_memory();
         wal.set_next_seq(6);
         // Two sets on key 1 (second wins), a set+clear on key 2, and a set
         // on key 3 whose frame we then tear mid-payload.
@@ -443,6 +445,7 @@ mod tests {
         ] {
             wal.append(&rec).unwrap();
         }
+        wal.sync().unwrap();
         log.extend_from_slice(wal.durable_bytes().unwrap());
         let torn_frame = WalRecord::RootSet {
             pmo: pid,
@@ -474,7 +477,7 @@ mod tests {
     fn root_directory_is_watermark_exempt() {
         let (live, mut log) = logged_workload();
         let pid = id(1);
-        let mut wal = WalWriter::in_memory(FsyncPolicy::Always, 1);
+        let mut wal = WalWriter::in_memory();
         wal.set_next_seq(6);
         wal.append(&WalRecord::RootSet {
             pmo: pid,
@@ -482,6 +485,7 @@ mod tests {
             oid: 0x0040_0000_0000_0500,
         })
         .unwrap();
+        wal.sync().unwrap();
         log.extend_from_slice(wal.durable_bytes().unwrap());
         // Snapshot watermark covers the whole log, including the RootSet.
         let snap = PoolSnapshot::capture(live.pool(pid).unwrap(), 6);
@@ -495,7 +499,7 @@ mod tests {
 
     #[test]
     fn alloc_divergence_is_detected() {
-        let mut wal = WalWriter::in_memory(FsyncPolicy::Always, 1);
+        let mut wal = WalWriter::in_memory();
         wal.append(&WalRecord::PoolCreate {
             id: id(1),
             name: "dv".into(),
@@ -509,6 +513,7 @@ mod tests {
             offset: 0xDEAD00, // not what a fresh allocator will hand out
         })
         .unwrap();
+        wal.sync().unwrap();
         let err = recover(&[], wal.durable_bytes().unwrap()).unwrap_err();
         assert!(
             matches!(err, PersistError::ReplayDivergence { .. }),
@@ -520,7 +525,7 @@ mod tests {
     fn uncommitted_transaction_rolls_back_during_recovery() {
         use terp_pmo::Transaction;
         let mut reg = PmoRegistry::new();
-        let mut wal = WalWriter::in_memory(FsyncPolicy::Always, 1);
+        let mut wal = WalWriter::in_memory();
         let pid = reg.create("tx", 1 << 18, OpenMode::ReadWrite).unwrap();
         wal.append(&WalRecord::PoolCreate {
             id: pid,
@@ -596,6 +601,7 @@ mod tests {
             }
         }
 
+        wal.sync().unwrap();
         let (state, report) = recover(&[], wal.durable_bytes().unwrap()).unwrap();
         assert!(report.txns_rolled_back > 0, "in-flight txn must roll back");
         let mut buf = [0u8; 8];

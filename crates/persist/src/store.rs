@@ -9,14 +9,16 @@
 //! [`DurableStore::log`] and periodically checkpoints to bound log length
 //! (and therefore recovery time).
 //!
-//! **Write modes.** Opened with [`WalMode::Sync`], appends write (and, per
-//! the fsync policy, fsync) inline on the caller's thread. With
-//! [`WalMode::Async`], appends return at *submit* and a per-store
-//! background thread ([`crate::writer::AsyncWalWriter`]) batches, writes
-//! and fsyncs, publishing a [`DurabilityGate`] watermark. Either way,
-//! [`DurableStore::sync_to`] blocks until a given record is durable and
-//! [`DurableStore::ticket`] hands out a waitable [`DurableTicket`] — the
-//! submit/durable split callers build visibility gating on.
+//! **One setting.** [`Visibility`] — which effects may be visible before
+//! they are durable — is the only durable policy, and it picks the log
+//! writer. Under [`Visibility::Durable`] appends are buffered and the
+//! owner's end-of-operation [`DurableStore::sync`] writes and fsyncs them
+//! inline on the calling thread (one `write` + one `fdatasync` per
+//! acknowledged operation). Under [`Visibility::Submit`] appends return at
+//! submit and a per-store background thread
+//! ([`crate::writer::AsyncWalWriter`]) batches, writes and fsyncs behind
+//! the caller's back. Either way [`DurableStore::watermark`] says how far
+//! durability has got.
 //!
 //! **Full checkpoint** protocol, crash-safe at every step:
 //!
@@ -51,7 +53,6 @@ use std::collections::BTreeMap;
 use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use terp_pmo::{Pmo, PmoId};
 
@@ -59,8 +60,8 @@ use crate::error::PersistError;
 use crate::record::{read_log, WalRecord};
 use crate::recovery::{recover_segments, RecoveredState, RecoveryReport};
 use crate::snapshot::{load_snapshots, PoolSnapshot};
-use crate::wal::{FsyncPolicy, WalStats, WalWriter};
-use crate::writer::{AsyncWalWriter, DurabilityGate, DurableTicket, WalMode};
+use crate::wal::{WalStats, WalWriter};
+use crate::writer::AsyncWalWriter;
 
 /// File name of the write-ahead log inside a store directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -72,12 +73,45 @@ pub const CKPT_FILE: &str = "ckpt.log";
 /// records — the state the truncated WAL would otherwise forget).
 pub const PROT_FILE: &str = "prot.log";
 
-/// How the store drives its log file: inline, or through the pipelined
-/// background writer.
+/// When a logged operation's effects may become externally visible — i.e.
+/// when the mutating call that journaled them returns to its caller (and
+/// therefore when a net response or repl ack may be sent). This is the one
+/// durable-mode policy: it also selects the log writer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Visibility {
+    /// Return at *submit*: the mutation is handed to the pipelined
+    /// background writer and the call does not wait for the fsync. Highest
+    /// throughput; a crash can lose the tail of acknowledged-but-unfsynced
+    /// operations. Recovery still reseals every crash-open window — the
+    /// TERP invariant never depends on this setting.
+    #[default]
+    Submit,
+    /// Return only once the operation's log records are *durable*: the
+    /// caller writes and fsyncs them inline at operation end, so grant
+    /// acks, detach/expiry resealing acks, and writes never precede their
+    /// records' fsync (read-your-durable-writes).
+    Durable,
+}
+
+impl Visibility {
+    /// Parses a visibility name (`submit` / `durable`), as used by CLI
+    /// flags.
+    pub fn parse(name: &str) -> Option<Self> {
+        match name {
+            "submit" => Some(Visibility::Submit),
+            "durable" => Some(Visibility::Durable),
+            _ => None,
+        }
+    }
+}
+
+/// The log writer [`Visibility`] selected.
 #[derive(Debug)]
 enum Backend {
-    Sync(WalWriter),
-    Async(AsyncWalWriter),
+    /// [`Visibility::Durable`]: buffered appends, synced by the caller.
+    Inline(WalWriter),
+    /// [`Visibility::Submit`]: the pipelined background writer.
+    Pipelined(AsyncWalWriter),
 }
 
 /// A directory-backed durable store for a set of pools.
@@ -85,11 +119,6 @@ enum Backend {
 pub struct DurableStore {
     dir: PathBuf,
     backend: Backend,
-    /// Durability watermark shared with waiters. In async mode this is the
-    /// writer thread's gate; in sync mode the store advances it itself
-    /// whenever the inline writer's buffer drains (for `FsyncPolicy::Os`
-    /// that means "handed to the OS" — the same contract the policy gives).
-    gate: Arc<DurabilityGate>,
     /// Live image of the root directory (`RootSet` records seen so far).
     /// Checkpoint truncation discards the log, and snapshots capture pool
     /// bytes only — so the store re-logs this map right after truncating,
@@ -110,11 +139,12 @@ fn read_file_opt(path: &Path) -> Result<Vec<u8>, PersistError> {
 }
 
 impl DurableStore {
-    /// Opens (creating if needed) the store at `dir` with the synchronous
-    /// inline writer, recovering whatever state its snapshots and logs
-    /// describe. The returned [`RecoveredState`] holds the rebuilt registry
-    /// — with every crash-open exposure window force-closed and resealed —
-    /// and the [`RecoveryReport`] the metrics of the run.
+    /// Opens (creating if needed) the store at `dir`, recovering whatever
+    /// state its snapshots and logs describe, with the log writer
+    /// `visibility` calls for. The returned [`RecoveredState`] holds the
+    /// rebuilt registry — with every crash-open exposure window
+    /// force-closed and resealed — and the [`RecoveryReport`] the metrics
+    /// of the run.
     ///
     /// # Errors
     ///
@@ -123,24 +153,7 @@ impl DurableStore {
     /// error: it is truncated away and reported.
     pub fn open(
         dir: &Path,
-        policy: FsyncPolicy,
-        group: usize,
-    ) -> Result<(Self, RecoveredState, RecoveryReport), PersistError> {
-        Self::open_with_mode(dir, policy, group, WalMode::Sync)
-    }
-
-    /// Opens the store like [`DurableStore::open`], selecting the write
-    /// mode: [`WalMode::Async`] spawns the pipelined background writer
-    /// (appends return at submit, durability via the watermark).
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableStore::open`].
-    pub fn open_with_mode(
-        dir: &Path,
-        policy: FsyncPolicy,
-        group: usize,
-        mode: WalMode,
+        visibility: Visibility,
     ) -> Result<(Self, RecoveredState, RecoveryReport), PersistError> {
         fs::create_dir_all(dir)?;
         let snapshots = load_snapshots(dir)?;
@@ -152,7 +165,7 @@ impl DurableStore {
             recover_segments(&snapshots, &[&ckpt_bytes, &prot_bytes, &log_bytes])?;
         // Reopening truncates the torn tail physically and positions the
         // writer after the last valid record.
-        let (mut wal, _contents) = WalWriter::open(&wal_path, policy, group)?;
+        let (mut wal, _contents) = WalWriter::open(&wal_path)?;
         // Snapshot and checkpoint watermarks may exceed every surviving
         // record's seq (the WAL is truncated at checkpoints); keep seq
         // strictly increasing past all durable sources.
@@ -165,23 +178,14 @@ impl DurableStore {
         if floor > wal.next_seq() {
             wal.set_next_seq(floor);
         }
-        let (backend, gate) = match mode {
-            WalMode::Sync => {
-                // Everything currently on disk is durable.
-                let gate = DurabilityGate::at(wal.next_seq());
-                (Backend::Sync(wal), gate)
-            }
-            WalMode::Async => {
-                let writer = AsyncWalWriter::spawn(wal);
-                let gate = writer.gate();
-                (Backend::Async(writer), gate)
-            }
+        let backend = match visibility {
+            Visibility::Durable => Backend::Inline(wal),
+            Visibility::Submit => Backend::Pipelined(AsyncWalWriter::spawn(wal)),
         };
         Ok((
             DurableStore {
                 dir: dir.to_path_buf(),
                 backend,
-                gate,
                 roots: state.roots.clone(),
                 records_since_ckpt: 0,
             },
@@ -190,13 +194,11 @@ impl DurableStore {
         ))
     }
 
-    /// Appends one record and returns its sequence number.
-    ///
-    /// In sync mode durability is governed by the fsync policy the store
-    /// was opened with; in async mode this returns at *submit* and the
-    /// record is durable once [`DurableStore::watermark`] passes its seq
-    /// (wait with [`DurableStore::sync_to`] or a
-    /// [`DurableStore::ticket`]).
+    /// Appends one record and returns its sequence number. The record is
+    /// durable once [`DurableStore::watermark`] passes its seq: after the
+    /// owner's next [`DurableStore::sync`] under [`Visibility::Durable`],
+    /// whenever the background writer gets to it under
+    /// [`Visibility::Submit`].
     pub fn log(&mut self, record: &WalRecord) -> Result<u64, PersistError> {
         if let WalRecord::RootSet { pmo, key, oid } = record {
             if *oid == 0 {
@@ -206,69 +208,40 @@ impl DurableStore {
             }
         }
         let seq = match &mut self.backend {
-            Backend::Sync(wal) => {
-                let seq = wal.append(record)?;
-                if wal.pending_records() == 0 {
-                    // The policy flushed this batch inline (Always: every
-                    // record; Group: batch boundary; Os: write-through).
-                    self.gate.advance(wal.next_seq());
-                }
-                seq
-            }
-            Backend::Async(writer) => writer.append(record)?,
+            Backend::Inline(wal) => wal.append(record)?,
+            Backend::Pipelined(writer) => writer.append(record)?,
         };
         self.records_since_ckpt += 1;
         Ok(seq)
     }
 
-    /// Forces everything appended so far to durable media (in async mode:
-    /// blocks until the watermark catches up with the last submission).
+    /// Forces everything appended so far to durable media: the inline
+    /// writer writes and fsyncs its buffer on this thread, the pipelined
+    /// one blocks until the watermark catches up with the last submission.
     pub fn sync(&mut self) -> Result<(), PersistError> {
         match &mut self.backend {
-            Backend::Sync(wal) => {
-                wal.sync()?;
-                self.gate.advance(wal.next_seq());
-                Ok(())
-            }
-            Backend::Async(writer) => writer.sync(),
+            Backend::Inline(wal) => wal.sync(),
+            Backend::Pipelined(writer) => writer.sync(),
         }
     }
 
-    /// Blocks until the record with sequence number `seq` is durable.
-    /// Returns immediately if the watermark already passed it.
-    pub fn sync_to(&mut self, seq: u64) -> Result<(), PersistError> {
-        if self.gate.is_durable(seq) {
-            return Ok(());
-        }
+    /// Ends one operation: under [`Visibility::Durable`] every record it
+    /// logged is written and fsynced before this returns (a no-op when it
+    /// logged none); under [`Visibility::Submit`] nothing waits.
+    pub fn commit(&mut self) -> Result<(), PersistError> {
         match &mut self.backend {
-            Backend::Sync(_) => self.sync(),
-            Backend::Async(_) => self.gate.wait_for(seq),
+            Backend::Inline(wal) if wal.pending_records() > 0 => wal.sync(),
+            _ => Ok(()),
         }
-    }
-
-    /// A waitable completion handle for the record with sequence number
-    /// `seq` — wait on it *after* releasing whatever lock guarded the
-    /// submission. Only meaningful in async mode (in sync mode a buffered
-    /// group-commit record's ticket completes at the next sync, which may
-    /// never come without further traffic — use [`DurableStore::sync_to`]).
-    pub fn ticket(&self, seq: u64) -> DurableTicket {
-        self.gate.ticket(seq)
-    }
-
-    /// The shared durability gate (watermark + completion notification).
-    pub fn gate(&self) -> Arc<DurabilityGate> {
-        Arc::clone(&self.gate)
     }
 
     /// The durability watermark: every record with `seq < watermark()` is
     /// durable.
     pub fn watermark(&self) -> u64 {
-        self.gate.watermark()
-    }
-
-    /// Whether the store runs the pipelined background writer.
-    pub fn is_async(&self) -> bool {
-        matches!(self.backend, Backend::Async(_))
+        match &self.backend {
+            Backend::Inline(wal) => wal.next_seq() - wal.pending_records() as u64,
+            Backend::Pipelined(writer) => writer.gate().watermark(),
+        }
     }
 
     /// Records appended since the last checkpoint of either kind.
@@ -278,8 +251,8 @@ impl DurableStore {
 
     fn truncate_backend(&mut self) -> Result<(), PersistError> {
         match &mut self.backend {
-            Backend::Sync(wal) => wal.truncate(),
-            Backend::Async(writer) => writer.truncate(),
+            Backend::Inline(wal) => wal.truncate(),
+            Backend::Pipelined(writer) => writer.truncate(),
         }
     }
 
@@ -309,7 +282,7 @@ impl DurableStore {
         pools: impl IntoIterator<Item = &'a mut Pmo>,
     ) -> Result<usize, PersistError> {
         let watermark = self.log(&WalRecord::Checkpoint)?;
-        self.sync_to(watermark)?;
+        self.sync()?;
         let mut written = 0usize;
         let mut seen: Vec<&'a mut Pmo> = Vec::new();
         for pool in pools {
@@ -365,7 +338,7 @@ impl DurableStore {
         protection: &[WalRecord],
     ) -> Result<usize, PersistError> {
         let watermark = self.log(&WalRecord::Checkpoint)?;
-        self.sync_to(watermark)?;
+        self.sync()?;
 
         // Step 1: dirty state → delta log, one fsync for the whole batch.
         let mut delta: Vec<u8> = Vec::new();
@@ -471,16 +444,16 @@ impl DurableStore {
     /// Writer activity counters.
     pub fn stats(&self) -> WalStats {
         match &self.backend {
-            Backend::Sync(wal) => wal.stats(),
-            Backend::Async(writer) => writer.stats(),
+            Backend::Inline(wal) => wal.stats(),
+            Backend::Pipelined(writer) => writer.stats(),
         }
     }
 
     /// Sequence number the next logged record will receive.
     pub fn next_seq(&self) -> u64 {
         match &self.backend {
-            Backend::Sync(wal) => wal.next_seq(),
-            Backend::Async(writer) => writer.next_seq(),
+            Backend::Inline(wal) => wal.next_seq(),
+            Backend::Pipelined(writer) => writer.next_seq(),
         }
     }
 }
@@ -548,12 +521,12 @@ mod tests {
     fn reopen_after_crash_recovers_logged_state() {
         let dir = tmp_dir("reopen");
         {
-            let (mut store, _, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+            let (mut store, _, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
             // Store dropped without checkpoint = crash.
         }
-        let (store, state, report) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+        let (store, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
         assert_recovered(&state);
         assert_eq!(report.pools_recovered, 1);
         assert_eq!(report.windows_resealed, 1);
@@ -566,13 +539,13 @@ mod tests {
     fn checkpoint_truncates_log_and_survives_reopen() {
         let dir = tmp_dir("ckpt");
         {
-            let (mut store, _, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+            let (mut store, _, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
             assert_eq!(store.checkpoint(reg.iter_mut()).unwrap(), 1);
             assert_eq!(fs::metadata(store.wal_path()).unwrap().len(), 0);
         }
-        let (_, state, report) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+        let (_, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
         assert_eq!(report.snapshots_installed, 1);
         assert_eq!(report.records_replayed, 0, "log was truncated");
         // The window state lived only in the truncated log — the checkpoint
@@ -591,7 +564,7 @@ mod tests {
     fn records_after_checkpoint_replay_on_top_of_snapshot() {
         let dir = tmp_dir("post-ckpt");
         {
-            let (mut store, _, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+            let (mut store, _, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
             store.checkpoint(reg.iter_mut()).unwrap();
@@ -607,7 +580,7 @@ mod tests {
                 .unwrap();
             store.sync().unwrap();
         }
-        let (_, state, report) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+        let (_, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
         assert_eq!(report.records_replayed, 1);
         assert_eq!(
             report.records_skipped, 0,
@@ -625,7 +598,7 @@ mod tests {
         let dir = tmp_dir("roots");
         let packed = 0x0040_0000_0000_0080u64;
         {
-            let (mut store, _, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+            let (mut store, _, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
             store.log(&WalRecord::WindowClose { pmo: id(1) }).unwrap();
@@ -659,7 +632,7 @@ mod tests {
             );
             assert_eq!(store.roots().len(), 1);
         }
-        let (store, state, report) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+        let (store, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
         assert_eq!(report.roots_recovered, 1);
         assert_eq!(state.roots.get(&(id(1), 7)), Some(&packed));
         assert!(!state.roots.contains_key(&(id(1), 8)), "cleared slot gone");
@@ -671,7 +644,7 @@ mod tests {
     fn torn_tail_is_reported_and_physically_truncated() {
         let dir = tmp_dir("torn");
         {
-            let (mut store, _, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+            let (mut store, _, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
         }
@@ -681,7 +654,7 @@ mod tests {
         f.set_len(len - 2).unwrap();
         drop(f);
 
-        let (store, state, report) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+        let (store, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
         assert!(report.torn_tail);
         assert!(report.bytes_dropped > 0);
         // The torn record was the WindowOpen → nothing to reseal, data intact.
@@ -697,7 +670,7 @@ mod tests {
     fn incremental_checkpoint_truncates_wal_and_preserves_protection() {
         let dir = tmp_dir("inc-ckpt");
         {
-            let (mut store, _, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+            let (mut store, _, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
             // The window from the workload is still open — carry it.
@@ -710,7 +683,7 @@ mod tests {
             assert!(fs::metadata(dir.join(PROT_FILE)).unwrap().len() > 0);
             // Crash here (drop without further checkpoint).
         }
-        let (_, state, report) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+        let (_, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
         // Data comes back from the delta log, the open window from
         // prot.log — and is resealed, the TERP invariant.
         assert_recovered(&state);
@@ -722,7 +695,7 @@ mod tests {
     #[test]
     fn incremental_checkpoint_only_writes_dirty_pages() {
         let dir = tmp_dir("inc-dirty");
-        let (mut store, _, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+        let (mut store, _, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
         let mut reg = PmoRegistry::new();
         workload(&mut store, &mut reg);
         store.log(&WalRecord::WindowClose { pmo: id(1) }).unwrap();
@@ -757,7 +730,7 @@ mod tests {
     fn records_after_incremental_checkpoint_replay_on_top_of_deltas() {
         let dir = tmp_dir("inc-post");
         {
-            let (mut store, _, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+            let (mut store, _, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
             store
@@ -775,7 +748,7 @@ mod tests {
                 .unwrap();
             store.sync().unwrap();
         }
-        let (_, state, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+        let (_, state, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
         assert_eq!(
             state.registry.pool(id(1)).unwrap().allocator().live_count(),
             2
@@ -786,7 +759,7 @@ mod tests {
     #[test]
     fn full_checkpoint_supersedes_incremental_files() {
         let dir = tmp_dir("inc-full");
-        let (mut store, _, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+        let (mut store, _, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
         let mut reg = PmoRegistry::new();
         workload(&mut store, &mut reg);
         store.log(&WalRecord::WindowClose { pmo: id(1) }).unwrap();
@@ -796,7 +769,7 @@ mod tests {
         assert!(!dir.join(CKPT_FILE).exists(), "delta log deleted");
         assert!(!dir.join(PROT_FILE).exists(), "protection snapshot deleted");
         drop(store);
-        let (_, state, report) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+        let (_, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
         assert_eq!(report.snapshots_installed, 1);
         let pool = state.registry.pool(id(1)).unwrap();
         assert_eq!(pool.allocator().live_count(), 1);
@@ -807,19 +780,16 @@ mod tests {
     fn async_store_gates_visibility_on_the_watermark() {
         let dir = tmp_dir("async");
         {
-            let (mut store, _, _) =
-                DurableStore::open_with_mode(&dir, FsyncPolicy::Group, 64, WalMode::Async).unwrap();
-            assert!(store.is_async());
+            let (mut store, _, _) = DurableStore::open(&dir, Visibility::Submit).unwrap();
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
             // workload ends with sync(): everything submitted is durable.
             assert_eq!(store.watermark(), store.next_seq());
             let seq = store.log(&WalRecord::WindowClose { pmo: id(1) }).unwrap();
-            let ticket = store.ticket(seq);
-            ticket.wait().unwrap();
+            store.sync().unwrap();
             assert!(store.watermark() > seq);
         }
-        let (_, state, report) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+        let (_, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
         assert_eq!(report.windows_resealed, 0, "window closed before crash");
         let pool = state.registry.pool(id(1)).unwrap();
         let (off, _) = pool.allocator().live_blocks().next().unwrap();
@@ -833,8 +803,7 @@ mod tests {
     fn async_store_incremental_checkpoint_roundtrip() {
         let dir = tmp_dir("async-inc");
         {
-            let (mut store, _, _) =
-                DurableStore::open_with_mode(&dir, FsyncPolicy::Group, 64, WalMode::Async).unwrap();
+            let (mut store, _, _) = DurableStore::open(&dir, Visibility::Submit).unwrap();
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
             store
@@ -842,8 +811,7 @@ mod tests {
                 .unwrap();
             assert_eq!(fs::metadata(store.wal_path()).unwrap().len(), 0);
         }
-        let (_, state, report) =
-            DurableStore::open_with_mode(&dir, FsyncPolicy::Group, 64, WalMode::Async).unwrap();
+        let (_, state, report) = DurableStore::open(&dir, Visibility::Submit).unwrap();
         assert_recovered(&state);
         assert_eq!(report.windows_resealed, 1);
         fs::remove_dir_all(&dir).unwrap();

@@ -58,13 +58,14 @@ pub struct TailChunk {
 /// Incremental reader over a live WAL file.
 ///
 /// ```
-/// use terp_persist::{FsyncPolicy, TailReader, TailStatus, WalRecord, WalWriter};
+/// use terp_persist::{TailReader, TailStatus, WalRecord, WalWriter};
 /// # fn main() -> Result<(), terp_persist::PersistError> {
 /// let dir = std::env::temp_dir().join(format!("terp-tail-doc-{}", std::process::id()));
 /// std::fs::create_dir_all(&dir)?;
 /// let path = dir.join("wal.log");
-/// let (mut w, _) = WalWriter::open(&path, FsyncPolicy::Always, 1)?;
+/// let (mut w, _) = WalWriter::open(&path)?;
 /// w.append(&WalRecord::Checkpoint)?;
+/// w.sync()?;
 ///
 /// let mut tail = TailReader::new(&path);
 /// let chunk = tail.poll()?;
@@ -156,7 +157,7 @@ impl TailReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{FsyncPolicy, WalWriter};
+    use crate::wal::WalWriter;
     use terp_pmo::PmoId;
 
     fn rec(n: u64) -> WalRecord {
@@ -188,9 +189,10 @@ mod tests {
     fn incremental_polls_return_only_new_frames() {
         let dir = temp_dir("incr");
         let path = dir.join("wal.log");
-        let (mut w, _) = WalWriter::open(&path, FsyncPolicy::Always, 1).unwrap();
+        let (mut w, _) = WalWriter::open(&path).unwrap();
         w.append(&rec(0)).unwrap();
         w.append(&rec(1)).unwrap();
+        w.sync().unwrap();
 
         let mut tail = TailReader::new(&path);
         let c1 = tail.poll().unwrap();
@@ -198,6 +200,7 @@ mod tests {
         assert_eq!(c1.status, TailStatus::CaughtUp);
 
         w.append(&rec(2)).unwrap();
+        w.sync().unwrap();
         let c2 = tail.poll().unwrap();
         assert_eq!(c2.records.len(), 1);
         assert_eq!(c2.records[0].0, 2);
@@ -233,10 +236,11 @@ mod tests {
     fn checkpoint_truncation_is_reported_and_resets() {
         let dir = temp_dir("trunc");
         let path = dir.join("wal.log");
-        let (mut w, _) = WalWriter::open(&path, FsyncPolicy::Always, 1).unwrap();
+        let (mut w, _) = WalWriter::open(&path).unwrap();
         for n in 0..4 {
             w.append(&rec(n)).unwrap();
         }
+        w.sync().unwrap();
         let mut tail = TailReader::new(&path);
         assert_eq!(tail.poll().unwrap().records.len(), 4);
 
@@ -248,6 +252,7 @@ mod tests {
 
         // Post-checkpoint appends read from the top.
         w.append(&rec(9)).unwrap();
+        w.sync().unwrap();
         let chunk = tail.poll().unwrap();
         assert_eq!(chunk.records.len(), 1);
         assert_eq!(chunk.status, TailStatus::CaughtUp);
@@ -255,7 +260,7 @@ mod tests {
     }
 
     /// The satellite regression: a reader polling a WAL under concurrent
-    /// group-commit appends must never see an error — torn observations are
+    /// multi-frame appends must never see an error — torn observations are
     /// `NeedMore` — and must eventually observe every record, in order,
     /// exactly once.
     #[test]
@@ -267,11 +272,14 @@ mod tests {
         std::thread::scope(|scope| {
             let writer_path = path.clone();
             scope.spawn(move || {
-                // Group commit so multi-frame batches hit the file in single
-                // writes the reader can race against.
-                let (mut w, _) = WalWriter::open(&writer_path, FsyncPolicy::Group, 7).unwrap();
+                // Sync every 7 records so multi-frame batches hit the file
+                // in single writes the reader can race against.
+                let (mut w, _) = WalWriter::open(&writer_path).unwrap();
                 for n in 0..total {
                     w.append(&rec(n)).unwrap();
+                    if n % 7 == 6 {
+                        w.sync().unwrap();
+                    }
                     if n % 13 == 0 {
                         std::thread::yield_now();
                     }

@@ -1,17 +1,14 @@
-//! Group-commit write-ahead log writer.
+//! Write-ahead log writer.
 //!
 //! A [`WalWriter`] appends [`WalRecord`]s to a sink — a file on disk or an
-//! in-memory buffer (used by tests and the crash-injection harness). Records
-//! become *durable* only when they reach the sink; the [`FsyncPolicy`]
-//! decides how eagerly that happens:
-//!
-//! * [`FsyncPolicy::Always`] — write + fsync after every record. Slowest,
-//!   loses nothing.
-//! * [`FsyncPolicy::Group`] — buffer up to `group` records, then write +
-//!   fsync the batch (classic group commit). A crash loses at most the
-//!   unflushed tail, which the frame format is designed to detect.
-//! * [`FsyncPolicy::Os`] — write records through but never fsync; the OS
-//!   decides when bytes hit media. Fastest, weakest.
+//! in-memory buffer (used by tests and the crash-injection harness).
+//! [`WalWriter::append`] only encodes the frame into a buffer; records
+//! become *durable* when [`WalWriter::sync`] writes the buffer to the sink
+//! and fsyncs it. The owner decides when that is: the inline durable path
+//! syncs at the end of every operation, the pipelined path hands whole
+//! batches to [`WalWriter::append_frames`] from its background thread. A
+//! crash loses at most the unsynced tail, which the frame format is
+//! designed to detect.
 //!
 //! Sequence numbers are assigned at append time and keep increasing across
 //! checkpoint truncation, so snapshot `wal_seq` watermarks stay comparable
@@ -23,30 +20,6 @@ use std::path::Path;
 
 use crate::error::PersistError;
 use crate::record::{read_log, LogContents, WalRecord};
-
-/// When appended records are flushed and fsynced to the sink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// Write and fsync after every record.
-    Always,
-    /// Write and fsync after every `group`-record batch.
-    Group,
-    /// Write records through immediately but never fsync.
-    Os,
-}
-
-impl FsyncPolicy {
-    /// Parses a policy name (`always` / `group` / `os`), as used by CLI
-    /// flags and config files.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "always" => Some(FsyncPolicy::Always),
-            "group" => Some(FsyncPolicy::Group),
-            "os" => Some(FsyncPolicy::Os),
-            _ => None,
-        }
-    }
-}
 
 /// Counters describing writer activity since creation.
 #[derive(Debug, Default, Clone, Copy)]
@@ -99,8 +72,6 @@ impl Sink {
 #[derive(Debug)]
 pub struct WalWriter {
     sink: Sink,
-    policy: FsyncPolicy,
-    group: usize,
     /// Encoded frames appended but not yet written to the sink — the bytes
     /// a crash right now would lose.
     pending: Vec<u8>,
@@ -115,11 +86,7 @@ impl WalWriter {
     /// last valid record. Returns the writer and the decoded contents;
     /// a torn tail is physically truncated away so the file ends on a
     /// record boundary.
-    pub fn open(
-        path: &Path,
-        policy: FsyncPolicy,
-        group: usize,
-    ) -> Result<(Self, LogContents), PersistError> {
+    pub fn open(path: &Path) -> Result<(Self, LogContents), PersistError> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -135,22 +102,17 @@ impl WalWriter {
         }
         file.seek(SeekFrom::Start(contents.consumed as u64))?;
         let next_seq = contents.last_seq().map_or(0, |s| s + 1);
-        Ok((
-            Self::with_sink(Sink::File(file), policy, group, next_seq),
-            contents,
-        ))
+        Ok((Self::with_sink(Sink::File(file), next_seq), contents))
     }
 
     /// Creates an in-memory log (tests and the crash-injection harness).
-    pub fn in_memory(policy: FsyncPolicy, group: usize) -> Self {
-        Self::with_sink(Sink::Mem(Vec::new()), policy, group, 0)
+    pub fn in_memory() -> Self {
+        Self::with_sink(Sink::Mem(Vec::new()), 0)
     }
 
-    fn with_sink(sink: Sink, policy: FsyncPolicy, group: usize, next_seq: u64) -> Self {
+    fn with_sink(sink: Sink, next_seq: u64) -> Self {
         WalWriter {
             sink,
-            policy,
-            group: group.max(1),
             pending: Vec::new(),
             pending_records: 0,
             next_seq,
@@ -158,24 +120,15 @@ impl WalWriter {
         }
     }
 
-    /// Appends one record, returning its sequence number. Depending on the
-    /// policy the record may still be buffered (not yet durable) when this
-    /// returns; call [`Self::sync`] to force it down.
+    /// Appends one record, returning its sequence number. The record is
+    /// only buffered (not yet durable) when this returns; call
+    /// [`Self::sync`] to force it down.
     pub fn append(&mut self, record: &WalRecord) -> Result<u64, PersistError> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.extend_from_slice(&record.encode(seq));
+        record.encode_into(seq, &mut self.pending);
         self.pending_records += 1;
         self.stats.appended += 1;
-        match self.policy {
-            FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::Group => {
-                if self.pending_records >= self.group {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Os => self.flush()?,
-        }
         Ok(seq)
     }
 
@@ -191,23 +144,16 @@ impl WalWriter {
         self.sync()
     }
 
-    /// Writes buffered records to the sink without forcing them to media.
-    pub fn flush(&mut self) -> Result<(), PersistError> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        self.sink.write_all(&self.pending)?;
-        self.stats.flushes += 1;
-        self.stats.bytes += self.pending.len() as u64;
-        self.pending.clear();
-        self.pending_records = 0;
-        Ok(())
-    }
-
-    /// Flushes buffered records and fsyncs the sink — everything appended so
-    /// far is durable when this returns.
+    /// Writes buffered records to the sink (one write) and fsyncs it —
+    /// everything appended so far is durable when this returns.
     pub fn sync(&mut self) -> Result<(), PersistError> {
-        self.flush()?;
+        if !self.pending.is_empty() {
+            self.sink.write_all(&self.pending)?;
+            self.stats.flushes += 1;
+            self.stats.bytes += self.pending.len() as u64;
+            self.pending.clear();
+            self.pending_records = 0;
+        }
         self.sink.sync()?;
         self.stats.syncs += 1;
         Ok(())
@@ -237,7 +183,7 @@ impl WalWriter {
         self.next_seq = seq;
     }
 
-    /// Number of appended-but-unflushed records (would be lost by a crash).
+    /// Number of appended-but-unsynced records (would be lost by a crash).
     pub fn pending_records(&self) -> usize {
         self.pending_records
     }
@@ -259,8 +205,8 @@ impl WalWriter {
 }
 
 impl Drop for WalWriter {
-    /// Best-effort flush of buffered group-commit records. Without this,
-    /// dropping a writer mid-batch silently lost every record appended since
+    /// Best-effort flush of buffered records. Without this, dropping a
+    /// writer mid-operation silently lost every record appended since
     /// the last sync — records whose `append` already returned `Ok`. Clean
     /// shutdown paths still must call [`Self::sync`] (or checkpoint)
     /// explicitly: a `Drop` cannot report an I/O failure, it can only try.
@@ -285,36 +231,27 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_buffers_until_batch_is_full() {
-        let mut w = WalWriter::in_memory(FsyncPolicy::Group, 4);
+    fn appends_are_buffered_until_sync() {
+        let mut w = WalWriter::in_memory();
         for n in 0..3 {
             w.append(&rec(n)).unwrap();
         }
         assert_eq!(w.pending_records(), 3);
-        assert_eq!(w.durable_bytes().unwrap().len(), 0, "batch not yet durable");
-        w.append(&rec(3)).unwrap();
+        assert_eq!(w.durable_bytes().unwrap().len(), 0, "not yet durable");
+        w.sync().unwrap();
         assert_eq!(w.pending_records(), 0);
         let decoded = read_log(w.durable_bytes().unwrap());
-        assert_eq!(decoded.records.len(), 4);
+        assert_eq!(decoded.records.len(), 3);
+        assert_eq!(w.stats().flushes, 1, "one write for the whole batch");
         assert_eq!(w.stats().syncs, 1);
     }
 
     #[test]
-    fn always_policy_makes_every_record_durable() {
-        let mut w = WalWriter::in_memory(FsyncPolicy::Always, 64);
-        for n in 0..5 {
-            w.append(&rec(n)).unwrap();
-            let decoded = read_log(w.durable_bytes().unwrap());
-            assert_eq!(decoded.last_seq(), Some(n));
-        }
-        assert_eq!(w.stats().syncs, 5);
-    }
-
-    #[test]
     fn sequence_numbers_survive_truncation() {
-        let mut w = WalWriter::in_memory(FsyncPolicy::Always, 1);
+        let mut w = WalWriter::in_memory();
         w.append(&rec(0)).unwrap();
         w.append(&rec(1)).unwrap();
+        w.sync().unwrap();
         w.truncate().unwrap();
         assert_eq!(w.durable_bytes().unwrap().len(), 0);
         let seq = w.append(&rec(2)).unwrap();
@@ -322,22 +259,22 @@ mod tests {
     }
 
     #[test]
-    fn drop_flushes_buffered_group_commit_records() {
+    fn drop_flushes_buffered_records() {
         let dir = std::env::temp_dir().join(format!("terp-wal-drop-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("drop.wal");
         let _ = std::fs::remove_file(&path);
 
         {
-            let (mut w, _) = WalWriter::open(&path, FsyncPolicy::Group, 64).unwrap();
+            let (mut w, _) = WalWriter::open(&path).unwrap();
             for n in 0..5 {
                 w.append(&rec(n)).unwrap();
             }
-            assert_eq!(w.pending_records(), 5, "batch still buffered");
-            // Dropped mid-batch without an explicit flush: the Drop impl
+            assert_eq!(w.pending_records(), 5, "still buffered");
+            // Dropped without an explicit sync: the Drop impl
             // must not silently lose the 5 acknowledged appends.
         }
-        let (_, contents) = WalWriter::open(&path, FsyncPolicy::Group, 64).unwrap();
+        let (_, contents) = WalWriter::open(&path).unwrap();
         assert_eq!(contents.records.len(), 5, "flush-on-drop preserved them");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -346,7 +283,7 @@ mod tests {
     fn explicit_sync_leaves_nothing_for_drop() {
         // The clean-shutdown contract: sync() empties the buffer, so the
         // best-effort Drop has nothing left to rescue.
-        let mut w = WalWriter::in_memory(FsyncPolicy::Group, 8);
+        let mut w = WalWriter::in_memory();
         for n in 0..3 {
             w.append(&rec(n)).unwrap();
         }
@@ -356,7 +293,7 @@ mod tests {
 
     #[test]
     fn append_frames_writes_and_syncs_preencoded_batches() {
-        let mut w = WalWriter::in_memory(FsyncPolicy::Group, 1024);
+        let mut w = WalWriter::in_memory();
         let mut batch = Vec::new();
         for n in 0..4u64 {
             batch.extend_from_slice(&rec(n).encode(n));
@@ -376,11 +313,12 @@ mod tests {
         let path = dir.join("test.wal");
         let _ = std::fs::remove_file(&path);
 
-        let (mut w, initial) = WalWriter::open(&path, FsyncPolicy::Always, 1).unwrap();
+        let (mut w, initial) = WalWriter::open(&path).unwrap();
         assert!(initial.records.is_empty());
         for n in 0..4 {
             w.append(&rec(n)).unwrap();
         }
+        w.sync().unwrap();
         drop(w);
 
         // Tear the tail mid-record.
@@ -389,7 +327,7 @@ mod tests {
         f.set_len(len - 3).unwrap();
         drop(f);
 
-        let (w2, contents) = WalWriter::open(&path, FsyncPolicy::Always, 1).unwrap();
+        let (w2, contents) = WalWriter::open(&path).unwrap();
         assert_eq!(contents.records.len(), 3, "torn final record dropped");
         assert!(contents.dropped > 0);
         assert_eq!(w2.next_seq(), 3);

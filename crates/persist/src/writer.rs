@@ -1,10 +1,9 @@
 //! Pipelined asynchronous log writer: submit/durable split with a
 //! durability watermark.
 //!
-//! The group-commit [`crate::WalWriter`] serializes every caller behind the
-//! current fsync batch: under contention, threads queue up on the store
-//! mutex while one of them waits out an fsync. This module decouples
-//! *submission* from *durability*:
+//! This is the log writer behind [`crate::Visibility::Submit`]. The inline
+//! [`crate::WalWriter`] makes its caller pay the fsync before the operation
+//! returns; this module decouples *submission* from *durability*:
 //!
 //! * [`AsyncWalWriter::append`] assigns the record's sequence number and
 //!   encodes its frame *directly into a shared batch buffer* (no per-record
@@ -19,8 +18,7 @@
 //!   single records when idle.
 //! * Callers that need durability — not just submission — wait on the
 //!   watermark: [`DurabilityGate::wait_for`] blocks until every record up
-//!   to a sequence number is fsynced, and a [`DurableTicket`] packages that
-//!   wait for one specific append.
+//!   to a sequence number is fsynced.
 //!
 //! The effect is classic pipelining: while batch *n* is inside fsync,
 //! batch *n + 1* accumulates in the submit buffer, so the fsync cost is
@@ -38,31 +36,6 @@ use std::thread::JoinHandle;
 use crate::error::PersistError;
 use crate::record::WalRecord;
 use crate::wal::{WalStats, WalWriter};
-
-/// How a [`crate::DurableStore`] drives its write-ahead log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WalMode {
-    /// Synchronous: the caller's thread writes (and, per the
-    /// [`crate::FsyncPolicy`], fsyncs) inline while holding the store.
-    #[default]
-    Sync,
-    /// Pipelined: appends return at submit; a per-store background writer
-    /// batches, writes, and fsyncs, publishing a durability watermark. The
-    /// fsync policy is moot in this mode — every drained batch is fsynced,
-    /// so the watermark never lies.
-    Async,
-}
-
-impl WalMode {
-    /// Parses a mode name (`sync` / `async`), as used by CLI flags.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "sync" => Some(WalMode::Sync),
-            "async" => Some(WalMode::Async),
-            _ => None,
-        }
-    }
-}
 
 /// The shared durability watermark: the synchronization point between log
 /// submitters, the background writer, and anyone who must not act before a
@@ -129,14 +102,6 @@ impl DurabilityGate {
         }
     }
 
-    /// A ticket for waiting on `seq` later, without holding the store.
-    pub fn ticket(self: &Arc<Self>, seq: u64) -> DurableTicket {
-        DurableTicket {
-            gate: Arc::clone(self),
-            seq,
-        }
-    }
-
     /// Returns the stored writer error, if the pipeline failed. Lock-free
     /// in the healthy case — this runs on every submit.
     pub(crate) fn check(&self) -> Result<(), PersistError> {
@@ -177,37 +142,6 @@ impl DurabilityGate {
         slot.get_or_insert(msg);
         self.poisoned.store(true, Ordering::Release);
         self.cvar.notify_all();
-    }
-}
-
-/// A per-append completion handle: the pair of one submitted record's
-/// sequence number and the gate that will announce its durability. Cheap to
-/// clone out of the store and wait on *after* releasing whatever lock the
-/// submission held — the core of the submit/durable split.
-#[derive(Debug, Clone)]
-pub struct DurableTicket {
-    gate: Arc<DurabilityGate>,
-    seq: u64,
-}
-
-impl DurableTicket {
-    /// The submitted record's sequence number.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Whether the record is already durable (non-blocking).
-    pub fn is_durable(&self) -> bool {
-        self.gate.is_durable(self.seq)
-    }
-
-    /// Blocks until the record is durable.
-    ///
-    /// # Errors
-    ///
-    /// The background writer's I/O error, if the pipeline failed.
-    pub fn wait(&self) -> Result<(), PersistError> {
-        self.gate.wait_for(self.seq)
     }
 }
 
@@ -398,13 +332,6 @@ impl AsyncWalWriter {
         self.next_seq
     }
 
-    /// Restarts sequence numbering at `seq` (recovery continuation); also
-    /// treats everything below it as durable.
-    pub fn set_next_seq(&mut self, seq: u64) {
-        self.next_seq = seq;
-        self.gate.advance(seq);
-    }
-
     /// Activity counters, mirrored from the writer thread.
     pub fn stats(&self) -> WalStats {
         WalStats {
@@ -533,7 +460,6 @@ fn writer_loop(
 mod tests {
     use super::*;
     use crate::record::read_log;
-    use crate::wal::FsyncPolicy;
     use std::path::PathBuf;
     use terp_pmo::PmoId;
 
@@ -556,7 +482,7 @@ mod tests {
     fn appends_return_at_submit_and_sync_waits_for_all() {
         let dir = temp_dir("submit");
         let path = dir.join("wal.log");
-        let (wal, _) = WalWriter::open(&path, FsyncPolicy::Group, 32).unwrap();
+        let (wal, _) = WalWriter::open(&path).unwrap();
         let mut w = AsyncWalWriter::spawn(wal);
         for n in 0..100 {
             assert_eq!(w.append(&rec(n)).unwrap(), n);
@@ -571,23 +497,22 @@ mod tests {
     }
 
     #[test]
-    fn watermark_is_monotonic_and_tickets_complete() {
+    fn watermark_is_monotonic_and_every_wait_completes() {
         let dir = temp_dir("ticket");
-        let (wal, _) = WalWriter::open(&dir.join("wal.log"), FsyncPolicy::Group, 32).unwrap();
+        let (wal, _) = WalWriter::open(&dir.join("wal.log")).unwrap();
         let mut w = AsyncWalWriter::spawn(wal);
         let gate = w.gate();
         let mut last = gate.watermark();
-        let mut tickets = Vec::new();
+        let mut seqs = Vec::new();
         for n in 0..256 {
-            let seq = w.append(&rec(n)).unwrap();
-            tickets.push(gate.ticket(seq));
+            seqs.push(w.append(&rec(n)).unwrap());
             let now = gate.watermark();
             assert!(now >= last, "watermark must never retreat");
             last = now;
         }
-        for t in &tickets {
-            t.wait().unwrap();
-            assert!(t.is_durable());
+        for seq in seqs {
+            gate.wait_for(seq).unwrap();
+            assert!(gate.is_durable(seq));
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -597,7 +522,7 @@ mod tests {
         let dir = temp_dir("drain");
         let path = dir.join("wal.log");
         {
-            let (wal, _) = WalWriter::open(&path, FsyncPolicy::Group, 32).unwrap();
+            let (wal, _) = WalWriter::open(&path).unwrap();
             let mut w = AsyncWalWriter::spawn(wal);
             for n in 0..50 {
                 w.append(&rec(n)).unwrap();
@@ -614,7 +539,7 @@ mod tests {
     fn truncate_is_synchronous_and_seq_keeps_increasing() {
         let dir = temp_dir("trunc");
         let path = dir.join("wal.log");
-        let (wal, _) = WalWriter::open(&path, FsyncPolicy::Group, 32).unwrap();
+        let (wal, _) = WalWriter::open(&path).unwrap();
         let mut w = AsyncWalWriter::spawn(wal);
         for n in 0..10 {
             w.append(&rec(n)).unwrap();
@@ -633,13 +558,13 @@ mod tests {
         let dir = temp_dir("reopen");
         let path = dir.join("wal.log");
         {
-            let (wal, _) = WalWriter::open(&path, FsyncPolicy::Group, 32).unwrap();
+            let (wal, _) = WalWriter::open(&path).unwrap();
             let mut w = AsyncWalWriter::spawn(wal);
             for n in 0..20 {
                 w.append(&rec(n)).unwrap();
             }
         }
-        let (wal, contents) = WalWriter::open(&path, FsyncPolicy::Group, 32).unwrap();
+        let (wal, contents) = WalWriter::open(&path).unwrap();
         assert_eq!(contents.records.len(), 20);
         let w = AsyncWalWriter::spawn(wal);
         assert_eq!(w.next_seq(), 20);
@@ -650,7 +575,7 @@ mod tests {
     #[test]
     fn concurrent_waiters_all_release() {
         let dir = temp_dir("waiters");
-        let (wal, _) = WalWriter::open(&dir.join("wal.log"), FsyncPolicy::Group, 32).unwrap();
+        let (wal, _) = WalWriter::open(&dir.join("wal.log")).unwrap();
         let mut w = AsyncWalWriter::spawn(wal);
         let gate = w.gate();
         let mut seqs = Vec::new();

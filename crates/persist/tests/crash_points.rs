@@ -3,7 +3,9 @@
 //! Runs one randomized-but-deterministic workload — three pools, plain
 //! writes, a committed transaction, an in-flight transaction abandoned by a
 //! crash, sessions and exposure windows opened and closed — while mirroring
-//! every pool mutation into an in-memory WAL. Then, for **every** crash
+//! every pool mutation into a [`DurableStore`], once per [`Visibility`]
+//! (the pipelined writer and the inline one must leave the same image on
+//! disk). Then, for **every** crash
 //! point the harness can enumerate over the durable log image (torn
 //! truncations and byte flips in every record, plus the clean end — well
 //! over the 200-point floor), it injects the damage, drives full recovery,
@@ -29,7 +31,8 @@
 use std::collections::BTreeSet;
 
 use terp_persist::{
-    enumerate_crash_points, inject, read_log, recover, FsyncPolicy, WalRecord, WalWriter,
+    enumerate_crash_points, inject, read_log, recover, DurableStore, Visibility, WalRecord,
+    WAL_FILE,
 };
 use terp_pmo::{txn, ObjectId, OpenMode, Permission, PmoId, PmoRegistry, Transaction, PAGE_SIZE};
 
@@ -58,22 +61,26 @@ type Phys = (Vec<(u64, u64)>, Vec<(u64, Vec<u8>)>);
 /// Live registry + mirrored WAL, exactly as a durable service pairs them.
 struct Builder {
     reg: PmoRegistry,
-    wal: WalWriter,
+    store: DurableStore,
     records: Vec<WalRecord>,
 }
 
 impl Builder {
-    fn new() -> Self {
+    fn new(dir: &std::path::Path, visibility: Visibility) -> Self {
+        let _ = std::fs::remove_dir_all(dir);
+        let (store, _, _) = DurableStore::open(dir, visibility).unwrap();
         Builder {
             reg: PmoRegistry::new(),
-            wal: WalWriter::in_memory(FsyncPolicy::Always, 1),
+            store,
             records: Vec::new(),
         }
     }
 
-    /// Appends to both the WAL and the model; returns the record index.
+    /// Appends to both the WAL (one record = one operation) and the model;
+    /// returns the record index.
     fn log(&mut self, record: WalRecord) -> usize {
-        self.wal.append(&record).unwrap();
+        self.store.log(&record).unwrap();
+        self.store.commit().unwrap();
         self.records.push(record);
         self.records.len() - 1
     }
@@ -175,8 +182,18 @@ fn read_cell(reg: &PmoRegistry, pmo: PmoId, offset: u64, len: usize) -> Vec<u8> 
 
 #[test]
 fn every_crash_point_recovers_to_a_sealed_consistent_state() {
+    for visibility in [Visibility::Submit, Visibility::Durable] {
+        crash_matrix(visibility);
+    }
+}
+
+fn crash_matrix(visibility: Visibility) {
+    let dir = std::env::temp_dir().join(format!(
+        "terp-crash-points-{visibility:?}-{}",
+        std::process::id()
+    ));
     let mut rng = Lcg(0x7e39_a1c5_55d4_f00d);
-    let mut b = Builder::new();
+    let mut b = Builder::new(&dir, visibility);
 
     // Pool A: an often-overwritten plain cell plus a committed transaction.
     let a = b.create("crash-a");
@@ -253,8 +270,11 @@ fn every_crash_point_recovers_to_a_sealed_consistent_state() {
     }
     b.mirror(pb, &before);
 
-    let log = b.wal.durable_bytes().unwrap().to_vec();
+    b.store.sync().unwrap();
     let records = b.records;
+    drop(b.store); // no checkpoint: the log is all there is
+    let log = std::fs::read(dir.join(WAL_FILE)).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(read_log(&log).records.len(), records.len(), "mirror drift");
 
     let points = enumerate_crash_points(&log);

@@ -6,9 +6,7 @@
 //! survive an incremental checkpoint truncating the log out from under it
 //! with a clean `Truncated` + restart-from-zero, not corruption.
 
-use terp_persist::{
-    DurableStore, FsyncPolicy, TailReader, TailStatus, WalMode, WalRecord, WAL_FILE,
-};
+use terp_persist::{DurableStore, TailReader, TailStatus, Visibility, WalRecord, WAL_FILE};
 use terp_pmo::{OpenMode, PmoId, PmoRegistry};
 
 fn rec(n: u64) -> WalRecord {
@@ -28,8 +26,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn tail_reader_over_live_async_writer_sees_no_errors_and_survives_truncation() {
     let dir = temp_dir("race");
-    let (mut store, _, _) =
-        DurableStore::open_with_mode(&dir, FsyncPolicy::Group, 8, WalMode::Async).unwrap();
+    let (mut store, _, _) = DurableStore::open(&dir, Visibility::Submit).unwrap();
     let wal = dir.join(WAL_FILE);
     let total: u64 = 400;
 
@@ -40,14 +37,13 @@ fn tail_reader_over_live_async_writer_sees_no_errors_and_survives_truncation() {
     let mut tail = TailReader::new(&wal);
     let mut store = std::thread::scope(|scope| {
         let appender = scope.spawn(move || {
-            let mut last = 0;
             for n in 0..total {
-                last = store.log(&rec(n)).unwrap();
+                store.log(&rec(n)).unwrap();
                 if n % 17 == 0 {
                     std::thread::yield_now();
                 }
             }
-            store.sync_to(last).unwrap();
+            store.sync().unwrap();
             store
         });
 
@@ -89,8 +85,8 @@ fn tail_reader_over_live_async_writer_sees_no_errors_and_survives_truncation() {
     assert!(chunk.records.is_empty());
     assert_eq!(tail.offset(), 0, "reader restarts from the top");
 
-    let last = store.log(&rec(999)).unwrap();
-    store.sync_to(last).unwrap();
+    store.log(&rec(999)).unwrap();
+    store.sync().unwrap();
     let chunk = tail.poll().unwrap();
     assert_eq!(chunk.records.len(), 1);
     assert_eq!(chunk.status, TailStatus::CaughtUp);

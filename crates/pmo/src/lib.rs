@@ -63,7 +63,6 @@
 
 pub mod acl;
 pub mod alloc;
-pub mod collections;
 pub mod error;
 pub mod id;
 pub mod pagetable;

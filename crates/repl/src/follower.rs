@@ -245,7 +245,7 @@ impl ReplFollower {
     /// mid-promotion.
     ///
     /// `base` supplies the serving configuration (scheme, shards, sweeper,
-    /// fsync policy…); its durable directory is overridden with the mirror.
+    /// visibility rule…); its durable directory is overridden with the mirror.
     ///
     /// # Errors
     ///

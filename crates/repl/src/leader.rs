@@ -3,7 +3,7 @@
 //! The leader is deliberately *outside* the service process's lock domain:
 //! it watches the durable directory the service writes (per-shard
 //! `shard-<i>/` stores) through [`TailReader`], so shipping adds zero work
-//! to the service hot path — the WAL bytes the group-commit writer already
+//! to the service hot path — the WAL bytes the log writer already
 //! produces *are* the replication stream. A torn tail under a racing
 //! append reads as `NeedMore` and is retried; a checkpoint truncation
 //! closes the follower connection, whose reconnect re-bootstraps from the

@@ -32,11 +32,11 @@ use std::path::PathBuf;
 use terp_core::config::Scheme;
 use terp_persist::store::WAL_FILE;
 use terp_persist::{
-    enumerate_crash_points, inject, read_log, recover, DurableStore, FsyncPolicy, WalRecord,
+    enumerate_crash_points, inject, read_log, recover, DurableStore, Visibility, WalRecord,
     WalWriter,
 };
 use terp_pmo::{OpenMode, Permission, PmoId, PmoRegistry, Transaction};
-use terp_service::{DurableConfig, PmoServer, ServiceConfig, ServiceError};
+use terp_service::{PmoServer, ServiceConfig, ServiceError};
 
 fn temp_root(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("terp-failover-{tag}-{}", std::process::id()));
@@ -76,7 +76,7 @@ fn fingerprint(reg: &PmoRegistry) -> Vec<PoolPrint> {
 /// last record.
 fn build_leader_log() -> (Vec<u8>, u64, u64) {
     let mut reg = PmoRegistry::new();
-    let mut wal = WalWriter::in_memory(FsyncPolicy::Always, 1);
+    let mut wal = WalWriter::in_memory();
     let mut log = |rec: &WalRecord| wal.append(rec).unwrap();
 
     // Pool A: committed data and a full window open/close cycle.
@@ -189,6 +189,7 @@ fn build_leader_log() -> (Vec<u8>, u64, u64) {
     }
 
     let txn_last_seq = wal.next_seq() - 1;
+    wal.sync().unwrap();
     let image = wal.durable_bytes().unwrap().to_vec();
     (image, a1.offset(), txn_last_seq)
 }
@@ -232,7 +233,7 @@ fn every_kill_point_promotes_safely() {
 
         // Promotion's substance is ordinary durable recovery over the
         // mirror (ReplFollower::promote wraps exactly this open).
-        let (store, state, report) = DurableStore::open(&shard0, FsyncPolicy::Always, 1).unwrap();
+        let (store, state, report) = DurableStore::open(&shard0, Visibility::Durable).unwrap();
 
         // 1. Reseal set == windows the leader had open. Nothing resumed.
         let resealed: BTreeSet<PmoId> = state.resealed.iter().copied().collect();
@@ -282,7 +283,7 @@ fn every_kill_point_promotes_safely() {
         let server = PmoServer::try_start(
             ServiceConfig::for_tests(Scheme::terp_full())
                 .with_shards(1)
-                .with_durable_config(DurableConfig::new(&dir).with_fsync(FsyncPolicy::Always))
+                .with_durable(&dir)
                 .with_standby(true),
         )
         .unwrap();

@@ -13,10 +13,10 @@ use std::time::{Duration, Instant};
 
 use terp_core::config::Scheme;
 use terp_persist::store::WAL_FILE;
-use terp_persist::{load_snapshots, read_log, recover, FsyncPolicy};
+use terp_persist::{load_snapshots, read_log, recover};
 use terp_pmo::{ObjectId, OpenMode, Permission, PmoId, PmoRegistry};
 use terp_repl::{ReplFollower, ReplFollowerConfig, ReplLeader, ReplLeaderConfig};
-use terp_service::{DurableConfig, PmoServer, PmoService, ServiceConfig};
+use terp_service::{PmoServer, PmoService, ServiceConfig, Visibility};
 
 const SHARDS: usize = 2;
 const CLIENT: usize = 0;
@@ -147,7 +147,8 @@ fn run_seed(seed: u64) {
     let config = || {
         ServiceConfig::for_tests(Scheme::terp_full())
             .with_shards(SHARDS)
-            .with_durable_config(DurableConfig::new(&leader_dir).with_fsync(FsyncPolicy::Always))
+            .with_durable(&leader_dir)
+            .with_visibility(Visibility::Durable)
     };
 
     // Phase 1: random history, then a clean shutdown — which checkpoints,

@@ -11,41 +11,9 @@
 use std::path::PathBuf;
 
 use terp_core::config::Scheme;
-use terp_persist::{FsyncPolicy, WalMode};
+pub use terp_persist::Visibility;
 use terp_sim::SimParams;
 use terp_trace::TraceConfig;
-
-/// When a durable-mode operation's effects become externally visible —
-/// i.e. when the mutating call returns to its caller (and therefore when a
-/// net response or repl ack may be sent).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Visibility {
-    /// Return at *submit*: the mutation is journaled (and will become
-    /// durable per the WAL mode / fsync policy) but the call does not wait
-    /// for the fsync. Highest throughput; a crash can lose the tail of
-    /// acknowledged-but-unfsynced operations. Recovery still reseals every
-    /// crash-open window — the TERP invariant never depends on this knob.
-    #[default]
-    Submit,
-    /// Return only once the operation's log record is *durable* (its seq is
-    /// below the durability watermark): grant acks, detach/expiry resealing
-    /// acks, and writes all wait on the watermark, giving
-    /// read-your-durable-writes and no acknowledged effect ever preceding
-    /// its record's fsync.
-    Durable,
-}
-
-impl Visibility {
-    /// Parses a visibility name (`submit` / `durable`), as used by CLI
-    /// flags.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "submit" => Some(Visibility::Submit),
-            "durable" => Some(Visibility::Durable),
-            _ => None,
-        }
-    }
-}
 
 /// Busy-wait charges (in nanoseconds) applied by the service to model the
 /// relative costs of full system calls, lowered conditional operations, and
@@ -94,8 +62,9 @@ impl Default for CostModel {
     }
 }
 
-/// Durable-mode settings: where the per-shard stores live and how eagerly
-/// the write-ahead log reaches media.
+/// Durable-mode settings: where the per-shard stores live and when they
+/// checkpoint. *When acknowledged effects are durable* is
+/// [`ServiceConfig::visibility`], the one durable policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurableConfig {
     /// Root directory; each shard gets `dir/shard-<i>` with its own WAL and
@@ -103,16 +72,6 @@ pub struct DurableConfig {
     /// written with — reopening it under a different `effective_shards()`
     /// is refused at startup.
     pub dir: PathBuf,
-    /// Fsync policy for every shard's log.
-    pub fsync: FsyncPolicy,
-    /// Group-commit batch size (records per fsync under
-    /// [`FsyncPolicy::Group`]).
-    pub group: usize,
-    /// How the WAL is driven: [`WalMode::Sync`] writes inline on the
-    /// caller's thread; [`WalMode::Async`] pipelines appends through a
-    /// per-shard background writer and publishes a durability watermark
-    /// (the fsync policy is then moot — every drained batch fsyncs).
-    pub wal_mode: WalMode,
     /// Incremental-checkpoint trigger: after this many WAL records a shard
     /// takes a log-structured incremental checkpoint (dirty pages + alloc
     /// table to `ckpt.log`, protection state to `prot.log`, WAL truncated),
@@ -122,34 +81,12 @@ pub struct DurableConfig {
 }
 
 impl DurableConfig {
-    /// Durable mode rooted at `dir` with group commit (batch 32), the
-    /// synchronous inline writer, and automatic checkpoints disabled.
+    /// Durable mode rooted at `dir` with automatic checkpoints disabled.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurableConfig {
             dir: dir.into(),
-            fsync: FsyncPolicy::Group,
-            group: 32,
-            wal_mode: WalMode::Sync,
             ckpt_interval: 0,
         }
-    }
-
-    /// Sets the fsync policy.
-    pub fn with_fsync(mut self, fsync: FsyncPolicy) -> Self {
-        self.fsync = fsync;
-        self
-    }
-
-    /// Sets the group-commit batch size.
-    pub fn with_group(mut self, group: usize) -> Self {
-        self.group = group.max(1);
-        self
-    }
-
-    /// Sets the WAL write mode (sync inline vs async pipelined).
-    pub fn with_wal_mode(mut self, mode: WalMode) -> Self {
-        self.wal_mode = mode;
-        self
     }
 
     /// Sets the incremental-checkpoint interval in records (0 disables).
@@ -180,11 +117,6 @@ pub struct ServiceConfig {
     pub seed: u64,
     /// Busy-wait cost charges.
     pub cost: CostModel,
-    /// Whether data ops and permission probes may take the lock-free
-    /// seqlock fast path (DESIGN.md §11). `false` forces every operation
-    /// through the shard mutex — the PR-2 locked baseline, kept for
-    /// apples-to-apples benchmarking (`terp-hotpath`).
-    pub fastpath: bool,
     /// Durable mode: when set, every shard journals its mutations to a
     /// file-backed [`terp_persist::DurableStore`], recovers from it at
     /// startup, and checkpoints at drain. `None` keeps the service purely
@@ -200,9 +132,10 @@ pub struct ServiceConfig {
     /// [`crate::ServiceError::ReadOnly`] — until
     /// [`crate::PmoService::promote`] flips it to leader.
     pub standby: bool,
-    /// Durable-mode visibility rule: whether mutating calls return at
-    /// submit or only once their log record is durable (DESIGN.md §16).
-    /// Ignored when `durable` is `None`.
+    /// The durable-mode ack rule, which also picks each shard's log writer:
+    /// mutating calls return at submit (pipelined background writer) or
+    /// only once their log records are fsynced (inline writer) — DESIGN.md
+    /// §16. Ignored when `durable` is `None`.
     pub visibility: Visibility,
 }
 
@@ -219,7 +152,6 @@ impl ServiceConfig {
             cb_capacity: 32,
             seed: 0x7e2f,
             cost: CostModel::default(),
-            fastpath: true,
             durable: None,
             trace: None,
             standby: false,
@@ -269,15 +201,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables or disables the lock-free fast path (enabled by default).
-    pub fn with_fastpath(mut self, fastpath: bool) -> Self {
-        self.fastpath = fastpath;
-        self
-    }
-
-    /// Enables durable mode rooted at `dir` with default policy (group
-    /// commit, batch 32). Use [`Self::with_durable_config`] for full
-    /// control.
+    /// Enables durable mode rooted at `dir` (automatic checkpoints off; see
+    /// [`Self::with_durable_config`]).
     pub fn with_durable(mut self, dir: impl Into<PathBuf>) -> Self {
         self.durable = Some(DurableConfig::new(dir));
         self
@@ -296,7 +221,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the durable-mode visibility rule (see [`Visibility`]).
+    /// Sets the durable-mode ack rule (see [`Visibility`]).
     pub fn with_visibility(mut self, visibility: Visibility) -> Self {
         self.visibility = visibility;
         self

@@ -71,9 +71,7 @@ impl PmoServer {
     /// Runs the shutdown protocol and returns the final merged report.
     pub fn shutdown(self) -> ServiceReport {
         self.service.begin_shutdown();
-        if let Some(sweeper) = self.sweeper {
-            sweeper.stop();
-        }
+        drop(self.sweeper); // flag, unpark, join
         self.service.drain();
         self.service.report()
     }

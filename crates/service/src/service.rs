@@ -217,12 +217,7 @@ impl PmoService {
             let mut stats = RecoveryStats::default();
             for (i, shard) in shards.iter().enumerate() {
                 let dir = durable.dir.join(format!("shard-{i}"));
-                let (store, recovered, report) = DurableStore::open_with_mode(
-                    &dir,
-                    durable.fsync,
-                    durable.group,
-                    durable.wal_mode,
-                )?;
+                let (store, recovered, report) = DurableStore::open(&dir, config.visibility)?;
                 stats.absorb(&report);
                 let mut state = shard.state.lock().unwrap_or_else(|e| e.into_inner());
                 let mut rec_reg = recovered.registry;
@@ -247,7 +242,6 @@ impl PmoService {
                     max_raw = max_raw.max(id.raw());
                 }
                 state.store = Some(store);
-                state.visibility = config.visibility;
                 state.ckpt_interval = durable.ckpt_interval;
                 // Adopt the recovered root directory: structures re-find
                 // their roots through `Self::root` after a crash.
@@ -336,20 +330,13 @@ impl PmoService {
         StateGuard::acquire(shard.state.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Ends a mutating critical section under the durable-visibility rule:
-    /// runs the shard's end-of-op hook (incremental-checkpoint trigger +
-    /// durability obligation), *releases the shard lock*, and only then
-    /// waits for the operation's journal records to reach the durability
-    /// watermark. With `visibility = submit` (or in-memory mode) this is
-    /// just a lock drop — the fsync pipeline runs entirely behind the
-    /// caller's back.
+    /// Ends a mutating critical section: runs the shard's end-of-op hook
+    /// (incremental-checkpoint trigger, then the visibility rule — under
+    /// `visibility = durable` the operation's journal records are fsynced
+    /// before this returns) and releases the shard lock. With
+    /// `visibility = submit` (or in-memory mode) this is just a lock drop.
     fn finish_visible(&self, mut state: StateGuard<'_>) -> Result<(), ServiceError> {
-        let ticket = state.finish_op()?;
-        drop(state);
-        if let Some(t) = ticket {
-            t.wait()?;
-        }
-        Ok(())
+        state.finish_op()
     }
 
     /// The flight recorder, when tracing is enabled — callers hold on to it
@@ -802,9 +789,6 @@ impl PmoService {
     /// on index miss, seqlock collision, permission failure (the slow path
     /// owns denial accounting and error shapes), or a raced epoch.
     fn fast_read(&self, client: ClientId, oid: ObjectId, buf: &mut [u8]) -> Option<()> {
-        if !self.config.fastpath {
-            return None;
-        }
         let slot = self.index.get(oid.pmo())?;
         let snap = slot.snapshot()?;
         if !self.snapshot_allows(&snap, client, AccessKind::Read) {
@@ -837,7 +821,7 @@ impl PmoService {
     /// Lock-free write attempt; additionally refuses durable mode, where
     /// every write must be journaled under the shard store.
     fn fast_write(&self, client: ClientId, oid: ObjectId, data: &[u8]) -> Option<()> {
-        if !self.config.fastpath || self.config.durable.is_some() {
+        if self.config.durable.is_some() {
             return None;
         }
         let slot = self.index.get(oid.pmo())?;
@@ -1182,19 +1166,15 @@ impl PmoService {
     /// Whether the *process* currently holds `kind` access to the pool —
     /// i.e. the permission matrix has a live entry allowing it. This is the
     /// probe the soak test uses: after a full detach or sweep expiry it must
-    /// be `false`. Lock-free when the fast path is on.
+    /// be `false`. Lock-free unless the seqlock snapshot collides.
     pub fn process_can(&self, pmo: PmoId, kind: AccessKind) -> bool {
-        if self.config.fastpath {
-            match self.index.get(pmo) {
-                None => return false, // never created: no matrix entry
-                Some(slot) => {
-                    if let Some(snap) = slot.snapshot() {
-                        return snap.mapped() && snap.proc_allows(kind);
-                    }
-                    // Persistent seqlock collision: fall through to the lock.
-                }
-            }
+        let Some(slot) = self.index.get(pmo) else {
+            return false; // never created: no matrix entry
+        };
+        if let Some(snap) = slot.snapshot() {
+            return snap.mapped() && snap.proc_allows(kind);
         }
+        // Persistent seqlock collision: fall through to the lock.
         let state = self.lock(self.shard(pmo));
         state
             .matrix
@@ -1205,30 +1185,17 @@ impl PmoService {
     /// Whether `client` can currently perform `kind` on the pool: the
     /// permission-matrix entry must allow it *and* the scheme's
     /// client-level state (ownership / thread permission) must agree.
-    /// Lock-free when the fast path is on and the pool's grant mirror has
-    /// not overflowed.
+    /// Lock-free unless the pool's grant mirror has overflowed (or the
+    /// seqlock snapshot collides).
     pub fn client_can(&self, client: ClientId, pmo: PmoId, kind: AccessKind) -> bool {
-        if self.config.fastpath {
-            if let Some(slot) = self.index.get(pmo) {
-                if let Some(snap) = slot.snapshot() {
-                    match self.config.scheme {
-                        Scheme::Unprotected => return snap.mapped(),
-                        Scheme::Merr | Scheme::BasicSemantics => {
-                            return snap.mapped() && snap.proc_allows(kind) && snap.owner_is(client)
-                        }
-                        Scheme::TerpSoftware | Scheme::TerpFull { .. } => {
-                            if !snap.crowded() {
-                                return snap.mapped()
-                                    && snap.proc_allows(kind)
-                                    && snap.client_allows(client, kind);
-                            }
-                            // Crowded mirror: only the slow path knows.
-                        }
-                    }
-                }
-            } else {
-                return false; // never created
-            }
+        let Some(slot) = self.index.get(pmo) else {
+            return false; // never created
+        };
+        match slot.snapshot() {
+            // The same decision the data path takes on this snapshot.
+            Some(snap) if !snap.crowded() => return self.snapshot_allows(&snap, client, kind),
+            // Crowded mirror (or seqlock collision): only the slow path knows.
+            _ => {}
         }
         let state = self.lock(self.shard(pmo));
         let process = state
@@ -1299,12 +1266,8 @@ impl PmoService {
                 }
                 // Expiry closes and relocations are externally visible
                 // protection transitions: under `visibility = durable` the
-                // sweep waits for their records too (off the shard lock).
-                let ticket = state.finish_op();
-                drop(state);
-                if let Ok(Some(t)) = ticket {
-                    let _ = t.wait();
-                }
+                // sweep fsyncs their records too.
+                let _ = state.finish_op();
             }
         }
         self.sweep_passes.fetch_add(1, Ordering::Relaxed);
@@ -1692,14 +1655,21 @@ mod tests {
 
     #[test]
     fn fastpath_and_locked_paths_agree() {
-        for fastpath in [true, false] {
-            let svc = PmoService::new(
-                ServiceConfig::for_tests(Scheme::terp_full())
-                    .with_ew_target_us(10_000_000)
-                    .with_fastpath(fastpath),
-            );
+        // The locked path is the seqlock's fallback, not a configuration:
+        // crowd the pool past its 8 published grant slots and every client
+        // decision goes through the shard mutex. Both sides must give the
+        // same answers, errors, and counts.
+        for crowded in [false, true] {
+            let svc = service_long_ew(Scheme::terp_full());
             let p = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
+            if crowded {
+                for c in 100..109 {
+                    svc.attach(c, p, Permission::ReadWrite).unwrap();
+                }
+            }
             svc.attach(3, p, Permission::ReadWrite).unwrap();
+            let snap = svc.index.get(p).unwrap().snapshot().unwrap();
+            assert_eq!(snap.crowded(), crowded, "the mirror decides the path");
             let oid = svc.alloc(3, p, 64).unwrap();
             svc.write(3, oid, b"same answer").unwrap();
             assert_eq!(svc.read(3, oid, 11).unwrap(), b"same answer");
@@ -1713,7 +1683,7 @@ mod tests {
             assert!(!svc.client_can(3, p, AccessKind::Read));
             assert!(svc.read(3, oid, 1).is_err());
             let r = svc.report();
-            assert_eq!(r.ops.reads, 1, "fastpath={fastpath}");
+            assert_eq!(r.ops.reads, 1, "crowded={crowded}");
             assert_eq!(r.ops.writes, 1);
             assert_eq!(r.ops.denials, 2, "client 4, then client 3 post-detach");
         }
@@ -1743,6 +1713,49 @@ mod tests {
         }
         svc.attach(42, p, Permission::Read).unwrap();
         assert_eq!(svc.read(42, oid, 7).unwrap(), b"crowded");
+    }
+
+    /// The audit behind `visibility = durable`: no journaling entry point
+    /// acknowledges ahead of its records. After each call returns, every
+    /// shard store's durability watermark has caught up with its log.
+    #[test]
+    fn durable_visibility_leaves_no_unsynced_record_behind_any_entry_point() {
+        let dir = std::env::temp_dir().join(format!("terp-svc-audit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServiceConfig::for_tests(Scheme::terp_full()).with_durable(&dir);
+        let svc = PmoService::new(config.with_visibility(crate::Visibility::Durable));
+        let mut logged = 0;
+        let mut settled = |what: &str| {
+            let stores = svc.shards.iter().map(|shard| {
+                let state = svc.lock(shard);
+                let store = state.store.as_ref().unwrap();
+                assert_eq!(store.watermark(), store.next_seq(), "after {what}");
+                store.next_seq()
+            });
+            let total: u64 = stores.sum();
+            assert!(total > logged, "{what} journaled nothing");
+            logged = total;
+        };
+        let p = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
+        settled("create_pool");
+        svc.attach(0, p, Permission::ReadWrite).unwrap();
+        settled("attach");
+        let oid = svc.alloc(0, p, 64).unwrap();
+        settled("alloc");
+        svc.write(0, oid, &7u64.to_le_bytes()).unwrap();
+        settled("write");
+        assert_eq!(svc.cas_u64(0, oid, 7, 8).unwrap(), 7);
+        settled("cas_u64");
+        svc.set_root(0, p, 1, Some(oid)).unwrap();
+        settled("set_root");
+        svc.free(0, oid).unwrap();
+        settled("free");
+        assert_eq!(svc.sweep_all(), 1, "held window is past its 1 us target");
+        settled("sweeper expiry");
+        svc.detach(0, p).unwrap();
+        settled("detach");
+        drop(svc);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -25,12 +25,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use terp_arch::{CondEngine, MerrArch};
 use terp_core::permission::{PermissionSet, Right};
 use terp_core::window::WindowTracker;
-use terp_persist::{DurableStore, DurableTicket, WalRecord};
+use terp_persist::{DurableStore, WalRecord};
 use terp_pmo::{Permission, PmoError, PmoId, ProcessAddressSpace};
 use terp_sim::PermissionMatrix;
 use terp_trace::{EventKind, TraceRecorder};
 
-use crate::config::Visibility;
 use crate::error::ServiceError;
 use crate::fastpath::PoolSlot;
 use crate::ClientId;
@@ -67,9 +66,7 @@ impl Shard {
                 detach_syscalls: 0,
                 randomizations: 0,
                 store: None,
-                visibility: Visibility::Submit,
                 ckpt_interval: 0,
-                visible_seq: None,
                 idx,
                 lock_seq: 0,
                 lock_pending: std::cell::Cell::new(false),
@@ -114,21 +111,13 @@ pub(crate) struct ShardState {
     pub detach_syscalls: u64,
     /// In-place randomizations performed by this shard.
     pub randomizations: u64,
-    /// Durable mode: this shard's write-ahead log + snapshot directory.
-    /// `None` keeps the shard purely in-memory.
+    /// Durable mode: this shard's write-ahead log + snapshot directory,
+    /// opened under the service's visibility rule. `None` keeps the shard
+    /// purely in-memory.
     pub store: Option<DurableStore>,
-    /// Durable-mode visibility rule (copied from the service config):
-    /// whether mutating operations may return at submit or must wait for
-    /// their journal records to fsync first.
-    pub visibility: Visibility,
     /// Incremental-checkpoint trigger in records (0 = disabled), copied
     /// from [`crate::DurableConfig::ckpt_interval`].
     pub ckpt_interval: u64,
-    /// Highest sequence number journaled during the current critical
-    /// section when the visibility rule is [`Visibility::Durable`] — the
-    /// durability obligation [`Self::finish_op`] turns into a ticket (or an
-    /// inline sync) before the operation acknowledges.
-    pub visible_seq: Option<u64>,
     /// This shard's index: the lock identity in trace events.
     pub idx: u32,
     /// Mutex acquisition counter. Protected by the mutex itself, so its
@@ -209,35 +198,23 @@ impl ShardState {
     /// must not apply the mutation it failed to journal.
     pub(crate) fn log(&mut self, record: &WalRecord) -> Result<(), ServiceError> {
         if let Some(store) = self.store.as_mut() {
-            let seq = store.log(record)?;
-            if self.visibility == Visibility::Durable {
-                self.visible_seq = Some(self.visible_seq.map_or(seq, |s| s.max(seq)));
-            }
+            store.log(record)?;
         }
         Ok(())
     }
 
-    /// Closes out one mutating operation's durability obligations while the
-    /// shard lock is still held: runs the incremental-checkpoint trigger,
-    /// then converts any accumulated `visible_seq` into what the caller
-    /// needs before acknowledging. Async stores return a
-    /// [`DurableTicket`] the caller waits on *after* dropping the shard
-    /// lock; sync stores fsync inline here (a ticket could wait forever on
-    /// an unflushed group-commit batch — see [`DurableStore::ticket`]).
-    pub(crate) fn finish_op(&mut self) -> Result<Option<DurableTicket>, ServiceError> {
-        if self.store.is_some() {
-            self.maybe_checkpoint()?;
+    /// Closes out one mutating operation while the shard lock is still
+    /// held: runs the incremental-checkpoint trigger, then lets the store
+    /// settle the visibility rule — under `visibility = durable` the
+    /// operation's records are written and fsynced here, before the caller
+    /// acknowledges; under `submit` the pipelined writer takes it from
+    /// here and nothing waits.
+    pub(crate) fn finish_op(&mut self) -> Result<(), ServiceError> {
+        self.maybe_checkpoint()?;
+        if let Some(store) = self.store.as_mut() {
+            store.commit()?;
         }
-        let Some(seq) = self.visible_seq.take() else {
-            return Ok(None);
-        };
-        let store = self.store.as_mut().expect("visible_seq implies store");
-        if store.is_async() {
-            Ok(Some(store.ticket(seq)))
-        } else {
-            store.sync_to(seq)?;
-            Ok(None)
-        }
+        Ok(())
     }
 
     /// Incremental-checkpoint trigger: when `ckpt_interval` is set and the

@@ -12,8 +12,9 @@
 //! expiry and unparks the thread, so the hint can never go stale in the
 //! dangerous direction; the configured period only acts as a floor on how
 //! tightly the thread is allowed to spin. An idle service therefore costs
-//! zero wakeups. The thread supports clean shutdown: flag, wake, join — no
-//! detached threads survive the server.
+//! zero wakeups. The thread supports clean shutdown: flag, wake, join — and
+//! dropping the handle does the same, so no detached thread (with its
+//! service `Arc` and open WAL files) survives the server.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -26,7 +27,8 @@ use crate::service::PmoService;
 #[derive(Debug)]
 pub struct Sweeper {
     stop: Arc<AtomicBool>,
-    handle: JoinHandle<u64>,
+    /// `Some` until the thread has been joined (by `stop` or by `Drop`).
+    handle: Option<JoinHandle<u64>>,
 }
 
 impl Sweeper {
@@ -62,15 +64,34 @@ impl Sweeper {
                 passes
             })
             .expect("failed to spawn sweeper thread");
-        Sweeper { stop, handle }
+        Sweeper {
+            stop,
+            handle: Some(handle),
+        }
     }
 
     /// Stops the thread and joins it, returning how many sweep passes it
     /// ran.
-    pub fn stop(self) -> u64 {
+    pub fn stop(mut self) -> u64 {
+        self.halt()
+    }
+
+    /// Flag, unpark, join; 0 once already joined.
+    fn halt(&mut self) -> u64 {
+        let Some(handle) = self.handle.take() else {
+            return 0;
+        };
         self.stop.store(true, Ordering::Release);
-        self.handle.thread().unpark();
-        self.handle.join().unwrap_or(0)
+        handle.thread().unpark();
+        handle.join().unwrap_or(0)
+    }
+}
+
+impl Drop for Sweeper {
+    /// A dropped server is a dead server: the thread stops (no drain, no
+    /// checkpoint) instead of journaling on into the abandoned directory.
+    fn drop(&mut self) {
+        self.halt();
     }
 }
 
@@ -83,7 +104,12 @@ mod tests {
 
     #[test]
     fn sweeper_expires_windows_without_manual_sweeps() {
-        let config = ServiceConfig::for_tests(Scheme::terp_full()).with_sweep_period_us(200);
+        // A 2 ms EW: long against the back-to-back attach/detach (so the
+        // detach really is delayed and only a sweep pass can close it),
+        // short against the poll below.
+        let config = ServiceConfig::for_tests(Scheme::terp_full())
+            .with_ew_target_us(2_000)
+            .with_sweep_period_us(200);
         let svc = Arc::new(PmoService::new(config));
         let sweeper = Sweeper::spawn(Arc::clone(&svc), 200);
 

@@ -1,10 +1,15 @@
 //! Durable-mode round trips: crash recovery, clean shutdown, and the
-//! shard-count binding of a store directory.
+//! shard-count binding of a store directory — under both visibility rules,
+//! i.e. through both log writers.
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use terp_core::config::Scheme;
-use terp_persist::FsyncPolicy;
 use terp_pmo::{AccessKind, OpenMode, Permission};
-use terp_service::{DurableConfig, PmoServer, PmoService, ServiceConfig, ServiceError};
+use terp_service::{PmoServer, PmoService, ServiceConfig, ServiceError, Visibility};
+
+const BOTH: [Visibility; 2] = [Visibility::Submit, Visibility::Durable];
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("terp-svc-durable-{tag}-{}", std::process::id()));
@@ -14,125 +19,124 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn crash_recovery_reseals_windows_and_keeps_data() {
-    let dir = tmp_dir("crash");
-    let cfg = || {
-        ServiceConfig::for_tests(Scheme::terp_full())
-            .with_durable_config(DurableConfig::new(&dir).with_fsync(FsyncPolicy::Always))
-    };
-    let oid;
-    {
+    for visibility in BOTH {
+        let dir = tmp_dir(&format!("crash-{visibility:?}"));
+        let cfg = || {
+            ServiceConfig::for_tests(Scheme::terp_full())
+                .with_durable(&dir)
+                .with_visibility(visibility)
+        };
+        let oid;
+        {
+            let svc = PmoService::try_new(cfg()).unwrap();
+            let p = svc
+                .create_pool("ledger", 1 << 16, OpenMode::ReadWrite)
+                .unwrap();
+            svc.attach(0, p, Permission::ReadWrite).unwrap();
+            oid = svc.alloc(0, p, 64).unwrap();
+            svc.write(0, oid, b"survives the crash").unwrap();
+            assert!(svc.process_can(p, AccessKind::Read));
+            // Dropped here with the window open and no drain: a crash (the
+            // pipelined writer flushes what was submitted on its way out).
+        }
+
         let svc = PmoService::try_new(cfg()).unwrap();
-        let p = svc
-            .create_pool("ledger", 1 << 16, OpenMode::ReadWrite)
-            .unwrap();
-        svc.attach(0, p, Permission::ReadWrite).unwrap();
-        oid = svc.alloc(0, p, 64).unwrap();
-        svc.write(0, oid, b"survives the crash").unwrap();
-        assert!(svc.process_can(p, AccessKind::Read));
-        // Dropped here with the window open and no drain: a crash.
+        let rec = svc.recovery_stats().unwrap();
+        assert_eq!(rec.pools_recovered, 1);
+        assert_eq!(rec.windows_resealed, 1, "crash-open EW is force-closed");
+        assert_eq!(rec.sessions_discarded, 1, "sessions are never resurrected");
+        assert!(
+            rec.records_replayed >= 4,
+            "create/attach/alloc/write logged"
+        );
+
+        let p = oid.pmo();
+        assert!(
+            !svc.process_can(p, AccessKind::Read),
+            "no exposure window survives recovery"
+        );
+        assert!(
+            !svc.client_can(0, p, AccessKind::Read),
+            "the crashed client's grant is gone"
+        );
+        // The data is intact once a client legitimately reattaches.
+        svc.attach(7, p, Permission::Read).unwrap();
+        assert_eq!(svc.read(7, oid, 18).unwrap(), b"survives the crash");
+        // The registry stayed the name authority across the crash.
+        assert!(matches!(
+            svc.create_pool("ledger", 1 << 16, OpenMode::ReadWrite),
+            Err(ServiceError::Substrate(_))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
     }
-
-    let svc = PmoService::try_new(cfg()).unwrap();
-    let rec = svc.recovery_stats().unwrap();
-    assert_eq!(rec.pools_recovered, 1);
-    assert_eq!(rec.windows_resealed, 1, "crash-open EW is force-closed");
-    assert_eq!(rec.sessions_discarded, 1, "sessions are never resurrected");
-    assert!(
-        rec.records_replayed >= 4,
-        "create/attach/alloc/write logged"
-    );
-
-    let p = oid.pmo();
-    assert!(
-        !svc.process_can(p, AccessKind::Read),
-        "no exposure window survives recovery"
-    );
-    assert!(
-        !svc.client_can(0, p, AccessKind::Read),
-        "the crashed client's grant is gone"
-    );
-    // The data is intact once a client legitimately reattaches.
-    svc.attach(7, p, Permission::Read).unwrap();
-    assert_eq!(svc.read(7, oid, 18).unwrap(), b"survives the crash");
-    // The registry stayed the name authority across the crash.
-    assert!(matches!(
-        svc.create_pool("ledger", 1 << 16, OpenMode::ReadWrite),
-        Err(ServiceError::Substrate(_))
-    ));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn clean_shutdown_checkpoints_and_recovers_from_snapshots() {
-    let dir = tmp_dir("clean");
-    let cfg = || ServiceConfig::for_tests(Scheme::terp_full()).with_durable(&dir);
-    let oid;
-    {
-        let server = PmoServer::try_start(cfg()).unwrap();
-        let svc = server.service();
-        let p = svc
-            .create_pool("books", 1 << 16, OpenMode::ReadWrite)
-            .unwrap();
-        svc.attach(1, p, Permission::ReadWrite).unwrap();
-        oid = svc.alloc(1, p, 32).unwrap();
-        svc.write(1, oid, b"checkpointed").unwrap();
-        svc.detach(1, p).unwrap();
-        let report = server.shutdown();
-        assert_eq!(report.recovery, svc.recovery_stats());
-    }
+    for visibility in BOTH {
+        let dir = tmp_dir(&format!("clean-{visibility:?}"));
+        let cfg = || {
+            ServiceConfig::for_tests(Scheme::terp_full())
+                .with_durable(&dir)
+                .with_visibility(visibility)
+        };
+        let oid;
+        {
+            let server = PmoServer::try_start(cfg()).unwrap();
+            let svc = server.service();
+            let p = svc
+                .create_pool("books", 1 << 16, OpenMode::ReadWrite)
+                .unwrap();
+            svc.attach(1, p, Permission::ReadWrite).unwrap();
+            oid = svc.alloc(1, p, 32).unwrap();
+            svc.write(1, oid, b"checkpointed").unwrap();
+            svc.detach(1, p).unwrap();
+            let report = server.shutdown();
+            assert_eq!(report.recovery, svc.recovery_stats());
+        }
 
-    let svc = PmoService::try_new(cfg()).unwrap();
-    let rec = svc.recovery_stats().unwrap();
-    assert!(rec.snapshots_installed >= 1, "shutdown checkpointed");
-    assert_eq!(rec.records_replayed, 0, "log was truncated at checkpoint");
-    assert_eq!(rec.windows_resealed, 0, "clean shutdown left nothing open");
-    svc.attach(2, oid.pmo(), Permission::Read).unwrap();
-    assert_eq!(svc.read(2, oid, 12).unwrap(), b"checkpointed");
-    std::fs::remove_dir_all(&dir).ok();
+        let svc = PmoService::try_new(cfg()).unwrap();
+        let rec = svc.recovery_stats().unwrap();
+        assert!(rec.snapshots_installed >= 1, "shutdown checkpointed");
+        assert_eq!(rec.records_replayed, 0, "log was truncated at checkpoint");
+        assert_eq!(rec.windows_resealed, 0, "clean shutdown left nothing open");
+        svc.attach(2, oid.pmo(), Permission::Read).unwrap();
+        assert_eq!(svc.read(2, oid, 12).unwrap(), b"checkpointed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
 fn directory_is_bound_to_its_shard_count() {
-    let dir = tmp_dir("mismatch");
-    let durable = || DurableConfig::new(&dir).with_fsync(FsyncPolicy::Always);
-    {
-        let svc = PmoService::try_new(
-            ServiceConfig::for_tests(Scheme::terp_full())
-                .with_shards(4)
-                .with_durable_config(durable()),
-        )
-        .unwrap();
-        for i in 0..4 {
-            svc.create_pool(&format!("p{i}"), 1 << 12, OpenMode::ReadWrite)
-                .unwrap();
+    for visibility in BOTH {
+        let dir = tmp_dir(&format!("mismatch-{visibility:?}"));
+        let open = |shards: usize| {
+            PmoService::try_new(
+                ServiceConfig::for_tests(Scheme::terp_full())
+                    .with_shards(shards)
+                    .with_durable(&dir)
+                    .with_visibility(visibility),
+            )
+        };
+        {
+            let svc = open(4).unwrap();
+            for i in 0..4 {
+                svc.create_pool(&format!("p{i}"), 1 << 12, OpenMode::ReadWrite)
+                    .unwrap();
+            }
         }
+        // Fewer shards: the extra shard-* stores would be silently ignored.
+        let err = open(2).unwrap_err();
+        assert!(matches!(err, ServiceError::Persist(_)), "{err}");
+        // More shards: recovered pools would route to shards that never logged
+        // them.
+        let err = open(8).unwrap_err();
+        assert!(matches!(err, ServiceError::Persist(_)), "{err}");
+        // The original shard count still opens fine.
+        let svc = open(4).unwrap();
+        assert_eq!(svc.recovery_stats().unwrap().pools_recovered, 4);
+        std::fs::remove_dir_all(&dir).ok();
     }
-    // Fewer shards: the extra shard-* stores would be silently ignored.
-    let err = PmoService::try_new(
-        ServiceConfig::for_tests(Scheme::terp_full())
-            .with_shards(2)
-            .with_durable_config(durable()),
-    )
-    .unwrap_err();
-    assert!(matches!(err, ServiceError::Persist(_)), "{err}");
-    // More shards: recovered pools would route to shards that never logged
-    // them.
-    let err = PmoService::try_new(
-        ServiceConfig::for_tests(Scheme::terp_full())
-            .with_shards(8)
-            .with_durable_config(durable()),
-    )
-    .unwrap_err();
-    assert!(matches!(err, ServiceError::Persist(_)), "{err}");
-    // The original shard count still opens fine.
-    let svc = PmoService::try_new(
-        ServiceConfig::for_tests(Scheme::terp_full())
-            .with_shards(4)
-            .with_durable_config(durable()),
-    )
-    .unwrap();
-    assert_eq!(svc.recovery_stats().unwrap().pools_recovered, 4);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -142,9 +146,9 @@ fn in_memory_service_reports_no_recovery() {
     assert!(svc.report().recovery.is_none());
 }
 
-/// The watermark invariant under the pipelined async writer (ISSUE 10,
-/// satellite 3): with `visibility = durable`, no externally visible effect
-/// may precede the fsync of its WAL record. Verified two ways:
+/// The ack invariant of `visibility = durable` (ISSUE 10, satellite 3): no
+/// externally visible effect may precede the fsync of its WAL record.
+/// Verified two ways:
 ///
 /// 1. **Live**: after every acked operation, the on-disk log already decodes
 ///    to a prefix containing that operation's record.
@@ -154,20 +158,14 @@ fn in_memory_service_reports_no_recovery() {
 ///    exactly the windows open in the prefix — acks never outrun the medium.
 #[test]
 fn async_watermark_acked_effects_survive_every_crash_point() {
-    use terp_persist::{enumerate_crash_points, inject, read_log, WalMode, WalRecord, WAL_FILE};
-    use terp_service::Visibility;
+    use terp_persist::{enumerate_crash_points, inject, read_log, WalRecord, WAL_FILE};
 
     let dir = tmp_dir("wm-crash");
     let wal = dir.join("shard-0").join(WAL_FILE);
     let cfg = ServiceConfig::for_tests(Scheme::terp_full())
         .with_shards(1)
         .with_visibility(Visibility::Durable)
-        .with_durable_config(
-            DurableConfig::new(&dir)
-                .with_fsync(FsyncPolicy::Group)
-                .with_group(64)
-                .with_wal_mode(WalMode::Async),
-        );
+        .with_durable(&dir);
 
     // Durable record count observed at each ack, plus (for writes) the
     // payload the cell must hold whenever that prefix survives a crash.
@@ -190,7 +188,7 @@ fn async_watermark_acked_effects_survive_every_crash_point() {
         for round in 0u8..6 {
             let payload = vec![0xA0 | round; 32];
             svc.write(0, oid, &payload).unwrap();
-            // The ack waited on the watermark: the record is on media *now*,
+            // The ack came after the fsync: the record is on media *now*,
             // before this test thread does anything else.
             let on_disk = read_log(&std::fs::read(&wal).unwrap());
             assert!(
@@ -206,7 +204,7 @@ fn async_watermark_acked_effects_survive_every_crash_point() {
 
     let image = std::fs::read(&wal).unwrap();
     let full = read_log(&image);
-    assert_eq!(full.dropped, 0, "shutdown flush leaves a clean image");
+    assert_eq!(full.dropped, 0, "every ack left a clean image");
     let records: Vec<WalRecord> = full.records.into_iter().map(|(_, r)| r).collect();
 
     let rdir = tmp_dir("wm-crash-replay");
@@ -254,5 +252,52 @@ fn async_watermark_acked_effects_survive_every_crash_point() {
         }
     }
     std::fs::remove_dir_all(&rdir).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `PmoServer` dropped without `shutdown()` is a dead process, not a
+/// leak: its sweeper stops with it (no drain, no checkpoint), releasing the
+/// service and its WAL files instead of journaling on into the directory.
+#[test]
+fn dropped_server_stops_its_sweeper_and_leaves_windows_open_on_disk() {
+    let dir = tmp_dir("drop");
+    let wal = dir.join("shard-0").join(terp_persist::WAL_FILE);
+    let wal_len = || std::fs::metadata(&wal).map_or(0, |m| m.len());
+    let cfg = || {
+        ServiceConfig::for_tests(Scheme::terp_full())
+            .with_shards(1)
+            .with_ew_target_us(200)
+            .with_sweep_period_us(50)
+            .with_durable(&dir)
+            .with_visibility(Visibility::Durable)
+    };
+    let server = PmoServer::try_start(cfg()).unwrap();
+    let svc = server.service();
+    let p = svc
+        .create_pool("held", 1 << 16, OpenMode::ReadWrite)
+        .unwrap();
+    svc.attach(0, p, Permission::ReadWrite).unwrap();
+    // A held window expires every 200 us: the live sweeper keeps journaling
+    // relocations for as long as it runs.
+    let (before, deadline) = (wal_len(), Instant::now() + Duration::from_secs(5));
+    while wal_len() == before {
+        assert!(Instant::now() < deadline, "sweeper never journaled");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    drop(server);
+    assert_eq!(
+        Arc::strong_count(&svc),
+        1,
+        "the sweeper let go of the service"
+    );
+    let at_drop = wal_len();
+    std::thread::sleep(Duration::from_millis(20));
+    assert_eq!(wal_len(), at_drop, "nothing journals after the drop");
+
+    // No drain ran: the window is still open on disk and recovery reseals it.
+    drop(svc);
+    let svc = PmoService::try_new(cfg()).unwrap();
+    assert_eq!(svc.recovery_stats().unwrap().windows_resealed, 1);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -18,7 +18,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-use terp_persist::{FsyncPolicy, RecoveredState, WalRecord, WalWriter};
+use terp_persist::{RecoveredState, WalRecord, WalWriter};
 use terp_pmo::{ObjectId, OpenMode, PmoId, PmoRegistry};
 use terp_service::{ClientId, PmoService};
 
@@ -153,7 +153,7 @@ impl LocalMem {
         LocalMem {
             inner: RefCell::new(LocalInner {
                 reg: PmoRegistry::new(),
-                wal: Some(WalWriter::in_memory(FsyncPolicy::Always, 1)),
+                wal: Some(WalWriter::in_memory()),
                 nrecords: 0,
                 roots: BTreeMap::new(),
             }),
@@ -200,7 +200,10 @@ impl LocalMem {
             .borrow_mut()
             .wal
             .as_mut()
-            .and_then(|w| w.durable_bytes().map(<[u8]>::to_vec))
+            .and_then(|w| {
+                w.sync().expect("in-memory WAL sync");
+                w.durable_bytes().map(<[u8]>::to_vec)
+            })
             .unwrap_or_default()
     }
 

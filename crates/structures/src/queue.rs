@@ -8,21 +8,30 @@
 //! ```
 //!
 //! * **enqueue** — allocate and fill the node, persist the descriptor,
-//!   commit with one CAS on the tail node's `next` (0 → node); swinging
-//!   the tail pointer is cleanup that any operation helps with.
+//!   commit with one CAS on the tail node's `next` (null → node); swinging
+//!   the tail pointer is cleanup that any operation helps with. A fresh
+//!   node's null link carries the enqueuer's stamp in its offset bits
+//!   (pool bits zero still parse as null), so it too is unique per node
+//!   incarnation: an enqueuer that read the tail's link, validated the
+//!   tail, and was then preempted while that node was dequeued, freed and
+//!   reallocated, loses its CAS instead of chaining behind a stranger.
 //! * **dequeue** — Friedman-et-al. style detectability: the commit is a
-//!   CAS on the *candidate node's* `owner` word (0 → the client's
-//!   [`crate::desc::stamp`]), not on the head. Advancing the head past
-//!   owner-marked nodes is helped cleanup; the node it passes becomes the
-//!   new dummy.
+//!   CAS on the *candidate node's* `owner` word (the enqueuer's
+//!   `UNCLAIMED` mark → the client's [`crate::desc::stamp`]), not on the
+//!   head. Advancing the head past owner-marked nodes is helped cleanup;
+//!   the node it passes becomes the new dummy. The unclaimed mark carries
+//!   the enqueuer's stamp, so it is unique per node *incarnation*: a
+//!   dequeuer that read a node, was preempted while the node was claimed,
+//!   freed and reallocated, and then resumes, loses its CAS instead of
+//!   claiming the stranger (and returning the stale value it read).
 //!
 //! Reclamation is deferred one generation through the `grave` cell: the
 //! thread that advances the head buries the old dummy, freeing the
 //! *previous* grave occupant. A node is thus freed only two dequeues
-//! after it left the logical queue, which keeps the unavoidable
-//! read-after-requeue window (DESIGN.md §15) out of practical reach; the
-//! tagged head/tail words close the classic ABA on the pointers
-//! themselves.
+//! after it left the logical queue; the tagged head/tail words close the
+//! classic ABA on the pointers themselves, and the per-incarnation null
+//! link and unclaimed mark (above) make a stale reference to a reused
+//! node lose its commit CAS (DESIGN.md §15).
 //!
 //! Recovery: a `PENDING` enqueue committed iff its node is chain-
 //! reachable; a `PENDING` dequeue committed iff its target's `owner`
@@ -47,6 +56,18 @@ pub const KIND_QUEUE: u64 = 2;
 const ROOT_SIZE: u64 = 48;
 const NODE_SIZE: u64 = 24;
 const WALK_LIMIT: usize = 1 << 22;
+/// Top bit of a node's `owner` word while no dequeuer has claimed it; the
+/// low bits are the enqueuer's stamp. Dequeuer stamps never set it, and the
+/// all-zero initial dummy reads as claimed.
+const UNCLAIMED: u64 = 1 << 63;
+
+fn claimed(owner: u64) -> bool {
+    owner & UNCLAIMED == 0
+}
+
+/// Offset bits of a packed link: with the pool bits zero the word parses as
+/// null whatever these hold, which is where a fresh node keeps its nonce.
+const NULL_NONCE: u64 = (1 << 54) - 1;
 
 /// Handle to a persistent Michael-Scott queue.
 #[derive(Debug, Clone, Copy)]
@@ -157,7 +178,9 @@ impl Queue {
         let seq = Descriptor::load(mem, self.descs, c)?.seq + 1;
         let node = mem.alloc(self.pmo, NODE_SIZE)?;
         let mut image = [0u8; NODE_SIZE as usize];
+        image[0..8].copy_from_slice(&(stamp(c, seq) & NULL_NONCE).to_le_bytes());
         image[8..16].copy_from_slice(&value.to_le_bytes());
+        image[16..24].copy_from_slice(&(UNCLAIMED | stamp(c, seq)).to_le_bytes());
         mem.write(node, &image)?;
         Descriptor {
             seq,
@@ -174,19 +197,30 @@ impl Queue {
                 .oid
                 .ok_or_else(|| DsError::Corrupt("queue tail is null".into()))?;
             let next = read_u64(mem, t_node)?;
-            if next == 0 {
-                if mem.cas_u64(t_node, 0, node.to_packed())? == 0 {
-                    let mark = mem.mark();
-                    // Tail swing is cleanup; losing the race is fine.
-                    let _ =
-                        mem.cas_u64(self.tail_cell(), tail.pack(), tail.next(Some(node)).pack())?;
-                    break mark;
+            // Re-validate: dequeuers never pass the node the tail cell
+            // names, so an unmoved tail means the link just read belongs to
+            // the incarnation that is the tail right now.
+            if read_u64(mem, self.tail_cell())? != tail.pack() {
+                continue;
+            }
+            match ObjectId::from_packed(next) {
+                None => {
+                    if mem.cas_u64(t_node, next, node.to_packed())? == next {
+                        let mark = mem.mark();
+                        // Tail swing is cleanup; losing the race is fine.
+                        let _ = mem.cas_u64(
+                            self.tail_cell(),
+                            tail.pack(),
+                            tail.next(Some(node)).pack(),
+                        )?;
+                        break mark;
+                    }
                 }
-            } else {
                 // Tail lags; help it forward.
-                let n = ObjectId::from_packed(next)
-                    .ok_or_else(|| DsError::Corrupt("queue next link unparsable".into()))?;
-                let _ = mem.cas_u64(self.tail_cell(), tail.pack(), tail.next(Some(n)).pack())?;
+                Some(n) => {
+                    let _ =
+                        mem.cas_u64(self.tail_cell(), tail.pack(), tail.next(Some(n)).pack())?;
+                }
             }
         };
         Descriptor {
@@ -215,26 +249,27 @@ impl Queue {
                 .ok_or_else(|| DsError::Corrupt("queue head is null".into()))?;
             let tail = TaggedOid::unpack(read_u64(mem, self.tail_cell())?);
             let next_packed = read_u64(mem, h_node)?;
+            let next = ObjectId::from_packed(next_packed);
+            let front = next.map(|n| self.read_node(mem, n));
             // Re-validate: the head must not have moved while we read the
-            // dummy's link, or the link may belong to a reused node.
+            // dummy's link and the node behind it. A node is freed only
+            // after the head has passed it, so an unmoved head means both
+            // reads saw the incarnations that are in the queue right now.
             if read_u64(mem, self.head_cell())? != head.pack() {
                 continue;
             }
-            if next_packed == 0 {
+            let (Some(next), Some((_, value, owner))) = (next, front.transpose()?) else {
                 return Ok(OpResult {
                     value: None,
                     commit_mark: 0,
                 });
-            }
-            let next = ObjectId::from_packed(next_packed)
-                .ok_or_else(|| DsError::Corrupt("queue next link unparsable".into()))?;
+            };
             if tail.oid == Some(h_node) {
                 // Tail lags behind a non-empty queue; help before claiming.
                 let _ = mem.cas_u64(self.tail_cell(), tail.pack(), tail.next(Some(next)).pack())?;
                 continue;
             }
-            let (_, value, owner) = self.read_node(mem, next)?;
-            if owner != 0 {
+            if claimed(owner) {
                 // Someone committed this dequeue; help advance and retry.
                 if mem.cas_u64(self.head_cell(), head.pack(), head.next(Some(next)).pack())?
                     == head.pack()
@@ -252,8 +287,9 @@ impl Queue {
                 aux: st,
             }
             .store(mem, self.descs, c)?;
-            // The commit: claim the node by stamping its owner word.
-            if mem.cas_u64(next.wrapping_add(16), 0, st)? != 0 {
+            // The commit: claim the node by stamping its owner word — only
+            // if it still is the incarnation whose value was just read.
+            if mem.cas_u64(next.wrapping_add(16), owner, st)? != owner {
                 continue;
             }
             let commit_mark = mem.mark();
@@ -292,7 +328,7 @@ impl Queue {
                 return Err(DsError::Corrupt("queue chain exceeds walk limit".into()));
             }
             let (next, value, owner) = self.read_node(mem, node)?;
-            if owner == 0 {
+            if !claimed(owner) {
                 out.push(value);
             }
             cur = ObjectId::from_packed(next);
@@ -331,7 +367,7 @@ impl Queue {
                 break;
             };
             let (_, _, owner) = self.read_node(mem, next)?;
-            if owner == 0 {
+            if !claimed(owner) {
                 break;
             }
             write_u64(mem, self.head_cell(), head.next(Some(next)).pack())?;

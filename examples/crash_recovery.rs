@@ -12,62 +12,68 @@
 //! ```
 
 use terp_suite::prelude::*;
-use terp_suite::terp_pmo::collections::PVec;
 use terp_suite::terp_pmo::txn::{recover, Transaction};
 
-fn balances(reg: &PmoRegistry, pmo: PmoId, accounts: &PVec) -> Vec<u64> {
-    accounts.to_vec(reg.pool(pmo).expect("pool")).expect("read")
+const ACCOUNTS: u64 = 4;
+
+/// Reads the ledger: `ACCOUNTS` little-endian `u64` balances at `accounts`.
+fn balances(reg: &PmoRegistry, pmo: PmoId, accounts: u64) -> Vec<u64> {
+    let pool = reg.pool(pmo).expect("pool");
+    (0..ACCOUNTS)
+        .map(|i| {
+            let mut buf = [0u8; 8];
+            pool.read_bytes(accounts + 8 * i, &mut buf).expect("read");
+            u64::from_le_bytes(buf)
+        })
+        .collect()
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A ledger of 4 accounts in one PMO.
     let mut reg = PmoRegistry::new();
     let pmo = reg.create("ledger", 1 << 20, OpenMode::ReadWrite)?;
-    let accounts = PVec::create(reg.pool_mut(pmo)?)?;
-    for initial in [100u64, 250, 40, 900] {
-        accounts.push(reg.pool_mut(pmo)?, initial)?;
+    let accounts = reg.pool_mut(pmo)?.pmalloc(8 * ACCOUNTS)?.offset();
+    let slot = |account: u64| accounts + 8 * account;
+    for (account, initial) in [100u64, 250, 40, 900].into_iter().enumerate() {
+        reg.pool_mut(pmo)?
+            .write_bytes(slot(account as u64), &initial.to_le_bytes())?;
     }
-    println!("initial balances: {:?}", balances(&reg, pmo, &accounts));
+    println!("initial balances: {:?}", balances(&reg, pmo, accounts));
 
     // A committed transfer: move 50 from account 3 to account 2. Both slot
     // writes go through one undo-log transaction, so the pair is atomic.
     {
-        let (from, to) = (3u64, 2u64);
-        let from_bal = accounts.get(reg.pool(pmo)?, from)?.expect("account");
-        let to_bal = accounts.get(reg.pool(pmo)?, to)?.expect("account");
-        let from_slot = accounts.slot_offset(reg.pool(pmo)?, from)?;
-        let to_slot = accounts.slot_offset(reg.pool(pmo)?, to)?;
+        let (from, to) = (3usize, 2usize);
+        let now = balances(&reg, pmo, accounts);
         let mut tx = Transaction::begin(reg.pool_mut(pmo)?)?;
-        tx.write(from_slot, &(from_bal - 50).to_le_bytes())?;
-        tx.write(to_slot, &(to_bal + 50).to_le_bytes())?;
+        tx.write(slot(from as u64), &(now[from] - 50).to_le_bytes())?;
+        tx.write(slot(to as u64), &(now[to] + 50).to_le_bytes())?;
         tx.commit()?;
     }
     println!(
         "after committed transfer: {:?}",
-        balances(&reg, pmo, &accounts)
+        balances(&reg, pmo, accounts)
     );
 
     // A transfer interrupted by power failure mid-update: the debit is
     // applied, the credit never happens — without the log, money would
     // vanish. Recovery rolls the half-applied transfer back.
-    let before = balances(&reg, pmo, &accounts);
+    let before = balances(&reg, pmo, accounts);
     {
-        let from_bal = accounts.get(reg.pool(pmo)?, 0)?.expect("account");
-        let from_slot = accounts.slot_offset(reg.pool(pmo)?, 0)?;
         let mut tx = Transaction::begin(reg.pool_mut(pmo)?)?;
-        tx.write(from_slot, &(from_bal - 75).to_le_bytes())?; // debit applied
+        tx.write(slot(0), &(before[0] - 75).to_le_bytes())?; // debit applied
         tx.crash(); // ...power failure before the credit and the commit
     }
     println!(
         "after crash (torn transfer visible): {:?}",
-        balances(&reg, pmo, &accounts)
+        balances(&reg, pmo, accounts)
     );
     let rolled_back = recover(reg.pool_mut(pmo)?)?;
     println!(
         "recovery rolled back {rolled_back} range(s): {:?}",
-        balances(&reg, pmo, &accounts)
+        balances(&reg, pmo, accounts)
     );
-    assert_eq!(before, balances(&reg, pmo, &accounts));
+    assert_eq!(before, balances(&reg, pmo, accounts));
 
     // The same ledger under temporal protection: ledger operations as a
     // protected trace (windows around each transfer burst).

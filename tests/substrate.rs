@@ -7,60 +7,97 @@ use std::collections::BTreeSet;
 use terp_suite::prelude::*;
 use terp_suite::terp_core::session::{PmoSession, SessionError};
 use terp_suite::terp_pmo::acl::{AclRegistry, PoolAcl};
-use terp_suite::terp_pmo::collections::{PList, PVec};
 use terp_suite::terp_pmo::txn::{recover, Transaction};
+use terp_suite::terp_pmo::Pmo;
+
+fn read_u64(pool: &Pmo, offset: u64) -> u64 {
+    let mut buf = [0u8; 8];
+    pool.read_bytes(offset, &mut buf).unwrap();
+    u64::from_le_bytes(buf)
+}
+
+/// Allocates an array of `values` in `pool`; slot `i` lives at the returned
+/// offset + 8 * i.
+fn alloc_u64s(pool: &mut Pmo, values: &[u64]) -> u64 {
+    let base = pool.pmalloc(8 * values.len() as u64).unwrap().offset();
+    for (i, v) in values.iter().enumerate() {
+        pool.write_bytes(base + 8 * i as u64, &v.to_le_bytes())
+            .unwrap();
+    }
+    base
+}
+
+fn read_u64s(pool: &Pmo, base: u64, len: u64) -> Vec<u64> {
+    (0..len).map(|i| read_u64(pool, base + 8 * i)).collect()
+}
 
 #[test]
 fn transactional_updates_to_a_persistent_vector_survive_crashes() {
-    // A PVec updated through undo-log transactions: a committed transfer
-    // sticks, a crashed one rolls back — through the *collection's* slots.
+    // An array updated through undo-log transactions: a committed transfer
+    // sticks, a crashed one rolls back.
     let mut reg = PmoRegistry::new();
     let pmo = reg.create("txvec", 1 << 20, OpenMode::ReadWrite).unwrap();
-    let v = PVec::create(reg.pool_mut(pmo).unwrap()).unwrap();
-    for i in 0..8u64 {
-        v.push(reg.pool_mut(pmo).unwrap(), i * 10).unwrap();
-    }
+    let values: Vec<u64> = (0..8).map(|i| i * 10).collect();
+    let base = alloc_u64s(reg.pool_mut(pmo).unwrap(), &values);
+    let slot = |i: u64| base + 8 * i;
 
     // Committed: swap slots 2 and 5 atomically.
     {
-        let s2 = v.slot_offset(reg.pool(pmo).unwrap(), 2).unwrap();
-        let s5 = v.slot_offset(reg.pool(pmo).unwrap(), 5).unwrap();
         let mut tx = Transaction::begin(reg.pool_mut(pmo).unwrap()).unwrap();
-        tx.write(s2, &50u64.to_le_bytes()).unwrap();
-        tx.write(s5, &20u64.to_le_bytes()).unwrap();
+        tx.write(slot(2), &50u64.to_le_bytes()).unwrap();
+        tx.write(slot(5), &20u64.to_le_bytes()).unwrap();
         tx.commit().unwrap();
     }
-    assert_eq!(v.get(reg.pool(pmo).unwrap(), 2).unwrap(), Some(50));
-    assert_eq!(v.get(reg.pool(pmo).unwrap(), 5).unwrap(), Some(20));
+    assert_eq!(read_u64(reg.pool(pmo).unwrap(), slot(2)), 50);
+    assert_eq!(read_u64(reg.pool(pmo).unwrap(), slot(5)), 20);
 
     // Crashed: half-applied swap must disappear after recovery.
-    let before = v.to_vec(reg.pool(pmo).unwrap()).unwrap();
+    let before = read_u64s(reg.pool(pmo).unwrap(), base, 8);
     {
-        let s0 = v.slot_offset(reg.pool(pmo).unwrap(), 0).unwrap();
         let mut tx = Transaction::begin(reg.pool_mut(pmo).unwrap()).unwrap();
-        tx.write(s0, &999u64.to_le_bytes()).unwrap();
+        tx.write(slot(0), &999u64.to_le_bytes()).unwrap();
         tx.crash();
     }
     assert_eq!(recover(reg.pool_mut(pmo).unwrap()).unwrap(), 1);
-    assert_eq!(v.to_vec(reg.pool(pmo).unwrap()).unwrap(), before);
+    assert_eq!(read_u64s(reg.pool(pmo).unwrap(), base, 8), before);
 }
 
 #[test]
 fn linked_list_survives_close_reopen_and_relocation() {
+    // A singly-linked list whose every link — head slot included — is a
+    // packed ObjectId, never a virtual address. Node: [value | next].
+    fn push_front(pool: &mut Pmo, head_slot: u64, value: u64) {
+        let node = pool.pmalloc(16).unwrap();
+        let next = read_u64(pool, head_slot);
+        pool.write_bytes(node.offset(), &value.to_le_bytes())
+            .unwrap();
+        pool.write_bytes(node.offset() + 8, &next.to_le_bytes())
+            .unwrap();
+        pool.write_bytes(head_slot, &node.to_packed().to_le_bytes())
+            .unwrap();
+    }
+    fn walk(pool: &Pmo, head_slot: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut link = read_u64(pool, head_slot);
+        while let Some(node) = ObjectId::from_packed(link) {
+            out.push(read_u64(pool, node.offset()));
+            link = read_u64(pool, node.offset() + 8);
+        }
+        out
+    }
+
     let mut reg = PmoRegistry::new();
     let pmo = reg.create("plist", 1 << 20, OpenMode::ReadWrite).unwrap();
-    let list = PList::create(reg.pool_mut(pmo).unwrap()).unwrap();
+    let head_slot = alloc_u64s(reg.pool_mut(pmo).unwrap(), &[0]); // 0 = nil
     for i in 0..16u64 {
-        list.push_front(reg.pool_mut(pmo).unwrap(), i).unwrap();
+        push_front(reg.pool_mut(pmo).unwrap(), head_slot, i);
     }
-    let head_slot = list.head_slot();
 
-    // "Process restart": close, reopen by name, rebuild the handle from the
-    // persistent head-slot id.
+    // "Process restart": close, reopen by name, walk again from the
+    // persistent head-slot offset.
     reg.close(pmo).unwrap();
     reg.open("plist", OpenMode::ReadWrite).unwrap();
-    let reopened = PList::from_head_slot(head_slot);
-    let walked = reopened.to_vec(reg.pool(pmo).unwrap()).unwrap();
+    let walked = walk(reg.pool(pmo).unwrap(), head_slot);
     assert_eq!(walked.len(), 16);
     assert_eq!(walked[0], 15, "LIFO order preserved across reopen");
 
@@ -70,7 +107,7 @@ fn linked_list_survives_close_reopen_and_relocation() {
         .attach(reg.pool_mut(pmo).unwrap(), Permission::ReadWrite)
         .unwrap();
     space.randomize(reg.pool_mut(pmo).unwrap()).unwrap();
-    assert_eq!(reopened.to_vec(reg.pool(pmo).unwrap()).unwrap(), walked);
+    assert_eq!(walk(reg.pool(pmo).unwrap(), head_slot), walked);
 }
 
 #[test]
@@ -121,25 +158,17 @@ fn session_protected_kv_round_trip_with_expiring_windows() {
     let pmo = reg
         .create("counters", 1 << 20, OpenMode::ReadWrite)
         .unwrap();
-    let counters = PVec::create(reg.pool_mut(pmo).unwrap()).unwrap();
-    for _ in 0..4 {
-        counters.push(reg.pool_mut(pmo).unwrap(), 0).unwrap();
-    }
+    let counters = alloc_u64s(reg.pool_mut(pmo).unwrap(), &[0; 4]);
     let mut session = PmoSession::with_seed(reg, 500, 0xfeed);
 
     // Reader thread holds a long window; writer opens short ones.
     session.attach(1, pmo, Permission::Read).unwrap();
     for round in 0..20u64 {
         session.attach(0, pmo, Permission::ReadWrite).unwrap();
-        let idx = round % 4;
-        let slot = {
-            let pool = session.registry().pool(pmo).unwrap();
-            let current = counters.get(pool, idx).unwrap().unwrap();
-            let off = counters.slot_offset(pool, idx).unwrap();
-            (off, current)
-        };
+        let off = counters + 8 * (round % 4);
+        let current = read_u64(session.registry().pool(pmo).unwrap(), off);
         session
-            .write(0, ObjectId::new(pmo, slot.0), &(slot.1 + 1).to_le_bytes())
+            .write(0, ObjectId::new(pmo, off), &(current + 1).to_le_bytes())
             .unwrap();
         session.advance(600); // beyond L=500: every detach wants to close
         session.detach(0, pmo).unwrap(); // reader still holds → randomize
@@ -153,9 +182,7 @@ fn session_protected_kv_round_trip_with_expiring_windows() {
     // The reader sees the accumulated counts; each counter hit 5 times.
     let mut buf = [0u8; 8];
     for idx in 0..4u64 {
-        let off = counters
-            .slot_offset(session.registry().pool(pmo).unwrap(), idx)
-            .unwrap();
+        let off = counters + 8 * idx;
         session.read(1, ObjectId::new(pmo, off), &mut buf).unwrap();
         assert_eq!(u64::from_le_bytes(buf), 5, "counter {idx}");
     }
