@@ -19,7 +19,14 @@
 //!   comes only from executor threads — network reader threads never touch
 //!   a shard lock, they ride the frame decoder and the submission queues.
 //!   Data ops still hit the seqlock fast path inside the service, which
-//!   never takes the shard lock at all.
+//!   never takes the shard lock at all. Each drained batch runs through one
+//!   service [`Batch`] and commits once: under `visibility = durable` that
+//!   is one fsync for the whole batch, and the responses that depend on it
+//!   are held until it returns (`run_batch`); a clean batch — always,
+//!   in memory and under `submit` — answers each request as it finishes.
+//!
+//! The writer drains every response already queued into one socket write,
+//! so a committed batch leaves in one syscall.
 //!
 //! ## Backpressure
 //!
@@ -47,7 +54,7 @@ use std::thread::JoinHandle;
 
 use terp_core::Scheme;
 use terp_service::metrics::ServiceReport;
-use terp_service::{ClientId, PmoServer, PmoService, TraceRecorder};
+use terp_service::{Batch, ClientId, PmoServer, PmoService, TraceRecorder};
 use terp_trace::EventKind;
 
 use crate::frame::{encode_frame, FrameDecoder};
@@ -162,21 +169,11 @@ impl Executor {
                 std::thread::Builder::new()
                     .name(format!("terp-net-exec-{i}"))
                     .spawn(move || loop {
-                        let batch = worker_q.take_batch();
-                        if batch.is_empty() {
+                        let jobs = worker_q.take_batch();
+                        if jobs.is_empty() {
                             return;
                         }
-                        for job in batch {
-                            let resp = execute(
-                                &svc,
-                                tr.as_deref(),
-                                job.conn,
-                                job.req_id,
-                                job.client,
-                                &job.req,
-                            );
-                            let _ = job.tx.send((job.req_id, resp));
-                        }
+                        run_batch(&svc, tr.as_deref(), jobs);
                     })
                     .expect("spawn executor worker"),
             );
@@ -222,34 +219,60 @@ impl Executor {
     }
 }
 
-/// Executes one request against the service, mapping the result onto the
-/// wire response. Runs on an executor worker or a dedicated blocking-attach
-/// thread — never on a network reader thread.
-fn execute(
-    service: &PmoService,
-    tracer: Option<&TraceRecorder>,
-    conn: u32,
-    req_id: u64,
-    client: ClientId,
-    req: &Request,
-) -> Response {
-    if let Some(t) = tracer {
-        t.record(EventKind::NetExec { conn, req: req_id });
+/// Runs `jobs` through one [`Batch`] and one commit. A response leaves
+/// straight away while the batch is clean — always, in memory and under
+/// `visibility = submit`. Once an operation has left a shard store with
+/// unsynced records the batch is dirty and every later response, reads
+/// included (they may have seen an unsynced write), is held until the commit
+/// has fsynced what it depends on; if the commit fails, each held response
+/// becomes the commit's error instead. Runs on an executor worker or, as a
+/// batch of one, on a dedicated blocking-attach thread — never on a network
+/// reader thread.
+fn run_batch(service: &PmoService, tracer: Option<&TraceRecorder>, jobs: Vec<Job>) {
+    let mut batch = service.batch();
+    let mut held = Vec::new();
+    for job in jobs {
+        if let Some(t) = tracer {
+            t.record(EventKind::NetExec {
+                conn: job.conn,
+                req: job.req_id,
+            });
+        }
+        let resp = execute(&mut batch, job.client, &job.req);
+        if batch.is_dirty() {
+            held.push((job.tx, job.req_id, resp));
+        } else {
+            let _ = job.tx.send((job.req_id, resp));
+        }
     }
+    let committed = batch.commit();
+    for (tx, req_id, resp) in held {
+        let resp = match &committed {
+            Ok(()) => resp,
+            Err(e) => Response::Err(e.clone()),
+        };
+        let _ = tx.send((req_id, resp));
+    }
+}
+
+/// Executes one request inside `batch`, mapping the result onto the wire
+/// response.
+fn execute(batch: &mut Batch<'_>, client: ClientId, req: &Request) -> Response {
     let r = match req {
         Request::CreatePool { name, size, mode } => {
-            service.create_pool(name, *size, *mode).map(Response::Pool)
+            batch.create_pool(name, *size, *mode).map(Response::Pool)
         }
-        Request::Attach { pmo, perm } => service
+        Request::Attach { pmo, perm } => batch
             .attach_with_wait(client, *pmo, *perm)
             .map(|waited_ns| Response::Attached { waited_ns }),
-        Request::Detach { pmo } => service.detach(client, *pmo).map(|()| Response::Unit),
-        Request::Read { oid, len } => service
+        Request::Detach { pmo } => batch.detach(client, *pmo).map(|()| Response::Unit),
+        Request::Read { oid, len } => batch
+            .service()
             .read(client, *oid, *len as usize)
             .map(Response::Data),
-        Request::Write { oid, data } => service.write(client, *oid, data).map(|()| Response::Unit),
-        Request::Alloc { pmo, size } => service.alloc(client, *pmo, *size).map(Response::Oid),
-        Request::Free { oid } => service.free(client, *oid).map(|()| Response::Unit),
+        Request::Write { oid, data } => batch.write(client, *oid, data).map(|()| Response::Unit),
+        Request::Alloc { pmo, size } => batch.alloc(client, *pmo, *size).map(Response::Oid),
+        Request::Free { oid } => batch.free(client, *oid).map(|()| Response::Unit),
         Request::Ping => Ok(Response::Unit),
         Request::Hello { .. } => Err(ServiceError::Protocol("hello after handshake".to_string())),
     };
@@ -538,44 +561,62 @@ fn reader_loop(
                 return;
             }
             gate.acquire();
-            let blocking_attach =
-                matches!(req, Request::Attach { .. }) && attach_can_block(shared.service.scheme());
-            if blocking_attach {
+            let job = Job {
+                conn,
+                req_id,
+                client: client_id,
+                req,
+                tx: tx.clone(),
+            };
+            if matches!(job.req, Request::Attach { .. })
+                && attach_can_block(shared.service.scheme())
+            {
                 // A parked attach must block only its own request: run it on
                 // a dedicated thread so this reader keeps decoding and later
                 // pipelined ops can complete first.
                 let svc = Arc::clone(&shared.service);
                 let tr = shared.tracer.clone();
-                let op_tx = tx.clone();
                 let _ = std::thread::Builder::new()
                     .name(format!("terp-net-attach-{conn}-{req_id}"))
-                    .spawn(move || {
-                        let resp = execute(&svc, tr.as_deref(), conn, req_id, client_id, &req);
-                        let _ = op_tx.send((req_id, resp));
-                    });
+                    .spawn(move || run_batch(&svc, tr.as_deref(), vec![job]));
             } else {
-                shared.exec.submit(Job {
-                    conn,
-                    req_id,
-                    client: client_id,
-                    req,
-                    tx: tx.clone(),
-                });
+                shared.exec.submit(job);
             }
         }
     }
 }
 
+/// Upper bound on the bytes one socket write coalesces.
+const WRITE_COALESCE: usize = 64 * 1024;
+
 fn writer_loop(mut sock: TcpStream, rx: Receiver<(u64, Response)>, gate: Arc<Gate>) {
     let mut broken = false;
-    while let Ok((req_id, resp)) = rx.recv() {
-        if !broken {
-            let frame = encode_frame(&resp.encode(req_id));
-            broken = sock.write_all(&frame).is_err();
+    let mut out = Vec::new();
+    while let Ok(first) = rx.recv() {
+        // Everything already queued (a committed batch releases its held
+        // responses together) leaves in one write.
+        let mut next = Some(first);
+        let mut responses = 0;
+        while let Some((req_id, resp)) = next {
+            if !broken {
+                out.extend_from_slice(&encode_frame(&resp.encode(req_id)));
+            }
+            responses += 1;
+            next = if out.len() < WRITE_COALESCE {
+                rx.try_recv().ok()
+            } else {
+                None
+            };
         }
+        if !broken {
+            broken = sock.write_all(&out).is_err();
+        }
+        out.clear();
         // Release even on a broken socket so a reader blocked on the gate
         // can notice the connection died instead of parking forever.
-        gate.release();
+        for _ in 0..responses {
+            gate.release();
+        }
     }
     let _ = sock.shutdown(Shutdown::Both);
 }

@@ -2,17 +2,21 @@
 //! must survive the network boundary. A parked attach blocks its *request*,
 //! never the connection; a drained server answers in-flight requests with
 //! `ShuttingDown` instead of a hung socket; and the request lifecycle shows
-//! up as `NetRecv -> NetExec` happens-before edges in the trace.
+//! up as `NetRecv -> NetExec` happens-before edges in the trace. Under
+//! `visibility = durable` an ack on the socket means the record is already
+//! in the shard's on-disk log, however many acks shared that fsync.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use terp_core::Scheme;
 use terp_net::{Client, NetServer, ServiceError};
-use terp_pmo::{OpenMode, Permission};
+use terp_persist::{read_log, WalRecord, WAL_FILE};
+use terp_pmo::{ObjectId, OpenMode, Permission};
 use terp_service::config::ServiceConfig;
-use terp_service::{PmoServer, TraceConfig};
+use terp_service::{PmoServer, TraceConfig, Visibility};
 
 fn net_server(scheme: Scheme) -> NetServer {
     let config = ServiceConfig::for_tests(scheme);
@@ -222,4 +226,84 @@ fn request_lifecycle_appears_as_hb_edges_in_the_trace() {
     let report = terp_analysis::hb::check_trace(&set);
     assert_eq!(report.stats.races(), 0, "{:?}", report.diagnostics);
     assert!(report.stats.events > 0);
+}
+
+/// The wire end of the `visibility = durable` audit (the in-process end is
+/// `service/tests/durable.rs`): the executor commits a whole drained batch
+/// with one fsync, and still no response — a write's ack, or a read that
+/// saw the write — reaches the client before the record it depends on is
+/// in the shard's `wal.log`.
+#[test]
+fn durable_acks_follow_their_fsync_and_a_batch_shares_one() {
+    const WRITES: u64 = 128;
+    const DEPTH: usize = 16;
+    let dir = std::env::temp_dir().join(format!("terp-net-durable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServiceConfig::for_tests(Scheme::terp_full())
+        .with_durable(&dir)
+        .with_visibility(Visibility::Durable);
+    let server = PmoServer::try_start(config).expect("open durable store");
+    let net = NetServer::start(server, "127.0.0.1:0").expect("bind loopback");
+    let client = Client::connect(net.local_addr(), 3).expect("connect");
+
+    let pmo = client
+        .create_pool("durable-wire", 1 << 16, OpenMode::ReadWrite)
+        .expect("create");
+    client.attach(pmo, Permission::ReadWrite).expect("attach");
+    let slots: Vec<ObjectId> = (0..DEPTH)
+        .map(|_| client.alloc(pmo, 16).expect("alloc"))
+        .collect();
+    let shard = pmo.raw() as usize & (client.server_shards() as usize - 1);
+    let wal = dir.join(format!("shard-{shard}")).join(WAL_FILE);
+    // Whether the write of `stamp` at `oid` is in the on-disk log right now.
+    let on_disk = |oid: ObjectId, stamp: &[u8]| {
+        let log = read_log(&std::fs::read(&wal).expect("read wal.log"));
+        log.records.iter().any(|(_, rec)| {
+            matches!(rec, WalRecord::DataWrite { pmo, offset, data }
+                if *pmo == oid.pmo() && *offset == oid.offset() && data == stamp)
+        })
+    };
+    let stamp = |i: u64| [i.to_le_bytes(), (!i).to_le_bytes()].concat();
+
+    // Depth-16 pipeline of stamped writes; every ack is checked against the
+    // log the moment it arrives.
+    let acked = |(oid, sent, pending): (ObjectId, Vec<u8>, terp_net::Pending)| {
+        pending.wait_unit().expect("write acked");
+        assert!(on_disk(oid, &sent), "ack preceded the fsync of {sent:?}");
+    };
+    let mut inflight = VecDeque::new();
+    for i in 0..WRITES {
+        if inflight.len() == DEPTH {
+            acked(inflight.pop_front().unwrap());
+        }
+        let oid = slots[i as usize % DEPTH];
+        let pending = client.write_pipelined(oid, &stamp(i)).expect("submit");
+        inflight.push_back((oid, stamp(i), pending));
+    }
+    inflight.into_iter().for_each(acked);
+
+    // Read-after-write at the tail of a burst, so both sit in one batch:
+    // the read returns the new bytes, and by the time it does the write it
+    // saw is on disk.
+    let burst: Vec<_> = (0..DEPTH as u64)
+        .map(|k| client.write_pipelined(slots[k as usize], &stamp(WRITES + k)))
+        .collect();
+    let (tail, last) = (slots[DEPTH - 1], stamp(WRITES + DEPTH as u64 - 1));
+    let read = client.read_pipelined(tail, 16).expect("submit");
+    assert_eq!(read.wait_data().expect("read"), last);
+    assert!(on_disk(tail, &last), "a read saw an unsynced write");
+    for write in burst {
+        write.expect("submit").wait_unit().expect("write acked");
+    }
+
+    // The pipeline formed batches: fewer fsyncs than records. (Read before
+    // shutdown, whose checkpoints add syncs of their own.)
+    let wal_stats = net.service().report().wal.expect("durable service");
+    assert!(
+        wal_stats.syncs < wal_stats.appended,
+        "{WRITES} pipelined writes never shared an fsync: {wal_stats:?}"
+    );
+    client.detach(pmo).expect("detach");
+    net.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }

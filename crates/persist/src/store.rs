@@ -12,10 +12,11 @@
 //! **One setting.** [`Visibility`] — which effects may be visible before
 //! they are durable — is the only durable policy, and it picks the log
 //! writer. Under [`Visibility::Durable`] appends are buffered and the
-//! owner's end-of-operation [`DurableStore::sync`] writes and fsyncs them
-//! inline on the calling thread (one `write` + one `fdatasync` per
-//! acknowledged operation). Under [`Visibility::Submit`] appends return at
-//! submit and a per-store background thread
+//! owner's [`DurableStore::commit`] — at the end of an operation, or of a
+//! batch of operations it acknowledges together — writes and fsyncs them
+//! inline on the calling thread (one `write` + one `fdatasync`). Under
+//! [`Visibility::Submit`] appends return at submit and a per-store
+//! background thread
 //! ([`crate::writer::AsyncWalWriter`]) batches, writes and fsyncs behind
 //! the caller's back. Either way [`DurableStore::watermark`] says how far
 //! durability has got.
@@ -87,9 +88,10 @@ pub enum Visibility {
     #[default]
     Submit,
     /// Return only once the operation's log records are *durable*: the
-    /// caller writes and fsyncs them inline at operation end, so grant
-    /// acks, detach/expiry resealing acks, and writes never precede their
-    /// records' fsync (read-your-durable-writes).
+    /// caller writes and fsyncs them inline — at operation end, or once at
+    /// the end of a batch of operations whose results it holds back until
+    /// then — so grant acks, detach/expiry resealing acks, and writes never
+    /// precede their records' fsync (read-your-durable-writes).
     Durable,
 }
 
@@ -225,14 +227,24 @@ impl DurableStore {
         }
     }
 
-    /// Ends one operation: under [`Visibility::Durable`] every record it
-    /// logged is written and fsynced before this returns (a no-op when it
-    /// logged none); under [`Visibility::Submit`] nothing waits.
+    /// Ends one operation, or one batch of them: under
+    /// [`Visibility::Durable`] every record logged since the last commit is
+    /// written and fsynced before this returns (a no-op when there is
+    /// none); under [`Visibility::Submit`] nothing waits.
     pub fn commit(&mut self) -> Result<(), PersistError> {
-        match &mut self.backend {
-            Backend::Inline(wal) if wal.pending_records() > 0 => wal.sync(),
-            _ => Ok(()),
+        if self.has_uncommitted() {
+            self.sync()
+        } else {
+            Ok(())
         }
+    }
+
+    /// Whether records logged so far still wait for the owner's
+    /// [`DurableStore::commit`]: the inline writer with buffered records.
+    /// Always `false` under [`Visibility::Submit`], where nothing ever waits
+    /// for the owner.
+    pub fn has_uncommitted(&self) -> bool {
+        matches!(&self.backend, Backend::Inline(wal) if wal.pending_records() > 0)
     }
 
     /// The durability watermark: every record with `seq < watermark()` is
@@ -797,6 +809,30 @@ mod tests {
         pool.read_bytes(off, &mut buf).unwrap();
         assert_eq!(&buf, b"durable bytes");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn only_the_inline_writer_ever_has_uncommitted_records() {
+        for visibility in [Visibility::Durable, Visibility::Submit] {
+            let dir = tmp_dir(&format!("uncommitted-{visibility:?}"));
+            let (mut store, _, _) = DurableStore::open(&dir, visibility).unwrap();
+            assert!(!store.has_uncommitted());
+            store.log(&WalRecord::WindowOpen { pmo: id(1) }).unwrap();
+            store.log(&WalRecord::WindowClose { pmo: id(1) }).unwrap();
+            assert_eq!(
+                store.has_uncommitted(),
+                visibility == Visibility::Durable,
+                "{visibility:?}"
+            );
+            store.commit().unwrap();
+            assert!(!store.has_uncommitted());
+            if visibility == Visibility::Durable {
+                assert_eq!(store.watermark(), store.next_seq());
+                assert_eq!(store.stats().syncs, 1, "one fsync for both records");
+            }
+            drop(store);
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! [`WalWriter::append`] only encodes the frame into a buffer; records
 //! become *durable* when [`WalWriter::sync`] writes the buffer to the sink
 //! and fsyncs it. The owner decides when that is: the inline durable path
-//! syncs at the end of every operation, the pipelined path hands whole
-//! batches to [`WalWriter::append_frames`] from its background thread. A
-//! crash loses at most the unsynced tail, which the frame format is
-//! designed to detect.
+//! syncs before it acknowledges an operation (or a batch of them), the
+//! pipelined path hands whole batches to [`WalWriter::append_frames`] from
+//! its background thread. A crash loses at most the unsynced tail, which
+//! the frame format is designed to detect.
 //!
 //! Sequence numbers are assigned at append time and keep increasing across
 //! checkpoint truncation, so snapshot `wal_seq` watermarks stay comparable

@@ -62,8 +62,8 @@ pub type ClientId = usize;
 pub use clock::ServiceClock;
 pub use config::{CostModel, DurableConfig, ServiceConfig, Visibility};
 pub use error::ServiceError;
-pub use metrics::{LatencyHistogram, OpCounters, RecoveryStats, ServiceReport};
+pub use metrics::{LatencyHistogram, OpCounters, RecoveryStats, ServiceReport, WalStats};
 pub use server::PmoServer;
-pub use service::PmoService;
+pub use service::{Batch, PmoService};
 pub use sweeper::Sweeper;
 pub use terp_trace::{TraceConfig, TraceRecorder};

@@ -8,6 +8,7 @@ use std::sync::{Arc, Mutex};
 use terp_arch::{CondStats, MerrStats};
 use terp_core::config::Scheme;
 use terp_core::window::WindowStats;
+pub use terp_persist::WalStats;
 
 const SUB: usize = 16; // sub-buckets per power of two
 const BUCKETS: usize = 61 * SUB; // covers the full u64 nanosecond range
@@ -306,6 +307,13 @@ pub(crate) fn merge_cond_stats(a: &mut CondStats, b: CondStats) {
     a.sweep_randomize += b.sweep_randomize;
 }
 
+pub(crate) fn merge_wal_stats(a: &mut WalStats, b: WalStats) {
+    a.appended += b.appended;
+    a.flushes += b.flushes;
+    a.syncs += b.syncs;
+    a.bytes += b.bytes;
+}
+
 /// Durable-mode recovery statistics, aggregated over every shard's store
 /// at startup. All-zero for a fresh durable directory; absent entirely
 /// (`ServiceReport::recovery == None`) for an in-memory service.
@@ -385,6 +393,11 @@ pub struct ServiceReport {
     pub tew: WindowStats,
     /// Durable-mode startup recovery statistics (`None` when in-memory).
     pub recovery: Option<RecoveryStats>,
+    /// Durable-mode log-writer activity, summed over every shard's store
+    /// (`None` when in-memory). `appended / syncs` is the records one fsync
+    /// covers: 1 for plain calls under `visibility = durable`, the batch
+    /// size for [`crate::Batch`] callers and the pipelined writer.
+    pub wal: Option<WalStats>,
 }
 
 impl std::fmt::Display for ServiceReport {
@@ -437,6 +450,16 @@ impl std::fmt::Display for ServiceReport {
                 rec.windows_resealed,
                 rec.sessions_discarded,
                 rec.recovery_ns as f64 / 1e6,
+            )?;
+        }
+        if let Some(wal) = &self.wal {
+            write!(
+                f,
+                "\n  wal: {} records in {} fsyncs ({:.2} records/fsync), {} bytes",
+                wal.appended,
+                wal.syncs,
+                wal.appended as f64 / wal.syncs.max(1) as f64,
+                wal.bytes,
             )?;
         }
         Ok(())

@@ -46,7 +46,8 @@ use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::fastpath::{PoolIndex, PoolSlot, WindowSnapshot};
 use crate::metrics::{
-    merge_cond_stats, merge_window_stats, MetricsHub, RecoveryStats, ServiceReport, ThreadSlab,
+    merge_cond_stats, merge_wal_stats, merge_window_stats, MetricsHub, RecoveryStats,
+    ServiceReport, ThreadSlab,
 };
 use crate::shard::{Shard, ShardState};
 use crate::ClientId;
@@ -330,13 +331,26 @@ impl PmoService {
         StateGuard::acquire(shard.state.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Ends a mutating critical section: runs the shard's end-of-op hook
-    /// (incremental-checkpoint trigger, then the visibility rule — under
-    /// `visibility = durable` the operation's journal records are fsynced
-    /// before this returns) and releases the shard lock. With
-    /// `visibility = submit` (or in-memory mode) this is just a lock drop.
-    fn finish_visible(&self, mut state: StateGuard<'_>) -> Result<(), ServiceError> {
-        state.finish_op()
+    /// Opens a [`Batch`]: the mutating entry points with their commit
+    /// deferred to one [`Batch::commit`] at the end.
+    pub fn batch(&self) -> Batch<'_> {
+        Batch {
+            svc: self,
+            dirty: Vec::new(),
+        }
+    }
+
+    /// A plain mutating call is a batch of one: the operation, then its
+    /// commit — under `visibility = durable` the operation's journal
+    /// records are fsynced before this returns.
+    fn one<T>(
+        &self,
+        op: impl FnOnce(&mut Batch<'_>) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
+        let mut batch = self.batch();
+        let out = op(&mut batch)?;
+        batch.commit()?;
+        Ok(out)
     }
 
     /// The flight recorder, when tracing is enabled — callers hold on to it
@@ -412,35 +426,7 @@ impl PmoService {
         size: u64,
         mode: OpenMode,
     ) -> Result<PmoId, ServiceError> {
-        if self.is_down() {
-            return Err(ServiceError::ShuttingDown);
-        }
-        self.check_writable()?;
-        let name_shard = Self::name_shard_of(&self.names, name);
-        let mut names = name_shard.lock().unwrap_or_else(|e| e.into_inner());
-        if names.contains_key(name) {
-            return Err(PmoError::NameExists(name.to_string()).into());
-        }
-        let raw = self.next_id.fetch_add(1, Ordering::Relaxed);
-        if raw >= u64::from(MAX_POOL_ID) {
-            return Err(PmoError::PoolIdsExhausted.into());
-        }
-        let id = PmoId::new(raw as u16).expect("allocator stays in 1..MAX_POOL_ID");
-        let pool = Pmo::new(id, name.to_string(), size, mode)?;
-        names.insert(name.to_string(), id);
-        drop(names);
-        let slot = Arc::new(PoolSlot::new(pool));
-        let mut state = self.lock(self.shard(id));
-        state.pools.insert(id, Arc::clone(&slot));
-        state.log(&WalRecord::PoolCreate {
-            id,
-            name: name.to_string(),
-            size,
-            mode,
-        })?;
-        self.finish_visible(state)?;
-        self.index.insert(id, slot);
-        Ok(id)
+        self.one(|b| b.create_pool(name, size, mode))
     }
 
     /// Opens a session: the client attaches to the pool with the requested
@@ -471,157 +457,7 @@ impl PmoService {
         pmo: PmoId,
         perm: Permission,
     ) -> Result<u64, ServiceError> {
-        self.check_writable()?;
-        let (cost, waited) = match self.config.scheme {
-            Scheme::Unprotected => (self.attach_unprotected(client, pmo, perm)?, 0),
-            Scheme::Merr | Scheme::BasicSemantics => self.attach_basic(client, pmo, perm)?,
-            Scheme::TerpSoftware | Scheme::TerpFull { .. } => {
-                (self.attach_terp(client, pmo, perm)?, 0)
-            }
-        };
-        self.clock.charge(cost);
-        Ok(waited)
-    }
-
-    fn attach_unprotected(
-        &self,
-        client: ClientId,
-        pmo: PmoId,
-        perm: Permission,
-    ) -> Result<u64, ServiceError> {
-        let mut state = self.lock(self.shard(pmo));
-        if self.is_down() {
-            return Err(ServiceError::ShuttingDown);
-        }
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
-        if state.is_holder(client, pmo) {
-            return Err(ServiceError::AlreadyAttached { client, pmo });
-        }
-        let mut cost = 0;
-        if !state.space.is_attached(pmo) {
-            state.map_pool(pmo, perm, self.clock.now_ns())?;
-            cost = self.config.cost.attach_ns;
-        }
-        state.add_holder(client, pmo);
-        state.trace(EventKind::Attach {
-            pmo: pmo.raw(),
-            client: client as u64,
-            writable: perm == Permission::ReadWrite,
-        });
-        self.finish_visible(state)?;
-        ThreadSlab::bump(&self.slab().attaches);
-        Ok(cost)
-    }
-
-    fn attach_basic(
-        &self,
-        client: ClientId,
-        pmo: PmoId,
-        perm: Permission,
-    ) -> Result<(u64, u64), ServiceError> {
-        let slab = self.slab();
-        let shard = self.shard(pmo);
-        let mut state = self.lock(shard);
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
-        let mut waited_from = None;
-        loop {
-            if self.is_down() {
-                return Err(ServiceError::ShuttingDown);
-            }
-            if state.owner.get(&pmo) == Some(&client) {
-                return Err(ServiceError::AlreadyAttached { client, pmo });
-            }
-            if !state.merr.is_attached(pmo) {
-                break;
-            }
-            // Basic semantics: serialize on the owner's window. Sleep on the
-            // shard condvar; the timeout bounds shutdown latency.
-            if waited_from.is_none() {
-                waited_from = Some(self.clock.now_ns());
-                ThreadSlab::bump(&slab.attach_conflicts);
-            }
-            state = state.wait_on(&shard.cvar, Duration::from_millis(1));
-        }
-        let mut waited = 0;
-        if let Some(from) = waited_from {
-            waited = self.clock.now_ns().saturating_sub(from);
-            slab.blocked_ns.fetch_add(waited, Ordering::Relaxed);
-            slab.queue_wait
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record(waited);
-        }
-        state
-            .merr
-            .attach(pmo)
-            .expect("pool with no owner must be MERR-attachable");
-        if let Err(e) = state.map_pool(pmo, perm, self.clock.now_ns()) {
-            let _ = state.merr.detach(pmo);
-            return Err(e);
-        }
-        state.owner.insert(pmo, client);
-        state.publish_owner(pmo, Some(client));
-        state.add_holder(client, pmo);
-        state.trace(EventKind::Attach {
-            pmo: pmo.raw(),
-            client: client as u64,
-            writable: perm == Permission::ReadWrite,
-        });
-        self.finish_visible(state)?;
-        ThreadSlab::bump(&slab.attaches);
-        Ok((self.config.cost.attach_ns, waited))
-    }
-
-    fn attach_terp(
-        &self,
-        client: ClientId,
-        pmo: PmoId,
-        perm: Permission,
-    ) -> Result<u64, ServiceError> {
-        let mut state = self.lock(self.shard(pmo));
-        if self.is_down() {
-            return Err(ServiceError::ShuttingDown);
-        }
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
-        if state.is_holder(client, pmo) {
-            return Err(ServiceError::AlreadyAttached { client, pmo });
-        }
-        let now = self.clock.now_ns();
-        let outcome = state.engine.condat(pmo, now);
-        if outcome.needs_syscall() && !state.space.is_attached(pmo) {
-            if let Err(e) = state.map_pool(pmo, perm, now) {
-                // Undo the speculative buffer entry: the attach never
-                // happened.
-                state.engine.evict(pmo);
-                return Err(e);
-            }
-        }
-        state.grant_client(client, pmo, perm, now)?;
-        state.add_holder(client, pmo);
-        state.trace(EventKind::Attach {
-            pmo: pmo.raw(),
-            client: client as u64,
-            writable: perm == Permission::ReadWrite,
-        });
-        self.finish_visible(state)?;
-        ThreadSlab::bump(&self.slab().attaches);
-        if outcome == AttachOutcome::FirstAttach {
-            // A fresh circular-buffer entry means a new earliest expiry:
-            // the adaptive sweeper may be parked indefinitely, so wake it.
-            self.wake_sweeper();
-        }
-        let syscall = outcome.needs_syscall() || self.config.scheme.cond_is_syscall();
-        Ok(if syscall {
-            self.config.cost.attach_ns
-        } else {
-            self.config.cost.cond_ns
-        })
+        self.one(|b| b.attach_with_wait(client, pmo, perm))
     }
 
     /// Closes a session. Under EW-conscious semantics the detach may be
@@ -633,101 +469,7 @@ impl PmoService {
     ///
     /// [`ServiceError::UnknownPmo`] or [`ServiceError::NotAttached`].
     pub fn detach(&self, client: ClientId, pmo: PmoId) -> Result<(), ServiceError> {
-        let cost = match self.config.scheme {
-            Scheme::Unprotected => self.detach_unprotected(client, pmo)?,
-            Scheme::Merr | Scheme::BasicSemantics => self.detach_basic(client, pmo)?,
-            Scheme::TerpSoftware | Scheme::TerpFull { .. } => self.detach_terp(client, pmo)?,
-        };
-        self.clock.charge(cost);
-        Ok(())
-    }
-
-    fn detach_unprotected(&self, client: ClientId, pmo: PmoId) -> Result<u64, ServiceError> {
-        let mut state = self.lock(self.shard(pmo));
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
-        if !state.is_holder(client, pmo) {
-            return Err(ServiceError::NotAttached { client, pmo });
-        }
-        // Unprotected never unmaps: the pool stays exposed (that is the
-        // point of the baseline).
-        state.remove_holder(client, pmo);
-        state.trace(EventKind::Detach {
-            pmo: pmo.raw(),
-            client: client as u64,
-        });
-        drop(state);
-        ThreadSlab::bump(&self.slab().detaches);
-        Ok(0)
-    }
-
-    fn detach_basic(&self, client: ClientId, pmo: PmoId) -> Result<u64, ServiceError> {
-        let shard = self.shard(pmo);
-        let mut state = self.lock(shard);
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
-        if state.owner.get(&pmo) != Some(&client) {
-            return Err(ServiceError::NotAttached { client, pmo });
-        }
-        state
-            .merr
-            .detach(pmo)
-            .expect("owned pool must be MERR-attached");
-        state.unmap_pool(pmo, self.clock.now_ns())?;
-        state.owner.remove(&pmo);
-        state.publish_owner(pmo, None);
-        state.remove_holder(client, pmo);
-        state.trace(EventKind::Detach {
-            pmo: pmo.raw(),
-            client: client as u64,
-        });
-        self.finish_visible(state)?;
-        ThreadSlab::bump(&self.slab().detaches);
-        shard.cvar.notify_all();
-        Ok(self.config.cost.detach_ns)
-    }
-
-    fn detach_terp(&self, client: ClientId, pmo: PmoId) -> Result<u64, ServiceError> {
-        let mut state = self.lock(self.shard(pmo));
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
-        if !state.is_holder(client, pmo) {
-            return Err(ServiceError::NotAttached { client, pmo });
-        }
-        let now = self.clock.now_ns();
-        let mut outcome = state.engine.conddt(pmo, now);
-        if matches!(
-            self.config.scheme,
-            Scheme::TerpFull {
-                window_combining: false
-            }
-        ) && outcome == DetachOutcome::DelayedDetach
-        {
-            // The +Cond ablation has no delayed-detach hardware: retire the
-            // entry and detach for real.
-            state.engine.evict(pmo);
-            outcome = DetachOutcome::FullDetach;
-        }
-        state.revoke_client(client, pmo, now)?;
-        state.remove_holder(client, pmo);
-        state.trace(EventKind::Detach {
-            pmo: pmo.raw(),
-            client: client as u64,
-        });
-        if outcome.needs_syscall() && state.space.is_attached(pmo) {
-            state.unmap_pool(pmo, now)?;
-        }
-        self.finish_visible(state)?;
-        ThreadSlab::bump(&self.slab().detaches);
-        let syscall = outcome.needs_syscall() || self.config.scheme.cond_is_syscall();
-        Ok(if syscall {
-            self.config.cost.detach_ns
-        } else {
-            self.config.cost.cond_ns
-        })
+        self.one(|b| b.detach(client, pmo))
     }
 
     fn check_access(
@@ -918,45 +660,7 @@ impl PmoService {
     ///
     /// Same as [`Self::read`], with [`AccessKind::Write`] required.
     pub fn write(&self, client: ClientId, oid: ObjectId, data: &[u8]) -> Result<(), ServiceError> {
-        self.check_writable()?;
-        if self.fast_write(client, oid, data).is_some() {
-            return Ok(());
-        }
-        let pmo = oid.pmo();
-        let mut state = self.lock(self.shard(pmo));
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
-        if let Err(e) = Self::check_access(
-            &mut state,
-            self.config.scheme,
-            client,
-            oid,
-            AccessKind::Write,
-        ) {
-            self.metrics.with_slab(|s| Self::tally_denial(s, &e));
-            return Err(e);
-        }
-        state.pools[&pmo]
-            .pool_mut()
-            .write_bytes(oid.offset(), data)?;
-        self.metrics.with_slab(|s| ThreadSlab::bump(&s.writes));
-        state.trace_data(EventKind::Write {
-            pmo: pmo.raw(),
-            client: client as u64,
-            offset: oid.offset(),
-            len: data.len() as u32,
-            epoch: 0,
-        });
-        if state.store.is_some() {
-            state.log(&WalRecord::DataWrite {
-                pmo,
-                offset: oid.offset(),
-                data: data.to_vec(),
-            })?;
-        }
-        self.finish_visible(state)?;
-        Ok(())
+        self.one(|b| b.write(client, oid, data))
     }
 
     /// Atomically compares-and-swaps the little-endian `u64` at `oid`:
@@ -982,50 +686,7 @@ impl PmoService {
         expected: u64,
         new: u64,
     ) -> Result<u64, ServiceError> {
-        self.check_writable()?;
-        let pmo = oid.pmo();
-        let mut state = self.lock(self.shard(pmo));
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
-        if let Err(e) = Self::check_access(
-            &mut state,
-            self.config.scheme,
-            client,
-            oid,
-            AccessKind::Write,
-        ) {
-            self.metrics.with_slab(|s| Self::tally_denial(s, &e));
-            return Err(e);
-        }
-        let mut buf = [0u8; 8];
-        state.pools[&pmo]
-            .pool()
-            .read_bytes(oid.offset(), &mut buf)?;
-        let observed = u64::from_le_bytes(buf);
-        if observed != expected {
-            return Ok(observed);
-        }
-        state.pools[&pmo]
-            .pool_mut()
-            .write_bytes(oid.offset(), &new.to_le_bytes())?;
-        self.metrics.with_slab(|s| ThreadSlab::bump(&s.writes));
-        state.trace_data(EventKind::Write {
-            pmo: pmo.raw(),
-            client: client as u64,
-            offset: oid.offset(),
-            len: 8,
-            epoch: 0,
-        });
-        if state.store.is_some() {
-            state.log(&WalRecord::DataWrite {
-                pmo,
-                offset: oid.offset(),
-                data: new.to_le_bytes().to_vec(),
-            })?;
-        }
-        self.finish_visible(state)?;
-        Ok(observed)
+        self.one(|b| b.cas_u64(client, oid, expected, new))
     }
 
     /// Registers (or clears, with `None`) root slot `key` of `pmo` in the
@@ -1044,27 +705,7 @@ impl PmoService {
         key: u32,
         oid: Option<ObjectId>,
     ) -> Result<(), ServiceError> {
-        self.check_writable()?;
-        let mut state = self.lock(self.shard(pmo));
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
-        let slab = self.slab();
-        Self::check_alloc_rights(&state, self.config.scheme, client, pmo)
-            .inspect_err(|e| Self::tally_denial(&slab, e))?;
-        let packed = oid.map_or(0, |o| o.to_packed());
-        state.log(&WalRecord::RootSet {
-            pmo,
-            key,
-            oid: packed,
-        })?;
-        if packed == 0 {
-            state.roots.remove(&(pmo, key));
-        } else {
-            state.roots.insert((pmo, key), packed);
-        }
-        self.finish_visible(state)?;
-        Ok(())
+        self.one(|b| b.set_root(client, pmo, key, oid))
     }
 
     /// Looks up root slot `key` of `pmo` in the root directory. `None` for
@@ -1095,23 +736,7 @@ impl PmoService {
     /// [`ServiceError::PermissionDenied`] without write rights, or a
     /// substrate error (pool full).
     pub fn alloc(&self, client: ClientId, pmo: PmoId, size: u64) -> Result<ObjectId, ServiceError> {
-        self.check_writable()?;
-        let mut state = self.lock(self.shard(pmo));
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
-        let slab = self.slab();
-        Self::check_alloc_rights(&state, self.config.scheme, client, pmo)
-            .inspect_err(|e| Self::tally_denial(&slab, e))?;
-        let oid = state.pools[&pmo].pool_mut().pmalloc(size)?;
-        ThreadSlab::bump(&slab.allocs);
-        state.log(&WalRecord::Alloc {
-            pmo,
-            size,
-            offset: oid.offset(),
-        })?;
-        self.finish_visible(state)?;
-        Ok(oid)
+        self.one(|b| b.alloc(client, pmo, size))
     }
 
     /// Frees an object (`pfree`). Requires the rights a write would.
@@ -1120,22 +745,7 @@ impl PmoService {
     ///
     /// Same as [`Self::alloc`].
     pub fn free(&self, client: ClientId, oid: ObjectId) -> Result<(), ServiceError> {
-        self.check_writable()?;
-        let pmo = oid.pmo();
-        let mut state = self.lock(self.shard(pmo));
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
-        let slab = self.slab();
-        Self::check_alloc_rights(&state, self.config.scheme, client, pmo)
-            .inspect_err(|e| Self::tally_denial(&slab, e))?;
-        state.pools[&pmo].pool_mut().pfree(oid)?;
-        state.log(&WalRecord::Free {
-            pmo,
-            offset: oid.offset(),
-        })?;
-        self.finish_visible(state)?;
-        Ok(())
+        self.one(|b| b.free(client, oid))
     }
 
     fn check_alloc_rights(
@@ -1247,6 +857,11 @@ impl PmoService {
                 let mut state = self.lock(shard);
                 let now = self.clock.now_ns();
                 let actions = state.engine.sweep(now);
+                if actions.is_empty() {
+                    // Nothing logged here: whatever sits in the store's
+                    // buffer is some caller's open batch, theirs to commit.
+                    continue;
+                }
                 total += actions.len();
                 for action in actions {
                     match action {
@@ -1267,7 +882,7 @@ impl PmoService {
                 // Expiry closes and relocations are externally visible
                 // protection transitions: under `visibility = durable` the
                 // sweep fsyncs their records too.
-                let _ = state.finish_op();
+                let _ = state.finish_op().and_then(|_| state.commit());
             }
         }
         self.sweep_passes.fetch_add(1, Ordering::Relaxed);
@@ -1405,6 +1020,7 @@ impl PmoService {
         let mut randomizations = 0;
         let mut ew = Default::default();
         let mut tew = Default::default();
+        let mut wal = None;
         for shard in &self.shards {
             let state = self.lock(shard);
             merge_cond_stats(&mut cond, state.engine.stats());
@@ -1417,6 +1033,9 @@ impl PmoService {
             randomizations += state.randomizations;
             ew = merge_window_stats(ew, state.windows.ew_stats());
             tew = merge_window_stats(tew, state.windows.tew_stats());
+            if let Some(store) = &state.store {
+                merge_wal_stats(wal.get_or_insert_with(Default::default), store.stats());
+            }
         }
         ServiceReport {
             scheme: self.config.scheme,
@@ -1433,7 +1052,573 @@ impl PmoService {
             ew,
             tew,
             recovery: self.recovery,
+            wal,
         }
+    }
+}
+
+/// A run of mutating operations sharing one commit.
+///
+/// Each entry point is the [`PmoService`] method of the same name minus its
+/// end-of-operation [`DurableStore::commit`]: the operation is applied and
+/// journaled, and the batch remembers which shard stores it left holding
+/// uncommitted records. [`Batch::commit`] then does one `write` + one
+/// `fdatasync` per such store. Until it returns, nothing the batch did —
+/// nor anything read after [`Batch::is_dirty`] turned true — may be
+/// acknowledged to anyone: that is the `visibility = durable` rule, moved
+/// from operation end to batch end. Under `submit` and in memory no store
+/// ever holds uncommitted records, so a batch never gets dirty and its
+/// commit is free.
+///
+/// Another caller of the same shard (a plain call, the sweeper's expiry
+/// commit, another batch) may sync this batch's records early; that only
+/// makes them durable sooner.
+#[derive(Debug)]
+#[must_use = "a dropped batch leaves its records unsynced until the shard's next commit"]
+pub struct Batch<'a> {
+    svc: &'a PmoService,
+    /// Indices of the shards whose stores this batch left uncommitted.
+    dirty: Vec<usize>,
+}
+
+impl<'a> Batch<'a> {
+    /// The service this batch runs against (reads go straight to it).
+    pub fn service(&self) -> &'a PmoService {
+        self.svc
+    }
+
+    /// Whether an operation of this batch left a shard store with
+    /// uncommitted records — from here on every result, reads included,
+    /// must wait for [`Self::commit`].
+    pub fn is_dirty(&self) -> bool {
+        !self.dirty.is_empty()
+    }
+
+    /// Commits every shard store the batch left uncommitted: one `write` +
+    /// one `fdatasync` each, under the shard lock.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Persist`] when a store fails to write or sync; none
+    /// of the batch's results may then be acknowledged as durable.
+    pub fn commit(self) -> Result<(), ServiceError> {
+        for idx in self.dirty {
+            self.svc.lock(&self.svc.shards[idx]).commit()?;
+        }
+        Ok(())
+    }
+
+    /// Ends one operation's critical section: the shard's end-of-op hook
+    /// (incremental-checkpoint trigger), a note if the store now holds
+    /// uncommitted records, and the lock drop.
+    fn finish(&mut self, mut state: StateGuard<'_>) -> Result<(), ServiceError> {
+        if state.finish_op()? {
+            let idx = state.idx as usize;
+            if !self.dirty.contains(&idx) {
+                self.dirty.push(idx);
+            }
+        }
+        Ok(())
+    }
+
+    /// [`PmoService::create_pool`] without its end-of-operation commit.
+    pub fn create_pool(
+        &mut self,
+        name: &str,
+        size: u64,
+        mode: OpenMode,
+    ) -> Result<PmoId, ServiceError> {
+        let svc = self.svc;
+        if svc.is_down() {
+            return Err(ServiceError::ShuttingDown);
+        }
+        svc.check_writable()?;
+        let name_shard = PmoService::name_shard_of(&svc.names, name);
+        let mut names = name_shard.lock().unwrap_or_else(|e| e.into_inner());
+        if names.contains_key(name) {
+            return Err(PmoError::NameExists(name.to_string()).into());
+        }
+        let raw = svc.next_id.fetch_add(1, Ordering::Relaxed);
+        if raw >= u64::from(MAX_POOL_ID) {
+            return Err(PmoError::PoolIdsExhausted.into());
+        }
+        let id = PmoId::new(raw as u16).expect("allocator stays in 1..MAX_POOL_ID");
+        let pool = Pmo::new(id, name.to_string(), size, mode)?;
+        names.insert(name.to_string(), id);
+        drop(names);
+        let slot = Arc::new(PoolSlot::new(pool));
+        let mut state = svc.lock(svc.shard(id));
+        state.pools.insert(id, Arc::clone(&slot));
+        state.log(&WalRecord::PoolCreate {
+            id,
+            name: name.to_string(),
+            size,
+            mode,
+        })?;
+        self.finish(state)?;
+        svc.index.insert(id, slot);
+        Ok(id)
+    }
+
+    /// [`PmoService::attach`] without its end-of-operation commit.
+    pub fn attach(
+        &mut self,
+        client: ClientId,
+        pmo: PmoId,
+        perm: Permission,
+    ) -> Result<(), ServiceError> {
+        self.attach_with_wait(client, pmo, perm).map(|_| ())
+    }
+
+    /// [`PmoService::attach_with_wait`] without its end-of-operation commit.
+    pub fn attach_with_wait(
+        &mut self,
+        client: ClientId,
+        pmo: PmoId,
+        perm: Permission,
+    ) -> Result<u64, ServiceError> {
+        let svc = self.svc;
+        svc.check_writable()?;
+        let (cost, waited) = match svc.config.scheme {
+            Scheme::Unprotected => (self.attach_unprotected(client, pmo, perm)?, 0),
+            Scheme::Merr | Scheme::BasicSemantics => self.attach_basic(client, pmo, perm)?,
+            Scheme::TerpSoftware | Scheme::TerpFull { .. } => {
+                (self.attach_terp(client, pmo, perm)?, 0)
+            }
+        };
+        svc.clock.charge(cost);
+        Ok(waited)
+    }
+
+    fn attach_unprotected(
+        &mut self,
+        client: ClientId,
+        pmo: PmoId,
+        perm: Permission,
+    ) -> Result<u64, ServiceError> {
+        let svc = self.svc;
+        let mut state = svc.lock(svc.shard(pmo));
+        if svc.is_down() {
+            return Err(ServiceError::ShuttingDown);
+        }
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        if state.is_holder(client, pmo) {
+            return Err(ServiceError::AlreadyAttached { client, pmo });
+        }
+        let mut cost = 0;
+        if !state.space.is_attached(pmo) {
+            state.map_pool(pmo, perm, svc.clock.now_ns())?;
+            cost = svc.config.cost.attach_ns;
+        }
+        state.add_holder(client, pmo);
+        state.trace(EventKind::Attach {
+            pmo: pmo.raw(),
+            client: client as u64,
+            writable: perm == Permission::ReadWrite,
+        });
+        self.finish(state)?;
+        ThreadSlab::bump(&svc.slab().attaches);
+        Ok(cost)
+    }
+
+    fn attach_basic(
+        &mut self,
+        client: ClientId,
+        pmo: PmoId,
+        perm: Permission,
+    ) -> Result<(u64, u64), ServiceError> {
+        let svc = self.svc;
+        let slab = svc.slab();
+        let shard = svc.shard(pmo);
+        let mut state = svc.lock(shard);
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        let mut waited_from = None;
+        loop {
+            if svc.is_down() {
+                return Err(ServiceError::ShuttingDown);
+            }
+            if state.owner.get(&pmo) == Some(&client) {
+                return Err(ServiceError::AlreadyAttached { client, pmo });
+            }
+            if !state.merr.is_attached(pmo) {
+                break;
+            }
+            // Basic semantics: serialize on the owner's window. Sleep on the
+            // shard condvar; the timeout bounds shutdown latency.
+            if waited_from.is_none() {
+                waited_from = Some(svc.clock.now_ns());
+                ThreadSlab::bump(&slab.attach_conflicts);
+            }
+            state = state.wait_on(&shard.cvar, Duration::from_millis(1));
+        }
+        let mut waited = 0;
+        if let Some(from) = waited_from {
+            waited = svc.clock.now_ns().saturating_sub(from);
+            slab.blocked_ns.fetch_add(waited, Ordering::Relaxed);
+            slab.queue_wait
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .record(waited);
+        }
+        state
+            .merr
+            .attach(pmo)
+            .expect("pool with no owner must be MERR-attachable");
+        if let Err(e) = state.map_pool(pmo, perm, svc.clock.now_ns()) {
+            let _ = state.merr.detach(pmo);
+            return Err(e);
+        }
+        state.owner.insert(pmo, client);
+        state.publish_owner(pmo, Some(client));
+        state.add_holder(client, pmo);
+        state.trace(EventKind::Attach {
+            pmo: pmo.raw(),
+            client: client as u64,
+            writable: perm == Permission::ReadWrite,
+        });
+        self.finish(state)?;
+        ThreadSlab::bump(&slab.attaches);
+        Ok((svc.config.cost.attach_ns, waited))
+    }
+
+    fn attach_terp(
+        &mut self,
+        client: ClientId,
+        pmo: PmoId,
+        perm: Permission,
+    ) -> Result<u64, ServiceError> {
+        let svc = self.svc;
+        let mut state = svc.lock(svc.shard(pmo));
+        if svc.is_down() {
+            return Err(ServiceError::ShuttingDown);
+        }
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        if state.is_holder(client, pmo) {
+            return Err(ServiceError::AlreadyAttached { client, pmo });
+        }
+        let now = svc.clock.now_ns();
+        let outcome = state.engine.condat(pmo, now);
+        if outcome.needs_syscall() && !state.space.is_attached(pmo) {
+            if let Err(e) = state.map_pool(pmo, perm, now) {
+                // Undo the speculative buffer entry: the attach never
+                // happened.
+                state.engine.evict(pmo);
+                return Err(e);
+            }
+        }
+        state.grant_client(client, pmo, perm, now)?;
+        state.add_holder(client, pmo);
+        state.trace(EventKind::Attach {
+            pmo: pmo.raw(),
+            client: client as u64,
+            writable: perm == Permission::ReadWrite,
+        });
+        self.finish(state)?;
+        ThreadSlab::bump(&svc.slab().attaches);
+        if outcome == AttachOutcome::FirstAttach {
+            // A fresh circular-buffer entry means a new earliest expiry:
+            // the adaptive sweeper may be parked indefinitely, so wake it.
+            svc.wake_sweeper();
+        }
+        let syscall = outcome.needs_syscall() || svc.config.scheme.cond_is_syscall();
+        Ok(if syscall {
+            svc.config.cost.attach_ns
+        } else {
+            svc.config.cost.cond_ns
+        })
+    }
+
+    /// [`PmoService::detach`] without its end-of-operation commit.
+    pub fn detach(&mut self, client: ClientId, pmo: PmoId) -> Result<(), ServiceError> {
+        let svc = self.svc;
+        let cost = match svc.config.scheme {
+            Scheme::Unprotected => self.detach_unprotected(client, pmo)?,
+            Scheme::Merr | Scheme::BasicSemantics => self.detach_basic(client, pmo)?,
+            Scheme::TerpSoftware | Scheme::TerpFull { .. } => self.detach_terp(client, pmo)?,
+        };
+        svc.clock.charge(cost);
+        Ok(())
+    }
+
+    fn detach_unprotected(&mut self, client: ClientId, pmo: PmoId) -> Result<u64, ServiceError> {
+        let svc = self.svc;
+        let mut state = svc.lock(svc.shard(pmo));
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        if !state.is_holder(client, pmo) {
+            return Err(ServiceError::NotAttached { client, pmo });
+        }
+        // Unprotected never unmaps: the pool stays exposed (that is the
+        // point of the baseline).
+        state.remove_holder(client, pmo);
+        state.trace(EventKind::Detach {
+            pmo: pmo.raw(),
+            client: client as u64,
+        });
+        drop(state);
+        ThreadSlab::bump(&svc.slab().detaches);
+        Ok(0)
+    }
+
+    fn detach_basic(&mut self, client: ClientId, pmo: PmoId) -> Result<u64, ServiceError> {
+        let svc = self.svc;
+        let shard = svc.shard(pmo);
+        let mut state = svc.lock(shard);
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        if state.owner.get(&pmo) != Some(&client) {
+            return Err(ServiceError::NotAttached { client, pmo });
+        }
+        state
+            .merr
+            .detach(pmo)
+            .expect("owned pool must be MERR-attached");
+        state.unmap_pool(pmo, svc.clock.now_ns())?;
+        state.owner.remove(&pmo);
+        state.publish_owner(pmo, None);
+        state.remove_holder(client, pmo);
+        state.trace(EventKind::Detach {
+            pmo: pmo.raw(),
+            client: client as u64,
+        });
+        self.finish(state)?;
+        ThreadSlab::bump(&svc.slab().detaches);
+        shard.cvar.notify_all();
+        Ok(svc.config.cost.detach_ns)
+    }
+
+    fn detach_terp(&mut self, client: ClientId, pmo: PmoId) -> Result<u64, ServiceError> {
+        let svc = self.svc;
+        let mut state = svc.lock(svc.shard(pmo));
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        if !state.is_holder(client, pmo) {
+            return Err(ServiceError::NotAttached { client, pmo });
+        }
+        let now = svc.clock.now_ns();
+        let mut outcome = state.engine.conddt(pmo, now);
+        if matches!(
+            svc.config.scheme,
+            Scheme::TerpFull {
+                window_combining: false
+            }
+        ) && outcome == DetachOutcome::DelayedDetach
+        {
+            // The +Cond ablation has no delayed-detach hardware: retire the
+            // entry and detach for real.
+            state.engine.evict(pmo);
+            outcome = DetachOutcome::FullDetach;
+        }
+        state.revoke_client(client, pmo, now)?;
+        state.remove_holder(client, pmo);
+        state.trace(EventKind::Detach {
+            pmo: pmo.raw(),
+            client: client as u64,
+        });
+        if outcome.needs_syscall() && state.space.is_attached(pmo) {
+            state.unmap_pool(pmo, now)?;
+        }
+        self.finish(state)?;
+        ThreadSlab::bump(&svc.slab().detaches);
+        let syscall = outcome.needs_syscall() || svc.config.scheme.cond_is_syscall();
+        Ok(if syscall {
+            svc.config.cost.detach_ns
+        } else {
+            svc.config.cost.cond_ns
+        })
+    }
+
+    /// [`PmoService::write`] without its end-of-operation commit.
+    pub fn write(
+        &mut self,
+        client: ClientId,
+        oid: ObjectId,
+        data: &[u8],
+    ) -> Result<(), ServiceError> {
+        let svc = self.svc;
+        svc.check_writable()?;
+        if svc.fast_write(client, oid, data).is_some() {
+            return Ok(());
+        }
+        let pmo = oid.pmo();
+        let mut state = svc.lock(svc.shard(pmo));
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        if let Err(e) = PmoService::check_access(
+            &mut state,
+            svc.config.scheme,
+            client,
+            oid,
+            AccessKind::Write,
+        ) {
+            svc.metrics.with_slab(|s| PmoService::tally_denial(s, &e));
+            return Err(e);
+        }
+        state.pools[&pmo]
+            .pool_mut()
+            .write_bytes(oid.offset(), data)?;
+        svc.metrics.with_slab(|s| ThreadSlab::bump(&s.writes));
+        state.trace_data(EventKind::Write {
+            pmo: pmo.raw(),
+            client: client as u64,
+            offset: oid.offset(),
+            len: data.len() as u32,
+            epoch: 0,
+        });
+        if state.store.is_some() {
+            state.log(&WalRecord::DataWrite {
+                pmo,
+                offset: oid.offset(),
+                data: data.to_vec(),
+            })?;
+        }
+        self.finish(state)?;
+        Ok(())
+    }
+
+    /// [`PmoService::cas_u64`] without its end-of-operation commit.
+    pub fn cas_u64(
+        &mut self,
+        client: ClientId,
+        oid: ObjectId,
+        expected: u64,
+        new: u64,
+    ) -> Result<u64, ServiceError> {
+        let svc = self.svc;
+        svc.check_writable()?;
+        let pmo = oid.pmo();
+        let mut state = svc.lock(svc.shard(pmo));
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        if let Err(e) = PmoService::check_access(
+            &mut state,
+            svc.config.scheme,
+            client,
+            oid,
+            AccessKind::Write,
+        ) {
+            svc.metrics.with_slab(|s| PmoService::tally_denial(s, &e));
+            return Err(e);
+        }
+        let mut buf = [0u8; 8];
+        state.pools[&pmo]
+            .pool()
+            .read_bytes(oid.offset(), &mut buf)?;
+        let observed = u64::from_le_bytes(buf);
+        if observed != expected {
+            return Ok(observed);
+        }
+        state.pools[&pmo]
+            .pool_mut()
+            .write_bytes(oid.offset(), &new.to_le_bytes())?;
+        svc.metrics.with_slab(|s| ThreadSlab::bump(&s.writes));
+        state.trace_data(EventKind::Write {
+            pmo: pmo.raw(),
+            client: client as u64,
+            offset: oid.offset(),
+            len: 8,
+            epoch: 0,
+        });
+        if state.store.is_some() {
+            state.log(&WalRecord::DataWrite {
+                pmo,
+                offset: oid.offset(),
+                data: new.to_le_bytes().to_vec(),
+            })?;
+        }
+        self.finish(state)?;
+        Ok(observed)
+    }
+
+    /// [`PmoService::set_root`] without its end-of-operation commit.
+    pub fn set_root(
+        &mut self,
+        client: ClientId,
+        pmo: PmoId,
+        key: u32,
+        oid: Option<ObjectId>,
+    ) -> Result<(), ServiceError> {
+        let svc = self.svc;
+        svc.check_writable()?;
+        let mut state = svc.lock(svc.shard(pmo));
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        let slab = svc.slab();
+        PmoService::check_alloc_rights(&state, svc.config.scheme, client, pmo)
+            .inspect_err(|e| PmoService::tally_denial(&slab, e))?;
+        let packed = oid.map_or(0, |o| o.to_packed());
+        state.log(&WalRecord::RootSet {
+            pmo,
+            key,
+            oid: packed,
+        })?;
+        if packed == 0 {
+            state.roots.remove(&(pmo, key));
+        } else {
+            state.roots.insert((pmo, key), packed);
+        }
+        self.finish(state)?;
+        Ok(())
+    }
+
+    /// [`PmoService::alloc`] without its end-of-operation commit.
+    pub fn alloc(
+        &mut self,
+        client: ClientId,
+        pmo: PmoId,
+        size: u64,
+    ) -> Result<ObjectId, ServiceError> {
+        let svc = self.svc;
+        svc.check_writable()?;
+        let mut state = svc.lock(svc.shard(pmo));
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        let slab = svc.slab();
+        PmoService::check_alloc_rights(&state, svc.config.scheme, client, pmo)
+            .inspect_err(|e| PmoService::tally_denial(&slab, e))?;
+        let oid = state.pools[&pmo].pool_mut().pmalloc(size)?;
+        ThreadSlab::bump(&slab.allocs);
+        state.log(&WalRecord::Alloc {
+            pmo,
+            size,
+            offset: oid.offset(),
+        })?;
+        self.finish(state)?;
+        Ok(oid)
+    }
+
+    /// [`PmoService::free`] without its end-of-operation commit.
+    pub fn free(&mut self, client: ClientId, oid: ObjectId) -> Result<(), ServiceError> {
+        let svc = self.svc;
+        svc.check_writable()?;
+        let pmo = oid.pmo();
+        let mut state = svc.lock(svc.shard(pmo));
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        let slab = svc.slab();
+        PmoService::check_alloc_rights(&state, svc.config.scheme, client, pmo)
+            .inspect_err(|e| PmoService::tally_denial(&slab, e))?;
+        state.pools[&pmo].pool_mut().pfree(oid)?;
+        state.log(&WalRecord::Free {
+            pmo,
+            offset: oid.offset(),
+        })?;
+        self.finish(state)?;
+        Ok(())
     }
 }
 
@@ -1716,14 +1901,18 @@ mod tests {
     }
 
     /// The audit behind `visibility = durable`: no journaling entry point
-    /// acknowledges ahead of its records. After each call returns, every
-    /// shard store's durability watermark has caught up with its log.
+    /// acknowledges ahead of its records. After each plain call returns,
+    /// every shard store's durability watermark has caught up with its log;
+    /// inside a [`Batch`] the same entry points leave their records
+    /// unsynced and the batch dirty until its one commit settles every
+    /// shard it touched.
     #[test]
     fn durable_visibility_leaves_no_unsynced_record_behind_any_entry_point() {
         let dir = std::env::temp_dir().join(format!("terp-svc-audit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let config = ServiceConfig::for_tests(Scheme::terp_full()).with_durable(&dir);
-        let svc = PmoService::new(config.with_visibility(crate::Visibility::Durable));
+        let config = ServiceConfig::for_tests(Scheme::terp_full());
+        let durable = config.clone().with_durable(dir.join("durable"));
+        let svc = PmoService::new(durable.with_visibility(crate::Visibility::Durable));
         let mut logged = 0;
         let mut settled = |what: &str| {
             let stores = svc.shards.iter().map(|shard| {
@@ -1754,6 +1943,61 @@ mod tests {
         settled("sweeper expiry");
         svc.detach(0, p).unwrap();
         settled("detach");
+
+        // The same entry points inside a batch. `unsynced(pmo)` = records of
+        // the pool's shard store still ahead of its watermark.
+        let unsynced = |pmo: PmoId| {
+            let state = svc.lock(svc.shard(pmo));
+            let store = state.store.as_ref().unwrap();
+            store.next_seq() - store.watermark()
+        };
+        let mut batch = svc.batch();
+        assert!(!batch.is_dirty());
+        let q = batch
+            .create_pool("b", 1 << 16, OpenMode::ReadWrite)
+            .unwrap();
+        assert!(!std::ptr::eq(svc.shard(p), svc.shard(q)), "the other shard");
+        assert!(batch.is_dirty());
+        assert_eq!(unsynced(q), 1, "create_pool in a batch");
+        assert_eq!(svc.sweep_all(), 0, "nothing is tracked");
+        assert_eq!(unsynced(q), 1, "an idle sweeper pass commits for nobody");
+        let mut behind = 0;
+        let mut deferred = |what: &str, batch: &Batch<'_>| {
+            assert!(batch.is_dirty(), "{what}");
+            assert!(unsynced(p) > behind, "{what} in a batch journaled nothing");
+            behind = unsynced(p);
+        };
+        batch.attach(0, p, Permission::ReadWrite).unwrap();
+        deferred("attach", &batch);
+        let oid = batch.alloc(0, p, 64).unwrap();
+        deferred("alloc", &batch);
+        batch.write(0, oid, &7u64.to_le_bytes()).unwrap();
+        deferred("write", &batch);
+        assert_eq!(batch.cas_u64(0, oid, 7, 8).unwrap(), 7);
+        deferred("cas_u64", &batch);
+        batch.set_root(0, p, 1, Some(oid)).unwrap();
+        deferred("set_root", &batch);
+        batch.free(0, oid).unwrap();
+        deferred("free", &batch);
+        batch.detach(0, p).unwrap();
+        deferred("detach", &batch);
+        batch.commit().unwrap();
+        settled("batch commit");
+        drop(svc);
+
+        // Under `submit` nothing ever waits for the caller: never dirty.
+        let submit = config.with_durable(dir.join("submit"));
+        let svc = PmoService::new(submit.with_visibility(crate::Visibility::Submit));
+        let mut batch = svc.batch();
+        let p = batch
+            .create_pool("a", 1 << 16, OpenMode::ReadWrite)
+            .unwrap();
+        batch.attach(0, p, Permission::ReadWrite).unwrap();
+        let oid = batch.alloc(0, p, 64).unwrap();
+        batch.write(0, oid, b"submit").unwrap();
+        batch.detach(0, p).unwrap();
+        assert!(!batch.is_dirty());
+        batch.commit().unwrap();
         drop(svc);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -204,13 +204,24 @@ impl ShardState {
     }
 
     /// Closes out one mutating operation while the shard lock is still
-    /// held: runs the incremental-checkpoint trigger, then lets the store
-    /// settle the visibility rule — under `visibility = durable` the
-    /// operation's records are written and fsynced here, before the caller
-    /// acknowledges; under `submit` the pipelined writer takes it from
-    /// here and nothing waits.
-    pub(crate) fn finish_op(&mut self) -> Result<(), ServiceError> {
+    /// held: runs the incremental-checkpoint trigger and reports whether
+    /// the store is left holding records that only [`Self::commit`] will
+    /// make durable — true under `visibility = durable` when the operation
+    /// (or an earlier one nobody committed yet) journaled anything, never
+    /// under `submit` or in memory.
+    pub(crate) fn finish_op(&mut self) -> Result<bool, ServiceError> {
         self.maybe_checkpoint()?;
+        Ok(self
+            .store
+            .as_ref()
+            .is_some_and(DurableStore::has_uncommitted))
+    }
+
+    /// Settles the visibility rule for everything journaled so far: under
+    /// `visibility = durable` the buffered records are written and fsynced
+    /// here, before any caller acknowledges them; under `submit` the
+    /// pipelined writer has them already and nothing waits.
+    pub(crate) fn commit(&mut self) -> Result<(), ServiceError> {
         if let Some(store) = self.store.as_mut() {
             store.commit()?;
         }
