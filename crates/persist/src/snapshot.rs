@@ -65,6 +65,11 @@ fn corrupt(why: impl Into<String>) -> PersistError {
     PersistError::SnapshotCorrupt(why.into())
 }
 
+/// Byte offset of page `idx`, unless it overflows.
+fn page_start(idx: u64) -> Option<u64> {
+    idx.checked_mul(PAGE_SIZE)
+}
+
 impl PoolSnapshot {
     /// Captures a pool's current state through its export hooks.
     pub fn capture(pool: &Pmo, wal_seq: u64) -> Self {
@@ -184,7 +189,14 @@ impl PoolSnapshot {
                         return Err(corrupt(format!("segment {segment_no}: short page")));
                     }
                     let idx = u64::from_le_bytes(body[..8].try_into().expect("8"));
-                    pages.push((idx, body[8..].to_vec()));
+                    let bytes = &body[8..];
+                    if bytes.len() > PAGE_SIZE as usize {
+                        return Err(corrupt(format!(
+                            "segment {segment_no}: page {idx} carries {} bytes",
+                            bytes.len()
+                        )));
+                    }
+                    pages.push((idx, bytes.to_vec()));
                 }
                 other => {
                     return Err(corrupt(format!(
@@ -195,6 +207,17 @@ impl PoolSnapshot {
         }
         let (id, name, size, mode, wal_seq) =
             header.ok_or_else(|| corrupt("missing header segment"))?;
+        // Checked here, once the pool size is known whatever the segment
+        // order: a page must start inside the pool (and its byte offset
+        // must exist at all — the index is 64 bits of outside input).
+        if let Some((idx, _)) = pages
+            .iter()
+            .find(|(idx, _)| page_start(*idx).is_none_or(|start| start >= size))
+        {
+            return Err(corrupt(format!(
+                "page {idx} lies outside the {size}-byte pool"
+            )));
+        }
         Ok(PoolSnapshot {
             id,
             name,
@@ -238,13 +261,16 @@ impl PoolSnapshot {
     ///
     /// # Errors
     ///
-    /// [`PersistError::Substrate`] if the registry refuses the id/name pair
-    /// or the block list fails validation.
+    /// [`PersistError::Substrate`] if the registry refuses the id/name pair,
+    /// the block list fails validation or a page does not fit the pool;
+    /// [`PersistError::SnapshotCorrupt`] for a page index whose byte offset
+    /// overflows (a hand-built snapshot — [`Self::decode`] never yields one).
     pub fn install_into(&self, registry: &mut PmoRegistry) -> Result<(), PersistError> {
         let pool = registry.restore_pool(self.id, &self.name, self.size, self.mode)?;
         pool.restore_allocator(&self.live)?;
         for (idx, bytes) in &self.pages {
-            pool.write_bytes(idx * PAGE_SIZE, bytes)?;
+            let start = page_start(*idx).ok_or_else(|| corrupt(format!("page {idx} overflows")))?;
+            pool.write_bytes(start, bytes)?;
         }
         Ok(())
     }
@@ -358,6 +384,52 @@ mod tests {
                 "byte {victim} corruption undetected"
             );
         }
+    }
+
+    /// A well-framed file (valid CRCs) whose page segment lies about where
+    /// or how big the page is: typed error at decode, never a panic or a
+    /// wrapped offset.
+    #[test]
+    fn hostile_page_segments_are_rejected_at_decode() {
+        let mut reg = PmoRegistry::new();
+        let id = sample_pool(&mut reg);
+        let good = PoolSnapshot::capture(reg.pool(id).unwrap(), 3);
+        let pool_pages = good.size / PAGE_SIZE;
+        let with_page = |idx: u64, len: usize| {
+            let mut snap = good.clone();
+            snap.pages = vec![(idx, vec![0x5A; len])];
+            snap.encode()
+        };
+        let cases = [
+            (
+                "page longer than a page",
+                with_page(0, PAGE_SIZE as usize + 1),
+            ),
+            ("byte offset overflows u64", with_page(u64::MAX, 16)),
+            ("byte offset wraps to 0", with_page(1 << 52, 16)),
+            ("first page past the pool", with_page(pool_pages, 16)),
+            ("far past the pool", with_page(pool_pages + 1_000_000, 4096)),
+        ];
+        for (what, bytes) in cases {
+            assert!(
+                matches!(
+                    PoolSnapshot::decode(&bytes),
+                    Err(PersistError::SnapshotCorrupt(_))
+                ),
+                "{what}"
+            );
+        }
+        // The last page of the pool and a short page are fine.
+        let ok = PoolSnapshot::decode(&with_page(pool_pages - 1, 100)).unwrap();
+        ok.install_into(&mut PmoRegistry::new()).unwrap();
+
+        // A hand-built snapshot never reaches an unchecked multiply either.
+        let mut wild = good.clone();
+        wild.pages = vec![(u64::MAX, vec![1])];
+        assert!(matches!(
+            wild.install_into(&mut PmoRegistry::new()),
+            Err(PersistError::SnapshotCorrupt(_))
+        ));
     }
 
     #[test]

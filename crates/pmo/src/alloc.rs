@@ -148,12 +148,11 @@ impl PoolAllocator {
     /// zero-length, granule-misaligned, or out of capacity.
     pub fn restore(capacity: u64, live: &[(u64, u64)]) -> Option<Self> {
         let capacity = capacity - capacity % ALLOC_GRANULE;
-        let mut a = PoolAllocator {
-            capacity,
-            free: BTreeMap::new(),
-            live: BTreeMap::new(),
-            bytes_live: 0,
-        };
+        // One validating pass that also lists the gaps; both lists come out
+        // in address order, so each map is built in one bulk load instead
+        // of one tree insert per block.
+        let mut free = Vec::new();
+        let mut bytes_live = 0u64;
         let mut cursor = 0u64;
         for &(off, len) in live {
             let aligned =
@@ -162,15 +161,20 @@ impl PoolAllocator {
                 return None;
             }
             if off > cursor {
-                a.free.insert(cursor, off - cursor);
+                free.push((cursor, off - cursor));
             }
-            a.live.insert(off, len);
-            a.bytes_live += len;
+            bytes_live += len;
             cursor = off + len;
         }
         if cursor < capacity {
-            a.free.insert(cursor, capacity - cursor);
+            free.push((cursor, capacity - cursor));
         }
+        let a = PoolAllocator {
+            capacity,
+            free: free.into_iter().collect(),
+            live: live.iter().copied().collect(),
+            bytes_live,
+        };
         debug_assert!(a.check_invariants().is_ok());
         Some(a)
     }
@@ -350,6 +354,29 @@ mod tests {
         assert!(PoolAllocator::restore(1024, &[]).is_some());
     }
 
+    /// The definition `restore` must equal: one tree insert per block.
+    fn restore_incremental(capacity: u64, live: &[(u64, u64)]) -> PoolAllocator {
+        let mut a = PoolAllocator {
+            capacity: capacity - capacity % ALLOC_GRANULE,
+            free: BTreeMap::new(),
+            live: BTreeMap::new(),
+            bytes_live: 0,
+        };
+        let mut cursor = 0u64;
+        for &(off, len) in live {
+            if off > cursor {
+                a.free.insert(cursor, off - cursor);
+            }
+            a.live.insert(off, len);
+            a.bytes_live += len;
+            cursor = off + len;
+        }
+        if cursor < a.capacity {
+            a.free.insert(cursor, a.capacity - cursor);
+        }
+        a
+    }
+
     #[test]
     fn first_fit_reuses_earliest_hole() {
         let mut a = PoolAllocator::new(1024);
@@ -387,6 +414,34 @@ mod tests {
                 a.free(off).unwrap();
             }
             prop_assert_eq!(a.bytes_free(), a.capacity());
+            prop_assert!(a.check_invariants().is_ok());
+        }
+
+        /// The bulk-built restore is the incremental build: same maps, same
+        /// accounting, and the next allocation lands on the same offset.
+        #[test]
+        fn restore_equals_the_incremental_build(
+            blocks in proptest::collection::vec((0u64..4, 1u64..40), 0..300),
+            tail in 0u64..64,
+            probe in 1u64..700,
+        ) {
+            let mut live = Vec::new();
+            let mut cursor = 0u64;
+            for (gap, len) in blocks {
+                let off = cursor + gap * ALLOC_GRANULE;
+                live.push((off, len * ALLOC_GRANULE));
+                cursor = off + len * ALLOC_GRANULE;
+            }
+            let capacity = cursor + tail * ALLOC_GRANULE + 7;
+            let mut a = PoolAllocator::restore(capacity, &live).expect("valid list");
+            let mut b = restore_incremental(capacity, &live);
+            prop_assert!(a.check_invariants().is_ok(), "{:?}", a.check_invariants());
+            prop_assert_eq!(a.capacity, b.capacity);
+            prop_assert_eq!(a.bytes_live, b.bytes_live);
+            prop_assert_eq!(&a.free, &b.free);
+            prop_assert_eq!(&a.live, &b.live);
+            prop_assert!(a.live_blocks().eq(live.iter().copied()));
+            prop_assert_eq!(a.alloc(probe), b.alloc(probe));
             prop_assert!(a.check_invariants().is_ok());
         }
 

@@ -63,23 +63,25 @@ impl HashMap {
         buckets: u32,
         key: u32,
     ) -> Result<HashMap, DsError> {
-        assert!(buckets > 0, "a map needs at least one bucket");
-        let descs = mem.alloc(pmo, u64::from(clients) * DESC_SLOT)?;
-        mem.write(descs, &vec![0u8; (clients as usize) * DESC_SLOT as usize])?;
-        let root = mem.alloc(pmo, HDR_SIZE + 8 * u64::from(buckets))?;
-        let mut image = vec![0u8; (HDR_SIZE + 8 * u64::from(buckets)) as usize];
-        image[0..8].copy_from_slice(&(DS_MAGIC | KIND_MAP).to_le_bytes());
-        image[8..16].copy_from_slice(&u64::from(clients).to_le_bytes());
-        image[16..24].copy_from_slice(&descs.to_packed().to_le_bytes());
-        image[24..32].copy_from_slice(&u64::from(buckets).to_le_bytes());
-        mem.write(root, &image)?;
-        mem.set_root(pmo, key, Some(root))?;
-        Ok(HashMap {
-            pmo,
-            root,
-            descs,
-            clients,
-            buckets,
+        mem.unit(|mem| {
+            assert!(buckets > 0, "a map needs at least one bucket");
+            let descs = mem.alloc(pmo, u64::from(clients) * DESC_SLOT)?;
+            mem.write(descs, &vec![0u8; (clients as usize) * DESC_SLOT as usize])?;
+            let root = mem.alloc(pmo, HDR_SIZE + 8 * u64::from(buckets))?;
+            let mut image = vec![0u8; (HDR_SIZE + 8 * u64::from(buckets)) as usize];
+            image[0..8].copy_from_slice(&(DS_MAGIC | KIND_MAP).to_le_bytes());
+            image[8..16].copy_from_slice(&u64::from(clients).to_le_bytes());
+            image[16..24].copy_from_slice(&descs.to_packed().to_le_bytes());
+            image[24..32].copy_from_slice(&u64::from(buckets).to_le_bytes());
+            mem.write(root, &image)?;
+            mem.set_root(pmo, key, Some(root))?;
+            Ok(HashMap {
+                pmo,
+                root,
+                descs,
+                clients,
+                buckets,
+            })
         })
     }
 
@@ -140,41 +142,43 @@ impl HashMap {
         key: u64,
         value: u64,
     ) -> Result<OpResult<()>, DsError> {
-        let seq = Descriptor::load(mem, self.descs, c)?.seq + 1;
-        let node = mem.alloc(self.pmo, NODE_SIZE)?;
-        Descriptor {
-            seq,
-            state: OP_STATE_PENDING,
-            op: Some(OpKind::Insert),
-            target: node.to_packed(),
-            value: key,
-            aux: value,
-        }
-        .store(mem, self.descs, c)?;
-        let cell = self.bucket_cell(bucket_of(key, self.buckets));
-        let commit_mark = loop {
-            let head = TaggedOid::unpack(read_u64(mem, cell)?);
-            let mut image = [0u8; NODE_SIZE as usize];
-            image[0..8].copy_from_slice(&head.oid.map_or(0, ObjectId::to_packed).to_le_bytes());
-            image[8..16].copy_from_slice(&key.to_le_bytes());
-            image[16..24].copy_from_slice(&value.to_le_bytes());
-            mem.write(node, &image)?;
-            if mem.cas_u64(cell, head.pack(), head.next(Some(node)).pack())? == head.pack() {
-                break mem.mark();
+        mem.unit(|mem| {
+            let seq = Descriptor::load(mem, self.descs, c)?.seq + 1;
+            let node = mem.alloc(self.pmo, NODE_SIZE)?;
+            Descriptor {
+                seq,
+                state: OP_STATE_PENDING,
+                op: Some(OpKind::Insert),
+                target: node.to_packed(),
+                value: key,
+                aux: value,
             }
-        };
-        Descriptor {
-            seq,
-            state: OP_STATE_DONE,
-            op: Some(OpKind::Insert),
-            target: node.to_packed(),
-            value: key,
-            aux: value,
-        }
-        .store(mem, self.descs, c)?;
-        Ok(OpResult {
-            value: (),
-            commit_mark,
+            .store(mem, self.descs, c)?;
+            let cell = self.bucket_cell(bucket_of(key, self.buckets));
+            let commit_mark = loop {
+                let head = TaggedOid::unpack(read_u64(mem, cell)?);
+                let mut image = [0u8; NODE_SIZE as usize];
+                image[0..8].copy_from_slice(&head.oid.map_or(0, ObjectId::to_packed).to_le_bytes());
+                image[8..16].copy_from_slice(&key.to_le_bytes());
+                image[16..24].copy_from_slice(&value.to_le_bytes());
+                mem.write(node, &image)?;
+                if mem.cas_u64(cell, head.pack(), head.next(Some(node)).pack())? == head.pack() {
+                    break mem.mark();
+                }
+            };
+            Descriptor {
+                seq,
+                state: OP_STATE_DONE,
+                op: Some(OpKind::Insert),
+                target: node.to_packed(),
+                value: key,
+                aux: value,
+            }
+            .store(mem, self.descs, c)?;
+            Ok(OpResult {
+                value: (),
+                commit_mark,
+            })
         })
     }
 
@@ -205,55 +209,57 @@ impl HashMap {
         c: u32,
         key: u64,
     ) -> Result<OpResult<Option<u64>>, DsError> {
-        let seq = Descriptor::load(mem, self.descs, c)?.seq + 1;
-        let st = stamp(c, seq);
-        let cell = self.bucket_cell(bucket_of(key, self.buckets));
-        'rescan: loop {
-            let mut cur = TaggedOid::unpack(read_u64(mem, cell)?).oid;
-            let mut steps = 0usize;
-            while let Some(node) = cur {
-                steps += 1;
-                if steps > WALK_LIMIT {
-                    return Err(DsError::Corrupt("map chain exceeds walk limit".into()));
-                }
-                let (next, k, v, state) = self.read_node(mem, node)?;
-                if k == key && state == 0 {
-                    Descriptor {
-                        seq,
-                        state: OP_STATE_PENDING,
-                        op: Some(OpKind::Remove),
-                        target: node.to_packed(),
-                        value: key,
-                        aux: st,
+        mem.unit(|mem| {
+            let seq = Descriptor::load(mem, self.descs, c)?.seq + 1;
+            let st = stamp(c, seq);
+            let cell = self.bucket_cell(bucket_of(key, self.buckets));
+            'rescan: loop {
+                let mut cur = TaggedOid::unpack(read_u64(mem, cell)?).oid;
+                let mut steps = 0usize;
+                while let Some(node) = cur {
+                    steps += 1;
+                    if steps > WALK_LIMIT {
+                        return Err(DsError::Corrupt("map chain exceeds walk limit".into()));
                     }
-                    .store(mem, self.descs, c)?;
-                    // The commit: logical delete by stamping the state word.
-                    if mem.cas_u64(node.wrapping_add(24), 0, st)? == 0 {
-                        let commit_mark = mem.mark();
+                    let (next, k, v, state) = self.read_node(mem, node)?;
+                    if k == key && state == 0 {
                         Descriptor {
                             seq,
-                            state: OP_STATE_DONE,
+                            state: OP_STATE_PENDING,
                             op: Some(OpKind::Remove),
                             target: node.to_packed(),
                             value: key,
                             aux: st,
                         }
                         .store(mem, self.descs, c)?;
-                        return Ok(OpResult {
-                            value: Some(v),
-                            commit_mark,
-                        });
+                        // The commit: logical delete by stamping the state word.
+                        if mem.cas_u64(node.wrapping_add(24), 0, st)? == 0 {
+                            let commit_mark = mem.mark();
+                            Descriptor {
+                                seq,
+                                state: OP_STATE_DONE,
+                                op: Some(OpKind::Remove),
+                                target: node.to_packed(),
+                                value: key,
+                                aux: st,
+                            }
+                            .store(mem, self.descs, c)?;
+                            return Ok(OpResult {
+                                value: Some(v),
+                                commit_mark,
+                            });
+                        }
+                        // Lost the race for this node; rescan the chain.
+                        continue 'rescan;
                     }
-                    // Lost the race for this node; rescan the chain.
-                    continue 'rescan;
+                    cur = ObjectId::from_packed(next);
                 }
-                cur = ObjectId::from_packed(next);
+                return Ok(OpResult {
+                    value: None,
+                    commit_mark: 0,
+                });
             }
-            return Ok(OpResult {
-                value: None,
-                commit_mark: 0,
-            });
-        }
+        })
     }
 
     /// Collects every live `(key, value)` pair, bucket by bucket, chain
@@ -298,88 +304,91 @@ impl HashMap {
     /// descriptor, compacts dead nodes out of every chain, and
     /// orphan-sweeps.
     pub fn recover(&self, mem: &impl DsMem) -> Result<RecoveryOutcome, DsError> {
-        let mut out = RecoveryOutcome::default();
-        let reachable = self.reachable(mem)?;
+        mem.unit(|mem| {
+            let mut out = RecoveryOutcome::default();
+            let reachable = self.reachable(mem)?;
 
-        for c in 0..self.clients {
-            let d = Descriptor::load(mem, self.descs, c)?;
-            if d.state != OP_STATE_PENDING {
-                continue;
+            for c in 0..self.clients {
+                let d = Descriptor::load(mem, self.descs, c)?;
+                if d.state != OP_STATE_PENDING {
+                    continue;
+                }
+                let node = ObjectId::from_packed(d.target).ok_or_else(|| {
+                    DsError::Corrupt("pending descriptor with null target".into())
+                })?;
+                let committed = match d.op {
+                    Some(OpKind::Insert) => reachable.contains(&node.offset()),
+                    Some(OpKind::Remove) => {
+                        let mut buf = [0u8; 8];
+                        mem.read(node.wrapping_add(24), &mut buf)?;
+                        u64::from_le_bytes(buf) == d.aux
+                    }
+                    other => {
+                        return Err(DsError::Corrupt(format!(
+                            "map descriptor records foreign op {other:?}"
+                        )))
+                    }
+                };
+                if committed {
+                    Descriptor {
+                        state: OP_STATE_DONE,
+                        ..d
+                    }
+                    .store(mem, self.descs, c)?;
+                    out.completed += 1;
+                } else {
+                    if d.op == Some(OpKind::Insert) {
+                        let _ = mem.free(node);
+                    }
+                    Descriptor {
+                        state: OP_STATE_IDLE,
+                        ..d
+                    }
+                    .store(mem, self.descs, c)?;
+                    out.rolled_back += 1;
+                }
             }
-            let node = ObjectId::from_packed(d.target)
-                .ok_or_else(|| DsError::Corrupt("pending descriptor with null target".into()))?;
-            let committed = match d.op {
-                Some(OpKind::Insert) => reachable.contains(&node.offset()),
-                Some(OpKind::Remove) => {
-                    let mut buf = [0u8; 8];
-                    mem.read(node.wrapping_add(24), &mut buf)?;
-                    u64::from_le_bytes(buf) == d.aux
+
+            // Compact: rebuild every chain without its logically deleted
+            // nodes (plain writes — recovery is single-threaded), free them.
+            for b in 0..self.buckets {
+                let cell = self.bucket_cell(b);
+                let head = TaggedOid::unpack(read_u64(mem, cell)?);
+                let mut live = Vec::new();
+                let mut dead = Vec::new();
+                let mut cur = head.oid;
+                while let Some(node) = cur {
+                    let (next, _, _, state) = self.read_node(mem, node)?;
+                    if state == 0 {
+                        live.push(node);
+                    } else {
+                        dead.push(node);
+                    }
+                    cur = ObjectId::from_packed(next);
                 }
-                other => {
-                    return Err(DsError::Corrupt(format!(
-                        "map descriptor records foreign op {other:?}"
-                    )))
+                if dead.is_empty() {
+                    continue;
                 }
-            };
-            if committed {
-                Descriptor {
-                    state: OP_STATE_DONE,
-                    ..d
+                // Relink survivors in order, then swing the head (tag bumped).
+                let mut next_packed = 0u64;
+                for node in live.iter().rev() {
+                    write_u64(mem, *node, next_packed)?;
+                    next_packed = node.to_packed();
                 }
-                .store(mem, self.descs, c)?;
-                out.completed += 1;
-            } else {
-                if d.op == Some(OpKind::Insert) {
+                write_u64(mem, cell, head.next(live.first().copied()).pack())?;
+                for node in dead {
                     let _ = mem.free(node);
                 }
-                Descriptor {
-                    state: OP_STATE_IDLE,
-                    ..d
-                }
-                .store(mem, self.descs, c)?;
-                out.rolled_back += 1;
             }
-        }
 
-        // Compact: rebuild every chain without its logically deleted
-        // nodes (plain writes — recovery is single-threaded), free them.
-        for b in 0..self.buckets {
-            let cell = self.bucket_cell(b);
-            let head = TaggedOid::unpack(read_u64(mem, cell)?);
-            let mut live = Vec::new();
-            let mut dead = Vec::new();
-            let mut cur = head.oid;
-            while let Some(node) = cur {
-                let (next, _, _, state) = self.read_node(mem, node)?;
-                if state == 0 {
-                    live.push(node);
-                } else {
-                    dead.push(node);
-                }
-                cur = ObjectId::from_packed(next);
-            }
-            if dead.is_empty() {
-                continue;
-            }
-            // Relink survivors in order, then swing the head (tag bumped).
-            let mut next_packed = 0u64;
-            for node in live.iter().rev() {
-                write_u64(mem, *node, next_packed)?;
-                next_packed = node.to_packed();
-            }
-            write_u64(mem, cell, head.next(live.first().copied()).pack())?;
-            for node in dead {
-                let _ = mem.free(node);
-            }
-        }
-
-        out.orphans_freed = sweep_orphans(
-            mem,
-            self.pmo,
-            &[self.root.offset(), self.descs.offset()],
-            &self.reachable(mem)?,
-        )?;
-        Ok(out)
+            out.orphans_freed = sweep_orphans(
+                mem,
+                self.pmo,
+                &[self.root.offset(), self.descs.offset()],
+                &self.reachable(mem)?,
+            )?;
+            Ok(out)
+        })
     }
 }
 

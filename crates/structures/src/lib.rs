@@ -48,7 +48,7 @@ pub use desc::{Descriptor, OpKind, OP_STATE_DONE, OP_STATE_IDLE, OP_STATE_PENDIN
 pub use harness::{DsKind, DsOp, DsResp, HarnessConfig, HarnessRun, HistOp};
 pub use hashmap::HashMap;
 pub use linearize::{check_history, LinearizeError, Model};
-pub use mem::{DsMem, LocalMem, ServiceMem};
+pub use mem::{DsMem, LocalMem, ServiceMem, UnitView};
 pub use queue::Queue;
 pub use stack::Stack;
 

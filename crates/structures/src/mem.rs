@@ -2,12 +2,16 @@
 //!
 //! Every structure operation is expressed over [`DsMem`]: allocate, free,
 //! read, write, CAS a 64-bit word, and register a root in the typed root
-//! directory. Two implementations exist:
+//! directory — and every mutating structure operation runs those calls
+//! inside one [`DsMem::unit`], its *persist unit*. Two implementations
+//! exist:
 //!
 //! * [`ServiceMem`] — a thin view of a live [`PmoService`] on behalf of
 //!   one client. Data plane ops go through the scheme's permission checks
 //!   (so every push/pop really lands inside an exposure window), CAS takes
-//!   the shard-locked path, and in durable mode everything is journaled.
+//!   the shard-locked path, and in durable mode everything is journaled:
+//!   a unit's records share one [`Batch`] and one `fdatasync`, a call
+//!   outside any unit is a plain service call with its own.
 //! * [`LocalMem`] — a bare [`PmoRegistry`] plus a mirrored in-memory WAL,
 //!   exactly the PR-3 crash-harness shape: every mutation both applies to
 //!   the registry and appends the corresponding [`WalRecord`], and
@@ -20,7 +24,7 @@ use std::collections::BTreeMap;
 
 use terp_persist::{RecoveredState, WalRecord, WalWriter};
 use terp_pmo::{ObjectId, OpenMode, PmoId, PmoRegistry};
-use terp_service::{ClientId, PmoService};
+use terp_service::{Batch, ClientId, PmoService};
 
 use crate::DsError;
 
@@ -55,6 +59,72 @@ pub trait DsMem {
     /// `None` (the service case) skips the sweep.
     fn live_blocks(&self, _pmo: PmoId) -> Option<Vec<(u64, u64)>> {
         None
+    }
+    /// Runs `f` as one **persist unit** against a view of this memory.
+    ///
+    /// * Inside the unit the view's calls are *ordered*: they reach one log
+    ///   in call order and that log is prefix-durable, so a crash keeps a
+    ///   prefix of the unit — never a later call without an earlier one.
+    /// * The unit's return is its *persist point*: when `unit` returns
+    ///   `Ok`, everything the closure wrote is on media. Nothing the
+    ///   closure did may be acknowledged to anyone before that. The commit
+    ///   runs when the closure fails too (what it did write is ordinary
+    ///   unfinished-operation state that recovery decides); the closure's
+    ///   error wins over the commit's.
+    /// * Ordering is per pool. A unit that touches pools on two shard logs
+    ///   gets two syncs and no atomicity across them; a structure lives in
+    ///   one pool.
+    /// * Other clients may read a unit's CAS before its sync, exactly as
+    ///   they can read a plain call's. Their own commit then covers those
+    ///   records first (same pool, same log), so nothing they acknowledge
+    ///   builds on a record that is not on media.
+    /// * Units nest by joining: the [`UnitView`] is itself a [`DsMem`], so a
+    ///   structure operation called on it opens its unit there, runs in
+    ///   the outer unit, and the outer return is the one persist point.
+    ///
+    /// The default runs `f` against `self` as it is — right for memories
+    /// whose every call is its own persist point ([`LocalMem`], wrappers
+    /// that forward call by call). [`ServiceMem`] overrides it.
+    fn unit<R>(&self, f: impl FnOnce(&UnitView<'_>) -> Result<R, DsError>) -> Result<R, DsError>
+    where
+        Self: Sized,
+    {
+        f(&UnitView(self))
+    }
+}
+
+/// The memory a [`DsMem::unit`] closure runs against. It forwards every
+/// call to the memory behind the unit and keeps the provided `unit`, so a
+/// unit opened on it runs in place — inside the unit it belongs to.
+pub struct UnitView<'a>(&'a dyn DsMem);
+
+impl DsMem for UnitView<'_> {
+    fn alloc(&self, pmo: PmoId, size: u64) -> Result<ObjectId, DsError> {
+        self.0.alloc(pmo, size)
+    }
+    fn free(&self, oid: ObjectId) -> Result<(), DsError> {
+        self.0.free(oid)
+    }
+    fn read(&self, oid: ObjectId, buf: &mut [u8]) -> Result<(), DsError> {
+        self.0.read(oid, buf)
+    }
+    fn write(&self, oid: ObjectId, data: &[u8]) -> Result<(), DsError> {
+        self.0.write(oid, data)
+    }
+    fn cas_u64(&self, oid: ObjectId, expected: u64, new: u64) -> Result<u64, DsError> {
+        self.0.cas_u64(oid, expected, new)
+    }
+    fn set_root(&self, pmo: PmoId, key: u32, oid: Option<ObjectId>) -> Result<(), DsError> {
+        self.0.set_root(pmo, key, oid)
+    }
+    fn root(&self, pmo: PmoId, key: u32) -> Result<Option<ObjectId>, DsError> {
+        self.0.root(pmo, key)
+    }
+    fn mark(&self) -> u64 {
+        self.0.mark()
+    }
+    fn live_blocks(&self, pmo: PmoId) -> Option<Vec<(u64, u64)>> {
+        self.0.live_blocks(pmo)
     }
 }
 
@@ -119,6 +189,62 @@ impl DsMem for ServiceMem<'_> {
 
     fn root(&self, pmo: PmoId, key: u32) -> Result<Option<ObjectId>, DsError> {
         Ok(self.svc.root(pmo, key)?)
+    }
+
+    /// One [`Batch`] for the whole closure, committed once before the unit
+    /// returns: under `visibility = durable` one `write` + one `fdatasync`
+    /// for however many records the operation logged, none when it logged
+    /// nothing.
+    fn unit<R>(&self, f: impl FnOnce(&UnitView<'_>) -> Result<R, DsError>) -> Result<R, DsError> {
+        let batched = BatchedMem {
+            mem: *self,
+            batch: RefCell::new(self.svc.batch()),
+        };
+        let out = f(&UnitView(&batched));
+        let committed = batched.batch.into_inner().commit();
+        let value = out?;
+        committed?;
+        Ok(value)
+    }
+}
+
+/// The memory behind a [`ServiceMem`] unit: the same client on the same
+/// service, with every mutating call going through the unit's one
+/// [`Batch`]. Reads go straight to the service.
+struct BatchedMem<'a> {
+    mem: ServiceMem<'a>,
+    batch: RefCell<Batch<'a>>,
+}
+
+impl DsMem for BatchedMem<'_> {
+    fn alloc(&self, pmo: PmoId, size: u64) -> Result<ObjectId, DsError> {
+        Ok(self.batch.borrow_mut().alloc(self.mem.client, pmo, size)?)
+    }
+
+    fn free(&self, oid: ObjectId) -> Result<(), DsError> {
+        Ok(self.batch.borrow_mut().free(self.mem.client, oid)?)
+    }
+
+    fn read(&self, oid: ObjectId, buf: &mut [u8]) -> Result<(), DsError> {
+        self.mem.read(oid, buf)
+    }
+
+    fn write(&self, oid: ObjectId, data: &[u8]) -> Result<(), DsError> {
+        Ok(self.batch.borrow_mut().write(self.mem.client, oid, data)?)
+    }
+
+    fn cas_u64(&self, oid: ObjectId, expected: u64, new: u64) -> Result<u64, DsError> {
+        let mut batch = self.batch.borrow_mut();
+        Ok(batch.cas_u64(self.mem.client, oid, expected, new)?)
+    }
+
+    fn set_root(&self, pmo: PmoId, key: u32, oid: Option<ObjectId>) -> Result<(), DsError> {
+        let mut batch = self.batch.borrow_mut();
+        Ok(batch.set_root(self.mem.client, pmo, key, oid)?)
+    }
+
+    fn root(&self, pmo: PmoId, key: u32) -> Result<Option<ObjectId>, DsError> {
+        self.mem.root(pmo, key)
     }
 }
 

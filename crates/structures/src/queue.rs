@@ -82,29 +82,31 @@ impl Queue {
     /// Creates a queue in `pmo` for up to `clients` clients, registered
     /// under root-directory slot `key`.
     pub fn create(mem: &impl DsMem, pmo: PmoId, clients: u32, key: u32) -> Result<Queue, DsError> {
-        let descs = mem.alloc(pmo, u64::from(clients) * DESC_SLOT)?;
-        mem.write(descs, &vec![0u8; (clients as usize) * DESC_SLOT as usize])?;
-        let dummy = mem.alloc(pmo, NODE_SIZE)?;
-        mem.write(dummy, &[0u8; NODE_SIZE as usize])?;
-        let root = mem.alloc(pmo, ROOT_SIZE)?;
-        let seeded = TaggedOid {
-            oid: Some(dummy),
-            tag: 0,
-        }
-        .pack();
-        let mut image = [0u8; ROOT_SIZE as usize];
-        image[0..8].copy_from_slice(&(DS_MAGIC | KIND_QUEUE).to_le_bytes());
-        image[8..16].copy_from_slice(&u64::from(clients).to_le_bytes());
-        image[16..24].copy_from_slice(&descs.to_packed().to_le_bytes());
-        image[24..32].copy_from_slice(&seeded.to_le_bytes());
-        image[32..40].copy_from_slice(&seeded.to_le_bytes());
-        mem.write(root, &image)?;
-        mem.set_root(pmo, key, Some(root))?;
-        Ok(Queue {
-            pmo,
-            root,
-            descs,
-            clients,
+        mem.unit(|mem| {
+            let descs = mem.alloc(pmo, u64::from(clients) * DESC_SLOT)?;
+            mem.write(descs, &vec![0u8; (clients as usize) * DESC_SLOT as usize])?;
+            let dummy = mem.alloc(pmo, NODE_SIZE)?;
+            mem.write(dummy, &[0u8; NODE_SIZE as usize])?;
+            let root = mem.alloc(pmo, ROOT_SIZE)?;
+            let seeded = TaggedOid {
+                oid: Some(dummy),
+                tag: 0,
+            }
+            .pack();
+            let mut image = [0u8; ROOT_SIZE as usize];
+            image[0..8].copy_from_slice(&(DS_MAGIC | KIND_QUEUE).to_le_bytes());
+            image[8..16].copy_from_slice(&u64::from(clients).to_le_bytes());
+            image[16..24].copy_from_slice(&descs.to_packed().to_le_bytes());
+            image[24..32].copy_from_slice(&seeded.to_le_bytes());
+            image[32..40].copy_from_slice(&seeded.to_le_bytes());
+            mem.write(root, &image)?;
+            mem.set_root(pmo, key, Some(root))?;
+            Ok(Queue {
+                pmo,
+                root,
+                descs,
+                clients,
+            })
         })
     }
 
@@ -175,143 +177,148 @@ impl Queue {
 
     /// Enqueues `value` as client `c`.
     pub fn enqueue(&self, mem: &impl DsMem, c: u32, value: u64) -> Result<OpResult<()>, DsError> {
-        let seq = Descriptor::load(mem, self.descs, c)?.seq + 1;
-        let node = mem.alloc(self.pmo, NODE_SIZE)?;
-        let mut image = [0u8; NODE_SIZE as usize];
-        image[0..8].copy_from_slice(&(stamp(c, seq) & NULL_NONCE).to_le_bytes());
-        image[8..16].copy_from_slice(&value.to_le_bytes());
-        image[16..24].copy_from_slice(&(UNCLAIMED | stamp(c, seq)).to_le_bytes());
-        mem.write(node, &image)?;
-        Descriptor {
-            seq,
-            state: OP_STATE_PENDING,
-            op: Some(OpKind::Enqueue),
-            target: node.to_packed(),
-            value,
-            aux: 0,
-        }
-        .store(mem, self.descs, c)?;
-        let commit_mark = loop {
-            let tail = TaggedOid::unpack(read_u64(mem, self.tail_cell())?);
-            let t_node = tail
-                .oid
-                .ok_or_else(|| DsError::Corrupt("queue tail is null".into()))?;
-            let next = read_u64(mem, t_node)?;
-            // Re-validate: dequeuers never pass the node the tail cell
-            // names, so an unmoved tail means the link just read belongs to
-            // the incarnation that is the tail right now.
-            if read_u64(mem, self.tail_cell())? != tail.pack() {
-                continue;
+        mem.unit(|mem| {
+            let seq = Descriptor::load(mem, self.descs, c)?.seq + 1;
+            let node = mem.alloc(self.pmo, NODE_SIZE)?;
+            let mut image = [0u8; NODE_SIZE as usize];
+            image[0..8].copy_from_slice(&(stamp(c, seq) & NULL_NONCE).to_le_bytes());
+            image[8..16].copy_from_slice(&value.to_le_bytes());
+            image[16..24].copy_from_slice(&(UNCLAIMED | stamp(c, seq)).to_le_bytes());
+            mem.write(node, &image)?;
+            Descriptor {
+                seq,
+                state: OP_STATE_PENDING,
+                op: Some(OpKind::Enqueue),
+                target: node.to_packed(),
+                value,
+                aux: 0,
             }
-            match ObjectId::from_packed(next) {
-                None => {
-                    if mem.cas_u64(t_node, next, node.to_packed())? == next {
-                        let mark = mem.mark();
-                        // Tail swing is cleanup; losing the race is fine.
-                        let _ = mem.cas_u64(
-                            self.tail_cell(),
-                            tail.pack(),
-                            tail.next(Some(node)).pack(),
-                        )?;
-                        break mark;
+            .store(mem, self.descs, c)?;
+            let commit_mark = loop {
+                let tail = TaggedOid::unpack(read_u64(mem, self.tail_cell())?);
+                let t_node = tail
+                    .oid
+                    .ok_or_else(|| DsError::Corrupt("queue tail is null".into()))?;
+                let next = read_u64(mem, t_node)?;
+                // Re-validate: dequeuers never pass the node the tail cell
+                // names, so an unmoved tail means the link just read belongs to
+                // the incarnation that is the tail right now.
+                if read_u64(mem, self.tail_cell())? != tail.pack() {
+                    continue;
+                }
+                match ObjectId::from_packed(next) {
+                    None => {
+                        if mem.cas_u64(t_node, next, node.to_packed())? == next {
+                            let mark = mem.mark();
+                            // Tail swing is cleanup; losing the race is fine.
+                            let _ = mem.cas_u64(
+                                self.tail_cell(),
+                                tail.pack(),
+                                tail.next(Some(node)).pack(),
+                            )?;
+                            break mark;
+                        }
+                    }
+                    // Tail lags; help it forward.
+                    Some(n) => {
+                        let _ =
+                            mem.cas_u64(self.tail_cell(), tail.pack(), tail.next(Some(n)).pack())?;
                     }
                 }
-                // Tail lags; help it forward.
-                Some(n) => {
-                    let _ =
-                        mem.cas_u64(self.tail_cell(), tail.pack(), tail.next(Some(n)).pack())?;
-                }
+            };
+            Descriptor {
+                seq,
+                state: OP_STATE_DONE,
+                op: Some(OpKind::Enqueue),
+                target: node.to_packed(),
+                value,
+                aux: 0,
             }
-        };
-        Descriptor {
-            seq,
-            state: OP_STATE_DONE,
-            op: Some(OpKind::Enqueue),
-            target: node.to_packed(),
-            value,
-            aux: 0,
-        }
-        .store(mem, self.descs, c)?;
-        Ok(OpResult {
-            value: (),
-            commit_mark,
+            .store(mem, self.descs, c)?;
+            Ok(OpResult {
+                value: (),
+                commit_mark,
+            })
         })
     }
 
     /// Dequeues the front value as client `c`; `None` on empty.
     pub fn dequeue(&self, mem: &impl DsMem, c: u32) -> Result<OpResult<Option<u64>>, DsError> {
-        let seq = Descriptor::load(mem, self.descs, c)?.seq + 1;
-        let st = stamp(c, seq);
-        loop {
-            let head = TaggedOid::unpack(read_u64(mem, self.head_cell())?);
-            let h_node = head
-                .oid
-                .ok_or_else(|| DsError::Corrupt("queue head is null".into()))?;
-            let tail = TaggedOid::unpack(read_u64(mem, self.tail_cell())?);
-            let next_packed = read_u64(mem, h_node)?;
-            let next = ObjectId::from_packed(next_packed);
-            let front = next.map(|n| self.read_node(mem, n));
-            // Re-validate: the head must not have moved while we read the
-            // dummy's link and the node behind it. A node is freed only
-            // after the head has passed it, so an unmoved head means both
-            // reads saw the incarnations that are in the queue right now.
-            if read_u64(mem, self.head_cell())? != head.pack() {
-                continue;
-            }
-            let (Some(next), Some((_, value, owner))) = (next, front.transpose()?) else {
-                return Ok(OpResult {
-                    value: None,
-                    commit_mark: 0,
-                });
-            };
-            if tail.oid == Some(h_node) {
-                // Tail lags behind a non-empty queue; help before claiming.
-                let _ = mem.cas_u64(self.tail_cell(), tail.pack(), tail.next(Some(next)).pack())?;
-                continue;
-            }
-            if claimed(owner) {
-                // Someone committed this dequeue; help advance and retry.
+        mem.unit(|mem| {
+            let seq = Descriptor::load(mem, self.descs, c)?.seq + 1;
+            let st = stamp(c, seq);
+            loop {
+                let head = TaggedOid::unpack(read_u64(mem, self.head_cell())?);
+                let h_node = head
+                    .oid
+                    .ok_or_else(|| DsError::Corrupt("queue head is null".into()))?;
+                let tail = TaggedOid::unpack(read_u64(mem, self.tail_cell())?);
+                let next_packed = read_u64(mem, h_node)?;
+                let next = ObjectId::from_packed(next_packed);
+                let front = next.map(|n| self.read_node(mem, n));
+                // Re-validate: the head must not have moved while we read the
+                // dummy's link and the node behind it. A node is freed only
+                // after the head has passed it, so an unmoved head means both
+                // reads saw the incarnations that are in the queue right now.
+                if read_u64(mem, self.head_cell())? != head.pack() {
+                    continue;
+                }
+                let (Some(next), Some((_, value, owner))) = (next, front.transpose()?) else {
+                    return Ok(OpResult {
+                        value: None,
+                        commit_mark: 0,
+                    });
+                };
+                if tail.oid == Some(h_node) {
+                    // Tail lags behind a non-empty queue; help before claiming.
+                    let _ =
+                        mem.cas_u64(self.tail_cell(), tail.pack(), tail.next(Some(next)).pack())?;
+                    continue;
+                }
+                if claimed(owner) {
+                    // Someone committed this dequeue; help advance and retry.
+                    if mem.cas_u64(self.head_cell(), head.pack(), head.next(Some(next)).pack())?
+                        == head.pack()
+                    {
+                        self.bury(mem, h_node)?;
+                    }
+                    continue;
+                }
+                Descriptor {
+                    seq,
+                    state: OP_STATE_PENDING,
+                    op: Some(OpKind::Dequeue),
+                    target: next.to_packed(),
+                    value,
+                    aux: st,
+                }
+                .store(mem, self.descs, c)?;
+                // The commit: claim the node by stamping its owner word — only
+                // if it still is the incarnation whose value was just read.
+                if mem.cas_u64(next.wrapping_add(16), owner, st)? != owner {
+                    continue;
+                }
+                let commit_mark = mem.mark();
                 if mem.cas_u64(self.head_cell(), head.pack(), head.next(Some(next)).pack())?
                     == head.pack()
                 {
                     self.bury(mem, h_node)?;
                 }
-                continue;
+                Descriptor {
+                    seq,
+                    state: OP_STATE_DONE,
+                    op: Some(OpKind::Dequeue),
+                    target: next.to_packed(),
+                    value,
+                    aux: st,
+                }
+                .store(mem, self.descs, c)?;
+                return Ok(OpResult {
+                    value: Some(value),
+                    commit_mark,
+                });
             }
-            Descriptor {
-                seq,
-                state: OP_STATE_PENDING,
-                op: Some(OpKind::Dequeue),
-                target: next.to_packed(),
-                value,
-                aux: st,
-            }
-            .store(mem, self.descs, c)?;
-            // The commit: claim the node by stamping its owner word — only
-            // if it still is the incarnation whose value was just read.
-            if mem.cas_u64(next.wrapping_add(16), owner, st)? != owner {
-                continue;
-            }
-            let commit_mark = mem.mark();
-            if mem.cas_u64(self.head_cell(), head.pack(), head.next(Some(next)).pack())?
-                == head.pack()
-            {
-                self.bury(mem, h_node)?;
-            }
-            Descriptor {
-                seq,
-                state: OP_STATE_DONE,
-                op: Some(OpKind::Dequeue),
-                target: next.to_packed(),
-                value,
-                aux: st,
-            }
-            .store(mem, self.descs, c)?;
-            return Ok(OpResult {
-                value: Some(value),
-                commit_mark,
-            });
-        }
+        })
     }
 
     /// Collects the queue contents, front first (owner-marked nodes are
@@ -353,108 +360,111 @@ impl Queue {
     /// Post-crash pass (single-threaded): decides every `PENDING`
     /// descriptor, normalizes head/tail/grave, and orphan-sweeps.
     pub fn recover(&self, mem: &impl DsMem) -> Result<RecoveryOutcome, DsError> {
-        let mut out = RecoveryOutcome::default();
+        mem.unit(|mem| {
+            let mut out = RecoveryOutcome::default();
 
-        // Normalize the head: advance past committed dequeues, freeing the
-        // dummies it passes (recovery empties the grave separately).
-        loop {
-            let head = TaggedOid::unpack(read_u64(mem, self.head_cell())?);
-            let dummy = head
+            // Normalize the head: advance past committed dequeues, freeing the
+            // dummies it passes (recovery empties the grave separately).
+            loop {
+                let head = TaggedOid::unpack(read_u64(mem, self.head_cell())?);
+                let dummy = head
+                    .oid
+                    .ok_or_else(|| DsError::Corrupt("queue head is null".into()))?;
+                let next_packed = read_u64(mem, dummy)?;
+                let Some(next) = ObjectId::from_packed(next_packed) else {
+                    break;
+                };
+                let (_, _, owner) = self.read_node(mem, next)?;
+                if !claimed(owner) {
+                    break;
+                }
+                write_u64(mem, self.head_cell(), head.next(Some(next)).pack())?;
+                let _ = mem.free(dummy);
+            }
+
+            // Empty the grave: its occupant left the queue two dequeues ago.
+            let grave = read_u64(mem, self.grave_cell())?;
+            if let Some(old) = ObjectId::from_packed(grave) {
+                let _ = mem.free(old);
+                write_u64(mem, self.grave_cell(), 0)?;
+            }
+
+            // Re-derive the tail: last node of the chain.
+            let reachable = self.reachable(mem)?;
+            let mut last = TaggedOid::unpack(read_u64(mem, self.head_cell())?)
                 .oid
                 .ok_or_else(|| DsError::Corrupt("queue head is null".into()))?;
-            let next_packed = read_u64(mem, dummy)?;
-            let Some(next) = ObjectId::from_packed(next_packed) else {
-                break;
-            };
-            let (_, _, owner) = self.read_node(mem, next)?;
-            if !claimed(owner) {
-                break;
+            while let Some(next) = ObjectId::from_packed(read_u64(mem, last)?) {
+                last = next;
             }
-            write_u64(mem, self.head_cell(), head.next(Some(next)).pack())?;
-            let _ = mem.free(dummy);
-        }
+            let tail = TaggedOid::unpack(read_u64(mem, self.tail_cell())?);
+            write_u64(mem, self.tail_cell(), tail.next(Some(last)).pack())?;
 
-        // Empty the grave: its occupant left the queue two dequeues ago.
-        let grave = read_u64(mem, self.grave_cell())?;
-        if let Some(old) = ObjectId::from_packed(grave) {
-            let _ = mem.free(old);
-            write_u64(mem, self.grave_cell(), 0)?;
-        }
-
-        // Re-derive the tail: last node of the chain.
-        let reachable = self.reachable(mem)?;
-        let mut last = TaggedOid::unpack(read_u64(mem, self.head_cell())?)
-            .oid
-            .ok_or_else(|| DsError::Corrupt("queue head is null".into()))?;
-        while let Some(next) = ObjectId::from_packed(read_u64(mem, last)?) {
-            last = next;
-        }
-        let tail = TaggedOid::unpack(read_u64(mem, self.tail_cell())?);
-        write_u64(mem, self.tail_cell(), tail.next(Some(last)).pack())?;
-
-        for c in 0..self.clients {
-            let d = Descriptor::load(mem, self.descs, c)?;
-            if d.state != OP_STATE_PENDING {
-                continue;
-            }
-            let node = ObjectId::from_packed(d.target)
-                .ok_or_else(|| DsError::Corrupt("pending descriptor with null target".into()))?;
-            match d.op {
-                Some(OpKind::Enqueue) => {
-                    if reachable.contains(&node.offset()) {
-                        Descriptor {
-                            state: OP_STATE_DONE,
-                            ..d
+            for c in 0..self.clients {
+                let d = Descriptor::load(mem, self.descs, c)?;
+                if d.state != OP_STATE_PENDING {
+                    continue;
+                }
+                let node = ObjectId::from_packed(d.target).ok_or_else(|| {
+                    DsError::Corrupt("pending descriptor with null target".into())
+                })?;
+                match d.op {
+                    Some(OpKind::Enqueue) => {
+                        if reachable.contains(&node.offset()) {
+                            Descriptor {
+                                state: OP_STATE_DONE,
+                                ..d
+                            }
+                            .store(mem, self.descs, c)?;
+                            out.completed += 1;
+                        } else {
+                            let _ = mem.free(node);
+                            Descriptor {
+                                state: OP_STATE_IDLE,
+                                ..d
+                            }
+                            .store(mem, self.descs, c)?;
+                            out.rolled_back += 1;
                         }
-                        .store(mem, self.descs, c)?;
-                        out.completed += 1;
-                    } else {
-                        let _ = mem.free(node);
-                        Descriptor {
-                            state: OP_STATE_IDLE,
-                            ..d
+                    }
+                    Some(OpKind::Dequeue) => {
+                        // Committed iff the owner word carries this op's stamp.
+                        // The target may already be a freed old dummy; freed
+                        // bytes persist, so the stamp check still decides.
+                        let mut owner_buf = [0u8; 8];
+                        mem.read(node.wrapping_add(16), &mut owner_buf)?;
+                        if u64::from_le_bytes(owner_buf) == d.aux {
+                            Descriptor {
+                                state: OP_STATE_DONE,
+                                ..d
+                            }
+                            .store(mem, self.descs, c)?;
+                            out.completed += 1;
+                        } else {
+                            Descriptor {
+                                state: OP_STATE_IDLE,
+                                ..d
+                            }
+                            .store(mem, self.descs, c)?;
+                            out.rolled_back += 1;
                         }
-                        .store(mem, self.descs, c)?;
-                        out.rolled_back += 1;
+                    }
+                    other => {
+                        return Err(DsError::Corrupt(format!(
+                            "queue descriptor records foreign op {other:?}"
+                        )))
                     }
                 }
-                Some(OpKind::Dequeue) => {
-                    // Committed iff the owner word carries this op's stamp.
-                    // The target may already be a freed old dummy; freed
-                    // bytes persist, so the stamp check still decides.
-                    let mut owner_buf = [0u8; 8];
-                    mem.read(node.wrapping_add(16), &mut owner_buf)?;
-                    if u64::from_le_bytes(owner_buf) == d.aux {
-                        Descriptor {
-                            state: OP_STATE_DONE,
-                            ..d
-                        }
-                        .store(mem, self.descs, c)?;
-                        out.completed += 1;
-                    } else {
-                        Descriptor {
-                            state: OP_STATE_IDLE,
-                            ..d
-                        }
-                        .store(mem, self.descs, c)?;
-                        out.rolled_back += 1;
-                    }
-                }
-                other => {
-                    return Err(DsError::Corrupt(format!(
-                        "queue descriptor records foreign op {other:?}"
-                    )))
-                }
             }
-        }
 
-        out.orphans_freed = sweep_orphans(
-            mem,
-            self.pmo,
-            &[self.root.offset(), self.descs.offset()],
-            &self.reachable(mem)?,
-        )?;
-        Ok(out)
+            out.orphans_freed = sweep_orphans(
+                mem,
+                self.pmo,
+                &[self.root.offset(), self.descs.offset()],
+                &self.reachable(mem)?,
+            )?;
+            Ok(out)
+        })
     }
 }
 

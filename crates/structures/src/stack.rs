@@ -53,23 +53,25 @@ impl Stack {
     /// Creates a stack in `pmo` for up to `clients` concurrent clients and
     /// registers its root under directory slot `key`.
     pub fn create(mem: &impl DsMem, pmo: PmoId, clients: u32, key: u32) -> Result<Stack, DsError> {
-        let descs = mem.alloc(pmo, u64::from(clients) * DESC_SLOT)?;
-        // The allocator reuses freed blocks, so the area must be zeroed
-        // explicitly — stale bytes would read as live descriptors.
-        mem.write(descs, &vec![0u8; (clients as usize) * DESC_SLOT as usize])?;
-        let root = mem.alloc(pmo, ROOT_SIZE)?;
-        let mut image = [0u8; ROOT_SIZE as usize];
-        image[0..8].copy_from_slice(&(DS_MAGIC | KIND_STACK).to_le_bytes());
-        image[8..16].copy_from_slice(&u64::from(clients).to_le_bytes());
-        image[16..24].copy_from_slice(&descs.to_packed().to_le_bytes());
-        image[24..32].copy_from_slice(&TaggedOid::null().pack().to_le_bytes());
-        mem.write(root, &image)?;
-        mem.set_root(pmo, key, Some(root))?;
-        Ok(Stack {
-            pmo,
-            root,
-            descs,
-            clients,
+        mem.unit(|mem| {
+            let descs = mem.alloc(pmo, u64::from(clients) * DESC_SLOT)?;
+            // The allocator reuses freed blocks, so the area must be zeroed
+            // explicitly — stale bytes would read as live descriptors.
+            mem.write(descs, &vec![0u8; (clients as usize) * DESC_SLOT as usize])?;
+            let root = mem.alloc(pmo, ROOT_SIZE)?;
+            let mut image = [0u8; ROOT_SIZE as usize];
+            image[0..8].copy_from_slice(&(DS_MAGIC | KIND_STACK).to_le_bytes());
+            image[8..16].copy_from_slice(&u64::from(clients).to_le_bytes());
+            image[16..24].copy_from_slice(&descs.to_packed().to_le_bytes());
+            image[24..32].copy_from_slice(&TaggedOid::null().pack().to_le_bytes());
+            mem.write(root, &image)?;
+            mem.set_root(pmo, key, Some(root))?;
+            Ok(Stack {
+                pmo,
+                root,
+                descs,
+                clients,
+            })
         })
     }
 
@@ -112,87 +114,91 @@ impl Stack {
 
     /// Pushes `value` as client `c`.
     pub fn push(&self, mem: &impl DsMem, c: u32, value: u64) -> Result<OpResult<()>, DsError> {
-        let seq = Descriptor::load(mem, self.descs, c)?.seq + 1;
-        let node = mem.alloc(self.pmo, NODE_SIZE)?;
-        Descriptor {
-            seq,
-            state: OP_STATE_PENDING,
-            op: Some(OpKind::Push),
-            target: node.to_packed(),
-            value,
-            aux: 0,
-        }
-        .store(mem, self.descs, c)?;
-        let commit_mark = loop {
-            let head = TaggedOid::unpack(read_u64(mem, self.head_cell())?);
-            let mut image = [0u8; NODE_SIZE as usize];
-            image[0..8].copy_from_slice(&head.oid.map_or(0, ObjectId::to_packed).to_le_bytes());
-            image[8..16].copy_from_slice(&value.to_le_bytes());
-            mem.write(node, &image)?;
-            let want = head.next(Some(node)).pack();
-            if mem.cas_u64(self.head_cell(), head.pack(), want)? == head.pack() {
-                break mem.mark();
-            }
-        };
-        Descriptor {
-            seq,
-            state: OP_STATE_DONE,
-            op: Some(OpKind::Push),
-            target: node.to_packed(),
-            value,
-            aux: 0,
-        }
-        .store(mem, self.descs, c)?;
-        Ok(OpResult {
-            value: (),
-            commit_mark,
-        })
-    }
-
-    /// Pops the top value as client `c`; `None` on empty.
-    pub fn pop(&self, mem: &impl DsMem, c: u32) -> Result<OpResult<Option<u64>>, DsError> {
-        let seq = Descriptor::load(mem, self.descs, c)?.seq + 1;
-        loop {
-            let head = TaggedOid::unpack(read_u64(mem, self.head_cell())?);
-            let Some(node) = head.oid else {
-                return Ok(OpResult {
-                    value: None,
-                    commit_mark: 0,
-                });
-            };
-            let mut image = [0u8; NODE_SIZE as usize];
-            mem.read(node, &mut image)?;
-            let next = u64::from_le_bytes(image[0..8].try_into().expect("8"));
-            let value = u64::from_le_bytes(image[8..16].try_into().expect("8"));
+        mem.unit(|mem| {
+            let seq = Descriptor::load(mem, self.descs, c)?.seq + 1;
+            let node = mem.alloc(self.pmo, NODE_SIZE)?;
             Descriptor {
                 seq,
                 state: OP_STATE_PENDING,
-                op: Some(OpKind::Pop),
+                op: Some(OpKind::Push),
                 target: node.to_packed(),
                 value,
                 aux: 0,
             }
             .store(mem, self.descs, c)?;
-            let want = head.next(ObjectId::from_packed(next)).pack();
-            if mem.cas_u64(self.head_cell(), head.pack(), want)? != head.pack() {
-                continue;
-            }
-            let commit_mark = mem.mark();
+            let commit_mark = loop {
+                let head = TaggedOid::unpack(read_u64(mem, self.head_cell())?);
+                let mut image = [0u8; NODE_SIZE as usize];
+                image[0..8].copy_from_slice(&head.oid.map_or(0, ObjectId::to_packed).to_le_bytes());
+                image[8..16].copy_from_slice(&value.to_le_bytes());
+                mem.write(node, &image)?;
+                let want = head.next(Some(node)).pack();
+                if mem.cas_u64(self.head_cell(), head.pack(), want)? == head.pack() {
+                    break mem.mark();
+                }
+            };
             Descriptor {
                 seq,
                 state: OP_STATE_DONE,
-                op: Some(OpKind::Pop),
+                op: Some(OpKind::Push),
                 target: node.to_packed(),
                 value,
-                aux: value,
+                aux: 0,
             }
             .store(mem, self.descs, c)?;
-            mem.free(node)?;
-            return Ok(OpResult {
-                value: Some(value),
+            Ok(OpResult {
+                value: (),
                 commit_mark,
-            });
-        }
+            })
+        })
+    }
+
+    /// Pops the top value as client `c`; `None` on empty.
+    pub fn pop(&self, mem: &impl DsMem, c: u32) -> Result<OpResult<Option<u64>>, DsError> {
+        mem.unit(|mem| {
+            let seq = Descriptor::load(mem, self.descs, c)?.seq + 1;
+            loop {
+                let head = TaggedOid::unpack(read_u64(mem, self.head_cell())?);
+                let Some(node) = head.oid else {
+                    return Ok(OpResult {
+                        value: None,
+                        commit_mark: 0,
+                    });
+                };
+                let mut image = [0u8; NODE_SIZE as usize];
+                mem.read(node, &mut image)?;
+                let next = u64::from_le_bytes(image[0..8].try_into().expect("8"));
+                let value = u64::from_le_bytes(image[8..16].try_into().expect("8"));
+                Descriptor {
+                    seq,
+                    state: OP_STATE_PENDING,
+                    op: Some(OpKind::Pop),
+                    target: node.to_packed(),
+                    value,
+                    aux: 0,
+                }
+                .store(mem, self.descs, c)?;
+                let want = head.next(ObjectId::from_packed(next)).pack();
+                if mem.cas_u64(self.head_cell(), head.pack(), want)? != head.pack() {
+                    continue;
+                }
+                let commit_mark = mem.mark();
+                Descriptor {
+                    seq,
+                    state: OP_STATE_DONE,
+                    op: Some(OpKind::Pop),
+                    target: node.to_packed(),
+                    value,
+                    aux: value,
+                }
+                .store(mem, self.descs, c)?;
+                mem.free(node)?;
+                return Ok(OpResult {
+                    value: Some(value),
+                    commit_mark,
+                });
+            }
+        })
     }
 
     /// Collects the stack contents, top first.
@@ -229,58 +235,61 @@ impl Stack {
     /// rolls back its operation, and sweeps orphaned allocations. Must run
     /// single-threaded, before the structure takes traffic again.
     pub fn recover(&self, mem: &impl DsMem) -> Result<RecoveryOutcome, DsError> {
-        let mut out = RecoveryOutcome::default();
-        let reachable = self.reachable(mem)?;
-        for c in 0..self.clients {
-            let d = Descriptor::load(mem, self.descs, c)?;
-            if d.state != OP_STATE_PENDING {
-                continue;
+        mem.unit(|mem| {
+            let mut out = RecoveryOutcome::default();
+            let reachable = self.reachable(mem)?;
+            for c in 0..self.clients {
+                let d = Descriptor::load(mem, self.descs, c)?;
+                if d.state != OP_STATE_PENDING {
+                    continue;
+                }
+                let node = ObjectId::from_packed(d.target).ok_or_else(|| {
+                    DsError::Corrupt("pending descriptor with null target".into())
+                })?;
+                let committed = match d.op {
+                    Some(OpKind::Push) => reachable.contains(&node.offset()),
+                    Some(OpKind::Pop) => !reachable.contains(&node.offset()),
+                    other => {
+                        return Err(DsError::Corrupt(format!(
+                            "stack descriptor records foreign op {other:?}"
+                        )))
+                    }
+                };
+                if committed {
+                    // Finish the cleanup the crash interrupted: a committed pop
+                    // still owns its unlinked node.
+                    if d.op == Some(OpKind::Pop) {
+                        let _ = mem.free(node);
+                    }
+                    Descriptor {
+                        state: OP_STATE_DONE,
+                        aux: d.value,
+                        ..d
+                    }
+                    .store(mem, self.descs, c)?;
+                    out.completed += 1;
+                } else {
+                    // Roll back: an uncommitted push owns its never-linked
+                    // node; an uncommitted pop touched nothing.
+                    if d.op == Some(OpKind::Push) {
+                        let _ = mem.free(node);
+                    }
+                    Descriptor {
+                        state: OP_STATE_IDLE,
+                        ..d
+                    }
+                    .store(mem, self.descs, c)?;
+                    out.rolled_back += 1;
+                }
             }
-            let node = ObjectId::from_packed(d.target)
-                .ok_or_else(|| DsError::Corrupt("pending descriptor with null target".into()))?;
-            let committed = match d.op {
-                Some(OpKind::Push) => reachable.contains(&node.offset()),
-                Some(OpKind::Pop) => !reachable.contains(&node.offset()),
-                other => {
-                    return Err(DsError::Corrupt(format!(
-                        "stack descriptor records foreign op {other:?}"
-                    )))
-                }
-            };
-            if committed {
-                // Finish the cleanup the crash interrupted: a committed pop
-                // still owns its unlinked node.
-                if d.op == Some(OpKind::Pop) {
-                    let _ = mem.free(node);
-                }
-                Descriptor {
-                    state: OP_STATE_DONE,
-                    aux: d.value,
-                    ..d
-                }
-                .store(mem, self.descs, c)?;
-                out.completed += 1;
-            } else {
-                // Roll back: an uncommitted push owns its never-linked
-                // node; an uncommitted pop touched nothing.
-                if d.op == Some(OpKind::Push) {
-                    let _ = mem.free(node);
-                }
-                Descriptor {
-                    state: OP_STATE_IDLE,
-                    ..d
-                }
-                .store(mem, self.descs, c)?;
-                out.rolled_back += 1;
-            }
-        }
-        out.orphans_freed = sweep_orphans(
-            mem,
-            self.pmo,
-            &[self.root.offset(), self.descs.offset()],
-            &self.reachable(mem)?,
-        )?;
-        Ok(out)
+            out.orphans_freed = sweep_orphans(
+                mem,
+                self.pmo,
+                &[self.root.offset(), self.descs.offset()],
+                &self.reachable(mem)?,
+            )?;
+            Ok(out)
+        })
     }
 }
 
