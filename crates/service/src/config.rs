@@ -195,12 +195,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Enables durable mode rooted at `dir` (automatic checkpoints off; see
     /// [`Self::with_durable_config`]).
     pub fn with_durable(mut self, dir: impl Into<PathBuf>) -> Self {

@@ -1,0 +1,396 @@
+//! The data plane: permission decisions (locked and against a published
+//! snapshot), the lock-free fast path, and read/write/compare-and-swap
+//! (plain entry points and their [`Batch`] bodies).
+
+use terp_core::config::Scheme;
+use terp_core::permission::Right;
+use terp_persist::WalRecord;
+use terp_pmo::{AccessKind, ObjectId, PmoId};
+use terp_trace::EventKind;
+
+use super::{Batch, PmoService};
+use crate::error::ServiceError;
+use crate::fastpath::WindowSnapshot;
+use crate::metrics::ThreadSlab;
+use crate::shard::ShardState;
+use crate::ClientId;
+
+fn right_for(kind: AccessKind) -> Right {
+    match kind {
+        AccessKind::Read => Right::Read,
+        AccessKind::Write => Right::Write,
+    }
+}
+
+impl PmoService {
+    fn check_access(
+        state: &mut ShardState,
+        scheme: Scheme,
+        client: ClientId,
+        oid: ObjectId,
+        kind: AccessKind,
+    ) -> Result<(), ServiceError> {
+        let pmo = oid.pmo();
+        let va = state.space.oid_direct(oid)?;
+        let allowed = match scheme {
+            Scheme::Unprotected => true,
+            Scheme::Merr | Scheme::BasicSemantics => {
+                state.owner.get(&pmo) == Some(&client) && state.matrix.check(va, kind)
+            }
+            Scheme::TerpSoftware | Scheme::TerpFull { .. } => {
+                state
+                    .perms
+                    .get(&client)
+                    .is_some_and(|p| p.has(pmo, right_for(kind)))
+                    && state.matrix.check(va, kind)
+            }
+        };
+        if allowed {
+            Ok(())
+        } else {
+            Err(ServiceError::PermissionDenied { client, pmo, kind })
+        }
+    }
+
+    /// The fast-path permission decision against a published snapshot.
+    /// Returns `true` only when the op may proceed lock-free; every other
+    /// case (unmapped, denied, crowded mirror) falls back to the locked
+    /// slow path, which recomputes the decision authoritatively and emits
+    /// the exact legacy error.
+    fn snapshot_allows(&self, snap: &WindowSnapshot, client: ClientId, kind: AccessKind) -> bool {
+        if !snap.mapped() {
+            return false;
+        }
+        match self.config.scheme {
+            Scheme::Unprotected => true,
+            Scheme::Merr | Scheme::BasicSemantics => {
+                snap.proc_allows(kind) && snap.owner_is(client)
+            }
+            Scheme::TerpSoftware | Scheme::TerpFull { .. } => {
+                snap.proc_allows(kind) && !snap.crowded() && snap.client_allows(client, kind)
+            }
+        }
+    }
+
+    /// Lock-free read attempt. `None` means "take the locked slow path" —
+    /// on index miss, seqlock collision, permission failure (the slow path
+    /// owns denial accounting and error shapes), or a raced epoch.
+    fn fast_read(&self, client: ClientId, oid: ObjectId, buf: &mut [u8]) -> Option<()> {
+        let slot = self.index.get(oid.pmo())?;
+        let snap = slot.snapshot()?;
+        if !self.snapshot_allows(&snap, client, AccessKind::Read) {
+            return None;
+        }
+        let pool = slot.pool();
+        // Re-validate under the data lock: if a writer published between
+        // the snapshot and the lock, the decision may be stale — retry
+        // through the slow path.
+        if !slot.still_valid(&snap) {
+            return None;
+        }
+        match pool.read_bytes(oid.offset(), buf) {
+            Ok(()) => {
+                self.metrics.with_slab(|s| ThreadSlab::bump(&s.reads));
+                self.trace_data(EventKind::Read {
+                    pmo: oid.pmo().raw(),
+                    client: client as u64,
+                    offset: oid.offset(),
+                    len: buf.len() as u32,
+                    epoch: snap.epoch(),
+                });
+                Some(())
+            }
+            // Bounds errors: defer to the slow path for the exact error.
+            Err(_) => None,
+        }
+    }
+
+    /// Lock-free write attempt; additionally refuses durable mode, where
+    /// every write must be journaled under the shard store.
+    fn fast_write(&self, client: ClientId, oid: ObjectId, data: &[u8]) -> Option<()> {
+        if self.config.durable.is_some() {
+            return None;
+        }
+        let slot = self.index.get(oid.pmo())?;
+        let snap = slot.snapshot()?;
+        if !self.snapshot_allows(&snap, client, AccessKind::Write) {
+            return None;
+        }
+        let mut pool = slot.pool_mut();
+        if !slot.still_valid(&snap) {
+            return None;
+        }
+        match pool.write_bytes(oid.offset(), data) {
+            Ok(()) => {
+                self.metrics.with_slab(|s| ThreadSlab::bump(&s.writes));
+                self.trace_data(EventKind::Write {
+                    pmo: oid.pmo().raw(),
+                    client: client as u64,
+                    offset: oid.offset(),
+                    len: data.len() as u32,
+                    epoch: snap.epoch(),
+                });
+                Some(())
+            }
+            Err(_) => None,
+        }
+    }
+
+    /// Reads `buf.len()` bytes at `oid` into a caller-provided buffer,
+    /// subject to the scheme's permission checks — the allocation-free
+    /// data-plane primitive ([`Self::read`] wraps it).
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::PermissionDenied`], [`ServiceError::UnknownPmo`], or
+    /// a substrate error (unmapped pool, out-of-bounds offset).
+    pub fn read_into(
+        &self,
+        client: ClientId,
+        oid: ObjectId,
+        buf: &mut [u8],
+    ) -> Result<(), ServiceError> {
+        if self.fast_read(client, oid, buf).is_some() {
+            return Ok(());
+        }
+        let pmo = oid.pmo();
+        let mut state = self.lock(self.shard(pmo));
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        if let Err(e) = Self::check_access(
+            &mut state,
+            self.config.scheme,
+            client,
+            oid,
+            AccessKind::Read,
+        ) {
+            self.metrics.with_slab(|s| Self::tally_denial(s, &e));
+            return Err(e);
+        }
+        state.pools[&pmo].pool().read_bytes(oid.offset(), buf)?;
+        self.metrics.with_slab(|s| ThreadSlab::bump(&s.reads));
+        // Slow-path epoch 0: the lock events already order this access.
+        state.trace_data(EventKind::Read {
+            pmo: pmo.raw(),
+            client: client as u64,
+            offset: oid.offset(),
+            len: buf.len() as u32,
+            epoch: 0,
+        });
+        Ok(())
+    }
+
+    /// Reads `len` bytes at `oid` on behalf of `client`, subject to the
+    /// scheme's permission checks.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::read_into`].
+    pub fn read(
+        &self,
+        client: ClientId,
+        oid: ObjectId,
+        len: usize,
+    ) -> Result<Vec<u8>, ServiceError> {
+        let mut buf = vec![0u8; len];
+        self.read_into(client, oid, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// Writes `data` at `oid` on behalf of `client`, subject to the
+    /// scheme's permission checks.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::read`], with [`AccessKind::Write`] required.
+    pub fn write(&self, client: ClientId, oid: ObjectId, data: &[u8]) -> Result<(), ServiceError> {
+        self.one(|b| b.write(client, oid, data))
+    }
+
+    /// Atomically compares-and-swaps the little-endian `u64` at `oid`:
+    /// when the stored value equals `expected`, `new` is written (and
+    /// journaled in durable mode); either way the *observed* prior value is
+    /// returned, so `Ok(v) where v == expected` means the swap happened.
+    /// Requires the rights a write would. Always takes the locked path —
+    /// the shard mutex is what makes the read-compare-write sequence
+    /// atomic against every other mutator; the seqlock fast path cannot
+    /// provide that.
+    ///
+    /// This is the linchpin primitive for the persistent lock-free
+    /// structures (`terp-structures`): every commit point is a single CAS
+    /// on a root, link, or owner word inside an exposure window.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::write`].
+    pub fn cas_u64(
+        &self,
+        client: ClientId,
+        oid: ObjectId,
+        expected: u64,
+        new: u64,
+    ) -> Result<u64, ServiceError> {
+        self.one(|b| b.cas_u64(client, oid, expected, new))
+    }
+
+    /// Whether the *process* currently holds `kind` access to the pool —
+    /// i.e. the permission matrix has a live entry allowing it. This is the
+    /// probe the soak test uses: after a full detach or sweep expiry it must
+    /// be `false`. Lock-free unless the seqlock snapshot collides.
+    pub fn process_can(&self, pmo: PmoId, kind: AccessKind) -> bool {
+        let Some(slot) = self.index.get(pmo) else {
+            return false; // never created: no matrix entry
+        };
+        if let Some(snap) = slot.snapshot() {
+            return snap.mapped() && snap.proc_allows(kind);
+        }
+        // Persistent seqlock collision: fall through to the lock.
+        let state = self.lock(self.shard(pmo));
+        state
+            .matrix
+            .entry(pmo)
+            .is_some_and(|e| e.permission.allows(kind))
+    }
+
+    /// Whether `client` can currently perform `kind` on the pool: the
+    /// permission-matrix entry must allow it *and* the scheme's
+    /// client-level state (ownership / thread permission) must agree.
+    /// Lock-free unless the pool's grant mirror has overflowed (or the
+    /// seqlock snapshot collides).
+    pub fn client_can(&self, client: ClientId, pmo: PmoId, kind: AccessKind) -> bool {
+        let Some(slot) = self.index.get(pmo) else {
+            return false; // never created
+        };
+        match slot.snapshot() {
+            // The same decision the data path takes on this snapshot.
+            Some(snap) if !snap.crowded() => return self.snapshot_allows(&snap, client, kind),
+            // Crowded mirror (or seqlock collision): only the slow path knows.
+            _ => {}
+        }
+        let state = self.lock(self.shard(pmo));
+        let process = state
+            .matrix
+            .entry(pmo)
+            .is_some_and(|e| e.permission.allows(kind));
+        match self.config.scheme {
+            Scheme::Unprotected => state.space.is_attached(pmo),
+            Scheme::Merr | Scheme::BasicSemantics => {
+                process && state.owner.get(&pmo) == Some(&client)
+            }
+            Scheme::TerpSoftware | Scheme::TerpFull { .. } => {
+                process
+                    && state
+                        .perms
+                        .get(&client)
+                        .is_some_and(|p| p.has(pmo, right_for(kind)))
+            }
+        }
+    }
+}
+
+impl Batch<'_> {
+    /// [`PmoService::write`] without its end-of-operation commit.
+    pub fn write(
+        &mut self,
+        client: ClientId,
+        oid: ObjectId,
+        data: &[u8],
+    ) -> Result<(), ServiceError> {
+        let svc = self.svc;
+        svc.check_writable()?;
+        if svc.fast_write(client, oid, data).is_some() {
+            return Ok(());
+        }
+        let pmo = oid.pmo();
+        let mut state = svc.lock(svc.shard(pmo));
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        if let Err(e) = PmoService::check_access(
+            &mut state,
+            svc.config.scheme,
+            client,
+            oid,
+            AccessKind::Write,
+        ) {
+            svc.metrics.with_slab(|s| PmoService::tally_denial(s, &e));
+            return Err(e);
+        }
+        state.pools[&pmo]
+            .pool_mut()
+            .write_bytes(oid.offset(), data)?;
+        svc.metrics.with_slab(|s| ThreadSlab::bump(&s.writes));
+        state.trace_data(EventKind::Write {
+            pmo: pmo.raw(),
+            client: client as u64,
+            offset: oid.offset(),
+            len: data.len() as u32,
+            epoch: 0,
+        });
+        if state.store.is_some() {
+            state.log(&WalRecord::DataWrite {
+                pmo,
+                offset: oid.offset(),
+                data: data.to_vec(),
+            })?;
+        }
+        self.finish(state)?;
+        Ok(())
+    }
+
+    /// [`PmoService::cas_u64`] without its end-of-operation commit.
+    pub fn cas_u64(
+        &mut self,
+        client: ClientId,
+        oid: ObjectId,
+        expected: u64,
+        new: u64,
+    ) -> Result<u64, ServiceError> {
+        let svc = self.svc;
+        svc.check_writable()?;
+        let pmo = oid.pmo();
+        let mut state = svc.lock(svc.shard(pmo));
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        if let Err(e) = PmoService::check_access(
+            &mut state,
+            svc.config.scheme,
+            client,
+            oid,
+            AccessKind::Write,
+        ) {
+            svc.metrics.with_slab(|s| PmoService::tally_denial(s, &e));
+            return Err(e);
+        }
+        let mut buf = [0u8; 8];
+        state.pools[&pmo]
+            .pool()
+            .read_bytes(oid.offset(), &mut buf)?;
+        let observed = u64::from_le_bytes(buf);
+        if observed != expected {
+            return Ok(observed);
+        }
+        state.pools[&pmo]
+            .pool_mut()
+            .write_bytes(oid.offset(), &new.to_le_bytes())?;
+        svc.metrics.with_slab(|s| ThreadSlab::bump(&s.writes));
+        state.trace_data(EventKind::Write {
+            pmo: pmo.raw(),
+            client: client as u64,
+            offset: oid.offset(),
+            len: 8,
+            epoch: 0,
+        });
+        if state.store.is_some() {
+            state.log(&WalRecord::DataWrite {
+                pmo,
+                offset: oid.offset(),
+                data: new.to_le_bytes().to_vec(),
+            })?;
+        }
+        self.finish(state)?;
+        Ok(observed)
+    }
+}

@@ -1,0 +1,149 @@
+//! Service lifecycle: shutdown and drain, standby promotion, and the
+//! merged report.
+
+use std::sync::atomic::Ordering;
+
+use terp_arch::{CondStats, MerrStats};
+use terp_pmo::PmoId;
+
+use super::PmoService;
+#[cfg(doc)]
+use crate::error::ServiceError;
+use crate::metrics::{merge_cond_stats, merge_wal_stats, merge_window_stats, ServiceReport};
+use crate::ClientId;
+
+impl PmoService {
+    /// Whether the service is a warm standby still refusing mutations.
+    pub fn is_read_only(&self) -> bool {
+        self.read_only.load(Ordering::Acquire)
+    }
+
+    /// Promotes a standby to leader: the read-only gate opens and every
+    /// mutating entry point starts accepting traffic. Idempotent; a no-op
+    /// on a service that never was a standby. The durable-mode open-time
+    /// recovery (which force-reseals crash-open exposure windows) has
+    /// already run by construction — promotion only flips the gate.
+    pub fn promote(&self) {
+        self.read_only.store(false, Ordering::Release);
+    }
+
+    /// Flags the service as shutting down: new sessions are refused and
+    /// Basic-semantics waiters wake with [`ServiceError::ShuttingDown`].
+    pub fn begin_shutdown(&self) {
+        self.shutting_down.store(true, Ordering::Release);
+        for shard in &self.shards {
+            shard.cvar.notify_all();
+        }
+    }
+
+    /// Whether shutdown has begun.
+    pub fn is_shutting_down(&self) -> bool {
+        self.is_down()
+    }
+
+    /// Force-closes every window: drains the circular buffers, detaches
+    /// every mapped pool, revokes every client grant, and finalizes window
+    /// statistics. Call after [`Self::begin_shutdown`] and after the
+    /// sweeper has stopped.
+    pub fn drain(&self) {
+        for shard in &self.shards {
+            let mut state = self.lock(shard);
+            let now = self.clock.now_ns();
+            // TERP: retire every tracked entry, live holders included.
+            for pmo in state.engine.drain() {
+                let _ = state.unmap_pool(pmo, now);
+            }
+            // Basic semantics: force-detach owned pools.
+            let owned: Vec<PmoId> = state.owner.keys().copied().collect();
+            for pmo in owned {
+                let _ = state.merr.detach(pmo);
+                let _ = state.unmap_pool(pmo, now);
+                state.publish_owner(pmo, None);
+            }
+            state.owner.clear();
+            // Anything still mapped (unprotected pools, untracked attaches).
+            let mapped: Vec<PmoId> = state
+                .pools
+                .keys()
+                .copied()
+                .filter(|&p| state.space.is_attached(p))
+                .collect();
+            for pmo in mapped {
+                let _ = state.unmap_pool(pmo, now);
+            }
+            // Close every remaining client session.
+            let sessions: Vec<(PmoId, Vec<ClientId>)> = state
+                .holders
+                .iter()
+                .map(|(&pmo, clients)| (pmo, clients.iter().copied().collect()))
+                .collect();
+            for (pmo, clients) in sessions {
+                for client in clients {
+                    let _ = state.revoke_client(client, pmo, now);
+                }
+            }
+            state.holders.clear();
+            // Scrub the published mirrors: no grant survives the drain.
+            for slot in state.pools.values() {
+                slot.publish(|w| {
+                    w.clear_grants();
+                    w.set_owner(None);
+                });
+            }
+            state.windows.finalize(now);
+            // Durable mode: the drain is a protection-quiescent point (every
+            // window just closed), so checkpoint — snapshots bound the next
+            // startup's replay. Best-effort: on failure the WAL alone still
+            // recovers everything.
+            let _ = state.checkpoint();
+            shard.cvar.notify_all();
+        }
+    }
+
+    /// Merges every shard's statistics — and every thread's metric slab —
+    /// into one report.
+    pub fn report(&self) -> ServiceReport {
+        let (ops, blocked_ns, queue_wait, threads_observed) = self.metrics.merged();
+        let mut cond = CondStats::default();
+        let mut merr = MerrStats::default();
+        let mut attach_syscalls = 0;
+        let mut detach_syscalls = 0;
+        let mut randomizations = 0;
+        let mut ew = Default::default();
+        let mut tew = Default::default();
+        let mut wal = None;
+        for shard in &self.shards {
+            let state = self.lock(shard);
+            merge_cond_stats(&mut cond, state.engine.stats());
+            let m = state.merr.stats();
+            merr.attaches += m.attaches;
+            merr.detaches += m.detaches;
+            merr.attach_conflicts += m.attach_conflicts;
+            attach_syscalls += state.attach_syscalls;
+            detach_syscalls += state.detach_syscalls;
+            randomizations += state.randomizations;
+            ew = merge_window_stats(ew, state.windows.ew_stats());
+            tew = merge_window_stats(tew, state.windows.tew_stats());
+            if let Some(store) = &state.store {
+                merge_wal_stats(wal.get_or_insert_with(Default::default), store.stats());
+            }
+        }
+        ServiceReport {
+            scheme: self.config.scheme,
+            ops,
+            cond,
+            merr,
+            attach_syscalls,
+            detach_syscalls,
+            randomizations,
+            blocked_ns,
+            queue_wait,
+            sweep_passes: self.sweep_passes.load(Ordering::Relaxed),
+            threads_observed,
+            ew,
+            tew,
+            recovery: self.recovery,
+            wal,
+        }
+    }
+}

@@ -1,0 +1,405 @@
+//! Unit tests of the service: scheme semantics, the fast/locked path
+//! agreement, and the `visibility = durable` audit.
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use terp_core::config::Scheme;
+use terp_pmo::{AccessKind, ObjectId, OpenMode, Permission, PmoError, PmoId};
+
+use super::{Batch, PmoService};
+use crate::config::ServiceConfig;
+use crate::error::ServiceError;
+use crate::ClientId;
+
+fn service(scheme: Scheme) -> PmoService {
+    PmoService::new(ServiceConfig::for_tests(scheme))
+}
+
+/// A service whose EW target is far in the future, so conditional
+/// detaches are reliably *delayed* regardless of scheduler noise.
+fn service_long_ew(scheme: Scheme) -> PmoService {
+    PmoService::new(ServiceConfig::for_tests(scheme).with_ew_target_us(10_000_000))
+}
+
+/// A service with a 2 ms EW: long against back-to-back calls, short
+/// against an explicit 5 ms sleep — the expiry-path configuration.
+fn service_expiring(scheme: Scheme) -> PmoService {
+    PmoService::new(ServiceConfig::for_tests(scheme).with_ew_target_us(2_000))
+}
+
+#[test]
+fn tt_attach_lowering_and_delayed_detach() {
+    let svc = service_long_ew(Scheme::terp_full());
+    let p = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
+
+    svc.attach(0, p, Permission::ReadWrite).unwrap();
+    svc.attach(1, p, Permission::ReadWrite).unwrap();
+    let oid = svc.alloc(0, p, 64).unwrap();
+    svc.write(0, oid, b"hello").unwrap();
+    assert_eq!(svc.read(1, oid, 5).unwrap(), b"hello");
+
+    // Client 1 detaches: partial — pool stays mapped, client 1 loses
+    // access immediately.
+    svc.detach(1, p).unwrap();
+    assert!(svc.process_can(p, AccessKind::Read));
+    assert!(!svc.client_can(1, p, AccessKind::Read));
+    assert!(svc.client_can(0, p, AccessKind::Read));
+    assert!(
+        svc.read(1, oid, 5).is_err(),
+        "revoked client must be denied"
+    );
+
+    // Client 0 detaches early: delayed — mapped, but nobody can access.
+    svc.detach(0, p).unwrap();
+    assert!(svc.process_can(p, AccessKind::Read));
+    assert!(!svc.client_can(0, p, AccessKind::Read));
+
+    let r = svc.report();
+    assert_eq!(r.attach_syscalls, 1, "one real map for two attaches");
+    assert_eq!(r.cond.subsequent_attach, 1);
+    assert_eq!(r.cond.delayed_detach, 1);
+}
+
+#[test]
+fn tt_sweep_closes_expired_windows() {
+    let svc = service_expiring(Scheme::terp_full());
+    let p = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
+    svc.attach(0, p, Permission::ReadWrite).unwrap();
+    svc.detach(0, p).unwrap(); // delayed
+    assert!(svc.process_can(p, AccessKind::Read));
+    std::thread::sleep(Duration::from_millis(5));
+    assert!(svc.sweep_all() >= 1);
+    assert!(!svc.process_can(p, AccessKind::Read), "expired idle window");
+    assert_eq!(svc.attached_total(), 0);
+    assert_eq!(svc.report().cond.sweep_detach, 1);
+}
+
+#[test]
+fn tt_sweep_randomizes_live_windows() {
+    let svc = service_expiring(Scheme::terp_full());
+    let p = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
+    svc.attach(0, p, Permission::ReadWrite).unwrap();
+    let oid = svc.alloc(0, p, 32).unwrap();
+    svc.write(0, oid, b"sticky").unwrap();
+    std::thread::sleep(Duration::from_millis(5));
+    assert_eq!(svc.sweep_all(), 1);
+    let r = svc.report();
+    assert_eq!(r.randomizations, 1, "live holder → randomize, not detach");
+    // The holder can still read through the relocated mapping.
+    assert_eq!(svc.read(0, oid, 6).unwrap(), b"sticky");
+    assert!(r.ew.count >= 1, "randomization split the window");
+}
+
+#[test]
+fn no_combining_ablation_detaches_eagerly() {
+    let svc = service_long_ew(Scheme::TerpFull {
+        window_combining: false,
+    });
+    let p = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
+    svc.attach(0, p, Permission::ReadWrite).unwrap();
+    svc.detach(0, p).unwrap();
+    assert!(!svc.process_can(p, AccessKind::Read), "no delayed detach");
+    assert_eq!(svc.attached_total(), 0);
+}
+
+#[test]
+fn mm_blocks_conflicting_attach_until_owner_detaches() {
+    let svc = Arc::new(service(Scheme::Merr));
+    let p = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
+    svc.attach(0, p, Permission::ReadWrite).unwrap();
+    assert!(svc.client_can(0, p, AccessKind::Write));
+
+    let svc2 = Arc::clone(&svc);
+    let waiter = std::thread::spawn(move || {
+        let waited = svc2.attach_with_wait(1, p, Permission::ReadWrite).unwrap();
+        svc2.detach(1, p).unwrap();
+        waited
+    });
+    std::thread::sleep(Duration::from_millis(5));
+    svc.detach(0, p).unwrap();
+    let waited = waiter.join().unwrap();
+    assert!(waited > 0, "the conflicting attach reports its queue wait");
+
+    let r = svc.report();
+    assert_eq!(r.ops.attaches, 2);
+    assert_eq!(r.ops.attach_conflicts, 1);
+    assert!(r.blocked_ns > 0, "the waiter's block time is accounted");
+    assert_eq!(
+        r.queue_wait.count(),
+        1,
+        "one queue-wait sample for one conflict"
+    );
+    assert!(r.queue_wait.max() >= waited.min(r.queue_wait.max()));
+    assert!(!svc.process_can(p, AccessKind::Read));
+}
+
+#[test]
+fn mm_second_client_is_denied_access_while_owner_holds() {
+    let svc = service(Scheme::Merr);
+    let p = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
+    svc.attach(0, p, Permission::ReadWrite).unwrap();
+    let oid = svc.alloc(0, p, 16).unwrap();
+    assert!(matches!(
+        svc.read(9, oid, 8).unwrap_err(),
+        ServiceError::PermissionDenied { client: 9, .. }
+    ));
+    assert_eq!(svc.report().ops.denials, 1);
+}
+
+#[test]
+fn unprotected_keeps_pools_mapped() {
+    let svc = service(Scheme::Unprotected);
+    let p = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
+    svc.attach(0, p, Permission::ReadWrite).unwrap();
+    svc.detach(0, p).unwrap();
+    assert_eq!(svc.attached_total(), 1, "unprotected never unmaps");
+    svc.begin_shutdown();
+    svc.drain();
+    assert_eq!(svc.attached_total(), 0, "drain unmaps even unprotected");
+}
+
+#[test]
+fn drain_closes_everything_and_refuses_new_work() {
+    let svc = service(Scheme::terp_full());
+    let a = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
+    let b = svc.create_pool("b", 1 << 16, OpenMode::ReadWrite).unwrap();
+    svc.attach(0, a, Permission::ReadWrite).unwrap();
+    svc.attach(1, b, Permission::Read).unwrap();
+    svc.begin_shutdown();
+    assert_eq!(
+        svc.attach(2, a, Permission::Read).unwrap_err(),
+        ServiceError::ShuttingDown
+    );
+    svc.drain();
+    assert_eq!(svc.attached_total(), 0);
+    assert_eq!(svc.matrix_total(), 0);
+    assert!(!svc.client_can(0, a, AccessKind::Read));
+    assert!(!svc.client_can(1, b, AccessKind::Read));
+    let r = svc.report();
+    assert_eq!(r.ew.count, 2, "both windows closed and accounted");
+}
+
+#[test]
+fn errors_are_specific() {
+    let svc = service(Scheme::terp_full());
+    let p = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
+    let ghost = PmoId::new(999).unwrap();
+    assert_eq!(
+        svc.attach(0, ghost, Permission::Read).unwrap_err(),
+        ServiceError::UnknownPmo(ghost)
+    );
+    assert_eq!(
+        svc.detach(0, p).unwrap_err(),
+        ServiceError::NotAttached { client: 0, pmo: p }
+    );
+    svc.attach(0, p, Permission::Read).unwrap();
+    assert_eq!(
+        svc.attach(0, p, Permission::Read).unwrap_err(),
+        ServiceError::AlreadyAttached { client: 0, pmo: p }
+    );
+    // Read-only session: writes are denied at the thread-permission
+    // layer.
+    let oid = ObjectId::new(p, 0);
+    assert!(matches!(
+        svc.write(0, oid, b"x").unwrap_err(),
+        ServiceError::PermissionDenied { .. }
+    ));
+}
+
+#[test]
+fn duplicate_names_and_id_allocation_stay_sharded() {
+    let svc = service(Scheme::terp_full());
+    let a = svc
+        .create_pool("dup", 1 << 12, OpenMode::ReadWrite)
+        .unwrap();
+    assert!(matches!(
+        svc.create_pool("dup", 1 << 12, OpenMode::ReadWrite),
+        Err(ServiceError::Substrate(PmoError::NameExists(_)))
+    ));
+    let b = svc
+        .create_pool("other", 1 << 12, OpenMode::ReadWrite)
+        .unwrap();
+    assert!(b.raw() > a.raw(), "ids are monotone and never reused");
+}
+
+#[test]
+fn fastpath_and_locked_paths_agree() {
+    // The locked path is the seqlock's fallback, not a configuration:
+    // crowd the pool past its 8 published grant slots and every client
+    // decision goes through the shard mutex. Both sides must give the
+    // same answers, errors, and counts.
+    for crowded in [false, true] {
+        let svc = service_long_ew(Scheme::terp_full());
+        let p = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
+        if crowded {
+            for c in 100..109 {
+                svc.attach(c, p, Permission::ReadWrite).unwrap();
+            }
+        }
+        svc.attach(3, p, Permission::ReadWrite).unwrap();
+        let snap = svc.index.get(p).unwrap().snapshot().unwrap();
+        assert_eq!(snap.crowded(), crowded, "the mirror decides the path");
+        let oid = svc.alloc(3, p, 64).unwrap();
+        svc.write(3, oid, b"same answer").unwrap();
+        assert_eq!(svc.read(3, oid, 11).unwrap(), b"same answer");
+        assert!(svc.client_can(3, p, AccessKind::Write));
+        assert!(!svc.client_can(4, p, AccessKind::Read));
+        assert!(matches!(
+            svc.read(4, oid, 1).unwrap_err(),
+            ServiceError::PermissionDenied { client: 4, .. }
+        ));
+        svc.detach(3, p).unwrap();
+        assert!(!svc.client_can(3, p, AccessKind::Read));
+        assert!(svc.read(3, oid, 1).is_err());
+        let r = svc.report();
+        assert_eq!(r.ops.reads, 1, "crowded={crowded}");
+        assert_eq!(r.ops.writes, 1);
+        assert_eq!(r.ops.denials, 2, "client 4, then client 3 post-detach");
+    }
+}
+
+#[test]
+fn crowded_pool_falls_back_to_the_locked_path() {
+    // More concurrent holders than published grant slots: the mirror
+    // overflows and client checks must stay correct via the slow path.
+    let svc = service_long_ew(Scheme::terp_full());
+    let p = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
+    let clients: Vec<ClientId> = (0..12).collect();
+    for &c in &clients {
+        svc.attach(c, p, Permission::ReadWrite).unwrap();
+    }
+    let oid = svc.alloc(0, p, 32).unwrap();
+    svc.write(11, oid, b"crowded").unwrap();
+    for &c in &clients {
+        assert!(svc.client_can(c, p, AccessKind::Write), "client {c}");
+        assert_eq!(svc.read(c, oid, 7).unwrap(), b"crowded");
+    }
+    assert!(!svc.client_can(99, p, AccessKind::Read));
+    // Detaching everyone clears the crowd; the pool stays usable.
+    for &c in &clients {
+        svc.detach(c, p).unwrap();
+        assert!(!svc.client_can(c, p, AccessKind::Read), "client {c}");
+    }
+    svc.attach(42, p, Permission::Read).unwrap();
+    assert_eq!(svc.read(42, oid, 7).unwrap(), b"crowded");
+}
+
+/// The audit behind `visibility = durable`: no journaling entry point
+/// acknowledges ahead of its records. After each plain call returns,
+/// every shard store's durability watermark has caught up with its log;
+/// inside a [`Batch`] the same entry points leave their records
+/// unsynced and the batch dirty until its one commit settles every
+/// shard it touched.
+#[test]
+fn durable_visibility_leaves_no_unsynced_record_behind_any_entry_point() {
+    let dir = std::env::temp_dir().join(format!("terp-svc-audit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServiceConfig::for_tests(Scheme::terp_full());
+    let durable = config.clone().with_durable(dir.join("durable"));
+    let svc = PmoService::new(durable.with_visibility(crate::Visibility::Durable));
+    let mut logged = 0;
+    let mut settled = |what: &str| {
+        let stores = svc.shards.iter().map(|shard| {
+            let state = svc.lock(shard);
+            let store = state.store.as_ref().unwrap();
+            assert_eq!(store.watermark(), store.next_seq(), "after {what}");
+            store.next_seq()
+        });
+        let total: u64 = stores.sum();
+        assert!(total > logged, "{what} journaled nothing");
+        logged = total;
+    };
+    let p = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
+    settled("create_pool");
+    svc.attach(0, p, Permission::ReadWrite).unwrap();
+    settled("attach");
+    let oid = svc.alloc(0, p, 64).unwrap();
+    settled("alloc");
+    svc.write(0, oid, &7u64.to_le_bytes()).unwrap();
+    settled("write");
+    assert_eq!(svc.cas_u64(0, oid, 7, 8).unwrap(), 7);
+    settled("cas_u64");
+    svc.set_root(0, p, 1, Some(oid)).unwrap();
+    settled("set_root");
+    svc.free(0, oid).unwrap();
+    settled("free");
+    assert_eq!(svc.sweep_all(), 1, "held window is past its 1 us target");
+    settled("sweeper expiry");
+    svc.detach(0, p).unwrap();
+    settled("detach");
+
+    // The same entry points inside a batch. `unsynced(pmo)` = records of
+    // the pool's shard store still ahead of its watermark.
+    let unsynced = |pmo: PmoId| {
+        let state = svc.lock(svc.shard(pmo));
+        let store = state.store.as_ref().unwrap();
+        store.next_seq() - store.watermark()
+    };
+    let mut batch = svc.batch();
+    assert!(!batch.is_dirty());
+    let q = batch
+        .create_pool("b", 1 << 16, OpenMode::ReadWrite)
+        .unwrap();
+    assert!(!std::ptr::eq(svc.shard(p), svc.shard(q)), "the other shard");
+    assert!(batch.is_dirty());
+    assert_eq!(unsynced(q), 1, "create_pool in a batch");
+    assert_eq!(svc.sweep_all(), 0, "nothing is tracked");
+    assert_eq!(unsynced(q), 1, "an idle sweeper pass commits for nobody");
+    let mut behind = 0;
+    let mut deferred = |what: &str, batch: &Batch<'_>| {
+        assert!(batch.is_dirty(), "{what}");
+        assert!(unsynced(p) > behind, "{what} in a batch journaled nothing");
+        behind = unsynced(p);
+    };
+    batch.attach(0, p, Permission::ReadWrite).unwrap();
+    deferred("attach", &batch);
+    let oid = batch.alloc(0, p, 64).unwrap();
+    deferred("alloc", &batch);
+    batch.write(0, oid, &7u64.to_le_bytes()).unwrap();
+    deferred("write", &batch);
+    assert_eq!(batch.cas_u64(0, oid, 7, 8).unwrap(), 7);
+    deferred("cas_u64", &batch);
+    batch.set_root(0, p, 1, Some(oid)).unwrap();
+    deferred("set_root", &batch);
+    batch.free(0, oid).unwrap();
+    deferred("free", &batch);
+    batch.detach(0, p).unwrap();
+    deferred("detach", &batch);
+    batch.commit().unwrap();
+    settled("batch commit");
+    drop(svc);
+
+    // Under `submit` nothing ever waits for the caller: never dirty.
+    let submit = config.with_durable(dir.join("submit"));
+    let svc = PmoService::new(submit.with_visibility(crate::Visibility::Submit));
+    let mut batch = svc.batch();
+    let p = batch
+        .create_pool("a", 1 << 16, OpenMode::ReadWrite)
+        .unwrap();
+    batch.attach(0, p, Permission::ReadWrite).unwrap();
+    let oid = batch.alloc(0, p, 64).unwrap();
+    batch.write(0, oid, b"submit").unwrap();
+    batch.detach(0, p).unwrap();
+    assert!(!batch.is_dirty());
+    batch.commit().unwrap();
+    drop(svc);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn distinct_pools_land_in_distinct_shards() {
+    let svc = service(Scheme::terp_full()); // 4 shards
+    let ids: Vec<PmoId> = (0..8)
+        .map(|i| {
+            svc.create_pool(&format!("p{i}"), 1 << 12, OpenMode::ReadWrite)
+                .unwrap()
+        })
+        .collect();
+    // Sequential ids round-robin across the shard mask.
+    let shards: std::collections::BTreeSet<usize> = ids
+        .iter()
+        .map(|id| (id.raw() as usize) & (svc.shard_count() - 1))
+        .collect();
+    assert_eq!(shards.len(), svc.shard_count());
+}

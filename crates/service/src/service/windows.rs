@@ -1,0 +1,436 @@
+//! Exposure windows: attach and detach under the three scheme families
+//! (plain entry points and their [`Batch`] bodies), the circular-buffer
+//! sweep, and the sweeper thread's registration and wake-up.
+
+use std::sync::atomic::Ordering;
+use std::time::Duration;
+
+use terp_arch::{AttachOutcome, DetachOutcome, SweepAction};
+use terp_core::config::Scheme;
+use terp_pmo::{Permission, PmoId};
+use terp_trace::EventKind;
+
+use super::{Batch, PmoService};
+use crate::error::ServiceError;
+use crate::metrics::ThreadSlab;
+use crate::ClientId;
+
+impl PmoService {
+    /// Opens a session: the client attaches to the pool with the requested
+    /// permission, under the scheme's contention semantics. Under Basic
+    /// semantics this call *blocks* while another client owns the pool.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::UnknownPmo`], [`ServiceError::AlreadyAttached`],
+    /// [`ServiceError::ShuttingDown`], or a substrate error (e.g. mode
+    /// mismatch).
+    pub fn attach(
+        &self,
+        client: ClientId,
+        pmo: PmoId,
+        perm: Permission,
+    ) -> Result<(), ServiceError> {
+        self.attach_with_wait(client, pmo, perm).map(|_| ())
+    }
+
+    /// [`Self::attach`], additionally returning the nanoseconds the client
+    /// spent *queued* on Basic-semantics serialization (always 0 for
+    /// non-blocking schemes). Load generators use this to attribute condvar
+    /// wait and service time to separate latency series.
+    pub fn attach_with_wait(
+        &self,
+        client: ClientId,
+        pmo: PmoId,
+        perm: Permission,
+    ) -> Result<u64, ServiceError> {
+        self.one(|b| b.attach_with_wait(client, pmo, perm))
+    }
+
+    /// Closes a session. Under EW-conscious semantics the detach may be
+    /// *delayed* (the pool stays mapped for window combining; the sweeper
+    /// finishes the job), but the client's own permission is always revoked
+    /// before this call returns.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::UnknownPmo`] or [`ServiceError::NotAttached`].
+    pub fn detach(&self, client: ClientId, pmo: PmoId) -> Result<(), ServiceError> {
+        self.one(|b| b.detach(client, pmo))
+    }
+
+    /// Runs one circular-buffer expiry walk over every shard (the sweeper
+    /// thread calls this periodically; tests with `sweep_period_us == 0`
+    /// call it directly). Returns the number of actions performed.
+    pub fn sweep_all(&self) -> usize {
+        // Stamp the wake tickets observed at pass start: every Unpark with
+        // a ticket <= this one really happens-before this pass (the
+        // AcqRel fetch_add / Acquire load pair on `unpark_tokens`).
+        if self.tracer.is_some() {
+            let token = self.unpark_tokens.load(Ordering::Acquire);
+            self.trace(EventKind::Wakeup { token });
+        }
+        let mut total = 0;
+        if self.config.scheme.has_thread_permissions() {
+            for shard in &self.shards {
+                let mut state = self.lock(shard);
+                let now = self.clock.now_ns();
+                let actions = state.engine.sweep(now);
+                if actions.is_empty() {
+                    // Nothing logged here: whatever sits in the store's
+                    // buffer is some caller's open batch, theirs to commit.
+                    continue;
+                }
+                total += actions.len();
+                for action in actions {
+                    match action {
+                        SweepAction::Detach(pmo) => {
+                            let _ = state.unmap_pool(pmo, now);
+                            state.trace(EventKind::Expire { pmo: pmo.raw() });
+                            self.clock.charge(self.config.cost.detach_ns);
+                        }
+                        SweepAction::Randomize(pmo) => {
+                            let _ = state.randomize_pool(pmo, now);
+                            // The charge runs under the shard lock: every
+                            // client of the pool stalls during a relocation,
+                            // as in the paper's multithreaded model.
+                            self.clock.charge(self.config.cost.randomize_ns);
+                        }
+                    }
+                }
+                // Expiry closes and relocations are externally visible
+                // protection transitions: under `visibility = durable` the
+                // sweep fsyncs their records too.
+                let _ = state.finish_op().and_then(|_| state.commit());
+            }
+        }
+        self.sweep_passes.fetch_add(1, Ordering::Relaxed);
+        total
+    }
+
+    /// The earliest moment (service ns) at which any tracked circular-
+    /// buffer entry can expire, or `None` when nothing is tracked. The
+    /// adaptive sweeper parks until this instant instead of polling: entry
+    /// starts only move via first-attach (which wakes the sweeper) or a
+    /// sweep itself, so the hint never becomes stale-late.
+    pub fn next_expiry_ns(&self) -> Option<u64> {
+        if !self.config.scheme.has_thread_permissions() {
+            return None;
+        }
+        let mut earliest: Option<u64> = None;
+        for shard in &self.shards {
+            let state = self.lock(shard);
+            let max_ew = state.engine.max_ew();
+            for entry in state.engine.buffer().iter() {
+                let expiry = entry.ts.saturating_add(max_ew);
+                earliest = Some(earliest.map_or(expiry, |e| e.min(expiry)));
+            }
+        }
+        earliest
+    }
+
+    /// Registers the sweeper's thread handle so attach paths can wake it
+    /// (called by the sweeper itself before its first pass).
+    pub(crate) fn register_sweeper(&self, thread: std::thread::Thread) {
+        *self
+            .sweeper_thread
+            .lock()
+            .unwrap_or_else(|e| e.into_inner()) = Some(thread);
+    }
+
+    fn wake_sweeper(&self) {
+        if self.tracer.is_some() {
+            // Issue the wake ticket before the unpark so the edge exists
+            // by the time the sweeper stamps its Wakeup.
+            let token = self.unpark_tokens.fetch_add(1, Ordering::AcqRel) + 1;
+            self.trace(EventKind::Unpark { token });
+        }
+        if let Some(t) = self
+            .sweeper_thread
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .as_ref()
+        {
+            t.unpark();
+        }
+    }
+}
+
+impl Batch<'_> {
+    /// [`PmoService::attach`] without its end-of-operation commit.
+    pub fn attach(
+        &mut self,
+        client: ClientId,
+        pmo: PmoId,
+        perm: Permission,
+    ) -> Result<(), ServiceError> {
+        self.attach_with_wait(client, pmo, perm).map(|_| ())
+    }
+
+    /// [`PmoService::attach_with_wait`] without its end-of-operation commit.
+    pub fn attach_with_wait(
+        &mut self,
+        client: ClientId,
+        pmo: PmoId,
+        perm: Permission,
+    ) -> Result<u64, ServiceError> {
+        let svc = self.svc;
+        svc.check_writable()?;
+        let (cost, waited) = match svc.config.scheme {
+            Scheme::Unprotected => (self.attach_unprotected(client, pmo, perm)?, 0),
+            Scheme::Merr | Scheme::BasicSemantics => self.attach_basic(client, pmo, perm)?,
+            Scheme::TerpSoftware | Scheme::TerpFull { .. } => {
+                (self.attach_terp(client, pmo, perm)?, 0)
+            }
+        };
+        svc.clock.charge(cost);
+        Ok(waited)
+    }
+
+    fn attach_unprotected(
+        &mut self,
+        client: ClientId,
+        pmo: PmoId,
+        perm: Permission,
+    ) -> Result<u64, ServiceError> {
+        let svc = self.svc;
+        let mut state = svc.lock(svc.shard(pmo));
+        if svc.is_down() {
+            return Err(ServiceError::ShuttingDown);
+        }
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        if state.is_holder(client, pmo) {
+            return Err(ServiceError::AlreadyAttached { client, pmo });
+        }
+        let mut cost = 0;
+        if !state.space.is_attached(pmo) {
+            state.map_pool(pmo, perm, svc.clock.now_ns())?;
+            cost = svc.config.cost.attach_ns;
+        }
+        state.add_holder(client, pmo);
+        state.trace(EventKind::Attach {
+            pmo: pmo.raw(),
+            client: client as u64,
+            writable: perm == Permission::ReadWrite,
+        });
+        self.finish(state)?;
+        ThreadSlab::bump(&svc.slab().attaches);
+        Ok(cost)
+    }
+
+    fn attach_basic(
+        &mut self,
+        client: ClientId,
+        pmo: PmoId,
+        perm: Permission,
+    ) -> Result<(u64, u64), ServiceError> {
+        let svc = self.svc;
+        let slab = svc.slab();
+        let shard = svc.shard(pmo);
+        let mut state = svc.lock(shard);
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        let mut waited_from = None;
+        loop {
+            if svc.is_down() {
+                return Err(ServiceError::ShuttingDown);
+            }
+            if state.owner.get(&pmo) == Some(&client) {
+                return Err(ServiceError::AlreadyAttached { client, pmo });
+            }
+            if !state.merr.is_attached(pmo) {
+                break;
+            }
+            // Basic semantics: serialize on the owner's window. Sleep on the
+            // shard condvar; the timeout bounds shutdown latency.
+            if waited_from.is_none() {
+                waited_from = Some(svc.clock.now_ns());
+                ThreadSlab::bump(&slab.attach_conflicts);
+            }
+            state = state.wait_on(&shard.cvar, Duration::from_millis(1));
+        }
+        let mut waited = 0;
+        if let Some(from) = waited_from {
+            waited = svc.clock.now_ns().saturating_sub(from);
+            slab.blocked_ns.fetch_add(waited, Ordering::Relaxed);
+            slab.queue_wait
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .record(waited);
+        }
+        state
+            .merr
+            .attach(pmo)
+            .expect("pool with no owner must be MERR-attachable");
+        if let Err(e) = state.map_pool(pmo, perm, svc.clock.now_ns()) {
+            let _ = state.merr.detach(pmo);
+            return Err(e);
+        }
+        state.owner.insert(pmo, client);
+        state.publish_owner(pmo, Some(client));
+        state.add_holder(client, pmo);
+        state.trace(EventKind::Attach {
+            pmo: pmo.raw(),
+            client: client as u64,
+            writable: perm == Permission::ReadWrite,
+        });
+        self.finish(state)?;
+        ThreadSlab::bump(&slab.attaches);
+        Ok((svc.config.cost.attach_ns, waited))
+    }
+
+    fn attach_terp(
+        &mut self,
+        client: ClientId,
+        pmo: PmoId,
+        perm: Permission,
+    ) -> Result<u64, ServiceError> {
+        let svc = self.svc;
+        let mut state = svc.lock(svc.shard(pmo));
+        if svc.is_down() {
+            return Err(ServiceError::ShuttingDown);
+        }
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        if state.is_holder(client, pmo) {
+            return Err(ServiceError::AlreadyAttached { client, pmo });
+        }
+        let now = svc.clock.now_ns();
+        let outcome = state.engine.condat(pmo, now);
+        if outcome.needs_syscall() && !state.space.is_attached(pmo) {
+            if let Err(e) = state.map_pool(pmo, perm, now) {
+                // Undo the speculative buffer entry: the attach never
+                // happened.
+                state.engine.evict(pmo);
+                return Err(e);
+            }
+        }
+        state.grant_client(client, pmo, perm, now)?;
+        state.add_holder(client, pmo);
+        state.trace(EventKind::Attach {
+            pmo: pmo.raw(),
+            client: client as u64,
+            writable: perm == Permission::ReadWrite,
+        });
+        self.finish(state)?;
+        ThreadSlab::bump(&svc.slab().attaches);
+        if outcome == AttachOutcome::FirstAttach {
+            // A fresh circular-buffer entry means a new earliest expiry:
+            // the adaptive sweeper may be parked indefinitely, so wake it.
+            svc.wake_sweeper();
+        }
+        let syscall = outcome.needs_syscall() || svc.config.scheme.cond_is_syscall();
+        Ok(if syscall {
+            svc.config.cost.attach_ns
+        } else {
+            svc.config.cost.cond_ns
+        })
+    }
+
+    /// [`PmoService::detach`] without its end-of-operation commit.
+    pub fn detach(&mut self, client: ClientId, pmo: PmoId) -> Result<(), ServiceError> {
+        let svc = self.svc;
+        let cost = match svc.config.scheme {
+            Scheme::Unprotected => self.detach_unprotected(client, pmo)?,
+            Scheme::Merr | Scheme::BasicSemantics => self.detach_basic(client, pmo)?,
+            Scheme::TerpSoftware | Scheme::TerpFull { .. } => self.detach_terp(client, pmo)?,
+        };
+        svc.clock.charge(cost);
+        Ok(())
+    }
+
+    fn detach_unprotected(&mut self, client: ClientId, pmo: PmoId) -> Result<u64, ServiceError> {
+        let svc = self.svc;
+        let mut state = svc.lock(svc.shard(pmo));
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        if !state.is_holder(client, pmo) {
+            return Err(ServiceError::NotAttached { client, pmo });
+        }
+        // Unprotected never unmaps: the pool stays exposed (that is the
+        // point of the baseline).
+        state.remove_holder(client, pmo);
+        state.trace(EventKind::Detach {
+            pmo: pmo.raw(),
+            client: client as u64,
+        });
+        drop(state);
+        ThreadSlab::bump(&svc.slab().detaches);
+        Ok(0)
+    }
+
+    fn detach_basic(&mut self, client: ClientId, pmo: PmoId) -> Result<u64, ServiceError> {
+        let svc = self.svc;
+        let shard = svc.shard(pmo);
+        let mut state = svc.lock(shard);
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        if state.owner.get(&pmo) != Some(&client) {
+            return Err(ServiceError::NotAttached { client, pmo });
+        }
+        state
+            .merr
+            .detach(pmo)
+            .expect("owned pool must be MERR-attached");
+        state.unmap_pool(pmo, svc.clock.now_ns())?;
+        state.owner.remove(&pmo);
+        state.publish_owner(pmo, None);
+        state.remove_holder(client, pmo);
+        state.trace(EventKind::Detach {
+            pmo: pmo.raw(),
+            client: client as u64,
+        });
+        self.finish(state)?;
+        ThreadSlab::bump(&svc.slab().detaches);
+        shard.cvar.notify_all();
+        Ok(svc.config.cost.detach_ns)
+    }
+
+    fn detach_terp(&mut self, client: ClientId, pmo: PmoId) -> Result<u64, ServiceError> {
+        let svc = self.svc;
+        let mut state = svc.lock(svc.shard(pmo));
+        if !state.pools.contains_key(&pmo) {
+            return Err(ServiceError::UnknownPmo(pmo));
+        }
+        if !state.is_holder(client, pmo) {
+            return Err(ServiceError::NotAttached { client, pmo });
+        }
+        let now = svc.clock.now_ns();
+        let mut outcome = state.engine.conddt(pmo, now);
+        if matches!(
+            svc.config.scheme,
+            Scheme::TerpFull {
+                window_combining: false
+            }
+        ) && outcome == DetachOutcome::DelayedDetach
+        {
+            // The +Cond ablation has no delayed-detach hardware: retire the
+            // entry and detach for real.
+            state.engine.evict(pmo);
+            outcome = DetachOutcome::FullDetach;
+        }
+        state.revoke_client(client, pmo, now)?;
+        state.remove_holder(client, pmo);
+        state.trace(EventKind::Detach {
+            pmo: pmo.raw(),
+            client: client as u64,
+        });
+        if outcome.needs_syscall() && state.space.is_attached(pmo) {
+            state.unmap_pool(pmo, now)?;
+        }
+        self.finish(state)?;
+        ThreadSlab::bump(&svc.slab().detaches);
+        let syscall = outcome.needs_syscall() || svc.config.scheme.cond_is_syscall();
+        Ok(if syscall {
+            svc.config.cost.detach_ns
+        } else {
+            svc.config.cost.cond_ns
+        })
+    }
+}

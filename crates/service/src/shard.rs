@@ -233,7 +233,7 @@ impl ShardState {
     /// checkpoint, write dirty-page deltas to the checkpoint log, rewrite
     /// the protection snapshot from live shard state, and truncate the WAL.
     /// Runs at *operation end* — never mid-operation, where a journaled
-    /// protection record (e.g. the `WindowOpen` written before mapping)
+    /// protection record (e.g. the `SessionOpen` written before the grant)
     /// could be truncated before the shard state it describes exists.
     pub(crate) fn maybe_checkpoint(&mut self) -> Result<(), ServiceError> {
         let ShardState {
@@ -303,6 +303,12 @@ impl ShardState {
     /// Performs the real `attach()`: maps the pool at a random base, adds
     /// the permission-matrix entry, opens the process EW, and publishes the
     /// mapping to the fast path (grant direction: publish last).
+    ///
+    /// The `WindowOpen` record is journaled only once the address space has
+    /// accepted the mapping — a refused attach (mode mismatch, already
+    /// attached, closed pool) opens no window and must leave none in the
+    /// log for recovery to reseal — and still before the mapping is
+    /// published; a failed append takes the mapping back.
     pub(crate) fn map_pool(
         &mut self,
         pmo: PmoId,
@@ -310,11 +316,14 @@ impl ShardState {
         now: u64,
     ) -> Result<(), ServiceError> {
         let slot = self.slot(pmo)?;
-        self.log(&WalRecord::WindowOpen { pmo })?;
         let handle = {
             let mut pool = slot.pool_mut();
             self.space.attach(&mut pool, perm)?
         };
+        if let Err(e) = self.log(&WalRecord::WindowOpen { pmo }) {
+            let _ = self.space.detach(&mut slot.pool_mut());
+            return Err(e);
+        }
         self.matrix
             .insert(pmo, handle.base_va(), handle.size(), perm);
         self.windows.open_ew(pmo, now);

@@ -15,7 +15,7 @@
 //! * **Bounded overhead** — recording is one thread-local lookup plus a
 //!   push into a single-producer ring of plain atomics: no shared
 //!   cache-line traffic, no locks, no allocation on the hot path. Cheap
-//!   enough to leave on under `terp-serve` load ("flight recorder").
+//!   enough to leave on under production load ("flight recorder").
 //! * **Bounded memory** — rings are fixed-size and overwrite-oldest;
 //!   overflow drops the *oldest* events and counts them, so a dump is
 //!   always a truthful suffix of each thread's history.
