@@ -35,6 +35,6 @@ pub mod server;
 pub use client::{Backoff, Client, Pending};
 pub use frame::{encode_frame, FrameDecoder, FrameError, MAX_FRAME};
 pub use proto::{Request, Response, MAGIC, VERSION};
-pub use repl::{ReplMsg, SNAP_CHUNK};
+pub use repl::{LogFile, ReplMsg, LOG_CHUNK};
 pub use server::NetServer;
 pub use terp_service::ServiceError;

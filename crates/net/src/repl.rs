@@ -13,26 +13,61 @@
 //! --> Hello{magic, version, follower}
 //! <-- Welcome{version, shards}
 //! --> Subscribe
-//! <-- SnapshotChunk* SnapshotDone   (per shard: checksummed bootstrap image)
-//! <-- LogBatch | Heartbeat ...      (continuous tail shipping)
+//! <-- LogBatch | Heartbeat ...      (the store's three files, tailed)
 //! --> Ack{shard, applied_seq}       (follower progress, drives lag metrics)
 //! ```
 //!
-//! [`ReplMsg::LogBatch`] bodies are raw WAL bytes copied verbatim from the
-//! leader's log files and appended verbatim to the follower's mirror — the
-//! mirror is byte-identical to the leader's durable prefix *by
-//! construction*. Batches may split at **arbitrary byte positions** (a WAL
-//! record larger than one frame still ships); the follower re-frames with
-//! the WAL's own torn-tail-tolerant decoder. Snapshot files chunk under
-//! [`SNAP_CHUNK`] so every message fits [`crate::frame::MAX_FRAME`].
+//! There is no separate bootstrap: the leader tails each shard store's three
+//! files ([`LogFile`]) from byte 0, and a cold start, steady shipping and a
+//! checkpoint's truncation are the same messages. [`ReplMsg::LogBatch`]
+//! bodies are raw bytes copied verbatim from the leader's files and written
+//! verbatim at `offset` of the follower's mirror — the mirror is
+//! byte-identical to the leader's durable prefix *by construction*. A batch
+//! at offset 0 starts its file over; the WAL starting over is the moment a
+//! shipped checkpoint takes effect (DESIGN.md §14). Batches may split at
+//! **arbitrary byte positions** (a record larger than one frame still
+//! ships); the follower re-frames with the WAL's own torn-tail-tolerant
+//! decoder. Batches chunk under [`LOG_CHUNK`] so every message fits
+//! [`crate::frame::MAX_FRAME`].
 
 use terp_service::ServiceError;
 
 use crate::proto::{MAGIC, VERSION};
 
-/// Chunk size for snapshot files and log batches (512 KiB): comfortably
-/// under [`crate::frame::MAX_FRAME`] with header room to spare.
-pub const SNAP_CHUNK: usize = 512 << 10;
+/// Chunk size for log batches (512 KiB): comfortably under
+/// [`crate::frame::MAX_FRAME`] with header room to spare.
+pub const LOG_CHUNK: usize = 512 << 10;
+
+/// Which of a shard store's files a [`ReplMsg::LogBatch`] carries. The wire
+/// names files by this code only — never by a path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LogFile {
+    /// The write-ahead log (`wal.log`).
+    Wal,
+    /// The checkpoint log (`ckpt.log`).
+    Ckpt,
+    /// The protection snapshot (`prot.log`).
+    Prot,
+}
+
+impl LogFile {
+    fn code(self) -> u8 {
+        match self {
+            LogFile::Wal => 0,
+            LogFile::Ckpt => 1,
+            LogFile::Prot => 2,
+        }
+    }
+
+    fn from_code(code: u8) -> Result<Self, ServiceError> {
+        match code {
+            0 => Ok(LogFile::Wal),
+            1 => Ok(LogFile::Ckpt),
+            2 => Ok(LogFile::Prot),
+            other => Err(perr(format!("unknown log file code {other}"))),
+        }
+    }
+}
 
 // Follower → leader kinds.
 const K_HELLO: u8 = 0x40;
@@ -40,8 +75,6 @@ const K_SUBSCRIBE: u8 = 0x41;
 const K_ACK: u8 = 0x42;
 // Leader → follower kinds.
 const K_WELCOME: u8 = 0xC0;
-const K_SNAP_CHUNK: u8 = 0xC1;
-const K_SNAP_DONE: u8 = 0xC2;
 const K_LOG_BATCH: u8 = 0xC3;
 const K_HEARTBEAT: u8 = 0xC4;
 
@@ -65,36 +98,27 @@ pub enum ReplMsg {
         /// Leader shard count — the follower mirrors one WAL per shard.
         shards: u32,
     },
-    /// Follower requests the snapshot bootstrap + continuous log stream.
+    /// Follower requests the stream of every shard's store files.
     Subscribe,
-    /// One chunk of a snapshot file (bootstrap). `index`/`total` let the
-    /// follower reassemble and know when the file is whole.
-    SnapshotChunk {
-        /// Shard the snapshot belongs to.
-        shard: u32,
-        /// Snapshot file name (e.g. `pool-7.snap`), no directory parts.
-        file: String,
-        /// Chunk index, `0..total`.
-        index: u32,
-        /// Total chunks of this file.
-        total: u32,
-        /// Raw file bytes of this chunk (≤ [`SNAP_CHUNK`]).
-        bytes: Vec<u8>,
-    },
-    /// A shard's snapshot bootstrap is complete; LogBatches follow.
-    SnapshotDone {
-        /// Shard whose bootstrap finished.
-        shard: u32,
-    },
-    /// Raw WAL bytes to append verbatim to the shard's mirror log. May
-    /// split mid-record; the mirror's decoder tolerates the seam.
+    /// Raw bytes of one of the shard store's files, to be written verbatim
+    /// at `offset` of the mirror's copy: `offset` equals the length shipped
+    /// so far, or is 0 when the file starts over (the WAL after a
+    /// checkpoint's truncation, `ckpt.log` after a compaction, `prot.log`
+    /// every time). May split mid-record; the mirror's decoder tolerates
+    /// the seam. Possibly empty: a WAL batch at offset 0 with no bytes says
+    /// "truncated, nothing logged since".
     LogBatch {
-        /// Shard whose WAL these bytes extend.
+        /// Shard whose store these bytes belong to.
         shard: u32,
-        /// Verbatim log bytes.
+        /// Which of its files.
+        file: LogFile,
+        /// Byte offset of `bytes` in the leader's file.
+        offset: u64,
+        /// Verbatim file bytes (≤ [`LOG_CHUNK`]).
         bytes: Vec<u8>,
     },
-    /// Leader progress mark: the highest durable WAL seq of `shard`.
+    /// Leader progress mark: the highest durable seq of `shard` — its last
+    /// WAL record, or the checkpoint that truncated it.
     /// Shipped even when no new bytes exist so lag is measurable at idle.
     Heartbeat {
         /// Shard the mark describes.
@@ -155,13 +179,6 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
-    fn string(&mut self) -> Result<String, ServiceError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| perr("non-UTF-8 string in replication message"))
-    }
-
     fn rest(&mut self) -> &'a [u8] {
         let s = &self.buf[self.pos..];
         self.pos = self.buf.len();
@@ -178,13 +195,6 @@ impl<'a> Cursor<'a> {
             )))
         }
     }
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(u16::MAX as usize);
-    out.extend_from_slice(&(len as u16).to_le_bytes());
-    out.extend_from_slice(&bytes[..len]);
 }
 
 impl ReplMsg {
@@ -208,27 +218,16 @@ impl ReplMsg {
                 out.extend_from_slice(&shards.to_le_bytes());
             }
             ReplMsg::Subscribe => out.push(K_SUBSCRIBE),
-            ReplMsg::SnapshotChunk {
+            ReplMsg::LogBatch {
                 shard,
                 file,
-                index,
-                total,
+                offset,
                 bytes,
             } => {
-                out.push(K_SNAP_CHUNK);
-                out.extend_from_slice(&shard.to_le_bytes());
-                put_string(&mut out, file);
-                out.extend_from_slice(&index.to_le_bytes());
-                out.extend_from_slice(&total.to_le_bytes());
-                out.extend_from_slice(bytes);
-            }
-            ReplMsg::SnapshotDone { shard } => {
-                out.push(K_SNAP_DONE);
-                out.extend_from_slice(&shard.to_le_bytes());
-            }
-            ReplMsg::LogBatch { shard, bytes } => {
                 out.push(K_LOG_BATCH);
                 out.extend_from_slice(&shard.to_le_bytes());
+                out.push(file.code());
+                out.extend_from_slice(&offset.to_le_bytes());
                 out.extend_from_slice(bytes);
             }
             ReplMsg::Heartbeat { shard, durable_seq } => {
@@ -264,16 +263,10 @@ impl ReplMsg {
                 shards: c.u32()?,
             },
             K_SUBSCRIBE => ReplMsg::Subscribe,
-            K_SNAP_CHUNK => ReplMsg::SnapshotChunk {
-                shard: c.u32()?,
-                file: c.string()?,
-                index: c.u32()?,
-                total: c.u32()?,
-                bytes: c.rest().to_vec(),
-            },
-            K_SNAP_DONE => ReplMsg::SnapshotDone { shard: c.u32()? },
             K_LOG_BATCH => ReplMsg::LogBatch {
                 shard: c.u32()?,
+                file: LogFile::from_code(c.u8()?)?,
+                offset: c.u64()?,
                 bytes: c.rest().to_vec(),
             },
             K_HEARTBEAT => ReplMsg::Heartbeat {
@@ -312,23 +305,22 @@ mod tests {
                 shards: 16,
             },
             ReplMsg::Subscribe,
-            ReplMsg::SnapshotChunk {
+            ReplMsg::LogBatch {
                 shard: 3,
-                file: "pool-7.snap".to_string(),
-                index: 2,
-                total: 9,
+                file: LogFile::Ckpt,
+                offset: 1 << 40,
                 bytes: vec![0xAB; 100],
             },
-            ReplMsg::SnapshotChunk {
-                shard: 0,
-                file: String::new(),
-                index: 0,
-                total: 1,
+            ReplMsg::LogBatch {
+                shard: u32::MAX,
+                file: LogFile::Wal,
+                offset: 0,
                 bytes: Vec::new(),
             },
-            ReplMsg::SnapshotDone { shard: u32::MAX },
             ReplMsg::LogBatch {
                 shard: 1,
+                file: LogFile::Prot,
+                offset: 0,
                 bytes: vec![0x5A; 333],
             },
             ReplMsg::Heartbeat {
@@ -356,10 +348,10 @@ mod tests {
             let wire = msg.encode();
             for cut in 0..wire.len() {
                 let r = ReplMsg::decode(&wire[..cut]);
-                // Shorter prefixes of byte-greedy messages (LogBatch /
-                // SnapshotChunk tails) may still parse — but only into the
-                // same kind with a shorter body; anything else must be a
-                // clean Protocol error.
+                // Shorter prefixes of the byte-greedy message (a LogBatch
+                // tail) may still parse — but only into the same kind with
+                // a shorter body; anything else must be a clean Protocol
+                // error.
                 if let Err(e) = r {
                     assert!(
                         matches!(e, ServiceError::Protocol(_)),
@@ -384,6 +376,19 @@ mod tests {
         ));
         assert!(matches!(
             ReplMsg::decode(&[]),
+            Err(ServiceError::Protocol(_))
+        ));
+        // A file is one of three codes, never a name or a path.
+        let mut wire = ReplMsg::LogBatch {
+            shard: 0,
+            file: LogFile::Prot,
+            offset: 0,
+            bytes: vec![1],
+        }
+        .encode();
+        wire[5] = 3;
+        assert!(matches!(
+            ReplMsg::decode(&wire),
             Err(ServiceError::Protocol(_))
         ));
     }

@@ -1,5 +1,5 @@
-//! CRC-32 (IEEE 802.3 polynomial) used to frame every WAL record and
-//! snapshot segment.
+//! CRC-32 (IEEE 802.3 polynomial) used to frame every WAL and checkpoint
+//! record.
 //!
 //! The build environment is offline, so the codec is in-tree: table-driven
 //! slicing-by-8 (eight bytes per step through eight 256-entry tables built

@@ -5,14 +5,18 @@ use std::io;
 
 use terp_pmo::{PmoError, PmoId};
 
-/// Errors produced by WAL, snapshot, and recovery operations.
+/// Errors produced by WAL, checkpoint, and recovery operations.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum PersistError {
     /// The underlying file system failed.
     Io(io::Error),
-    /// A snapshot file is malformed or fails its checksums.
-    SnapshotCorrupt(String),
+    /// A *completed* checkpoint is damaged: `prot.log` (published by rename,
+    /// never legitimately torn) does not decode end to end, or `ckpt.log`
+    /// does not decode cleanly up to the committed length `prot.log`
+    /// records. Unlike a torn WAL tail this is never truncated away — the
+    /// WAL that could have rebuilt the lost state is already gone.
+    CheckpointCorrupt(String),
     /// Replaying the log diverged from the logged outcome (e.g. an `Alloc`
     /// record whose replayed offset differs) — the log and the pool state it
     /// describes are inconsistent.
@@ -30,7 +34,9 @@ impl fmt::Display for PersistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PersistError::Io(e) => write!(f, "persist: io error: {e}"),
-            PersistError::SnapshotCorrupt(why) => write!(f, "persist: corrupt snapshot: {why}"),
+            PersistError::CheckpointCorrupt(why) => {
+                write!(f, "persist: corrupt checkpoint: {why}")
+            }
             PersistError::ReplayDivergence { pmo, detail } => {
                 write!(f, "persist: replay diverged on pool {pmo}: {detail}")
             }

@@ -14,30 +14,38 @@
 //!   decoding truncates at the first invalid frame (torn-tail semantics).
 //! * [`wal`] — [`WalWriter`]: buffered append + explicit sync, file-backed
 //!   or in-memory.
-//! * [`snapshot`] — segmented, per-segment-checksummed pool images with an
-//!   embedded replay watermark ([`PoolSnapshot`]).
 //! * [`crash`] — deterministic crash injection: [`enumerate_crash_points`]
 //!   walks a durable log image and yields every truncation and corruption
 //!   point; [`inject`] applies one.
-//! * [`recovery`] — [`recover`]: install snapshots, replay the log (with
-//!   `Alloc` divergence checking), roll back in-flight transactions via
-//!   [`terp_pmo::txn::recover`], then **reseal**: every exposure window
-//!   open at crash time is force-closed and its pool's MERR placement
-//!   re-randomized ([`terp_pmo::Pmo::reseal`]) before any session can
-//!   reattach. Windows are re-sealed, never resumed.
+//! * [`recovery`] — [`Replay`], the one replayer behind restart, follower
+//!   bootstrap, the warm standby and promotion: install the committed
+//!   checkpoint ([`CheckpointImage`]), apply the log record by record (with
+//!   `Alloc` divergence checking and bounds-checked page images), roll back
+//!   in-flight transactions via [`terp_pmo::txn::recover`], then
+//!   **reseal**: every exposure window open at crash time is force-closed
+//!   and its pool's MERR placement re-randomized
+//!   ([`terp_pmo::Pmo::reseal`]) before any session can reattach. Windows
+//!   are re-sealed, never resumed. [`recover`] / [`recover_from`] run it
+//!   over byte images.
 //! * [`writer`] — the pipelined asynchronous log path:
 //!   [`AsyncWalWriter`] accepts appends at *submit* through a bounded
 //!   queue, batches adaptively on a background thread, and publishes a
 //!   monotonic durability watermark ([`DurabilityGate`]) that callers wait
 //!   on only when they need durability.
-//! * [`store`] — [`DurableStore`]: one directory (WAL + snapshots +
-//!   incremental-checkpoint delta log) with open-time recovery, the one
-//!   durable policy ([`Visibility`]: ack at submit through the pipelined
-//!   writer, or ack once durable through the inline one), and the
-//!   crash-safe full and incremental checkpoint protocols.
+//! * [`store`] — [`DurableStore`]: one directory (`wal.log`, `ckpt.log`,
+//!   `prot.log` and nothing else) with open-time recovery, the one durable
+//!   policy ([`Visibility`]: ack at submit through the pipelined writer, or
+//!   ack once durable through the inline one), and the one crash-safe
+//!   checkpoint — which appends the dirty pages when its trigger
+//!   ([`CHECKPOINT_TRIGGER`] records) forces it at the end of an operation
+//!   and compacts the whole image when nobody is waiting or the log has
+//!   doubled. Damage inside a completed checkpoint is
+//!   [`PersistError::CheckpointCorrupt`], never a shorter image.
 //! * [`tail`] — [`TailReader`]: stable tail reads over a *live* WAL for log
 //!   shipping; a torn tail under a racing append reads as
-//!   [`TailStatus::NeedMore`], never as corruption.
+//!   [`TailStatus::NeedMore`], never as corruption, and a checkpoint's
+//!   truncation as [`TailStatus::Truncated`] even when the log has regrown
+//!   past the reader since.
 //!
 //! # Quick start
 //!
@@ -76,7 +84,6 @@ pub mod crc;
 pub mod error;
 pub mod record;
 pub mod recovery;
-pub mod snapshot;
 pub mod store;
 pub mod tail;
 pub mod wal;
@@ -84,10 +91,13 @@ pub mod writer;
 
 pub use crash::{enumerate_crash_points, inject, CrashMode, CrashPoint};
 pub use error::PersistError;
-pub use record::{read_log, LogContents, WalRecord};
-pub use recovery::{recover, recover_segments, RecoveredState, RecoveryReport};
-pub use snapshot::{load_snapshots, PoolSnapshot};
-pub use store::{DurableStore, Visibility, CKPT_FILE, PROT_FILE, WAL_FILE};
+pub use record::{first_seq, read_log, LogContents, WalRecord};
+pub use recovery::{
+    recover, recover_from, CheckpointImage, RecoveredState, RecoveryReport, Replay,
+};
+pub use store::{
+    load_checkpoint, DurableStore, Visibility, CHECKPOINT_TRIGGER, CKPT_FILE, PROT_FILE, WAL_FILE,
+};
 pub use tail::{TailChunk, TailReader, TailStatus};
 pub use wal::{WalStats, WalWriter};
 pub use writer::{AsyncWalWriter, DurabilityGate};

@@ -108,15 +108,21 @@ pub enum WalRecord {
         /// Pool relocated.
         pmo: PmoId,
     },
-    /// A checkpoint completed: every snapshot on disk includes all records
-    /// up to this one.
-    Checkpoint,
+    /// A checkpoint at this record's sequence number, whose image is the
+    /// first `ckpt_len` bytes of the checkpoint log. Appended (and synced)
+    /// to the WAL when the checkpoint begins, and written again as the
+    /// first record of `prot.log`, whose rename commits it.
+    Checkpoint {
+        /// Committed length of `ckpt.log` once this checkpoint is published.
+        ckpt_len: u64,
+    },
     /// A typed root-directory entry: data-structure root `key` in pool
     /// `pmo` now points at the object with packed id `oid` (0 clears the
-    /// entry). Snapshots capture pool *bytes* only, so without this record
-    /// a recovered registry has no way to find a persistent structure's
-    /// root again — the root directory is replayed last-writer-wins and
-    /// re-logged after every checkpoint truncation.
+    /// entry). The checkpoint image captures pool *bytes* only, so without
+    /// this record a recovered registry has no way to find a persistent
+    /// structure's root again — the root directory is replayed
+    /// last-writer-wins and carried across every checkpoint truncation in
+    /// `prot.log`.
     RootSet {
         /// Pool the root lives in.
         pmo: PmoId,
@@ -126,12 +132,13 @@ pub enum WalRecord {
         /// clear the slot.
         oid: u64,
     },
-    /// Incremental-checkpoint record: the full current contents of one data
-    /// page. Unlike [`WalRecord::DataWrite`] (a byte-range delta in operation
-    /// order), a `PageDelta` is absolute and page-aligned — replay simply
-    /// writes the bytes at `page * PAGE_SIZE`. Incremental checkpoints emit
-    /// one per dirty page into the checkpoint log (`ckpt.log`), which
-    /// recovery replays before the WAL proper.
+    /// Checkpoint record: the full current contents of one data page.
+    /// Unlike [`WalRecord::DataWrite`] (a byte-range delta in operation
+    /// order), a `PageDelta` is absolute and page-aligned — replay writes
+    /// the bytes at `page * PAGE_SIZE`, after checking that the page lies
+    /// inside the pool. A checkpoint emits one per page of its page set
+    /// into the checkpoint log (`ckpt.log`), which recovery replays before
+    /// the WAL proper.
     PageDelta {
         /// Pool the page belongs to.
         pmo: PmoId,
@@ -140,8 +147,8 @@ pub enum WalRecord {
         /// The page's bytes at checkpoint time.
         data: Vec<u8>,
     },
-    /// Incremental-checkpoint record: the pool's complete allocator
-    /// live-block list at checkpoint time. Replay restores the allocator
+    /// Checkpoint record: the pool's complete allocator live-block list at
+    /// checkpoint time. Replay restores the allocator
     /// absolutely (idempotent) and raises the pool's replay watermark to
     /// this record's sequence number, so data records the checkpoint
     /// already reflects are skipped instead of double-applied.
@@ -185,7 +192,7 @@ impl WalRecord {
             WalRecord::WindowOpen { .. } => 7,
             WalRecord::WindowClose { .. } => 8,
             WalRecord::Randomize { .. } => 9,
-            WalRecord::Checkpoint => 10,
+            WalRecord::Checkpoint { .. } => 10,
             WalRecord::RootSet { .. } => 11,
             WalRecord::PageDelta { .. } => 12,
             WalRecord::AllocTable { .. } => 13,
@@ -207,7 +214,7 @@ impl WalRecord {
             | WalRecord::RootSet { pmo, .. }
             | WalRecord::PageDelta { pmo, .. }
             | WalRecord::AllocTable { pmo, .. } => Some(*pmo),
-            WalRecord::Checkpoint => None,
+            WalRecord::Checkpoint { .. } => None,
         }
     }
 
@@ -269,7 +276,9 @@ impl WalRecord {
             | WalRecord::Randomize { pmo } => {
                 payload.extend_from_slice(&pmo.raw().to_le_bytes());
             }
-            WalRecord::Checkpoint => {}
+            WalRecord::Checkpoint { ckpt_len } => {
+                payload.extend_from_slice(&ckpt_len.to_le_bytes());
+            }
             WalRecord::RootSet { pmo, key, oid } => {
                 payload.extend_from_slice(&pmo.raw().to_le_bytes());
                 payload.extend_from_slice(&key.to_le_bytes());
@@ -398,7 +407,7 @@ fn decode_payload(payload: &[u8]) -> Option<(u64, WalRecord)> {
         7 => WalRecord::WindowOpen { pmo: c.pmo()? },
         8 => WalRecord::WindowClose { pmo: c.pmo()? },
         9 => WalRecord::Randomize { pmo: c.pmo()? },
-        10 => WalRecord::Checkpoint,
+        10 => WalRecord::Checkpoint { ckpt_len: c.u64()? },
         11 => WalRecord::RootSet {
             pmo: c.pmo()?,
             key: c.u32()?,
@@ -451,6 +460,16 @@ impl LogContents {
     pub fn last_seq(&self) -> Option<u64> {
         self.records.last().map(|(seq, _)| *seq)
     }
+}
+
+/// Sequence number of the frame `bytes` starts with, read without
+/// checking the frame (`None` when fewer than 16 bytes are there).
+/// Sequence numbers never repeat within a store, so the first frame's names
+/// the *generation* of a log file: it changes exactly when the file is
+/// truncated and regrown (the WAL) or replaced by rename (`ckpt.log`).
+pub fn first_seq(bytes: &[u8]) -> Option<u64> {
+    let seq = bytes.get(FRAME_HEADER..FRAME_HEADER + 8)?;
+    Some(u64::from_le_bytes(seq.try_into().expect("8")))
 }
 
 /// Decodes `bytes` up to the first invalid frame (torn tail or corruption).
@@ -527,7 +546,7 @@ mod tests {
                 pmo: p,
                 live: vec![(0, 64), (4096, 512)],
             },
-            WalRecord::Checkpoint,
+            WalRecord::Checkpoint { ckpt_len: 4242 },
         ]
     }
 

@@ -1,22 +1,29 @@
-//! Crash recovery: snapshots + log replay + window resealing.
+//! Crash recovery: one replayer for restart, bootstrap, warm standby and
+//! promotion.
 //!
-//! Recovery rebuilds a fresh [`PmoRegistry`] in four steps:
+//! [`Replay`] rebuilds a [`PmoRegistry`] from what a crash (or a leader)
+//! left, one record at a time:
 //!
-//! 1. **Install snapshots.** Each pool snapshot restores the pool at its
-//!    original id with its allocator state and data pages, and contributes a
-//!    per-pool `wal_seq` watermark.
+//! 1. **Install the checkpoint.** The committed image ([`CheckpointImage`]:
+//!    the `PoolCreate`/`PageDelta`/`AllocTable` batches of `ckpt.log` up to
+//!    the length `prot.log` commits, plus `prot.log`'s protection and root
+//!    records) restores each pool at its original id. Every `AllocTable`
+//!    raises its pool's replay watermark to the checkpoint's sequence
+//!    number; the protection snapshot replaces the open-window, session and
+//!    root sets outright and raises the protection watermark.
 //! 2. **Replay the log.** Data records (`PoolCreate`/`Alloc`/`Free`/
-//!    `DataWrite`) with sequence numbers at or below the pool's watermark
-//!    are skipped — the snapshot already reflects them; replaying an `Alloc`
-//!    twice would diverge. Later records re-execute against the real
+//!    `DataWrite`/`PageDelta`) at or below their pool's watermark, and
+//!    protection records at or below the protection watermark, are skipped
+//!    — the checkpoint already reflects them (a crash can land between the
+//!    checkpoint's publication and the WAL truncation; replaying an `Alloc`
+//!    twice would diverge). Later records re-execute against the real
 //!    substrate, and `Alloc` replay *verifies* the allocator reproduces the
-//!    logged offset (a mismatch means log and snapshot disagree —
-//!    [`PersistError::ReplayDivergence`]). Protection-state records always
-//!    replay: they only mutate idempotent session/window sets.
-//! 3. **Roll back transactions.** Every recovered pool runs
-//!    [`terp_pmo::txn::recover`], undoing writes of transactions that were
-//!    in flight at the crash. The undo log lives in pool bytes, so it was
-//!    itself rebuilt by steps 1–2.
+//!    logged offset (a mismatch means log and image disagree —
+//!    [`PersistError::ReplayDivergence`]).
+//! 3. **Roll back transactions** ([`Replay::finish`]). Every recovered pool
+//!    runs [`terp_pmo::txn::recover`], undoing writes of transactions that
+//!    were in flight at the crash. The undo log lives in pool bytes, so it
+//!    was itself rebuilt by steps 1–2.
 //! 4. **Reseal windows.** The TERP-specific invariant: any exposure window
 //!    open at crash time is force-closed — the recovered registry exposes
 //!    *no* mapped pools — and each such pool's attach generation is bumped
@@ -24,15 +31,19 @@
 //!    placement instead of resuming the pre-crash mapping. Sessions are
 //!    discarded, never resurrected: clients must re-attach through the
 //!    permission path.
+//!
+//! A follower's warm standby state is a `Replay` that is never finished:
+//! it applies shipped records as they arrive and installs each checkpoint
+//! the leader publishes — which is also how it survives the WAL tail a
+//! checkpoint truncated before it shipped.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-use terp_pmo::{txn, ObjectId, PmoId, PmoRegistry};
+use terp_pmo::{txn, ObjectId, PmoId, PmoRegistry, PAGE_SIZE};
 
 use crate::error::PersistError;
-use crate::record::{read_log, WalRecord};
-use crate::snapshot::PoolSnapshot;
+use crate::record::{first_seq, read_log, WalRecord};
 
 /// What recovery produced.
 #[derive(Debug)]
@@ -52,13 +63,12 @@ pub struct RecoveredState {
 /// Metrics describing one recovery run.
 #[derive(Debug, Default, Clone)]
 pub struct RecoveryReport {
-    /// Pools restored (snapshots + replayed creations).
+    /// Pools restored (from the checkpoint image and replayed creations).
     pub pools_recovered: usize,
-    /// Snapshot files installed.
-    pub snapshots_installed: usize,
-    /// Log records re-executed.
+    /// Records re-executed: the checkpoint's image and protection records
+    /// plus the WAL's.
     pub records_replayed: usize,
-    /// Log records skipped as already reflected in a snapshot.
+    /// Records skipped as already reflected in the checkpoint.
     pub records_skipped: usize,
     /// Bytes discarded from the torn/corrupt log tail.
     pub bytes_dropped: usize,
@@ -76,77 +86,219 @@ pub struct RecoveryReport {
     pub roots_recovered: usize,
 }
 
-/// Rebuilds state from `snapshots` and a single durable log image.
-///
-/// Shorthand for [`recover_segments`] with one segment; see there for the
-/// full contract.
-pub fn recover(
-    snapshots: &[PoolSnapshot],
-    log_bytes: &[u8],
-) -> Result<(RecoveredState, RecoveryReport), PersistError> {
-    recover_segments(snapshots, &[log_bytes])
+/// The committed checkpoint of a store directory, decoded: what `ckpt.log`
+/// and `prot.log` say once the protocol's commit rule has been applied.
+#[derive(Debug, Default, Clone)]
+pub struct CheckpointImage {
+    /// Sequence number of the committed checkpoint (`None`: the directory
+    /// never completed one).
+    pub seq: Option<u64>,
+    /// Committed length of `ckpt.log` in bytes; anything past it belongs to
+    /// a checkpoint that was in flight and never committed.
+    pub ckpt_len: u64,
+    /// The image batches: `PoolCreate`, `PageDelta`*, `AllocTable` per pool,
+    /// oldest batch first.
+    pub pools: Vec<(u64, WalRecord)>,
+    /// The protection snapshot: `WindowOpen`/`SessionOpen` for everything
+    /// open at the checkpoint, and the live root directory.
+    pub protection: Vec<(u64, WalRecord)>,
 }
 
-/// Rebuilds state from `snapshots` and an ordered sequence of durable log
-/// segments.
-///
-/// Segments are replayed oldest-first in the order given: for a store with
-/// incremental checkpoints that is the delta log (`ckpt.log`), then the
-/// protection snapshot (`prot.log`), then the live WAL (`wal.log`). Each
-/// segment is decoded **independently** — a torn tail in one segment stops
-/// that segment's replay at the tear but does not discard later segments,
-/// which were written by different (and possibly earlier, already-fsynced)
-/// protocol steps.
-///
-/// [`WalRecord::AllocTable`] records raise the pool's replay watermark:
-/// they mark a checkpoint boundary, so data records at or below their
-/// sequence number are already reflected in the delta state and must not
-/// double-apply.
-///
-/// # Errors
-///
-/// [`PersistError::ReplayDivergence`] if an `Alloc` record replays to a
-/// different offset than logged, [`PersistError::Substrate`] if the PMO
-/// layer rejects a replayed operation — both mean the snapshot/log pair is
-/// inconsistent, not merely torn (torn tails are handled by truncation).
-pub fn recover_segments(
-    snapshots: &[PoolSnapshot],
-    segments: &[&[u8]],
-) -> Result<(RecoveredState, RecoveryReport), PersistError> {
-    let start = Instant::now();
-    let mut report = RecoveryReport::default();
-    let mut registry = PmoRegistry::new();
+fn corrupt(why: impl Into<String>) -> PersistError {
+    PersistError::CheckpointCorrupt(why.into())
+}
 
-    // Step 1: snapshots, with per-pool replay watermarks.
-    let mut watermark: Vec<Option<u64>> = Vec::new();
-    let raise = |watermark: &mut Vec<Option<u64>>, idx: usize, seq: u64| {
-        if watermark.len() <= idx {
-            watermark.resize(idx + 1, None);
+fn commit_record(protection: &[(u64, WalRecord)]) -> Option<(u64, u64)> {
+    match protection.first() {
+        Some((seq, WalRecord::Checkpoint { ckpt_len })) => Some((*seq, *ckpt_len)),
+        _ => None,
+    }
+}
+
+impl CheckpointImage {
+    /// The commit `prot.log` opens with, `(seq, ckpt_len)` — all a log
+    /// shipper needs to know of a checkpoint. `None` when the bytes do not
+    /// start with a valid [`WalRecord::Checkpoint`] frame.
+    pub fn commit_of(prot: &[u8]) -> Option<(u64, u64)> {
+        commit_record(&read_log(prot).records)
+    }
+
+    /// Decodes the checkpoint files of one store.
+    ///
+    /// `prot.log` is published by rename and therefore never legitimately
+    /// torn: it must decode end to end and open with the
+    /// [`WalRecord::Checkpoint`] that commits `ckpt_len` bytes of
+    /// `ckpt.log`. Those bytes must decode cleanly; bytes past them are an
+    /// in-flight checkpoint's and are ignored. One state needs a second
+    /// look: a compacting checkpoint replaces `ckpt.log` by rename *before*
+    /// it publishes `prot.log`, so a crash between the two leaves an image
+    /// newer than the protection snapshot — recognisable because its first
+    /// frame's sequence number is above `prot.log`'s — which, published by
+    /// rename itself, is committed whole. Without a `prot.log` (`None`) no
+    /// checkpoint ever committed and the WAL still holds everything.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::CheckpointCorrupt`] for any damage inside the
+    /// committed region — never a shorter image.
+    pub fn decode(ckpt: &[u8], prot: Option<&[u8]>) -> Result<Self, PersistError> {
+        let Some(prot) = prot else {
+            return Ok(CheckpointImage::default());
+        };
+        let protection = read_log(prot);
+        if !protection.is_clean() {
+            return Err(corrupt(format!(
+                "prot.log: bad frame at byte {} of {}",
+                protection.consumed,
+                prot.len()
+            )));
         }
-        watermark[idx] = Some(watermark[idx].map_or(seq, |old| old.max(seq)));
-    };
-    for snap in snapshots {
-        snap.install_into(&mut registry)?;
-        raise(&mut watermark, snap.id.index(), snap.wal_seq);
-        report.snapshots_installed += 1;
+        let mut protection = protection.records;
+        let (seq, committed) = commit_record(&protection)
+            .ok_or_else(|| corrupt("prot.log does not open with a Checkpoint record"))?;
+        protection.remove(0);
+        let ckpt_len = if first_seq(ckpt).is_some_and(|newer| newer > seq) {
+            ckpt.len() as u64
+        } else {
+            committed
+        };
+        let image = usize::try_from(ckpt_len)
+            .ok()
+            .and_then(|len| ckpt.get(..len))
+            .ok_or_else(|| {
+                corrupt(format!(
+                    "ckpt.log holds {} bytes, prot.log commits {ckpt_len}",
+                    ckpt.len()
+                ))
+            })?;
+        let pools = read_log(image);
+        if !pools.is_clean() {
+            return Err(corrupt(format!(
+                "ckpt.log: bad frame at byte {} of {ckpt_len} committed",
+                pools.consumed
+            )));
+        }
+        Ok(CheckpointImage {
+            seq: Some(seq),
+            ckpt_len,
+            pools: pools.records,
+            protection,
+        })
+    }
+}
+
+/// The one replayer: applies records to a registry under the watermark
+/// rules, whether they come from disk at restart or from a socket on a warm
+/// standby.
+#[derive(Debug, Default)]
+pub struct Replay {
+    registry: PmoRegistry,
+    /// Per-pool data watermark: data records at or below it are already
+    /// reflected in the checkpoint image.
+    watermark: Vec<Option<u64>>,
+    /// Protection watermark: the sequence number of the installed
+    /// protection snapshot.
+    prot_mark: Option<u64>,
+    open_windows: BTreeSet<PmoId>,
+    sessions: BTreeSet<(u64, PmoId)>,
+    roots: BTreeMap<(PmoId, u32), u64>,
+    applied_seq: Option<u64>,
+    /// The report under construction: the replayed/skipped counts.
+    report: RecoveryReport,
+}
+
+impl Replay {
+    /// A replayer over an empty registry.
+    pub fn new() -> Self {
+        Replay::default()
     }
 
-    // Step 2: log replay. Decode every segment up front so torn-tail
-    // accounting covers all of them before any record executes.
-    let decoded: Vec<_> = segments.iter().map(|bytes| read_log(bytes)).collect();
-    for contents in &decoded {
-        report.bytes_dropped += contents.dropped;
-        report.torn_tail |= !contents.is_clean();
+    /// The registry as replayed so far. Until [`Self::finish`] it may show
+    /// an in-flight transaction's writes and knows nothing of resealing.
+    pub fn registry(&self) -> &PmoRegistry {
+        &self.registry
     }
-    let torn_any = report.torn_tail;
-    let mut open_windows: BTreeSet<PmoId> = BTreeSet::new();
-    let mut sessions: BTreeSet<(u64, PmoId)> = BTreeSet::new();
-    let mut roots: BTreeMap<(PmoId, u32), u64> = BTreeMap::new();
-    for (seq, record) in decoded.iter().flat_map(|c| c.records.iter()) {
-        let below_watermark = record
-            .pmo()
-            .and_then(|id| watermark.get(id.index()).copied().flatten())
-            .is_some_and(|mark| *seq <= mark);
+
+    /// Exposure windows open after the records applied so far — exactly
+    /// what [`Self::finish`] would reseal.
+    pub fn open_windows(&self) -> &BTreeSet<PmoId> {
+        &self.open_windows
+    }
+
+    /// Highest sequence number applied (or installed) so far.
+    pub fn applied_seq(&self) -> Option<u64> {
+        self.applied_seq
+    }
+
+    fn raise(&mut self, pmo: PmoId, seq: u64) {
+        let idx = pmo.index();
+        if self.watermark.len() <= idx {
+            self.watermark.resize(idx + 1, None);
+        }
+        self.watermark[idx] = Some(self.watermark[idx].map_or(seq, |old| old.max(seq)));
+    }
+
+    /// Installs a committed checkpoint: its image batches, then its
+    /// protection snapshot as *clear + apply* — the snapshot is the whole
+    /// truth at its sequence number, and whoever tails a live store can
+    /// have missed the WAL tail the checkpoint truncated, closes included.
+    /// Installing over state that already reflects part of the image is
+    /// idempotent: the per-pool watermarks skip the batches seen before.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::apply`].
+    pub fn install_checkpoint(&mut self, image: &CheckpointImage) -> Result<(), PersistError> {
+        let Some(seq) = image.seq else {
+            return Ok(());
+        };
+        for (seq, record) in &image.pools {
+            self.apply(*seq, record)?;
+        }
+        self.open_windows.clear();
+        self.sessions.clear();
+        self.roots.clear();
+        self.prot_mark = None;
+        for (seq, record) in &image.protection {
+            self.apply(*seq, record)?;
+        }
+        self.prot_mark = Some(seq);
+        self.applied_seq = self.applied_seq.max(Some(seq));
+        Ok(())
+    }
+
+    /// Applies one record.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::ReplayDivergence`] if an `Alloc` replays to a
+    /// different offset than logged, or a `PageDelta` names a page outside
+    /// its pool or carries more than a page; [`PersistError::Substrate`] if
+    /// the PMO layer rejects the operation. All mean the record stream is
+    /// inconsistent with the state it is applied to, not merely torn.
+    pub fn apply(&mut self, seq: u64, record: &WalRecord) -> Result<(), PersistError> {
+        self.applied_seq = self.applied_seq.max(Some(seq));
+        let skip = match record {
+            WalRecord::PoolCreate { .. }
+            | WalRecord::Alloc { .. }
+            | WalRecord::Free { .. }
+            | WalRecord::DataWrite { .. }
+            | WalRecord::PageDelta { .. }
+            | WalRecord::AllocTable { .. } => record
+                .pmo()
+                .and_then(|id| self.watermark.get(id.index()).copied().flatten()),
+            WalRecord::SessionOpen { .. }
+            | WalRecord::SessionClose { .. }
+            | WalRecord::WindowOpen { .. }
+            | WalRecord::WindowClose { .. }
+            | WalRecord::Randomize { .. }
+            | WalRecord::RootSet { .. } => self.prot_mark,
+            WalRecord::Checkpoint { .. } => None,
+        };
+        if skip.is_some_and(|mark| seq <= mark) {
+            self.report.records_skipped += 1;
+            return Ok(());
+        }
         match record {
             WalRecord::PoolCreate {
                 id,
@@ -154,22 +306,10 @@ pub fn recover_segments(
                 size,
                 mode,
             } => {
-                // restore_pool is idempotent, so replaying a creation that
-                // the snapshot already made is harmless even below the
-                // watermark; skipping keeps the counters honest.
-                if below_watermark {
-                    report.records_skipped += 1;
-                    continue;
-                }
-                registry.restore_pool(*id, name, *size, *mode)?;
-                report.records_replayed += 1;
+                self.registry.restore_pool(*id, name, *size, *mode)?;
             }
             WalRecord::Alloc { pmo, size, offset } => {
-                if below_watermark {
-                    report.records_skipped += 1;
-                    continue;
-                }
-                let got = registry.pool_mut(*pmo)?.pmalloc(*size)?;
+                let got = self.registry.pool_mut(*pmo)?.pmalloc(*size)?;
                 if got.offset() != *offset {
                     return Err(PersistError::ReplayDivergence {
                         pmo: *pmo,
@@ -179,127 +319,132 @@ pub fn recover_segments(
                         ),
                     });
                 }
-                report.records_replayed += 1;
             }
             WalRecord::Free { pmo, offset } => {
-                if below_watermark {
-                    report.records_skipped += 1;
-                    continue;
-                }
-                registry
+                self.registry
                     .pool_mut(*pmo)?
                     .pfree(ObjectId::new(*pmo, *offset))?;
-                report.records_replayed += 1;
             }
             WalRecord::DataWrite { pmo, offset, data } => {
-                if below_watermark {
-                    report.records_skipped += 1;
-                    continue;
-                }
-                registry.pool_mut(*pmo)?.write_bytes(*offset, data)?;
-                report.records_replayed += 1;
+                self.registry.pool_mut(*pmo)?.write_bytes(*offset, data)?;
             }
             WalRecord::PageDelta { pmo, page, data } => {
-                // Incremental-checkpoint page image: an absolute overwrite,
-                // so replay is idempotent; watermark-skippable exactly like
-                // DataWrite (a later AllocTable/full snapshot supersedes it).
-                if below_watermark {
-                    report.records_skipped += 1;
-                    continue;
-                }
-                registry
-                    .pool_mut(*pmo)?
-                    .write_bytes(*page * terp_pmo::PAGE_SIZE, data)?;
-                report.records_replayed += 1;
+                // `page` is 64 bits of outside input (disk or socket) behind
+                // a valid CRC: the byte offset must exist, start inside the
+                // pool, and the image must not exceed the page it names.
+                let pool = self.registry.pool_mut(*pmo)?;
+                let start = page
+                    .checked_mul(PAGE_SIZE)
+                    .filter(|&start| start < pool.size() && data.len() as u64 <= PAGE_SIZE)
+                    .ok_or_else(|| PersistError::ReplayDivergence {
+                        pmo: *pmo,
+                        detail: format!(
+                            "page {page} ({} bytes) does not fit the {}-byte pool",
+                            data.len(),
+                            pool.size()
+                        ),
+                    })?;
+                pool.write_bytes(start, data)?;
             }
             WalRecord::AllocTable { pmo, live } => {
                 // Checkpoint boundary for this pool: install the absolute
-                // allocator image and raise the replay watermark so the live
-                // WAL's surviving records at or below this seq (a crash can
-                // land between the delta fsync and the WAL truncation) do
-                // not double-apply — replaying their Allocs against the
-                // restored allocator would diverge.
-                if below_watermark {
-                    report.records_skipped += 1;
-                    continue;
-                }
-                registry.pool_mut(*pmo)?.restore_allocator(live)?;
-                raise(&mut watermark, pmo.index(), *seq);
-                report.records_replayed += 1;
+                // allocator image and raise the watermark, so the WAL's
+                // surviving records at or below this seq — and the rest of
+                // an older batch — do not double-apply.
+                self.registry.pool_mut(*pmo)?.restore_allocator(live)?;
+                self.raise(*pmo, seq);
             }
-            // Protection-state records: pure set mutations, idempotent and
-            // watermark-exempt (window state is never part of a snapshot —
-            // a snapshot is a checkpoint of *data*, exposure is runtime
-            // state that recovery must re-derive to know what to reseal).
             WalRecord::SessionOpen { client, pmo, .. } => {
-                sessions.insert((*client, *pmo));
-                report.records_replayed += 1;
+                self.sessions.insert((*client, *pmo));
             }
             WalRecord::SessionClose { client, pmo } => {
-                sessions.remove(&(*client, *pmo));
-                report.records_replayed += 1;
+                self.sessions.remove(&(*client, *pmo));
             }
             WalRecord::WindowOpen { pmo } => {
-                open_windows.insert(*pmo);
-                report.records_replayed += 1;
+                self.open_windows.insert(*pmo);
             }
             WalRecord::WindowClose { pmo } => {
-                open_windows.remove(pmo);
-                report.records_replayed += 1;
+                self.open_windows.remove(pmo);
             }
-            WalRecord::Randomize { pmo } => {
-                // The window splits but stays open; nothing to re-derive
-                // beyond what WindowOpen already recorded.
-                debug_assert!(open_windows.contains(pmo) || torn_any);
-                report.records_replayed += 1;
-            }
-            WalRecord::Checkpoint => {
-                report.records_replayed += 1;
-            }
-            // Root-directory records are watermark-exempt like the other
-            // protection-adjacent state: a snapshot captures pool bytes,
-            // not the directory, so every surviving RootSet replays
-            // (last-writer-wins; oid 0 clears the slot).
+            // The window splits but stays open, and a checkpoint marker
+            // mutates nothing: neither leaves anything to re-derive.
+            WalRecord::Randomize { .. } | WalRecord::Checkpoint { .. } => {}
             WalRecord::RootSet { pmo, key, oid } => {
                 if *oid == 0 {
-                    roots.remove(&(*pmo, *key));
+                    self.roots.remove(&(*pmo, *key));
                 } else {
-                    roots.insert((*pmo, *key), *oid);
+                    self.roots.insert((*pmo, *key), *oid);
                 }
-                report.records_replayed += 1;
             }
         }
+        self.report.records_replayed += 1;
+        Ok(())
     }
 
-    // Step 3: in-pool transaction rollback, every recovered pool.
-    for pool in registry.iter_mut() {
-        report.txns_rolled_back += txn::recover(pool)?;
-    }
-
-    // Step 4: reseal. Windows open at crash are force-closed (the recovered
-    // registry has no mapping state at all) and the pools re-randomize on
-    // next attach. Sessions are discarded, not resurrected.
-    let mut resealed = Vec::new();
-    for pmo in &open_windows {
-        if let Ok(pool) = registry.pool_mut(*pmo) {
-            pool.reseal();
-            resealed.push(*pmo);
-            report.windows_resealed += 1;
+    /// Ends the replay: rolls back every in-flight transaction, then
+    /// force-closes and reseals every window still open. Sessions are
+    /// discarded, not resurrected.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Substrate`] if a pool's undo log cannot be read.
+    pub fn finish(mut self) -> Result<(RecoveredState, RecoveryReport), PersistError> {
+        let mut report = self.report;
+        for pool in self.registry.iter_mut() {
+            report.txns_rolled_back += txn::recover(pool)?;
         }
+        let mut resealed = Vec::new();
+        for pmo in &self.open_windows {
+            if let Ok(pool) = self.registry.pool_mut(*pmo) {
+                pool.reseal();
+                resealed.push(*pmo);
+            }
+        }
+        report.windows_resealed = resealed.len();
+        report.sessions_discarded = self.sessions.len();
+        report.pools_recovered = self.registry.len();
+        report.roots_recovered = self.roots.len();
+        Ok((
+            RecoveredState {
+                registry: self.registry,
+                resealed,
+                roots: self.roots,
+            },
+            report,
+        ))
     }
-    report.sessions_discarded = sessions.len();
-    report.pools_recovered = registry.len();
-    report.roots_recovered = roots.len();
-    report.recovery_ns = start.elapsed().as_nanos();
+}
 
-    Ok((
-        RecoveredState {
-            registry,
-            resealed,
-            roots,
-        },
-        report,
-    ))
+/// Rebuilds state from a WAL image alone (a store that never completed a
+/// checkpoint); see [`recover_from`].
+pub fn recover(wal: &[u8]) -> Result<(RecoveredState, RecoveryReport), PersistError> {
+    recover_from(&CheckpointImage::default(), wal)
+}
+
+/// Rebuilds state from a committed checkpoint and the WAL written since:
+/// install, replay, finish. The WAL is decoded up to its first invalid
+/// frame — a torn tail is what a crash legitimately leaves, and is reported
+/// rather than refused.
+///
+/// # Errors
+///
+/// As [`Replay::apply`] and [`Replay::finish`].
+pub fn recover_from(
+    image: &CheckpointImage,
+    wal: &[u8],
+) -> Result<(RecoveredState, RecoveryReport), PersistError> {
+    let start = Instant::now();
+    let log = read_log(wal);
+    let mut replay = Replay::new();
+    replay.install_checkpoint(image)?;
+    for (seq, record) in &log.records {
+        replay.apply(*seq, record)?;
+    }
+    let (state, mut report) = replay.finish()?;
+    report.bytes_dropped = log.dropped;
+    report.torn_tail = !log.is_clean();
+    report.recovery_ns = start.elapsed().as_nanos();
+    Ok((state, report))
 }
 
 #[cfg(test)]
@@ -361,7 +506,7 @@ mod tests {
         let pid = id(1);
         let gen_before = live.pool(pid).unwrap().attach_generation();
 
-        let (state, report) = recover(&[], &log).unwrap();
+        let (state, report) = recover(&log).unwrap();
         assert_eq!(report.pools_recovered, 1);
         assert_eq!(report.windows_resealed, 1);
         assert_eq!(report.sessions_discarded, 1);
@@ -392,25 +537,148 @@ mod tests {
         wal.sync().unwrap();
         log.extend_from_slice(wal.durable_bytes().unwrap());
 
-        let (state, report) = recover(&[], &log).unwrap();
+        let (state, report) = recover(&log).unwrap();
         assert_eq!(report.windows_resealed, 0);
         assert_eq!(report.sessions_discarded, 0);
         assert!(state.resealed.is_empty());
+    }
+
+    /// The image batch of one pool at `seq`, as a checkpoint writes it.
+    fn image_batch(pool: &terp_pmo::Pmo, seq: u64) -> Vec<(u64, WalRecord)> {
+        let mut batch = vec![WalRecord::PoolCreate {
+            id: pool.id(),
+            name: pool.name().to_string(),
+            size: pool.size(),
+            mode: pool.mode(),
+        }];
+        batch.extend(
+            pool.export_pages()
+                .map(|(page, bytes)| WalRecord::PageDelta {
+                    pmo: pool.id(),
+                    page,
+                    data: bytes.to_vec(),
+                }),
+        );
+        batch.push(WalRecord::AllocTable {
+            pmo: pool.id(),
+            live: pool.allocator().live_blocks().collect(),
+        });
+        batch.into_iter().map(|r| (seq, r)).collect()
     }
 
     #[test]
     fn snapshot_watermark_suppresses_double_replay() {
         let (live, log) = logged_workload();
         let pid = id(1);
-        // Checkpoint after the whole log (last seq = 5).
-        let snap = PoolSnapshot::capture(live.pool(pid).unwrap(), 5);
+        // Checkpoint after the whole log (last seq = 5), window still open.
+        let image = CheckpointImage {
+            seq: Some(5),
+            ckpt_len: 0,
+            pools: image_batch(live.pool(pid).unwrap(), 5),
+            protection: vec![(5, WalRecord::WindowOpen { pmo: pid })],
+        };
 
-        let (state, report) = recover(&[snap], &log).unwrap();
-        // All data records skipped; protection records still replayed.
-        assert_eq!(report.records_skipped, 3);
-        assert_eq!(report.windows_resealed, 1);
+        let (state, report) = recover_from(&image, &log).unwrap();
+        // Every record of the un-truncated WAL is skipped: data below the
+        // pool's watermark, protection below the snapshot's.
+        assert_eq!(report.records_skipped, 6);
+        assert_eq!(report.windows_resealed, 1, "carried by the snapshot");
+        assert_eq!(report.sessions_discarded, 0, "the snapshot listed none");
         let pool = state.registry.pool(pid).unwrap();
         assert_eq!(pool.allocator().live_count(), 1, "alloc not double-applied");
+        assert_eq!(fingerprint(&state.registry), fingerprint(&live));
+    }
+
+    /// A snapshot is *clear + apply*: a tailer that missed the WAL tail a
+    /// checkpoint truncated must not keep a window the snapshot knows closed.
+    #[test]
+    fn installing_a_checkpoint_replaces_the_protection_state() {
+        let (live, log) = logged_workload();
+        let pid = id(1);
+        let mut replay = Replay::new();
+        for (seq, record) in &read_log(&log).records {
+            replay.apply(*seq, record).unwrap();
+        }
+        assert_eq!(replay.open_windows().len(), 1);
+        assert_eq!(replay.applied_seq(), Some(5));
+        // The leader closed the window at seq 6 and checkpointed at 7; the
+        // close was truncated away before it shipped.
+        let image = CheckpointImage {
+            seq: Some(7),
+            ckpt_len: 0,
+            pools: image_batch(live.pool(pid).unwrap(), 7),
+            protection: Vec::new(),
+        };
+        replay.install_checkpoint(&image).unwrap();
+        assert!(replay.open_windows().is_empty());
+        assert_eq!(replay.applied_seq(), Some(7));
+        // Installing it again changes nothing (watermarks skip the batch).
+        replay.install_checkpoint(&image).unwrap();
+        assert_eq!(fingerprint(replay.registry()), fingerprint(&live));
+        let (state, report) = replay.finish().unwrap();
+        assert!(state.resealed.is_empty());
+        assert_eq!(report.sessions_discarded, 0);
+    }
+
+    type PoolPrint = (u16, Vec<(u64, u64)>, Vec<(u64, Vec<u8>)>);
+
+    fn fingerprint(reg: &PmoRegistry) -> Vec<PoolPrint> {
+        reg.iter()
+            .map(|p| {
+                (
+                    p.id().raw(),
+                    p.allocator().live_blocks().collect(),
+                    p.export_pages().map(|(i, b)| (i, b.to_vec())).collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// A CRC-valid `PageDelta` that lies about where or how big its page
+    /// is: a typed error, never a panic or a wrapped offset (this runs in
+    /// release mode too, where overflow checks are off).
+    #[test]
+    fn hostile_page_deltas_are_rejected() {
+        let (live, log) = logged_workload();
+        let pid = id(1);
+        let pool_pages = live.pool(pid).unwrap().size() / PAGE_SIZE;
+        let with_page = |page: u64, len: usize| {
+            let mut bytes = log.clone();
+            let delta = WalRecord::PageDelta {
+                pmo: pid,
+                page,
+                data: vec![0x5A; len],
+            };
+            bytes.extend_from_slice(&delta.encode(6));
+            recover(&bytes)
+        };
+        let cases = [
+            (
+                "page longer than a page",
+                with_page(0, PAGE_SIZE as usize + 1),
+            ),
+            ("byte offset overflows u64", with_page(u64::MAX, 16)),
+            ("byte offset wraps to 0", with_page(1 << 52, 16)),
+            ("first page past the pool", with_page(pool_pages, 16)),
+            ("far past the pool", with_page(pool_pages + 1_000_000, 4096)),
+        ];
+        for (what, result) in cases {
+            assert!(
+                matches!(result, Err(PersistError::ReplayDivergence { .. })),
+                "{what}: {:?}",
+                result.map(|(_, report)| report)
+            );
+        }
+        // The last page of the pool and a short page are fine.
+        let (state, _) = with_page(pool_pages - 1, 100).unwrap();
+        let mut buf = [0u8; 100];
+        state
+            .registry
+            .pool(pid)
+            .unwrap()
+            .read_bytes((pool_pages - 1) * PAGE_SIZE, &mut buf)
+            .unwrap();
+        assert_eq!(buf, [0x5A; 100]);
     }
 
     #[test]
@@ -455,7 +723,7 @@ mod tests {
         .encode(10);
         log.extend_from_slice(&torn_frame[..torn_frame.len() - 3]);
 
-        let (state, report) = recover(&[], &log).unwrap();
+        let (state, report) = recover(&log).unwrap();
         assert!(report.torn_tail, "tail must register as torn");
         assert_eq!(report.roots_recovered, 1);
         assert_eq!(
@@ -487,13 +755,20 @@ mod tests {
         .unwrap();
         wal.sync().unwrap();
         log.extend_from_slice(wal.durable_bytes().unwrap());
-        // Snapshot watermark covers the whole log, including the RootSet.
-        let snap = PoolSnapshot::capture(live.pool(pid).unwrap(), 6);
-        let (state, _) = recover(&[snap], &log).unwrap();
+        // The pool's data watermark covers the whole log, including the
+        // RootSet — which only a protection snapshot may supersede.
+        let mut replay = Replay::new();
+        for (seq, record) in &image_batch(live.pool(pid).unwrap(), 6) {
+            replay.apply(*seq, record).unwrap();
+        }
+        for (seq, record) in &read_log(&log).records {
+            replay.apply(*seq, record).unwrap();
+        }
+        let (state, _) = replay.finish().unwrap();
         assert_eq!(
             state.roots.get(&(pid, 0)),
             Some(&0x0040_0000_0000_0500),
-            "roots below the snapshot watermark must still replay"
+            "roots below a pool's data watermark must still replay"
         );
     }
 
@@ -514,7 +789,7 @@ mod tests {
         })
         .unwrap();
         wal.sync().unwrap();
-        let err = recover(&[], wal.durable_bytes().unwrap()).unwrap_err();
+        let err = recover(wal.durable_bytes().unwrap()).unwrap_err();
         assert!(
             matches!(err, PersistError::ReplayDivergence { .. }),
             "{err}"
@@ -602,7 +877,7 @@ mod tests {
         }
 
         wal.sync().unwrap();
-        let (state, report) = recover(&[], wal.durable_bytes().unwrap()).unwrap();
+        let (state, report) = recover(wal.durable_bytes().unwrap()).unwrap();
         assert!(report.txns_rolled_back > 0, "in-flight txn must roll back");
         let mut buf = [0u8; 8];
         state

@@ -1,13 +1,14 @@
-//! The durable store: one directory holding a WAL, pool snapshots, and
-//! (with incremental checkpoints) a delta log + protection snapshot.
+//! The durable store: one directory holding a write-ahead log, the
+//! checkpoint log and the protection snapshot.
 //!
 //! [`DurableStore::open`] is the single entry point: it loads whatever the
 //! directory contains (possibly nothing, possibly the debris of a crash),
-//! runs full [`crate::recovery::recover_segments`], and hands back both the
+//! runs [`crate::recovery::recover_from`], and hands back both the
 //! recovered state and a live writer positioned after the last durable
 //! record. From then on the owner logs every mutation through
-//! [`DurableStore::log`] and periodically checkpoints to bound log length
-//! (and therefore recovery time).
+//! [`DurableStore::log`] and checkpoints — when [`DurableStore::checkpoint_due`]
+//! says so at the end of an operation, and when it drains — to bound log
+//! length and therefore recovery time.
 //!
 //! **One setting.** [`Visibility`] — which effects may be visible before
 //! they are durable — is the only durable policy, and it picks the log
@@ -21,58 +22,62 @@
 //! the caller's back. Either way [`DurableStore::watermark`] says how far
 //! durability has got.
 //!
-//! **Full checkpoint** protocol, crash-safe at every step:
+//! **One checkpoint** ([`DurableStore::checkpoint`]), crash-safe at every
+//! step, with no quiescent point required:
 //!
-//! 1. append a `Checkpoint` record and sync — this seq is the watermark;
-//! 2. snapshot every pool (temp file + atomic rename, per pool);
-//! 3. truncate the WAL and delete any incremental-checkpoint files.
+//! 1. append a [`WalRecord::Checkpoint`] and sync — its seq is the
+//!    watermark, its `ckpt_len` the length `ckpt.log` is about to have;
+//! 2. for each pool of the page set, `PoolCreate` + one
+//!    [`WalRecord::PageDelta`] per page + a final [`WalRecord::AllocTable`]
+//!    (all at the watermark seq) go to `ckpt.log` — *appended*, dirty pools
+//!    and dirty pages only, one fsync for the batch; or, when the checkpoint
+//!    compacts, every resident page of every pool written to a temp file
+//!    and renamed over `ckpt.log`;
+//! 3. `prot.log` is atomically rewritten (temp + fsync + rename): the same
+//!    `Checkpoint` record, the caller's current protection records, the
+//!    live root directory. **This rename commits the checkpoint.**
+//! 4. the WAL is truncated.
 //!
-//! A crash before step 3 leaves old *and* new snapshots valid: each
-//! snapshot's embedded watermark tells replay which log records it already
-//! reflects, so nothing double-applies.
-//!
-//! **Incremental checkpoint** ([`DurableStore::checkpoint_incremental`])
-//! replaces the full-pool snapshot pass with a delta append, bounding the
-//! stall by the number of pages dirtied since the last checkpoint:
-//!
-//! 1. append a `Checkpoint` record and sync — this seq is the watermark;
-//! 2. for each dirty pool, append `PoolCreate` + one [`WalRecord::PageDelta`]
-//!    per dirty page + a final [`WalRecord::AllocTable`] (all at the
-//!    watermark seq) to `ckpt.log`, one fsync for the batch;
-//! 3. atomically rewrite `prot.log` (temp + rename) with the caller's
-//!    current protection records and the live root directory;
-//! 4. truncate the WAL.
-//!
-//! Recovery replays snapshots, then `ckpt.log`, then `prot.log`, then
-//! `wal.log` — each decoded independently, so a torn tail in one never
-//! discards another. `AllocTable` replay raises the pool's watermark, which
-//! is what keeps a crash between steps 2 and 4 safe: the WAL's surviving
-//! records at or below the watermark are recognized as already-checkpointed
-//! and skipped.
+//! Recovery installs `ckpt.log` up to the committed length, then `prot.log`,
+//! then replays `wal.log`. A crash before step 3 leaves `ckpt.log` bytes
+//! past the committed length (dropped at the next open) or a compacted
+//! image newer than `prot.log` (complete, and consistent with the full
+//! WAL); a crash between 3 and 4 leaves a WAL whose records the watermarks
+//! skip. Damage *inside* the committed region is an error, never a shorter
+//! image — see [`CheckpointImage::decode`]. Which page set a checkpoint
+//! writes is the store's own rule: see [`DurableStore::checkpoint`].
 
 use std::collections::BTreeMap;
 use std::fs::{self, OpenOptions};
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use terp_pmo::{Pmo, PmoId};
 
 use crate::error::PersistError;
-use crate::record::{read_log, WalRecord};
-use crate::recovery::{recover_segments, RecoveredState, RecoveryReport};
-use crate::snapshot::{load_snapshots, PoolSnapshot};
+use crate::record::WalRecord;
+use crate::recovery::{recover_from, CheckpointImage, RecoveredState, RecoveryReport};
 use crate::wal::{WalStats, WalWriter};
 use crate::writer::AsyncWalWriter;
 
 /// File name of the write-ahead log inside a store directory.
 pub const WAL_FILE: &str = "wal.log";
-/// File name of the incremental-checkpoint delta log: an append-only,
-/// WAL-framed stream of `PoolCreate`/`PageDelta`/`AllocTable` batches.
+/// File name of the checkpoint log: a WAL-framed stream of
+/// `PoolCreate`/`PageDelta`/`AllocTable` batches, appended to by
+/// checkpoints and replaced whole when one compacts.
 pub const CKPT_FILE: &str = "ckpt.log";
-/// File name of the protection/roots snapshot atomically rewritten by each
-/// incremental checkpoint (current `WindowOpen`/`SessionOpen`/`RootSet`
-/// records — the state the truncated WAL would otherwise forget).
+/// File name of the protection snapshot atomically rewritten by each
+/// checkpoint: the [`WalRecord::Checkpoint`] that commits it, then the
+/// current `WindowOpen`/`SessionOpen`/`RootSet` records — the state the
+/// truncated WAL would otherwise forget.
 pub const PROT_FILE: &str = "prot.log";
+
+/// Records logged since the last checkpoint at which
+/// [`DurableStore::checkpoint_due`] turns true. A constant, not a setting:
+/// picked from the measured table in CHANGES.md (PR 18) — 8 192 bounds a
+/// restart to a few milliseconds of replay and costs the write path nothing
+/// measurable; larger values only lengthen recovery.
+pub const CHECKPOINT_TRIGGER: u64 = 8192;
 
 /// When a logged operation's effects may become externally visible — i.e.
 /// when the mutating call that journaled them returns to its caller (and
@@ -122,27 +127,52 @@ pub struct DurableStore {
     dir: PathBuf,
     backend: Backend,
     /// Live image of the root directory (`RootSet` records seen so far).
-    /// Checkpoint truncation discards the log, and snapshots capture pool
-    /// bytes only — so the store re-logs this map right after truncating,
-    /// keeping data-structure roots findable across any number of
-    /// checkpoints.
+    /// Checkpoint truncation discards the log, and the image captures pool
+    /// bytes only — so every checkpoint writes this map into `prot.log`,
+    /// keeping data-structure roots findable across any number of them.
     roots: BTreeMap<(PmoId, u32), u64>,
-    /// Records appended since the last checkpoint of either kind — the
-    /// owner's trigger signal for incremental checkpoints.
+    /// Records appended since the last checkpoint.
     records_since_ckpt: u64,
+    /// Committed length of `ckpt.log`.
+    ckpt_len: u64,
+    /// Length `ckpt.log` had when it was last compacted (at open: its
+    /// committed length) — the size of the image it encodes.
+    image_len: u64,
 }
 
-fn read_file_opt(path: &Path) -> Result<Vec<u8>, PersistError> {
+fn read_file_opt(path: &Path) -> Result<Option<Vec<u8>>, PersistError> {
     match fs::read(path) {
-        Ok(bytes) => Ok(bytes),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(e.into()),
     }
 }
 
+/// Replaces `path` atomically: temp file, fsync, rename. A crash leaves the
+/// old file or the new one, never a mixture.
+fn publish(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut f = fs::File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_data()?;
+    drop(f);
+    fs::rename(&tmp, path)?;
+    Ok(())
+}
+
+/// Reads and decodes the committed checkpoint of the store at `dir` (see
+/// [`CheckpointImage::decode`]); a directory that never checkpointed yields
+/// the empty image.
+pub fn load_checkpoint(dir: &Path) -> Result<CheckpointImage, PersistError> {
+    let ckpt = read_file_opt(&dir.join(CKPT_FILE))?.unwrap_or_default();
+    let prot = read_file_opt(&dir.join(PROT_FILE))?;
+    CheckpointImage::decode(&ckpt, prot.as_deref())
+}
+
 impl DurableStore {
     /// Opens (creating if needed) the store at `dir`, recovering whatever
-    /// state its snapshots and logs describe, with the log writer
+    /// state its checkpoint and log describe, with the log writer
     /// `visibility` calls for. The returned [`RecoveredState`] holds the
     /// rebuilt registry — with every crash-open exposure window
     /// force-closed and resealed — and the [`RecoveryReport`] the metrics
@@ -150,33 +180,44 @@ impl DurableStore {
     ///
     /// # Errors
     ///
-    /// I/O failures, snapshot corruption, or snapshot/log inconsistency
-    /// (see [`crate::recovery::recover`]). A torn log tail is *not* an
-    /// error: it is truncated away and reported.
+    /// I/O failures, damage inside a completed checkpoint, or checkpoint/log
+    /// inconsistency (see [`crate::recovery::Replay::apply`]). A torn WAL
+    /// tail is *not* an error: it is truncated away and reported, as are
+    /// the `ckpt.log` bytes of a checkpoint that never committed.
     pub fn open(
         dir: &Path,
         visibility: Visibility,
     ) -> Result<(Self, RecoveredState, RecoveryReport), PersistError> {
+        let start = std::time::Instant::now();
         fs::create_dir_all(dir)?;
-        let snapshots = load_snapshots(dir)?;
-        let ckpt_bytes = read_file_opt(&dir.join(CKPT_FILE))?;
-        let prot_bytes = read_file_opt(&dir.join(PROT_FILE))?;
-        let wal_path = dir.join(WAL_FILE);
-        let log_bytes = read_file_opt(&wal_path)?;
-        let (state, report) =
-            recover_segments(&snapshots, &[&ckpt_bytes, &prot_bytes, &log_bytes])?;
-        // Reopening truncates the torn tail physically and positions the
-        // writer after the last valid record.
-        let (mut wal, _contents) = WalWriter::open(&wal_path)?;
-        // Snapshot and checkpoint watermarks may exceed every surviving
-        // record's seq (the WAL is truncated at checkpoints); keep seq
-        // strictly increasing past all durable sources.
-        let mut floor = snapshots.iter().map(|s| s.wal_seq + 1).max().unwrap_or(0);
-        for seg in [&ckpt_bytes, &prot_bytes] {
-            if let Some(last) = read_log(seg).last_seq() {
-                floor = floor.max(last + 1);
+        // A crash mid-`publish` leaves a temp file nothing ever reads.
+        for name in [CKPT_FILE, PROT_FILE] {
+            match fs::remove_file(dir.join(format!("{name}.tmp"))) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+                _ => {}
             }
         }
+        let image = load_checkpoint(dir)?;
+        let wal_path = dir.join(WAL_FILE);
+        let log_bytes = read_file_opt(&wal_path)?.unwrap_or_default();
+        let (state, mut report) = recover_from(&image, &log_bytes)?;
+        // Reopening truncates the torn tails physically — the WAL's and an
+        // uncommitted checkpoint's — and positions the writer after the
+        // last valid record.
+        match OpenOptions::new().write(true).open(dir.join(CKPT_FILE)) {
+            Ok(f) if f.metadata()?.len() > image.ckpt_len => {
+                f.set_len(image.ckpt_len)?;
+                f.sync_data()?;
+            }
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e.into()),
+        }
+        let (mut wal, _contents) = WalWriter::open(&wal_path)?;
+        // The checkpoint's seq may exceed every surviving record's (the WAL
+        // is truncated at checkpoints); keep seq strictly increasing past
+        // all durable sources.
+        let floor = image.seq.map_or(0, |seq| seq + 1);
         if floor > wal.next_seq() {
             wal.set_next_seq(floor);
         }
@@ -184,12 +225,15 @@ impl DurableStore {
             Visibility::Durable => Backend::Inline(wal),
             Visibility::Submit => Backend::Pipelined(AsyncWalWriter::spawn(wal)),
         };
+        report.recovery_ns = start.elapsed().as_nanos();
         Ok((
             DurableStore {
                 dir: dir.to_path_buf(),
                 backend,
                 roots: state.roots.clone(),
                 records_since_ckpt: 0,
+                ckpt_len: image.ckpt_len,
+                image_len: image.ckpt_len,
             },
             state,
             report,
@@ -256,9 +300,11 @@ impl DurableStore {
         }
     }
 
-    /// Records appended since the last checkpoint of either kind.
-    pub fn records_since_checkpoint(&self) -> u64 {
-        self.records_since_ckpt
+    /// Whether the owner should checkpoint at the end of the operation in
+    /// progress: [`CHECKPOINT_TRIGGER`] records have been logged since the
+    /// last one, which is what bounds the WAL and the replay of a restart.
+    pub fn checkpoint_due(&self) -> bool {
+        self.records_since_ckpt >= CHECKPOINT_TRIGGER
     }
 
     fn truncate_backend(&mut self) -> Result<(), PersistError> {
@@ -268,167 +314,115 @@ impl DurableStore {
         }
     }
 
-    /// Checkpoints the given pools in full: snapshots them and truncates
-    /// the log (and any incremental-checkpoint files, which the snapshots
-    /// supersede). Returns the number of snapshots written.
+    /// Checkpoints the given pools and truncates the log. Returns the
+    /// number of page images written.
     ///
-    /// The caller must pass the *current* state of every pool whose
-    /// mutations were logged through this store — a pool left out keeps
-    /// replaying from its last snapshot (or from scratch), which stays
-    /// correct only while its old records are still in the log.
+    /// The page set is the store's choice. When the trigger forced the
+    /// checkpoint ([`Self::checkpoint_due`]) somebody's operation is
+    /// waiting: only pools and pages dirtied since the last checkpoint are
+    /// appended to `ckpt.log`. When it did not — the owner drains, or asks
+    /// explicitly — or `ckpt.log` has outgrown twice the image it encodes,
+    /// the checkpoint compacts: every resident page of every pool, written
+    /// behind a temp file + rename that replaces `ckpt.log`.
     ///
-    /// Truncation also discards protection-state records, so a checkpoint
-    /// must be taken at a protection-quiescent point (no exposure window or
-    /// session open — e.g. a service drain); if any window is still open,
-    /// re-log its `WindowOpen` immediately after this returns, or a later
-    /// crash will not know to reseal it. (Non-quiescent checkpoints belong
-    /// to [`DurableStore::checkpoint_incremental`], which carries the
-    /// protection state explicitly.)
+    /// No quiescent point is needed: pass the current protection state
+    /// (`WindowOpen`/`SessionOpen` for every open window/session) in
+    /// `protection` — it is preserved in `prot.log` so a later crash still
+    /// knows exactly what to reseal. The live root directory is carried
+    /// automatically. Every pool whose mutations were logged through this
+    /// store must be passed; clean pools cost an append nothing.
     ///
     /// # Errors
     ///
-    /// I/O failures; the store stays usable and the log intact if a
-    /// snapshot fails to write.
+    /// I/O failures; the store stays usable and the WAL intact if the
+    /// checkpoint fails before it is committed.
     pub fn checkpoint<'a>(
-        &mut self,
-        pools: impl IntoIterator<Item = &'a mut Pmo>,
-    ) -> Result<usize, PersistError> {
-        let watermark = self.log(&WalRecord::Checkpoint)?;
-        self.sync()?;
-        let mut written = 0usize;
-        let mut seen: Vec<&'a mut Pmo> = Vec::new();
-        for pool in pools {
-            PoolSnapshot::capture(pool, watermark).write_to(&self.dir)?;
-            written += 1;
-            seen.push(pool);
-        }
-        self.truncate_backend()?;
-        for name in [CKPT_FILE, PROT_FILE] {
-            match fs::remove_file(self.dir.join(name)) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        // Re-seed the fresh log with the root directory: RootSet records
-        // are watermark-exempt (snapshots never carry them), so without
-        // this a recovery after the next crash would find no roots at all.
-        if !self.roots.is_empty() {
-            for ((pmo, key), oid) in self.roots.clone() {
-                self.log(&WalRecord::RootSet { pmo, key, oid })?;
-            }
-            self.sync()?;
-        }
-        for pool in seen {
-            pool.clear_dirty();
-        }
-        self.records_since_ckpt = 0;
-        Ok(written)
-    }
-
-    /// Incremental checkpoint: appends only state dirtied since the last
-    /// checkpoint to the delta log, rewrites the protection snapshot, and
-    /// truncates the WAL. Returns the number of page deltas written.
-    ///
-    /// Unlike [`DurableStore::checkpoint`] this does *not* require a
-    /// protection-quiescent point: pass the current protection state
-    /// (`WindowOpen`/`SessionOpen` records for every open window/session)
-    /// in `protection` — it is preserved in `prot.log` so a later crash
-    /// still knows exactly what to reseal. The live root directory is
-    /// carried automatically.
-    ///
-    /// As with the full checkpoint, every pool whose mutations were logged
-    /// through this store must be passed; clean pools cost nothing.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures; the store stays usable and the WAL intact if a delta
-    /// write fails.
-    pub fn checkpoint_incremental<'a>(
         &mut self,
         pools: impl IntoIterator<Item = &'a mut Pmo>,
         protection: &[WalRecord],
     ) -> Result<usize, PersistError> {
-        let watermark = self.log(&WalRecord::Checkpoint)?;
-        self.sync()?;
+        let compact = !self.checkpoint_due() || self.ckpt_len >= 2 * self.image_len;
+        let watermark = self.next_seq();
 
-        // Step 1: dirty state → delta log, one fsync for the whole batch.
-        let mut delta: Vec<u8> = Vec::new();
+        let mut batch: Vec<u8> = Vec::new();
         let mut pages = 0usize;
         let mut seen: Vec<&'a mut Pmo> = Vec::new();
         for pool in pools {
-            if pool.is_checkpoint_dirty() {
-                delta.extend_from_slice(
-                    &WalRecord::PoolCreate {
-                        id: pool.id(),
-                        name: pool.name().to_string(),
-                        size: pool.size(),
-                        mode: pool.mode(),
+            if compact || pool.is_checkpoint_dirty() {
+                WalRecord::PoolCreate {
+                    id: pool.id(),
+                    name: pool.name().to_string(),
+                    size: pool.size(),
+                    mode: pool.mode(),
+                }
+                .encode_into(watermark, &mut batch);
+                let mut page_delta = |(page, bytes): (u64, &[u8])| {
+                    WalRecord::PageDelta {
+                        pmo: pool.id(),
+                        page,
+                        data: bytes.to_vec(),
                     }
-                    .encode(watermark),
-                );
-                for (page, bytes) in pool.export_dirty_pages() {
-                    delta.extend_from_slice(
-                        &WalRecord::PageDelta {
-                            pmo: pool.id(),
-                            page,
-                            data: bytes.to_vec(),
-                        }
-                        .encode(watermark),
-                    );
+                    .encode_into(watermark, &mut batch);
                     pages += 1;
+                };
+                if compact {
+                    pool.export_pages().for_each(&mut page_delta);
+                } else {
+                    pool.export_dirty_pages().for_each(&mut page_delta);
                 }
                 // AllocTable LAST within the pool's batch: its replay
                 // raises the pool's watermark to this seq, which would
                 // self-skip the PageDeltas above if it came first.
-                let live: Vec<(u64, u64)> = pool.allocator().live_blocks().collect();
-                delta.extend_from_slice(
-                    &WalRecord::AllocTable {
-                        pmo: pool.id(),
-                        live,
-                    }
-                    .encode(watermark),
-                );
+                WalRecord::AllocTable {
+                    pmo: pool.id(),
+                    live: pool.allocator().live_blocks().collect(),
+                }
+                .encode_into(watermark, &mut batch);
             }
             seen.push(pool);
         }
-        if !delta.is_empty() {
-            let mut f = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(self.dir.join(CKPT_FILE))?;
-            f.write_all(&delta)?;
+        let ckpt_len = batch.len() as u64 + if compact { 0 } else { self.ckpt_len };
+
+        // Step 1: the marker, and with it everything logged so far.
+        let marker = WalRecord::Checkpoint { ckpt_len };
+        let seq = self.log(&marker)?;
+        debug_assert_eq!(seq, watermark);
+        self.sync()?;
+
+        // Step 2: the image. Bytes appended here lie past the committed
+        // length until step 3; a compacted image carries a seq above
+        // prot.log's until then. Either is ignorable debris after a crash.
+        let ckpt_path = self.dir.join(CKPT_FILE);
+        if compact {
+            publish(&ckpt_path, &batch)?;
+        } else if !batch.is_empty() {
+            // At the committed length, not wherever an earlier checkpoint
+            // that failed half-way left the end of the file.
+            let mut f = OpenOptions::new().write(true).open(&ckpt_path)?;
+            f.set_len(self.ckpt_len)?;
+            f.seek(SeekFrom::End(0))?;
+            f.write_all(&batch)?;
             f.sync_data()?;
         }
 
-        // Step 2: protection + roots snapshot, atomic rewrite. Always
-        // rewritten — even to empty — so windows closed since the last
-        // incremental checkpoint stop being re-resealed. (A stale prot.log
-        // after a crash mid-step only over-reseals, which is safe.)
-        let mut prot: Vec<u8> = Vec::new();
+        // Step 3: protection + roots, atomic rewrite — the commit. Always
+        // rewritten, so windows closed since the last checkpoint stop
+        // being resealed.
+        let mut prot = marker.encode(watermark);
         for rec in protection {
-            prot.extend_from_slice(&rec.encode(watermark));
+            rec.encode_into(watermark, &mut prot);
         }
-        for ((pmo, key), oid) in &self.roots {
-            prot.extend_from_slice(
-                &WalRecord::RootSet {
-                    pmo: *pmo,
-                    key: *key,
-                    oid: *oid,
-                }
-                .encode(watermark),
-            );
+        for (&(pmo, key), &oid) in &self.roots {
+            WalRecord::RootSet { pmo, key, oid }.encode_into(watermark, &mut prot);
         }
-        let tmp = self.dir.join(format!("{PROT_FILE}.tmp"));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&prot)?;
-            f.sync_data()?;
+        publish(&self.dir.join(PROT_FILE), &prot)?;
+        self.ckpt_len = ckpt_len;
+        if compact {
+            self.image_len = ckpt_len;
         }
-        fs::rename(&tmp, self.dir.join(PROT_FILE))?;
 
-        // Step 3: the WAL's records are superseded (data by the deltas +
-        // AllocTable watermark, protection by prot.log).
+        // Step 4: the WAL's records are superseded (data by the image and
+        // its AllocTable watermarks, protection by prot.log).
         self.truncate_backend()?;
         for pool in seen {
             pool.clear_dirty();
@@ -547,6 +541,26 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Logs harmless records until the trigger fires, so that the next
+    /// checkpoint is a forced one: it appends instead of compacting.
+    fn fill_to_trigger(store: &mut DurableStore) {
+        while !store.checkpoint_due() {
+            store.log(&WalRecord::Randomize { pmo: id(1) }).unwrap();
+        }
+    }
+
+    fn file_len(dir: &Path, name: &str) -> u64 {
+        fs::metadata(dir.join(name)).unwrap().len()
+    }
+
+    fn read_first_block(state: &RecoveredState) -> [u8; 13] {
+        let pool = state.registry.pool(id(1)).unwrap();
+        let (off, _) = pool.allocator().live_blocks().next().unwrap();
+        let mut buf = [0u8; 13];
+        pool.read_bytes(off, &mut buf).unwrap();
+        buf
+    }
+
     #[test]
     fn checkpoint_truncates_log_and_survives_reopen() {
         let dir = tmp_dir("ckpt");
@@ -554,21 +568,23 @@ mod tests {
             let (mut store, _, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
-            assert_eq!(store.checkpoint(reg.iter_mut()).unwrap(), 1);
-            assert_eq!(fs::metadata(store.wal_path()).unwrap().len(), 0);
+            assert_eq!(store.checkpoint(reg.iter_mut(), &[]).unwrap(), 1);
+            assert_eq!(file_len(&dir, WAL_FILE), 0);
+            let mut names: Vec<_> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            assert_eq!(names, [CKPT_FILE, PROT_FILE, WAL_FILE], "nothing else");
         }
         let (_, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
-        assert_eq!(report.snapshots_installed, 1);
-        assert_eq!(report.records_replayed, 0, "log was truncated");
-        // The window state lived only in the truncated log — the checkpoint
-        // is a quiescent point, so nothing needs resealing...
+        // The image of one pool: PoolCreate, one page, AllocTable.
+        assert_eq!(report.records_replayed, 3, "log was truncated");
+        // The caller listed no open window — it checkpointed at a quiescent
+        // point — so nothing needs resealing...
         assert_eq!(report.windows_resealed, 0);
         // ...but the data is all there.
-        let pool = state.registry.pool(id(1)).unwrap();
-        let (off, _) = pool.allocator().live_blocks().next().unwrap();
-        let mut buf = [0u8; 13];
-        pool.read_bytes(off, &mut buf).unwrap();
-        assert_eq!(&buf, b"durable bytes");
+        assert_eq!(&read_first_block(&state), b"durable bytes");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -579,7 +595,7 @@ mod tests {
             let (mut store, _, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
-            store.checkpoint(reg.iter_mut()).unwrap();
+            store.checkpoint(reg.iter_mut(), &[]).unwrap();
             // More work after the checkpoint.
             let pid = id(1);
             let oid2 = reg.pool_mut(pid).unwrap().pmalloc(32).unwrap();
@@ -593,7 +609,7 @@ mod tests {
             store.sync().unwrap();
         }
         let (_, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
-        assert_eq!(report.records_replayed, 1);
+        assert_eq!(report.records_replayed, 3 + 1);
         assert_eq!(
             report.records_skipped, 0,
             "truncated log holds no stale records"
@@ -635,12 +651,18 @@ mod tests {
                     oid: 0,
                 })
                 .unwrap();
-            // Checkpoint truncates the WAL; only the live root must be
-            // re-seeded into the fresh log.
-            store.checkpoint(reg.iter_mut()).unwrap();
-            assert!(
-                fs::metadata(store.wal_path()).unwrap().len() > 0,
-                "checkpoint must re-log live roots after truncation"
+            // Checkpoint truncates the WAL; only the live root is carried,
+            // in the protection snapshot.
+            store.checkpoint(reg.iter_mut(), &[]).unwrap();
+            assert_eq!(file_len(&dir, WAL_FILE), 0);
+            let image = load_checkpoint(&dir).unwrap();
+            assert_eq!(
+                image.protection.iter().map(|(_, r)| r).collect::<Vec<_>>(),
+                [&WalRecord::RootSet {
+                    pmo: id(1),
+                    key: 7,
+                    oid: packed
+                }]
             );
             assert_eq!(store.roots().len(), 1);
         }
@@ -678,29 +700,48 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Workload, a compacting checkpoint with the window carried, one more
+    /// dirtied page, then a trigger-forced (appending) checkpoint.
+    fn incremental_on_top_of_full(store: &mut DurableStore, reg: &mut PmoRegistry) {
+        let open = [WalRecord::WindowOpen { pmo: id(1) }];
+        workload(store, reg);
+        store.checkpoint(reg.iter_mut(), &open).unwrap();
+        let image = file_len(store.dir(), CKPT_FILE);
+        reg.pool_mut(id(1))
+            .unwrap()
+            .write_bytes(2 * terp_pmo::PAGE_SIZE, b"second page")
+            .unwrap();
+        store
+            .log(&WalRecord::DataWrite {
+                pmo: id(1),
+                offset: 2 * terp_pmo::PAGE_SIZE,
+                data: b"second page".to_vec(),
+            })
+            .unwrap();
+        fill_to_trigger(store);
+        let pages = store.checkpoint(reg.iter_mut(), &open).unwrap();
+        assert_eq!(pages, 1, "only the page dirtied since the last checkpoint");
+        assert_eq!(file_len(store.dir(), WAL_FILE), 0);
+        assert!(file_len(store.dir(), CKPT_FILE) > image, "appended");
+    }
+
     #[test]
     fn incremental_checkpoint_truncates_wal_and_preserves_protection() {
         let dir = tmp_dir("inc-ckpt");
         {
             let (mut store, _, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
-            let mut reg = PmoRegistry::new();
-            workload(&mut store, &mut reg);
-            // The window from the workload is still open — carry it.
-            let pages = store
-                .checkpoint_incremental(reg.iter_mut(), &[WalRecord::WindowOpen { pmo: id(1) }])
-                .unwrap();
-            assert!(pages >= 1, "the dirtied data page must be delta-logged");
-            assert_eq!(fs::metadata(store.wal_path()).unwrap().len(), 0);
-            assert!(fs::metadata(dir.join(CKPT_FILE)).unwrap().len() > 0);
-            assert!(fs::metadata(dir.join(PROT_FILE)).unwrap().len() > 0);
+            incremental_on_top_of_full(&mut store, &mut PmoRegistry::new());
             // Crash here (drop without further checkpoint).
         }
         let (_, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
-        // Data comes back from the delta log, the open window from
+        // Data comes back from the checkpoint log, the open window from
         // prot.log — and is resealed, the TERP invariant.
         assert_recovered(&state);
         assert_eq!(report.windows_resealed, 1);
-        assert_eq!(report.snapshots_installed, 0, "no full snapshot written");
+        let mut buf = [0u8; 11];
+        let pool = state.registry.pool(id(1)).unwrap();
+        pool.read_bytes(2 * terp_pmo::PAGE_SIZE, &mut buf).unwrap();
+        assert_eq!(&buf, b"second page");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -711,16 +752,13 @@ mod tests {
         let mut reg = PmoRegistry::new();
         workload(&mut store, &mut reg);
         store.log(&WalRecord::WindowClose { pmo: id(1) }).unwrap();
-        assert!(store.checkpoint_incremental(reg.iter_mut(), &[]).unwrap() >= 1);
-        let first_len = fs::metadata(dir.join(CKPT_FILE)).unwrap().len();
+        assert!(store.checkpoint(reg.iter_mut(), &[]).unwrap() >= 1);
+        let first_len = file_len(&dir, CKPT_FILE);
 
-        // Nothing dirtied since: the next incremental checkpoint appends no
-        // page deltas at all.
-        assert_eq!(
-            store.checkpoint_incremental(reg.iter_mut(), &[]).unwrap(),
-            0
-        );
-        assert_eq!(fs::metadata(dir.join(CKPT_FILE)).unwrap().len(), first_len);
+        // Nothing dirtied since: a forced checkpoint appends nothing at all.
+        fill_to_trigger(&mut store);
+        assert_eq!(store.checkpoint(reg.iter_mut(), &[]).unwrap(), 0);
+        assert_eq!(file_len(&dir, CKPT_FILE), first_len);
 
         // One small write dirties exactly one page.
         reg.pool_mut(id(1)).unwrap().write_bytes(64, b"x").unwrap();
@@ -731,10 +769,8 @@ mod tests {
                 data: b"x".to_vec(),
             })
             .unwrap();
-        assert_eq!(
-            store.checkpoint_incremental(reg.iter_mut(), &[]).unwrap(),
-            1
-        );
+        fill_to_trigger(&mut store);
+        assert_eq!(store.checkpoint(reg.iter_mut(), &[]).unwrap(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -744,12 +780,9 @@ mod tests {
         {
             let (mut store, _, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
             let mut reg = PmoRegistry::new();
-            workload(&mut store, &mut reg);
-            store
-                .checkpoint_incremental(reg.iter_mut(), &[WalRecord::WindowOpen { pmo: id(1) }])
-                .unwrap();
+            incremental_on_top_of_full(&mut store, &mut reg);
             // More work after the checkpoint: must replay on top of the
-            // delta-restored allocator without divergence.
+            // restored allocator without divergence.
             let oid2 = reg.pool_mut(id(1)).unwrap().pmalloc(32).unwrap();
             store
                 .log(&WalRecord::Alloc {
@@ -773,19 +806,168 @@ mod tests {
         let dir = tmp_dir("inc-full");
         let (mut store, _, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
         let mut reg = PmoRegistry::new();
-        workload(&mut store, &mut reg);
-        store.log(&WalRecord::WindowClose { pmo: id(1) }).unwrap();
-        store.checkpoint_incremental(reg.iter_mut(), &[]).unwrap();
-        assert!(dir.join(CKPT_FILE).exists());
-        store.checkpoint(reg.iter_mut()).unwrap();
-        assert!(!dir.join(CKPT_FILE).exists(), "delta log deleted");
-        assert!(!dir.join(PROT_FILE).exists(), "protection snapshot deleted");
+        incremental_on_top_of_full(&mut store, &mut reg);
+        let appended = file_len(&dir, CKPT_FILE);
+        // Nobody forced this one: it compacts, and the image that replaces
+        // the batches holds each page once.
+        assert_eq!(store.checkpoint(reg.iter_mut(), &[]).unwrap(), 2);
+        assert!(file_len(&dir, CKPT_FILE) < appended, "batches replaced");
         drop(store);
         let (_, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
-        assert_eq!(report.snapshots_installed, 1);
+        assert_eq!(
+            report.records_replayed, 4,
+            "PoolCreate, 2 pages, AllocTable"
+        );
+        assert_eq!(report.windows_resealed, 0, "the last snapshot listed none");
         let pool = state.registry.pool(id(1)).unwrap();
         assert_eq!(pool.allocator().live_count(), 1);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `ckpt.log` is compacted once it has outgrown twice the image, also
+    /// when every checkpoint is a forced one — the log stays bounded.
+    #[test]
+    fn forced_checkpoints_compact_once_the_log_doubles() {
+        let dir = tmp_dir("inc-bound");
+        let (mut store, _, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
+        let mut reg = PmoRegistry::new();
+        workload(&mut store, &mut reg);
+        let mut lens = Vec::new();
+        for round in 0u8..6 {
+            reg.pool_mut(id(1))
+                .unwrap()
+                .write_bytes(64, &[round])
+                .unwrap();
+            store
+                .log(&WalRecord::DataWrite {
+                    pmo: id(1),
+                    offset: 64,
+                    data: vec![round],
+                })
+                .unwrap();
+            fill_to_trigger(&mut store);
+            store.checkpoint(reg.iter_mut(), &[]).unwrap();
+            lens.push(file_len(&dir, CKPT_FILE));
+        }
+        let image = lens[0];
+        assert_eq!(lens, [image, 2 * image, image, 2 * image, image, 2 * image]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Flipping any byte of a drained store's `ckpt.log` or `prot.log` makes
+    /// `open` fail — never succeed with fewer pools, pages, roots or
+    /// resealed windows.
+    #[test]
+    fn any_single_byte_corruption_is_detected() {
+        let dir = tmp_dir("flip");
+        {
+            let (mut store, _, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
+            let mut reg = PmoRegistry::new();
+            workload(&mut store, &mut reg);
+            store
+                .log(&WalRecord::RootSet {
+                    pmo: id(1),
+                    key: 3,
+                    oid: 0x0040_0000_0000_0080,
+                })
+                .unwrap();
+            let protection = [
+                WalRecord::WindowOpen { pmo: id(1) },
+                WalRecord::SessionOpen {
+                    client: 4,
+                    pmo: id(1),
+                    perm: terp_pmo::Permission::ReadWrite,
+                },
+            ];
+            store.checkpoint(reg.iter_mut(), &protection).unwrap();
+        }
+        for name in [CKPT_FILE, PROT_FILE] {
+            let path = dir.join(name);
+            let good = fs::read(&path).unwrap();
+            for victim in 0..good.len() {
+                let mut bad = good.clone();
+                bad[victim] ^= 0x01;
+                fs::write(&path, &bad).unwrap();
+                assert!(
+                    matches!(
+                        DurableStore::open(&dir, Visibility::Durable),
+                        Err(PersistError::CheckpointCorrupt(_))
+                    ),
+                    "{name}: byte {victim} corruption undetected"
+                );
+            }
+            fs::write(&path, &good).unwrap();
+        }
+        // So is a checkpoint log cut short, at any length: prot.log commits
+        // its exact size.
+        let path = dir.join(CKPT_FILE);
+        let good = fs::read(&path).unwrap();
+        for cut in 0..good.len() {
+            fs::write(&path, &good[..cut]).unwrap();
+            assert!(
+                DurableStore::open(&dir, Visibility::Durable).is_err(),
+                "cut at {cut} undetected"
+            );
+        }
+        fs::write(&path, &good).unwrap();
+        let (_, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
+        assert_recovered(&state);
+        assert_eq!(report.sessions_discarded, 1);
+        assert_eq!(report.roots_recovered, 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The hostile `PageDelta` cases of the recovery unit test, through the
+    /// front door: as a WAL record and inside a committed checkpoint.
+    #[test]
+    fn hostile_page_deltas_are_refused_at_open() {
+        let create = WalRecord::PoolCreate {
+            id: id(1),
+            name: "h".into(),
+            size: 1 << 16,
+            mode: OpenMode::ReadWrite,
+        };
+        let pool_pages = (1u64 << 16) / terp_pmo::PAGE_SIZE;
+        let cases = [
+            (0, terp_pmo::PAGE_SIZE as usize + 1),
+            (u64::MAX, 16),
+            (1 << 52, 16),
+            (pool_pages, 16),
+            (pool_pages + 1_000_000, 4096),
+        ];
+        for (page, len) in cases {
+            let delta = WalRecord::PageDelta {
+                pmo: id(1),
+                page,
+                data: vec![0x5A; len],
+            };
+            let mut frames = create.encode(0);
+            frames.extend_from_slice(&delta.encode(1));
+
+            let dir = tmp_dir("hostile-wal");
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(dir.join(WAL_FILE), &frames).unwrap();
+            let opened = DurableStore::open(&dir, Visibility::Durable);
+            assert!(
+                matches!(opened, Err(PersistError::ReplayDivergence { .. })),
+                "wal: page {page}, {len} bytes"
+            );
+            fs::remove_dir_all(&dir).unwrap();
+
+            let dir = tmp_dir("hostile-ckpt");
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(dir.join(CKPT_FILE), &frames).unwrap();
+            let commit = WalRecord::Checkpoint {
+                ckpt_len: frames.len() as u64,
+            };
+            fs::write(dir.join(PROT_FILE), commit.encode(1)).unwrap();
+            let opened = DurableStore::open(&dir, Visibility::Durable);
+            assert!(
+                matches!(opened, Err(PersistError::ReplayDivergence { .. })),
+                "ckpt: page {page}, {len} bytes"
+            );
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -840,12 +1022,7 @@ mod tests {
         let dir = tmp_dir("async-inc");
         {
             let (mut store, _, _) = DurableStore::open(&dir, Visibility::Submit).unwrap();
-            let mut reg = PmoRegistry::new();
-            workload(&mut store, &mut reg);
-            store
-                .checkpoint_incremental(reg.iter_mut(), &[WalRecord::WindowOpen { pmo: id(1) }])
-                .unwrap();
-            assert_eq!(fs::metadata(store.wal_path()).unwrap().len(), 0);
+            incremental_on_top_of_full(&mut store, &mut PmoRegistry::new());
         }
         let (_, state, report) = DurableStore::open(&dir, Visibility::Submit).unwrap();
         assert_recovered(&state);

@@ -10,10 +10,14 @@
 //! decode plus [`TailStatus::NeedMore`], and the next poll re-examines the
 //! same offset once the writer has finished the frame.
 //!
-//! The other thing a live file can do that a crashed one cannot is *shrink*:
-//! a checkpoint truncates the WAL after snapshotting. A reader whose offset
-//! is past end-of-file is not torn, it is obsolete — [`TailStatus::Truncated`]
-//! tells the shipper to restart that shard from a fresh snapshot.
+//! The other thing a live file can do that a crashed one cannot is *start
+//! over*: a checkpoint truncates the WAL once its image is committed. A
+//! reader positioned in the old log is not torn, it is obsolete —
+//! [`TailStatus::Truncated`] tells the shipper to send the checkpoint the
+//! truncation belongs to and restart the log from byte 0. File length alone
+//! cannot say so (the log may have regrown past the reader by the next
+//! poll); the reader remembers the sequence number of the log's first frame
+//! instead, which never repeats ([`crate::record::first_seq`]).
 //!
 //! Chunks carry both decoded records (for watermark accounting) and the raw
 //! validated frame bytes (so a follower can append them verbatim and end up
@@ -24,7 +28,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use crate::error::PersistError;
-use crate::record::{read_log, WalRecord};
+use crate::record::{first_seq, read_log, WalRecord};
 
 /// What [`TailReader::poll`] observed past the returned records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,9 +40,10 @@ pub enum TailStatus {
     /// tail, which under a live group-commit writer simply means the frame
     /// is still being written. Poll again; never treat as corruption.
     NeedMore,
-    /// The file shrank below the reader's offset (checkpoint truncation).
-    /// The offset has been reset to zero, but log shipping must restart
-    /// from a fresh snapshot — intervening records are gone.
+    /// The log the reader was positioned in is gone (checkpoint
+    /// truncation): the file is shorter than the reader's offset or starts
+    /// with another frame. The offset has been reset to zero; the records
+    /// in between live in the checkpoint that truncated them.
     Truncated,
 }
 
@@ -64,7 +69,7 @@ pub struct TailChunk {
 /// std::fs::create_dir_all(&dir)?;
 /// let path = dir.join("wal.log");
 /// let (mut w, _) = WalWriter::open(&path)?;
-/// w.append(&WalRecord::Checkpoint)?;
+/// w.append(&WalRecord::WindowOpen { pmo: terp_pmo::PmoId::new(1).unwrap() })?;
 /// w.sync()?;
 ///
 /// let mut tail = TailReader::new(&path);
@@ -80,6 +85,9 @@ pub struct TailChunk {
 pub struct TailReader {
     path: PathBuf,
     offset: u64,
+    /// Sequence number of the log's first frame, once one has been read:
+    /// the generation the offset belongs to.
+    generation: Option<u64>,
 }
 
 impl TailReader {
@@ -89,14 +97,7 @@ impl TailReader {
         TailReader {
             path: path.to_path_buf(),
             offset: 0,
-        }
-    }
-
-    /// A reader positioned at `offset` (bytes of log already shipped).
-    pub fn at_offset(path: &Path, offset: u64) -> Self {
-        TailReader {
-            path: path.to_path_buf(),
-            offset,
+            generation: None,
         }
     }
 
@@ -126,9 +127,18 @@ impl TailReader {
             Err(e) => return Err(e.into()),
         };
         let len = file.metadata()?.len();
-        if len < self.offset {
-            // Checkpoint truncated the log out from under us.
+        // With nothing past the offset there is nothing to misread: a log
+        // that regrew to exactly the old length is caught when it grows on.
+        let mut same_log = len >= self.offset;
+        if len > self.offset && self.offset > 0 {
+            let mut head = [0u8; 16];
+            file.read_exact(&mut head)?;
+            same_log = first_seq(&head) == self.generation;
+        }
+        if !same_log {
+            // A checkpoint truncated the log out from under us.
             self.offset = 0;
+            self.generation = None;
             return Ok(TailChunk {
                 records: Vec::new(),
                 bytes: Vec::new(),
@@ -141,6 +151,9 @@ impl TailReader {
 
         let decoded = read_log(&raw);
         let bytes = raw[..decoded.consumed].to_vec();
+        if self.offset == 0 {
+            self.generation = decoded.records.first().map(|(seq, _)| *seq);
+        }
         self.offset += decoded.consumed as u64;
         Ok(TailChunk {
             records: decoded.records,
@@ -256,6 +269,40 @@ mod tests {
         let chunk = tail.poll().unwrap();
         assert_eq!(chunk.records.len(), 1);
         assert_eq!(chunk.status, TailStatus::CaughtUp);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Truncation is recognised by what the log starts with, not by its
+    /// length: a log that regrew past the reader between two polls must not
+    /// be read from the old offset.
+    #[test]
+    fn truncation_is_seen_even_after_the_log_regrew() {
+        let dir = temp_dir("regrow");
+        let path = dir.join("wal.log");
+        let (mut w, _) = WalWriter::open(&path).unwrap();
+        for n in 0..4 {
+            w.append(&rec(n)).unwrap();
+        }
+        w.sync().unwrap();
+        let mut tail = TailReader::new(&path);
+        assert_eq!(tail.poll().unwrap().records.len(), 4);
+
+        w.truncate().unwrap();
+        for n in 4..12 {
+            w.append(&rec(n)).unwrap();
+        }
+        w.sync().unwrap();
+        assert!(std::fs::metadata(&path).unwrap().len() > tail.offset());
+        let chunk = tail.poll().unwrap();
+        assert_eq!(chunk.status, TailStatus::Truncated);
+        assert!(chunk.records.is_empty());
+        let chunk = tail.poll().unwrap();
+        let seqs: Vec<u64> = chunk.records.iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(
+            seqs,
+            (4..12).collect::<Vec<_>>(),
+            "the new log, from the top"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

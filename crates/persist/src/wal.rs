@@ -11,7 +11,7 @@
 //! the frame format is designed to detect.
 //!
 //! Sequence numbers are assigned at append time and keep increasing across
-//! checkpoint truncation, so snapshot `wal_seq` watermarks stay comparable
+//! checkpoint truncation, so checkpoint watermarks stay comparable
 //! to every later record.
 
 use std::fs::{File, OpenOptions};
@@ -160,7 +160,7 @@ impl WalWriter {
     }
 
     /// Truncates the log after a checkpoint: the sink is emptied but
-    /// sequence numbers keep increasing, so snapshot watermarks remain
+    /// sequence numbers keep increasing, so checkpoint watermarks remain
     /// comparable to post-checkpoint records. Buffered records are dropped
     /// too — the checkpoint already made their effects durable.
     pub fn truncate(&mut self) -> Result<(), PersistError> {

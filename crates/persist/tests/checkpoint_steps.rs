@@ -1,0 +1,520 @@
+//! The checkpoint protocol at every crash step, and the bound it buys.
+//!
+//! A scripted history — three pools, two exposure windows and their
+//! sessions left open, a root, one transaction abandoned in flight — runs
+//! against a real [`DurableStore`] while every record it logs is also kept,
+//! un-truncated, as the *uncheckpointed reference*. Then a checkpoint runs,
+//! and from the directory before and after it the test materialises every
+//! on-disk state the protocol passes through:
+//!
+//! 1. the `Checkpoint` record synced to the WAL;
+//! 2. the image batch cut at every [`enumerate_crash_points`] position —
+//!    appended to `ckpt.log`, or in the temp file of a compacting checkpoint;
+//! 3. the image fsynced (and, compacting, renamed), `prot.log.tmp` present —
+//!    empty, torn, complete;
+//! 4. `prot.log` renamed, the WAL not yet truncated — whole, or damaged
+//!    anywhere (it is redundant by now);
+//! 5. the WAL truncated.
+//!
+//! At each one, [`DurableStore::open`] must recover byte-identically to the
+//! reference — pages, allocator, roots — and reseal exactly the windows the
+//! reference has open: a checkpoint never changes what a crash recovers to.
+//! Both page sets (the compacting one and the appending one on top of it),
+//! both [`Visibility`] values.
+//!
+//! The second test states bounded recovery in counts, not times.
+
+use std::collections::BTreeSet;
+use std::fs;
+use std::path::{Path, PathBuf};
+
+use terp_persist::{
+    enumerate_crash_points, inject, load_checkpoint, read_log, recover, DurableStore,
+    RecoveredState, Visibility, WalRecord, CHECKPOINT_TRIGGER, CKPT_FILE, PROT_FILE, WAL_FILE,
+};
+use terp_pmo::{OpenMode, Permission, PmoId, PmoRegistry, Transaction, PAGE_SIZE};
+
+const POOL_SIZE: u64 = 1 << 18;
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("terp-ckpt-steps-{tag}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A live registry and its store, as a durable service pairs them, plus
+/// the reference: every record ever logged, never truncated.
+struct Leader {
+    reg: PmoRegistry,
+    store: DurableStore,
+    reference: Vec<u8>,
+}
+
+impl Leader {
+    fn open(dir: &Path, visibility: Visibility) -> Self {
+        let (store, _, _) = DurableStore::open(dir, visibility).unwrap();
+        Leader {
+            reg: PmoRegistry::new(),
+            store,
+            reference: Vec::new(),
+        }
+    }
+
+    fn log(&mut self, record: WalRecord) {
+        let seq = self.store.log(&record).unwrap();
+        self.reference.extend_from_slice(&record.encode(seq));
+    }
+
+    fn create(&mut self, name: &str) -> PmoId {
+        let id = self
+            .reg
+            .create(name, POOL_SIZE, OpenMode::ReadWrite)
+            .unwrap();
+        self.log(WalRecord::PoolCreate {
+            id,
+            name: name.into(),
+            size: POOL_SIZE,
+            mode: OpenMode::ReadWrite,
+        });
+        id
+    }
+
+    fn alloc(&mut self, pmo: PmoId, size: u64) -> u64 {
+        let offset = self
+            .reg
+            .pool_mut(pmo)
+            .unwrap()
+            .pmalloc(size)
+            .unwrap()
+            .offset();
+        self.log(WalRecord::Alloc { pmo, size, offset });
+        offset
+    }
+
+    fn write(&mut self, pmo: PmoId, offset: u64, data: &[u8]) {
+        self.reg
+            .pool_mut(pmo)
+            .unwrap()
+            .write_bytes(offset, data)
+            .unwrap();
+        self.log(WalRecord::DataWrite {
+            pmo,
+            offset,
+            data: data.to_vec(),
+        });
+    }
+
+    /// Runs an opaque mutation (a transaction) and logs its physical
+    /// footprint: new live blocks as `Alloc`s, changed pages as whole-page
+    /// `DataWrite`s, both in address order.
+    fn mirrored(&mut self, pmo: PmoId, mutate: impl FnOnce(&mut terp_pmo::Pmo)) {
+        let snapshot = |reg: &PmoRegistry| {
+            let pool = reg.pool(pmo).unwrap();
+            let live: Vec<(u64, u64)> = pool.allocator().live_blocks().collect();
+            let pages: Vec<(u64, Vec<u8>)> =
+                pool.export_pages().map(|(i, b)| (i, b.to_vec())).collect();
+            (live, pages)
+        };
+        let (live_before, pages_before) = snapshot(&self.reg);
+        mutate(self.reg.pool_mut(pmo).unwrap());
+        let (live, pages) = snapshot(&self.reg);
+        for (offset, size) in live.into_iter().filter(|b| !live_before.contains(b)) {
+            self.log(WalRecord::Alloc { pmo, size, offset });
+        }
+        for (idx, bytes) in pages {
+            if !pages_before.contains(&(idx, bytes.clone())) {
+                self.log(WalRecord::DataWrite {
+                    pmo,
+                    offset: idx * PAGE_SIZE,
+                    data: bytes,
+                });
+            }
+        }
+    }
+
+    /// Logs harmless records until the store's trigger fires, so that the
+    /// next checkpoint is a forced one and appends.
+    fn fill_to_trigger(&mut self, pmo: PmoId) {
+        while !self.store.checkpoint_due() {
+            self.log(WalRecord::Randomize { pmo });
+        }
+    }
+}
+
+type PoolPrint = (u16, String, Vec<(u64, u64)>, Vec<(u64, Vec<u8>)>);
+type Roots = Vec<((PmoId, u32), u64)>;
+
+/// Everything recovery rebuilds, byte for byte.
+fn fingerprint(state: &RecoveredState) -> (Vec<PoolPrint>, Roots) {
+    let pools = state
+        .registry
+        .iter()
+        .map(|p| {
+            (
+                p.id().raw(),
+                p.name().to_string(),
+                p.allocator().live_blocks().collect(),
+                p.export_pages().map(|(i, b)| (i, b.to_vec())).collect(),
+            )
+        })
+        .collect();
+    (pools, state.roots.iter().map(|(k, v)| (*k, *v)).collect())
+}
+
+/// The files of one store directory (absent = `None`).
+#[derive(Clone, Default)]
+struct Files {
+    wal: Vec<u8>,
+    ckpt: Option<Vec<u8>>,
+    ckpt_tmp: Option<Vec<u8>>,
+    prot: Option<Vec<u8>>,
+    prot_tmp: Option<Vec<u8>>,
+}
+
+impl Files {
+    fn read(dir: &Path) -> Files {
+        let read = |name: &str| fs::read(dir.join(name)).ok();
+        Files {
+            wal: read(WAL_FILE).unwrap_or_default(),
+            ckpt: read(CKPT_FILE),
+            prot: read(PROT_FILE),
+            ..Files::default()
+        }
+    }
+
+    fn write(&self, dir: &Path) {
+        let _ = fs::remove_dir_all(dir);
+        fs::create_dir_all(dir).unwrap();
+        fs::write(dir.join(WAL_FILE), &self.wal).unwrap();
+        let tmp = |name: &str| format!("{name}.tmp");
+        for (name, bytes) in [
+            (CKPT_FILE.to_string(), &self.ckpt),
+            (tmp(CKPT_FILE), &self.ckpt_tmp),
+            (PROT_FILE.to_string(), &self.prot),
+            (tmp(PROT_FILE), &self.prot_tmp),
+        ] {
+            if let Some(bytes) = bytes {
+                fs::write(dir.join(name), bytes).unwrap();
+            }
+        }
+    }
+}
+
+/// Every on-disk state between `before` and `after` one checkpoint, in
+/// protocol order, labelled.
+fn protocol_states(before: &Files, after: &Files) -> Vec<(String, Files)> {
+    let old_ckpt = before.ckpt.clone().unwrap_or_default();
+    let new_ckpt = after.ckpt.clone().unwrap();
+    let new_prot = after.prot.clone().unwrap();
+    // prot.log opens with the very frame step 1 appended to the WAL.
+    let marker_len = 8 + u32::from_le_bytes(new_prot[..4].try_into().unwrap()) as usize;
+    assert!(matches!(
+        read_log(&new_prot[..marker_len]).records[..],
+        [(_, WalRecord::Checkpoint { .. })]
+    ));
+    let appended = new_ckpt.len() > old_ckpt.len() && new_ckpt.starts_with(&old_ckpt);
+    let batch = if appended {
+        new_ckpt[old_ckpt.len()..].to_vec()
+    } else {
+        new_ckpt.clone()
+    };
+
+    let mut states = vec![("before".to_string(), before.clone())];
+    let mut at = before.clone();
+    at.wal.extend_from_slice(&new_prot[..marker_len]);
+    states.push(("1: Checkpoint record synced".into(), at.clone()));
+    for point in enumerate_crash_points(&batch) {
+        let cut = inject(&batch, point);
+        let mut torn = at.clone();
+        if appended {
+            torn.ckpt = Some([&old_ckpt[..], &cut[..]].concat());
+        } else {
+            torn.ckpt_tmp = Some(cut);
+        }
+        states.push((format!("2: image batch, {}", point.describe()), torn));
+    }
+    if !appended {
+        at.ckpt_tmp = Some(new_ckpt.clone());
+        states.push(("2: image complete, not yet renamed".into(), at.clone()));
+        at.ckpt_tmp = None;
+    }
+    at.ckpt = Some(new_ckpt);
+    states.push(("3: image fsynced".into(), at.clone()));
+    for cut in [
+        0,
+        marker_len / 2,
+        marker_len,
+        new_prot.len() - 3,
+        new_prot.len(),
+    ] {
+        let mut torn = at.clone();
+        torn.prot_tmp = Some(new_prot[..cut].to_vec());
+        states.push((format!("3: prot.log.tmp holds {cut} bytes"), torn));
+    }
+    at.prot = Some(new_prot);
+    states.push((
+        "4: prot.log renamed, WAL not yet truncated".into(),
+        at.clone(),
+    ));
+    // From here on the WAL is redundant, so damage to it must change
+    // nothing: what survives of it lies below the checkpoint's watermarks
+    // — the protection records too, or a surviving `WindowClose` would
+    // unseal a window that a lost `WindowOpen` behind it reopened.
+    let points = enumerate_crash_points(&at.wal);
+    for point in points.iter().step_by(points.len() / 24 + 1) {
+        let mut torn = at.clone();
+        torn.wal = inject(&at.wal, *point);
+        states.push((
+            format!("4: prot.log renamed, WAL {}", point.describe()),
+            torn,
+        ));
+    }
+    at.wal.clear();
+    states.push(("5: WAL truncated".into(), at.clone()));
+    assert_eq!(at.wal, after.wal);
+    assert_eq!(at.ckpt, after.ckpt);
+    states
+}
+
+/// Opens every state and holds it to the reference.
+fn check_states(
+    scratch: &Path,
+    visibility: Visibility,
+    what: &str,
+    states: &[(String, Files)],
+    reference: &[u8],
+) {
+    let (expected, expected_report) = recover(reference).unwrap();
+    let expected_open: BTreeSet<PmoId> = expected.resealed.iter().copied().collect();
+    assert_eq!(expected_open.len(), 2, "the script leaves two windows open");
+    assert!(expected_report.txns_rolled_back > 0, "and one transaction");
+    for (label, files) in states {
+        files.write(scratch);
+        let (store, state, report) = DurableStore::open(scratch, visibility)
+            .unwrap_or_else(|e| panic!("{what} / {label}: {e}"));
+        assert_eq!(
+            fingerprint(&state),
+            fingerprint(&expected),
+            "{what} / {label}: recovered state differs from the uncheckpointed reference"
+        );
+        let resealed: BTreeSet<PmoId> = state.resealed.iter().copied().collect();
+        assert_eq!(resealed, expected_open, "{what} / {label}: resealed set");
+        assert_eq!(
+            report.sessions_discarded, expected_report.sessions_discarded,
+            "{what} / {label}: sessions"
+        );
+        for pool in state.registry.iter() {
+            assert_eq!(
+                pool.attach_generation() > 0,
+                expected_open.contains(&pool.id()),
+                "{what} / {label}: attach generation of {:?}",
+                pool.id()
+            );
+        }
+        // The store is left as the protocol's own files and nothing else,
+        // and numbers its next record past everything it has seen.
+        drop(store);
+        let mut names: Vec<_> = fs::read_dir(scratch)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n != WAL_FILE)
+            .collect();
+        names.sort();
+        let mut allowed = vec![CKPT_FILE, PROT_FILE];
+        allowed.retain(|n| names.iter().any(|have| have == n));
+        assert_eq!(names, allowed, "{what} / {label}: debris left behind");
+        // …with an uncommitted batch cut off, so that the next checkpoint
+        // appends where the committed image ends.
+        assert_eq!(
+            fs::metadata(scratch.join(CKPT_FILE)).map_or(0, |m| m.len()),
+            load_checkpoint(scratch).unwrap().ckpt_len,
+            "{what} / {label}: ckpt.log keeps bytes nobody committed"
+        );
+        let (store, _, again) = DurableStore::open(scratch, visibility).unwrap();
+        assert_eq!(again.windows_resealed, 2, "{what} / {label}: reopen");
+        // Every state but the first holds the marker, one past the
+        // reference's last record.
+        assert_eq!(
+            store.next_seq(),
+            read_log(reference).last_seq().unwrap() + 1 + u64::from(label != "before"),
+            "{what} / {label}: seq continues past everything on disk"
+        );
+    }
+}
+
+#[test]
+fn every_step_of_a_checkpoint_recovers_to_the_uncheckpointed_reference() {
+    for visibility in [Visibility::Submit, Visibility::Durable] {
+        let dir = temp_dir(&format!("live-{visibility:?}"));
+        let scratch = temp_dir(&format!("state-{visibility:?}"));
+        let mut l = Leader::open(&dir, visibility);
+
+        // Pools A and B keep their windows open; C's closes. A holds a root
+        // and, at the end, a transaction that never commits.
+        let a = l.create("steps-a");
+        let b = l.create("steps-b");
+        let c = l.create("steps-c");
+        l.mirrored(a, |pool| {
+            terp_pmo::txn::ensure_log_area(pool).unwrap();
+        });
+        let cell = l.alloc(a, 64);
+        l.write(a, cell, b"committed value");
+        l.log(WalRecord::RootSet {
+            pmo: a,
+            key: 1,
+            oid: terp_pmo::ObjectId::new(a, cell).to_packed(),
+        });
+        for (client, pmo) in [(1, a), (2, b), (3, c)] {
+            l.log(WalRecord::SessionOpen {
+                client,
+                pmo,
+                perm: Permission::ReadWrite,
+            });
+            l.log(WalRecord::WindowOpen { pmo });
+        }
+        let far = l.alloc(b, 3 * PAGE_SIZE);
+        l.write(b, far + 2 * PAGE_SIZE, b"a second page of b");
+        // B's window closes here and reopens below: whoever replays the
+        // close without the reopen leaves an open window unsealed.
+        l.log(WalRecord::WindowClose { pmo: b });
+        let gone = l.alloc(c, 128);
+        l.write(c, gone, b"freed before the checkpoint");
+        l.reg
+            .pool_mut(c)
+            .unwrap()
+            .pfree(terp_pmo::ObjectId::new(c, gone))
+            .unwrap();
+        l.log(WalRecord::Free {
+            pmo: c,
+            offset: gone,
+        });
+        l.log(WalRecord::WindowClose { pmo: c });
+        l.log(WalRecord::SessionClose { client: 3, pmo: c });
+        l.write(c, 64, b"between b's close and its reopening");
+        l.log(WalRecord::WindowOpen { pmo: b });
+        l.mirrored(a, |pool| {
+            let mut tx = Transaction::begin(pool).unwrap();
+            tx.write(cell, b"never committed").unwrap();
+            tx.crash();
+        });
+        l.store.sync().unwrap();
+
+        let protection = [
+            WalRecord::WindowOpen { pmo: a },
+            WalRecord::WindowOpen { pmo: b },
+            WalRecord::SessionOpen {
+                client: 1,
+                pmo: a,
+                perm: Permission::ReadWrite,
+            },
+            WalRecord::SessionOpen {
+                client: 2,
+                pmo: b,
+                perm: Permission::ReadWrite,
+            },
+        ];
+
+        // The compacting page set: nobody forced this checkpoint.
+        let before = Files::read(&dir);
+        let reference = l.reference.clone();
+        l.store.checkpoint(l.reg.iter_mut(), &protection).unwrap();
+        let after = Files::read(&dir);
+        let states = protocol_states(&before, &after);
+        assert!(states.len() > 40, "{} states", states.len());
+        check_states(&scratch, visibility, "compacting", &states, &reference);
+
+        // The appending page set, on top of that image: more writes, the
+        // trigger fires, only the dirty pages go out.
+        l.write(b, far, b"after the first checkpoint");
+        l.write(a, cell + 32, b"beside the cell");
+        l.fill_to_trigger(b);
+        l.store.sync().unwrap();
+        let before = Files::read(&dir);
+        let reference = l.reference.clone();
+        l.store.checkpoint(l.reg.iter_mut(), &protection).unwrap();
+        let after = Files::read(&dir);
+        assert!(
+            after.ckpt.as_ref().unwrap().len() > before.ckpt.as_ref().unwrap().len(),
+            "a forced checkpoint appends"
+        );
+        let states = protocol_states(&before, &after);
+        check_states(&scratch, visibility, "appending", &states, &reference);
+
+        // A compacting one again, now replacing an existing image.
+        l.write(c, 0, b"c is dirty again");
+        l.store.sync().unwrap();
+        let before = Files::read(&dir);
+        let reference = l.reference.clone();
+        l.store.checkpoint(l.reg.iter_mut(), &protection).unwrap();
+        let after = Files::read(&dir);
+        assert!(after.ckpt.as_ref().unwrap().len() < before.ckpt.as_ref().unwrap().len());
+        let states = protocol_states(&before, &after);
+        check_states(&scratch, visibility, "re-compacting", &states, &reference);
+
+        drop(l);
+        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&scratch).unwrap();
+    }
+}
+
+/// Bounded recovery, as counts: overwrite a fixed working set for eight
+/// triggers' worth of records, checkpointing whenever the store says so.
+/// What a restart replays, and what the checkpoint log weighs, stay where
+/// they were after the first trigger.
+#[test]
+fn recovery_work_is_bounded_by_the_trigger_and_the_image() {
+    let dir = temp_dir("bound");
+    let mut l = Leader::open(&dir, Visibility::Durable);
+    let pools: Vec<PmoId> = (0..4).map(|i| l.create(&format!("bound-{i}"))).collect();
+    let cells: Vec<(PmoId, u64)> = pools
+        .iter()
+        .flat_map(|&p| (0..4).map(move |_| p))
+        .map(|p| (p, l.alloc(p, PAGE_SIZE)))
+        .collect();
+
+    let mut checkpoints = 0;
+    let mut largest_batch = 0u64;
+    let mut largest_log = 0u64;
+    let ckpt_len = |dir: &Path| fs::metadata(dir.join(CKPT_FILE)).map_or(0, |m| m.len());
+    for n in 0..8 * CHECKPOINT_TRIGGER {
+        let (pmo, cell) = cells[n as usize % cells.len()];
+        l.write(pmo, cell, &n.to_le_bytes());
+        if l.store.checkpoint_due() {
+            let before = ckpt_len(&dir);
+            l.store.checkpoint(l.reg.iter_mut(), &[]).unwrap();
+            let after = ckpt_len(&dir);
+            if after > before {
+                largest_batch = largest_batch.max(after - before);
+            }
+            largest_log = largest_log.max(after);
+            checkpoints += 1;
+        }
+    }
+    assert!(checkpoints >= 7, "{checkpoints} checkpoints");
+    l.store.sync().unwrap();
+    let reference = l.reference.clone();
+    drop(l);
+
+    // Kill, restart: the replay is the committed image plus less than one
+    // trigger of WAL, not the 65 536 records of history.
+    let image_records = load_checkpoint(&dir).unwrap().pools.len();
+    let (mut store, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
+    assert!(
+        report.records_replayed <= CHECKPOINT_TRIGGER as usize + image_records,
+        "{} records replayed, image holds {image_records}",
+        report.records_replayed
+    );
+    let (expected, _) = recover(&reference).unwrap();
+    assert_eq!(fingerprint(&state), fingerprint(&expected));
+
+    // The size of the image proper is what a compacting checkpoint writes.
+    let mut reg = state.registry;
+    store.checkpoint(reg.iter_mut(), &[]).unwrap();
+    let image = ckpt_len(&dir);
+    assert!(
+        largest_log <= 2 * image + largest_batch,
+        "ckpt.log reached {largest_log} bytes; image {image}, batch {largest_batch}"
+    );
+    assert!(largest_batch <= image, "a batch is part of the working set");
+    fs::remove_dir_all(&dir).unwrap();
+}

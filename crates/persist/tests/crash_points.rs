@@ -297,7 +297,7 @@ fn crash_matrix(visibility: Visibility) {
             point.describe()
         );
         let (state, report) =
-            recover(&[], &damaged).unwrap_or_else(|e| panic!("{}: {e}", point.describe()));
+            recover(&damaged).unwrap_or_else(|e| panic!("{}: {e}", point.describe()));
 
         // Model: scan the surviving prefix for protection state.
         let mut open: BTreeSet<PmoId> = BTreeSet::new();

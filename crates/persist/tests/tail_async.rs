@@ -3,8 +3,8 @@
 //! A replication leader tails the very file the background log writer is
 //! appending to with large coalesced `write(2)`s. The reader must treat
 //! every torn observation as `NeedMore` — never a CRC error — and must
-//! survive an incremental checkpoint truncating the log out from under it
-//! with a clean `Truncated` + restart-from-zero, not corruption.
+//! survive a checkpoint truncating the log out from under it with a clean
+//! `Truncated` + restart-from-zero, not corruption.
 
 use terp_persist::{DurableStore, TailReader, TailStatus, Visibility, WalRecord, WAL_FILE};
 use terp_pmo::{OpenMode, PmoId, PmoRegistry};
@@ -66,7 +66,7 @@ fn tail_reader_over_live_async_writer_sees_no_errors_and_survives_truncation() {
         appender.join().unwrap()
     });
 
-    // Phase 2: an incremental checkpoint truncates the WAL beneath the
+    // Phase 2: a checkpoint truncates the WAL beneath the
     // reader. The poll after the truncation reports Truncated and resets to
     // offset zero; subsequent appends read cleanly from the top.
     let mut reg = PmoRegistry::new();
@@ -77,7 +77,7 @@ fn tail_reader_over_live_async_writer_sees_no_errors_and_survives_truncation() {
     let oid = pool.pmalloc(64).unwrap();
     pool.write_bytes(oid.offset(), b"dirty page").unwrap();
     store
-        .checkpoint_incremental(std::iter::once(reg.pool_mut(p).unwrap()), &[])
+        .checkpoint(std::iter::once(reg.pool_mut(p).unwrap()), &[])
         .unwrap();
 
     let chunk = tail.poll().expect("truncation is a status, not an error");

@@ -1,18 +1,21 @@
-//! The warm standby: verbatim WAL mirroring plus continuous replay.
+//! The warm standby: verbatim mirroring of the store files plus continuous
+//! replay.
 //!
 //! A follower keeps two representations of the leader's state and the
 //! failover guarantees come from which one promotion uses:
 //!
-//! * **The mirror** — on-disk snapshot files plus a WAL per shard whose
-//!   bytes are appended *verbatim* as shipped. The mirror's durable prefix
-//!   is byte-identical to the leader's by construction: there is no
-//!   re-encoding step to disagree with it.
-//! * **The warm registry** — an in-memory [`PmoRegistry`] per shard,
-//!   advanced by replaying each record as it arrives (the same replay
-//!   rules as [`terp_persist::recover`], including snapshot watermark
-//!   skipping and `Alloc` divergence checking). This is what makes the
-//!   standby *warm*: the applied watermark and lag are always current, and
-//!   reads can be served without touching disk.
+//! * **The mirror** — per shard, the three files of a durable store
+//!   (`wal.log`, `ckpt.log`, `prot.log`) whose bytes are written *verbatim*
+//!   as shipped: byte-identical to the leader's durable prefix by
+//!   construction, with no re-encoding step to disagree with it. After
+//!   every message processed it is a state the leader's own checkpoint
+//!   protocol passes through (`apply_batch` says how), so it can be
+//!   promoted at any of them.
+//! * **The warm registry** — a [`terp_persist::Replay`] per shard, the
+//!   same replayer a restart runs, fed each record as it arrives and each
+//!   checkpoint as it is published. This is what makes the standby *warm*:
+//!   the applied watermark and lag are always current, and reads can be
+//!   served without touching disk.
 //!
 //! [`ReplFollower::promote`] deliberately ignores the warm registry and
 //! reopens the *mirror* through the ordinary durable recovery path — so a
@@ -22,22 +25,20 @@
 //! attaches. The server comes up in standby (read-only) mode and is
 //! flipped writable only after recovery has finished.
 
-use std::collections::{BTreeSet, HashMap};
 use std::fs;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use terp_net::repl::ReplMsg;
+use terp_net::repl::{LogFile, ReplMsg};
 use terp_net::{Backoff, ServiceError, VERSION};
-use terp_persist::store::WAL_FILE;
-use terp_persist::{read_log, WalRecord};
-use terp_pmo::{ObjectId, PmoId, PmoRegistry};
-use terp_service::{DurableConfig, PmoServer, ServiceConfig};
+use terp_persist::{load_checkpoint, read_log, Replay, CKPT_FILE, PROT_FILE, WAL_FILE};
+use terp_pmo::PmoRegistry;
+use terp_service::{PmoServer, ServiceConfig};
 use terp_trace::{EventKind, TraceRecorder};
 
 use crate::conn::{disconnected, Conn};
@@ -83,7 +84,9 @@ pub struct ReplLag {
     pub leader_seq: u64,
     /// Highest sequence number replayed into the warm registry.
     pub applied_seq: u64,
-    /// Whether the shard's snapshot bootstrap has completed.
+    /// Whether the shard's first pass has completed on this connection: the
+    /// leader's committed checkpoint (if it has one) and the log it read
+    /// behind it have arrived, and with them its first progress mark.
     pub bootstrapped: bool,
 }
 
@@ -95,41 +98,20 @@ impl ReplLag {
     }
 }
 
-/// Per-shard standby state: warm registry + mirror bookkeeping.
-#[derive(Debug)]
+/// Per-shard standby state: the warm replayer and the stream's position.
+#[derive(Debug, Default)]
 struct ShardMirror {
-    registry: PmoRegistry,
-    /// Per-pool snapshot watermark: records at or below it are already
-    /// reflected by the installed snapshot and must not re-apply.
-    watermark: Vec<Option<u64>>,
-    /// Shipped bytes not yet forming a complete frame (batches may split
-    /// mid-record).
+    replay: Replay,
+    /// Shipped WAL bytes not yet forming a complete frame (batches may
+    /// split mid-record).
     pending: Vec<u8>,
-    applied_seq: u64,
     leader_seq: u64,
-    open_windows: BTreeSet<PmoId>,
     bootstrapped: bool,
 }
 
 impl ShardMirror {
-    fn new() -> Self {
-        ShardMirror {
-            registry: PmoRegistry::new(),
-            watermark: Vec::new(),
-            pending: Vec::new(),
-            applied_seq: 0,
-            leader_seq: 0,
-            open_windows: BTreeSet::new(),
-            bootstrapped: false,
-        }
-    }
-
-    /// Resets for a re-bootstrap (reconnect); the leader's heartbeat marks
-    /// survive so lag stays truthful while the snapshot streams.
-    fn reset(&mut self) {
-        let leader_seq = self.leader_seq;
-        *self = ShardMirror::new();
-        self.leader_seq = leader_seq;
+    fn applied_seq(&self) -> u64 {
+        self.replay.applied_seq().unwrap_or(0)
     }
 }
 
@@ -137,6 +119,7 @@ impl ShardMirror {
 struct FollowerState {
     mirrors: Mutex<Vec<ShardMirror>>,
     connected: AtomicBool,
+    connections: AtomicU64,
     shutdown: AtomicBool,
 }
 
@@ -157,6 +140,7 @@ impl ReplFollower {
         let state = Arc::new(FollowerState {
             mirrors: Mutex::new(Vec::new()),
             connected: AtomicBool::new(false),
+            connections: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         });
         let thread_state = Arc::clone(&state);
@@ -177,6 +161,12 @@ impl ReplFollower {
         self.state.connected.load(Ordering::Acquire)
     }
 
+    /// Leader connections established so far. Every one after the first was
+    /// a reconnect, and a mirror started over from byte 0.
+    pub fn connections(&self) -> u64 {
+        self.state.connections.load(Ordering::Acquire)
+    }
+
     /// Per-shard replication lag. Empty until the first Welcome arrives.
     pub fn lag(&self) -> Vec<ReplLag> {
         self.state
@@ -188,7 +178,7 @@ impl ReplFollower {
             .map(|(i, m)| ReplLag {
                 shard: i as u32,
                 leader_seq: m.leader_seq,
-                applied_seq: m.applied_seq,
+                applied_seq: m.applied_seq(),
                 bootstrapped: m.bootstrapped,
             })
             .collect()
@@ -201,7 +191,7 @@ impl ReplFollower {
         !mirrors.is_empty()
             && mirrors
                 .iter()
-                .all(|m| m.bootstrapped && m.applied_seq >= m.leader_seq)
+                .all(|m| m.bootstrapped && m.applied_seq() >= m.leader_seq)
     }
 
     /// Exposure windows the leader currently holds open, as witnessed by
@@ -212,14 +202,14 @@ impl ReplFollower {
             .lock()
             .expect("mirrors lock")
             .iter()
-            .map(|m| m.open_windows.len())
+            .map(|m| m.replay.open_windows().len())
             .sum()
     }
 
     /// Read access to one shard's warm registry.
     pub fn inspect<R>(&self, shard: u32, f: impl FnOnce(&PmoRegistry) -> R) -> Option<R> {
         let mirrors = self.state.mirrors.lock().expect("mirrors lock");
-        mirrors.get(shard as usize).map(|m| f(&m.registry))
+        mirrors.get(shard as usize).map(|m| f(m.replay.registry()))
     }
 
     /// The mirror root directory.
@@ -235,8 +225,8 @@ impl ReplFollower {
     /// Promotes the standby to a serving leader.
     ///
     /// The replication stream is stopped, then the *mirror* (not the warm
-    /// registry) is opened through the ordinary durable recovery path:
-    /// snapshots install, the log replays, in-flight transactions roll
+    /// registry) is opened through the ordinary durable recovery path: the
+    /// checkpoint installs, the log replays, in-flight transactions roll
     /// back, and — the TERP invariant — every exposure window the dead
     /// leader had open is force-closed and its pool resealed
     /// ([`terp_pmo::Pmo::reseal`]) so the next attach re-randomizes. The
@@ -252,14 +242,8 @@ impl ReplFollower {
     /// [`ServiceError::Persist`] if mirror recovery fails.
     pub fn promote(mut self, base: ServiceConfig) -> Result<PmoServer, ServiceError> {
         self.halt();
-        let durable = match base.durable.clone() {
-            Some(d) => DurableConfig {
-                dir: self.config.dir.clone(),
-                ..d
-            },
-            None => DurableConfig::new(self.config.dir.clone()),
-        };
-        let server = PmoServer::try_start(base.with_durable_config(durable).with_standby(true))?;
+        let mirror = base.with_durable(&self.config.dir).with_standby(true);
+        let server = PmoServer::try_start(mirror)?;
         server.promote();
         Ok(server)
     }
@@ -279,8 +263,7 @@ impl Drop for ReplFollower {
 }
 
 /// Outer loop: connect (with backoff), stream until the connection dies,
-/// reconnect. Every reconnect re-bootstraps — the leader may have
-/// checkpointed away log records we never saw.
+/// reconnect. Every reconnect starts the mirror over from byte 0.
 fn follower_loop(config: &ReplFollowerConfig, state: &FollowerState) {
     let mut backoff = Backoff::default_reconnect().with_budget(Duration::MAX);
     while !state.shutdown.load(Ordering::Acquire) {
@@ -296,6 +279,7 @@ fn follower_loop(config: &ReplFollowerConfig, state: &FollowerState) {
         };
         backoff = Backoff::default_reconnect().with_budget(Duration::MAX);
         state.connected.store(true, Ordering::Release);
+        state.connections.fetch_add(1, Ordering::AcqRel);
         let _ = run_stream(stream, config, state);
         state.connected.store(false, Ordering::Release);
     }
@@ -324,29 +308,25 @@ fn run_stream(
         }
     };
 
-    // Fresh bootstrap: reset warm state and clear the mirror stores (stale
-    // snapshot files from a previous leader epoch must not survive into
-    // the new image).
+    // Start over: reset warm state and clear the mirror stores (files of a
+    // previous leader epoch must not survive into the new image). The
+    // leader's heartbeat marks survive so lag stays truthful meanwhile.
     {
         let mut mirrors = state.mirrors.lock().expect("mirrors lock");
-        if mirrors.len() != shards {
-            *mirrors = (0..shards).map(|_| ShardMirror::new()).collect();
-        } else {
-            for m in mirrors.iter_mut() {
-                m.reset();
-            }
+        mirrors.resize_with(shards, ShardMirror::default);
+        for m in mirrors.iter_mut() {
+            *m = ShardMirror {
+                leader_seq: m.leader_seq,
+                ..ShardMirror::default()
+            };
         }
     }
     for shard in 0..shards {
-        let sdir = config.dir.join(format!("shard-{shard}"));
+        let sdir = shard_dir(config, shard as u32);
         let _ = fs::remove_dir_all(&sdir);
         fs::create_dir_all(&sdir).map_err(disconnected)?;
     }
     conn.send(&ReplMsg::Subscribe)?;
-
-    // Snapshot files under assembly: (shard, name) → (next index, total,
-    // bytes so far).
-    let mut partial: HashMap<(u32, String), (u32, u32, Vec<u8>)> = HashMap::new();
 
     loop {
         if state.shutdown.load(Ordering::Acquire) {
@@ -356,74 +336,38 @@ fn run_stream(
             Some(m) => m,
             None => continue, // read timeout; re-check shutdown
         };
-        match msg {
-            ReplMsg::SnapshotChunk {
+        let (shard, applied) = match msg {
+            ReplMsg::LogBatch {
                 shard,
                 file,
-                index,
-                total,
+                offset,
                 bytes,
             } => {
                 check_shard(shard, shards)?;
-                if file.contains('/') || file.contains('\\') || file.contains("..") {
-                    return Err(ServiceError::Protocol(format!(
-                        "snapshot file name escapes the store: {file:?}"
-                    )));
-                }
-                let entry = partial
-                    .entry((shard, file.clone()))
-                    .or_insert((0, total, Vec::new()));
-                if index != entry.0 || total != entry.1 {
-                    return Err(ServiceError::Protocol(format!(
-                        "snapshot chunk {index}/{total} out of order (expected {}/{})",
-                        entry.0, entry.1
-                    )));
-                }
-                entry.0 += 1;
-                entry.2.extend_from_slice(&bytes);
-                if entry.0 == entry.1 {
-                    let (_, _, image) = partial.remove(&(shard, file.clone())).expect("entry");
-                    install_snapshot(config, state, shard, &file, &image)?;
-                }
-            }
-            ReplMsg::SnapshotDone { shard } => {
-                check_shard(shard, shards)?;
-                // Bootstrap of this shard is complete; the log now ships
-                // from byte 0 of the leader's current WAL into an empty
-                // mirror WAL.
-                fs::write(wal_path(config, shard), []).map_err(disconnected)?;
                 let mut mirrors = state.mirrors.lock().expect("mirrors lock");
-                mirrors[shard as usize].bootstrapped = true;
-            }
-            ReplMsg::LogBatch { shard, bytes } => {
-                check_shard(shard, shards)?;
-                apply_batch(config, state, shard, &bytes)?;
-                let applied =
-                    state.mirrors.lock().expect("mirrors lock")[shard as usize].applied_seq;
-                conn.send(&ReplMsg::Ack {
-                    shard,
-                    applied_seq: applied,
-                })?;
+                let m = &mut mirrors[shard as usize];
+                apply_batch(config, m, shard, file, offset, &bytes)?;
+                (shard, m.applied_seq())
             }
             ReplMsg::Heartbeat { shard, durable_seq } => {
                 check_shard(shard, shards)?;
-                let applied = {
-                    let mut mirrors = state.mirrors.lock().expect("mirrors lock");
-                    let m = &mut mirrors[shard as usize];
-                    m.leader_seq = m.leader_seq.max(durable_seq);
-                    m.applied_seq
-                };
-                conn.send(&ReplMsg::Ack {
-                    shard,
-                    applied_seq: applied,
-                })?;
+                let mut mirrors = state.mirrors.lock().expect("mirrors lock");
+                let m = &mut mirrors[shard as usize];
+                m.leader_seq = m.leader_seq.max(durable_seq);
+                // The leader marks a shard only behind a complete pass.
+                m.bootstrapped = true;
+                (shard, m.applied_seq())
             }
             other => {
                 return Err(ServiceError::Protocol(format!(
                     "unexpected message from leader: {other:?}"
                 )))
             }
-        }
+        };
+        conn.send(&ReplMsg::Ack {
+            shard,
+            applied_seq: applied,
+        })?;
     }
 }
 
@@ -437,144 +381,81 @@ fn check_shard(shard: u32, shards: usize) -> Result<(), ServiceError> {
     }
 }
 
-fn wal_path(config: &ReplFollowerConfig, shard: u32) -> PathBuf {
-    config.dir.join(format!("shard-{shard}")).join(WAL_FILE)
+fn shard_dir(config: &ReplFollowerConfig, shard: u32) -> PathBuf {
+    config.dir.join(format!("shard-{shard}"))
 }
 
-/// Verifies a fully assembled snapshot (every segment checksum), writes it
-/// into the mirror store, and installs it into the warm registry.
-fn install_snapshot(
-    config: &ReplFollowerConfig,
-    state: &FollowerState,
-    shard: u32,
-    file: &str,
-    image: &[u8],
-) -> Result<(), ServiceError> {
-    let snap = terp_persist::PoolSnapshot::decode(image)?;
-    fs::write(config.dir.join(format!("shard-{shard}")).join(file), image).map_err(disconnected)?;
-    let mut mirrors = state.mirrors.lock().expect("mirrors lock");
-    let m = &mut mirrors[shard as usize];
-    snap.install_into(&mut m.registry)?;
-    if m.watermark.len() <= snap.id.index() {
-        m.watermark.resize(snap.id.index() + 1, None);
-    }
-    m.watermark[snap.id.index()] = Some(snap.wal_seq);
-    Ok(())
-}
-
-/// Appends shipped bytes verbatim to the mirror WAL, then replays every
-/// complete frame into the warm registry. Bytes past the last complete
+/// Writes one shipped batch into the shard's mirror store and advances the
+/// warm replayer.
+///
+/// The wire names a file by [`LogFile`] only, so every path written is one
+/// of five fixed names inside the shard's directory. `offset` must continue
+/// the file (a gap is a protocol error) or be 0, which starts it over:
+///
+/// * `prot.log` always gathers in `prot.log.tmp`;
+/// * `ckpt.log` bytes append in place — they lie past the committed length
+///   until the checkpoint is published, where an open ignores them — unless
+///   the image starts over, which gathers in `ckpt.log.tmp`;
+/// * the WAL starting over publishes what was gathered (the image, then
+///   `prot.log`: both renames, the leader's order), installs the checkpoint
+///   into the warm replayer, and only then truncates the mirror's WAL.
+///
+/// WAL bytes are then replayed frame by frame; bytes past the last complete
 /// frame stay pending until the next batch completes them.
 fn apply_batch(
     config: &ReplFollowerConfig,
-    state: &FollowerState,
+    m: &mut ShardMirror,
     shard: u32,
+    file: LogFile,
+    offset: u64,
     bytes: &[u8],
 ) -> Result<(), ServiceError> {
-    let mut wal = fs::OpenOptions::new()
+    let dir = shard_dir(config, shard);
+    let staged = |name: &str| dir.join(format!("{name}.tmp"));
+    let path = match file {
+        LogFile::Wal => {
+            if offset == 0 {
+                if staged(PROT_FILE).exists() {
+                    if staged(CKPT_FILE).exists() {
+                        fs::rename(staged(CKPT_FILE), dir.join(CKPT_FILE)).map_err(disconnected)?;
+                    }
+                    fs::rename(staged(PROT_FILE), dir.join(PROT_FILE)).map_err(disconnected)?;
+                    m.replay.install_checkpoint(&load_checkpoint(&dir)?)?;
+                }
+                m.pending.clear();
+            }
+            dir.join(WAL_FILE)
+        }
+        LogFile::Ckpt if offset == 0 || staged(CKPT_FILE).exists() => staged(CKPT_FILE),
+        LogFile::Ckpt => dir.join(CKPT_FILE),
+        LogFile::Prot => staged(PROT_FILE),
+    };
+    let mut out = fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(wal_path(config, shard))
+        .open(&path)
         .map_err(disconnected)?;
-    wal.write_all(bytes).map_err(disconnected)?;
-    drop(wal);
-
-    let mut mirrors = state.mirrors.lock().expect("mirrors lock");
-    let m = &mut mirrors[shard as usize];
-    m.pending.extend_from_slice(bytes);
-    let decoded = read_log(&m.pending);
-    for (seq, record) in &decoded.records {
-        apply_record(m, *seq, record)?;
-        if let Some(tracer) = &config.tracer {
-            tracer.record(EventKind::ReplApply { shard, seq: *seq });
-        }
-        m.applied_seq = m.applied_seq.max(*seq);
+    if offset == 0 {
+        out.set_len(0).map_err(disconnected)?;
     }
-    m.pending.drain(..decoded.consumed);
-    Ok(())
-}
+    let len = out.metadata().map_err(disconnected)?.len();
+    if len != offset {
+        return Err(ServiceError::Protocol(format!(
+            "{file:?} batch at offset {offset} does not continue the {len} bytes mirrored"
+        )));
+    }
+    out.write_all(bytes).map_err(disconnected)?;
 
-/// Replays one record into the warm registry — the same rules as
-/// [`terp_persist::recover`]: snapshot watermarks suppress double-apply of
-/// data records, `Alloc` replay verifies the allocator reproduces the
-/// logged offset, protection records maintain the open-window set.
-fn apply_record(m: &mut ShardMirror, seq: u64, record: &WalRecord) -> Result<(), ServiceError> {
-    let below_watermark = record
-        .pmo()
-        .and_then(|id| m.watermark.get(id.index()).copied().flatten())
-        .is_some_and(|mark| seq <= mark);
-    match record {
-        WalRecord::PoolCreate {
-            id,
-            name,
-            size,
-            mode,
-        } => {
-            if !below_watermark {
-                m.registry.restore_pool(*id, name, *size, *mode)?;
+    if file == LogFile::Wal {
+        m.pending.extend_from_slice(bytes);
+        let decoded = read_log(&m.pending);
+        for (seq, record) in &decoded.records {
+            m.replay.apply(*seq, record)?;
+            if let Some(tracer) = &config.tracer {
+                tracer.record(EventKind::ReplApply { shard, seq: *seq });
             }
         }
-        WalRecord::Alloc { pmo, size, offset } => {
-            if !below_watermark {
-                let got = m.registry.pool_mut(*pmo)?.pmalloc(*size)?;
-                if got.offset() != *offset {
-                    return Err(ServiceError::Persist(format!(
-                        "replicated alloc diverged on {pmo}: got {:#x}, log says {offset:#x}",
-                        got.offset()
-                    )));
-                }
-            }
-        }
-        WalRecord::Free { pmo, offset } => {
-            if !below_watermark {
-                m.registry
-                    .pool_mut(*pmo)?
-                    .pfree(ObjectId::new(*pmo, *offset))?;
-            }
-        }
-        WalRecord::DataWrite { pmo, offset, data } => {
-            if !below_watermark {
-                m.registry.pool_mut(*pmo)?.write_bytes(*offset, data)?;
-            }
-        }
-        WalRecord::WindowOpen { pmo } => {
-            m.open_windows.insert(*pmo);
-        }
-        WalRecord::WindowClose { pmo } => {
-            m.open_windows.remove(pmo);
-        }
-        // Incremental-checkpoint deltas only appear in the leader's
-        // `ckpt.log`, never in the shipped WAL stream — but apply them
-        // anyway (same replay rules as recovery) so a mirror stays correct
-        // if a future shipping path forwards checkpoint segments.
-        WalRecord::PageDelta { pmo, page, data } => {
-            if !below_watermark {
-                m.registry
-                    .pool_mut(*pmo)?
-                    .write_bytes(*page * terp_pmo::PAGE_SIZE, data)?;
-            }
-        }
-        WalRecord::AllocTable { pmo, live } => {
-            if !below_watermark {
-                m.registry.pool_mut(*pmo)?.restore_allocator(live)?;
-                let idx = pmo.index();
-                if m.watermark.len() <= idx {
-                    m.watermark.resize(idx + 1, None);
-                }
-                m.watermark[idx] = Some(m.watermark[idx].map_or(seq, |old| old.max(seq)));
-            }
-        }
-        // Sessions and randomizations carry no standby-visible state beyond
-        // what the open-window set already tracks; checkpoints are
-        // watermarks, not mutations. Root-directory entries live in the
-        // shipped WAL itself, and promotion re-runs full durable recovery,
-        // which rebuilds the root map from those records — the warm mirror
-        // has no reader for them in the meantime.
-        WalRecord::SessionOpen { .. }
-        | WalRecord::SessionClose { .. }
-        | WalRecord::Randomize { .. }
-        | WalRecord::Checkpoint
-        | WalRecord::RootSet { .. } => {}
+        m.pending.drain(..decoded.consumed);
     }
     Ok(())
 }

@@ -1,14 +1,17 @@
-//! The replication leader: snapshot bootstrap plus continuous WAL tailing.
+//! The replication leader: the store's three files, tailed from byte 0.
 //!
 //! The leader is deliberately *outside* the service process's lock domain:
 //! it watches the durable directory the service writes (per-shard
-//! `shard-<i>/` stores) through [`TailReader`], so shipping adds zero work
-//! to the service hot path — the WAL bytes the log writer already
-//! produces *are* the replication stream. A torn tail under a racing
-//! append reads as `NeedMore` and is retried; a checkpoint truncation
-//! closes the follower connection, whose reconnect re-bootstraps from the
-//! fresh snapshots (the truncated records are, by the checkpoint protocol,
-//! already reflected in them).
+//! `shard-<i>/` stores), so shipping adds zero work to the service hot path
+//! — the bytes the log writer and the checkpoint already produce *are* the
+//! replication stream. The WAL is tailed through [`TailReader`]: a torn
+//! tail under a racing append reads as `NeedMore` and is retried. A cold
+//! bootstrap and a checkpoint's truncation are one case: the leader ships
+//! the committed checkpoint — `ckpt.log` up to the length `prot.log`
+//! commits, from where it left off or from the top after a compaction, then
+//! `prot.log` — and restarts the WAL at offset 0. Both files were written
+//! before the truncation the leader observed, so nothing is lost in
+//! between and the connection never drops for a checkpoint.
 //!
 //! Each follower connection gets its own feeder thread and its own tail
 //! offsets, so a slow follower never stalls a fast one. Acks flow back on
@@ -16,17 +19,19 @@
 //! [`ReplLeader::lag`] reports `shipped - acked` per shard.
 
 use std::fs;
+use std::io::{Read, Seek, SeekFrom};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use terp_net::repl::{ReplMsg, SNAP_CHUNK};
+use terp_net::repl::{LogFile, ReplMsg, LOG_CHUNK};
 use terp_net::{ServiceError, MAGIC, VERSION};
-use terp_persist::store::WAL_FILE;
-use terp_persist::{TailReader, TailStatus};
+use terp_persist::{
+    first_seq, CheckpointImage, TailReader, TailStatus, CKPT_FILE, PROT_FILE, WAL_FILE,
+};
 use terp_trace::{EventKind, TraceRecorder};
 
 use crate::conn::{disconnected, Conn};
@@ -73,7 +78,7 @@ impl ReplLeaderConfig {
 pub struct ShardLag {
     /// Shard index.
     pub shard: u32,
-    /// Highest WAL sequence number shipped to any follower.
+    /// Highest sequence number shipped to any follower.
     pub shipped_seq: u64,
     /// Highest sequence number acknowledged as applied by a follower.
     pub acked_seq: u64,
@@ -207,7 +212,7 @@ impl Drop for ReplLeader {
     }
 }
 
-/// Serves one follower: handshake, snapshot bootstrap, continuous tailing.
+/// Serves one follower: handshake, then the shipping loop.
 fn serve_follower(stream: TcpStream, shared: &LeaderShared) -> Result<(), ServiceError> {
     let mut conn = Conn::new(stream)?;
     let handshake_deadline = Instant::now() + Duration::from_secs(10);
@@ -267,96 +272,198 @@ fn serve_follower(stream: TcpStream, shared: &LeaderShared) -> Result<(), Servic
     })
 }
 
-/// Bootstrap + tail loop. Any send error means the follower is gone.
-fn feed(conn: &mut Conn, shared: &LeaderShared) -> Result<(), ServiceError> {
-    let shards = shared.config.shards;
-    let mut tails: Vec<TailReader> = Vec::with_capacity(shards);
+/// One shard's shipping position on one follower connection.
+struct ShardFeed {
+    dir: PathBuf,
+    wal: TailReader,
+    /// The follower's WAL must start over: at connect, and whenever a
+    /// checkpoint truncated the leader's.
+    restart: bool,
+    /// Sequence number of the checkpoint last shipped.
+    ckpt_seq: Option<u64>,
+    /// Which `ckpt.log` the shipped bytes came from (its first frame's
+    /// sequence number) and how many of them were shipped.
+    ckpt_gen: Option<u64>,
+    ckpt_sent: u64,
+    /// Highest sequence number shipped: a WAL record's or a checkpoint's.
+    last_seq: u64,
+}
 
-    // Snapshot bootstrap, shard by shard. The WAL then ships from byte 0:
-    // records a snapshot already reflects are skipped by the follower via
-    // the snapshot's embedded watermark, exactly as local recovery does.
-    for shard in 0..shards {
-        let sdir = shared.config.dir.join(format!("shard-{shard}"));
-        for (name, bytes) in snapshot_files(&sdir)? {
-            let total = bytes.chunks(SNAP_CHUNK).count().max(1) as u32;
-            if bytes.is_empty() {
-                conn.send(&ReplMsg::SnapshotChunk {
-                    shard: shard as u32,
-                    file: name.clone(),
-                    index: 0,
-                    total,
-                    bytes: Vec::new(),
-                })?;
-            }
-            for (index, piece) in bytes.chunks(SNAP_CHUNK).enumerate() {
-                conn.send(&ReplMsg::SnapshotChunk {
-                    shard: shard as u32,
-                    file: name.clone(),
-                    index: index as u32,
-                    total,
-                    bytes: piece.to_vec(),
-                })?;
-            }
-        }
-        conn.send(&ReplMsg::SnapshotDone {
-            shard: shard as u32,
-        })?;
-        tails.push(TailReader::new(&sdir.join(WAL_FILE)));
+/// The shard's `prot.log` and the checkpoint it commits right now, `(seq,
+/// ckpt_len)` — `None` while the store has never checkpointed.
+fn read_commit(dir: &Path) -> Result<Option<(Vec<u8>, u64, u64)>, ServiceError> {
+    let prot = match fs::read(dir.join(PROT_FILE)) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(disconnected(e)),
+    };
+    let (seq, ckpt_len) = CheckpointImage::commit_of(&prot)
+        .ok_or_else(|| ServiceError::Persist("prot.log has no commit record".into()))?;
+    Ok(Some((prot, seq, ckpt_len)))
+}
+
+/// Ships `bytes` as the contents of `file` from `offset` on. A file that
+/// starts over (offset 0) is announced even when it is empty.
+fn send_file(
+    conn: &mut Conn,
+    shard: u32,
+    file: LogFile,
+    offset: u64,
+    bytes: &[u8],
+) -> Result<(), ServiceError> {
+    if bytes.is_empty() && offset == 0 {
+        return conn.send(&ReplMsg::LogBatch {
+            shard,
+            file,
+            offset,
+            bytes: Vec::new(),
+        });
     }
+    for (i, piece) in bytes.chunks(LOG_CHUNK).enumerate() {
+        conn.send(&ReplMsg::LogBatch {
+            shard,
+            file,
+            offset: offset + (i * LOG_CHUNK) as u64,
+            bytes: piece.to_vec(),
+        })?;
+    }
+    Ok(())
+}
 
-    let mut last_seq = vec![0u64; shards];
+/// Ships the checkpoint the shard's `prot.log` commits, unless the follower
+/// has it already: the `ckpt.log` bytes it lacks, then `prot.log`. Returns
+/// `false` when the store is between the two renames of a compacting
+/// checkpoint — the image on disk is newer than the `prot.log` just read;
+/// the next pass finds them paired.
+fn ship_checkpoint(
+    conn: &mut Conn,
+    shard: u32,
+    feed: &mut ShardFeed,
+) -> Result<bool, ServiceError> {
+    // prot.log first: whatever ckpt.log is opened after it is the file this
+    // prot.log commits, grown since, or compacted since — never older.
+    let Some((prot, seq, ckpt_len)) = read_commit(&feed.dir)? else {
+        return Ok(true); // never checkpointed: the WAL is the whole story
+    };
+    if feed.ckpt_seq == Some(seq) {
+        return Ok(true);
+    }
+    let mut bytes = Vec::new();
+    let mut generation = None;
+    let mut from = 0;
+    if ckpt_len > 0 {
+        let mut ckpt = fs::File::open(feed.dir.join(CKPT_FILE)).map_err(disconnected)?;
+        let mut head = [0u8; 16];
+        ckpt.read_exact(&mut head).map_err(disconnected)?;
+        generation = first_seq(&head);
+        if generation.is_some_and(|newer| newer > seq) {
+            return Ok(false);
+        }
+        if generation == feed.ckpt_gen && feed.ckpt_sent <= ckpt_len {
+            from = feed.ckpt_sent;
+        }
+        ckpt.seek(SeekFrom::Start(from)).map_err(disconnected)?;
+        ckpt.take(ckpt_len - from)
+            .read_to_end(&mut bytes)
+            .map_err(disconnected)?;
+        if bytes.len() as u64 != ckpt_len - from {
+            return Err(ServiceError::Persist(format!(
+                "ckpt.log is shorter than the {ckpt_len} bytes prot.log commits"
+            )));
+        }
+    }
+    if from == 0 || !bytes.is_empty() {
+        send_file(conn, shard, LogFile::Ckpt, from, &bytes)?;
+    }
+    send_file(conn, shard, LogFile::Prot, 0, &prot)?;
+    feed.ckpt_seq = Some(seq);
+    feed.ckpt_gen = generation;
+    feed.ckpt_sent = ckpt_len;
+    feed.last_seq = feed.last_seq.max(seq);
+    Ok(true)
+}
+
+/// The shipping loop. Any send error means the follower is gone.
+fn feed(conn: &mut Conn, shared: &LeaderShared) -> Result<(), ServiceError> {
+    let mut feeds: Vec<ShardFeed> = (0..shared.config.shards)
+        .map(|shard| {
+            let dir = shared.config.dir.join(format!("shard-{shard}"));
+            ShardFeed {
+                wal: TailReader::new(&dir.join(WAL_FILE)),
+                dir,
+                restart: true,
+                ckpt_seq: None,
+                ckpt_gen: None,
+                ckpt_sent: 0,
+                last_seq: 0,
+            }
+        })
+        .collect();
+
     let mut idle_passes = 0u32;
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return Ok(());
         }
         let mut shipped_any = false;
-        for shard in 0..shards {
-            let chunk = tails[shard].poll()?;
-            if chunk.status == TailStatus::Truncated {
-                // A checkpoint truncated this shard's WAL. The records are
-                // in the fresh snapshots, not in any tail we can resume —
-                // drop the connection; the follower's reconnect
-                // re-bootstraps from those snapshots.
-                return Err(disconnected(format!(
-                    "shard {shard} checkpoint-truncated; follower must re-bootstrap"
-                )));
+        for (shard, feed) in feeds.iter_mut().enumerate() {
+            let shard = shard as u32;
+            let restarted = feed.restart;
+            if restarted {
+                if !ship_checkpoint(conn, shard, feed)? {
+                    continue;
+                }
+                // The (possibly empty) start of the new WAL: this is where
+                // the follower publishes the checkpoint and drops its old
+                // log.
+                send_file(conn, shard, LogFile::Wal, 0, &[])?;
+                feed.wal = TailReader::new(&feed.dir.join(WAL_FILE));
+                feed.restart = false;
             }
-            if chunk.bytes.is_empty() {
+            let offset = feed.wal.offset();
+            let chunk = feed.wal.poll()?;
+            // A log read from byte 0 continues the checkpoint shipped
+            // before it only if no other was committed since — which the
+            // reader cannot know before it holds a first frame to watch.
+            if chunk.status == TailStatus::Truncated
+                || (offset == 0
+                    && !chunk.bytes.is_empty()
+                    && read_commit(&feed.dir)?.map(|c| c.1) != feed.ckpt_seq)
+            {
+                feed.restart = true;
+                shipped_any = true;
                 continue;
             }
-            for piece in chunk.bytes.chunks(SNAP_CHUNK) {
-                conn.send(&ReplMsg::LogBatch {
-                    shard: shard as u32,
-                    bytes: piece.to_vec(),
-                })?;
-            }
-            if let Some(tracer) = &shared.config.tracer {
-                for (seq, _) in &chunk.records {
-                    tracer.record(EventKind::ReplShip {
-                        shard: shard as u32,
-                        seq: *seq,
-                    });
-                }
+            if chunk.bytes.is_empty() && !restarted {
+                continue;
             }
             if let Some((seq, _)) = chunk.records.last() {
-                last_seq[shard] = *seq;
-                shared.shipped[shard].fetch_max(*seq, Ordering::AcqRel);
-                conn.send(&ReplMsg::Heartbeat {
-                    shard: shard as u32,
-                    durable_seq: *seq,
-                })?;
+                feed.last_seq = *seq;
             }
+            send_file(conn, shard, LogFile::Wal, offset, &chunk.bytes)?;
+            if let Some(tracer) = &shared.config.tracer {
+                for (seq, _) in &chunk.records {
+                    tracer.record(EventKind::ReplShip { shard, seq: *seq });
+                }
+            }
+            // The mark follows the bytes it covers: after a (re)start, the
+            // checkpoint *and* the log read behind it — a follower is not
+            // level with this shard before it has both.
+            shared.shipped[shard as usize].fetch_max(feed.last_seq, Ordering::AcqRel);
+            conn.send(&ReplMsg::Heartbeat {
+                shard,
+                durable_seq: feed.last_seq,
+            })?;
             shipped_any = true;
         }
         if !shipped_any {
             // Periodic heartbeats keep follower lag measurable at idle and
             // double as a liveness probe of the socket.
             if idle_passes.is_multiple_of(16) {
-                for (shard, &durable_seq) in last_seq.iter().enumerate() {
+                for (shard, feed) in feeds.iter().enumerate().filter(|(_, f)| !f.restart) {
                     conn.send(&ReplMsg::Heartbeat {
                         shard: shard as u32,
-                        durable_seq,
+                        durable_seq: feed.last_seq,
                     })?;
                 }
             }
@@ -366,26 +473,4 @@ fn feed(conn: &mut Conn, shared: &LeaderShared) -> Result<(), ServiceError> {
             idle_passes = 0;
         }
     }
-}
-
-/// Lists `pool-*.snap` files in a shard store, sorted by name. A missing
-/// directory (shard never logged) is empty, not an error.
-fn snapshot_files(dir: &std::path::Path) -> Result<Vec<(String, Vec<u8>)>, ServiceError> {
-    let mut out = Vec::new();
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(disconnected(e)),
-    };
-    for entry in entries {
-        let path = entry.map_err(disconnected)?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if name.starts_with("pool-") && name.ends_with(".snap") {
-            out.push((name.to_string(), fs::read(&path).map_err(disconnected)?));
-        }
-    }
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok(out)
 }

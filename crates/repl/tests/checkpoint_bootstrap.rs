@@ -1,32 +1,26 @@
-//! Snapshot bootstrap: a follower joining mid-stream — after the leader
-//! has checkpointed, so part of history exists only as snapshots — must
-//! converge to byte-identical state via snapshot + log-suffix replay.
+//! Checkpoint bootstrap: a follower joining mid-stream — after the leader
+//! has checkpointed, so part of history exists only in the checkpoint image
+//! — must converge to byte-identical state via image + log-suffix replay.
 //!
 //! Property-style: random op mixes under a seeded LCG, several seeds. The
-//! reference state for each shard is an offline `recover(load_snapshots,
-//! wal)` over the leader's durable directory; the follower's warm registry
-//! must fingerprint identically.
+//! reference state for each shard is the store-level offline recovery of
+//! the leader's durable directory (`load_checkpoint` + `recover_from`, what
+//! `DurableStore::open` runs); the follower's warm registry must
+//! fingerprint identically.
+
+mod common;
 
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 use terp_core::config::Scheme;
-use terp_persist::store::WAL_FILE;
-use terp_persist::{load_snapshots, read_log, recover};
-use terp_pmo::{ObjectId, OpenMode, Permission, PmoId, PmoRegistry};
+use terp_pmo::{ObjectId, OpenMode, Permission, PmoId};
 use terp_repl::{ReplFollower, ReplFollowerConfig, ReplLeader, ReplLeaderConfig};
 use terp_service::{PmoServer, PmoService, ServiceConfig, Visibility};
 
+use common::{assert_warm_matches, durable_seqs, temp_dir, wait_applied};
+
 const SHARDS: usize = 2;
 const CLIENT: usize = 0;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("terp-snapboot-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 struct Lcg(u64);
 
@@ -85,61 +79,9 @@ fn random_ops(
     }
 }
 
-/// One pool's identity: id, name, size, live blocks, page bytes.
-type PoolPrint = (u16, String, u64, Vec<(u64, u64)>, Vec<(u64, Vec<u8>)>);
-
-/// Byte-level pool fingerprint, sorted by id.
-fn fingerprint(reg: &PmoRegistry) -> Vec<PoolPrint> {
-    let mut pools: Vec<_> = reg
-        .iter()
-        .map(|p| {
-            (
-                p.id().raw(),
-                p.name().to_string(),
-                p.size(),
-                p.allocator().live_blocks().collect::<Vec<_>>(),
-                p.export_pages()
-                    .map(|(i, b)| (i, b.to_vec()))
-                    .collect::<Vec<_>>(),
-            )
-        })
-        .collect();
-    pools.sort_by_key(|p| p.0);
-    pools
-}
-
-fn durable_seqs(dir: &Path) -> Vec<Option<u64>> {
-    (0..SHARDS)
-        .map(|i| {
-            let bytes = fs::read(dir.join(format!("shard-{i}")).join(WAL_FILE)).unwrap_or_default();
-            read_log(&bytes).last_seq()
-        })
-        .collect()
-}
-
-fn wait_applied(follower: &ReplFollower, want: &[Option<u64>]) {
-    let start = Instant::now();
-    loop {
-        let lag = follower.lag();
-        let ok = lag.len() == want.len()
-            && lag
-                .iter()
-                .zip(want)
-                .all(|(l, w)| l.bootstrapped && w.is_none_or(|seq| l.applied_seq >= seq));
-        if ok {
-            return;
-        }
-        assert!(
-            start.elapsed() < Duration::from_secs(30),
-            "follower did not converge: lag={lag:?} want={want:?}"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
 fn run_seed(seed: u64) {
-    let leader_dir = temp_dir(&format!("leader-{seed}"));
-    let mirror_dir = temp_dir(&format!("mirror-{seed}"));
+    let leader_dir = temp_dir(&format!("boot-leader-{seed}"));
+    let mirror_dir = temp_dir(&format!("boot-mirror-{seed}"));
     let mut rng = Lcg(seed);
     let mut live = Vec::new();
     let mut pools = Vec::new();
@@ -152,14 +94,14 @@ fn run_seed(seed: u64) {
     };
 
     // Phase 1: random history, then a clean shutdown — which checkpoints,
-    // leaving snapshots plus truncated WALs. A follower joining later can
-    // only learn this part of history from the snapshots.
+    // leaving the compacted image plus truncated WALs. A follower joining
+    // later can only learn this part of history from the image.
     let server = PmoServer::try_start(config()).unwrap();
     random_ops(&server.service(), &mut rng, &mut live, &mut pools, 120);
     server.shutdown();
 
     // Phase 2: the leader reopens and keeps mutating — this part is the
-    // log suffix the follower replays past its snapshot watermarks.
+    // log suffix the follower replays past the image's watermarks.
     let server = PmoServer::try_start(config()).unwrap();
     let svc = server.service();
     for &p in &pools {
@@ -179,25 +121,12 @@ fn run_seed(seed: u64) {
     // A little more traffic while it catches up.
     random_ops(&svc, &mut rng, &mut live, &mut pools, 60);
 
-    wait_applied(&follower, &durable_seqs(&leader_dir));
+    wait_applied(&follower, &durable_seqs(&leader_dir, SHARDS));
     drop(server); // freeze the leader's files (no drain: seqs stay as read)
     leader.shutdown();
 
-    // Reference per shard: offline recovery of snapshots + full WAL.
-    for shard in 0..SHARDS {
-        let sdir = leader_dir.join(format!("shard-{shard}"));
-        let snaps = load_snapshots(&sdir).unwrap();
-        let wal = fs::read(sdir.join(WAL_FILE)).unwrap_or_default();
-        let (reference, _) = recover(&snaps, &wal).unwrap();
-        let got = follower
-            .inspect(shard as u32, fingerprint)
-            .expect("shard mirror exists");
-        assert_eq!(
-            got,
-            fingerprint(&reference.registry),
-            "seed {seed} shard {shard}: follower diverged from snapshot+suffix reference"
-        );
-    }
+    // Reference per shard: offline recovery of image + full WAL.
+    assert_warm_matches(&follower, &leader_dir, SHARDS, &format!("seed {seed}"));
 
     follower.shutdown();
     fs::remove_dir_all(&leader_dir).ok();

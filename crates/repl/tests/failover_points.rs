@@ -1,5 +1,6 @@
 //! The failover-point enumerator: kill the leader at every enumerated WAL
-//! position and prove the promoted follower is safe at each one.
+//! position — and, across checkpoints, after every message it ships — and
+//! prove the promoted follower is safe at each one.
 //!
 //! Built on the PR-3 crash-injection harness: [`enumerate_crash_points`]
 //! walks the leader's durable log image and yields every record-boundary
@@ -24,49 +25,38 @@
 //! 4. **The promoted service takes traffic**: a real `PmoServer` opens
 //!    over the mirror in standby mode (mutations refused), promotes, and
 //!    accepts writes.
+//!
+//! The second test takes the byte positions for granted and moves the kill
+//! point across checkpoint boundaries instead: a real leader ships a
+//! history that crosses a compacting and an appending checkpoint through a
+//! proxy that forwards one message at a time, and after **every** message
+//! the follower's mirror — image half shipped, `prot.log` staged, WAL not
+//! yet restarted — is promoted and held to points 1 and 2 against the
+//! uncheckpointed reference.
+
+mod common;
 
 use std::collections::BTreeSet;
 use std::fs;
-use std::path::PathBuf;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use terp_core::config::Scheme;
-use terp_persist::store::WAL_FILE;
+use terp_net::repl::ReplMsg;
+use terp_net::{encode_frame, FrameDecoder};
 use terp_persist::{
     enumerate_crash_points, inject, read_log, recover, DurableStore, Visibility, WalRecord,
-    WalWriter,
+    WalWriter, WAL_FILE,
 };
 use terp_pmo::{OpenMode, Permission, PmoId, PmoRegistry, Transaction};
+use terp_repl::{ReplFollower, ReplFollowerConfig, ReplLeader, ReplLeaderConfig};
 use terp_service::{PmoServer, ServiceConfig, ServiceError};
 
-fn temp_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("terp-failover-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// One pool's identity: id, name, size, live blocks, page bytes.
-type PoolPrint = (u16, String, u64, Vec<(u64, u64)>, Vec<(u64, Vec<u8>)>);
-
-/// A pool-state fingerprint: byte-identical means equal fingerprints.
-fn fingerprint(reg: &PmoRegistry) -> Vec<PoolPrint> {
-    let mut pools: Vec<_> = reg
-        .iter()
-        .map(|p| {
-            (
-                p.id().raw(),
-                p.name().to_string(),
-                p.size(),
-                p.allocator().live_blocks().collect::<Vec<_>>(),
-                p.export_pages()
-                    .map(|(i, b)| (i, b.to_vec()))
-                    .collect::<Vec<_>>(),
-            )
-        })
-        .collect();
-    pools.sort_by_key(|p| p.0);
-    pools
-}
+use common::{fingerprint, shard_dir, temp_dir as temp_root};
 
 /// The leader's life up to its death: two pools, a completed exposure
 /// window on A, a window left open on B, and an in-flight transaction on A
@@ -248,7 +238,7 @@ fn every_kill_point_promotes_safely() {
         // 2. Byte-identical committed state: the mirror recovers to the
         // same registry as a reference recovery of the leader's valid
         // durable prefix, and the mirror WAL is physically that prefix.
-        let (reference, _) = recover(&[], &damaged[..prefix.consumed]).unwrap();
+        let (reference, _) = recover(&damaged[..prefix.consumed]).unwrap();
         assert_eq!(
             fingerprint(&state.registry),
             fingerprint(&reference.registry),
@@ -308,4 +298,339 @@ fn every_kill_point_promotes_safely() {
         fs::remove_dir_all(&dir).unwrap();
     }
     fs::remove_dir_all(&root).unwrap();
+}
+
+/// A hand-driven leader store plus the uncheckpointed reference: every
+/// record it ever logged, with its sequence number, never truncated.
+struct Scripted<'a> {
+    reg: PmoRegistry,
+    store: DurableStore,
+    reference: &'a Reference,
+}
+
+type Reference = Mutex<Vec<(u64, Vec<u8>)>>;
+
+impl Scripted<'_> {
+    /// Logs and commits one record; a moment's pause lets the leader ship
+    /// it as a message of its own.
+    fn log(&mut self, record: WalRecord) {
+        let seq = self.store.log(&record).unwrap();
+        // Into the reference before it can reach the disk, let alone the
+        // mirror: a promoted prefix never outruns its reference.
+        self.reference
+            .lock()
+            .unwrap()
+            .push((seq, record.encode(seq)));
+        self.store.commit().unwrap();
+        std::thread::sleep(Duration::from_micros(300));
+    }
+
+    fn create(&mut self, name: &str) -> PmoId {
+        let id = self.reg.create(name, 1 << 16, OpenMode::ReadWrite).unwrap();
+        self.log(WalRecord::PoolCreate {
+            id,
+            name: name.into(),
+            size: 1 << 16,
+            mode: OpenMode::ReadWrite,
+        });
+        id
+    }
+
+    fn alloc(&mut self, pmo: PmoId, size: u64) -> u64 {
+        let offset = self
+            .reg
+            .pool_mut(pmo)
+            .unwrap()
+            .pmalloc(size)
+            .unwrap()
+            .offset();
+        self.log(WalRecord::Alloc { pmo, size, offset });
+        offset
+    }
+
+    fn write(&mut self, pmo: PmoId, offset: u64, data: &[u8]) {
+        self.reg
+            .pool_mut(pmo)
+            .unwrap()
+            .write_bytes(offset, data)
+            .unwrap();
+        self.log(WalRecord::DataWrite {
+            pmo,
+            offset,
+            data: data.to_vec(),
+        });
+    }
+
+    /// The protection records a service would hand a checkpoint: whatever
+    /// the reference has open right now.
+    fn checkpoint(&mut self) {
+        let frames: Vec<u8> = self
+            .reference
+            .lock()
+            .unwrap()
+            .iter()
+            .flat_map(|(_, frame)| frame.clone())
+            .collect();
+        let records = read_log(&frames).records;
+        let mut protection: Vec<WalRecord> = open_windows_in(&records)
+            .into_iter()
+            .map(|pmo| WalRecord::WindowOpen { pmo })
+            .collect();
+        let mut sessions = Vec::new();
+        for (_, record) in &records {
+            match record {
+                WalRecord::SessionOpen { client, pmo, .. } => sessions.push((*client, *pmo)),
+                WalRecord::SessionClose { client, pmo } => {
+                    sessions.retain(|s| s != &(*client, *pmo))
+                }
+                _ => {}
+            }
+        }
+        protection.extend(
+            sessions
+                .into_iter()
+                .map(|(client, pmo)| WalRecord::SessionOpen {
+                    client,
+                    pmo,
+                    perm: Permission::ReadWrite,
+                }),
+        );
+        self.store
+            .checkpoint(self.reg.iter_mut(), &protection)
+            .unwrap();
+    }
+}
+
+fn read_frame(
+    stream: &mut TcpStream,
+    dec: &mut FrameDecoder,
+    stop: &AtomicBool,
+) -> Option<Vec<u8>> {
+    loop {
+        if let Some(payload) = dec.next_frame().expect("well-formed frame") {
+            return Some(payload);
+        }
+        let mut buf = [0u8; 64 * 1024];
+        match stream.read(&mut buf) {
+            Ok(0) => return None,
+            Ok(n) => dec.push(&buf[..n]),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                if stop.load(Ordering::Acquire) {
+                    return None;
+                }
+            }
+            Err(_) => return None,
+        }
+    }
+}
+
+/// Sits between a real leader and a real follower and makes the stream
+/// single-step: one leader message forwarded, the follower's ack awaited
+/// (it acks only after applying), `after` called, then the next. Returns
+/// the number of log batches that went through.
+fn stepping_proxy(
+    listener: TcpListener,
+    leader: std::net::SocketAddr,
+    stop: &AtomicBool,
+    mut after: impl FnMut(&ReplMsg),
+) -> usize {
+    let (mut down, _) = listener.accept().unwrap();
+    let mut up = TcpStream::connect(leader).unwrap();
+    for s in [&down, &up] {
+        s.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
+        s.set_nodelay(true).unwrap();
+    }
+    let (mut from_down, mut from_up) = (FrameDecoder::new(), FrameDecoder::new());
+    let forward = |from: &mut TcpStream, dec: &mut FrameDecoder, to: &mut TcpStream| {
+        let payload = read_frame(from, dec, stop)?;
+        to.write_all(&encode_frame(&payload)).ok()?;
+        Some(ReplMsg::decode(&payload).expect("well-formed message"))
+    };
+    // Hello, Welcome, Subscribe.
+    forward(&mut down, &mut from_down, &mut up).unwrap();
+    forward(&mut up, &mut from_up, &mut down).unwrap();
+    forward(&mut down, &mut from_down, &mut up).unwrap();
+    let mut batches = 0;
+    while let Some(msg) = forward(&mut up, &mut from_up, &mut down) {
+        if forward(&mut down, &mut from_down, &mut up).is_none() {
+            break;
+        }
+        if matches!(msg, ReplMsg::LogBatch { .. }) {
+            batches += 1;
+            after(&msg);
+        }
+    }
+    batches
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    let _ = fs::remove_dir_all(to);
+    fs::create_dir_all(to).unwrap();
+    for entry in fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+#[test]
+fn every_shipped_message_across_checkpoints_promotes_safely() {
+    let root = temp_root("per-message");
+    let (leader_dir, mirror_dir, scratch) = (
+        root.join("leader"),
+        root.join("mirror"),
+        root.join("promoted"),
+    );
+    let (store, _, _) =
+        DurableStore::open(&shard_dir(&leader_dir, 0), Visibility::Durable).unwrap();
+    let reference = Reference::default();
+    let mut s = Scripted {
+        reg: PmoRegistry::new(),
+        store,
+        reference: &reference,
+    };
+
+    let leader = ReplLeader::start(ReplLeaderConfig::new(&leader_dir, 1), "127.0.0.1:0").unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let follower = ReplFollower::start(ReplFollowerConfig::new(
+        listener.local_addr().unwrap(),
+        &mirror_dir,
+        3,
+    ));
+    let stop = AtomicBool::new(false);
+    let mut seen_states = BTreeSet::new();
+
+    let (batches, last_seq) = std::thread::scope(|scope| {
+        let proxy = scope.spawn(|| {
+            stepping_proxy(listener, leader.local_addr(), &stop, |msg| {
+                // The mirror as it stands after this message, promoted.
+                copy_dir(&shard_dir(&mirror_dir, 0), &scratch);
+                let (store, state, report) = DurableStore::open(&scratch, Visibility::Durable)
+                    .unwrap_or_else(|e| panic!("after {msg:?}: mirror does not open: {e}"));
+                let Some(upto) = store.next_seq().checked_sub(1) else {
+                    return;
+                };
+                let prefix = reference_upto(&reference, upto);
+                let records = read_log(&prefix).records;
+                let (expected, _) = recover(&prefix).unwrap();
+                assert_eq!(
+                    fingerprint(&state.registry),
+                    fingerprint(&expected.registry),
+                    "after {msg:?}: promoted state is not the leader's at seq {upto}"
+                );
+                let resealed: BTreeSet<PmoId> = state.resealed.iter().copied().collect();
+                assert_eq!(
+                    resealed,
+                    open_windows_in(&records),
+                    "after {msg:?}: resealed set at seq {upto}"
+                );
+                assert_eq!(state.roots, expected.roots, "after {msg:?}");
+                assert!(!report.torn_tail, "whole frames only in this history");
+                seen_states.insert((
+                    scratch.join("ckpt.log").exists(),
+                    fs::metadata(scratch.join(WAL_FILE)).map_or(0, |m| m.len()) > 0,
+                ));
+            })
+        });
+
+        // The leader's life: two pools, windows that open, close and stay
+        // open, a root — and two checkpoints under the follower's feet.
+        let a = s.create("acct");
+        let b = s.create("scratch");
+        let a1 = s.alloc(a, 128);
+        s.write(a, a1, b"committed-v1");
+        s.log(WalRecord::SessionOpen {
+            client: 9,
+            pmo: a,
+            perm: Permission::ReadWrite,
+        });
+        s.log(WalRecord::WindowOpen { pmo: a });
+        s.write(a, a1, b"committed-v2");
+        s.log(WalRecord::RootSet {
+            pmo: a,
+            key: 1,
+            oid: terp_pmo::ObjectId::new(a, a1).to_packed(),
+        });
+        s.checkpoint(); // nobody forced it: compacts, window on A open
+        let b1 = s.alloc(b, 64);
+        s.log(WalRecord::SessionOpen {
+            client: 4,
+            pmo: b,
+            perm: Permission::ReadWrite,
+        });
+        s.log(WalRecord::WindowOpen { pmo: b });
+        s.write(b, b1, b"exposed!");
+        s.log(WalRecord::WindowClose { pmo: a });
+        s.log(WalRecord::SessionClose { client: 9, pmo: a });
+        // Up to the trigger in one burst, then a forced (appending)
+        // checkpoint with only B's window open.
+        while !s.store.checkpoint_due() {
+            let seq = s.store.log(&WalRecord::Randomize { pmo: b }).unwrap();
+            let frame = WalRecord::Randomize { pmo: b }.encode(seq);
+            s.reference.lock().unwrap().push((seq, frame));
+        }
+        s.store.commit().unwrap();
+        s.checkpoint();
+        s.write(a, a1, b"committed-v3");
+        s.log(WalRecord::WindowOpen { pmo: a });
+        s.write(b, b1, b"last word");
+        let last_seq = s.store.next_seq() - 1;
+
+        // Let the stream drain, then stop the proxy.
+        let start = Instant::now();
+        while follower
+            .lag()
+            .first()
+            .is_none_or(|l| l.applied_seq < last_seq)
+        {
+            assert!(
+                start.elapsed() < Duration::from_secs(60),
+                "{:?}",
+                follower.lag()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        stop.store(true, Ordering::Release);
+        (proxy.join().unwrap(), last_seq)
+    });
+    assert!(
+        batches >= 12,
+        "only {batches} messages were stepped through"
+    );
+    assert!(
+        seen_states.contains(&(true, false)),
+        "a mirror with an image and no WAL yet was promoted: {seen_states:?}"
+    );
+
+    // And the real thing, at the end of the stream.
+    leader.shutdown();
+    drop(s);
+    let promoted = follower
+        .promote(
+            ServiceConfig::for_tests(Scheme::terp_full())
+                .with_shards(1)
+                .with_durable(&leader_dir),
+        )
+        .unwrap();
+    let rec = promoted.service().recovery_stats().unwrap();
+    assert_eq!(rec.windows_resealed, 2, "A (reopened) and B");
+    assert_eq!(rec.pools_recovered, 2);
+    assert!(last_seq > terp_persist::CHECKPOINT_TRIGGER);
+    promoted.shutdown();
+    fs::remove_dir_all(&root).unwrap();
+}
+
+/// The reference's frames up to and including `upto`.
+fn reference_upto(reference: &Reference, upto: u64) -> Vec<u8> {
+    reference
+        .lock()
+        .unwrap()
+        .iter()
+        .take_while(|(seq, _)| *seq <= upto)
+        .flat_map(|(_, frame)| frame.clone())
+        .collect()
 }

@@ -1,63 +1,23 @@
 //! Live leader → follower → kill → promote, over real loopback sockets.
 
+mod common;
+
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use terp_core::config::Scheme;
-use terp_persist::read_log;
-use terp_persist::store::WAL_FILE;
 use terp_pmo::{OpenMode, Permission};
 use terp_repl::{ReplFollower, ReplFollowerConfig, ReplLeader, ReplLeaderConfig};
 use terp_service::{PmoServer, ServiceConfig, Visibility};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("terp-ha-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use common::{durable_seqs, temp_dir, wait_applied};
 
 fn durable_config(dir: &Path, shards: usize) -> ServiceConfig {
     ServiceConfig::for_tests(Scheme::terp_full())
         .with_shards(shards)
         .with_durable(dir)
         .with_visibility(Visibility::Durable)
-}
-
-/// Last durable WAL seq of each shard, read straight from the leader's
-/// files (`visibility = durable` makes this exact: an acknowledged
-/// operation is already on disk).
-fn durable_seqs(dir: &Path, shards: usize) -> Vec<Option<u64>> {
-    (0..shards)
-        .map(|i| {
-            let path = dir.join(format!("shard-{i}")).join(WAL_FILE);
-            let bytes = fs::read(&path).unwrap_or_default();
-            read_log(&bytes).last_seq()
-        })
-        .collect()
-}
-
-/// Spins until the follower has bootstrapped every shard and applied at
-/// least the given per-shard seqs.
-fn wait_applied(follower: &ReplFollower, want: &[Option<u64>], deadline: Duration) {
-    let start = Instant::now();
-    loop {
-        let lag = follower.lag();
-        let ok = lag.len() == want.len()
-            && lag
-                .iter()
-                .zip(want)
-                .all(|(l, w)| l.bootstrapped && w.is_none_or(|seq| l.applied_seq >= seq));
-        if ok {
-            return;
-        }
-        assert!(
-            start.elapsed() < deadline,
-            "follower did not converge: lag={lag:?} want={want:?}"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
 }
 
 #[test]
@@ -87,7 +47,7 @@ fn kill_leader_promote_follower_reseal_and_serve() {
         want.iter().any(|w| w.is_some()),
         "workload must have logged"
     );
-    wait_applied(&follower, &want, Duration::from_secs(20));
+    wait_applied(&follower, &want);
     assert!(follower.is_connected());
     assert!(
         follower.open_windows() >= 1,
@@ -149,11 +109,7 @@ fn follower_reconnects_and_rebootstraps_after_leader_restart() {
         ReplLeader::start(ReplLeaderConfig::new(&leader_dir, shards), "127.0.0.1:0").unwrap();
     let addr = leader1.local_addr();
     let follower = ReplFollower::start(ReplFollowerConfig::new(addr, &mirror_dir, 2));
-    wait_applied(
-        &follower,
-        &durable_seqs(&leader_dir, shards),
-        Duration::from_secs(20),
-    );
+    wait_applied(&follower, &durable_seqs(&leader_dir, shards));
 
     // The replication endpoint dies (say, its process restarts)…
     leader1.shutdown();
@@ -173,11 +129,7 @@ fn follower_reconnects_and_rebootstraps_after_leader_restart() {
     // back up via its exponential-backoff reconnect, with a fresh
     // bootstrap.
     let leader2 = ReplLeader::start(ReplLeaderConfig::new(&leader_dir, shards), addr).unwrap();
-    wait_applied(
-        &follower,
-        &durable_seqs(&leader_dir, shards),
-        Duration::from_secs(20),
-    );
+    wait_applied(&follower, &durable_seqs(&leader_dir, shards));
     let data = follower
         .inspect(0, |reg| {
             let pool = reg.pool(p).unwrap();

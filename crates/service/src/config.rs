@@ -62,40 +62,6 @@ impl Default for CostModel {
     }
 }
 
-/// Durable-mode settings: where the per-shard stores live and when they
-/// checkpoint. *When acknowledged effects are durable* is
-/// [`ServiceConfig::visibility`], the one durable policy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DurableConfig {
-    /// Root directory; each shard gets `dir/shard-<i>` with its own WAL and
-    /// snapshots. The directory is bound to the shard count it was first
-    /// written with — reopening it under a different `effective_shards()`
-    /// is refused at startup.
-    pub dir: PathBuf,
-    /// Incremental-checkpoint trigger: after this many WAL records a shard
-    /// takes a log-structured incremental checkpoint (dirty pages + alloc
-    /// table to `ckpt.log`, protection state to `prot.log`, WAL truncated),
-    /// bounding recovery replay without a quiescent point. `0` disables
-    /// automatic checkpoints (the drain-time full checkpoint remains).
-    pub ckpt_interval: u64,
-}
-
-impl DurableConfig {
-    /// Durable mode rooted at `dir` with automatic checkpoints disabled.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        DurableConfig {
-            dir: dir.into(),
-            ckpt_interval: 0,
-        }
-    }
-
-    /// Sets the incremental-checkpoint interval in records (0 disables).
-    pub fn with_ckpt_interval(mut self, records: u64) -> Self {
-        self.ckpt_interval = records;
-        self
-    }
-}
-
 /// Configuration for a [`crate::PmoService`] / [`crate::PmoServer`] instance.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -118,10 +84,13 @@ pub struct ServiceConfig {
     /// Busy-wait cost charges.
     pub cost: CostModel,
     /// Durable mode: when set, every shard journals its mutations to a
-    /// file-backed [`terp_persist::DurableStore`], recovers from it at
-    /// startup, and checkpoints at drain. `None` keeps the service purely
-    /// in-memory.
-    pub durable: Option<DurableConfig>,
+    /// file-backed [`terp_persist::DurableStore`] at `dir/shard-<i>`,
+    /// recovers from it at startup, and checkpoints whenever the store says
+    /// one is due and at drain. `None` keeps the service purely in-memory.
+    /// The directory is bound to the shard count it was first written with
+    /// — reopening it under a different `effective_shards()` is refused at
+    /// startup.
+    pub durable: Option<PathBuf>,
     /// Flight recorder: when set, every service operation appends trace
     /// events to per-thread lock-free rings (DESIGN.md §12) which can be
     /// dumped and replayed by the offline happens-before checker. `None`
@@ -195,16 +164,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables durable mode rooted at `dir` (automatic checkpoints off; see
-    /// [`Self::with_durable_config`]).
+    /// Enables durable mode rooted at `dir`.
     pub fn with_durable(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.durable = Some(DurableConfig::new(dir));
-        self
-    }
-
-    /// Enables durable mode with an explicit [`DurableConfig`].
-    pub fn with_durable_config(mut self, durable: DurableConfig) -> Self {
-        self.durable = Some(durable);
+        self.durable = Some(dir.into());
         self
     }
 

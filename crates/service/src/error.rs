@@ -39,7 +39,7 @@ pub enum ServiceError {
     /// An error surfaced by the PMO substrate (registry, pool, or address
     /// space).
     Substrate(PmoError),
-    /// A durable-store failure (WAL append, snapshot, or recovery). The
+    /// A durable-store failure (WAL append, checkpoint, or recovery). The
     /// underlying [`terp_persist::PersistError`] is rendered to a string so
     /// this enum stays `Clone + PartialEq`.
     Persist(String),

@@ -319,13 +319,12 @@ pub(crate) fn merge_wal_stats(a: &mut WalStats, b: WalStats) {
 /// (`ServiceReport::recovery == None`) for an in-memory service.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Pools rebuilt from snapshots and/or log replay.
+    /// Pools rebuilt from the checkpoint image and/or log replay.
     pub pools_recovered: u64,
-    /// Snapshots installed before replay.
-    pub snapshots_installed: u64,
-    /// Log records replayed.
+    /// Records replayed: the checkpoint's image and protection records
+    /// plus the WAL's.
     pub records_replayed: u64,
-    /// Stale records skipped below a snapshot watermark.
+    /// Stale records skipped below a checkpoint watermark.
     pub records_skipped: u64,
     /// Bytes discarded from torn log tails.
     pub bytes_dropped: u64,
@@ -345,7 +344,6 @@ impl RecoveryStats {
     /// Folds one shard store's recovery report into the aggregate.
     pub(crate) fn absorb(&mut self, r: &terp_persist::RecoveryReport) {
         self.pools_recovered += r.pools_recovered as u64;
-        self.snapshots_installed += r.snapshots_installed as u64;
         self.records_replayed += r.records_replayed as u64;
         self.records_skipped += r.records_skipped as u64;
         self.bytes_dropped += r.bytes_dropped as u64;
@@ -442,10 +440,9 @@ impl std::fmt::Display for ServiceReport {
         if let Some(rec) = &self.recovery {
             write!(
                 f,
-                "\n  recovery: {} pools ({} snapshots, {} records), \
+                "\n  recovery: {} pools ({} records), \
                  {} windows resealed, {} sessions discarded, {:.2} ms",
                 rec.pools_recovered,
-                rec.snapshots_installed,
                 rec.records_replayed,
                 rec.windows_resealed,
                 rec.sessions_discarded,

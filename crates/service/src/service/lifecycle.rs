@@ -7,7 +7,6 @@ use terp_arch::{CondStats, MerrStats};
 use terp_pmo::PmoId;
 
 use super::PmoService;
-#[cfg(doc)]
 use crate::error::ServiceError;
 use crate::metrics::{merge_cond_stats, merge_wal_stats, merge_window_stats, ServiceReport};
 use crate::ClientId;
@@ -91,13 +90,30 @@ impl PmoService {
                 });
             }
             state.windows.finalize(now);
-            // Durable mode: the drain is a protection-quiescent point (every
-            // window just closed), so checkpoint — snapshots bound the next
-            // startup's replay. Best-effort: on failure the WAL alone still
-            // recovers everything.
-            let _ = state.checkpoint();
             shard.cvar.notify_all();
         }
+        // Durable mode: nobody is waiting on this checkpoint, so it compacts
+        // — the next startup replays the image and nothing else.
+        // Best-effort: on failure the WAL still recovers everything.
+        let _ = self.checkpoint();
+    }
+
+    /// Checkpoints every shard's durable store now (a no-op in memory): the
+    /// same protocol the stores' own trigger runs at the end of an
+    /// operation, with windows and sessions open or not. This is what
+    /// [`Self::drain`] ends with.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Persist`] from the first shard that fails (its WAL
+    /// is intact); the shards after it are still attempted.
+    pub fn checkpoint(&self) -> Result<(), ServiceError> {
+        let mut outcome = Ok(());
+        for shard in &self.shards {
+            let result = self.lock(shard).checkpoint();
+            outcome = outcome.and(result);
+        }
+        outcome
     }
 
     /// Merges every shard's statistics — and every thread's metric slab —

@@ -188,7 +188,7 @@ impl PmoService {
     }
 
     /// Fallible constructor. In durable mode each shard opens (creating if
-    /// needed) its store at `durable.dir/shard-<i>`, recovers whatever the
+    /// needed) its store at `durable/shard-<i>`, recovers whatever the
     /// directory holds — force-closing and resealing every exposure window
     /// that was open at crash time — and adopts the recovered pools. The
     /// aggregated recovery metrics are available via
@@ -223,7 +223,7 @@ impl PmoService {
         if let Some(durable) = &config.durable {
             let mut stats = RecoveryStats::default();
             for (i, shard) in shards.iter().enumerate() {
-                let dir = durable.dir.join(format!("shard-{i}"));
+                let dir = durable.join(format!("shard-{i}"));
                 let (store, recovered, report) = DurableStore::open(&dir, config.visibility)?;
                 stats.absorb(&report);
                 let mut state = shard.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -249,7 +249,6 @@ impl PmoService {
                     max_raw = max_raw.max(id.raw());
                 }
                 state.store = Some(store);
-                state.ckpt_interval = durable.ckpt_interval;
                 // Adopt the recovered root directory: structures re-find
                 // their roots through `Self::root` after a crash.
                 state.roots.extend(recovered.roots);
@@ -258,7 +257,7 @@ impl PmoService {
             // extra shard-* stores would otherwise be silently ignored (the
             // routing check above only catches the shrinking direction).
             let io = |e: std::io::Error| ServiceError::Persist(e.to_string());
-            for entry in std::fs::read_dir(&durable.dir).map_err(io)? {
+            for entry in std::fs::read_dir(durable).map_err(io)? {
                 let name = entry.map_err(io)?.file_name();
                 let name = name.to_string_lossy();
                 if let Some(k) = name
@@ -269,7 +268,7 @@ impl PmoService {
                         return Err(ServiceError::Persist(format!(
                             "{}: found {name} but this service runs {n} shards; \
                              the directory was written under a different shard count",
-                            durable.dir.display()
+                            durable.display()
                         )));
                     }
                 }

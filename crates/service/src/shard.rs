@@ -66,7 +66,6 @@ impl Shard {
                 detach_syscalls: 0,
                 randomizations: 0,
                 store: None,
-                ckpt_interval: 0,
                 idx,
                 lock_seq: 0,
                 lock_pending: std::cell::Cell::new(false),
@@ -111,13 +110,10 @@ pub(crate) struct ShardState {
     pub detach_syscalls: u64,
     /// In-place randomizations performed by this shard.
     pub randomizations: u64,
-    /// Durable mode: this shard's write-ahead log + snapshot directory,
+    /// Durable mode: this shard's write-ahead log + checkpoint directory,
     /// opened under the service's visibility rule. `None` keeps the shard
     /// purely in-memory.
     pub store: Option<DurableStore>,
-    /// Incremental-checkpoint trigger in records (0 = disabled), copied
-    /// from [`crate::DurableConfig::ckpt_interval`].
-    pub ckpt_interval: u64,
     /// This shard's index: the lock identity in trace events.
     pub idx: u32,
     /// Mutex acquisition counter. Protected by the mutex itself, so its
@@ -204,13 +200,24 @@ impl ShardState {
     }
 
     /// Closes out one mutating operation while the shard lock is still
-    /// held: runs the incremental-checkpoint trigger and reports whether
+    /// held: checkpoints if the store says one is due and reports whether
     /// the store is left holding records that only [`Self::commit`] will
     /// make durable — true under `visibility = durable` when the operation
     /// (or an earlier one nobody committed yet) journaled anything, never
     /// under `submit` or in memory.
+    ///
+    /// The trigger runs at *operation end* — never mid-operation, where a
+    /// journaled protection record (e.g. the `SessionOpen` written before
+    /// the grant) could be truncated before the shard state it describes
+    /// exists.
     pub(crate) fn finish_op(&mut self) -> Result<bool, ServiceError> {
-        self.maybe_checkpoint()?;
+        if self
+            .store
+            .as_ref()
+            .is_some_and(DurableStore::checkpoint_due)
+        {
+            self.checkpoint()?;
+        }
         Ok(self
             .store
             .as_ref()
@@ -228,32 +235,23 @@ impl ShardState {
         Ok(())
     }
 
-    /// Incremental-checkpoint trigger: when `ckpt_interval` is set and the
-    /// store has journaled at least that many records since the last
-    /// checkpoint, write dirty-page deltas to the checkpoint log, rewrite
-    /// the protection snapshot from live shard state, and truncate the WAL.
-    /// Runs at *operation end* — never mid-operation, where a journaled
-    /// protection record (e.g. the `SessionOpen` written before the grant)
-    /// could be truncated before the shard state it describes exists.
-    pub(crate) fn maybe_checkpoint(&mut self) -> Result<(), ServiceError> {
+    /// Checkpoints this shard's durable store (a no-op in memory): the
+    /// store writes its page set, the protection snapshot rebuilt here from
+    /// live shard state — open windows and open sessions, exactly what
+    /// recovery needs to reseal and discard — and truncates the WAL. No
+    /// quiescent point is needed; call between operations.
+    pub(crate) fn checkpoint(&mut self) -> Result<(), ServiceError> {
         let ShardState {
             store,
             pools,
             space,
             holders,
             perms,
-            roots: _,
-            ckpt_interval,
             ..
         } = self;
         let Some(store) = store.as_mut() else {
             return Ok(());
         };
-        if *ckpt_interval == 0 || store.records_since_checkpoint() < *ckpt_interval {
-            return Ok(());
-        }
-        // Reconstruct the live protection state: open windows and open
-        // sessions, exactly what recovery needs to reseal and re-grant.
         let mut protection: Vec<WalRecord> = Vec::new();
         for &pmo in pools.keys() {
             if space.is_attached(pmo) {
@@ -284,19 +282,7 @@ impl ShardState {
             }
         }
         let mut guards: Vec<_> = pools.values().map(|s| s.pool_mut()).collect();
-        store.checkpoint_incremental(guards.iter_mut().map(|g| &mut **g), &protection)?;
-        Ok(())
-    }
-
-    /// Checkpoints this shard's durable store: snapshots every pool and
-    /// truncates the WAL. Must be called at a protection-quiescent point
-    /// (no open windows) — the service drains before checkpointing.
-    pub(crate) fn checkpoint(&mut self) -> Result<(), ServiceError> {
-        let ShardState { store, pools, .. } = self;
-        if let Some(store) = store.as_mut() {
-            let mut guards: Vec<_> = pools.values().map(|s| s.pool_mut()).collect();
-            store.checkpoint(guards.iter_mut().map(|g| &mut **g))?;
-        }
+        store.checkpoint(guards.iter_mut().map(|g| &mut **g), &protection)?;
         Ok(())
     }
 

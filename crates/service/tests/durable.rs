@@ -72,11 +72,12 @@ fn crash_recovery_reseals_windows_and_keeps_data() {
 }
 
 #[test]
-fn clean_shutdown_checkpoints_and_recovers_from_snapshots() {
+fn clean_shutdown_checkpoints_and_recovers_from_the_image() {
     for visibility in BOTH {
         let dir = tmp_dir(&format!("clean-{visibility:?}"));
         let cfg = || {
             ServiceConfig::for_tests(Scheme::terp_full())
+                .with_shards(1)
                 .with_durable(&dir)
                 .with_visibility(visibility)
         };
@@ -94,14 +95,137 @@ fn clean_shutdown_checkpoints_and_recovers_from_snapshots() {
             let report = server.shutdown();
             assert_eq!(report.recovery, svc.recovery_stats());
         }
+        let shard = dir.join("shard-0");
+        assert_eq!(
+            std::fs::metadata(shard.join(terp_persist::WAL_FILE))
+                .unwrap()
+                .len(),
+            0,
+            "the drain checkpointed and truncated the log"
+        );
 
         let svc = PmoService::try_new(cfg()).unwrap();
         let rec = svc.recovery_stats().unwrap();
-        assert!(rec.snapshots_installed >= 1, "shutdown checkpointed");
-        assert_eq!(rec.records_replayed, 0, "log was truncated at checkpoint");
+        assert_eq!(rec.pools_recovered, 1);
+        // The compacted image of one pool with one page, and nothing else:
+        // PoolCreate, PageDelta, AllocTable — no WAL record, no protection.
+        assert_eq!(rec.records_replayed, 3, "image records only");
+        assert_eq!(rec.records_skipped, 0);
         assert_eq!(rec.windows_resealed, 0, "clean shutdown left nothing open");
+        assert_eq!(rec.sessions_discarded, 0);
         svc.attach(2, oid.pmo(), Permission::Read).unwrap();
         assert_eq!(svc.read(2, oid, 12).unwrap(), b"checkpointed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Records in one shard store's WAL file.
+fn wal_records(dir: &std::path::Path) -> usize {
+    let wal = dir.join("shard-0").join(terp_persist::WAL_FILE);
+    terp_persist::read_log(&std::fs::read(wal).unwrap_or_default())
+        .records
+        .len()
+}
+
+/// The automatic trigger, end to end: more than the trigger's worth of
+/// records through every kind of caller that ends an operation — plain
+/// calls, a `Batch`, the sweeper's pass — with windows and sessions open
+/// throughout, then a kill without drain. The log stayed short, every
+/// acknowledged write reads back, and recovery reseals exactly the windows
+/// that were open at the kill.
+#[test]
+fn automatic_checkpoints_bound_the_log_and_keep_every_acked_write() {
+    let trigger = terp_persist::CHECKPOINT_TRIGGER as usize;
+    for visibility in BOTH {
+        let dir = tmp_dir(&format!("auto-{visibility:?}"));
+        let cfg = || {
+            ServiceConfig::for_tests(Scheme::terp_full())
+                .with_shards(1)
+                .with_ew_target_us(50_000)
+                .with_durable(&dir)
+                .with_visibility(visibility)
+        };
+        let mut model: Vec<(terp_pmo::ObjectId, Vec<u8>)> = Vec::new();
+        let held;
+        let mut checkpoints = 0;
+        {
+            let svc = PmoService::try_new(cfg()).unwrap();
+            let pools: Vec<PmoId> = (0..4)
+                .map(|i| {
+                    svc.create_pool(&format!("auto-{i}"), 1 << 16, OpenMode::ReadWrite)
+                        .unwrap()
+                })
+                .collect();
+            // Clients 0 and 1 hold their windows for the whole run; client 2
+            // comes and goes.
+            for (i, &p) in pools.iter().enumerate() {
+                svc.attach(i % 2, p, Permission::ReadWrite).unwrap();
+                let oid = svc.alloc(i % 2, p, 64).unwrap();
+                svc.set_root(i % 2, p, 1, Some(oid)).unwrap();
+                model.push((oid, vec![0; 64]));
+            }
+            // A log that got shorter was truncated by a checkpoint; it never
+            // holds more than the trigger plus the operation that fired it.
+            let mut last = wal_records(&dir);
+            let mut step = |checkpoints: &mut usize| {
+                let now = wal_records(&dir);
+                *checkpoints += usize::from(now < last);
+                assert!(now <= trigger + 8, "the log outgrew the trigger: {now}");
+                last = now;
+            };
+            let mut round = 0u32;
+            while checkpoints < 3 {
+                round += 1;
+                let payload = |k: usize| {
+                    let mut v = vec![(round % 251) as u8; 64];
+                    v[0] = k as u8;
+                    v
+                };
+                // Plain calls.
+                for (k, (oid, bytes)) in model.iter_mut().enumerate() {
+                    *bytes = payload(k);
+                    svc.write(k % 2, *oid, bytes).unwrap();
+                    step(&mut checkpoints);
+                }
+                // A batch: one commit for a few hundred operations, with a
+                // session opened and closed inside it.
+                let mut batch = svc.batch();
+                batch.attach(2, pools[0], Permission::ReadWrite).unwrap();
+                for _ in 0..64 {
+                    for (k, (oid, bytes)) in model.iter_mut().enumerate() {
+                        bytes[1] = bytes[1].wrapping_add(1);
+                        batch.write(k % 2, *oid, bytes).unwrap();
+                    }
+                }
+                batch.detach(2, pools[0]).unwrap();
+                batch.commit().unwrap();
+                step(&mut checkpoints);
+                // The sweeper's pass (the held windows are past their
+                // target every 50 ms and get re-randomized).
+                if round.is_multiple_of(8) {
+                    std::thread::sleep(Duration::from_millis(60));
+                    assert!(svc.sweep_all() > 0, "held windows expire");
+                    step(&mut checkpoints);
+                }
+            }
+            held = svc.attached_total();
+            assert_eq!(held, 4, "every pool's window is open at the kill");
+            assert!(wal_records(&dir) < trigger, "wal.log is below the trigger");
+            // Dropped without a drain: a crash.
+        }
+
+        let svc = PmoService::try_new(cfg()).unwrap();
+        let rec = svc.recovery_stats().unwrap();
+        assert_eq!(rec.pools_recovered, 4);
+        assert_eq!(rec.windows_resealed as usize, held, "{visibility:?}");
+        assert_eq!(rec.sessions_discarded, 4, "{visibility:?}");
+        assert_eq!(svc.attached_total(), 0, "nothing stays exposed");
+        for (k, (oid, bytes)) in model.iter().enumerate() {
+            assert_eq!(svc.root(oid.pmo(), 1).unwrap(), Some(*oid), "root {k}");
+            svc.attach(9, oid.pmo(), Permission::Read).unwrap();
+            assert_eq!(&svc.read(9, *oid, 64).unwrap(), bytes, "object {k}");
+            svc.detach(9, oid.pmo()).unwrap();
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -483,7 +483,7 @@ mod tests {
         let pid = mem.create_pool("r", 1 << 16).unwrap();
         let oid = mem.alloc(pid, 32).unwrap();
         mem.set_root(pid, 4, Some(oid)).unwrap();
-        let (state, _) = terp_persist::recover(&[], &mem.durable_bytes()).unwrap();
+        let (state, _) = terp_persist::recover(&mem.durable_bytes()).unwrap();
 
         let post = LocalMem::from_recovered(state);
         assert_eq!(post.root(pid, 4).unwrap(), Some(oid));

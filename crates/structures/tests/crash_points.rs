@@ -257,7 +257,7 @@ fn every_enumerated_crash_point_recovers_to_the_committed_prefix() {
         let (expect_open, expect_roots) = replay_protection(&log.records);
         let expected = replay_expected(&w.receipts, k);
 
-        let (state, report) = recover(&[], &damaged).unwrap();
+        let (state, report) = recover(&damaged).unwrap();
 
         // Every window open in the surviving prefix was resealed.
         let mut resealed = state.resealed.clone();
@@ -352,7 +352,7 @@ fn clean_log_recovers_every_committed_op() {
     assert!(log.is_clean());
     let expected = replay_expected(&w.receipts, log.records.len() as u64);
 
-    let (state, report) = recover(&[], &w.wal).unwrap();
+    let (state, report) = recover(&w.wal).unwrap();
     assert!(!report.torn_tail);
     let post = LocalMem::from_recovered(state);
 
