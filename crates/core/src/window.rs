@@ -46,9 +46,59 @@ pub struct WindowStats {
 #[derive(Debug, Clone, Default)]
 pub struct WindowTracker {
     open_ew: HashMap<PmoId, Cycles>,
-    closed_ew: Vec<(PmoId, Cycles)>,
+    closed_ew: Closed,
     open_tew: HashMap<(usize, PmoId), Cycles>,
-    closed_tew: Vec<(PmoId, Cycles)>,
+    closed_tew: Closed,
+}
+
+/// Running aggregates over every closed window of one kind. A long-lived
+/// service closes windows forever, so nothing here grows with their number.
+#[derive(Debug, Clone, Default)]
+struct Closed {
+    count: u64,
+    total: Cycles,
+    max: Cycles,
+    /// Exposed time per pool — all the exposure rates read — indexed by the
+    /// pool's raw id (`None`: no window of that pool closed yet). An id has
+    /// 10 bits, so this stops growing at 16 KiB, and a close costs an index
+    /// where a map would cost a hash.
+    per_pool: Vec<Option<Cycles>>,
+}
+
+impl Closed {
+    fn record(&mut self, pmo: PmoId, len: Cycles) {
+        self.count += 1;
+        self.total += len;
+        self.max = self.max.max(len);
+        let slot = usize::from(pmo.raw());
+        if self.per_pool.len() <= slot {
+            self.per_pool.resize(slot + 1, None);
+        }
+        *self.per_pool[slot].get_or_insert(0) += len;
+    }
+
+    fn stats(&self) -> WindowStats {
+        WindowStats {
+            count: self.count,
+            avg_cycles: if self.count == 0 {
+                0.0
+            } else {
+                self.total as f64 / self.count as f64
+            },
+            max_cycles: self.max,
+            total_cycles: self.total,
+        }
+    }
+
+    fn rate(&self, total: Cycles) -> f64 {
+        let exposed = self.per_pool.iter().flatten();
+        let pools = exposed.clone().count();
+        if total == 0 || pools == 0 {
+            return 0.0;
+        }
+        let sum: f64 = exposed.map(|&t| t as f64 / total as f64).sum();
+        sum / pools as f64
+    }
 }
 
 impl WindowTracker {
@@ -66,22 +116,24 @@ impl WindowTracker {
         debug_assert!(prev.is_none(), "double EW open for {pmo}");
     }
 
-    /// Marks a real detach: closes the exposure window at `now`.
-    pub fn close_ew(&mut self, pmo: PmoId, now: Cycles) {
-        if let Some(start) = self.open_ew.remove(&pmo) {
-            self.closed_ew.push((pmo, now.saturating_sub(start)));
-        } else {
-            debug_assert!(false, "EW close without open for {pmo}");
-        }
+    /// Marks a real detach: closes the exposure window at `now` and returns
+    /// its length (`None` when no window was open).
+    pub fn close_ew(&mut self, pmo: PmoId, now: Cycles) -> Option<Cycles> {
+        let start = self.open_ew.remove(&pmo);
+        debug_assert!(start.is_some(), "EW close without open for {pmo}");
+        let len = now.saturating_sub(start?);
+        self.closed_ew.record(pmo, len);
+        Some(len)
     }
 
     /// Marks an in-place randomization: the window is split at `now` (closed
     /// and immediately reopened), since the location knowledge resets.
-    pub fn split_ew(&mut self, pmo: PmoId, now: Cycles) {
-        if let Some(start) = self.open_ew.remove(&pmo) {
-            self.closed_ew.push((pmo, now.saturating_sub(start)));
-            self.open_ew.insert(pmo, now);
-        }
+    /// Returns the length of the half that closed.
+    pub fn split_ew(&mut self, pmo: PmoId, now: Cycles) -> Option<Cycles> {
+        let start = self.open_ew.get_mut(&pmo)?;
+        let len = now.saturating_sub(std::mem::replace(start, now));
+        self.closed_ew.record(pmo, len);
+        Some(len)
     }
 
     /// Whether an EW is currently open for `pmo`.
@@ -98,7 +150,7 @@ impl WindowTracker {
     /// Closes a thread exposure window at `now`.
     pub fn close_tew(&mut self, thread: usize, pmo: PmoId, now: Cycles) {
         if let Some(start) = self.open_tew.remove(&(thread, pmo)) {
-            self.closed_tew.push((pmo, now.saturating_sub(start)));
+            self.closed_tew.record(pmo, now.saturating_sub(start));
         }
     }
 
@@ -117,56 +169,23 @@ impl WindowTracker {
 
     /// Statistics over all closed EWs.
     pub fn ew_stats(&self) -> WindowStats {
-        Self::stats(self.closed_ew.iter().map(|&(_, d)| d))
+        self.closed_ew.stats()
     }
 
     /// Statistics over all closed TEWs.
     pub fn tew_stats(&self) -> WindowStats {
-        Self::stats(self.closed_tew.iter().map(|&(_, d)| d))
+        self.closed_tew.stats()
     }
 
     /// Exposure rate: per-pool exposed time / `total`, averaged over the
     /// pools that appear in the data. Zero when no windows closed.
     pub fn exposure_rate(&self, total: Cycles) -> f64 {
-        Self::rate(&self.closed_ew, total)
+        self.closed_ew.rate(total)
     }
 
     /// Thread exposure rate (TER), same convention as [`Self::exposure_rate`].
     pub fn thread_exposure_rate(&self, total: Cycles) -> f64 {
-        Self::rate(&self.closed_tew, total)
-    }
-
-    fn rate(closed: &[(PmoId, Cycles)], total: Cycles) -> f64 {
-        if total == 0 || closed.is_empty() {
-            return 0.0;
-        }
-        let mut per_pool: HashMap<PmoId, Cycles> = HashMap::new();
-        for &(pmo, d) in closed {
-            *per_pool.entry(pmo).or_insert(0) += d;
-        }
-        let sum: f64 = per_pool.values().map(|&t| t as f64 / total as f64).sum();
-        sum / per_pool.len() as f64
-    }
-
-    fn stats(durations: impl Iterator<Item = Cycles>) -> WindowStats {
-        let mut count = 0u64;
-        let mut total = 0u64;
-        let mut max = 0u64;
-        for d in durations {
-            count += 1;
-            total += d;
-            max = max.max(d);
-        }
-        WindowStats {
-            count,
-            avg_cycles: if count == 0 {
-                0.0
-            } else {
-                total as f64 / count as f64
-            },
-            max_cycles: max,
-            total_cycles: total,
-        }
+        self.closed_tew.rate(total)
     }
 }
 

@@ -17,11 +17,13 @@
 //! The log records two kinds of events, which is the point of the TERP
 //! persist layer: *data* mutations (`PoolCreate`/`Alloc`/`Free`/`DataWrite`)
 //! and *protection-state* mutations (`SessionOpen`/`SessionClose` for
-//! per-client grants, `WindowOpen`/`WindowClose`/`Randomize` for the
-//! process exposure window). Recovery replays the first kind to rebuild
-//! pool bytes and the second kind to learn which exposure windows were open
-//! at crash time — those must be force-closed and re-randomized, never
-//! resumed.
+//! per-client grants, `WindowOpen`/`WindowClose` for the process exposure
+//! window). Recovery replays the first kind to rebuild pool bytes and the
+//! second kind to learn which exposure windows were open at crash time —
+//! those must be force-closed and re-randomized, never resumed. A
+//! relocation inside an open window (`Randomize`) changes neither, so the
+//! service does not journal it; the record still decodes and replays as a
+//! no-op.
 
 use terp_pmo::{OpenMode, Permission, PmoId};
 
@@ -103,7 +105,10 @@ pub enum WalRecord {
         pmo: PmoId,
     },
     /// Protection state: the mapping was re-randomized in place (MERR
-    /// relocation; the window splits but stays open).
+    /// relocation; the window splits but stays open). Replay ignores it —
+    /// an open window is resealed and re-randomized whatever its history —
+    /// so the service no longer emits it; it stays decodable for the logs
+    /// that hold one.
     Randomize {
         /// Pool relocated.
         pmo: PmoId,
@@ -165,6 +170,15 @@ fn put_bytes(out: &mut Vec<u8>, data: &[u8]) {
     out.extend_from_slice(data);
 }
 
+/// The fields of a [`WalRecord::PageDelta`].
+fn put_page(out: &mut Vec<u8>, pmo: PmoId, page: u64, data: &[u8]) {
+    out.extend_from_slice(&pmo.raw().to_le_bytes());
+    out.extend_from_slice(&page.to_le_bytes());
+    put_bytes(out, data);
+}
+
+const TAG_PAGE_DELTA: u8 = 12;
+
 fn mode_byte(mode: OpenMode) -> u8 {
     match mode {
         OpenMode::ReadOnly => 0,
@@ -194,7 +208,7 @@ impl WalRecord {
             WalRecord::Randomize { .. } => 9,
             WalRecord::Checkpoint { .. } => 10,
             WalRecord::RootSet { .. } => 11,
-            WalRecord::PageDelta { .. } => 12,
+            WalRecord::PageDelta { .. } => TAG_PAGE_DELTA,
             WalRecord::AllocTable { .. } => 13,
         }
     }
@@ -231,12 +245,7 @@ impl WalRecord {
     /// frame header (length + CRC) is back-filled once the payload length
     /// is known.
     pub fn encode_into(&self, seq: u64, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.extend_from_slice(&[0u8; FRAME_HEADER]);
-        let payload = out;
-        payload.extend_from_slice(&seq.to_le_bytes());
-        payload.push(self.tag());
-        match self {
+        frame(seq, self.tag(), out, |payload| match self {
             WalRecord::PoolCreate {
                 id,
                 name,
@@ -284,11 +293,7 @@ impl WalRecord {
                 payload.extend_from_slice(&key.to_le_bytes());
                 payload.extend_from_slice(&oid.to_le_bytes());
             }
-            WalRecord::PageDelta { pmo, page, data } => {
-                payload.extend_from_slice(&pmo.raw().to_le_bytes());
-                payload.extend_from_slice(&page.to_le_bytes());
-                put_bytes(payload, data);
-            }
+            WalRecord::PageDelta { pmo, page, data } => put_page(payload, *pmo, *page, data),
             WalRecord::AllocTable { pmo, live } => {
                 payload.extend_from_slice(&pmo.raw().to_le_bytes());
                 payload.extend_from_slice(&(live.len() as u32).to_le_bytes());
@@ -297,12 +302,38 @@ impl WalRecord {
                     payload.extend_from_slice(&len.to_le_bytes());
                 }
             }
-        }
-        let len = payload.len() - start - FRAME_HEADER;
-        let crc = crc32(&payload[start + FRAME_HEADER..]);
-        payload[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
-        payload[start + 4..start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        });
     }
+
+    /// Encodes the frame of a [`WalRecord::PageDelta`] straight from the
+    /// page's bytes — what [`Self::encode_into`] writes for the record,
+    /// without building it (and copying the page) first.
+    pub(crate) fn encode_page_delta(
+        pmo: PmoId,
+        page: u64,
+        data: &[u8],
+        seq: u64,
+        out: &mut Vec<u8>,
+    ) {
+        frame(seq, TAG_PAGE_DELTA, out, |payload| {
+            put_page(payload, pmo, page, data)
+        });
+    }
+}
+
+/// Appends one frame to `out`: `seq`, `tag` and whatever `fields` writes
+/// are the payload; the header (length + CRC) is back-filled once the
+/// payload length is known.
+fn frame(seq: u64, tag: u8, out: &mut Vec<u8>, fields: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; FRAME_HEADER]);
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.push(tag);
+    fields(out);
+    let len = out.len() - start - FRAME_HEADER;
+    let crc = crc32(&out[start + FRAME_HEADER..]);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[start + 4..start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
 }
 
 struct Cursor<'a> {
@@ -413,7 +444,7 @@ fn decode_payload(payload: &[u8]) -> Option<(u64, WalRecord)> {
             key: c.u32()?,
             oid: c.u64()?,
         },
-        12 => WalRecord::PageDelta {
+        TAG_PAGE_DELTA => WalRecord::PageDelta {
             pmo: c.pmo()?,
             page: c.u64()?,
             data: c.bytes()?.to_vec(),
@@ -569,6 +600,24 @@ mod tests {
         for (i, (seq, rec)) in decoded.records.iter().enumerate() {
             assert_eq!(*seq, i as u64);
             assert_eq!(rec, &records[i]);
+        }
+    }
+
+    #[test]
+    fn page_delta_framed_from_a_slice_is_the_records_own_encoding() {
+        let p = PmoId::new(7).unwrap();
+        for data in [&[][..], &[0xA5; 1][..], &[0x5A; 4096][..]] {
+            // Onto a non-empty buffer: the back-fill must find its own frame.
+            let (mut direct, mut owned) = (vec![1, 2, 3], vec![1, 2, 3]);
+            WalRecord::encode_page_delta(p, 3, data, 99, &mut direct);
+            let record = WalRecord::PageDelta {
+                pmo: p,
+                page: 3,
+                data: data.to_vec(),
+            };
+            record.encode_into(99, &mut owned);
+            assert_eq!(direct, owned);
+            assert_eq!(read_log(&direct[3..]).records, [(99, record)]);
         }
     }
 

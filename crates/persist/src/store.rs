@@ -95,8 +95,12 @@ pub enum Visibility {
     /// Return only once the operation's log records are *durable*: the
     /// caller writes and fsyncs them inline — at operation end, or once at
     /// the end of a batch of operations whose results it holds back until
-    /// then — so grant acks, detach/expiry resealing acks, and writes never
-    /// precede their records' fsync (read-your-durable-writes).
+    /// then — so grant acks, detach acks and writes never precede their
+    /// records' fsync (read-your-durable-writes). What acknowledges nobody
+    /// buys no fsync: the `WindowClose` of a window the service's sweeper
+    /// expired waits in the buffer for the owner's next commit (the sweeper
+    /// makes one itself when none comes), because a crash that loses it
+    /// only reseals that window once more.
     Durable,
 }
 
@@ -357,12 +361,7 @@ impl DurableStore {
                 }
                 .encode_into(watermark, &mut batch);
                 let mut page_delta = |(page, bytes): (u64, &[u8])| {
-                    WalRecord::PageDelta {
-                        pmo: pool.id(),
-                        page,
-                        data: bytes.to_vec(),
-                    }
-                    .encode_into(watermark, &mut batch);
+                    WalRecord::encode_page_delta(pool.id(), page, bytes, watermark, &mut batch);
                     pages += 1;
                 };
                 if compact {

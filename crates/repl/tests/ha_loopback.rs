@@ -147,6 +147,61 @@ fn follower_reconnects_and_rebootstraps_after_leader_restart() {
     fs::remove_dir_all(&mirror_dir).ok();
 }
 
+/// An expiry's `WindowClose` waits in the leader's log buffer for the
+/// shard's next commit. When none comes the sweeper commits it itself one EW
+/// target later, so a standby's open-window set still falls to the leader's
+/// true one after the leader goes quiet — promotion reseals what is open,
+/// not what once was.
+#[test]
+fn follower_sees_an_expiry_after_the_leader_goes_quiet() {
+    let leader_dir = temp_dir("quiet-leader");
+    let mirror_dir = temp_dir("quiet-mirror");
+    let target = Duration::from_millis(50);
+    // No sweeper thread: the test makes the passes itself.
+    let config = durable_config(&leader_dir, 1).with_ew_target_us(target.as_micros() as u64);
+    let server = PmoServer::try_start(config).unwrap();
+    let svc = server.service();
+    let pool = |name| svc.create_pool(name, 1 << 16, OpenMode::ReadWrite).unwrap();
+    let (held, idle) = (pool("held"), pool("idle"));
+    svc.attach(0, held, Permission::ReadWrite).unwrap();
+    // Opened and closed inside the target: the detach is delayed, the
+    // window the sweeper's to close. The leader's last client call.
+    let mut batch = svc.batch();
+    batch.attach(1, idle, Permission::ReadWrite).unwrap();
+    batch.detach(1, idle).unwrap();
+    batch.commit().unwrap();
+
+    let leader = ReplLeader::start(ReplLeaderConfig::new(&leader_dir, 1), "127.0.0.1:0").unwrap();
+    let follower =
+        ReplFollower::start(ReplFollowerConfig::new(leader.local_addr(), &mirror_dir, 1));
+    wait_applied(&follower, &durable_seqs(&leader_dir, 1));
+    assert_eq!(follower.open_windows(), 2);
+
+    std::thread::sleep(target);
+    assert_eq!(svc.sweep_all(), 2, "one relocated, one expired");
+    assert_eq!(svc.attached_total(), 1);
+    let syncs = svc.report().wal.unwrap().syncs;
+    std::thread::sleep(target);
+    svc.sweep_all();
+    let report = svc.report();
+    assert_eq!(report.sweeper_syncs, 1, "nobody else committed the close");
+    assert_eq!(report.wal.unwrap().syncs, syncs + 1);
+
+    let start = Instant::now();
+    while follower.open_windows() != 1 {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "the standby still counts the expired window as open"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    follower.shutdown();
+    leader.shutdown();
+    server.shutdown();
+    fs::remove_dir_all(&leader_dir).ok();
+    fs::remove_dir_all(&mirror_dir).ok();
+}
+
 #[test]
 fn standby_service_is_read_only_until_promoted() {
     let server =

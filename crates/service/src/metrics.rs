@@ -373,6 +373,15 @@ pub struct ServiceReport {
     pub detach_syscalls: u64,
     /// In-place randomizations performed by the sweeper.
     pub randomizations: u64,
+    /// Process exposure windows — whole, or the half a randomization split
+    /// off — that closed longer than the EW target.
+    pub ew_over_target: u64,
+    /// Fsyncs the sweeper issued alone: an expiry's `WindowClose` rides the
+    /// shard's next commit, and only when none came within one EW target
+    /// does the sweeper commit the shard itself. Part of `wal.syncs`.
+    pub sweeper_syncs: u64,
+    /// Sweeper actions (unmap, relocation, leftover commit) that failed.
+    pub sweeper_errors: u64,
     /// Nanoseconds clients spent blocked on Basic-semantics attach
     /// serialization.
     pub blocked_ns: u64,
@@ -459,7 +468,11 @@ impl std::fmt::Display for ServiceReport {
                 wal.bytes,
             )?;
         }
-        Ok(())
+        write!(
+            f,
+            "\n  sweeper: {} passes, {} fsyncs of its own, {} errors; {} windows over target",
+            self.sweep_passes, self.sweeper_syncs, self.sweeper_errors, self.ew_over_target,
+        )
     }
 }
 

@@ -20,9 +20,9 @@ use crate::error::ServiceError;
 /// ever holds uncommitted records, so a batch never gets dirty and its
 /// commit is free.
 ///
-/// Another caller of the same shard (a plain call, the sweeper's expiry
-/// commit, another batch) may sync this batch's records early; that only
-/// makes them durable sooner.
+/// Another caller of the same shard (a plain call, another batch, the
+/// sweeper committing an expiry nobody else did) may sync this batch's
+/// records early; that only makes them durable sooner.
 #[derive(Debug)]
 #[must_use = "a dropped batch leaves its records unsynced until the shard's next commit"]
 pub struct Batch<'a> {

@@ -125,6 +125,9 @@ impl PmoService {
         let mut attach_syscalls = 0;
         let mut detach_syscalls = 0;
         let mut randomizations = 0;
+        let mut ew_over_target = 0;
+        let mut sweeper_syncs = 0;
+        let mut sweeper_errors = 0;
         let mut ew = Default::default();
         let mut tew = Default::default();
         let mut wal = None;
@@ -138,6 +141,9 @@ impl PmoService {
             attach_syscalls += state.attach_syscalls;
             detach_syscalls += state.detach_syscalls;
             randomizations += state.randomizations;
+            ew_over_target += state.ew_over_target;
+            sweeper_syncs += state.sweeper_syncs;
+            sweeper_errors += state.sweeper_errors;
             ew = merge_window_stats(ew, state.windows.ew_stats());
             tew = merge_window_stats(tew, state.windows.tew_stats());
             if let Some(store) = &state.store {
@@ -152,6 +158,9 @@ impl PmoService {
             attach_syscalls,
             detach_syscalls,
             randomizations,
+            ew_over_target,
+            sweeper_syncs,
+            sweeper_errors,
             blocked_ns,
             queue_wait,
             sweep_passes: self.sweep_passes.load(Ordering::Relaxed),

@@ -324,8 +324,26 @@ fn durable_visibility_leaves_no_unsynced_record_behind_any_entry_point() {
     settled("set_root");
     svc.free(0, oid).unwrap();
     settled("free");
-    assert_eq!(svc.sweep_all(), 1, "held window is past its 1 us target");
-    settled("sweeper expiry");
+    // A held window past its target is relocated by every pass, and a
+    // relocation is not journaled: nothing appended, nothing synced — and
+    // every one of them invalidates the fast path's snapshots.
+    let before = svc.report();
+    let slot = svc.index.get(p).unwrap();
+    for _ in 0..3 {
+        let snap = slot.snapshot().unwrap();
+        svc.clock.charge(svc.config.ew_target_ns());
+        assert_eq!(svc.sweep_all(), 1, "held window is past its 1 us target");
+        assert!(slot.epoch() > snap.epoch() && !slot.still_valid(&snap));
+    }
+    let after = svc.report();
+    assert_eq!(after.randomizations, before.randomizations + 3);
+    assert_eq!(after.ew_over_target, before.ew_over_target + 3);
+    let (before, after) = (before.wal.unwrap(), after.wal.unwrap());
+    assert_eq!(
+        after.appended, before.appended,
+        "relocations journal nothing"
+    );
+    assert_eq!(after.syncs, before.syncs, "and sync nothing");
     svc.detach(0, p).unwrap();
     settled("detach");
 
@@ -383,6 +401,90 @@ fn durable_visibility_leaves_no_unsynced_record_behind_any_entry_point() {
     batch.detach(0, p).unwrap();
     assert!(!batch.is_dirty());
     batch.commit().unwrap();
+    drop(svc);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The sweeper's half of the `visibility = durable` rule, as counts: an
+/// expiry's `WindowClose` is journaled but buys no fsync — it is written
+/// by the shard's next commit, ahead of that commit's own records, or by
+/// the sweeper itself once one EW target has passed without one.
+#[test]
+fn sweeper_expiry_rides_the_next_commit_or_waits_one_target() {
+    use terp_persist::{read_log, WalRecord, WAL_FILE};
+
+    let dir = std::env::temp_dir().join(format!("terp-svc-leftover-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // 50 ms: long against an attach and detach inside one batch (so the
+    // detach is delayed and only a sweep can close the window).
+    let target = Duration::from_millis(50);
+    let config = ServiceConfig::for_tests(Scheme::terp_full())
+        .with_shards(1)
+        .with_ew_target_us(target.as_micros() as u64)
+        .with_durable(&dir)
+        .with_visibility(crate::Visibility::Durable);
+    let svc = PmoService::new(config);
+    // (appended, syncs, sweeper_syncs, records still ahead of the watermark)
+    let counts = || {
+        let r = svc.report();
+        let wal = r.wal.unwrap();
+        let state = svc.lock(&svc.shards[0]);
+        let store = state.store.as_ref().unwrap();
+        let behind = store.next_seq() - store.watermark();
+        (wal.appended, wal.syncs, r.sweeper_syncs, behind)
+    };
+    // Opens a window and leaves it to the sweeper, which expires it.
+    let expire = |name: &str| {
+        let p = svc.create_pool(name, 1 << 16, OpenMode::ReadWrite).unwrap();
+        let mut batch = svc.batch();
+        batch.attach(0, p, Permission::ReadWrite).unwrap();
+        batch.detach(0, p).unwrap();
+        batch.commit().unwrap();
+        assert!(svc.process_can(p, AccessKind::Read), "detach was delayed");
+        std::thread::sleep(target);
+        let (appended, syncs, own, behind) = counts();
+        assert_eq!(behind, 0);
+        assert_eq!(svc.sweep_all(), 1);
+        assert!(!svc.process_can(p, AccessKind::Read), "window expired");
+        assert_eq!(
+            counts(),
+            (appended + 1, syncs, own, 1),
+            "journaled, not synced"
+        );
+        p
+    };
+
+    // Someone else's commit carries the close, ahead of their own records.
+    let a = expire("a");
+    let (appended, syncs, own, _) = counts();
+    let b = svc.create_pool("b", 1 << 16, OpenMode::ReadWrite).unwrap();
+    assert_eq!(counts(), (appended + 1, syncs + 1, own, 0));
+    let wal = std::fs::read(dir.join("shard-0").join(WAL_FILE)).unwrap();
+    let tail: Vec<WalRecord> = read_log(&wal).records.into_iter().map(|(_, r)| r).collect();
+    assert!(
+        matches!(
+            &tail[tail.len() - 2..],
+            [WalRecord::WindowClose { pmo }, WalRecord::PoolCreate { id, .. }] if (*pmo, *id) == (a, b)
+        ),
+        "the close precedes the records of the call that committed it"
+    );
+    assert!(svc.next_expiry_ns().is_none(), "nothing left to wake for");
+
+    // Nobody commits: the sweeper does, one target later, once.
+    expire("c");
+    let due = svc.next_expiry_ns().expect("the leftover is a deadline");
+    let (appended, syncs, own, _) = counts();
+    std::thread::sleep(target);
+    assert!(svc.clock.now_ns() >= due);
+    assert_eq!(svc.sweep_all(), 0);
+    assert_eq!(counts(), (appended, syncs + 1, own + 1, 0));
+    assert!(
+        svc.next_expiry_ns().is_none(),
+        "an idle service parks again"
+    );
+    assert_eq!(svc.sweep_all(), 0);
+    assert_eq!(counts(), (appended, syncs + 1, own + 1, 0));
+    assert_eq!(svc.report().sweeper_errors, 0);
     drop(svc);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -76,43 +76,47 @@ impl PmoService {
                 let mut state = self.lock(shard);
                 let now = self.clock.now_ns();
                 let actions = state.engine.sweep(now);
-                if actions.is_empty() {
-                    // Nothing logged here: whatever sits in the store's
-                    // buffer is some caller's open batch, theirs to commit.
-                    continue;
-                }
                 total += actions.len();
+                let mut expired = false;
                 for action in actions {
-                    match action {
+                    let done = match action {
                         SweepAction::Detach(pmo) => {
-                            let _ = state.unmap_pool(pmo, now);
+                            expired = true;
+                            let done = state.unmap_pool(pmo, now);
                             state.trace(EventKind::Expire { pmo: pmo.raw() });
                             self.clock.charge(self.config.cost.detach_ns);
+                            done
                         }
                         SweepAction::Randomize(pmo) => {
-                            let _ = state.randomize_pool(pmo, now);
+                            let done = state.randomize_pool(pmo, now);
                             // The charge runs under the shard lock: every
                             // client of the pool stalls during a relocation,
                             // as in the paper's multithreaded model.
                             self.clock.charge(self.config.cost.randomize_ns);
+                            done
                         }
-                    }
+                    };
+                    state.sweeper_errors += u64::from(done.is_err());
                 }
-                // Expiry closes and relocations are externally visible
-                // protection transitions: under `visibility = durable` the
-                // sweep fsyncs their records too.
-                let _ = state.finish_op().and_then(|_| state.commit());
+                // A pass that expired nothing journals nothing: whatever
+                // sits in the store's buffer is some caller's open batch,
+                // theirs to commit — or an earlier expiry's close, which
+                // the pass commits once it has waited one EW target.
+                let done = state.finish_sweep(now, expired);
+                state.sweeper_errors += u64::from(done.is_err());
             }
         }
         self.sweep_passes.fetch_add(1, Ordering::Relaxed);
         total
     }
 
-    /// The earliest moment (service ns) at which any tracked circular-
-    /// buffer entry can expire, or `None` when nothing is tracked. The
-    /// adaptive sweeper parks until this instant instead of polling: entry
-    /// starts only move via first-attach (which wakes the sweeper) or a
-    /// sweep itself, so the hint never becomes stale-late.
+    /// The earliest moment (service ns) at which the sweeper has work: a
+    /// tracked circular-buffer entry can expire, or records it left for a
+    /// shard's next commit fall to it to commit. `None` when nothing is
+    /// tracked or left behind. The adaptive sweeper parks until this
+    /// instant instead of polling: entry starts only move via first-attach
+    /// (which wakes the sweeper) or a sweep itself, and only a sweep leaves
+    /// records behind, so the hint never becomes stale-late.
     pub fn next_expiry_ns(&self) -> Option<u64> {
         if !self.config.scheme.has_thread_permissions() {
             return None;
@@ -121,10 +125,15 @@ impl PmoService {
         for shard in &self.shards {
             let state = self.lock(shard);
             let max_ew = state.engine.max_ew();
-            for entry in state.engine.buffer().iter() {
-                let expiry = entry.ts.saturating_add(max_ew);
-                earliest = Some(earliest.map_or(expiry, |e| e.min(expiry)));
-            }
+            let expiries = state
+                .engine
+                .buffer()
+                .iter()
+                .map(|e| e.ts.saturating_add(max_ew));
+            earliest = expiries
+                .chain(state.leftover_deadline())
+                .chain(earliest)
+                .min();
         }
         earliest
     }

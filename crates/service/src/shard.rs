@@ -65,6 +65,10 @@ impl Shard {
                 attach_syscalls: 0,
                 detach_syscalls: 0,
                 randomizations: 0,
+                ew_over_target: 0,
+                sweeper_syncs: 0,
+                sweeper_errors: 0,
+                leftover_since: None,
                 store: None,
                 idx,
                 lock_seq: 0,
@@ -110,6 +114,18 @@ pub(crate) struct ShardState {
     pub detach_syscalls: u64,
     /// In-place randomizations performed by this shard.
     pub randomizations: u64,
+    /// Process windows (and split halves) that closed longer than the EW
+    /// target.
+    pub ew_over_target: u64,
+    /// Commits the sweeper made alone, for records nobody else committed
+    /// within one EW target (see [`Self::finish_sweep`]).
+    pub sweeper_syncs: u64,
+    /// Sweeper actions and commits that failed; the sweeper has no caller
+    /// to hand the error to.
+    pub sweeper_errors: u64,
+    /// When the sweeper first left records in the store's buffer for the
+    /// shard's next commit to carry (service ns); any commit clears it.
+    pub leftover_since: Option<u64>,
     /// Durable mode: this shard's write-ahead log + checkpoint directory,
     /// opened under the service's visibility rule. `None` keeps the shard
     /// purely in-memory.
@@ -229,6 +245,7 @@ impl ShardState {
     /// here, before any caller acknowledges them; under `submit` the
     /// pipelined writer has them already and nothing waits.
     pub(crate) fn commit(&mut self) -> Result<(), ServiceError> {
+        self.leftover_since = None;
         if let Some(store) = self.store.as_mut() {
             store.commit()?;
         }
@@ -247,11 +264,14 @@ impl ShardState {
             space,
             holders,
             perms,
+            leftover_since,
             ..
         } = self;
         let Some(store) = store.as_mut() else {
             return Ok(());
         };
+        // The checkpoint's first step syncs everything journaled so far.
+        *leftover_since = None;
         let mut protection: Vec<WalRecord> = Vec::new();
         for &pmo in pools.keys() {
             if space.is_attached(pmo) {
@@ -332,7 +352,8 @@ impl ShardState {
             self.space.detach(&mut pool)?;
         }
         self.matrix.remove(pmo);
-        self.windows.close_ew(pmo, now);
+        let closed = self.windows.close_ew(pmo, now);
+        self.count_window(closed);
         self.detach_syscalls += 1;
         self.log(&WalRecord::WindowClose { pmo })?;
         Ok(())
@@ -342,6 +363,10 @@ impl ShardState {
     /// entry, split EW (the attacker's location knowledge resets). The
     /// pool's write lock drains in-flight fast readers for the relocation;
     /// the final epoch bump invalidates any snapshot taken before it.
+    ///
+    /// Nothing is journaled: a relocation leaves recovery nothing to
+    /// re-derive (every crash-open window is resealed and re-randomized
+    /// anyway), so nothing can fail between the move and its publish.
     pub(crate) fn randomize_pool(&mut self, pmo: PmoId, now: u64) -> Result<(), ServiceError> {
         let slot = self.slot(pmo)?;
         let handle = {
@@ -349,12 +374,45 @@ impl ShardState {
             self.space.randomize(&mut pool)?
         };
         self.matrix.relocate(pmo, handle.base_va());
-        self.windows.split_ew(pmo, now);
+        let closed = self.windows.split_ew(pmo, now);
+        self.count_window(closed);
         self.randomizations += 1;
-        self.log(&WalRecord::Randomize { pmo })?;
         slot.publish(|_| {});
         self.trace_publish(pmo, &slot);
         Ok(())
+    }
+
+    /// Counts a closed process window (or split half) that outlived the EW
+    /// target.
+    fn count_window(&mut self, closed: Option<u64>) {
+        self.ew_over_target += u64::from(closed.is_some_and(|len| len > self.engine.max_ew()));
+    }
+
+    /// Ends the sweeper's pass over this shard; `expired` says whether it
+    /// closed a window. An expiry's `WindowClose` is no acknowledgement —
+    /// recovery reseals every window the log leaves open, so a crash that
+    /// loses an unsynced close changes nothing a client could have
+    /// observed — and buys no fsync of its own: it waits in the store's
+    /// buffer for the shard's next commit, whoever makes it, ahead of any
+    /// later record of that pool. Only when nobody has committed for one EW
+    /// target since the sweeper first left records behind does the pass
+    /// commit the shard itself, so a shard gone quiet still tells its disk
+    /// (and a follower) about every expiry within two targets.
+    pub(crate) fn finish_sweep(&mut self, now: u64, expired: bool) -> Result<(), ServiceError> {
+        if expired && self.finish_op()? {
+            self.leftover_since.get_or_insert(now);
+        }
+        if self.leftover_deadline().is_some_and(|at| now >= at) {
+            self.commit()?;
+            self.sweeper_syncs += 1;
+        }
+        Ok(())
+    }
+
+    /// When the sweeper must commit what it left behind itself, unless
+    /// somebody else's commit gets there first.
+    pub(crate) fn leftover_deadline(&self) -> Option<u64> {
+        Some(self.leftover_since?.saturating_add(self.engine.max_ew()))
     }
 
     /// Grants `client` the thread rights implied by `perm`, opens its TEW,

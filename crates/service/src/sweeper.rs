@@ -11,10 +11,14 @@
 //! when no windows are tracked. A first attach publishes a new earliest
 //! expiry and unparks the thread, so the hint can never go stale in the
 //! dangerous direction; the configured period only acts as a floor on how
-//! tightly the thread is allowed to spin. An idle service therefore costs
-//! zero wakeups. The thread supports clean shutdown: flag, wake, join — and
-//! dropping the handle does the same, so no detached thread (with its
-//! service `Arc` and open WAL files) survives the server.
+//! tightly the thread is allowed to spin. Under `visibility = durable` an
+//! expiry's `WindowClose` waits for the shard's next commit, and the hint
+//! counts the moment — one EW target later — at which that commit falls to
+//! the sweeper: one more wake-up, at most, after the last window closes.
+//! An idle service therefore costs zero wakeups. The thread supports clean
+//! shutdown: flag, wake, join — and dropping the handle does the same, so no
+//! detached thread (with its service `Arc` and open WAL files) survives the
+//! server.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -137,7 +141,12 @@ mod tests {
             Scheme::terp_full(),
         )));
         let sweeper = Sweeper::spawn(Arc::clone(&svc), 50_000);
-        std::thread::sleep(Duration::from_millis(2));
+        // Let the thread reach its park (a loaded host may not have started
+        // it within any fixed sleep).
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while svc.report().sweep_passes == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let passes = sweeper.stop();
         assert!(passes >= 1, "at least the initial pass ran");
     }
@@ -156,6 +165,50 @@ mod tests {
             passes < 20,
             "idle sweeper should park, not poll (ran {passes} passes)"
         );
+    }
+
+    #[test]
+    fn expiry_on_an_idle_durable_service_costs_one_more_wakeup_then_parks() {
+        let dir = std::env::temp_dir().join(format!("terp-sweeper-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServiceConfig::for_tests(Scheme::terp_full())
+            .with_shards(1)
+            .with_ew_target_us(5_000)
+            .with_sweep_period_us(200)
+            .with_durable(&dir)
+            .with_visibility(crate::Visibility::Durable);
+        let svc = Arc::new(PmoService::new(config));
+        let sweeper = Sweeper::spawn(Arc::clone(&svc), 200);
+        let p = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
+        // One commit for both: the detach is delayed, the close the
+        // sweeper's — and nobody calls the service again.
+        let mut batch = svc.batch();
+        batch.attach(0, p, Permission::ReadWrite).unwrap();
+        batch.detach(0, p).unwrap();
+        batch.commit().unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while svc.report().sweeper_syncs == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the sweeper never committed the close it left behind"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(svc.attached_total(), 0);
+        assert!(svc.next_expiry_ns().is_none(), "nothing left to wake for");
+        // Parked for good: a 200 us poll would add ~150 passes here.
+        std::thread::sleep(Duration::from_millis(30));
+        let report = svc.report();
+        assert_eq!(report.sweeper_syncs, 1);
+        let syncs = report.wal.unwrap().syncs;
+        assert_eq!(syncs, 3, "create_pool's, the batch's, the sweeper's one");
+        let passes = sweeper.stop();
+        assert!(
+            passes < 20,
+            "first pass, attach wake-up, expiry, leftover — not a poll (ran {passes} passes)"
+        );
+        drop(svc);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -129,10 +129,10 @@ fn wal_records(dir: &std::path::Path) -> usize {
 
 /// The automatic trigger, end to end: more than the trigger's worth of
 /// records through every kind of caller that ends an operation — plain
-/// calls, a `Batch`, the sweeper's pass — with windows and sessions open
-/// throughout, then a kill without drain. The log stayed short, every
-/// acknowledged write reads back, and recovery reseals exactly the windows
-/// that were open at the kill.
+/// calls, a `Batch`, a sweeper pass that expires a window — with windows and
+/// sessions open throughout, then a kill without drain. The log stayed
+/// short, every acknowledged write reads back, and recovery reseals exactly
+/// the windows that were open at the kill.
 #[test]
 fn automatic_checkpoints_bound_the_log_and_keep_every_acked_write() {
     let trigger = terp_persist::CHECKPOINT_TRIGGER as usize;
@@ -164,6 +164,10 @@ fn automatic_checkpoints_bound_the_log_and_keep_every_acked_write() {
                 svc.set_root(i % 2, p, 1, Some(oid)).unwrap();
                 model.push((oid, vec![0; 64]));
             }
+            // A fifth pool nobody holds: its windows are left to the sweeper.
+            let visitor = svc
+                .create_pool("auto-visitor", 1 << 16, OpenMode::ReadWrite)
+                .unwrap();
             // A log that got shorter was truncated by a checkpoint; it never
             // holds more than the trigger plus the operation that fired it.
             let mut last = wal_records(&dir);
@@ -200,23 +204,29 @@ fn automatic_checkpoints_bound_the_log_and_keep_every_acked_write() {
                 batch.detach(2, pools[0]).unwrap();
                 batch.commit().unwrap();
                 step(&mut checkpoints);
-                // The sweeper's pass (the held windows are past their
-                // target every 50 ms and get re-randomized).
+                // The sweeper's pass: past their 50 ms target the held
+                // windows are relocated, which journals nothing, and the
+                // visitor's delayed detach expires, which journals its close
+                // and leaves it for the next round's first commit.
                 if round.is_multiple_of(8) {
+                    let mut batch = svc.batch();
+                    batch.attach(2, visitor, Permission::ReadWrite).unwrap();
+                    batch.detach(2, visitor).unwrap();
+                    batch.commit().unwrap();
                     std::thread::sleep(Duration::from_millis(60));
-                    assert!(svc.sweep_all() > 0, "held windows expire");
+                    assert_eq!(svc.sweep_all(), 5, "4 relocations, 1 expiry");
                     step(&mut checkpoints);
                 }
             }
             held = svc.attached_total();
-            assert_eq!(held, 4, "every pool's window is open at the kill");
+            assert_eq!(held, 4, "every held pool's window is open at the kill");
             assert!(wal_records(&dir) < trigger, "wal.log is below the trigger");
             // Dropped without a drain: a crash.
         }
 
         let svc = PmoService::try_new(cfg()).unwrap();
         let rec = svc.recovery_stats().unwrap();
-        assert_eq!(rec.pools_recovered, 4);
+        assert_eq!(rec.pools_recovered, 5);
         assert_eq!(rec.windows_resealed as usize, held, "{visibility:?}");
         assert_eq!(rec.sessions_discarded, 4, "{visibility:?}");
         assert_eq!(svc.attached_total(), 0, "nothing stays exposed");
@@ -401,11 +411,11 @@ fn dropped_server_stops_its_sweeper_and_leaves_windows_open_on_disk() {
         .create_pool("held", 1 << 16, OpenMode::ReadWrite)
         .unwrap();
     svc.attach(0, p, Permission::ReadWrite).unwrap();
-    // A held window expires every 200 us: the live sweeper keeps journaling
-    // relocations for as long as it runs.
-    let (before, deadline) = (wal_len(), Instant::now() + Duration::from_secs(5));
-    while wal_len() == before {
-        assert!(Instant::now() < deadline, "sweeper never journaled");
+    // A held window expires every 200 us: the live sweeper keeps relocating
+    // it for as long as it runs.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while svc.report().randomizations == 0 {
+        assert!(Instant::now() < deadline, "sweeper never relocated");
         std::thread::sleep(Duration::from_millis(1));
     }
 
@@ -424,6 +434,137 @@ fn dropped_server_stops_its_sweeper_and_leaves_windows_open_on_disk() {
     let svc = PmoService::try_new(cfg()).unwrap();
     assert_eq!(svc.recovery_stats().unwrap().windows_resealed, 1);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A crash is whatever the disk holds at that instant: a byte copy of the
+/// live service's directory (a dropped service will not do — the inline
+/// writer flushes its buffer on the way out).
+fn copy_store(from: &std::path::Path, to: &std::path::Path) {
+    for name in [
+        terp_persist::WAL_FILE,
+        terp_persist::CKPT_FILE,
+        terp_persist::PROT_FILE,
+    ] {
+        let (from, to) = (from.join("shard-0"), to.join("shard-0"));
+        std::fs::create_dir_all(&to).unwrap();
+        match std::fs::copy(from.join(name), to.join(name)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => panic!("{name}: {e}"),
+            _ => {}
+        }
+    }
+}
+
+/// An expiry's `WindowClose` waits for the shard's next commit, so a crash
+/// before it recovers a *superset* of the windows truly open — the expired
+/// one is resealed once more, which no client can tell from its close —
+/// and exactly the open ones once the next commit, or the sweeper's own one
+/// target later, has written it. Every acknowledged write survives all
+/// three. Under `Submit` the background writer takes the close at once and
+/// nothing is ever left behind.
+#[test]
+fn a_crash_reseals_a_superset_until_the_leftover_close_is_written() {
+    use terp_persist::{read_log, WalRecord, WAL_FILE};
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Crash {
+        BeforeAnyCommit,
+        AfterTheNextCommit,
+        AfterTheSweepersOwn,
+    }
+    let target = Duration::from_millis(50);
+    for (visibility, crash) in [
+        (Visibility::Durable, Crash::BeforeAnyCommit),
+        (Visibility::Durable, Crash::AfterTheNextCommit),
+        (Visibility::Durable, Crash::AfterTheSweepersOwn),
+        (Visibility::Submit, Crash::AfterTheNextCommit),
+        (Visibility::Submit, Crash::AfterTheSweepersOwn),
+    ] {
+        let what = format!("{visibility:?} {crash:?}");
+        let dir = tmp_dir(&format!("leftover-{visibility:?}-{crash:?}"));
+        let copy = tmp_dir(&format!("leftover-copy-{visibility:?}-{crash:?}"));
+        let cfg = |dir: &std::path::Path| {
+            ServiceConfig::for_tests(Scheme::terp_full())
+                .with_shards(1)
+                .with_ew_target_us(target.as_micros() as u64)
+                .with_durable(dir)
+                .with_visibility(visibility)
+        };
+        let svc = PmoService::try_new(cfg(&dir)).unwrap();
+        let pool = |name| svc.create_pool(name, 1 << 16, OpenMode::ReadWrite).unwrap();
+        let (held, idle) = (pool("held"), pool("idle"));
+        svc.attach(0, held, Permission::ReadWrite).unwrap();
+        let oid = svc.alloc(0, held, 64).unwrap();
+        svc.write(0, oid, b"acknowledged before the expiry")
+            .unwrap();
+        // Attach and detach well inside the target: the detach is delayed
+        // and the window is the sweeper's to close.
+        let mut batch = svc.batch();
+        batch.attach(1, idle, Permission::ReadWrite).unwrap();
+        batch.detach(1, idle).unwrap();
+        batch.commit().unwrap();
+        std::thread::sleep(target);
+        assert_eq!(svc.sweep_all(), 2, "{what}: one relocated, one expired");
+        assert_eq!(svc.attached_total(), 1, "{what}");
+
+        let mut payload: &[u8] = b"acknowledged before the expiry";
+        match crash {
+            Crash::BeforeAnyCommit => {}
+            Crash::AfterTheNextCommit => {
+                payload = b"acknowledged after the expiry!";
+                svc.write(0, oid, payload).unwrap();
+            }
+            Crash::AfterTheSweepersOwn => {
+                std::thread::sleep(target);
+                assert_eq!(svc.sweep_all(), 1, "{what}: the held window again");
+            }
+        }
+        let lone =
+            u64::from((visibility, crash) == (Visibility::Durable, Crash::AfterTheSweepersOwn));
+        assert_eq!(svc.report().sweeper_syncs, lone, "{what}");
+        // What the disk must hold before the copy is taken: `Durable` has
+        // written it by now (or, the close, never will unasked); `Submit`'s
+        // writer gets to it in its own time.
+        let closed = WalRecord::WindowClose { pmo: idle };
+        let on_disk = || {
+            let wal = std::fs::read(dir.join("shard-0").join(WAL_FILE)).unwrap();
+            let records = read_log(&wal).records;
+            let has_close = records.iter().any(|(_, r)| *r == closed);
+            let settled = match (crash, records.last()) {
+                (Crash::BeforeAnyCommit, _) => !has_close,
+                (Crash::AfterTheNextCommit, Some((_, WalRecord::DataWrite { data, .. }))) => {
+                    has_close && data == payload
+                }
+                (Crash::AfterTheSweepersOwn, Some((_, last))) => *last == closed,
+                _ => false,
+            };
+            settled
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while visibility == Visibility::Submit && !on_disk() {
+            assert!(Instant::now() < deadline, "{what}: never written");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(on_disk(), "{what}");
+        copy_store(&dir, &copy);
+        drop(svc);
+
+        let svc = PmoService::try_new(cfg(&copy)).unwrap();
+        let resealed = if crash == Crash::BeforeAnyCommit {
+            2
+        } else {
+            1
+        };
+        assert_eq!(
+            svc.recovery_stats().unwrap().windows_resealed,
+            resealed,
+            "{what}"
+        );
+        assert_eq!(svc.attached_total(), 0, "{what}: nothing stays exposed");
+        svc.attach(9, held, Permission::Read).unwrap();
+        assert_eq!(svc.read(9, oid, payload.len()).unwrap(), payload, "{what}");
+        drop(svc);
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&copy).ok();
+    }
 }
 
 /// Crashes a one-shard service after a *refused* attach — `ReadWrite` asked
