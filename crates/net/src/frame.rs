@@ -6,9 +6,9 @@
 //! [len: u32 LE] [payload: len bytes] [crc: u32 LE]
 //! ```
 //!
-//! `len` covers the payload only; `crc` is the zlib-compatible CRC-32 of the
-//! payload (the same codec that frames the WAL, [`terp_persist::crc`]), so a
-//! flipped bit anywhere in the payload is detected before the message layer
+//! `len` covers the payload only; `crc` is the CRC-32C (Castagnoli) of the
+//! payload (the same codec that frames the WAL, [`terp_persist::crc`]: the
+//! `crc32` instruction where the CPU has it), so a flipped bit anywhere in the payload is detected before the message layer
 //! ever parses it. Frames larger than [`MAX_FRAME`] are refused outright —
 //! a garbage length prefix must not turn into a giant allocation.
 //!

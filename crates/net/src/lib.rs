@@ -10,7 +10,7 @@
 //!
 //! Layers, bottom-up:
 //!
-//! * [`frame`] — length-prefixed, CRC-32-framed byte envelopes with an
+//! * [`frame`] — length-prefixed, CRC-32C-framed byte envelopes with an
 //!   incremental decoder (same CRC codec as the WAL).
 //! * [`proto`] — versioned request/response messages and the
 //!   [`ServiceError`] wire mapping.

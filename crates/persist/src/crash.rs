@@ -46,13 +46,15 @@ impl CrashPoint {
 /// its header and payload; and finally a clean cut at end-of-log.
 ///
 /// The log must be a valid frame stream (take it from
-/// [`crate::WalWriter::durable_bytes`] — the durable image is always valid;
-/// it is the *crash* that damages it).
+/// [`crate::WalWriter::durable_bytes`] or a store's `wal.log` — the durable
+/// image is always valid; it is the *crash* that damages it). The zeros of
+/// a file's reservation are not log: the walk stops at the header of zeros
+/// that ends it.
 pub fn enumerate_crash_points(log: &[u8]) -> Vec<CrashPoint> {
     let mut points = Vec::new();
     let mut pos = 0usize;
     let mut record = 0usize;
-    while log.len() - pos >= FRAME_HEADER {
+    while log.len() - pos >= FRAME_HEADER && log[pos..pos + FRAME_HEADER] != [0; FRAME_HEADER] {
         let len = u32::from_le_bytes(log[pos..pos + 4].try_into().expect("4")) as usize;
         let end = pos + FRAME_HEADER + len;
         debug_assert!(end <= log.len(), "enumerating a non-durable (torn) log");

@@ -1,14 +1,19 @@
-//! CRC-32 (IEEE 802.3 polynomial) used to frame every WAL and checkpoint
-//! record.
+//! CRC-32C (Castagnoli polynomial) used to frame every WAL, checkpoint and
+//! protection record, every net frame and every repl message.
 //!
-//! The build environment is offline, so the codec is in-tree: table-driven
-//! slicing-by-8 (eight bytes per step through eight 256-entry tables built
-//! at compile time), with the tail of fewer than eight bytes taken one at a
-//! time. The polynomial and bit order match zlib's `crc32`, which keeps the
-//! on-disk format checkable with standard tooling; the tests hold the kernel
-//! to the byte-at-a-time definition on every length and alignment.
+//! Two kernels, one definition. On x86-64 with SSE4.2 — detected at run
+//! time, no build flag — the checksum is the `crc32` instruction, eight
+//! bytes per step (≈ 9 GB/s on the reference box; restart checksums a 1.9 MB
+//! image in 0.2 ms). Everywhere else it is table-driven slicing-by-8 (eight
+//! bytes per step through eight 256-entry tables built at compile time,
+//! ≈ 1.4 GB/s). Both take the tail of fewer than eight bytes one at a time,
+//! and the tests hold both to the byte-at-a-time definition on every length
+//! and alignment. The polynomial is the one the instruction implements
+//! (iSCSI, ext4, Btrfs); the build environment is offline, so the codec is
+//! in-tree.
 
-const POLY: u32 = 0xEDB8_8320;
+/// Castagnoli polynomial, reflected.
+const POLY: u32 = 0x82F6_3B78;
 
 /// `TABLES[0]` is the classic byte table; `TABLES[k][b]` is the CRC of byte
 /// `b` followed by `k` zero bytes.
@@ -38,8 +43,36 @@ static TABLES: [[u32; 256]; 8] = {
     t
 };
 
-/// CRC-32 of `data` (IEEE polynomial, zlib-compatible).
+/// CRC-32C of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: `crc32_sse42` requires only that the CPU implements
+        // SSE4.2, which the line above has just established.
+        return unsafe { crc32_sse42(data) };
+    }
+    crc32_portable(data)
+}
+
+/// The `crc32` instruction, eight bytes per step.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+fn crc32_sse42(data: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut c = u64::from(!0u32);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        c = _mm_crc32_u64(c, u64::from_le_bytes(chunk.try_into().expect("8")));
+    }
+    let mut c = c as u32;
+    for &b in chunks.remainder() {
+        c = _mm_crc32_u8(c, b);
+    }
+    !c
+}
+
+/// Slicing-by-8: the kernel of every CPU without the instruction.
+fn crc32_portable(data: &[u8]) -> u32 {
     let t = &TABLES;
     let mut c = !0u32;
     let mut chunks = data.chunks_exact(8);
@@ -65,7 +98,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
-    /// The definition the kernel must equal: one byte per step.
+    /// The definition both kernels must equal: one byte per step.
     fn crc32_bytewise(data: &[u8]) -> u32 {
         let mut c = !0u32;
         for &b in data {
@@ -78,7 +111,9 @@ mod tests {
     fn sliced_kernel_equals_the_bytewise_reference_on_every_length_and_alignment() {
         // A fixed pseudo-random buffer; every length 0..=4096 at each of the
         // eight start offsets, so every split into 8-byte steps + tail and
-        // every alignment of those steps is covered.
+        // every alignment of those steps is covered. `crc32` is whichever
+        // kernel this CPU selects; the portable one is called by name so it
+        // is held to the definition on hardware that never runs it.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let buf: Vec<u8> = (0..4096 + 8)
             .map(|_| {
@@ -91,20 +126,27 @@ mod tests {
         for start in 0..8 {
             for len in 0..=4096 {
                 let data = &buf[start..start + len];
-                assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+                let want = crc32_bytewise(data);
+                assert_eq!(crc32(data), want, "selected: start {start} len {len}");
+                assert_eq!(
+                    crc32_portable(data),
+                    want,
+                    "portable: start {start} len {len}"
+                );
             }
         }
     }
 
     #[test]
     fn known_vectors() {
-        // Standard zlib check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
+        // Standard CRC-32C check values (RFC 3720 appendix B.4 for the
+        // 32-byte blocks).
+        for crc in [crc32, crc32_portable] {
+            assert_eq!(crc(b""), 0);
+            assert_eq!(crc(b"123456789"), 0xE306_9283);
+            assert_eq!(crc(&[0u8; 32]), 0x8A91_36AA);
+            assert_eq!(crc(&[0xFFu8; 32]), 0x62A8_AB43);
+        }
     }
 
     #[test]

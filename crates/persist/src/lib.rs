@@ -10,10 +10,16 @@
 //!
 //! # Pieces
 //!
-//! * [`record`] — the WAL record set and its CRC-framed binary encoding;
-//!   decoding truncates at the first invalid frame (torn-tail semantics).
-//! * [`wal`] — [`WalWriter`]: buffered append + explicit sync, file-backed
-//!   or in-memory.
+//! * [`record`] — the WAL record set, its CRC-framed binary encoding, and
+//!   the one rule by which every reader finds where a log ends: a header of
+//!   zeros (clean), an invalid frame (torn), or a frame whose sequence
+//!   number does not exceed its predecessor's (stale, therefore torn).
+//! * [`wal`] — [`WalWriter`]: buffered append + explicit sync, in memory or
+//!   into a file reserved ahead of the records in zero-filled, synced
+//!   blocks of [`WAL_RESERVE`] bytes, so that the sync an acknowledgement
+//!   waits for is data-only; truncation zeroes, it does not shrink, and the
+//!   first write of an open zeroes whatever a torn write left behind the
+//!   log's end before it lands.
 //! * [`crash`] — deterministic crash injection: [`enumerate_crash_points`]
 //!   walks a durable log image and yields every truncation and corruption
 //!   point; [`inject`] applies one.
@@ -45,7 +51,8 @@
 //!   shipping; a torn tail under a racing append reads as
 //!   [`TailStatus::NeedMore`], never as corruption, and a checkpoint's
 //!   truncation as [`TailStatus::Truncated`] even when the log has regrown
-//!   past the reader since.
+//!   past the reader since. It reads in bounded chunks up to the end of the
+//!   log, never the reservation behind it.
 //!
 //! # Quick start
 //!
@@ -99,5 +106,5 @@ pub use store::{
     load_checkpoint, DurableStore, Visibility, CHECKPOINT_TRIGGER, CKPT_FILE, PROT_FILE, WAL_FILE,
 };
 pub use tail::{TailChunk, TailReader, TailStatus};
-pub use wal::{WalStats, WalWriter};
+pub use wal::{WalStats, WalWriter, WAL_RESERVE};
 pub use writer::{AsyncWalWriter, DurabilityGate};

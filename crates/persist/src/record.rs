@@ -7,12 +7,38 @@
 //! payload := [seq: u64 LE] [tag: u8] [fields…]
 //! ```
 //!
-//! `crc` is the CRC-32 of the payload, so a frame is valid iff its length
-//! fits the remaining bytes *and* its checksum matches. Decoding stops at
-//! the first invalid frame: a torn tail (the crash landed mid-frame) and a
-//! corrupted record are treated identically — everything from the first bad
-//! byte onward is discarded, exactly the contract group commit gives
-//! (records are durable in log order; a suffix may be lost).
+//! `crc` is the CRC-32C of the payload, so a frame is valid iff its length
+//! fits the remaining bytes *and* its checksum matches.
+//!
+//! **A log is valid frames, then zeros** — the writer reserves its file in
+//! zero-filled blocks and truncates by zeroing — and it ends in one of three
+//! ways, decided here for everything that reads one:
+//!
+//! * an 8-byte header of zeros is the *clean* end: no legal frame has
+//!   `len == 0` (a payload is at least seq + tag), so what follows is
+//!   reservation, never read;
+//! * a frame whose length, checksum or payload fails is a *torn* tail: the
+//!   crash landed mid-frame, or the media lied — the two are treated
+//!   identically, everything from the first bad byte onward is discarded,
+//!   exactly the contract group commit gives (records are durable in log
+//!   order; a suffix may be lost);
+//! * in a write-ahead log, a frame whose sequence number is not greater
+//!   than its predecessor's is torn too: a log's numbers only grow, so it is
+//!   *stale* — a whole frame of an earlier generation, not a successor.
+//!   (The batches of `ckpt.log` and `prot.log` share one sequence number and
+//!   are read without this rule; they are never recycled.)
+//!
+//! The rules say where a log ends, not what lies behind the end, and a crash
+//! can leave whole frames behind the zeros. Those of a zeroing cut short
+//! carry numbers below every later one: the third rule stops an append that
+//! runs into one from making it the log's next frame. Those of a
+//! multi-sector write that lost its first sector carry numbers the next open
+//! assigns again, so no rule here can tell them from successors; the writer
+//! zeroes them before its first write lands ([`crate::wal`]). Readers need
+//! only never read past the end, which they do not.
+//!
+//! A stream that simply stops on a frame boundary (a file that was never
+//! reserved, an in-memory image) is the same shape with a zero-length tail.
 //!
 //! The log records two kinds of events, which is the point of the TERP
 //! persist layer: *data* mutations (`PoolCreate`/`Alloc`/`Free`/`DataWrite`)
@@ -25,9 +51,12 @@
 //! service does not journal it; the record still decodes and replays as a
 //! no-op.
 
+use std::io::{self, Read};
+
 use terp_pmo::{OpenMode, Permission, PmoId};
 
 use crate::crc::crc32;
+use crate::error::PersistError;
 
 /// Frame header size: length + checksum.
 pub const FRAME_HEADER: usize = 8;
@@ -470,6 +499,15 @@ fn decode_payload(payload: &[u8]) -> Option<(u64, WalRecord)> {
     Some((seq, record))
 }
 
+/// How a log ended (see the module docs for the three rules).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LogEnd {
+    /// On a frame boundary: a header of zeros, or the end of the stream.
+    Clean,
+    /// In a frame that is cut short, damaged or stale.
+    Torn,
+}
+
 /// The decoded prefix of a log byte stream.
 #[derive(Debug)]
 pub struct LogContents {
@@ -477,12 +515,14 @@ pub struct LogContents {
     pub records: Vec<(u64, WalRecord)>,
     /// Bytes consumed by valid frames.
     pub consumed: usize,
-    /// Bytes discarded after the first invalid frame (0 for a clean log).
+    /// Bytes discarded behind a torn end: from the first invalid frame
+    /// through the last non-zero byte (0 for a clean log — the zeros of a
+    /// reservation are not part of the log).
     pub dropped: usize,
 }
 
 impl LogContents {
-    /// Whether the log decoded end to end with no torn tail.
+    /// Whether the log ended cleanly, with no torn tail.
     pub fn is_clean(&self) -> bool {
         self.dropped == 0
     }
@@ -494,40 +534,322 @@ impl LogContents {
 }
 
 /// Sequence number of the frame `bytes` starts with, read without
-/// checking the frame (`None` when fewer than 16 bytes are there).
-/// Sequence numbers never repeat within a store, so the first frame's names
+/// checking the frame (`None` when fewer than 16 bytes are there, or when
+/// they open with the header of zeros that ends a log).
+/// Sequence numbers keep growing across truncation, so the first frame's names
 /// the *generation* of a log file: it changes exactly when the file is
-/// truncated and regrown (the WAL) or replaced by rename (`ckpt.log`).
+/// zeroed and rewritten (the WAL) or replaced by rename (`ckpt.log`).
 pub fn first_seq(bytes: &[u8]) -> Option<u64> {
     let seq = bytes.get(FRAME_HEADER..FRAME_HEADER + 8)?;
+    if bytes[..FRAME_HEADER] == [0; FRAME_HEADER] {
+        return None;
+    }
     Some(u64::from_le_bytes(seq.try_into().expect("8")))
 }
 
-/// Decodes `bytes` up to the first invalid frame (torn tail or corruption).
-pub fn read_log(bytes: &[u8]) -> LogContents {
+/// What a log holds at some position.
+pub(crate) enum Step {
+    /// A valid frame of `len` bytes (header included).
+    Frame {
+        seq: u64,
+        record: WalRecord,
+        len: usize,
+    },
+    /// The log ends here.
+    End(LogEnd),
+}
+
+/// The end-of-log rule, one frame at a time.
+#[derive(Debug)]
+pub(crate) struct FrameDecoder {
+    /// Sequence number of the last frame accepted; `None` before the first.
+    last_seq: Option<u64>,
+    /// Whether a frame must carry a higher sequence number than the last.
+    increasing: bool,
+}
+
+impl FrameDecoder {
+    /// For a write-ahead log whose last frame before this position carried
+    /// `after`: sequence numbers strictly increase.
+    pub(crate) fn wal(after: Option<u64>) -> Self {
+        FrameDecoder {
+            last_seq: after,
+            increasing: true,
+        }
+    }
+
+    /// For `ckpt.log` and `prot.log`, whose batches share a sequence number.
+    pub(crate) fn image() -> Self {
+        FrameDecoder {
+            last_seq: None,
+            increasing: false,
+        }
+    }
+
+    /// Sequence number of the last frame accepted.
+    pub(crate) fn last_seq(&self) -> Option<u64> {
+        self.last_seq
+    }
+
+    /// Decodes the frame `window` starts with. `None`: undecided until the
+    /// window holds more bytes — at the end of the stream that is an end
+    /// too, clean if what is left is zeros (fewer than a header's worth),
+    /// torn otherwise.
+    pub(crate) fn step(&mut self, window: &[u8]) -> Option<Step> {
+        let header = window.get(..FRAME_HEADER)?;
+        if header == [0; FRAME_HEADER] {
+            return Some(Step::End(LogEnd::Clean));
+        }
+        let len = u32::from_le_bytes(header[..4].try_into().expect("4")) as usize;
+        let crc = u32::from_le_bytes(header[4..].try_into().expect("4"));
+        if len > MAX_PAYLOAD {
+            return Some(Step::End(LogEnd::Torn)); // no frame is this long
+        }
+        let payload = window.get(FRAME_HEADER..FRAME_HEADER + len)?;
+        if crc32(payload) != crc {
+            return Some(Step::End(LogEnd::Torn)); // cut short or corrupted
+        }
+        // Checksum ok but structurally invalid is treated as torn as well.
+        let Some((seq, record)) = decode_payload(payload) else {
+            return Some(Step::End(LogEnd::Torn));
+        };
+        if self.increasing && self.last_seq.is_some_and(|last| seq <= last) {
+            return Some(Step::End(LogEnd::Torn)); // stale: an earlier generation's
+        }
+        self.last_seq = Some(seq);
+        Some(Step::Frame {
+            seq,
+            record,
+            len: FRAME_HEADER + len,
+        })
+    }
+}
+
+/// Bytes from the start of `tail` through its last non-zero byte. Compares a
+/// page at a time from the back — this runs over whole reservations — and
+/// looks at single bytes only inside the page that differs.
+fn through_last_nonzero(tail: &[u8]) -> usize {
+    static ZERO_PAGE: [u8; 4096] = [0; 4096];
+    let mut end = tail.len();
+    while end > 0 {
+        let start = end.saturating_sub(ZERO_PAGE.len());
+        let page = &tail[start..end];
+        if page != &ZERO_PAGE[..page.len()] {
+            let last = page.iter().rposition(|&b| b != 0).expect("not all zeros");
+            return start + last + 1;
+        }
+        end = start;
+    }
+    0
+}
+
+/// Reads `src` to its end in [`READ_CHUNK`]s: how many bytes lie between
+/// its position and its last non-zero byte, inclusive, and how many were
+/// read.
+pub(crate) fn nonzero_extent(mut src: impl Read) -> io::Result<(u64, u64)> {
+    let mut buf = vec![0u8; READ_CHUNK];
+    let (mut extent, mut read) = (0u64, 0u64);
+    loop {
+        let n = src.read(&mut buf)?;
+        if n == 0 {
+            return Ok((extent, read));
+        }
+        if let found @ 1.. = through_last_nonzero(&buf[..n]) {
+            extent = read + found as u64;
+        }
+        read += n as u64;
+    }
+}
+
+/// The frames of an image held in memory, decoded where they lie: the same
+/// [`FrameDecoder::step`] a [`FrameStream`] takes, without the copy into
+/// its read buffer — a restart decodes a `ckpt.log` of megabytes this way.
+fn decode_stream(bytes: &[u8], mut decoder: FrameDecoder) -> LogContents {
     let mut records = Vec::new();
     let mut pos = 0usize;
-    while bytes.len() - pos >= FRAME_HEADER {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4")) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4"));
-        if len > MAX_PAYLOAD || pos + FRAME_HEADER + len > bytes.len() {
-            break; // torn tail: length runs past the stream
+    let end = loop {
+        match decoder.step(&bytes[pos..]) {
+            Some(Step::Frame { seq, record, len }) => {
+                records.push((seq, record));
+                pos += len;
+            }
+            Some(Step::End(end)) => break end,
+            // Zeros short of a header drop nothing and so read as clean.
+            None => break LogEnd::Torn,
         }
-        let payload = &bytes[pos + FRAME_HEADER..pos + FRAME_HEADER + len];
-        if crc32(payload) != crc {
-            break; // corrupted record
-        }
-        let Some(decoded) = decode_payload(payload) else {
-            break; // checksum ok but structurally invalid: treat as torn
-        };
-        records.push(decoded);
-        pos += FRAME_HEADER + len;
-    }
+    };
     LogContents {
         records,
         consumed: pos,
-        dropped: bytes.len() - pos,
+        dropped: match end {
+            LogEnd::Clean => 0,
+            LogEnd::Torn => through_last_nonzero(&bytes[pos..]),
+        },
     }
+}
+
+/// Decodes a write-ahead log image up to where it ends: a header of zeros,
+/// the end of `bytes`, or the first torn or stale frame.
+pub fn read_log(bytes: &[u8]) -> LogContents {
+    decode_stream(bytes, FrameDecoder::wal(None))
+}
+
+/// Decodes the frames of `ckpt.log` or `prot.log`, whose batches share a
+/// sequence number; otherwise as [`read_log`].
+pub(crate) fn read_image(bytes: &[u8]) -> LogContents {
+    decode_stream(bytes, FrameDecoder::image())
+}
+
+/// Largest single read a [`FrameStream`] issues. The first is
+/// [`FIRST_READ`] and they double up to this: a poll of a log with nothing
+/// new costs a page, a restart reads in chunks that amortize the calls.
+pub(crate) const READ_CHUNK: usize = 64 << 10;
+const FIRST_READ: usize = 4 << 10;
+
+/// Streams the frames of a log out of a reader in bounded reads: at most
+/// [`READ_CHUNK`] bytes at a time, and nothing past the chunk holding the
+/// header that ends the log — a reservation of any size behind it is never
+/// read. The buffer holds one chunk, or one frame when a frame is longer;
+/// it grows with the bytes that actually arrive, never with what a length
+/// field claims.
+#[derive(Debug)]
+pub(crate) struct FrameStream<R> {
+    src: R,
+    decoder: FrameDecoder,
+    buf: Vec<u8>,
+    /// First undecoded byte of `buf`.
+    head: usize,
+    /// Size of the next read.
+    chunk: usize,
+    eof: bool,
+    /// Bytes of valid frames decoded so far.
+    pub(crate) consumed: u64,
+    /// Bytes read from `src` so far.
+    pub(crate) bytes_read: u64,
+    /// Frames decoded so far.
+    pub(crate) frames: u64,
+}
+
+impl<R: Read> FrameStream<R> {
+    /// A stream over `src`, which is positioned on a frame boundary.
+    pub(crate) fn new(src: R, decoder: FrameDecoder) -> Self {
+        FrameStream {
+            src,
+            decoder,
+            buf: Vec::new(),
+            head: 0,
+            chunk: FIRST_READ,
+            eof: false,
+            consumed: 0,
+            bytes_read: 0,
+            frames: 0,
+        }
+    }
+
+    /// Sequence number of the last frame returned.
+    pub(crate) fn last_seq(&self) -> Option<u64> {
+        self.decoder.last_seq()
+    }
+
+    /// Drops the decoded prefix of the buffer and reads one more chunk
+    /// behind what is left.
+    fn fill(&mut self) -> io::Result<()> {
+        self.buf.drain(..self.head);
+        self.head = 0;
+        let old = self.buf.len();
+        self.buf.resize(old + self.chunk, 0);
+        self.chunk = (2 * self.chunk).min(READ_CHUNK);
+        let n = self.src.read(&mut self.buf[old..])?;
+        self.buf.truncate(old + n);
+        self.bytes_read += n as u64;
+        self.eof = n == 0;
+        Ok(())
+    }
+
+    /// The next frame (its raw bytes are [`Self::frame_bytes`]), or how the
+    /// log ends.
+    pub(crate) fn next(&mut self) -> io::Result<Step> {
+        loop {
+            let window = &self.buf[self.head..];
+            match self.decoder.step(window) {
+                Some(Step::Frame { seq, record, len }) => {
+                    self.head += len;
+                    self.consumed += len as u64;
+                    self.frames += 1;
+                    return Ok(Step::Frame { seq, record, len });
+                }
+                Some(end) => return Ok(end),
+                None if self.eof => {
+                    return Ok(Step::End(if through_last_nonzero(window) == 0 {
+                        LogEnd::Clean
+                    } else {
+                        LogEnd::Torn
+                    }));
+                }
+                None => self.fill()?,
+            }
+        }
+    }
+
+    /// The raw bytes of the frame of `len` bytes [`Self::next`] just
+    /// returned.
+    pub(crate) fn frame_bytes(&self, len: usize) -> &[u8] {
+        &self.buf[self.head - len..self.head]
+    }
+
+    /// After a torn end: how many bytes lie between it and the last
+    /// non-zero byte of the stream, inclusive — the debris a writer must
+    /// zero before it appends behind the valid frames. Reads the rest of
+    /// the stream; a crash leaves this to do, a clean log never.
+    fn debris_len(&mut self) -> io::Result<u64> {
+        let window = &self.buf[self.head..];
+        let (behind, read) = nonzero_extent(&mut self.src)?;
+        self.bytes_read += read;
+        Ok(match behind {
+            0 => through_last_nonzero(window) as u64,
+            n => window.len() as u64 + n,
+        })
+    }
+
+    /// Decodes the log to its end, handing each record to `apply`: the one
+    /// pass a restart makes over a write-ahead log, whoever drives it.
+    pub(crate) fn drain(
+        mut self,
+        mut apply: impl FnMut(u64, WalRecord) -> Result<(), PersistError>,
+    ) -> Result<LogScan, PersistError> {
+        let end = loop {
+            match self.next()? {
+                Step::Frame { seq, record, .. } => apply(seq, record)?,
+                Step::End(end) => break end,
+            }
+        };
+        Ok(LogScan {
+            consumed: self.consumed,
+            dropped: match end {
+                LogEnd::Clean => 0,
+                LogEnd::Torn => self.debris_len()?,
+            },
+            frames: self.frames,
+            last_seq: self.last_seq(),
+            bytes_read: self.bytes_read,
+        })
+    }
+}
+
+/// What one pass over a write-ahead log found ([`FrameStream::drain`]).
+#[derive(Debug)]
+pub(crate) struct LogScan {
+    /// Bytes of valid frames: where a writer appends.
+    pub(crate) consumed: u64,
+    /// Bytes of debris behind a torn end: from the first invalid frame
+    /// through the last non-zero byte of the stream.
+    pub(crate) dropped: u64,
+    /// Frames decoded, each once.
+    pub(crate) frames: u64,
+    /// Bytes read from the stream.
+    pub(crate) bytes_read: u64,
+    /// Sequence number of the last valid frame.
+    pub(crate) last_seq: Option<u64>,
 }
 
 #[cfg(test)]
@@ -631,7 +953,11 @@ mod tests {
             for (i, (_, rec)) in decoded.records.iter().enumerate() {
                 assert_eq!(rec, &records[i], "cut at {cut}: prefix must be exact");
             }
-            assert_eq!(decoded.consumed + decoded.dropped, cut);
+            // What is dropped runs from the first bad byte through the last
+            // non-zero one: zeros behind it are tail, not log.
+            let tail = &log[decoded.consumed..cut];
+            assert_eq!(decoded.dropped, through_last_nonzero(tail), "cut at {cut}");
+            assert_eq!(decoded.is_clean(), tail.iter().all(|&b| b == 0));
         }
         // Full log, no truncation: everything decodes.
         assert_eq!(read_log(&log).records.len(), records.len());

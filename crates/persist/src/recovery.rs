@@ -43,7 +43,7 @@ use std::time::Instant;
 use terp_pmo::{txn, ObjectId, PmoId, PmoRegistry, PAGE_SIZE};
 
 use crate::error::PersistError;
-use crate::record::{first_seq, read_log, WalRecord};
+use crate::record::{first_seq, read_image, FrameDecoder, FrameStream, LogScan, WalRecord};
 
 /// What recovery produced.
 #[derive(Debug)]
@@ -84,6 +84,13 @@ pub struct RecoveryReport {
     pub recovery_ns: u128,
     /// Root-directory entries live after replay (cleared slots excluded).
     pub roots_recovered: usize,
+    /// Bytes of the WAL that were read: the written prefix and at most one
+    /// chunk behind it, never the reservation (a torn tail adds the scan
+    /// for the end of its debris).
+    pub wal_bytes_read: u64,
+    /// WAL frames decoded. Each is decoded once, so this is the number of
+    /// records the WAL held.
+    pub frames_decoded: u64,
 }
 
 /// The committed checkpoint of a store directory, decoded: what `ckpt.log`
@@ -120,7 +127,7 @@ impl CheckpointImage {
     /// shipper needs to know of a checkpoint. `None` when the bytes do not
     /// start with a valid [`WalRecord::Checkpoint`] frame.
     pub fn commit_of(prot: &[u8]) -> Option<(u64, u64)> {
-        commit_record(&read_log(prot).records)
+        commit_record(&read_image(prot).records)
     }
 
     /// Decodes the checkpoint files of one store.
@@ -145,8 +152,8 @@ impl CheckpointImage {
         let Some(prot) = prot else {
             return Ok(CheckpointImage::default());
         };
-        let protection = read_log(prot);
-        if !protection.is_clean() {
+        let protection = read_image(prot);
+        if protection.consumed != prot.len() {
             return Err(corrupt(format!(
                 "prot.log: bad frame at byte {} of {}",
                 protection.consumed,
@@ -171,8 +178,8 @@ impl CheckpointImage {
                     ckpt.len()
                 ))
             })?;
-        let pools = read_log(image);
-        if !pools.is_clean() {
+        let pools = read_image(image);
+        if pools.consumed != image.len() {
             return Err(corrupt(format!(
                 "ckpt.log: bad frame at byte {} of {ckpt_len} committed",
                 pools.consumed
@@ -413,6 +420,20 @@ impl Replay {
             report,
         ))
     }
+
+    /// [`Self::finish`], with what the pass over the WAL found entered into
+    /// the report.
+    pub(crate) fn finish_scanned(
+        self,
+        scan: &LogScan,
+    ) -> Result<(RecoveredState, RecoveryReport), PersistError> {
+        let (state, mut report) = self.finish()?;
+        report.bytes_dropped = scan.dropped as usize;
+        report.torn_tail = scan.dropped > 0;
+        report.wal_bytes_read = scan.bytes_read;
+        report.frames_decoded = scan.frames;
+        Ok((state, report))
+    }
 }
 
 /// Rebuilds state from a WAL image alone (a store that never completed a
@@ -421,10 +442,11 @@ pub fn recover(wal: &[u8]) -> Result<(RecoveredState, RecoveryReport), PersistEr
     recover_from(&CheckpointImage::default(), wal)
 }
 
-/// Rebuilds state from a committed checkpoint and the WAL written since:
-/// install, replay, finish. The WAL is decoded up to its first invalid
-/// frame — a torn tail is what a crash legitimately leaves, and is reported
-/// rather than refused.
+/// Rebuilds state from a committed checkpoint and an image of the WAL
+/// written since: install, replay, finish. The WAL is decoded up to where
+/// it ends ([`crate::read_log`]'s rule) — a torn tail is what a crash
+/// legitimately leaves, and is reported rather than refused. This is the
+/// pass [`crate::DurableStore::open`] makes over the file, made over bytes.
 ///
 /// # Errors
 ///
@@ -434,15 +456,11 @@ pub fn recover_from(
     wal: &[u8],
 ) -> Result<(RecoveredState, RecoveryReport), PersistError> {
     let start = Instant::now();
-    let log = read_log(wal);
     let mut replay = Replay::new();
     replay.install_checkpoint(image)?;
-    for (seq, record) in &log.records {
-        replay.apply(*seq, record)?;
-    }
-    let (state, mut report) = replay.finish()?;
-    report.bytes_dropped = log.dropped;
-    report.torn_tail = !log.is_clean();
+    let scan = FrameStream::new(wal, FrameDecoder::wal(None))
+        .drain(|seq, record| replay.apply(seq, &record))?;
+    let (state, mut report) = replay.finish_scanned(&scan)?;
     report.recovery_ns = start.elapsed().as_nanos();
     Ok((state, report))
 }
@@ -450,6 +468,7 @@ pub fn recover_from(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::read_log;
     use crate::wal::WalWriter;
     use terp_pmo::{OpenMode, Permission};
 

@@ -3,8 +3,9 @@
 //!
 //! [`DurableStore::open`] is the single entry point: it loads whatever the
 //! directory contains (possibly nothing, possibly the debris of a crash),
-//! runs [`crate::recovery::recover_from`], and hands back both the
-//! recovered state and a live writer positioned after the last durable
+//! replays it — the pass of [`crate::recovery::recover_from`], made over the
+//! log file by the writer that will append behind it — and hands back both
+//! the recovered state and that writer, positioned after the last durable
 //! record. From then on the owner logs every mutation through
 //! [`DurableStore::log`] and checkpoints — when [`DurableStore::checkpoint_due`]
 //! says so at the end of an operation, and when it drains — to bound log
@@ -15,7 +16,8 @@
 //! writer. Under [`Visibility::Durable`] appends are buffered and the
 //! owner's [`DurableStore::commit`] — at the end of an operation, or of a
 //! batch of operations it acknowledges together — writes and fsyncs them
-//! inline on the calling thread (one `write` + one `fdatasync`). Under
+//! inline on the calling thread (one `write` + one `fdatasync`, data-only:
+//! the blocks were reserved beforehand). Under
 //! [`Visibility::Submit`] appends return at submit and a per-store
 //! background thread
 //! ([`crate::writer::AsyncWalWriter`]) batches, writes and fsyncs behind
@@ -33,19 +35,28 @@
 //!    and dirty pages only, one fsync for the batch; or, when the checkpoint
 //!    compacts, every resident page of every pool written to a temp file
 //!    and renamed over `ckpt.log`;
-//! 3. `prot.log` is atomically rewritten (temp + fsync + rename): the same
-//!    `Checkpoint` record, the caller's current protection records, the
-//!    live root directory. **This rename commits the checkpoint.**
-//! 4. the WAL is truncated.
+//! 3. `prot.log` is atomically rewritten (temp + fsync + rename + fsync of
+//!    the directory, as is a compacted `ckpt.log`): the same `Checkpoint`
+//!    record, the caller's current protection records, the live root
+//!    directory. **This rename commits the checkpoint**, and it is durable
+//!    before step 4 destroys what it supersedes.
+//! 4. the WAL is truncated: its used prefix is zeroed and synced — the file
+//!    keeps the blocks it reserved ([`crate::wal`]).
 //!
 //! Recovery installs `ckpt.log` up to the committed length, then `prot.log`,
-//! then replays `wal.log`. A crash before step 3 leaves `ckpt.log` bytes
-//! past the committed length (dropped at the next open) or a compacted
-//! image newer than `prot.log` (complete, and consistent with the full
-//! WAL); a crash between 3 and 4 leaves a WAL whose records the watermarks
-//! skip. Damage *inside* the committed region is an error, never a shorter
-//! image — see [`CheckpointImage::decode`]. Which page set a checkpoint
-//! writes is the store's own rule: see [`DurableStore::checkpoint`].
+//! then replays `wal.log` — one read of the written prefix, each frame
+//! decoded once, by the same pass that positions the writer. A crash before
+//! step 3 leaves `ckpt.log` bytes past the committed length (dropped at the
+//! next open) or a compacted image newer than `prot.log` (complete, and
+//! consistent with the full WAL); a crash between 3 and 4, or anywhere
+//! inside 4 — the zeroed blocks reach the disk in any order — leaves a WAL
+//! whose reachable records the watermarks skip (the open then finishes the
+//! zeroing) and whose frames stranded behind a gap of zeros no later record
+//! can be followed by (their sequence numbers lie below the checkpoint's:
+//! [`crate::record`]). Damage *inside* the
+//! committed region is an error, never a shorter image — see
+//! [`CheckpointImage::decode`]. Which page set a checkpoint writes is the
+//! store's own rule: see [`DurableStore::checkpoint`].
 
 use std::collections::BTreeMap;
 use std::fs::{self, OpenOptions};
@@ -56,8 +67,8 @@ use terp_pmo::{Pmo, PmoId};
 
 use crate::error::PersistError;
 use crate::record::WalRecord;
-use crate::recovery::{recover_from, CheckpointImage, RecoveredState, RecoveryReport};
-use crate::wal::{WalStats, WalWriter};
+use crate::recovery::{CheckpointImage, RecoveredState, RecoveryReport, Replay};
+use crate::wal::{sync_dir, WalStats, WalWriter};
 use crate::writer::AsyncWalWriter;
 
 /// File name of the write-ahead log inside a store directory.
@@ -152,16 +163,18 @@ fn read_file_opt(path: &Path) -> Result<Option<Vec<u8>>, PersistError> {
     }
 }
 
-/// Replaces `path` atomically: temp file, fsync, rename. A crash leaves the
-/// old file or the new one, never a mixture.
-fn publish(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
+/// Replaces `dir/name` atomically and durably: temp file, fsync, rename,
+/// directory fsync. A crash leaves the old file or the new one, never a
+/// mixture — and once this returns, the new one.
+fn publish(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), PersistError> {
+    let tmp = dir.join(format!("{name}.tmp"));
     let mut f = fs::File::create(&tmp)?;
     f.write_all(bytes)?;
     f.sync_data()?;
     drop(f);
-    fs::rename(&tmp, path)?;
+    fs::rename(&tmp, dir.join(name))?;
+    // The rename is the commit; it is volatile until its directory is synced.
+    sync_dir(dir)?;
     Ok(())
 }
 
@@ -186,8 +199,8 @@ impl DurableStore {
     ///
     /// I/O failures, damage inside a completed checkpoint, or checkpoint/log
     /// inconsistency (see [`crate::recovery::Replay::apply`]). A torn WAL
-    /// tail is *not* an error: it is truncated away and reported, as are
-    /// the `ckpt.log` bytes of a checkpoint that never committed.
+    /// tail is *not* an error: it is zeroed away and reported, and the
+    /// `ckpt.log` bytes of a checkpoint that never committed are cut off.
     pub fn open(
         dir: &Path,
         visibility: Visibility,
@@ -202,12 +215,16 @@ impl DurableStore {
             }
         }
         let image = load_checkpoint(dir)?;
-        let wal_path = dir.join(WAL_FILE);
-        let log_bytes = read_file_opt(&wal_path)?.unwrap_or_default();
-        let (state, mut report) = recover_from(&image, &log_bytes)?;
-        // Reopening truncates the torn tails physically — the WAL's and an
-        // uncommitted checkpoint's — and positions the writer after the
-        // last valid record.
+        // The WAL is read once: each frame is decoded and replayed as the
+        // writer that will append behind it finds its position. A torn tail
+        // is zeroed away on the spot.
+        let mut replay = Replay::new();
+        replay.install_checkpoint(&image)?;
+        let (mut wal, scan) = WalWriter::open_with(&dir.join(WAL_FILE), |seq, record| {
+            replay.apply(seq, &record)
+        })?;
+        let (state, mut report) = replay.finish_scanned(&scan)?;
+        // So is an uncommitted checkpoint's.
         match OpenOptions::new().write(true).open(dir.join(CKPT_FILE)) {
             Ok(f) if f.metadata()?.len() > image.ckpt_len => {
                 f.set_len(image.ckpt_len)?;
@@ -217,10 +234,14 @@ impl DurableStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(e.into()),
         }
-        let (mut wal, _contents) = WalWriter::open(&wal_path)?;
         // The checkpoint's seq may exceed every surviving record's (the WAL
         // is truncated at checkpoints); keep seq strictly increasing past
-        // all durable sources.
+        // all durable sources. Records that do survive below it are the
+        // checkpoint's own step 4 cut short: finish it, so the new records
+        // start the log instead of following dead ones.
+        if scan.last_seq.is_some_and(|last| Some(last) <= image.seq) {
+            wal.truncate()?;
+        }
         let floor = image.seq.map_or(0, |seq| seq + 1);
         if floor > wal.next_seq() {
             wal.set_next_seq(floor);
@@ -393,7 +414,7 @@ impl DurableStore {
         // prot.log's until then. Either is ignorable debris after a crash.
         let ckpt_path = self.dir.join(CKPT_FILE);
         if compact {
-            publish(&ckpt_path, &batch)?;
+            publish(&self.dir, CKPT_FILE, &batch)?;
         } else if !batch.is_empty() {
             // At the committed length, not wherever an earlier checkpoint
             // that failed half-way left the end of the file.
@@ -414,7 +435,7 @@ impl DurableStore {
         for (&(pmo, key), &oid) in &self.roots {
             WalRecord::RootSet { pmo, key, oid }.encode_into(watermark, &mut prot);
         }
-        publish(&self.dir.join(PROT_FILE), &prot)?;
+        publish(&self.dir, PROT_FILE, &prot)?;
         self.ckpt_len = ckpt_len;
         if compact {
             self.image_len = ckpt_len;
@@ -466,7 +487,6 @@ impl DurableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::fs::OpenOptions;
     use terp_pmo::{OpenMode, PmoId, PmoRegistry};
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -552,6 +572,13 @@ mod tests {
         fs::metadata(dir.join(name)).unwrap().len()
     }
 
+    /// Whether `wal.log` reads as an empty log: zeros from byte 0. (Its
+    /// length is the reservation's, whatever it holds.)
+    fn wal_is_empty(dir: &Path) -> bool {
+        let log = crate::record::read_log(&fs::read(dir.join(WAL_FILE)).unwrap());
+        log.records.is_empty() && log.is_clean()
+    }
+
     fn read_first_block(state: &RecoveredState) -> [u8; 13] {
         let pool = state.registry.pool(id(1)).unwrap();
         let (off, _) = pool.allocator().live_blocks().next().unwrap();
@@ -568,7 +595,7 @@ mod tests {
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
             assert_eq!(store.checkpoint(reg.iter_mut(), &[]).unwrap(), 1);
-            assert_eq!(file_len(&dir, WAL_FILE), 0);
+            assert!(wal_is_empty(&dir));
             let mut names: Vec<_> = fs::read_dir(&dir)
                 .unwrap()
                 .map(|e| e.unwrap().file_name().into_string().unwrap())
@@ -653,7 +680,7 @@ mod tests {
             // Checkpoint truncates the WAL; only the live root is carried,
             // in the protection snapshot.
             store.checkpoint(reg.iter_mut(), &[]).unwrap();
-            assert_eq!(file_len(&dir, WAL_FILE), 0);
+            assert!(wal_is_empty(&dir));
             let image = load_checkpoint(&dir).unwrap();
             assert_eq!(
                 image.protection.iter().map(|(_, r)| r).collect::<Vec<_>>(),
@@ -676,26 +703,32 @@ mod tests {
     #[test]
     fn torn_tail_is_reported_and_physically_truncated() {
         let dir = tmp_dir("torn");
-        {
+        let written = {
             let (mut store, _, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
-        }
+            store.stats().bytes as usize
+        };
+        // The last record's final two bytes never reached the disk.
         let wal_path = dir.join(WAL_FILE);
-        let len = fs::metadata(&wal_path).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&wal_path).unwrap();
-        f.set_len(len - 2).unwrap();
-        drop(f);
+        let mut image = fs::read(&wal_path).unwrap();
+        image[written - 2..written].fill(0);
+        fs::write(&wal_path, &image).unwrap();
 
         let (store, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
         assert!(report.torn_tail);
-        assert!(report.bytes_dropped > 0);
+        assert!(report.bytes_dropped > 0 && report.bytes_dropped <= written);
         // The torn record was the WindowOpen → nothing to reseal, data intact.
         assert!(state.resealed.is_empty());
-        assert_eq!(
-            fs::metadata(store.wal_path()).unwrap().len(),
-            (len - 2) - report.bytes_dropped as u64
-        );
+        // What was dropped is gone from the file, which kept its blocks.
+        let image = fs::read(store.wal_path()).unwrap();
+        let log = crate::record::read_log(&image);
+        assert_eq!(log.records.len(), 3);
+        assert!(image[log.consumed..].iter().all(|&b| b == 0));
+        assert_eq!(image.len() as u64, crate::WAL_RESERVE);
+        drop(store);
+        let (_, _, again) = DurableStore::open(&dir, Visibility::Durable).unwrap();
+        assert!(!again.torn_tail, "reported once");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -720,7 +753,7 @@ mod tests {
         fill_to_trigger(store);
         let pages = store.checkpoint(reg.iter_mut(), &open).unwrap();
         assert_eq!(pages, 1, "only the page dirtied since the last checkpoint");
-        assert_eq!(file_len(store.dir(), WAL_FILE), 0);
+        assert!(wal_is_empty(store.dir()));
         assert!(file_len(store.dir(), CKPT_FILE) > image, "appended");
     }
 

@@ -11,13 +11,20 @@
 //! same offset once the writer has finished the frame.
 //!
 //! The other thing a live file can do that a crashed one cannot is *start
-//! over*: a checkpoint truncates the WAL once its image is committed. A
-//! reader positioned in the old log is not torn, it is obsolete —
-//! [`TailStatus::Truncated`] tells the shipper to send the checkpoint the
-//! truncation belongs to and restart the log from byte 0. File length alone
-//! cannot say so (the log may have regrown past the reader by the next
-//! poll); the reader remembers the sequence number of the log's first frame
-//! instead, which never repeats ([`crate::record::first_seq`]).
+//! over*: a checkpoint zeroes the WAL once its image is committed, and the
+//! next records land at byte 0 again. A reader positioned in the old log is
+//! not torn, it is obsolete — [`TailStatus::Truncated`] tells the shipper to
+//! send the checkpoint the truncation belongs to and restart the log from
+//! byte 0. File length cannot say so (the file keeps its reserved blocks);
+//! the reader remembers the sequence number of the log's first frame
+//! instead, which never repeats ([`crate::record::first_seq`]): a head that
+//! is zeros, or another frame, is another log.
+//!
+//! The file is *valid frames, then zeros* ([`crate::record`]): a poll reads
+//! from its offset in bounded chunks and stops at the header that ends the
+//! log, whatever the size of the reservation behind it. It carries the last
+//! sequence number it returned across polls, so a stale frame of an earlier
+//! generation can never follow a newer one out of the reader.
 //!
 //! Chunks carry both decoded records (for watermark accounting) and the raw
 //! validated frame bytes (so a follower can append them verbatim and end up
@@ -28,27 +35,27 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use crate::error::PersistError;
-use crate::record::{first_seq, read_log, WalRecord};
+use crate::record::{first_seq, FrameDecoder, FrameStream, LogEnd, Step, WalRecord};
 
 /// What [`TailReader::poll`] observed past the returned records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TailStatus {
-    /// Every byte up to end-of-file decoded into valid frames; the reader
-    /// is caught up with the writer's durable prefix.
+    /// Every byte up to the log's clean end decoded into valid frames; the
+    /// reader is caught up with the writer's durable prefix.
     CaughtUp,
     /// Trailing bytes did not (yet) form a complete valid frame — a torn
     /// tail, which under a live group-commit writer simply means the frame
     /// is still being written. Poll again; never treat as corruption.
     NeedMore,
     /// The log the reader was positioned in is gone (checkpoint
-    /// truncation): the file is shorter than the reader's offset or starts
-    /// with another frame. The offset has been reset to zero; the records
-    /// in between live in the checkpoint that truncated them.
+    /// truncation): the file no longer starts with the frame it started
+    /// with. The offset has been reset to zero; the records in between live
+    /// in the checkpoint that truncated them.
     Truncated,
 }
 
-/// One batch of tailed records: the decoded prefix of the bytes between the
-/// reader's previous offset and end-of-file.
+/// One batch of tailed records: the valid frames between the reader's
+/// previous offset and the end of the log.
 #[derive(Debug)]
 pub struct TailChunk {
     /// Newly decoded records in log order, with sequence numbers.
@@ -88,6 +95,8 @@ pub struct TailReader {
     /// Sequence number of the log's first frame, once one has been read:
     /// the generation the offset belongs to.
     generation: Option<u64>,
+    /// Sequence number of the last frame returned from this generation.
+    last_seq: Option<u64>,
 }
 
 impl TailReader {
@@ -98,6 +107,7 @@ impl TailReader {
             path: path.to_path_buf(),
             offset: 0,
             generation: None,
+            last_seq: None,
         }
     }
 
@@ -126,42 +136,51 @@ impl TailReader {
             }
             Err(e) => return Err(e.into()),
         };
-        let len = file.metadata()?.len();
-        // With nothing past the offset there is nothing to misread: a log
-        // that regrew to exactly the old length is caught when it grows on.
-        let mut same_log = len >= self.offset;
-        if len > self.offset && self.offset > 0 {
-            let mut head = [0u8; 16];
-            file.read_exact(&mut head)?;
-            same_log = first_seq(&head) == self.generation;
-        }
-        if !same_log {
-            // A checkpoint truncated the log out from under us.
-            self.offset = 0;
-            self.generation = None;
-            return Ok(TailChunk {
-                records: Vec::new(),
-                bytes: Vec::new(),
-                status: TailStatus::Truncated,
-            });
-        }
         file.seek(SeekFrom::Start(self.offset))?;
-        let mut raw = Vec::with_capacity((len - self.offset) as usize);
-        file.read_to_end(&mut raw)?;
-
-        let decoded = read_log(&raw);
-        let bytes = raw[..decoded.consumed].to_vec();
-        if self.offset == 0 {
-            self.generation = decoded.records.first().map(|(seq, _)| *seq);
+        let mut stream = FrameStream::new(&file, FrameDecoder::wal(self.last_seq));
+        let mut records = Vec::new();
+        let mut bytes = Vec::new();
+        let end = loop {
+            match stream.next()? {
+                Step::Frame { seq, record, len } => {
+                    records.push((seq, record));
+                    bytes.extend_from_slice(stream.frame_bytes(len));
+                }
+                Step::End(end) => break end,
+            }
+        };
+        let last_seq = stream.last_seq();
+        // Still the log the offset belongs to? Asked after the read: a head
+        // that is intact now was intact while the bytes behind it were read,
+        // because a truncation zeroes from the head on.
+        if self.offset > 0 {
+            let mut head = [0u8; 16];
+            file.seek(SeekFrom::Start(0))?;
+            let same_log = match file.read_exact(&mut head) {
+                Ok(()) => first_seq(&head) == self.generation,
+                Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => false,
+                Err(e) => return Err(e.into()),
+            };
+            if !same_log {
+                // A checkpoint truncated the log out from under us.
+                *self = TailReader::new(&self.path);
+                return Ok(TailChunk {
+                    records: Vec::new(),
+                    bytes: Vec::new(),
+                    status: TailStatus::Truncated,
+                });
+            }
+        } else if let Some((first, _)) = records.first() {
+            self.generation = Some(*first);
         }
-        self.offset += decoded.consumed as u64;
+        self.offset += bytes.len() as u64;
+        self.last_seq = last_seq;
         Ok(TailChunk {
-            records: decoded.records,
+            records,
             bytes,
-            status: if decoded.dropped == 0 {
-                TailStatus::CaughtUp
-            } else {
-                TailStatus::NeedMore
+            status: match end {
+                LogEnd::Clean => TailStatus::CaughtUp,
+                LogEnd::Torn => TailStatus::NeedMore,
             },
         })
     }
@@ -217,9 +236,13 @@ mod tests {
         let c2 = tail.poll().unwrap();
         assert_eq!(c2.records.len(), 1);
         assert_eq!(c2.records[0].0, 2);
-        // Raw bytes match the file slice exactly.
+        // Raw bytes match the file slice exactly, and stop where the log
+        // does: the reservation behind it is not the reader's to return.
         let all = std::fs::read(&path).unwrap();
-        assert_eq!(c2.bytes, all[c1.bytes.len()..]);
+        let end = c1.bytes.len() + c2.bytes.len();
+        assert_eq!(c2.bytes, all[c1.bytes.len()..end]);
+        assert_eq!(tail.offset(), end as u64);
+        assert!(all[end..].iter().all(|&b| b == 0) && all.len() > end);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -195,6 +195,7 @@ struct SharedStats {
     flushes: AtomicU64,
     syncs: AtomicU64,
     bytes: AtomicU64,
+    extensions: AtomicU64,
     /// Largest single batch the writer drained (observability for the
     /// adaptive batching).
     max_batch: AtomicU64,
@@ -285,7 +286,7 @@ impl AsyncWalWriter {
 
     /// Truncates the log file (checkpoint), synchronously: returns once the
     /// writer thread has flushed everything submitted before this call and
-    /// then emptied the file. Sequence numbers keep increasing, mirroring
+    /// then zeroed the file. Sequence numbers keep increasing, mirroring
     /// [`WalWriter::truncate`].
     pub fn truncate(&mut self) -> Result<(), PersistError> {
         let mut st = self.pipe.state.lock().expect("pipe mutex");
@@ -339,6 +340,7 @@ impl AsyncWalWriter {
             flushes: self.stats.flushes.load(Ordering::Relaxed),
             syncs: self.stats.syncs.load(Ordering::Relaxed),
             bytes: self.stats.bytes.load(Ordering::Relaxed),
+            extensions: self.stats.extensions.load(Ordering::Relaxed),
         }
     }
 
@@ -426,12 +428,16 @@ fn writer_loop(
                 pipe.space.notify_all();
                 return;
             }
-            gate.advance(last_seq + 1);
+            // Counters first: whoever the watermark wakes may read them.
             stats.appended.fetch_add(count, Ordering::Relaxed);
             stats.flushes.fetch_add(1, Ordering::Relaxed);
             stats.syncs.fetch_add(1, Ordering::Relaxed);
             stats.bytes.fetch_add(batch.len() as u64, Ordering::Relaxed);
+            stats
+                .extensions
+                .store(wal.stats().extensions, Ordering::Relaxed);
             stats.max_batch.fetch_max(count, Ordering::Relaxed);
+            gate.advance(last_seq + 1);
         }
 
         if trunc {
@@ -545,7 +551,11 @@ mod tests {
             w.append(&rec(n)).unwrap();
         }
         w.truncate().unwrap();
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        let emptied = read_log(&std::fs::read(&path).unwrap());
+        assert!(
+            emptied.records.is_empty() && emptied.is_clean(),
+            "reads as empty"
+        );
         let seq = w.append(&rec(99)).unwrap();
         assert_eq!(seq, 10, "sequence numbers survive truncation");
         w.sync().unwrap();

@@ -13,8 +13,9 @@
 //! 3. the image fsynced (and, compacting, renamed), `prot.log.tmp` present —
 //!    empty, torn, complete;
 //! 4. `prot.log` renamed, the WAL not yet truncated — whole, or damaged
-//!    anywhere (it is redundant by now);
-//! 5. the WAL truncated.
+//!    anywhere (it is redundant by now), or with its zeroing interrupted:
+//!    any one 4 KiB block of the used prefix zeroed, or all but one;
+//! 5. the WAL truncated: zeros from byte 0.
 //!
 //! At each one, [`DurableStore::open`] must recover byte-identically to the
 //! reference — pages, allocator, roots — and reseal exactly the windows the
@@ -31,6 +32,7 @@ use std::path::{Path, PathBuf};
 use terp_persist::{
     enumerate_crash_points, inject, load_checkpoint, read_log, recover, DurableStore,
     RecoveredState, Visibility, WalRecord, CHECKPOINT_TRIGGER, CKPT_FILE, PROT_FILE, WAL_FILE,
+    WAL_RESERVE,
 };
 use terp_pmo::{OpenMode, Permission, PmoId, PmoRegistry, Transaction, PAGE_SIZE};
 
@@ -161,7 +163,9 @@ fn fingerprint(state: &RecoveredState) -> (Vec<PoolPrint>, Roots) {
     (pools, state.roots.iter().map(|(k, v)| (*k, *v)).collect())
 }
 
-/// The files of one store directory (absent = `None`).
+/// The files of one store directory (absent = `None`). `wal` is the log
+/// proper — what `wal.log` holds in front of its zeros — and goes back to
+/// disk inside a zero-filled reservation, as the store keeps it.
 #[derive(Clone, Default)]
 struct Files {
     wal: Vec<u8>,
@@ -174,8 +178,13 @@ struct Files {
 impl Files {
     fn read(dir: &Path) -> Files {
         let read = |name: &str| fs::read(dir.join(name)).ok();
+        let mut wal = read(WAL_FILE).unwrap_or_default();
+        assert_eq!(wal.len() as u64 % WAL_RESERVE, 0, "wal.log is reserved");
+        let log = read_log(&wal);
+        assert!(log.is_clean());
+        wal.truncate(log.consumed);
         Files {
-            wal: read(WAL_FILE).unwrap_or_default(),
+            wal,
             ckpt: read(CKPT_FILE),
             prot: read(PROT_FILE),
             ..Files::default()
@@ -185,7 +194,9 @@ impl Files {
     fn write(&self, dir: &Path) {
         let _ = fs::remove_dir_all(dir);
         fs::create_dir_all(dir).unwrap();
-        fs::write(dir.join(WAL_FILE), &self.wal).unwrap();
+        let mut wal = self.wal.clone();
+        wal.resize(wal.len().next_multiple_of(WAL_RESERVE as usize), 0);
+        fs::write(dir.join(WAL_FILE), &wal).unwrap();
         let tmp = |name: &str| format!("{name}.tmp");
         for (name, bytes) in [
             (CKPT_FILE.to_string(), &self.ckpt),
@@ -269,6 +280,19 @@ fn protocol_states(before: &Files, after: &Files) -> Vec<(String, Files)> {
             torn,
         ));
     }
+    // The truncation itself: zeros over the used prefix, whose 4 KiB blocks
+    // reach the disk in any order.
+    let blocks: Vec<_> = (0..at.wal.len()).step_by(4096).collect();
+    for &block in blocks.iter().step_by(blocks.len() / 12 + 1) {
+        let end = (block + 4096).min(at.wal.len());
+        let mut only = at.clone();
+        only.wal[block..end].fill(0);
+        states.push((format!("4: only block @{block} of the WAL zeroed"), only));
+        let mut all_but = at.clone();
+        all_but.wal[..block].fill(0);
+        all_but.wal[end..].fill(0);
+        states.push((format!("4: all but block @{block} zeroed"), all_but));
+    }
     at.wal.clear();
     states.push(("5: WAL truncated".into(), at.clone()));
     assert_eq!(at.wal, after.wal);
@@ -330,8 +354,20 @@ fn check_states(
             load_checkpoint(scratch).unwrap().ckpt_len,
             "{what} / {label}: ckpt.log keeps bytes nobody committed"
         );
+        // No record of the log the next appends will follow is one the
+        // checkpoint superseded: an interrupted truncation was finished.
+        let floor = load_checkpoint(scratch).unwrap().seq;
+        let left = read_log(&fs::read(scratch.join(WAL_FILE)).unwrap());
+        assert!(
+            left.is_clean() && left.records.iter().all(|(seq, _)| Some(*seq) > floor),
+            "{what} / {label}: dead records left in front of the log"
+        );
         let (store, _, again) = DurableStore::open(scratch, visibility).unwrap();
         assert_eq!(again.windows_resealed, 2, "{what} / {label}: reopen");
+        assert!(
+            !again.torn_tail,
+            "{what} / {label}: a torn tail is reported once"
+        );
         // Every state but the first holds the marker, one past the
         // reference's last record.
         assert_eq!(

@@ -90,8 +90,12 @@ fn tail_reader_over_live_async_writer_sees_no_errors_and_survives_truncation() {
     let chunk = tail.poll().unwrap();
     assert_eq!(chunk.records.len(), 1);
     assert_eq!(chunk.status, TailStatus::CaughtUp);
-    // The shipped bytes are verbatim the post-checkpoint file prefix.
-    assert_eq!(chunk.bytes, std::fs::read(&wal).unwrap());
+    // The shipped bytes are verbatim the post-checkpoint file prefix; what
+    // the file holds behind them is its reservation, all zeros.
+    let file = std::fs::read(&wal).unwrap();
+    let (prefix, reservation) = file.split_at(chunk.bytes.len());
+    assert_eq!(chunk.bytes, prefix);
+    assert!(reservation.iter().all(|&b| b == 0));
 
     drop(store);
     std::fs::remove_dir_all(&dir).ok();

@@ -60,10 +60,15 @@ const MAGIC: &[u8; 8] = b"TERPTXN1";
 ///
 /// Propagates pool read failures.
 pub fn find_log_area(pool: &Pmo) -> Result<Option<u64>, PmoError> {
-    // Convention: the log area is the allocation tagged by a magic header
-    // at its start. (Simple linear scan: pools have few allocations when
-    // transactions start being used, and the result can be cached.)
-    for (off, _) in pool.allocator().live_blocks() {
+    // Convention: the log area is the allocation of `LOG_AREA` bytes tagged
+    // by a magic header at its start. Only a block of that length is read:
+    // recovery asks this of every pool, and a pool that never ran a
+    // transaction can hold tens of thousands of live blocks.
+    for (off, _) in pool
+        .allocator()
+        .live_blocks()
+        .filter(|&(_, len)| len == LOG_AREA)
+    {
         let mut head = [0u8; 8];
         pool.read_bytes(off, &mut head)?;
         if &head == MAGIC {

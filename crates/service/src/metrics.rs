@@ -312,6 +312,7 @@ pub(crate) fn merge_wal_stats(a: &mut WalStats, b: WalStats) {
     a.flushes += b.flushes;
     a.syncs += b.syncs;
     a.bytes += b.bytes;
+    a.extensions += b.extensions;
 }
 
 /// Durable-mode recovery statistics, aggregated over every shard's store
@@ -461,11 +462,12 @@ impl std::fmt::Display for ServiceReport {
         if let Some(wal) = &self.wal {
             write!(
                 f,
-                "\n  wal: {} records in {} fsyncs ({:.2} records/fsync), {} bytes",
+                "\n  wal: {} records in {} fsyncs ({:.2} records/fsync), {} bytes, {} reservations",
                 wal.appended,
                 wal.syncs,
                 wal.appended as f64 / wal.syncs.max(1) as f64,
                 wal.bytes,
+                wal.extensions,
             )?;
         }
         write!(

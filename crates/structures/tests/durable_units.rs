@@ -635,6 +635,21 @@ fn local_mem_record_stream_is_unchanged_by_units() {
     ds.stack.recover(&mem).unwrap();
     assert_eq!(ds.contents(&mem), model);
     let log = mem.durable_bytes();
+    // First with every frame's checksum masked out: that pin was taken from
+    // the stream as it was under the previous polynomial, so passing it
+    // shows the records themselves did not move when the checksum did.
+    let mut masked = log.clone();
+    let mut pos = 0;
+    while pos < masked.len() {
+        let len = u32::from_le_bytes(masked[pos..pos + 4].try_into().unwrap()) as usize;
+        masked[pos + 4..pos + 8].fill(0);
+        pos += 8 + len;
+    }
+    assert_eq!(
+        (masked.len(), fnv1a(&masked)),
+        (PINNED_LEN, PINNED_MASKED_FNV),
+        "LocalMem's records changed"
+    );
     assert_eq!(
         (log.len(), fnv1a(&log)),
         (PINNED_LEN, PINNED_FNV),
@@ -643,4 +658,8 @@ fn local_mem_record_stream_is_unchanged_by_units() {
 }
 
 const PINNED_LEN: usize = 6892;
-const PINNED_FNV: u64 = 8_561_613_686_971_382_807;
+/// Checksums masked: the same value under CRC-32 (IEEE, where it was taken)
+/// and CRC-32C.
+const PINNED_MASKED_FNV: u64 = 11_747_266_425_367_158_267;
+/// Re-pinned once, when the frame checksum became CRC-32C.
+const PINNED_FNV: u64 = 11_874_383_279_556_977_374;
