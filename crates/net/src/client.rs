@@ -1,9 +1,9 @@
 //! The client library: a sync handle over a pipelined multiplexer.
 //!
-//! One [`Client`] owns one TCP connection. Requests are written to the
-//! socket immediately ([`Client`] is `Clone`; any thread may submit) and a
-//! background demultiplexer thread routes responses — which the server may
-//! deliver **out of order** — back to their callers by request id.
+//! One [`Client`] owns one TCP connection ([`Client`] is `Clone`; any
+//! thread may submit) and a background demultiplexer thread that routes
+//! responses — which the server may deliver **out of order** — back to
+//! their callers by request id.
 //!
 //! Two calling styles share the connection:
 //!
@@ -15,33 +15,67 @@
 //!   blocking attach therefore stalls just its ticket while later tickets
 //!   on the same connection complete.
 //!
+//! ## When a request reaches the socket
+//!
+//! A request submitted while the connection owes no reply is written at
+//! once: sync calls, depth-1 loops and open-loop callers pay one socket
+//! write per request. A request submitted behind an unanswered one joins
+//! the connection's outbox instead, and the whole outbox leaves in one
+//! write — the client half of the server's one write per batch — as soon
+//! as
+//!
+//! * a [`Pending::wait`] on this connection is about to block,
+//! * a [`Pending`] is dropped without being waited on,
+//! * the outbox holds 64 KiB, the server's own coalescing bound, or
+//! * the last [`Client`] handle is dropped (best effort, before the socket
+//!   shuts down).
+//!
+//! So a queued request is on the wire by the time its own ticket is waited
+//! on or dropped, and whenever any wait on the connection blocks. A caller
+//! that holds a ticket and blocks on something else — another connection, a
+//! channel — must wait on or drop that ticket first if what it blocks on
+//! depends on the request. [`Client::wire_counts`] shows the effect: at
+//! depth 1 writes equal requests; behind a busy pipeline they fall.
+//!
+//! The demultiplexer never touches the outbox. A submitter holds the outbox
+//! lock across its socket write, and when the server has stopped reading
+//! (its in-flight gate is full because the client is not reading its
+//! replies) only the demultiplexer's reads can unblock that write. All the
+//! demultiplexer shares with submitters is the reply map and the count of
+//! replies owed, which it decrements before it wakes a ticket.
+//!
 //! Connection death (peer reset, protocol violation, server shutdown racing
-//! a read) surfaces as [`ServiceError::Disconnected`] /
-//! [`ServiceError::Protocol`] on every outstanding and subsequent call —
-//! the same error enum in-process callers see, per the design's
-//! "errors cross the wire as values" rule.
+//! a read, a failed write — the queued requests of other callers included)
+//! surfaces as [`ServiceError::Disconnected`] / [`ServiceError::Protocol`]
+//! on every outstanding and subsequent call — the same error enum
+//! in-process callers see, per the design's "errors cross the wire as
+//! values" rule.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use terp_pmo::{ObjectId, OpenMode, Permission, PmoId};
 
-use crate::frame::{encode_frame, FrameDecoder, MAX_FRAME};
+use crate::frame::{encode_frame, encode_frame_into, FrameDecoder, MAX_FRAME, WRITE_COALESCE};
 use crate::proto::{Request, Response, MAGIC, VERSION};
 use crate::ServiceError;
 
-/// Response routing state shared between submitters and the demux thread.
+/// Response routing state: everything the demux thread can reach.
 struct Demux {
     /// In-flight tickets by request id. The demux thread removes an entry
     /// to complete it; a dropped map (connection death) completes every
     /// waiter with [`Demux::dead`].
     pending: Mutex<PendingMap>,
+    /// Requests submitted and not yet answered. The demux decrements it
+    /// before it wakes the ticket, so the caller's next submit finds the
+    /// connection idle and writes at once.
+    owed: AtomicU64,
 }
 
 struct PendingMap {
@@ -71,12 +105,76 @@ impl Demux {
     }
 }
 
+/// The write half and the frames queued behind an unanswered request.
+struct Outbox {
+    sock: TcpStream,
+    queued: Vec<u8>,
+}
+
+/// What submitters and tickets share: the outbox and the demux state.
+/// Lock order is outbox, then the demux's map; the demux thread holds only
+/// the latter.
+struct Wire {
+    demux: Arc<Demux>,
+    out: Mutex<Outbox>,
+    requests: AtomicU64,
+    writes: AtomicU64,
+}
+
+impl Wire {
+    fn outbox(&self) -> MutexGuard<'_, Outbox> {
+        self.out.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Queues one request's frame. It leaves at once when the connection
+    /// owed nothing before it, or when it fills the outbox.
+    fn send(&self, payload: &[u8]) -> Result<(), ServiceError> {
+        let mut out = self.outbox();
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        let idle = self.demux.owed.fetch_add(1, Ordering::AcqRel) == 0;
+        encode_frame_into(&mut out.queued, payload);
+        if !idle && out.queued.len() < WRITE_COALESCE {
+            return Ok(());
+        }
+        let sent = self.write_out(&mut out);
+        drop(out);
+        if sent {
+            Ok(())
+        } else {
+            Err(self.demux.dead())
+        }
+    }
+
+    /// Writes whatever is queued.
+    fn flush(&self) {
+        let mut out = self.outbox();
+        if !out.queued.is_empty() {
+            self.write_out(&mut out);
+        }
+    }
+
+    /// The whole outbox in one socket write. A failure kills the
+    /// connection, failing every outstanding ticket; returns whether the
+    /// write went through.
+    fn write_out(&self, out: &mut Outbox) -> bool {
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        let Outbox { sock, queued } = out;
+        let sent = sock.write_all(queued);
+        queued.clear();
+        match sent {
+            Ok(()) => true,
+            Err(e) => {
+                self.demux.fail_all(io_err("send", e));
+                false
+            }
+        }
+    }
+}
+
 struct Mux {
-    /// Write half; a mutex serializes whole frames from concurrent callers.
-    write: Mutex<TcpStream>,
+    wire: Arc<Wire>,
     /// Original stream, for shutdown on drop.
     stream: TcpStream,
-    demux: Arc<Demux>,
     reader: Mutex<Option<JoinHandle<()>>>,
     next_id: AtomicU64,
     server_version: u16,
@@ -86,6 +184,8 @@ struct Mux {
 
 impl Drop for Mux {
     fn drop(&mut self) {
+        // Best effort: what is still queued leaves before the socket closes.
+        self.wire.flush();
         let _ = self.stream.shutdown(Shutdown::Both);
         if let Some(h) = self.reader.lock().unwrap_or_else(|e| e.into_inner()).take() {
             let _ = h.join();
@@ -93,12 +193,34 @@ impl Drop for Mux {
     }
 }
 
+/// What a [`Client`] has put on its socket since it connected, handshake
+/// excluded: every request it framed and every socket write it issued.
+/// `writes < requests` is the outbox at work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WireCounts {
+    /// Requests framed by [`Client::submit`].
+    pub requests: u64,
+    /// Socket writes that carried them.
+    pub writes: u64,
+}
+
 /// A pipelined in-flight request. Obtain from the `*_pipelined` methods;
-/// redeem with [`Pending::wait`] or a typed `wait_*` helper.
+/// redeem with [`Pending::wait`] or a typed `wait_*` helper. Dropping it
+/// unwaited discards the response but still sends the request.
 pub struct Pending {
     id: u64,
     rx: Receiver<Response>,
-    demux: Arc<Demux>,
+    wire: Arc<Wire>,
+    waited: bool,
+}
+
+impl Drop for Pending {
+    fn drop(&mut self) {
+        // Its request may still be in the outbox, and nobody will wait for it.
+        if !self.waited {
+            self.wire.flush();
+        }
+    }
 }
 
 impl Pending {
@@ -107,13 +229,24 @@ impl Pending {
         self.id
     }
 
-    /// Blocks for this request's response. A [`Response::Err`] becomes the
-    /// `Err` branch, so protocol- and service-level failures read the same.
-    pub fn wait(self) -> Result<Response, ServiceError> {
-        match self.rx.recv() {
+    /// Blocks for this request's response, first sending whatever the
+    /// connection has queued. A [`Response::Err`] becomes the `Err` branch,
+    /// so protocol- and service-level failures read the same.
+    pub fn wait(mut self) -> Result<Response, ServiceError> {
+        self.waited = true;
+        let got = match self.rx.try_recv() {
+            Ok(r) => Ok(r),
+            Err(TryRecvError::Empty) => {
+                // A failed write fails this ticket too: recv then reports it.
+                self.wire.flush();
+                self.rx.recv().map_err(|_| ())
+            }
+            Err(TryRecvError::Disconnected) => Err(()),
+        };
+        match got {
             Ok(Response::Err(e)) => Err(e),
             Ok(r) => Ok(r),
-            Err(_) => Err(self.demux.dead()),
+            Err(()) => Err(self.wire.demux.dead()),
         }
     }
 
@@ -240,6 +373,7 @@ impl Client {
                 map: HashMap::new(),
                 dead: None,
             }),
+            owed: AtomicU64::new(0),
         });
         let demux_for_reader = Arc::clone(&demux);
         let reader = std::thread::Builder::new()
@@ -249,9 +383,16 @@ impl Client {
 
         Ok(Client {
             mux: Arc::new(Mux {
-                write: Mutex::new(write),
+                wire: Arc::new(Wire {
+                    demux,
+                    out: Mutex::new(Outbox {
+                        sock: write,
+                        queued: Vec::new(),
+                    }),
+                    requests: AtomicU64::new(0),
+                    writes: AtomicU64::new(0),
+                }),
                 stream,
-                demux,
                 reader: Mutex::new(Some(reader)),
                 next_id: AtomicU64::new(2),
                 server_version,
@@ -276,12 +417,25 @@ impl Client {
         self.mux.server_shards
     }
 
-    /// Submits a raw request without waiting. Prefer the typed wrappers.
+    /// Requests framed and socket writes issued on this connection so far
+    /// (shared by every clone).
+    pub fn wire_counts(&self) -> WireCounts {
+        let wire = &self.mux.wire;
+        WireCounts {
+            requests: wire.requests.load(Ordering::Relaxed),
+            writes: wire.writes.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Submits a raw request without waiting: written at once on an idle
+    /// connection, queued behind an unanswered request otherwise (see the
+    /// module doc for when it leaves). Prefer the typed wrappers.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Disconnected`] when the connection is already dead or
-    /// the send fails; [`ServiceError::Protocol`] for an oversized request.
+    /// the write this submit issued fails; [`ServiceError::Protocol`] for an
+    /// oversized request.
     pub fn submit(&self, req: Request) -> Result<Pending, ServiceError> {
         let id = self.mux.next_id.fetch_add(1, Ordering::Relaxed);
         let payload = req.encode(id);
@@ -291,38 +445,21 @@ impl Client {
                 payload.len()
             )));
         }
+        let wire = &self.mux.wire;
         let (tx, rx) = channel();
         {
-            let mut p = self
-                .mux
-                .demux
-                .pending
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
+            let mut p = wire.demux.pending.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(e) = &p.dead {
                 return Err(e.clone());
             }
             p.map.insert(id, tx);
         }
-        let frame = encode_frame(&payload);
-        let send = {
-            let mut w = self.mux.write.lock().unwrap_or_else(|e| e.into_inner());
-            w.write_all(&frame)
-        };
-        if let Err(e) = send {
-            self.mux
-                .demux
-                .pending
-                .lock()
-                .unwrap_or_else(|e2| e2.into_inner())
-                .map
-                .remove(&id);
-            return Err(io_err("send", e));
-        }
+        wire.send(&payload)?;
         Ok(Pending {
             id,
             rx,
-            demux: Arc::clone(&self.mux.demux),
+            wire: Arc::clone(wire),
+            waited: false,
         })
     }
 
@@ -406,6 +543,7 @@ impl Client {
     /// [`Client::connect_with_retry`] — not this handle.
     pub fn is_dead(&self) -> bool {
         self.mux
+            .wire
             .demux
             .pending
             .lock()
@@ -501,6 +639,8 @@ impl Backoff {
     }
 }
 
+/// Reads responses and wakes their tickets. Holds only the [`Demux`]: it
+/// must keep reading whatever a submitter's blocked write is waiting on.
 fn demux_loop(mut sock: TcpStream, mut dec: FrameDecoder, demux: Arc<Demux>) {
     let mut buf = vec![0u8; 16 * 1024];
     loop {
@@ -538,7 +678,10 @@ fn demux_loop(mut sock: TcpStream, mut dec: FrameDecoder, demux: Arc<Demux>) {
                 .remove(&id);
             match tx {
                 // A dropped Pending is fine; the response is discarded.
-                Some(tx) => drop(tx.send(resp)),
+                Some(tx) => {
+                    demux.owed.fetch_sub(1, Ordering::AcqRel);
+                    drop(tx.send(resp))
+                }
                 None => {
                     demux.fail_all(ServiceError::Protocol(format!(
                         "response for unknown request id {id}"

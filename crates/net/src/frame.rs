@@ -29,6 +29,10 @@ pub const MAX_FRAME: usize = 1 << 20;
 /// Bytes of envelope around one payload (length prefix + CRC trailer).
 pub const FRAME_OVERHEAD: usize = 8;
 
+/// Upper bound on the bytes one socket write coalesces: the server's batch
+/// of responses and the client's outbox of requests both leave at this size.
+pub(crate) const WRITE_COALESCE: usize = 64 * 1024;
+
 /// A framing violation: the byte stream cannot be parsed into frames.
 /// Always connection-fatal — after a framing error the stream offset is
 /// unreliable and resynchronization is impossible.
@@ -73,12 +77,18 @@ impl std::error::Error for FrameError {}
 /// Panics if `payload` exceeds [`MAX_FRAME`] — callers build payloads and
 /// control their size; an oversized one is a logic error, not input.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() <= MAX_FRAME, "payload exceeds MAX_FRAME");
     let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
+    encode_frame_into(&mut out, payload);
+    out
+}
+
+/// [`encode_frame`] appended to `out`, for callers queueing several frames
+/// into one write. Same panic.
+pub(crate) fn encode_frame_into(out: &mut Vec<u8>, payload: &[u8]) {
+    assert!(payload.len() <= MAX_FRAME, "payload exceeds MAX_FRAME");
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
     out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out
 }
 
 /// Incremental frame parser over an arbitrary chunking of the byte stream.

@@ -32,7 +32,7 @@ pub mod proto;
 pub mod repl;
 pub mod server;
 
-pub use client::{Backoff, Client, Pending};
+pub use client::{Backoff, Client, Pending, WireCounts};
 pub use frame::{encode_frame, FrameDecoder, FrameError, MAX_FRAME};
 pub use proto::{Request, Response, MAGIC, VERSION};
 pub use repl::{LogFile, ReplMsg, LOG_CHUNK};

@@ -57,7 +57,7 @@ use terp_service::metrics::ServiceReport;
 use terp_service::{Batch, ClientId, PmoServer, PmoService, TraceRecorder};
 use terp_trace::EventKind;
 
-use crate::frame::{encode_frame, FrameDecoder};
+use crate::frame::{encode_frame, FrameDecoder, WRITE_COALESCE};
 use crate::proto::{Request, Response, MAGIC, VERSION};
 use crate::ServiceError;
 
@@ -585,9 +585,6 @@ fn reader_loop(
         }
     }
 }
-
-/// Upper bound on the bytes one socket write coalesces.
-const WRITE_COALESCE: usize = 64 * 1024;
 
 fn writer_loop(mut sock: TcpStream, rx: Receiver<(u64, Response)>, gate: Arc<Gate>) {
     let mut broken = false;

@@ -1,0 +1,332 @@
+//! The client's outbox. A request submitted on an idle connection is
+//! written at once; one submitted behind an unanswered request is queued
+//! and leaves with the rest of the outbox in one write when a wait would
+//! block, a ticket is dropped unwaited, 64 KiB are queued or the last handle
+//! goes. The demux thread never waits on a submitter's write, so a pipeline
+//! deeper than the server's in-flight gate cannot deadlock it.
+
+use std::collections::VecDeque;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::{Duration, Instant};
+
+use terp_core::Scheme;
+use terp_net::server::MAX_INFLIGHT;
+use terp_net::{Client, NetServer, Pending, WireCounts};
+use terp_pmo::{ObjectId, OpenMode, Permission, PmoId};
+use terp_service::config::ServiceConfig;
+use terp_service::PmoServer;
+
+const RW: Permission = Permission::ReadWrite;
+
+fn net_server(scheme: Scheme) -> NetServer {
+    let config = ServiceConfig::for_tests(scheme);
+    NetServer::start(PmoServer::start(config), "127.0.0.1:0").expect("bind loopback")
+}
+
+/// Polls `cond` for up to ten seconds.
+fn eventually(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Runs `body` on a thread of its own and fails if it has not returned
+/// within `limit`. A hang is the failure these tests look for: the stuck
+/// thread, server included, is abandoned rather than joined.
+fn watchdog(limit: Duration, body: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        body();
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(()) => runner.join().expect("body"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().expect_err("body panicked"))
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("still blocked after {limit:?}"),
+    }
+}
+
+/// A Basic-semantics server on which `waiter` owes a reply: its attach of
+/// `holder`'s pool is parked until the holder detaches. `side` is a 16 KiB
+/// object in a pool the waiter holds.
+struct Parked {
+    net: NetServer,
+    holder: Client,
+    waiter: Client,
+    contended: PmoId,
+    attach: Pending,
+    side: ObjectId,
+}
+
+fn parked() -> Parked {
+    let net = net_server(Scheme::BasicSemantics);
+    let holder = Client::connect(net.local_addr(), 1).expect("connect holder");
+    let waiter = Client::connect(net.local_addr(), 2).expect("connect waiter");
+    let side_pool = waiter
+        .create_pool("side", 1 << 16, OpenMode::ReadWrite)
+        .expect("create side pool");
+    waiter.attach(side_pool, RW).expect("attach side pool");
+    let side = waiter.alloc(side_pool, 16 << 10).expect("alloc");
+    let contended = holder
+        .create_pool("contended", 1 << 12, OpenMode::ReadWrite)
+        .expect("create");
+    holder.attach(contended, RW).expect("hold");
+    let attach = waiter
+        .attach_pipelined(contended, RW)
+        .expect("submit attach");
+    let svc = net.service();
+    eventually("the attach to park", || {
+        svc.report().ops.attach_conflicts > 0
+    });
+    Parked {
+        net,
+        holder,
+        waiter,
+        contended,
+        attach,
+        side,
+    }
+}
+
+impl Parked {
+    /// Lets the parked attach through and closes everything.
+    fn release(self) {
+        self.holder.detach(self.contended).expect("release");
+        self.attach
+            .wait_attached()
+            .expect("parked attach completes");
+        self.net.shutdown();
+    }
+}
+
+#[test]
+fn a_request_on_an_idle_connection_executes_without_a_wait() {
+    let net = net_server(Scheme::terp_full());
+    let client = Client::connect(net.local_addr(), 7).expect("connect");
+    let pool = client
+        .create_pool("idle", 1 << 12, OpenMode::ReadWrite)
+        .expect("create");
+    client.attach(pool, RW).expect("attach");
+    let oid = client.alloc(pool, 64).expect("alloc");
+    let svc = net.service();
+    let before = svc.report().ops.writes;
+    let ticket = client.write_pipelined(oid, b"no wait").expect("submit");
+    eventually("the unwaited write to execute", || {
+        svc.report().ops.writes > before
+    });
+    ticket.wait_unit().expect("write acked");
+    net.shutdown();
+}
+
+#[test]
+fn a_ticket_dropped_unwaited_behind_a_parked_attach_still_executes() {
+    let p = parked();
+    let svc = p.net.service();
+    let (before, sent) = (svc.report().ops.writes, p.waiter.wire_counts().writes);
+    let ticket = p
+        .waiter
+        .write_pipelined(p.side, b"dropped")
+        .expect("submit");
+    assert_eq!(p.waiter.wire_counts().writes, sent, "queued, not sent");
+    drop(ticket);
+    assert_eq!(p.waiter.wire_counts().writes, sent + 1, "the drop sent it");
+    eventually("the dropped write to execute", || {
+        svc.report().ops.writes > before
+    });
+    assert_eq!(p.waiter.read(p.side, 7).expect("read"), b"dropped");
+    p.release();
+}
+
+#[test]
+fn depth_one_writes_each_request_as_it_is_submitted() {
+    let net = net_server(Scheme::terp_full());
+    let client = Client::connect(net.local_addr(), 7).expect("connect");
+    for n in 1..=50 {
+        let ticket = client.ping_pipelined().expect("submit");
+        // The reply to the previous ping was counted off before its waiter
+        // woke, so this one found the connection idle.
+        assert_eq!(
+            client.wire_counts(),
+            WireCounts {
+                requests: n,
+                writes: n
+            }
+        );
+        ticket.wait_unit().expect("ping");
+    }
+    net.shutdown();
+}
+
+#[test]
+fn behind_a_parked_attach_a_hundred_pings_and_one_wait_are_one_write() {
+    let p = parked();
+    let base = p.waiter.wire_counts();
+    let pings: Vec<Pending> = (0..100)
+        .map(|_| p.waiter.ping_pipelined().expect("submit"))
+        .collect();
+    assert_eq!(
+        p.waiter.wire_counts(),
+        WireCounts {
+            requests: base.requests + 100,
+            writes: base.writes
+        }
+    );
+    for ping in pings {
+        ping.wait_unit().expect("ping past the parked attach");
+    }
+    assert_eq!(
+        p.waiter.wire_counts(),
+        WireCounts {
+            requests: base.requests + 100,
+            writes: base.writes + 1
+        }
+    );
+
+    // A full outbox leaves without anyone waiting: the fourth 16 KiB write
+    // takes the queue past 64 KiB.
+    let data = vec![0x5A; 16 << 10];
+    let writes: Vec<Pending> = (1..=4)
+        .map(|k| {
+            let w = p.waiter.write_pipelined(p.side, &data).expect("submit");
+            let expect = base.writes + 1 + u64::from(k == 4);
+            assert_eq!(p.waiter.wire_counts().writes, expect, "after write {k}");
+            w
+        })
+        .collect();
+    for w in writes {
+        w.wait_unit().expect("write acked");
+    }
+    p.release();
+}
+
+/// Twice the server's in-flight gate of 32 KiB writes, each followed by a
+/// 32 KiB read of it, none waited until all are submitted. The submitter
+/// spends much of this blocked in a write the server will not read until
+/// the client reads its replies; the demux thread must keep reading. A
+/// demux that waits on the outbox lock hangs in most rounds, so several
+/// rounds make that a certain failure.
+#[test]
+fn a_pipeline_twice_the_server_gate_deep_finishes() {
+    watchdog(Duration::from_secs(60), || {
+        const ROUNDS: usize = 8;
+        const N: usize = 2 * MAX_INFLIGHT;
+        const LEN: usize = 32 << 10;
+        const OBJECTS: usize = 8;
+        let net = net_server(Scheme::terp_full());
+        let client = Client::connect(net.local_addr(), 7).expect("connect");
+        let pool = client
+            .create_pool("deep", 1 << 20, OpenMode::ReadWrite)
+            .expect("create");
+        client.attach(pool, RW).expect("attach");
+        let objs: Vec<ObjectId> = (0..OBJECTS)
+            .map(|_| client.alloc(pool, LEN as u64).expect("alloc"))
+            .collect();
+        let stamp = |i: usize| vec![i as u8 ^ (i >> 8) as u8; LEN];
+        for round in 0..ROUNDS {
+            let tickets: Vec<(Pending, Pending)> = (0..N)
+                .map(|i| {
+                    let oid = objs[i % OBJECTS];
+                    let w = client
+                        .write_pipelined(oid, &stamp(round + i))
+                        .expect("submit write");
+                    let r = client.read_pipelined(oid, LEN as u32).expect("submit read");
+                    (w, r)
+                })
+                .collect();
+            for (i, (w, r)) in tickets.into_iter().enumerate() {
+                w.wait_unit().expect("write acked");
+                let data = r.wait_data().expect("read");
+                assert!(data == stamp(round + i), "round {round}, read {i}");
+            }
+        }
+        let counts = client.wire_counts();
+        assert!(
+            counts.writes * 2 < counts.requests,
+            "the pipeline was not coalesced: {counts:?}"
+        );
+        client.detach(pool).expect("detach");
+        net.shutdown();
+    });
+}
+
+#[test]
+fn a_server_shut_down_mid_pipeline_fails_every_ticket() {
+    watchdog(Duration::from_secs(60), || {
+        let Parked {
+            net,
+            holder,
+            waiter,
+            attach,
+            side,
+            ..
+        } = parked();
+        let tickets: Vec<Pending> = (0..64)
+            .map(|i| {
+                if i % 2 == 0 {
+                    waiter.ping_pipelined()
+                } else {
+                    waiter.write_pipelined(side, b"never acked")
+                }
+                .expect("submit")
+            })
+            .collect();
+        net.shutdown();
+        assert!(attach.wait_attached().is_err(), "the parked attach failed");
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            assert!(ticket.wait().is_err(), "ticket {i} succeeded");
+        }
+        assert!(waiter.ping().is_err());
+        drop(holder);
+    });
+}
+
+#[test]
+fn four_threads_on_one_cloned_client_each_get_their_own_replies() {
+    const THREADS: usize = 4;
+    const OPS: u64 = 400;
+    const DEPTH: usize = 8;
+    let net = net_server(Scheme::terp_full());
+    let client = Client::connect(net.local_addr(), 7).expect("connect");
+    let pool = client
+        .create_pool("shared", 1 << 12, OpenMode::ReadWrite)
+        .expect("create");
+    client.attach(pool, RW).expect("attach");
+    let objs: Vec<ObjectId> = (0..THREADS)
+        .map(|_| client.alloc(pool, 16).expect("alloc"))
+        .collect();
+    std::thread::scope(|s| {
+        for (t, &oid) in objs.iter().enumerate() {
+            let client = client.clone();
+            s.spawn(move || {
+                let stamp = |i: u64| [(t as u64).to_le_bytes(), i.to_le_bytes()].concat();
+                let check = |(w, r, i): (Pending, Pending, u64)| {
+                    w.wait_unit().expect("write acked");
+                    assert_eq!(r.wait_data().expect("read"), stamp(i), "thread {t}");
+                };
+                let mut inflight = VecDeque::new();
+                for i in 0..OPS {
+                    if inflight.len() == DEPTH {
+                        check(inflight.pop_front().expect("non-empty"));
+                    }
+                    let w = client.write_pipelined(oid, &stamp(i)).expect("submit");
+                    let r = client.read_pipelined(oid, 16).expect("submit");
+                    inflight.push_back((w, r, i));
+                }
+                inflight.into_iter().for_each(check);
+            });
+        }
+    });
+    // create + attach + the allocs, then a write and a read per op.
+    let counts = client.wire_counts();
+    assert_eq!(
+        counts.requests,
+        2 + THREADS as u64 + 2 * THREADS as u64 * OPS
+    );
+    assert!(counts.writes <= counts.requests);
+    client.detach(pool).expect("detach");
+    net.shutdown();
+}

@@ -383,6 +383,9 @@ pub struct ServiceReport {
     pub sweeper_syncs: u64,
     /// Sweeper actions (unmap, relocation, leftover commit) that failed.
     pub sweeper_errors: u64,
+    /// Steps of [`crate::PmoService::drain`] (unmap, MERR detach, session
+    /// revoke, the closing checkpoint) that failed.
+    pub drain_errors: u64,
     /// Nanoseconds clients spent blocked on Basic-semantics attach
     /// serialization.
     pub blocked_ns: u64,
@@ -472,8 +475,13 @@ impl std::fmt::Display for ServiceReport {
         }
         write!(
             f,
-            "\n  sweeper: {} passes, {} fsyncs of its own, {} errors; {} windows over target",
-            self.sweep_passes, self.sweeper_syncs, self.sweeper_errors, self.ew_over_target,
+            "\n  sweeper: {} passes, {} fsyncs of its own, {} errors; {} windows over target; \
+             {} drain errors",
+            self.sweep_passes,
+            self.sweeper_syncs,
+            self.sweeper_errors,
+            self.ew_over_target,
+            self.drain_errors,
         )
     }
 }

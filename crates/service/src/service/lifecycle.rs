@@ -41,22 +41,26 @@ impl PmoService {
     }
 
     /// Force-closes every window: drains the circular buffers, detaches
-    /// every mapped pool, revokes every client grant, and finalizes window
-    /// statistics. Call after [`Self::begin_shutdown`] and after the
-    /// sweeper has stopped.
+    /// every mapped pool, revokes every client grant, finalizes window
+    /// statistics, and checkpoints each durable store. Nobody is left to
+    /// hand an error to, so each failed step counts in
+    /// [`ServiceReport::drain_errors`] and the drain goes on. Call after
+    /// [`Self::begin_shutdown`] and after the sweeper has stopped.
     pub fn drain(&self) {
         for shard in &self.shards {
             let mut state = self.lock(shard);
             let now = self.clock.now_ns();
             // TERP: retire every tracked entry, live holders included.
             for pmo in state.engine.drain() {
-                let _ = state.unmap_pool(pmo, now);
+                let done = state.unmap_pool(pmo, now);
+                state.drain_errors += u64::from(done.is_err());
             }
             // Basic semantics: force-detach owned pools.
             let owned: Vec<PmoId> = state.owner.keys().copied().collect();
             for pmo in owned {
-                let _ = state.merr.detach(pmo);
-                let _ = state.unmap_pool(pmo, now);
+                let released = state.merr.detach(pmo).is_ok();
+                let done = state.unmap_pool(pmo, now);
+                state.drain_errors += u64::from(!released) + u64::from(done.is_err());
                 state.publish_owner(pmo, None);
             }
             state.owner.clear();
@@ -68,7 +72,8 @@ impl PmoService {
                 .filter(|&p| state.space.is_attached(p))
                 .collect();
             for pmo in mapped {
-                let _ = state.unmap_pool(pmo, now);
+                let done = state.unmap_pool(pmo, now);
+                state.drain_errors += u64::from(done.is_err());
             }
             // Close every remaining client session.
             let sessions: Vec<(PmoId, Vec<ClientId>)> = state
@@ -78,7 +83,8 @@ impl PmoService {
                 .collect();
             for (pmo, clients) in sessions {
                 for client in clients {
-                    let _ = state.revoke_client(client, pmo, now);
+                    let done = state.revoke_client(client, pmo, now);
+                    state.drain_errors += u64::from(done.is_err());
                 }
             }
             state.holders.clear();
@@ -91,17 +97,18 @@ impl PmoService {
             }
             state.windows.finalize(now);
             shard.cvar.notify_all();
+            // Durable mode: nobody is waiting on this checkpoint, so it
+            // compacts — the next startup replays the image and nothing
+            // else. On failure the WAL still recovers everything.
+            let done = state.checkpoint();
+            state.drain_errors += u64::from(done.is_err());
         }
-        // Durable mode: nobody is waiting on this checkpoint, so it compacts
-        // — the next startup replays the image and nothing else.
-        // Best-effort: on failure the WAL still recovers everything.
-        let _ = self.checkpoint();
     }
 
     /// Checkpoints every shard's durable store now (a no-op in memory): the
     /// same protocol the stores' own trigger runs at the end of an
-    /// operation, with windows and sessions open or not. This is what
-    /// [`Self::drain`] ends with.
+    /// operation, with windows and sessions open or not. [`Self::drain`]
+    /// ends each shard with it.
     ///
     /// # Errors
     ///
@@ -128,6 +135,7 @@ impl PmoService {
         let mut ew_over_target = 0;
         let mut sweeper_syncs = 0;
         let mut sweeper_errors = 0;
+        let mut drain_errors = 0;
         let mut ew = Default::default();
         let mut tew = Default::default();
         let mut wal = None;
@@ -144,6 +152,7 @@ impl PmoService {
             ew_over_target += state.ew_over_target;
             sweeper_syncs += state.sweeper_syncs;
             sweeper_errors += state.sweeper_errors;
+            drain_errors += state.drain_errors;
             ew = merge_window_stats(ew, state.windows.ew_stats());
             tew = merge_window_stats(tew, state.windows.tew_stats());
             if let Some(store) = &state.store {
@@ -161,6 +170,7 @@ impl PmoService {
             ew_over_target,
             sweeper_syncs,
             sweeper_errors,
+            drain_errors,
             blocked_ns,
             queue_wait,
             sweep_passes: self.sweep_passes.load(Ordering::Relaxed),

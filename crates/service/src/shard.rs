@@ -68,6 +68,7 @@ impl Shard {
                 ew_over_target: 0,
                 sweeper_syncs: 0,
                 sweeper_errors: 0,
+                drain_errors: 0,
                 leftover_since: None,
                 store: None,
                 idx,
@@ -123,6 +124,9 @@ pub(crate) struct ShardState {
     /// Sweeper actions and commits that failed; the sweeper has no caller
     /// to hand the error to.
     pub sweeper_errors: u64,
+    /// Drain steps that failed; like the sweeper, the drain has no caller
+    /// to hand the error to.
+    pub drain_errors: u64,
     /// When the sweeper first left records in the store's buffer for the
     /// shard's next commit to carry (service ns); any commit clears it.
     pub leftover_since: Option<u64>,

@@ -116,6 +116,44 @@ fn clean_shutdown_checkpoints_and_recovers_from_the_image() {
     }
 }
 
+/// The drain has no caller to hand an error to, so it counts them: none
+/// on a clean drain with a window and a session still open, at least the
+/// closing checkpoint's once the store directory has moved away.
+#[test]
+fn drain_counts_the_steps_that_failed() {
+    for move_dir in [false, true] {
+        let dir = tmp_dir(&format!("drain-{move_dir}"));
+        let moved = dir.with_extension("moved");
+        let server = PmoServer::try_start(
+            ServiceConfig::for_tests(Scheme::terp_full())
+                .with_durable(&dir)
+                .with_visibility(Visibility::Durable),
+        )
+        .unwrap();
+        let svc = server.service();
+        let p = svc
+            .create_pool("open", 1 << 16, OpenMode::ReadWrite)
+            .unwrap();
+        svc.attach(3, p, Permission::ReadWrite).unwrap();
+        let oid = svc.alloc(3, p, 32).unwrap();
+        svc.write(3, oid, b"open at the drain").unwrap();
+        if move_dir {
+            std::fs::rename(&dir, &moved).unwrap();
+        }
+        let report = server.shutdown();
+        if move_dir {
+            assert!(report.drain_errors >= 1, "{report}");
+        } else {
+            assert_eq!(report.drain_errors, 0, "{report}");
+        }
+        let line = format!("{} drain errors", report.drain_errors);
+        assert!(report.to_string().contains(&line), "{report}");
+        for d in [&dir, &moved] {
+            std::fs::remove_dir_all(d).ok();
+        }
+    }
+}
+
 /// Records in one shard store's WAL file.
 fn wal_records(dir: &std::path::Path) -> usize {
     let wal = dir.join("shard-0").join(terp_persist::WAL_FILE);
