@@ -44,6 +44,17 @@
 //! demultiplexer shares with submitters is the reply map and the count of
 //! replies owed, which it decrements before it wakes a ticket.
 //!
+//! ## What a request costs between caller and socket
+//!
+//! A request is framed in place into the outbox (no payload or frame
+//! buffer of its own; one that would exceed [`crate::frame::MAX_FRAME`] is
+//! taken back out and refused). Its reply lands in a slot the ticket
+//! shares with the reply map — waiting, done or dead — and the demultiplexer
+//! decodes it straight from its read buffer. A waiter parks on the slot
+//! only if the reply is not already there, and the demultiplexer unparks
+//! only a parked waiter: a reply that beats its wait costs no wake-up
+//! syscall and no channel.
+//!
 //! Connection death (peer reset, protocol violation, server shutdown racing
 //! a read, a failed write — the queued requests of other callers included)
 //! surfaces as [`ServiceError::Disconnected`] / [`ServiceError::Protocol`]
@@ -55,22 +66,70 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
 
 use terp_pmo::{ObjectId, OpenMode, Permission, PmoId};
 
-use crate::frame::{encode_frame, encode_frame_into, FrameDecoder, MAX_FRAME, WRITE_COALESCE};
+use crate::frame::{encode_frame, frame_into, FrameDecoder, WRITE_COALESCE};
 use crate::proto::{Request, Response, MAGIC, VERSION};
-use crate::ServiceError;
+use crate::{lock, ServiceError};
+
+/// Where one request's reply lands: the demux thread settles it once, and
+/// the ticket's waiter parks on it only while it is still waiting.
+struct Slot(Mutex<SlotState>);
+
+enum SlotState {
+    /// No reply yet; holds the waiter once it has parked.
+    Waiting(Option<Thread>),
+    Done(Response),
+    /// The connection died first; [`Demux::dead`] says why.
+    Dead,
+}
+
+impl Slot {
+    fn new() -> Arc<Slot> {
+        Arc::new(Slot(Mutex::new(SlotState::Waiting(None))))
+    }
+
+    /// Settles the slot, unparking its waiter if one is parked: the only
+    /// wake-up syscall a reply costs.
+    fn settle(&self, to: SlotState) {
+        if let SlotState::Waiting(Some(waiter)) = std::mem::replace(&mut *lock(&self.0), to) {
+            waiter.unpark();
+        }
+    }
+
+    fn is_settled(&self) -> bool {
+        !matches!(*lock(&self.0), SlotState::Waiting(_))
+    }
+
+    /// Blocks until settled; `None` when the connection died.
+    fn wait(&self) -> Option<Response> {
+        let mut st = lock(&self.0);
+        while let SlotState::Waiting(waiter) = &mut *st {
+            if waiter.is_none() {
+                *waiter = Some(std::thread::current());
+            }
+            drop(st);
+            // Returns at once if the unpark came first; a spurious return
+            // rechecks.
+            std::thread::park();
+            st = lock(&self.0);
+        }
+        match std::mem::replace(&mut *st, SlotState::Dead) {
+            SlotState::Done(resp) => Some(resp),
+            _ => None,
+        }
+    }
+}
 
 /// Response routing state: everything the demux thread can reach.
 struct Demux {
     /// In-flight tickets by request id. The demux thread removes an entry
-    /// to complete it; a dropped map (connection death) completes every
-    /// waiter with [`Demux::dead`].
+    /// to settle it with its reply; connection death settles every entry
+    /// left as dead.
     pending: Mutex<PendingMap>,
     /// Requests submitted and not yet answered. The demux decrements it
     /// before it wakes the ticket, so the caller's next submit finds the
@@ -79,26 +138,25 @@ struct Demux {
 }
 
 struct PendingMap {
-    map: HashMap<u64, Sender<Response>>,
+    map: HashMap<u64, Arc<Slot>>,
     /// Set once on connection death; every later submit/wait returns it.
     dead: Option<ServiceError>,
 }
 
 impl Demux {
     fn fail_all(&self, err: ServiceError) {
-        let mut p = self.pending.lock().unwrap_or_else(|e| e.into_inner());
+        let mut p = lock(&self.pending);
         if p.dead.is_none() {
             p.dead = Some(err);
         }
-        // Dropping the senders wakes every waiter with RecvError; they read
-        // `dead` for the cause.
-        p.map.clear();
+        // Every waiter wakes to a dead slot and reads `dead` for the cause.
+        for (_, slot) in p.map.drain() {
+            slot.settle(SlotState::Dead);
+        }
     }
 
     fn dead(&self) -> ServiceError {
-        self.pending
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        lock(&self.pending)
             .dead
             .clone()
             .unwrap_or_else(|| ServiceError::Disconnected("connection closed".to_string()))
@@ -123,16 +181,28 @@ struct Wire {
 
 impl Wire {
     fn outbox(&self) -> MutexGuard<'_, Outbox> {
-        self.out.lock().unwrap_or_else(|e| e.into_inner())
+        lock(&self.out)
     }
 
-    /// Queues one request's frame. It leaves at once when the connection
-    /// owed nothing before it, or when it fills the outbox.
-    fn send(&self, payload: &[u8]) -> Result<(), ServiceError> {
+    /// Frames request `id` in place into the outbox and files `slot` for
+    /// its reply. It leaves at once when the connection owed nothing before
+    /// it, or when it fills the outbox. A request too large for a frame, or
+    /// one on a dead connection, is taken back out of the outbox.
+    fn send(&self, id: u64, req: &Request, slot: &Arc<Slot>) -> Result<(), ServiceError> {
         let mut out = self.outbox();
+        let start = out.queued.len();
+        frame_into(&mut out.queued, |o| req.encode_into(id, o))
+            .map_err(|e| ServiceError::Protocol(format!("request refused: {e}")))?;
+        {
+            let mut p = lock(&self.demux.pending);
+            if let Some(e) = &p.dead {
+                out.queued.truncate(start);
+                return Err(e.clone());
+            }
+            p.map.insert(id, Arc::clone(slot));
+        }
         self.requests.fetch_add(1, Ordering::Relaxed);
         let idle = self.demux.owed.fetch_add(1, Ordering::AcqRel) == 0;
-        encode_frame_into(&mut out.queued, payload);
         if !idle && out.queued.len() < WRITE_COALESCE {
             return Ok(());
         }
@@ -187,7 +257,7 @@ impl Drop for Mux {
         // Best effort: what is still queued leaves before the socket closes.
         self.wire.flush();
         let _ = self.stream.shutdown(Shutdown::Both);
-        if let Some(h) = self.reader.lock().unwrap_or_else(|e| e.into_inner()).take() {
+        if let Some(h) = lock(&self.reader).take() {
             let _ = h.join();
         }
     }
@@ -209,7 +279,7 @@ pub struct WireCounts {
 /// unwaited discards the response but still sends the request.
 pub struct Pending {
     id: u64,
-    rx: Receiver<Response>,
+    slot: Arc<Slot>,
     wire: Arc<Wire>,
     waited: bool,
 }
@@ -234,19 +304,14 @@ impl Pending {
     /// so protocol- and service-level failures read the same.
     pub fn wait(mut self) -> Result<Response, ServiceError> {
         self.waited = true;
-        let got = match self.rx.try_recv() {
-            Ok(r) => Ok(r),
-            Err(TryRecvError::Empty) => {
-                // A failed write fails this ticket too: recv then reports it.
-                self.wire.flush();
-                self.rx.recv().map_err(|_| ())
-            }
-            Err(TryRecvError::Disconnected) => Err(()),
-        };
-        match got {
-            Ok(Response::Err(e)) => Err(e),
-            Ok(r) => Ok(r),
-            Err(()) => Err(self.wire.demux.dead()),
+        if !self.slot.is_settled() {
+            // A failed write settles this ticket as dead too.
+            self.wire.flush();
+        }
+        match self.slot.wait() {
+            Some(Response::Err(e)) => Err(e),
+            Some(r) => Ok(r),
+            None => Err(self.wire.demux.dead()),
         }
     }
 
@@ -334,12 +399,12 @@ impl Client {
         let _ = handshake.set_read_timeout(Some(Duration::from_secs(10)));
         let mut dec = FrameDecoder::new();
         let mut buf = [0u8; 4096];
-        let payload = loop {
+        let (id, resp) = loop {
             if let Some(p) = dec
                 .next_frame()
                 .map_err(|e| ServiceError::Protocol(e.to_string()))?
             {
-                break p;
+                break Response::decode(p)?;
             }
             let n = handshake
                 .read(&mut buf)
@@ -352,7 +417,6 @@ impl Client {
             dec.push(&buf[..n]);
         };
         let _ = handshake.set_read_timeout(None);
-        let (id, resp) = Response::decode(&payload)?;
         if id != 1 {
             return Err(ServiceError::Protocol(format!(
                 "handshake response for id {id}, want 1"
@@ -438,26 +502,12 @@ impl Client {
     /// oversized request.
     pub fn submit(&self, req: Request) -> Result<Pending, ServiceError> {
         let id = self.mux.next_id.fetch_add(1, Ordering::Relaxed);
-        let payload = req.encode(id);
-        if payload.len() > MAX_FRAME {
-            return Err(ServiceError::Protocol(format!(
-                "request payload {} exceeds the {MAX_FRAME}-byte frame cap",
-                payload.len()
-            )));
-        }
         let wire = &self.mux.wire;
-        let (tx, rx) = channel();
-        {
-            let mut p = wire.demux.pending.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(e) = &p.dead {
-                return Err(e.clone());
-            }
-            p.map.insert(id, tx);
-        }
-        wire.send(&payload)?;
+        let slot = Slot::new();
+        wire.send(id, &req, &slot)?;
         Ok(Pending {
             id,
-            rx,
+            slot,
             wire: Arc::clone(wire),
             waited: false,
         })
@@ -542,14 +592,7 @@ impl Client {
     /// refused. The recovery path is a *new* connection —
     /// [`Client::connect_with_retry`] — not this handle.
     pub fn is_dead(&self) -> bool {
-        self.mux
-            .wire
-            .demux
-            .pending
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .dead
-            .is_some()
+        lock(&self.mux.wire.demux.pending).dead.is_some()
     }
 
     /// [`Client::connect`] with exponential backoff: retries transient
@@ -639,8 +682,9 @@ impl Backoff {
     }
 }
 
-/// Reads responses and wakes their tickets. Holds only the [`Demux`]: it
-/// must keep reading whatever a submitter's blocked write is waiting on.
+/// Reads responses and settles their tickets, decoding each straight from
+/// the decoder's buffer. Holds only the [`Demux`]: it must keep reading
+/// whatever a submitter's blocked write is waiting on.
 fn demux_loop(mut sock: TcpStream, mut dec: FrameDecoder, demux: Arc<Demux>) {
     let mut buf = vec![0u8; 16 * 1024];
     loop {
@@ -654,7 +698,7 @@ fn demux_loop(mut sock: TcpStream, mut dec: FrameDecoder, demux: Arc<Demux>) {
                     return;
                 }
             };
-            let (id, resp) = match Response::decode(&payload) {
+            let (id, resp) = match Response::decode(payload) {
                 Ok(ok) => ok,
                 Err(e) => {
                     demux.fail_all(e);
@@ -670,17 +714,12 @@ fn demux_loop(mut sock: TcpStream, mut dec: FrameDecoder, demux: Arc<Demux>) {
                 demux.fail_all(err);
                 return;
             }
-            let tx = demux
-                .pending
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .map
-                .remove(&id);
-            match tx {
+            let slot = lock(&demux.pending).map.remove(&id);
+            match slot {
                 // A dropped Pending is fine; the response is discarded.
-                Some(tx) => {
+                Some(slot) => {
                     demux.owed.fetch_sub(1, Ordering::AcqRel);
-                    drop(tx.send(resp))
+                    slot.settle(SlotState::Done(resp));
                 }
                 None => {
                     demux.fail_all(ServiceError::Protocol(format!(

@@ -15,9 +15,14 @@
 //! Decoding is *incremental*: [`FrameDecoder`] consumes arbitrary byte
 //! chunks ([`FrameDecoder::push`]) exactly as a socket delivers them —
 //! partial length prefixes, payloads split across reads, many frames per
-//! read — and yields complete payloads via [`FrameDecoder::next_frame`].
-//! Corruption (CRC mismatch, oversized length) is a clean [`FrameError`],
-//! never a panic; the connection layer treats it as fatal for the stream.
+//! read — and lends out complete payloads via [`FrameDecoder::next_frame`],
+//! borrowed from its buffer rather than copied. Corruption (CRC mismatch,
+//! oversized length) is a clean [`FrameError`], never a panic; the
+//! connection layer treats it as fatal for the stream.
+//!
+//! Encoding is in place: [`frame_into`] frames a message whose
+//! `encode_into` appends its payload straight into the caller's write
+//! buffer, so a batch of messages costs no allocation per message.
 
 use terp_persist::crc::crc32;
 
@@ -78,17 +83,45 @@ impl std::error::Error for FrameError {}
 /// control their size; an oversized one is a logic error, not input.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-    encode_frame_into(&mut out, payload);
+    frame_into(&mut out, |o| o.extend_from_slice(payload)).expect("payload exceeds MAX_FRAME");
     out
 }
 
-/// [`encode_frame`] appended to `out`, for callers queueing several frames
-/// into one write. Same panic.
-pub(crate) fn encode_frame_into(out: &mut Vec<u8>, payload: &[u8]) {
-    assert!(payload.len() <= MAX_FRAME, "payload exceeds MAX_FRAME");
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+/// Appends one frame to `out` whose payload `write` appends in place — a
+/// message's `encode_into` — so a batch of messages is framed straight into
+/// the buffer one socket write sends. Returns the payload length. A payload
+/// over [`MAX_FRAME`] is taken back out: `out` is left as it was and the
+/// error is [`FrameError::TooLarge`].
+///
+/// ```
+/// use terp_net::frame::{frame_into, FrameDecoder};
+/// use terp_net::Request;
+///
+/// let mut out = Vec::new();
+/// frame_into(&mut out, |o| Request::Ping.encode_into(7, o)).unwrap();
+/// let mut dec = FrameDecoder::new();
+/// dec.push(&out);
+/// let payload = dec.next_frame().unwrap().expect("one whole frame");
+/// assert_eq!(Request::decode(payload).unwrap(), (7, Request::Ping));
+/// ```
+pub fn frame_into(
+    out: &mut Vec<u8>,
+    write: impl FnOnce(&mut Vec<u8>),
+) -> Result<usize, FrameError> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    write(out);
+    let len = out.len() - start - 4;
+    if len > MAX_FRAME {
+        out.truncate(start);
+        return Err(FrameError::TooLarge {
+            len: u32::try_from(len).unwrap_or(u32::MAX),
+        });
+    }
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc32(&out[start + 4..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    Ok(len)
 }
 
 /// Incremental frame parser over an arbitrary chunking of the byte stream.
@@ -101,12 +134,13 @@ pub(crate) fn encode_frame_into(out: &mut Vec<u8>, payload: &[u8]) {
 /// dec.push(&wire[..3]); // torn mid-length-prefix
 /// assert_eq!(dec.next_frame().unwrap(), None);
 /// dec.push(&wire[3..]);
-/// assert_eq!(dec.next_frame().unwrap().as_deref(), Some(&b"hello"[..]));
+/// assert_eq!(dec.next_frame().unwrap(), Some(&b"hello"[..]));
 /// ```
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
-    /// Consumed prefix of `buf`; compacted once it outgrows the remainder.
+    /// Consumed prefix of `buf`, dropped by the next [`FrameDecoder::push`]
+    /// once it is at least as long as what remains.
     pos: usize,
 }
 
@@ -116,8 +150,16 @@ impl FrameDecoder {
         Self::default()
     }
 
-    /// Appends raw bytes as received from the transport.
+    /// Appends raw bytes as received from the transport. The payloads
+    /// [`FrameDecoder::next_frame`] lent out are consumed here: their bytes
+    /// go once they are at least as many as the bytes still pending, so
+    /// right after a push the decoder holds at most twice its pending bytes,
+    /// and each byte moves O(1) times on average.
     pub fn push(&mut self, bytes: &[u8]) {
+        if self.pos > 0 && self.pos >= self.buf.len() - self.pos {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
@@ -126,10 +168,17 @@ impl FrameDecoder {
         self.buf.len() - self.pos
     }
 
-    /// Extracts the next complete payload, `Ok(None)` while more bytes are
-    /// needed, or a [`FrameError`] on corruption (fatal: the decoder must
-    /// be discarded with its connection).
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+    /// Bytes the decoder holds, the consumed frames not yet dropped by
+    /// [`FrameDecoder::push`] included.
+    pub fn buffered(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// The next complete payload, borrowed from the decoder until the next
+    /// call; `Ok(None)` while more bytes are needed, or a [`FrameError`] on
+    /// corruption (fatal: the decoder must be discarded with its
+    /// connection).
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameError> {
         let avail = &self.buf[self.pos..];
         if avail.len() < 4 {
             return Ok(None);
@@ -147,15 +196,9 @@ impl FrameDecoder {
         if stored != computed {
             return Err(FrameError::Crc { stored, computed });
         }
-        let out = payload.to_vec();
+        let start = self.pos + 4;
         self.pos += len + FRAME_OVERHEAD;
-        // Compact once the dead prefix dominates, keeping push() amortized
-        // O(1) without unbounded growth.
-        if self.pos > 4096 && self.pos * 2 > self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        Ok(Some(out))
+        Ok(Some(&self.buf[start..start + len]))
     }
 }
 
@@ -170,12 +213,9 @@ mod tests {
         wire.extend_from_slice(&encode_frame(b""));
         wire.extend_from_slice(&encode_frame(&[0xAB; 1000]));
         dec.push(&wire);
-        assert_eq!(dec.next_frame().unwrap().as_deref(), Some(&b"first"[..]));
-        assert_eq!(dec.next_frame().unwrap().as_deref(), Some(&b""[..]));
-        assert_eq!(
-            dec.next_frame().unwrap().as_deref(),
-            Some(&[0xAB; 1000][..])
-        );
+        assert_eq!(dec.next_frame().unwrap(), Some(&b"first"[..]));
+        assert_eq!(dec.next_frame().unwrap(), Some(&b""[..]));
+        assert_eq!(dec.next_frame().unwrap(), Some(&[0xAB; 1000][..]));
         assert_eq!(dec.next_frame().unwrap(), None);
         assert_eq!(dec.pending(), 0);
     }
@@ -189,7 +229,7 @@ mod tests {
             assert_eq!(dec.next_frame().unwrap(), None);
         }
         dec.push(&wire[wire.len() - 1..]);
-        assert_eq!(dec.next_frame().unwrap().as_deref(), Some(&b"drip"[..]));
+        assert_eq!(dec.next_frame().unwrap(), Some(&b"drip"[..]));
     }
 
     #[test]
@@ -214,13 +254,32 @@ mod tests {
     }
 
     #[test]
+    fn an_oversized_payload_is_taken_back_out() {
+        let mut out = encode_frame(b"kept");
+        let before = out.clone();
+        let err = frame_into(&mut out, |o| o.resize(o.len() + MAX_FRAME + 1, 0));
+        assert_eq!(
+            err,
+            Err(FrameError::TooLarge {
+                len: MAX_FRAME as u32 + 1
+            })
+        );
+        assert_eq!(out, before);
+        assert_eq!(frame_into(&mut out, |o| o.push(9)), Ok(1));
+        let mut dec = FrameDecoder::new();
+        dec.push(&out);
+        assert_eq!(dec.next_frame().unwrap(), Some(&b"kept"[..]));
+        assert_eq!(dec.next_frame().unwrap(), Some(&[9][..]));
+    }
+
+    #[test]
     fn compaction_preserves_stream_position() {
         let mut dec = FrameDecoder::new();
         // Enough traffic to trigger compaction several times.
         for i in 0..100u32 {
             let payload = vec![i as u8; 200];
             dec.push(&encode_frame(&payload));
-            assert_eq!(dec.next_frame().unwrap(), Some(payload));
+            assert_eq!(dec.next_frame().unwrap(), Some(&payload[..]));
         }
         assert_eq!(dec.pending(), 0);
     }

@@ -33,8 +33,15 @@ pub mod repl;
 pub mod server;
 
 pub use client::{Backoff, Client, Pending, WireCounts};
-pub use frame::{encode_frame, FrameDecoder, FrameError, MAX_FRAME};
+pub use frame::{encode_frame, frame_into, FrameDecoder, FrameError, MAX_FRAME};
 pub use proto::{Request, Response, MAGIC, VERSION};
 pub use repl::{LogFile, ReplMsg, LOG_CHUNK};
-pub use server::NetServer;
+pub use server::{NetServer, ServerWireCounts};
 pub use terp_service::ServiceError;
+
+/// Locks `m`. The crate's mutexes guard plain queues, counters and maps
+/// that every step leaves valid, so a panicked holder's data is still
+/// usable.
+fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -297,6 +297,13 @@ impl Request {
     /// Serializes the request as one frame payload.
     pub fn encode(&self, req_id: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
+        self.encode_into(req_id, &mut out);
+        out
+    }
+
+    /// [`Request::encode`] appended to `out`: with
+    /// [`crate::frame::frame_into`], a request framed in place.
+    pub fn encode_into(&self, req_id: u64, out: &mut Vec<u8>) {
         let kind = match self {
             Request::Hello { .. } => K_HELLO,
             Request::CreatePool { .. } => K_CREATE,
@@ -323,7 +330,7 @@ impl Request {
             Request::CreatePool { name, size, mode } => {
                 out.extend_from_slice(&size.to_le_bytes());
                 out.push(mode_byte(*mode));
-                put_string(&mut out, name);
+                put_string(out, name);
             }
             Request::Attach { pmo, perm } => {
                 out.extend_from_slice(&pmo.raw().to_le_bytes());
@@ -345,7 +352,6 @@ impl Request {
             Request::Free { oid } => out.extend_from_slice(&oid.to_packed().to_le_bytes()),
             Request::Ping => {}
         }
-        out
     }
 
     /// Parses one frame payload into `(req_id, request)`.
@@ -473,6 +479,13 @@ impl Response {
     /// Serializes the response as one frame payload.
     pub fn encode(&self, req_id: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
+        self.encode_into(req_id, &mut out);
+        out
+    }
+
+    /// [`Response::encode`] appended to `out`: with
+    /// [`crate::frame::frame_into`], a response framed in place.
+    pub fn encode_into(&self, req_id: u64, out: &mut Vec<u8>) {
         let kind = match self {
             Response::Unit => K_OK_UNIT,
             Response::Pool(_) => K_OK_POOL,
@@ -497,11 +510,10 @@ impl Response {
             } => {
                 out.extend_from_slice(&version.to_le_bytes());
                 out.extend_from_slice(&shards.to_le_bytes());
-                put_string(&mut out, scheme);
+                put_string(out, scheme);
             }
-            Response::Err(e) => encode_err(&mut out, e),
+            Response::Err(e) => encode_err(out, e),
         }
-        out
     }
 
     /// Parses one frame payload into `(req_id, response)`.

@@ -201,6 +201,13 @@ impl ReplMsg {
     /// Serializes the message as one frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// [`ReplMsg::encode`] appended to `out`: with
+    /// [`crate::frame::frame_into`], a message framed in place.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             ReplMsg::Hello {
                 magic,
@@ -241,7 +248,6 @@ impl ReplMsg {
                 out.extend_from_slice(&applied_seq.to_le_bytes());
             }
         }
-        out
     }
 
     /// Deserializes one frame payload.

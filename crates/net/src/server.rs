@@ -22,11 +22,24 @@
 //!   never takes the shard lock at all. Each drained batch runs through one
 //!   service [`Batch`] and commits once: under `visibility = durable` that
 //!   is one fsync for the whole batch, and the responses that depend on it
-//!   are held until it returns (`run_batch`); a clean batch — always,
-//!   in memory and under `submit` — answers each request as it finishes.
+//!   are held until it returns (`run_batch`).
 //!
-//! The writer drains every response already queued into one socket write,
-//! so a committed batch leaves in one syscall.
+//! ## One hand-off per batch
+//!
+//! Every step between socket and service moves a batch, not a request, and
+//! a wake-up is paid only when its thread is actually asleep:
+//!
+//! * The reader routes the frames of one socket read into one local list
+//!   per shard and pushes each list onto its queue under one lock; the
+//!   queue wakes its worker only if the worker is parked.
+//! * A batch answers each connection with one channel message: its clean
+//!   replies when the batch turns dirty or ends, its held replies after
+//!   the commit.
+//! * The writer frames every reply already queued in place into one buffer
+//!   and sends it in one write, then releases the in-flight gate once for
+//!   all of them.
+//!
+//! [`NetServer::wire_counts`] counts requests, hand-offs and writes.
 //!
 //! ## Backpressure
 //!
@@ -35,6 +48,8 @@
 //! receive buffer fills, and TCP flow control pushes back on the client —
 //! a slow or stalled client bounds its own server-side memory to one gate
 //! of requests plus one socket buffer, and never stalls other connections.
+//! Before it blocks on a full gate the reader hands off the jobs it holds:
+//! their replies are what frees the gate.
 //!
 //! ## Tracing
 //!
@@ -44,10 +59,9 @@
 //! happens-before edge for the offline checker, so cross-thread windows
 //! driven by network requests order through their dispatch points.
 
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -57,42 +71,68 @@ use terp_service::metrics::ServiceReport;
 use terp_service::{Batch, ClientId, PmoServer, PmoService, TraceRecorder};
 use terp_trace::EventKind;
 
-use crate::frame::{encode_frame, FrameDecoder, WRITE_COALESCE};
+use crate::frame::{frame_into, FrameDecoder, WRITE_COALESCE};
 use crate::proto::{Request, Response, MAGIC, VERSION};
-use crate::ServiceError;
+use crate::{lock, ServiceError};
 
 /// Per-connection cap on requests decoded but not yet responded to. At the
 /// cap the reader stops pulling bytes off the socket and TCP flow control
 /// takes over.
 pub const MAX_INFLIGHT: usize = 256;
 
-/// Counts in-flight requests on one connection; acquired by the reader at
-/// dispatch, released by the writer per response written.
+/// One connection's replies from one batch, in the order they finished:
+/// what its writer receives in one channel message.
+type Replies = Vec<(u64, Response)>;
+
+/// Counts in-flight requests on one connection; acquired by the reader per
+/// request, released by the writer once per socket write.
 struct Gate {
-    n: Mutex<usize>,
+    state: Mutex<GateState>,
     cv: Condvar,
+}
+
+struct GateState {
+    inflight: usize,
+    /// The reader waits in [`Gate::acquire`]: only then does a release
+    /// pay for a wake-up.
+    blocked: bool,
 }
 
 impl Gate {
     fn new() -> Self {
         Gate {
-            n: Mutex::new(0),
+            state: Mutex::new(GateState {
+                inflight: 0,
+                blocked: false,
+            }),
             cv: Condvar::new(),
         }
     }
 
-    fn acquire(&self) {
-        let mut n = self.n.lock().unwrap_or_else(|e| e.into_inner());
-        while *n >= MAX_INFLIGHT {
-            n = self.cv.wait(n).unwrap_or_else(|e| e.into_inner());
-        }
-        *n += 1;
+    /// Takes a slot if one is free, without blocking.
+    fn try_acquire(&self) -> bool {
+        let mut g = lock(&self.state);
+        let free = g.inflight < MAX_INFLIGHT;
+        g.inflight += usize::from(free);
+        free
     }
 
-    fn release(&self) {
-        let mut n = self.n.lock().unwrap_or_else(|e| e.into_inner());
-        *n -= 1;
-        self.cv.notify_one();
+    fn acquire(&self) {
+        let mut g = lock(&self.state);
+        while g.inflight >= MAX_INFLIGHT {
+            g.blocked = true;
+            g = self.cv.wait(g).unwrap_or_else(|e| e.into_inner());
+        }
+        g.blocked = false;
+        g.inflight += 1;
+    }
+
+    fn release(&self, n: usize) {
+        let mut g = lock(&self.state);
+        g.inflight -= n;
+        if g.blocked {
+            self.cv.notify_one();
+        }
     }
 }
 
@@ -102,46 +142,64 @@ struct Job {
     req_id: u64,
     client: ClientId,
     req: Request,
-    tx: Sender<(u64, Response)>,
+    tx: Sender<Replies>,
 }
 
 struct WorkQueue {
-    state: Mutex<(VecDeque<Job>, bool)>,
+    state: Mutex<QueueState>,
     cv: Condvar,
+}
+
+struct QueueState {
+    jobs: Vec<Job>,
+    stopped: bool,
+    /// The worker waits in [`WorkQueue::take_batch`]: only then does a
+    /// push pay for a wake-up.
+    parked: bool,
 }
 
 impl WorkQueue {
     fn new() -> Self {
         WorkQueue {
-            state: Mutex::new((VecDeque::new(), false)),
+            state: Mutex::new(QueueState {
+                jobs: Vec::new(),
+                stopped: false,
+                parked: false,
+            }),
             cv: Condvar::new(),
         }
     }
 
-    fn push(&self, job: Job) {
-        let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        g.0.push_back(job);
-        self.cv.notify_one();
+    /// Moves every job in `jobs` onto the queue under one lock, leaving
+    /// `jobs` empty with its capacity.
+    fn push_all(&self, jobs: &mut Vec<Job>) {
+        let mut g = lock(&self.state);
+        g.jobs.append(jobs);
+        if std::mem::take(&mut g.parked) {
+            self.cv.notify_one();
+        }
     }
 
     fn stop(&self) {
-        let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        g.1 = true;
+        let mut g = lock(&self.state);
+        g.stopped = true;
         self.cv.notify_all();
     }
 
-    /// Blocks for work, then drains the *entire* queue into one batch so a
-    /// worker wakeup amortizes over every op queued behind it. Returns an
-    /// empty vec when stopped and drained.
-    fn take_batch(&self) -> Vec<Job> {
-        let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
+    /// Blocks for work, then swaps the *entire* queue into `batch` (empty
+    /// on entry) so a worker wakeup amortizes over every op queued behind
+    /// it. Returns false when stopped and drained.
+    fn take_batch(&self, batch: &mut Vec<Job>) -> bool {
+        let mut g = lock(&self.state);
         loop {
-            if !g.0.is_empty() {
-                return g.0.drain(..).collect();
+            if !g.jobs.is_empty() {
+                std::mem::swap(&mut g.jobs, batch);
+                return true;
             }
-            if g.1 {
-                return Vec::new();
+            if g.stopped {
+                return false;
             }
+            g.parked = true;
             g = self.cv.wait(g).unwrap_or_else(|e| e.into_inner());
         }
     }
@@ -168,12 +226,11 @@ impl Executor {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("terp-net-exec-{i}"))
-                    .spawn(move || loop {
-                        let jobs = worker_q.take_batch();
-                        if jobs.is_empty() {
-                            return;
+                    .spawn(move || {
+                        let mut jobs = Vec::new();
+                        while worker_q.take_batch(&mut jobs) {
+                            run_batch(&svc, tr.as_deref(), &mut jobs);
                         }
-                        run_batch(&svc, tr.as_deref(), jobs);
                     })
                     .expect("spawn executor worker"),
             );
@@ -186,19 +243,19 @@ impl Executor {
         }
     }
 
-    /// Routes by the op's pool id (the service's `raw & mask` rule);
-    /// pool-less ops (create, ping) spread by connection id.
-    fn submit(&self, job: Job) {
-        let idx = match &job.req {
+    /// The queue `req` runs on: by the op's pool id (the service's
+    /// `raw & mask` rule); pool-less ops (create, ping) spread by
+    /// connection id.
+    fn shard_of(&self, conn: u32, req: &Request) -> usize {
+        match req {
             Request::Attach { pmo, .. } | Request::Detach { pmo } | Request::Alloc { pmo, .. } => {
                 pmo.raw() as usize & self.mask
             }
             Request::Read { oid, .. } | Request::Write { oid, .. } | Request::Free { oid } => {
                 oid.pmo().raw() as usize & self.mask
             }
-            _ => job.conn as usize & self.mask,
-        };
-        self.queues[idx].push(job);
+            _ => conn as usize & self.mask,
+        }
     }
 
     /// Drains every queue (queued jobs still execute and respond) and joins
@@ -207,31 +264,51 @@ impl Executor {
         for q in &self.queues {
             q.stop();
         }
-        let handles: Vec<_> = self
-            .workers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-            .collect();
+        let handles: Vec<_> = lock(&self.workers).drain(..).collect();
         for w in handles {
             let _ = w.join();
         }
     }
 }
 
-/// Runs `jobs` through one [`Batch`] and one commit. A response leaves
-/// straight away while the batch is clean — always, in memory and under
-/// `visibility = submit`. Once an operation has left a shard store with
-/// unsynced records the batch is dirty and every later response, reads
-/// included (they may have seen an unsynced write), is held until the commit
-/// has fsynced what it depends on; if the commit fails, each held response
-/// becomes the commit's error instead. Runs on an executor worker or, as a
-/// batch of one, on a dedicated blocking-attach thread — never on a network
-/// reader thread.
-fn run_batch(service: &PmoService, tracer: Option<&TraceRecorder>, jobs: Vec<Job>) {
+/// Replies gathered per connection while a batch runs, each connection's
+/// sent as one channel message.
+#[derive(Default)]
+struct Outgoing(Vec<(u32, Sender<Replies>, Replies)>);
+
+impl Outgoing {
+    fn add(&mut self, conn: u32, tx: Sender<Replies>, reply: (u64, Response)) {
+        // A connection's jobs arrive together, so its list is nearly always
+        // the last one.
+        match self.0.iter_mut().rev().find(|(c, ..)| *c == conn) {
+            Some((_, _, replies)) => replies.push(reply),
+            None => self.0.push((conn, tx, vec![reply])),
+        }
+    }
+
+    fn send(&mut self) {
+        for (_, tx, replies) in self.0.drain(..) {
+            let _ = tx.send(replies);
+        }
+    }
+}
+
+/// Runs `jobs` (drained, capacity kept) through one [`Batch`] and one
+/// commit, and answers each connection once for its clean replies and once
+/// for its held ones. While the batch is clean — always, in memory and under
+/// `visibility = submit` — replies are gathered per connection and leave
+/// when the batch ends. Once an operation has left a shard store with
+/// unsynced records the batch is dirty: the clean replies gathered so far
+/// leave at once, and every later reply, reads included (they may have seen
+/// an unsynced write), is held until the commit has fsynced what it depends
+/// on; if the commit fails, each held reply becomes the commit's error
+/// instead. Runs on an executor worker or, as a batch of one, on a
+/// dedicated blocking-attach thread — never on a network reader thread.
+fn run_batch(service: &PmoService, tracer: Option<&TraceRecorder>, jobs: &mut Vec<Job>) {
     let mut batch = service.batch();
-    let mut held = Vec::new();
-    for job in jobs {
+    let mut clean = Outgoing::default();
+    let mut held = Outgoing::default();
+    for job in jobs.drain(..) {
         if let Some(t) = tracer {
             t.record(EventKind::NetExec {
                 conn: job.conn,
@@ -240,19 +317,21 @@ fn run_batch(service: &PmoService, tracer: Option<&TraceRecorder>, jobs: Vec<Job
         }
         let resp = execute(&mut batch, job.client, &job.req);
         if batch.is_dirty() {
-            held.push((job.tx, job.req_id, resp));
+            clean.send();
+            held.add(job.conn, job.tx, (job.req_id, resp));
         } else {
-            let _ = job.tx.send((job.req_id, resp));
+            clean.add(job.conn, job.tx, (job.req_id, resp));
         }
     }
-    let committed = batch.commit();
-    for (tx, req_id, resp) in held {
-        let resp = match &committed {
-            Ok(()) => resp,
-            Err(e) => Response::Err(e.clone()),
-        };
-        let _ = tx.send((req_id, resp));
+    clean.send();
+    if let Err(e) = batch.commit() {
+        for (_, _, replies) in &mut held.0 {
+            for (_, resp) in replies {
+                *resp = Response::Err(e.clone());
+            }
+        }
     }
+    held.send();
 }
 
 /// Executes one request inside `batch`, mapping the result onto the wire
@@ -286,6 +365,32 @@ struct Shared {
     stopping: AtomicBool,
     conns: Mutex<Vec<Conn>>,
     next_conn: AtomicU32,
+    counts: Counts,
+}
+
+/// The live counters behind [`NetServer::wire_counts`] (statistics only:
+/// they publish no other data).
+#[derive(Default)]
+struct Counts {
+    requests: AtomicU64,
+    handoffs: AtomicU64,
+    writes: AtomicU64,
+}
+
+/// What a [`NetServer`] has moved since it started, over every connection:
+/// the server's mirror of [`crate::WireCounts`]. The handshake is decoded
+/// and answered by the reader itself: a request and a write, no hand-off.
+/// `handoffs < requests` is the reader's one push per shard per socket
+/// read; `writes < requests` is the writer's one write per batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ServerWireCounts {
+    /// Request frames decoded.
+    pub requests: u64,
+    /// Hand-offs to the threads that execute them: pushes onto a shard
+    /// worker's queue, and the dedicated threads of blocking attaches.
+    pub handoffs: u64,
+    /// Socket writes that carried the replies.
+    pub writes: u64,
 }
 
 struct Conn {
@@ -325,6 +430,7 @@ impl NetServer {
             stopping: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
             next_conn: AtomicU32::new(1),
+            counts: Counts::default(),
         });
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
@@ -359,6 +465,17 @@ impl NetServer {
         Arc::clone(&self.shared.service)
     }
 
+    /// Requests decoded, executor hand-offs and socket writes so far, over
+    /// every connection.
+    pub fn wire_counts(&self) -> ServerWireCounts {
+        let c = &self.shared.counts;
+        ServerWireCounts {
+            requests: c.requests.load(Ordering::Relaxed),
+            handoffs: c.handoffs.load(Ordering::Relaxed),
+            writes: c.writes.load(Ordering::Relaxed),
+        }
+    }
+
     /// Drains and stops everything, returning the service report.
     ///
     /// Ordering matters: shutdown begins *service-side first* (parked
@@ -384,8 +501,7 @@ impl NetServer {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let conns =
-            std::mem::take(&mut *self.shared.conns.lock().unwrap_or_else(|e| e.into_inner()));
+        let conns = std::mem::take(&mut *lock(&self.shared.conns));
         // Close read halves so readers see EOF and stop submitting.
         for c in &conns {
             let _ = c.stream.shutdown(Shutdown::Read);
@@ -429,27 +545,30 @@ fn spawn_conn(shared: &Arc<Shared>, stream: TcpStream) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let (tx, rx) = channel::<(u64, Response)>();
+    let (tx, rx) = channel::<Replies>();
     let gate = Arc::new(Gate::new());
-    let reader_shared = Arc::clone(shared);
-    let reader_gate = Arc::clone(&gate);
+    let reader = Reader {
+        shared: Arc::clone(shared),
+        conn: conn_id,
+        tx,
+        gate: Arc::clone(&gate),
+        client: None,
+        routed: shared.exec.queues.iter().map(|_| Vec::new()).collect(),
+    };
     let reader = std::thread::Builder::new()
         .name(format!("terp-net-read-{conn_id}"))
-        .spawn(move || reader_loop(reader_shared, conn_id, read_half, tx, reader_gate))
+        .spawn(move || reader.run(read_half))
         .expect("spawn reader");
+    let writer_shared = Arc::clone(shared);
     let writer = std::thread::Builder::new()
         .name(format!("terp-net-write-{conn_id}"))
-        .spawn(move || writer_loop(write_half, rx, gate))
+        .spawn(move || writer_loop(&writer_shared, write_half, rx, &gate))
         .expect("spawn writer");
-    shared
-        .conns
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(Conn {
-            stream,
-            reader,
-            writer,
-        });
+    lock(&shared.conns).push(Conn {
+        stream,
+        reader,
+        writer,
+    });
 }
 
 /// Whether `scheme` can park an attach on a conflicting holder — those run
@@ -458,147 +577,194 @@ fn attach_can_block(scheme: Scheme) -> bool {
     matches!(scheme, Scheme::Merr | Scheme::BasicSemantics)
 }
 
-fn reader_loop(
+/// A fatal protocol violation: the reply's request id (0 when the frame
+/// had none) and the error it carries.
+type Fatal = (u64, ServiceError);
+
+/// One connection's reader thread: socket → frames → jobs.
+struct Reader {
     shared: Arc<Shared>,
     conn: u32,
-    mut sock: TcpStream,
-    tx: Sender<(u64, Response)>,
+    tx: Sender<Replies>,
     gate: Arc<Gate>,
-) {
-    let mut dec = FrameDecoder::new();
-    let mut buf = vec![0u8; 16 * 1024];
-    let mut client: Option<ClientId> = None;
-    let fatal = |tx: &Sender<(u64, Response)>, gate: &Gate, req_id: u64, e: ServiceError| {
-        gate.acquire();
-        let _ = tx.send((req_id, Response::Err(e)));
-    };
-    loop {
-        let n = match sock.read(&mut buf) {
-            Ok(0) => return,
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return,
-        };
-        dec.push(&buf[..n]);
+    /// Set by the handshake.
+    client: Option<ClientId>,
+    /// Jobs decoded and not yet handed off, by shard queue.
+    routed: Vec<Vec<Job>>,
+}
+
+impl Reader {
+    /// Reads until EOF, a socket error or a protocol violation, which is
+    /// answered on request id 0 (or the offending request's) before the
+    /// reader stops. Every decoded job is handed off first.
+    fn run(mut self, sock: TcpStream) {
+        let fatal = self.read_all(sock);
+        self.hand_off();
+        if let Some((req_id, e)) = fatal {
+            self.reply(req_id, Response::Err(e));
+        }
+    }
+
+    fn read_all(&mut self, mut sock: TcpStream) -> Option<Fatal> {
+        let mut dec = FrameDecoder::new();
+        let mut buf = vec![0u8; 16 * 1024];
         loop {
-            let payload = match dec.next_frame() {
-                Ok(Some(p)) => p,
-                Ok(None) => break,
-                Err(e) => {
-                    fatal(&tx, &gate, 0, ServiceError::Protocol(e.to_string()));
-                    return;
-                }
+            let n = match sock.read(&mut buf) {
+                Ok(0) => return None,
+                Ok(n) => n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return None,
             };
-            let (req_id, req) = match Request::decode(&payload) {
-                Ok(ok) => ok,
-                Err(e) => {
-                    fatal(&tx, &gate, 0, e);
-                    return;
+            dec.push(&buf[..n]);
+            loop {
+                match dec.next_frame() {
+                    Ok(Some(payload)) => {
+                        if let Err(fatal) = self.dispatch(payload) {
+                            return Some(fatal);
+                        }
+                    }
+                    Ok(None) => break,
+                    Err(e) => return Some((0, ServiceError::Protocol(e.to_string()))),
                 }
-            };
-            if req_id == 0 {
-                fatal(
-                    &tx,
-                    &gate,
-                    0,
-                    ServiceError::Protocol("request id 0 is reserved".to_string()),
-                );
-                return;
             }
-            if let Some(t) = &shared.tracer {
-                t.record(EventKind::NetRecv { conn, req: req_id });
-            }
-            let Some(client_id) = client else {
-                // First message must be the handshake.
-                match req {
-                    Request::Hello {
-                        magic,
-                        version,
-                        client: c,
-                    } if magic == MAGIC && version == VERSION => {
-                        client = Some(c as ClientId);
-                        gate.acquire();
-                        let _ = tx.send((
-                            req_id,
-                            Response::Hello {
-                                version: VERSION,
-                                scheme: shared.service.scheme().to_string(),
-                                shards: shared.service.shard_count() as u16,
-                            },
-                        ));
-                    }
-                    Request::Hello { magic, version, .. } => {
-                        fatal(
-                            &tx,
-                            &gate,
-                            req_id,
-                            ServiceError::Protocol(format!(
-                                "handshake mismatch: magic {magic:#010x} version {version} \
-                                 (want {MAGIC:#010x} version {VERSION})"
-                            )),
-                        );
-                        return;
-                    }
-                    _ => {
-                        fatal(
-                            &tx,
-                            &gate,
-                            req_id,
-                            ServiceError::Protocol("first message must be hello".to_string()),
-                        );
-                        return;
-                    }
-                }
-                continue;
-            };
-            if matches!(req, Request::Hello { .. }) {
-                fatal(
-                    &tx,
-                    &gate,
-                    req_id,
-                    ServiceError::Protocol("duplicate hello".to_string()),
-                );
-                return;
-            }
-            gate.acquire();
-            let job = Job {
-                conn,
+            // Nothing decoded waits behind the next read.
+            self.hand_off();
+        }
+    }
+
+    /// Decodes one request and routes it: onto its shard's list, or, for an
+    /// attach that may park, onto a dedicated thread.
+    fn dispatch(&mut self, payload: &[u8]) -> Result<(), Fatal> {
+        let (req_id, req) = Request::decode(payload).map_err(|e| (0, e))?;
+        if req_id == 0 {
+            return Err((
+                0,
+                ServiceError::Protocol("request id 0 is reserved".to_string()),
+            ));
+        }
+        self.shared.counts.requests.fetch_add(1, Ordering::Relaxed);
+        if let Some(t) = &self.shared.tracer {
+            t.record(EventKind::NetRecv {
+                conn: self.conn,
+                req: req_id,
+            });
+        }
+        let Some(client) = self.client else {
+            return self.handshake(req_id, req);
+        };
+        if matches!(req, Request::Hello { .. }) {
+            return Err((
                 req_id,
-                client: client_id,
-                req,
-                tx: tx.clone(),
-            };
-            if matches!(job.req, Request::Attach { .. })
-                && attach_can_block(shared.service.scheme())
-            {
-                // A parked attach must block only its own request: run it on
-                // a dedicated thread so this reader keeps decoding and later
-                // pipelined ops can complete first.
-                let svc = Arc::clone(&shared.service);
-                let tr = shared.tracer.clone();
-                let _ = std::thread::Builder::new()
-                    .name(format!("terp-net-attach-{conn}-{req_id}"))
-                    .spawn(move || run_batch(&svc, tr.as_deref(), vec![job]));
-            } else {
-                shared.exec.submit(job);
+                ServiceError::Protocol("duplicate hello".to_string()),
+            ));
+        }
+        self.admit();
+        let job = Job {
+            conn: self.conn,
+            req_id,
+            client,
+            req,
+            tx: self.tx.clone(),
+        };
+        if matches!(job.req, Request::Attach { .. })
+            && attach_can_block(self.shared.service.scheme())
+        {
+            // A parked attach must block only its own request: run it on
+            // a dedicated thread so this reader keeps decoding and later
+            // pipelined ops can complete first. What was decoded before it
+            // is handed off first, keeping dispatch in arrival order.
+            self.hand_off();
+            self.shared.counts.handoffs.fetch_add(1, Ordering::Relaxed);
+            let svc = Arc::clone(&self.shared.service);
+            let tr = self.shared.tracer.clone();
+            let _ = std::thread::Builder::new()
+                .name(format!("terp-net-attach-{}-{req_id}", self.conn))
+                .spawn(move || run_batch(&svc, tr.as_deref(), &mut vec![job]));
+        } else {
+            let shard = self.shared.exec.shard_of(self.conn, &job.req);
+            self.routed[shard].push(job);
+        }
+        Ok(())
+    }
+
+    /// The first message must be a hello with this build's magic and
+    /// version.
+    fn handshake(&mut self, req_id: u64, req: Request) -> Result<(), Fatal> {
+        match req {
+            Request::Hello {
+                magic,
+                version,
+                client,
+            } if magic == MAGIC && version == VERSION => {
+                self.client = Some(client as ClientId);
+                let service = &self.shared.service;
+                let hello = Response::Hello {
+                    version: VERSION,
+                    scheme: service.scheme().to_string(),
+                    shards: service.shard_count() as u16,
+                };
+                self.reply(req_id, hello);
+                Ok(())
+            }
+            Request::Hello { magic, version, .. } => Err((
+                req_id,
+                ServiceError::Protocol(format!(
+                    "handshake mismatch: magic {magic:#010x} version {version} \
+                     (want {MAGIC:#010x} version {VERSION})"
+                )),
+            )),
+            _ => Err((
+                req_id,
+                ServiceError::Protocol("first message must be hello".to_string()),
+            )),
+        }
+    }
+
+    /// Takes an in-flight slot. Before blocking on a full gate it hands off
+    /// the jobs it holds: their replies are what frees the gate.
+    fn admit(&mut self) {
+        if !self.gate.try_acquire() {
+            self.hand_off();
+            self.gate.acquire();
+        }
+    }
+
+    /// A reply from the reader itself (handshake, protocol violation).
+    fn reply(&mut self, req_id: u64, resp: Response) {
+        self.admit();
+        let _ = self.tx.send(vec![(req_id, resp)]);
+    }
+
+    /// Moves each shard's routed jobs onto its queue in one push.
+    fn hand_off(&mut self) {
+        let shared = &self.shared;
+        for (queue, jobs) in shared.exec.queues.iter().zip(&mut self.routed) {
+            if !jobs.is_empty() {
+                shared.counts.handoffs.fetch_add(1, Ordering::Relaxed);
+                queue.push_all(jobs);
             }
         }
     }
 }
 
-fn writer_loop(mut sock: TcpStream, rx: Receiver<(u64, Response)>, gate: Arc<Gate>) {
+/// Frames every reply already queued (a batch's replies arrive as one
+/// message per connection) in place into one buffer, up to
+/// [`WRITE_COALESCE`], sends it in one write, and releases the gate once
+/// for all of them.
+fn writer_loop(shared: &Shared, mut sock: TcpStream, rx: Receiver<Replies>, gate: &Gate) {
     let mut broken = false;
     let mut out = Vec::new();
     while let Ok(first) = rx.recv() {
-        // Everything already queued (a committed batch releases its held
-        // responses together) leaves in one write.
         let mut next = Some(first);
         let mut responses = 0;
-        while let Some((req_id, resp)) = next {
+        while let Some(replies) = next {
+            responses += replies.len();
             if !broken {
-                out.extend_from_slice(&encode_frame(&resp.encode(req_id)));
+                for (req_id, resp) in &replies {
+                    frame_into(&mut out, |o| resp.encode_into(*req_id, o))
+                        .expect("a response fits a frame: reads are capped at MAX_READ");
+                }
             }
-            responses += 1;
             next = if out.len() < WRITE_COALESCE {
                 rx.try_recv().ok()
             } else {
@@ -606,14 +772,13 @@ fn writer_loop(mut sock: TcpStream, rx: Receiver<(u64, Response)>, gate: Arc<Gat
             };
         }
         if !broken {
+            shared.counts.writes.fetch_add(1, Ordering::Relaxed);
             broken = sock.write_all(&out).is_err();
         }
         out.clear();
         // Release even on a broken socket so a reader blocked on the gate
         // can notice the connection died instead of parking forever.
-        for _ in 0..responses {
-            gate.release();
-        }
+        gate.release(responses);
     }
     let _ = sock.shutdown(Shutdown::Both);
 }

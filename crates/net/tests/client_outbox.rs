@@ -3,7 +3,8 @@
 //! and leaves with the rest of the outbox in one write when a wait would
 //! block, a ticket is dropped unwaited, 64 KiB are queued or the last handle
 //! goes. The demux thread never waits on a submitter's write, so a pipeline
-//! deeper than the server's in-flight gate cannot deadlock it.
+//! deeper than the server's in-flight gate cannot deadlock it. Requests are
+//! framed in place, so one too large for a frame is taken back out.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -11,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use terp_core::Scheme;
 use terp_net::server::MAX_INFLIGHT;
-use terp_net::{Client, NetServer, Pending, WireCounts};
+use terp_net::{Client, NetServer, Pending, ServiceError, WireCounts, MAX_FRAME};
 use terp_pmo::{ObjectId, OpenMode, Permission, PmoId};
 use terp_service::config::ServiceConfig;
 use terp_service::PmoServer;
@@ -203,6 +204,27 @@ fn behind_a_parked_attach_a_hundred_pings_and_one_wait_are_one_write() {
     p.release();
 }
 
+/// A request too large for one frame is framed in place into the outbox,
+/// so refusing it must take it back out: behind a queued ping, the refusal
+/// leaves the counts as they were, the ping goes out whole, and the next
+/// request round-trips.
+#[test]
+fn an_oversized_request_is_refused_and_leaves_the_outbox_as_it_was() {
+    let p = parked();
+    let queued = p.waiter.ping_pipelined().expect("submit");
+    let counts = p.waiter.wire_counts();
+    let oversized = vec![0xA5; MAX_FRAME];
+    assert!(matches!(
+        p.waiter.write_pipelined(p.side, &oversized),
+        Err(ServiceError::Protocol(_))
+    ));
+    assert_eq!(p.waiter.wire_counts(), counts);
+    queued.wait_unit().expect("the queued ping went out whole");
+    p.waiter.write(p.side, b"after").expect("write round-trips");
+    assert_eq!(p.waiter.read(p.side, 5).expect("read"), b"after");
+    p.release();
+}
+
 /// Twice the server's in-flight gate of 32 KiB writes, each followed by a
 /// 32 KiB read of it, none waited until all are submitted. The submitter
 /// spends much of this blocked in a write the server will not read until
@@ -250,6 +272,28 @@ fn a_pipeline_twice_the_server_gate_deep_finishes() {
         );
         client.detach(pool).expect("detach");
         net.shutdown();
+    });
+}
+
+/// Twice the server's in-flight gate of pings in one client write, behind a
+/// parked attach. One socket read then holds more requests than the gate
+/// admits, so the server's reader reaches the cap with decoded requests it
+/// has not handed off yet. It must hand them off before it blocks on the
+/// gate: their replies are what free it. A reader that blocks first hangs
+/// here in every run.
+#[test]
+fn twice_the_server_gate_of_pings_in_one_write_finishes() {
+    watchdog(Duration::from_secs(60), || {
+        let p = parked();
+        let base = p.waiter.wire_counts();
+        let pings: Vec<Pending> = (0..2 * MAX_INFLIGHT)
+            .map(|_| p.waiter.ping_pipelined().expect("submit"))
+            .collect();
+        for ping in pings {
+            ping.wait_unit().expect("ping past the parked attach");
+        }
+        assert_eq!(p.waiter.wire_counts().writes, base.writes + 1);
+        p.release();
     });
 }
 

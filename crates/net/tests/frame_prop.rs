@@ -1,10 +1,13 @@
 //! Property and fuzz-style tests for the frame codec: arbitrary payload
 //! sizes, arbitrary read chunking (partial reads, torn length prefixes),
 //! and corruption anywhere in the stream must produce either correct
-//! payloads or a clean error — never a panic, never a wrong payload.
+//! payloads or a clean error — never a panic, never a wrong payload. The
+//! payloads are lent out of the decoder's buffer, which drops consumed
+//! frames as bytes are pushed: what it holds stays bounded by what is
+//! still pending.
 
 use proptest::prelude::*;
-use terp_net::frame::{encode_frame, FrameDecoder, FrameError, FRAME_OVERHEAD};
+use terp_net::frame::{encode_frame, frame_into, FrameDecoder, FrameError, FRAME_OVERHEAD};
 use terp_net::proto::{Request, Response};
 
 /// Splits `wire` into chunks at pseudo-random boundaries drawn from `rng`.
@@ -20,7 +23,8 @@ fn chunked<'a>(wire: &'a [u8], rng: &mut TestRng) -> Vec<&'a [u8]> {
 }
 
 proptest! {
-    /// Any frame sequence survives any chunking of the byte stream.
+    /// Any frame sequence survives any chunking of the byte stream, and
+    /// after every push the decoder holds at most twice its pending bytes.
     #[test]
     fn roundtrip_under_arbitrary_chunking(
         sizes in collection::vec(0usize..2000, 1..8),
@@ -40,8 +44,9 @@ proptest! {
         let mut got = Vec::new();
         for chunk in chunked(&wire, &mut rng) {
             dec.push(chunk);
+            prop_assert!(dec.buffered() <= 2 * dec.pending());
             while let Some(p) = dec.next_frame().expect("clean stream") {
-                got.push(p);
+                got.push(p.to_vec());
             }
         }
         prop_assert_eq!(got, payloads);
@@ -69,7 +74,7 @@ proptest! {
             // Stall: the flip grew the advertised length; more bytes needed.
             Ok(None) => {}
             // The flip must not produce a different payload undetected.
-            Ok(Some(p)) => prop_assert_eq!(p, payload),
+            Ok(Some(p)) => prop_assert_eq!(p, &payload[..]),
             Err(FrameError::Crc { .. }) | Err(FrameError::TooLarge { .. }) => {}
         }
     }
@@ -87,8 +92,8 @@ proptest! {
         loop {
             match dec.next_frame() {
                 Ok(Some(p)) => {
-                    let _ = Request::decode(&p);
-                    let _ = Response::decode(&p);
+                    let _ = Request::decode(p);
+                    let _ = Response::decode(p);
                 }
                 Ok(None) => break,
                 Err(_) => break,
@@ -111,7 +116,7 @@ proptest! {
         dec.push(&wire[..cut]);
         prop_assert_eq!(dec.next_frame().expect("prefix is not an error"), None);
         dec.push(&wire[cut..]);
-        prop_assert_eq!(dec.next_frame().expect("completed frame"), Some(payload));
+        prop_assert_eq!(dec.next_frame().expect("completed frame"), Some(&payload[..]));
     }
 }
 
@@ -149,7 +154,7 @@ fn malformed_frame_regressions() {
     let wire = encode_frame(&inner);
     let mut dec = FrameDecoder::new();
     dec.push(&wire);
-    assert_eq!(dec.next_frame().unwrap().as_deref(), Some(&inner[..]));
+    assert_eq!(dec.next_frame().unwrap(), Some(&inner[..]));
 
     // The message layer rejects a zero-length payload cleanly.
     assert!(Request::decode(&[]).is_err());
@@ -157,4 +162,36 @@ fn malformed_frame_regressions() {
 
     // Overhead constant matches the encoder's actual envelope.
     assert_eq!(encode_frame(b"xyzw").len(), 4 + FRAME_OVERHEAD);
+}
+
+/// A long stream of small frames fed in 7-byte chunks: every payload comes
+/// back byte-equal, and the decoder never holds more than two frames and
+/// two chunks — consumed frames go at the next push, however many pass.
+#[test]
+fn ten_thousand_small_frames_in_seven_byte_chunks_stay_bounded() {
+    const CHUNK: usize = 7;
+    let payloads: Vec<Vec<u8>> = (0..10_000u32)
+        .map(|i| i.to_le_bytes().repeat(1 + i as usize % 5))
+        .collect();
+    let mut wire = Vec::new();
+    for p in &payloads {
+        frame_into(&mut wire, |o| o.extend_from_slice(p)).expect("small frame");
+    }
+    let largest = payloads.iter().map(Vec::len).max().expect("frames") + FRAME_OVERHEAD;
+    let mut dec = FrameDecoder::new();
+    let (mut got, mut held) = (0, 0);
+    for chunk in wire.chunks(CHUNK) {
+        dec.push(chunk);
+        held = held.max(dec.buffered());
+        while let Some(p) = dec.next_frame().expect("clean stream") {
+            assert_eq!(p, &payloads[got][..], "frame {got}");
+            got += 1;
+        }
+    }
+    assert_eq!(got, payloads.len());
+    assert_eq!(dec.pending(), 0);
+    assert!(
+        held <= 2 * (largest + CHUNK),
+        "held {held} bytes for {largest}-byte frames"
+    );
 }

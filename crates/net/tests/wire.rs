@@ -170,7 +170,7 @@ fn protocol_violations_are_connection_fatal_and_typed() {
         .next_frame()
         .expect("clean frame")
         .expect("error frame before close");
-    let (id, resp) = terp_net::Response::decode(&payload).expect("decodable");
+    let (id, resp) = terp_net::Response::decode(payload).expect("decodable");
     assert_eq!(id, 0, "connection-level errors ride request id 0");
     assert!(matches!(
         resp,

@@ -10,7 +10,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use terp_net::repl::ReplMsg;
-use terp_net::{encode_frame, FrameDecoder, ServiceError};
+use terp_net::{frame_into, FrameDecoder, ServiceError};
 
 /// Socket read timeout: the longest a stream thread stays blind to its
 /// shutdown flag.
@@ -43,9 +43,10 @@ impl Conn {
     }
 
     pub(crate) fn send(&mut self, msg: &ReplMsg) -> Result<(), ServiceError> {
-        self.stream
-            .write_all(&encode_frame(&msg.encode()))
-            .map_err(disconnected)
+        let mut frame = Vec::new();
+        frame_into(&mut frame, |o| msg.encode_into(o))
+            .map_err(|e| ServiceError::Protocol(e.to_string()))?;
+        self.stream.write_all(&frame).map_err(disconnected)
     }
 
     /// Receives one message; `Ok(None)` means the read timed out with no
@@ -53,7 +54,7 @@ impl Conn {
     pub(crate) fn recv(&mut self) -> Result<Option<ReplMsg>, ServiceError> {
         loop {
             match self.decoder.next_frame() {
-                Ok(Some(payload)) => return ReplMsg::decode(&payload).map(Some),
+                Ok(Some(payload)) => return ReplMsg::decode(payload).map(Some),
                 Ok(None) => {}
                 Err(e) => return Err(ServiceError::Protocol(e.to_string())),
             }

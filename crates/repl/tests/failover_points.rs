@@ -409,7 +409,7 @@ fn read_frame(
 ) -> Option<Vec<u8>> {
     loop {
         if let Some(payload) = dec.next_frame().expect("well-formed frame") {
-            return Some(payload);
+            return Some(payload.to_vec());
         }
         let mut buf = [0u8; 64 * 1024];
         match stream.read(&mut buf) {

@@ -31,7 +31,7 @@ fn recv(stream: &mut TcpStream, dec: &mut FrameDecoder) -> Option<ReplMsg> {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         if let Some(payload) = dec.next_frame().unwrap() {
-            return Some(ReplMsg::decode(&payload).unwrap());
+            return Some(ReplMsg::decode(payload).unwrap());
         }
         let mut buf = [0u8; 4096];
         match stream.read(&mut buf) {
