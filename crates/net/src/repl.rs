@@ -13,11 +13,11 @@
 //! --> Hello{magic, version, follower}
 //! <-- Welcome{version, shards}
 //! --> Subscribe
-//! <-- LogBatch | Heartbeat ...      (the store's three files, tailed)
+//! <-- LogBatch | Heartbeat ...      (the store's two files, tailed)
 //! --> Ack{shard, applied_seq}       (follower progress, drives lag metrics)
 //! ```
 //!
-//! There is no separate bootstrap: the leader tails each shard store's three
+//! There is no separate bootstrap: the leader tails each shard store's two
 //! files ([`LogFile`]) from byte 0, and a cold start, steady shipping and a
 //! checkpoint's truncation are the same messages. [`ReplMsg::LogBatch`]
 //! bodies are raw bytes copied verbatim from the leader's files and written
@@ -46,8 +46,6 @@ pub enum LogFile {
     Wal,
     /// The checkpoint log (`ckpt.log`).
     Ckpt,
-    /// The protection snapshot (`prot.log`).
-    Prot,
 }
 
 impl LogFile {
@@ -55,7 +53,6 @@ impl LogFile {
         match self {
             LogFile::Wal => 0,
             LogFile::Ckpt => 1,
-            LogFile::Prot => 2,
         }
     }
 
@@ -63,7 +60,6 @@ impl LogFile {
         match code {
             0 => Ok(LogFile::Wal),
             1 => Ok(LogFile::Ckpt),
-            2 => Ok(LogFile::Prot),
             other => Err(perr(format!("unknown log file code {other}"))),
         }
     }
@@ -103,10 +99,10 @@ pub enum ReplMsg {
     /// Raw bytes of one of the shard store's files, to be written verbatim
     /// at `offset` of the mirror's copy: `offset` equals the length shipped
     /// so far, or is 0 when the file starts over (the WAL after a
-    /// checkpoint's truncation, `ckpt.log` after a compaction, `prot.log`
-    /// every time). May split mid-record; the mirror's decoder tolerates
-    /// the seam. Possibly empty: a WAL batch at offset 0 with no bytes says
-    /// "truncated, nothing logged since".
+    /// checkpoint's truncation, `ckpt.log` after a compaction). May split
+    /// mid-record; the mirror's decoder tolerates the seam. Possibly empty:
+    /// a WAL batch at offset 0 with no bytes says "starts over, nothing
+    /// logged yet".
     LogBatch {
         /// Shard whose store these bytes belong to.
         shard: u32,
@@ -323,12 +319,6 @@ mod tests {
                 offset: 0,
                 bytes: Vec::new(),
             },
-            ReplMsg::LogBatch {
-                shard: 1,
-                file: LogFile::Prot,
-                offset: 0,
-                bytes: vec![0x5A; 333],
-            },
             ReplMsg::Heartbeat {
                 shard: 7,
                 durable_seq: u64::MAX,
@@ -384,19 +374,22 @@ mod tests {
             ReplMsg::decode(&[]),
             Err(ServiceError::Protocol(_))
         ));
-        // A file is one of three codes, never a name or a path.
-        let mut wire = ReplMsg::LogBatch {
-            shard: 0,
-            file: LogFile::Prot,
-            offset: 0,
-            bytes: vec![1],
+        // A file is one of two codes, never a name or a path: code 2 (the
+        // retired protection snapshot) is refused like any other.
+        for code in [2, 3, 0xFF] {
+            let mut wire = ReplMsg::LogBatch {
+                shard: 0,
+                file: LogFile::Ckpt,
+                offset: 0,
+                bytes: vec![1],
+            }
+            .encode();
+            wire[5] = code;
+            assert!(matches!(
+                ReplMsg::decode(&wire),
+                Err(ServiceError::Protocol(_))
+            ));
         }
-        .encode();
-        wire[5] = 3;
-        assert!(matches!(
-            ReplMsg::decode(&wire),
-            Err(ServiceError::Protocol(_))
-        ));
     }
 
     #[test]

@@ -11,11 +11,12 @@ use terp_pmo::{PmoError, PmoId};
 pub enum PersistError {
     /// The underlying file system failed.
     Io(io::Error),
-    /// A *completed* checkpoint is damaged: `prot.log` (published by rename,
-    /// never legitimately torn) does not decode end to end, or `ckpt.log`
-    /// does not decode cleanly up to the committed length `prot.log`
-    /// records. Unlike a torn WAL tail this is never truncated away — the
-    /// WAL that could have rebuilt the lost state is already gone.
+    /// A *completed* checkpoint is damaged: `ckpt.log` does not decode
+    /// through the checkpoint the WAL's head marker commits (it stops short,
+    /// or closes that checkpoint at another length), or a closing frame
+    /// disagrees with its own position. Unlike a torn WAL tail this is never
+    /// truncated away — the WAL that could have rebuilt the lost state is
+    /// already gone.
     CheckpointCorrupt(String),
     /// Replaying the log diverged from the logged outcome (e.g. an `Alloc`
     /// record whose replayed offset differs) — the log and the pool state it
@@ -28,6 +29,8 @@ pub enum PersistError {
     },
     /// The PMO substrate rejected a replayed operation.
     Substrate(PmoError),
+    /// The log writer failed a write or sync before, and refuses every call.
+    WriterFailed(String),
 }
 
 impl fmt::Display for PersistError {
@@ -41,6 +44,7 @@ impl fmt::Display for PersistError {
                 write!(f, "persist: replay diverged on pool {pmo}: {detail}")
             }
             PersistError::Substrate(e) => write!(f, "persist: {e}"),
+            PersistError::WriterFailed(why) => write!(f, "persist: log writer failed: {why}"),
         }
     }
 }

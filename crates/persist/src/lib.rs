@@ -19,7 +19,7 @@
 //!   blocks of [`WAL_RESERVE`] bytes, so that the sync an acknowledgement
 //!   waits for is data-only; truncation zeroes, it does not shrink, and the
 //!   first write of an open zeroes whatever a torn write left behind the
-//!   log's end before it lands.
+//!   log's end before it lands; a failed write or sync is final.
 //! * [`crash`] — deterministic crash injection: [`enumerate_crash_points`]
 //!   walks a durable log image and yields every truncation and corruption
 //!   point; [`inject`] applies one.
@@ -38,15 +38,16 @@
 //!   queue, batches adaptively on a background thread, and publishes a
 //!   monotonic durability watermark ([`DurabilityGate`]) that callers wait
 //!   on only when they need durability.
-//! * [`store`] — [`DurableStore`]: one directory (`wal.log`, `ckpt.log`,
-//!   `prot.log` and nothing else) with open-time recovery, the one durable
-//!   policy ([`Visibility`]: ack at submit through the pipelined writer, or
-//!   ack once durable through the inline one), and the one crash-safe
-//!   checkpoint — which appends the dirty pages when its trigger
-//!   ([`CHECKPOINT_TRIGGER`] records) forces it at the end of an operation
-//!   and compacts the whole image when nobody is waiting or the log has
-//!   doubled. Damage inside a completed checkpoint is
-//!   [`PersistError::CheckpointCorrupt`], never a shorter image.
+//! * [`store`] — [`DurableStore`]: one directory (`wal.log`, `ckpt.log`
+//!   and nothing else) with open-time recovery, the one durable policy
+//!   ([`Visibility`]: ack at submit through the pipelined writer, or ack
+//!   once durable through the inline one), and the one crash-safe
+//!   checkpoint — one batch appended to `ckpt.log`, committed by a closing
+//!   copy of its WAL marker: the dirty pages when its trigger
+//!   ([`CHECKPOINT_TRIGGER`] records) forces it at the end of an operation,
+//!   the whole image when nobody is waiting or the log has doubled. Damage
+//!   inside a completed checkpoint is [`PersistError::CheckpointCorrupt`],
+//!   never a shorter image.
 //! * [`tail`] — [`TailReader`]: stable tail reads over a *live* WAL for log
 //!   shipping; a torn tail under a racing append reads as
 //!   [`TailStatus::NeedMore`], never as corruption, and a checkpoint's
@@ -103,7 +104,7 @@ pub use recovery::{
     recover, recover_from, CheckpointImage, RecoveredState, RecoveryReport, Replay,
 };
 pub use store::{
-    load_checkpoint, DurableStore, Visibility, CHECKPOINT_TRIGGER, CKPT_FILE, PROT_FILE, WAL_FILE,
+    load_checkpoint, DurableStore, Visibility, CHECKPOINT_TRIGGER, CKPT_FILE, WAL_FILE,
 };
 pub use tail::{TailChunk, TailReader, TailStatus};
 pub use wal::{WalStats, WalWriter, WAL_RESERVE};

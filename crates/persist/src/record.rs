@@ -25,8 +25,8 @@
 //! * in a write-ahead log, a frame whose sequence number is not greater
 //!   than its predecessor's is torn too: a log's numbers only grow, so it is
 //!   *stale* — a whole frame of an earlier generation, not a successor.
-//!   (The batches of `ckpt.log` and `prot.log` share one sequence number and
-//!   are read without this rule; they are never recycled.)
+//!   (The frames of one `ckpt.log` batch share a sequence number and are
+//!   read without this rule; that file is never recycled.)
 //!
 //! The rules say where a log ends, not what lies behind the end, and a crash
 //! can leave whole frames behind the zeros. Those of a zeroing cut short
@@ -46,10 +46,7 @@
 //! per-client grants, `WindowOpen`/`WindowClose` for the process exposure
 //! window). Recovery replays the first kind to rebuild pool bytes and the
 //! second kind to learn which exposure windows were open at crash time —
-//! those must be force-closed and re-randomized, never resumed. A
-//! relocation inside an open window (`Randomize`) changes neither, so the
-//! service does not journal it; the record still decodes and replays as a
-//! no-op.
+//! those must be force-closed and re-randomized, never resumed.
 
 use std::io::{self, Read};
 
@@ -133,21 +130,14 @@ pub enum WalRecord {
         /// Pool unmapped.
         pmo: PmoId,
     },
-    /// Protection state: the mapping was re-randomized in place (MERR
-    /// relocation; the window splits but stays open). Replay ignores it —
-    /// an open window is resealed and re-randomized whatever its history —
-    /// so the service no longer emits it; it stays decodable for the logs
-    /// that hold one.
-    Randomize {
-        /// Pool relocated.
-        pmo: PmoId,
-    },
     /// A checkpoint at this record's sequence number, whose image is the
-    /// first `ckpt_len` bytes of the checkpoint log. Appended (and synced)
-    /// to the WAL when the checkpoint begins, and written again as the
-    /// first record of `prot.log`, whose rename commits it.
+    /// first `ckpt_len` bytes of the checkpoint log, this frame's own copy
+    /// there included. Appended (and synced) to the WAL when the checkpoint
+    /// begins; written again as the frame that closes — and commits — the
+    /// checkpoint's batch in `ckpt.log`; and a third time at offset 0 of the
+    /// WAL the checkpoint truncates, which it then opens.
     Checkpoint {
-        /// Committed length of `ckpt.log` once this checkpoint is published.
+        /// Length of `ckpt.log` through this checkpoint's closing frame.
         ckpt_len: u64,
     },
     /// A typed root-directory entry: data-structure root `key` in pool
@@ -156,7 +146,7 @@ pub enum WalRecord {
     /// this record a recovered registry has no way to find a persistent
     /// structure's root again — the root directory is replayed
     /// last-writer-wins and carried across every checkpoint truncation in
-    /// `prot.log`.
+    /// the checkpoint's batch.
     RootSet {
         /// Pool the root lives in.
         pmo: PmoId,
@@ -208,6 +198,10 @@ fn put_page(out: &mut Vec<u8>, pmo: PmoId, page: u64, data: &[u8]) {
 
 const TAG_PAGE_DELTA: u8 = 12;
 
+/// Bytes of a [`WalRecord::Checkpoint`] frame, whatever its fields hold:
+/// header, seq, tag, `ckpt_len`.
+pub(crate) const CHECKPOINT_FRAME: usize = FRAME_HEADER + 8 + 1 + 8;
+
 fn mode_byte(mode: OpenMode) -> u8 {
     match mode {
         OpenMode::ReadOnly => 0,
@@ -234,7 +228,6 @@ impl WalRecord {
             WalRecord::SessionClose { .. } => 6,
             WalRecord::WindowOpen { .. } => 7,
             WalRecord::WindowClose { .. } => 8,
-            WalRecord::Randomize { .. } => 9,
             WalRecord::Checkpoint { .. } => 10,
             WalRecord::RootSet { .. } => 11,
             WalRecord::PageDelta { .. } => TAG_PAGE_DELTA,
@@ -253,12 +246,25 @@ impl WalRecord {
             | WalRecord::SessionClose { pmo, .. }
             | WalRecord::WindowOpen { pmo }
             | WalRecord::WindowClose { pmo }
-            | WalRecord::Randomize { pmo }
             | WalRecord::RootSet { pmo, .. }
             | WalRecord::PageDelta { pmo, .. }
             | WalRecord::AllocTable { pmo, .. } => Some(*pmo),
             WalRecord::Checkpoint { .. } => None,
         }
+    }
+
+    /// Whether the record is protection state — what a checkpoint's
+    /// protection snapshot replaces wholesale — rather than pool data or a
+    /// checkpoint marker.
+    pub(crate) fn is_protection(&self) -> bool {
+        matches!(
+            self,
+            WalRecord::SessionOpen { .. }
+                | WalRecord::SessionClose { .. }
+                | WalRecord::WindowOpen { .. }
+                | WalRecord::WindowClose { .. }
+                | WalRecord::RootSet { .. }
+        )
     }
 
     /// Encodes one CRC-framed record with sequence number `seq`.
@@ -309,9 +315,7 @@ impl WalRecord {
                 payload.extend_from_slice(&client.to_le_bytes());
                 payload.extend_from_slice(&pmo.raw().to_le_bytes());
             }
-            WalRecord::WindowOpen { pmo }
-            | WalRecord::WindowClose { pmo }
-            | WalRecord::Randomize { pmo } => {
+            WalRecord::WindowOpen { pmo } | WalRecord::WindowClose { pmo } => {
                 payload.extend_from_slice(&pmo.raw().to_le_bytes());
             }
             WalRecord::Checkpoint { ckpt_len } => {
@@ -466,7 +470,6 @@ fn decode_payload(payload: &[u8]) -> Option<(u64, WalRecord)> {
         },
         7 => WalRecord::WindowOpen { pmo: c.pmo()? },
         8 => WalRecord::WindowClose { pmo: c.pmo()? },
-        9 => WalRecord::Randomize { pmo: c.pmo()? },
         10 => WalRecord::Checkpoint { ckpt_len: c.u64()? },
         11 => WalRecord::RootSet {
             pmo: c.pmo()?,
@@ -538,7 +541,8 @@ impl LogContents {
 /// they open with the header of zeros that ends a log).
 /// Sequence numbers keep growing across truncation, so the first frame's names
 /// the *generation* of a log file: it changes exactly when the file is
-/// zeroed and rewritten (the WAL) or replaced by rename (`ckpt.log`).
+/// truncated behind a new checkpoint marker (the WAL) or replaced by rename
+/// (`ckpt.log`).
 pub fn first_seq(bytes: &[u8]) -> Option<u64> {
     let seq = bytes.get(FRAME_HEADER..FRAME_HEADER + 8)?;
     if bytes[..FRAME_HEADER] == [0; FRAME_HEADER] {
@@ -578,17 +582,12 @@ impl FrameDecoder {
         }
     }
 
-    /// For `ckpt.log` and `prot.log`, whose batches share a sequence number.
+    /// For `ckpt.log`, whose batches share a sequence number each.
     pub(crate) fn image() -> Self {
         FrameDecoder {
             last_seq: None,
             increasing: false,
         }
-    }
-
-    /// Sequence number of the last frame accepted.
-    pub(crate) fn last_seq(&self) -> Option<u64> {
-        self.last_seq
     }
 
     /// Decodes the frame `window` starts with. `None`: undecided until the
@@ -663,7 +662,7 @@ pub(crate) fn nonzero_extent(mut src: impl Read) -> io::Result<(u64, u64)> {
 
 /// The frames of an image held in memory, decoded where they lie: the same
 /// [`FrameDecoder::step`] a [`FrameStream`] takes, without the copy into
-/// its read buffer — a restart decodes a `ckpt.log` of megabytes this way.
+/// its read buffer.
 fn decode_stream(bytes: &[u8], mut decoder: FrameDecoder) -> LogContents {
     let mut records = Vec::new();
     let mut pos = 0usize;
@@ -692,12 +691,6 @@ fn decode_stream(bytes: &[u8], mut decoder: FrameDecoder) -> LogContents {
 /// the end of `bytes`, or the first torn or stale frame.
 pub fn read_log(bytes: &[u8]) -> LogContents {
     decode_stream(bytes, FrameDecoder::wal(None))
-}
-
-/// Decodes the frames of `ckpt.log` or `prot.log`, whose batches share a
-/// sequence number; otherwise as [`read_log`].
-pub(crate) fn read_image(bytes: &[u8]) -> LogContents {
-    decode_stream(bytes, FrameDecoder::image())
 }
 
 /// Largest single read a [`FrameStream`] issues. The first is
@@ -748,7 +741,7 @@ impl<R: Read> FrameStream<R> {
 
     /// Sequence number of the last frame returned.
     pub(crate) fn last_seq(&self) -> Option<u64> {
-        self.decoder.last_seq()
+        self.decoder.last_seq
     }
 
     /// Drops the decoded prefix of the buffer and reads one more chunk
@@ -881,7 +874,6 @@ mod tests {
                 perm: Permission::ReadWrite,
             },
             WalRecord::WindowOpen { pmo: p },
-            WalRecord::Randomize { pmo: p },
             WalRecord::SessionClose { client: 3, pmo: p },
             WalRecord::WindowClose { pmo: p },
             WalRecord::Free { pmo: p, offset: 0 },
@@ -922,6 +914,10 @@ mod tests {
         for (i, (seq, rec)) in decoded.records.iter().enumerate() {
             assert_eq!(*seq, i as u64);
             assert_eq!(rec, &records[i]);
+        }
+        for ckpt_len in [0, u64::MAX] {
+            let marker = WalRecord::Checkpoint { ckpt_len }.encode(u64::MAX);
+            assert_eq!(marker.len(), CHECKPOINT_FRAME);
         }
     }
 
@@ -980,6 +976,16 @@ mod tests {
                 "byte {victim}: corruption detected"
             );
         }
+        // So does a frame whose checksum holds but whose tag is retired
+        // (9, a relocation that never had a replay effect): a bad frame.
+        let mut retired = log.clone();
+        frame(99, 9, &mut retired, |payload| {
+            payload.extend_from_slice(&7u16.to_le_bytes())
+        });
+        let decoded = read_log(&retired);
+        assert_eq!(decoded.records.len(), records.len());
+        assert_eq!(decoded.consumed, log.len());
+        assert!(!decoded.is_clean());
     }
 
     #[test]

@@ -5,21 +5,22 @@
 //! left, one record at a time:
 //!
 //! 1. **Install the checkpoint.** The committed image ([`CheckpointImage`]:
-//!    the `PoolCreate`/`PageDelta`/`AllocTable` batches of `ckpt.log` up to
-//!    the length `prot.log` commits, plus `prot.log`'s protection and root
-//!    records) restores each pool at its original id. Every `AllocTable`
-//!    raises its pool's replay watermark to the checkpoint's sequence
-//!    number; the protection snapshot replaces the open-window, session and
-//!    root sets outright and raises the protection watermark.
+//!    the `PoolCreate`/`PageDelta`/`AllocTable` records of every batch of
+//!    `ckpt.log` through its last closing frame, plus the protection and
+//!    root records of that last batch) restores each pool at its original
+//!    id. Every `AllocTable` raises its pool's replay watermark to its
+//!    checkpoint's sequence number; the protection snapshot replaces the
+//!    open-window, session and root sets outright and raises the protection
+//!    watermark.
 //! 2. **Replay the log.** Data records (`PoolCreate`/`Alloc`/`Free`/
 //!    `DataWrite`/`PageDelta`) at or below their pool's watermark, and
 //!    protection records at or below the protection watermark, are skipped
 //!    — the checkpoint already reflects them (a crash can land between the
-//!    checkpoint's publication and the WAL truncation; replaying an `Alloc`
-//!    twice would diverge). Later records re-execute against the real
-//!    substrate, and `Alloc` replay *verifies* the allocator reproduces the
-//!    logged offset (a mismatch means log and image disagree —
-//!    [`PersistError::ReplayDivergence`]).
+//!    checkpoint's commit and the WAL truncation; replaying an `Alloc`
+//!    twice would diverge); `Checkpoint` markers mutate nothing. Later
+//!    records re-execute against the real substrate, and `Alloc` replay
+//!    *verifies* the allocator reproduces the logged offset (a mismatch
+//!    means log and image disagree — [`PersistError::ReplayDivergence`]).
 //! 3. **Roll back transactions** ([`Replay::finish`]). Every recovered pool
 //!    runs [`terp_pmo::txn::recover`], undoing writes of transactions that
 //!    were in flight at the crash. The undo log lives in pool bytes, so it
@@ -34,16 +35,17 @@
 //!
 //! A follower's warm standby state is a `Replay` that is never finished:
 //! it applies shipped records as they arrive and installs each checkpoint
-//! the leader publishes — which is also how it survives the WAL tail a
+//! the leader commits — which is also how it survives the WAL tail a
 //! checkpoint truncated before it shipped.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::Read;
 use std::time::Instant;
 
 use terp_pmo::{txn, ObjectId, PmoId, PmoRegistry, PAGE_SIZE};
 
 use crate::error::PersistError;
-use crate::record::{first_seq, read_image, FrameDecoder, FrameStream, LogScan, WalRecord};
+use crate::record::{FrameDecoder, FrameStream, LogScan, Step, WalRecord};
 
 /// What recovery produced.
 #[derive(Debug)]
@@ -94,20 +96,23 @@ pub struct RecoveryReport {
 }
 
 /// The committed checkpoint of a store directory, decoded: what `ckpt.log`
-/// and `prot.log` say once the protocol's commit rule has been applied.
+/// holds through its last closing frame, once the WAL's head has vouched
+/// for it ([`CheckpointImage::decode`]).
 #[derive(Debug, Default, Clone)]
 pub struct CheckpointImage {
     /// Sequence number of the committed checkpoint (`None`: the directory
     /// never completed one).
     pub seq: Option<u64>,
-    /// Committed length of `ckpt.log` in bytes; anything past it belongs to
-    /// a checkpoint that was in flight and never committed.
+    /// Committed length of `ckpt.log` in bytes, through the last closing
+    /// frame; anything past it belongs to a checkpoint that was in flight
+    /// and never committed.
     pub ckpt_len: u64,
-    /// The image batches: `PoolCreate`, `PageDelta`*, `AllocTable` per pool,
-    /// oldest batch first.
+    /// The image: `PoolCreate`, `PageDelta`*, `AllocTable` per pool, of
+    /// every committed batch, oldest batch first.
     pub pools: Vec<(u64, WalRecord)>,
-    /// The protection snapshot: `WindowOpen`/`SessionOpen` for everything
-    /// open at the checkpoint, and the live root directory.
+    /// The protection snapshot of the last committed batch:
+    /// `WindowOpen`/`SessionOpen` for everything open at the checkpoint, and
+    /// the live root directory.
     pub protection: Vec<(u64, WalRecord)>,
 }
 
@@ -115,82 +120,63 @@ fn corrupt(why: impl Into<String>) -> PersistError {
     PersistError::CheckpointCorrupt(why.into())
 }
 
-fn commit_record(protection: &[(u64, WalRecord)]) -> Option<(u64, u64)> {
-    match protection.first() {
-        Some((seq, WalRecord::Checkpoint { ckpt_len })) => Some((*seq, *ckpt_len)),
-        _ => None,
-    }
-}
-
 impl CheckpointImage {
-    /// The commit `prot.log` opens with, `(seq, ckpt_len)` — all a log
-    /// shipper needs to know of a checkpoint. `None` when the bytes do not
-    /// start with a valid [`WalRecord::Checkpoint`] frame.
-    pub fn commit_of(prot: &[u8]) -> Option<(u64, u64)> {
-        commit_record(&read_image(prot).records)
-    }
-
-    /// Decodes the checkpoint files of one store.
+    /// Decodes `ckpt.log` against `head`, the `(seq, ckpt_len)` of the
+    /// [`WalRecord::Checkpoint`] frame the WAL opens with, if any.
     ///
-    /// `prot.log` is published by rename and therefore never legitimately
-    /// torn: it must decode end to end and open with the
-    /// [`WalRecord::Checkpoint`] that commits `ckpt_len` bytes of
-    /// `ckpt.log`. Those bytes must decode cleanly; bytes past them are an
-    /// in-flight checkpoint's and are ignored. One state needs a second
-    /// look: a compacting checkpoint replaces `ckpt.log` by rename *before*
-    /// it publishes `prot.log`, so a crash between the two leaves an image
-    /// newer than the protection snapshot — recognisable because its first
-    /// frame's sequence number is above `prot.log`'s — which, published by
-    /// rename itself, is committed whole. Without a `prot.log` (`None`) no
-    /// checkpoint ever committed and the WAL still holds everything.
+    /// The log is a sequence of batches — data records, then protection
+    /// records, at one sequence number — each closed by a copy of its
+    /// checkpoint's marker, whose `ckpt_len` is the log's length through
+    /// that frame. The image is the prefix through the last closing frame
+    /// the decoder reaches: the data records of every batch, the protection
+    /// records of the last. Bytes behind it never committed.
+    ///
+    /// Damage inside the committed region would stop the decoder early too,
+    /// so a checkpoint's truncation writes its marker at the WAL's head: the
+    /// image must be at least that checkpoint, and exactly its `ckpt_len`
+    /// bytes when it is that one (a newer one committed before a crash cut
+    /// its truncation short). Without a head no checkpoint ever truncated
+    /// the WAL, which still holds what the image lacks.
     ///
     /// # Errors
     ///
-    /// [`PersistError::CheckpointCorrupt`] for any damage inside the
-    /// committed region — never a shorter image.
-    pub fn decode(ckpt: &[u8], prot: Option<&[u8]>) -> Result<Self, PersistError> {
-        let Some(prot) = prot else {
-            return Ok(CheckpointImage::default());
-        };
-        let protection = read_image(prot);
-        if protection.consumed != prot.len() {
-            return Err(corrupt(format!(
-                "prot.log: bad frame at byte {} of {}",
-                protection.consumed,
-                prot.len()
-            )));
+    /// [`PersistError::CheckpointCorrupt`] when the image falls short of
+    /// `head`, or a closing frame disagrees with its own position — never a
+    /// shorter image.
+    pub fn decode(ckpt: impl Read, head: Option<(u64, u64)>) -> Result<Self, PersistError> {
+        let mut image = CheckpointImage::default();
+        let mut batch = Vec::new();
+        // Streamed in bounded reads: a restart holds no copy of the file.
+        let mut stream = FrameStream::new(ckpt, FrameDecoder::image());
+        while let Step::Frame { seq, record, .. } = stream.next()? {
+            let WalRecord::Checkpoint { ckpt_len } = record else {
+                batch.push((seq, record));
+                continue;
+            };
+            if ckpt_len != stream.consumed {
+                return Err(corrupt(format!(
+                    "ckpt.log: the checkpoint closed at byte {} claims {ckpt_len}",
+                    stream.consumed
+                )));
+            }
+            let (protection, pools): (Vec<_>, Vec<_>) = batch
+                .drain(..)
+                .partition(|(_, record)| record.is_protection());
+            image.seq = Some(seq);
+            image.ckpt_len = ckpt_len;
+            image.pools.extend(pools);
+            image.protection = protection;
         }
-        let mut protection = protection.records;
-        let (seq, committed) = commit_record(&protection)
-            .ok_or_else(|| corrupt("prot.log does not open with a Checkpoint record"))?;
-        protection.remove(0);
-        let ckpt_len = if first_seq(ckpt).is_some_and(|newer| newer > seq) {
-            ckpt.len() as u64
-        } else {
-            committed
-        };
-        let image = usize::try_from(ckpt_len)
-            .ok()
-            .and_then(|len| ckpt.get(..len))
-            .ok_or_else(|| {
-                corrupt(format!(
-                    "ckpt.log holds {} bytes, prot.log commits {ckpt_len}",
-                    ckpt.len()
-                ))
-            })?;
-        let pools = read_image(image);
-        if pools.consumed != image.len() {
-            return Err(corrupt(format!(
-                "ckpt.log: bad frame at byte {} of {ckpt_len} committed",
-                pools.consumed
-            )));
+        if let Some((seq, ckpt_len)) = head {
+            if image.seq < Some(seq) || image.seq == Some(seq) && image.ckpt_len != ckpt_len {
+                return Err(corrupt(format!(
+                    "the WAL opens with checkpoint {seq} of {ckpt_len} bytes, \
+                     ckpt.log commits {:?} of {}",
+                    image.seq, image.ckpt_len
+                )));
+            }
         }
-        Ok(CheckpointImage {
-            seq: Some(seq),
-            ckpt_len,
-            pools: pools.records,
-            protection,
-        })
+        Ok(image)
     }
 }
 
@@ -285,22 +271,12 @@ impl Replay {
     /// inconsistent with the state it is applied to, not merely torn.
     pub fn apply(&mut self, seq: u64, record: &WalRecord) -> Result<(), PersistError> {
         self.applied_seq = self.applied_seq.max(Some(seq));
-        let skip = match record {
-            WalRecord::PoolCreate { .. }
-            | WalRecord::Alloc { .. }
-            | WalRecord::Free { .. }
-            | WalRecord::DataWrite { .. }
-            | WalRecord::PageDelta { .. }
-            | WalRecord::AllocTable { .. } => record
+        let skip = if record.is_protection() {
+            self.prot_mark
+        } else {
+            record
                 .pmo()
-                .and_then(|id| self.watermark.get(id.index()).copied().flatten()),
-            WalRecord::SessionOpen { .. }
-            | WalRecord::SessionClose { .. }
-            | WalRecord::WindowOpen { .. }
-            | WalRecord::WindowClose { .. }
-            | WalRecord::Randomize { .. }
-            | WalRecord::RootSet { .. } => self.prot_mark,
-            WalRecord::Checkpoint { .. } => None,
+                .and_then(|id| self.watermark.get(id.index()).copied().flatten())
         };
         if skip.is_some_and(|mark| seq <= mark) {
             self.report.records_skipped += 1;
@@ -373,9 +349,9 @@ impl Replay {
             WalRecord::WindowClose { pmo } => {
                 self.open_windows.remove(pmo);
             }
-            // The window splits but stays open, and a checkpoint marker
-            // mutates nothing: neither leaves anything to re-derive.
-            WalRecord::Randomize { .. } | WalRecord::Checkpoint { .. } => {}
+            // A checkpoint marker mutates nothing: it is neither replayed
+            // nor skipped.
+            WalRecord::Checkpoint { .. } => return Ok(()),
             WalRecord::RootSet { pmo, key, oid } => {
                 if *oid == 0 {
                     self.roots.remove(&(*pmo, *key));
@@ -513,7 +489,16 @@ mod tests {
         })
         .unwrap();
         wal.append(&WalRecord::WindowOpen { pmo: pid }).unwrap();
-        wal.append(&WalRecord::Randomize { pmo: pid }).unwrap();
+        reg.pool_mut(pid)
+            .unwrap()
+            .write_bytes(oid.offset() + 7, b"!")
+            .unwrap();
+        wal.append(&WalRecord::DataWrite {
+            pmo: pid,
+            offset: oid.offset() + 7,
+            data: b"!".to_vec(),
+        })
+        .unwrap();
         wal.sync().unwrap();
         let bytes = wal.durable_bytes().unwrap().to_vec();
         (reg, bytes)
@@ -532,10 +517,10 @@ mod tests {
         assert_eq!(state.resealed, vec![pid]);
 
         let pool = state.registry.pool(pid).unwrap();
-        let mut buf = [0u8; 7];
+        let mut buf = [0u8; 8];
         let (off, _) = pool.allocator().live_blocks().next().unwrap();
         pool.read_bytes(off, &mut buf).unwrap();
-        assert_eq!(&buf, b"payload");
+        assert_eq!(&buf, b"payload!");
         assert!(
             pool.attach_generation() > gen_before,
             "resealed pool must re-randomize on next attach"

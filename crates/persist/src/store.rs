@@ -1,5 +1,5 @@
-//! The durable store: one directory holding a write-ahead log, the
-//! checkpoint log and the protection snapshot.
+//! The durable store: one directory holding a write-ahead log and the
+//! checkpoint log.
 //!
 //! [`DurableStore::open`] is the single entry point: it loads whatever the
 //! directory contains (possibly nothing, possibly the debris of a crash),
@@ -27,61 +27,60 @@
 //! **One checkpoint** ([`DurableStore::checkpoint`]), crash-safe at every
 //! step, with no quiescent point required:
 //!
-//! 1. append a [`WalRecord::Checkpoint`] and sync — its seq is the
-//!    watermark, its `ckpt_len` the length `ckpt.log` is about to have;
-//! 2. for each pool of the page set, `PoolCreate` + one
-//!    [`WalRecord::PageDelta`] per page + a final [`WalRecord::AllocTable`]
-//!    (all at the watermark seq) go to `ckpt.log` — *appended*, dirty pools
-//!    and dirty pages only, one fsync for the batch; or, when the checkpoint
-//!    compacts, every resident page of every pool written to a temp file
-//!    and renamed over `ckpt.log`;
-//! 3. `prot.log` is atomically rewritten (temp + fsync + rename + fsync of
-//!    the directory, as is a compacted `ckpt.log`): the same `Checkpoint`
-//!    record, the caller's current protection records, the live root
-//!    directory. **This rename commits the checkpoint**, and it is durable
-//!    before step 4 destroys what it supersedes.
-//! 4. the WAL is truncated: its used prefix is zeroed and synced — the file
-//!    keeps the blocks it reserved ([`crate::wal`]).
+//! 1. append a [`WalRecord::Checkpoint`] to the WAL and sync — its seq is
+//!    the watermark, its `ckpt_len` the length `ckpt.log` is about to have;
+//! 2. append the checkpoint's batch to `ckpt.log` under one sync, every
+//!    frame at the watermark seq: for each pool of the page set
+//!    `PoolCreate` + one [`WalRecord::PageDelta`] per page + a final
+//!    [`WalRecord::AllocTable`]; then the caller's protection records and
+//!    the live root directory; then a closing copy of the step-1 frame.
+//!    Dirty pools and dirty pages only — or, when the checkpoint compacts,
+//!    every resident page of every pool, the batch written to a temp file,
+//!    synced and renamed over `ckpt.log`, and the directory synced. **The
+//!    closing frame commits the checkpoint**: the committed image is
+//!    `ckpt.log` through its last closing frame;
+//! 3. truncate the WAL: the step-1 frame is written back at offset 0 and
+//!    the rest of the used prefix zeroed, in one pass and one sync — the
+//!    file keeps the blocks it reserved ([`crate::wal`]) and the commit.
 //!
-//! Recovery installs `ckpt.log` up to the committed length, then `prot.log`,
-//! then replays `wal.log` — one read of the written prefix, each frame
-//! decoded once, by the same pass that positions the writer. A crash before
-//! step 3 leaves `ckpt.log` bytes past the committed length (dropped at the
-//! next open) or a compacted image newer than `prot.log` (complete, and
-//! consistent with the full WAL); a crash between 3 and 4, or anywhere
-//! inside 4 — the zeroed blocks reach the disk in any order — leaves a WAL
-//! whose reachable records the watermarks skip (the open then finishes the
-//! zeroing) and whose frames stranded behind a gap of zeros no later record
-//! can be followed by (their sequence numbers lie below the checkpoint's:
-//! [`crate::record`]). Damage *inside* the
-//! committed region is an error, never a shorter image — see
+//! So a checkpoint that appends costs three syncs and creates, renames and
+//! directory-syncs nothing; one that compacts costs four
+//! ([`DurableStore::checkpoint_syncs`]).
+//!
+//! Recovery installs `ckpt.log` through its last closing frame, then
+//! replays `wal.log` — one read of the written prefix, each frame decoded
+//! once, by the same pass that positions the writer. A crash inside step 2
+//! leaves `ckpt.log` bytes behind the last closing frame, or a temp file,
+//! both dropped at the next open; a crash inside step 3 — the blocks reach
+//! the disk in any order — leaves block 0 old or already holding the
+//! marker, and a WAL whose reachable records the watermarks skip (the open
+//! then finishes the truncation) and whose frames stranded behind a gap of
+//! zeros no later record can be followed by (their sequence numbers lie
+//! below the checkpoint's: [`crate::record`]). Damage *inside* the
+//! committed region is an error, never a shorter image: the marker at the
+//! WAL's head says which checkpoint the image must reach — see
 //! [`CheckpointImage::decode`]. Which page set a checkpoint writes is the
 //! store's own rule: see [`DurableStore::checkpoint`].
 
 use std::collections::BTreeMap;
 use std::fs::{self, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use terp_pmo::{Pmo, PmoId};
 
 use crate::error::PersistError;
-use crate::record::WalRecord;
+use crate::record::{read_log, WalRecord, CHECKPOINT_FRAME};
 use crate::recovery::{CheckpointImage, RecoveredState, RecoveryReport, Replay};
 use crate::wal::{sync_dir, WalStats, WalWriter};
 use crate::writer::AsyncWalWriter;
 
 /// File name of the write-ahead log inside a store directory.
 pub const WAL_FILE: &str = "wal.log";
-/// File name of the checkpoint log: a WAL-framed stream of
-/// `PoolCreate`/`PageDelta`/`AllocTable` batches, appended to by
+/// File name of the checkpoint log: a WAL-framed stream of checkpoint
+/// batches, each closed by its `Checkpoint` frame, appended to by
 /// checkpoints and replaced whole when one compacts.
 pub const CKPT_FILE: &str = "ckpt.log";
-/// File name of the protection snapshot atomically rewritten by each
-/// checkpoint: the [`WalRecord::Checkpoint`] that commits it, then the
-/// current `WindowOpen`/`SessionOpen`/`RootSet` records — the state the
-/// truncated WAL would otherwise forget.
-pub const PROT_FILE: &str = "prot.log";
 
 /// Records logged since the last checkpoint at which
 /// [`DurableStore::checkpoint_due`] turns true. A constant, not a setting:
@@ -115,18 +114,6 @@ pub enum Visibility {
     Durable,
 }
 
-impl Visibility {
-    /// Parses a visibility name (`submit` / `durable`), as used by CLI
-    /// flags.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "submit" => Some(Visibility::Submit),
-            "durable" => Some(Visibility::Durable),
-            _ => None,
-        }
-    }
-}
-
 /// The log writer [`Visibility`] selected.
 #[derive(Debug)]
 enum Backend {
@@ -143,7 +130,7 @@ pub struct DurableStore {
     backend: Backend,
     /// Live image of the root directory (`RootSet` records seen so far).
     /// Checkpoint truncation discards the log, and the image captures pool
-    /// bytes only — so every checkpoint writes this map into `prot.log`,
+    /// bytes only — so every checkpoint writes this map into its batch,
     /// keeping data-structure roots findable across any number of them.
     roots: BTreeMap<(PmoId, u32), u64>,
     /// Records appended since the last checkpoint.
@@ -153,38 +140,49 @@ pub struct DurableStore {
     /// Length `ckpt.log` had when it was last compacted (at open: its
     /// committed length) — the size of the image it encodes.
     image_len: u64,
+    /// File and directory syncs issued by [`Self::checkpoint`].
+    checkpoint_syncs: u64,
 }
 
-fn read_file_opt(path: &Path) -> Result<Option<Vec<u8>>, PersistError> {
-    match fs::read(path) {
-        Ok(bytes) => Ok(Some(bytes)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e.into()),
+/// `read`, with a file that does not exist read as empty.
+fn or_absent<T: Default>(read: std::io::Result<T>) -> Result<T, PersistError> {
+    match read {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(T::default()),
+        read => Ok(read?),
     }
 }
 
-/// Replaces `dir/name` atomically and durably: temp file, fsync, rename,
-/// directory fsync. A crash leaves the old file or the new one, never a
-/// mixture — and once this returns, the new one.
-fn publish(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), PersistError> {
-    let tmp = dir.join(format!("{name}.tmp"));
-    let mut f = fs::File::create(&tmp)?;
-    f.write_all(bytes)?;
-    f.sync_data()?;
-    drop(f);
-    fs::rename(&tmp, dir.join(name))?;
-    // The rename is the commit; it is volatile until its directory is synced.
-    sync_dir(dir)?;
-    Ok(())
+/// The `(seq, ckpt_len)` of the [`WalRecord::Checkpoint`] frame the WAL at
+/// `dir` opens with — a checkpoint's truncation writes it there — if any.
+fn wal_head(dir: &Path) -> Result<Option<(u64, u64)>, PersistError> {
+    let mut head = Vec::with_capacity(CHECKPOINT_FRAME);
+    or_absent(
+        fs::File::open(dir.join(WAL_FILE))
+            .and_then(|f| f.take(CHECKPOINT_FRAME as u64).read_to_end(&mut head)),
+    )?;
+    Ok(match read_log(&head).records[..] {
+        [(seq, WalRecord::Checkpoint { ckpt_len })] => Some((seq, ckpt_len)),
+        _ => None,
+    })
 }
 
-/// Reads and decodes the committed checkpoint of the store at `dir` (see
-/// [`CheckpointImage::decode`]); a directory that never checkpointed yields
-/// the empty image.
+/// `ckpt.log` of the store at `dir`, decoded against `head` as it streams
+/// in (see [`CheckpointImage::decode`]), and the file's length.
+fn load(dir: &Path, head: Option<(u64, u64)>) -> Result<(CheckpointImage, u64), PersistError> {
+    let Some(ckpt) = or_absent(fs::File::open(dir.join(CKPT_FILE)).map(Some))? else {
+        return Ok((CheckpointImage::decode(std::io::empty(), head)?, 0));
+    };
+    Ok((
+        CheckpointImage::decode(&ckpt, head)?,
+        ckpt.metadata()?.len(),
+    ))
+}
+
+/// Reads and decodes the committed checkpoint of the store at `dir`
+/// against the marker its WAL opens with; a directory that never
+/// checkpointed yields the empty image.
 pub fn load_checkpoint(dir: &Path) -> Result<CheckpointImage, PersistError> {
-    let ckpt = read_file_opt(&dir.join(CKPT_FILE))?.unwrap_or_default();
-    let prot = read_file_opt(&dir.join(PROT_FILE))?;
-    CheckpointImage::decode(&ckpt, prot.as_deref())
+    Ok(load(dir, wal_head(dir)?)?.0)
 }
 
 impl DurableStore {
@@ -207,14 +205,10 @@ impl DurableStore {
     ) -> Result<(Self, RecoveredState, RecoveryReport), PersistError> {
         let start = std::time::Instant::now();
         fs::create_dir_all(dir)?;
-        // A crash mid-`publish` leaves a temp file nothing ever reads.
-        for name in [CKPT_FILE, PROT_FILE] {
-            match fs::remove_file(dir.join(format!("{name}.tmp"))) {
-                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
-                _ => {}
-            }
-        }
-        let image = load_checkpoint(dir)?;
+        // A compaction cut short leaves a temp file nothing ever reads.
+        or_absent(fs::remove_file(dir.join(format!("{CKPT_FILE}.tmp"))))?;
+        let head = wal_head(dir)?;
+        let (image, on_disk) = load(dir, head)?;
         // The WAL is read once: each frame is decoded and replayed as the
         // writer that will append behind it finds its position. A torn tail
         // is zeroed away on the spot.
@@ -225,22 +219,22 @@ impl DurableStore {
         })?;
         let (state, mut report) = replay.finish_scanned(&scan)?;
         // So is an uncommitted checkpoint's.
-        match OpenOptions::new().write(true).open(dir.join(CKPT_FILE)) {
-            Ok(f) if f.metadata()?.len() > image.ckpt_len => {
-                f.set_len(image.ckpt_len)?;
-                f.sync_data()?;
-            }
-            Ok(_) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
+        if on_disk > image.ckpt_len {
+            let f = OpenOptions::new().write(true).open(dir.join(CKPT_FILE))?;
+            f.set_len(image.ckpt_len)?;
+            f.sync_data()?;
         }
         // The checkpoint's seq may exceed every surviving record's (the WAL
         // is truncated at checkpoints); keep seq strictly increasing past
-        // all durable sources. Records that do survive below it are the
-        // checkpoint's own step 4 cut short: finish it, so the new records
-        // start the log instead of following dead ones.
-        if scan.last_seq.is_some_and(|last| Some(last) <= image.seq) {
-            wal.truncate()?;
+        // all durable sources. A WAL holding nothing newer than the image
+        // and not opening with its marker is the checkpoint's own step 3
+        // cut short: finish it, so the new records follow the commit
+        // instead of dead ones.
+        let commit = image.seq.map(|seq| (seq, image.ckpt_len));
+        if let Some((seq, ckpt_len)) = commit.filter(|_| head != commit) {
+            if scan.last_seq <= image.seq {
+                wal.truncate(&WalRecord::Checkpoint { ckpt_len }.encode(seq))?;
+            }
         }
         let floor = image.seq.map_or(0, |seq| seq + 1);
         if floor > wal.next_seq() {
@@ -259,6 +253,7 @@ impl DurableStore {
                 records_since_ckpt: 0,
                 ckpt_len: image.ckpt_len,
                 image_len: image.ckpt_len,
+                checkpoint_syncs: 0,
             },
             state,
             report,
@@ -332,13 +327,6 @@ impl DurableStore {
         self.records_since_ckpt >= CHECKPOINT_TRIGGER
     }
 
-    fn truncate_backend(&mut self) -> Result<(), PersistError> {
-        match &mut self.backend {
-            Backend::Inline(wal) => wal.truncate(),
-            Backend::Pipelined(writer) => writer.truncate(),
-        }
-    }
-
     /// Checkpoints the given pools and truncates the log. Returns the
     /// number of page images written.
     ///
@@ -352,10 +340,13 @@ impl DurableStore {
     ///
     /// No quiescent point is needed: pass the current protection state
     /// (`WindowOpen`/`SessionOpen` for every open window/session) in
-    /// `protection` — it is preserved in `prot.log` so a later crash still
-    /// knows exactly what to reseal. The live root directory is carried
-    /// automatically. Every pool whose mutations were logged through this
-    /// store must be passed; clean pools cost an append nothing.
+    /// `protection` — it is preserved in the checkpoint's batch so a later
+    /// crash still knows exactly what to reseal. The live root directory is
+    /// carried automatically. Every pool whose mutations were logged through
+    /// this store must be passed; clean pools cost an append nothing.
+    ///
+    /// A store that never logged a record has nothing to checkpoint: its
+    /// marker would land at the WAL's head and read as a truncation's.
     ///
     /// # Errors
     ///
@@ -366,6 +357,9 @@ impl DurableStore {
         pools: impl IntoIterator<Item = &'a mut Pmo>,
         protection: &[WalRecord],
     ) -> Result<usize, PersistError> {
+        if self.next_seq() == 0 {
+            return Ok(0);
+        }
         let compact = !self.checkpoint_due() || self.ckpt_len >= 2 * self.image_len;
         let watermark = self.next_seq();
 
@@ -401,21 +395,40 @@ impl DurableStore {
             }
             seen.push(pool);
         }
-        let ckpt_len = batch.len() as u64 + if compact { 0 } else { self.ckpt_len };
+        // Protection + roots, always written, so windows closed since the
+        // last checkpoint stop being resealed.
+        for rec in protection {
+            rec.encode_into(watermark, &mut batch);
+        }
+        for (&(pmo, key), &oid) in &self.roots {
+            WalRecord::RootSet { pmo, key, oid }.encode_into(watermark, &mut batch);
+        }
+        let base = if compact { 0 } else { self.ckpt_len };
+        let ckpt_len = base + (batch.len() + CHECKPOINT_FRAME) as u64;
+        let marker = WalRecord::Checkpoint { ckpt_len };
+        marker.encode_into(watermark, &mut batch);
 
         // Step 1: the marker, and with it everything logged so far.
-        let marker = WalRecord::Checkpoint { ckpt_len };
         let seq = self.log(&marker)?;
         debug_assert_eq!(seq, watermark);
         self.sync()?;
+        self.checkpoint_syncs += 1;
 
-        // Step 2: the image. Bytes appended here lie past the committed
-        // length until step 3; a compacted image carries a seq above
-        // prot.log's until then. Either is ignorable debris after a crash.
+        // Step 2: the batch, closed by the marker's copy — the commit. Bytes
+        // short of that frame are ignorable debris after a crash.
         let ckpt_path = self.dir.join(CKPT_FILE);
         if compact {
-            publish(&self.dir, CKPT_FILE, &batch)?;
-        } else if !batch.is_empty() {
+            let tmp = self.dir.join(format!("{CKPT_FILE}.tmp"));
+            let mut f = fs::File::create(&tmp)?;
+            f.write_all(&batch)?;
+            f.sync_data()?;
+            drop(f);
+            fs::rename(&tmp, &ckpt_path)?;
+            // The rename is volatile until its directory is synced.
+            sync_dir(&self.dir)?;
+            self.checkpoint_syncs += 2;
+            self.image_len = ckpt_len;
+        } else {
             // At the committed length, not wherever an earlier checkpoint
             // that failed half-way left the end of the file.
             let mut f = OpenOptions::new().write(true).open(&ckpt_path)?;
@@ -423,38 +436,24 @@ impl DurableStore {
             f.seek(SeekFrom::End(0))?;
             f.write_all(&batch)?;
             f.sync_data()?;
+            self.checkpoint_syncs += 1;
         }
-
-        // Step 3: protection + roots, atomic rewrite — the commit. Always
-        // rewritten, so windows closed since the last checkpoint stop
-        // being resealed.
-        let mut prot = marker.encode(watermark);
-        for rec in protection {
-            rec.encode_into(watermark, &mut prot);
-        }
-        for (&(pmo, key), &oid) in &self.roots {
-            WalRecord::RootSet { pmo, key, oid }.encode_into(watermark, &mut prot);
-        }
-        publish(&self.dir, PROT_FILE, &prot)?;
         self.ckpt_len = ckpt_len;
-        if compact {
-            self.image_len = ckpt_len;
-        }
 
-        // Step 4: the WAL's records are superseded (data by the image and
-        // its AllocTable watermarks, protection by prot.log).
-        self.truncate_backend()?;
+        // Step 3: the WAL's records are superseded (data by the image and
+        // its AllocTable watermarks, protection by the snapshot); the marker
+        // stays, at its head.
+        let head = &batch[batch.len() - CHECKPOINT_FRAME..];
+        match &mut self.backend {
+            Backend::Inline(wal) => wal.truncate(head)?,
+            Backend::Pipelined(writer) => writer.truncate(head)?,
+        }
+        self.checkpoint_syncs += 1;
         for pool in seen {
             pool.clear_dirty();
         }
         self.records_since_ckpt = 0;
         Ok(pages)
-    }
-
-    /// The live root directory (every `RootSet` logged or recovered,
-    /// last-writer-wins, cleared slots removed).
-    pub fn roots(&self) -> &BTreeMap<(PmoId, u32), u64> {
-        &self.roots
     }
 
     /// The store directory.
@@ -465,6 +464,12 @@ impl DurableStore {
     /// Path of the write-ahead log file.
     pub fn wal_path(&self) -> PathBuf {
         self.dir.join(WAL_FILE)
+    }
+
+    /// File and directory syncs the checkpoints of this store have issued:
+    /// three for each that appended, four for each that compacted.
+    pub fn checkpoint_syncs(&self) -> u64 {
+        self.checkpoint_syncs
     }
 
     /// Writer activity counters.
@@ -560,23 +565,53 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Logs harmless records until the trigger fires, so that the next
-    /// checkpoint is a forced one: it appends instead of compacting.
-    fn fill_to_trigger(store: &mut DurableStore) {
+    /// Root slot [`FILLER_KEY`] of pool 1, rewritten by [`fill_to_trigger`].
+    const FILLER_KEY: u32 = 9;
+
+    /// Rewrites one root slot until the trigger fires, so that the next
+    /// checkpoint is a forced one: it appends instead of compacting. Returns
+    /// what the slot holds last.
+    fn fill_to_trigger(store: &mut DurableStore) -> u64 {
+        let mut oid = 0;
         while !store.checkpoint_due() {
-            store.log(&WalRecord::Randomize { pmo: id(1) }).unwrap();
+            oid = 0x0040_0000_0000_0000 + store.next_seq();
+            let root = WalRecord::RootSet {
+                pmo: id(1),
+                key: FILLER_KEY,
+                oid,
+            };
+            store.log(&root).unwrap();
         }
+        oid
     }
 
     fn file_len(dir: &Path, name: &str) -> u64 {
         fs::metadata(dir.join(name)).unwrap().len()
     }
 
-    /// Whether `wal.log` reads as an empty log: zeros from byte 0. (Its
-    /// length is the reservation's, whatever it holds.)
-    fn wal_is_empty(dir: &Path) -> bool {
+    /// Whether `wal.log` reads as a truncated log: the committed
+    /// checkpoint's marker, then zeros. (Its length is the reservation's,
+    /// whatever it holds.)
+    fn wal_is_truncated(dir: &Path) -> bool {
         let log = crate::record::read_log(&fs::read(dir.join(WAL_FILE)).unwrap());
-        log.records.is_empty() && log.is_clean()
+        let image = load_checkpoint(dir).unwrap();
+        log.is_clean()
+            && log.records
+                == [(
+                    image.seq.unwrap(),
+                    WalRecord::Checkpoint {
+                        ckpt_len: image.ckpt_len,
+                    },
+                )]
+    }
+
+    fn file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
     }
 
     fn read_first_block(state: &RecoveredState) -> [u8; 13] {
@@ -595,13 +630,8 @@ mod tests {
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
             assert_eq!(store.checkpoint(reg.iter_mut(), &[]).unwrap(), 1);
-            assert!(wal_is_empty(&dir));
-            let mut names: Vec<_> = fs::read_dir(&dir)
-                .unwrap()
-                .map(|e| e.unwrap().file_name().into_string().unwrap())
-                .collect();
-            names.sort();
-            assert_eq!(names, [CKPT_FILE, PROT_FILE, WAL_FILE], "nothing else");
+            assert!(wal_is_truncated(&dir));
+            assert_eq!(file_names(&dir), [CKPT_FILE, WAL_FILE], "nothing else");
         }
         let (_, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
         // The image of one pool: PoolCreate, one page, AllocTable.
@@ -680,7 +710,7 @@ mod tests {
             // Checkpoint truncates the WAL; only the live root is carried,
             // in the protection snapshot.
             store.checkpoint(reg.iter_mut(), &[]).unwrap();
-            assert!(wal_is_empty(&dir));
+            assert!(wal_is_truncated(&dir));
             let image = load_checkpoint(&dir).unwrap();
             assert_eq!(
                 image.protection.iter().map(|(_, r)| r).collect::<Vec<_>>(),
@@ -690,13 +720,19 @@ mod tests {
                     oid: packed
                 }]
             );
-            assert_eq!(store.roots().len(), 1);
         }
-        let (store, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
+        let (mut store, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
         assert_eq!(report.roots_recovered, 1);
         assert_eq!(state.roots.get(&(id(1), 7)), Some(&packed));
         assert!(!state.roots.contains_key(&(id(1), 8)), "cleared slot gone");
-        assert_eq!(store.roots().get(&(id(1), 7)), Some(&packed));
+        // The reopened store carries the recovered root into its next
+        // checkpoint, past one more truncation.
+        store.log(&WalRecord::WindowOpen { pmo: id(1) }).unwrap();
+        let mut reg = state.registry;
+        store.checkpoint(reg.iter_mut(), &[]).unwrap();
+        drop(store);
+        let (_, state, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
+        assert_eq!(state.roots.get(&(id(1), 7)), Some(&packed));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -753,7 +789,7 @@ mod tests {
         fill_to_trigger(store);
         let pages = store.checkpoint(reg.iter_mut(), &open).unwrap();
         assert_eq!(pages, 1, "only the page dirtied since the last checkpoint");
-        assert!(wal_is_empty(store.dir()));
+        assert!(wal_is_truncated(store.dir()));
         assert!(file_len(store.dir(), CKPT_FILE) > image, "appended");
     }
 
@@ -766,8 +802,8 @@ mod tests {
             // Crash here (drop without further checkpoint).
         }
         let (_, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
-        // Data comes back from the checkpoint log, the open window from
-        // prot.log — and is resealed, the TERP invariant.
+        // Data comes back from the checkpoint log, and so does the open
+        // window — which is resealed, the TERP invariant.
         assert_recovered(&state);
         assert_eq!(report.windows_resealed, 1);
         let mut buf = [0u8; 11];
@@ -787,10 +823,20 @@ mod tests {
         assert!(store.checkpoint(reg.iter_mut(), &[]).unwrap() >= 1);
         let first_len = file_len(&dir, CKPT_FILE);
 
-        // Nothing dirtied since: a forced checkpoint appends nothing at all.
-        fill_to_trigger(&mut store);
+        // Nothing dirtied since: a forced checkpoint appends no page, only
+        // its protection snapshot (the filler's root) and its closing frame.
+        let oid = fill_to_trigger(&mut store);
         assert_eq!(store.checkpoint(reg.iter_mut(), &[]).unwrap(), 0);
-        assert_eq!(file_len(&dir, CKPT_FILE), first_len);
+        let root = WalRecord::RootSet {
+            pmo: id(1),
+            key: FILLER_KEY,
+            oid,
+        };
+        assert_eq!(
+            file_len(&dir, CKPT_FILE),
+            first_len + (root.encode(0).len() + CHECKPOINT_FRAME) as u64
+        );
+        assert_eq!(load_checkpoint(&dir).unwrap().protection.len(), 1);
 
         // One small write dirties exactly one page.
         reg.pool_mut(id(1)).unwrap().write_bytes(64, b"x").unwrap();
@@ -847,9 +893,10 @@ mod tests {
         drop(store);
         let (_, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
         assert_eq!(
-            report.records_replayed, 4,
-            "PoolCreate, 2 pages, AllocTable"
+            report.records_replayed, 5,
+            "PoolCreate, 2 pages, AllocTable, the filler's root"
         );
+        assert!(state.roots.contains_key(&(id(1), FILLER_KEY)));
         assert_eq!(report.windows_resealed, 0, "the last snapshot listed none");
         let pool = state.registry.pool(id(1)).unwrap();
         assert_eq!(pool.allocator().live_count(), 1);
@@ -886,9 +933,9 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Flipping any byte of a drained store's `ckpt.log` or `prot.log` makes
-    /// `open` fail — never succeed with fewer pools, pages, roots or
-    /// resealed windows.
+    /// Flipping any byte of a drained store's `ckpt.log` makes `open` fail —
+    /// never succeed with fewer pools, pages, roots or resealed windows.
+    /// The marker the WAL opens with says which checkpoint must be there.
     #[test]
     fn any_single_byte_corruption_is_detected() {
         let dir = tmp_dir("flip");
@@ -913,31 +960,29 @@ mod tests {
             ];
             store.checkpoint(reg.iter_mut(), &protection).unwrap();
         }
-        for name in [CKPT_FILE, PROT_FILE] {
-            let path = dir.join(name);
-            let good = fs::read(&path).unwrap();
-            for victim in 0..good.len() {
-                let mut bad = good.clone();
-                bad[victim] ^= 0x01;
-                fs::write(&path, &bad).unwrap();
-                assert!(
-                    matches!(
-                        DurableStore::open(&dir, Visibility::Durable),
-                        Err(PersistError::CheckpointCorrupt(_))
-                    ),
-                    "{name}: byte {victim} corruption undetected"
-                );
-            }
-            fs::write(&path, &good).unwrap();
-        }
-        // So is a checkpoint log cut short, at any length: prot.log commits
-        // its exact size.
         let path = dir.join(CKPT_FILE);
         let good = fs::read(&path).unwrap();
+        for victim in 0..good.len() {
+            let mut bad = good.clone();
+            bad[victim] ^= 0x01;
+            fs::write(&path, &bad).unwrap();
+            assert!(
+                matches!(
+                    DurableStore::open(&dir, Visibility::Durable),
+                    Err(PersistError::CheckpointCorrupt(_))
+                ),
+                "byte {victim} corruption undetected"
+            );
+        }
+        // So is a checkpoint log cut short, at any length: the WAL's head
+        // commits its exact size.
         for cut in 0..good.len() {
             fs::write(&path, &good[..cut]).unwrap();
             assert!(
-                DurableStore::open(&dir, Visibility::Durable).is_err(),
+                matches!(
+                    DurableStore::open(&dir, Visibility::Durable),
+                    Err(PersistError::CheckpointCorrupt(_))
+                ),
                 "cut at {cut} undetected"
             );
         }
@@ -947,6 +992,79 @@ mod tests {
         assert_eq!(report.sessions_discarded, 1);
         assert_eq!(report.roots_recovered, 1);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store that never logged anything checkpoints nothing: no file is
+    /// written, and a crash anywhere leaves a store that opens empty.
+    #[test]
+    fn a_store_that_never_logged_checkpoints_nothing() {
+        let dir = tmp_dir("never-logged");
+        let (mut store, _, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
+        let open = [WalRecord::WindowOpen { pmo: id(1) }];
+        assert_eq!(
+            store
+                .checkpoint(PmoRegistry::new().iter_mut(), &open)
+                .unwrap(),
+            0
+        );
+        assert_eq!(store.checkpoint_syncs(), 0);
+        assert_eq!(file_names(&dir), [WAL_FILE]);
+        drop(store);
+        let (store, state, _) = DurableStore::open(&dir, Visibility::Durable).unwrap();
+        assert_eq!((store.next_seq(), state.registry.len()), (0, 0));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A forced checkpoint is one append: the WAL marker, the batch, the
+    /// WAL's truncation — three syncs, two of them the WAL's — and the
+    /// directory keeps its two files, `ckpt.log` the same inode. A
+    /// compacting one renames a new `ckpt.log` into place: one sync more,
+    /// the directory's.
+    #[cfg(unix)]
+    #[test]
+    fn a_forced_checkpoint_is_three_syncs_and_no_new_file() {
+        use std::os::unix::fs::MetadataExt;
+        let inode = |dir: &Path| fs::metadata(dir.join(CKPT_FILE)).unwrap().ino();
+        for visibility in [Visibility::Durable, Visibility::Submit] {
+            let dir = tmp_dir(&format!("syncs-{visibility:?}"));
+            let (mut store, _, _) = DurableStore::open(&dir, visibility).unwrap();
+            let mut reg = PmoRegistry::new();
+            workload(&mut store, &mut reg);
+            // The checkpoint's own syncs: what was logged before it is
+            // durable first (the background writer may take several).
+            let counts = |store: &mut DurableStore, reg: &mut PmoRegistry| {
+                store.sync().unwrap();
+                let (ckpt, wal) = (store.checkpoint_syncs(), store.stats().syncs);
+                store.checkpoint(reg.iter_mut(), &[]).unwrap();
+                (store.checkpoint_syncs() - ckpt, store.stats().syncs - wal)
+            };
+            assert_eq!(counts(&mut store, &mut reg), (4, 2), "{visibility:?}");
+            let (names, first) = (file_names(&dir), inode(&dir));
+            assert_eq!(names, [CKPT_FILE, WAL_FILE]);
+
+            reg.pool_mut(id(1)).unwrap().write_bytes(64, b"x").unwrap();
+            store
+                .log(&WalRecord::DataWrite {
+                    pmo: id(1),
+                    offset: 64,
+                    data: b"x".to_vec(),
+                })
+                .unwrap();
+            fill_to_trigger(&mut store);
+            let before = file_len(&dir, CKPT_FILE);
+            assert_eq!(counts(&mut store, &mut reg), (3, 2), "{visibility:?}");
+            assert_eq!(file_names(&dir), names, "{visibility:?}");
+            assert_eq!(inode(&dir), first, "{visibility:?}: appended in place");
+            assert!(file_len(&dir, CKPT_FILE) > before);
+            assert!(wal_is_truncated(&dir));
+
+            // Nobody forced the next one: it compacts, behind a rename.
+            assert_eq!(counts(&mut store, &mut reg), (4, 2), "{visibility:?}");
+            assert_eq!(file_names(&dir), names, "{visibility:?}");
+            assert_ne!(inode(&dir), first, "{visibility:?}: replaced");
+            drop(store);
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     /// The hostile `PageDelta` cases of the recovery unit test, through the
@@ -988,11 +1106,11 @@ mod tests {
 
             let dir = tmp_dir("hostile-ckpt");
             fs::create_dir_all(&dir).unwrap();
-            fs::write(dir.join(CKPT_FILE), &frames).unwrap();
-            let commit = WalRecord::Checkpoint {
-                ckpt_len: frames.len() as u64,
+            let close = WalRecord::Checkpoint {
+                ckpt_len: (frames.len() + CHECKPOINT_FRAME) as u64,
             };
-            fs::write(dir.join(PROT_FILE), commit.encode(1)).unwrap();
+            frames.extend_from_slice(&close.encode(1));
+            fs::write(dir.join(CKPT_FILE), &frames).unwrap();
             let opened = DurableStore::open(&dir, Visibility::Durable);
             assert!(
                 matches!(opened, Err(PersistError::ReplayDivergence { .. })),

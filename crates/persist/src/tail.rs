@@ -11,14 +11,14 @@
 //! same offset once the writer has finished the frame.
 //!
 //! The other thing a live file can do that a crashed one cannot is *start
-//! over*: a checkpoint zeroes the WAL once its image is committed, and the
-//! next records land at byte 0 again. A reader positioned in the old log is
-//! not torn, it is obsolete — [`TailStatus::Truncated`] tells the shipper to
-//! send the checkpoint the truncation belongs to and restart the log from
-//! byte 0. File length cannot say so (the file keeps its reserved blocks);
-//! the reader remembers the sequence number of the log's first frame
-//! instead, which never repeats ([`crate::record::first_seq`]): a head that
-//! is zeros, or another frame, is another log.
+//! over*: a checkpoint truncates the WAL once its image is committed, down
+//! to its marker at byte 0. A reader positioned in the old log is not torn,
+//! it is obsolete — [`TailStatus::Truncated`] tells the shipper to send the
+//! checkpoint the marker names and restart the log from byte 0. File
+//! length cannot say so (the file keeps its reserved blocks); the reader
+//! remembers the sequence number of the log's first frame instead, which
+//! never repeats ([`crate::record::first_seq`]): a head that is zeros, or
+//! another frame, is another log.
 //!
 //! The file is *valid frames, then zeros* ([`crate::record`]): a poll reads
 //! from its offset in bounded chunks and stops at the header that ends the
@@ -276,21 +276,24 @@ mod tests {
         for n in 0..4 {
             w.append(&rec(n)).unwrap();
         }
+        let marker = WalRecord::Checkpoint { ckpt_len: 0 };
+        let seq = w.append(&marker).unwrap();
         w.sync().unwrap();
         let mut tail = TailReader::new(&path);
-        assert_eq!(tail.poll().unwrap().records.len(), 4);
+        assert_eq!(tail.poll().unwrap().records.len(), 5);
 
-        w.truncate().unwrap();
+        // A checkpoint's truncation: the marker again, at the head.
+        w.truncate(&marker.encode(seq)).unwrap();
         let chunk = tail.poll().unwrap();
         assert_eq!(chunk.status, TailStatus::Truncated);
         assert!(chunk.records.is_empty());
         assert_eq!(tail.offset(), 0);
 
-        // Post-checkpoint appends read from the top.
+        // Post-checkpoint appends read from the top, behind the marker.
         w.append(&rec(9)).unwrap();
         w.sync().unwrap();
         let chunk = tail.poll().unwrap();
-        assert_eq!(chunk.records.len(), 1);
+        assert_eq!(chunk.records, [(seq, marker), (seq + 1, rec(9))]);
         assert_eq!(chunk.status, TailStatus::CaughtUp);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -310,7 +313,7 @@ mod tests {
         let mut tail = TailReader::new(&path);
         assert_eq!(tail.poll().unwrap().records.len(), 4);
 
-        w.truncate().unwrap();
+        w.truncate(&[]).unwrap();
         for n in 4..12 {
             w.append(&rec(n)).unwrap();
         }

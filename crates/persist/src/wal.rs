@@ -19,8 +19,9 @@
 //! next multiple of [`WAL_RESERVE`], `sync_all`s the file and fsyncs its
 //! directory — inode, extents and directory entry are durable before any
 //! record relies on them — and records then land at a tracked position
-//! inside those blocks. Truncation zeroes the used prefix instead of
-//! shrinking the file, so the steady state never extends. The file is
+//! inside those blocks. Truncation writes the checkpoint's marker over the
+//! head and zeroes the rest of the used prefix instead of shrinking the
+//! file, so the steady state never extends. The file is
 //! therefore *valid frames, then zeros* ([`crate::record`] has the rule by
 //! which every reader finds the end), and its length says nothing about how
 //! much log it holds — [`WalStats::bytes`] does.
@@ -180,14 +181,25 @@ impl ReservedFile {
 #[derive(Debug)]
 enum Sink {
     File(ReservedFile),
-    Mem(Vec<u8>),
+    /// In memory: the log, and how many of the next writes and syncs fail.
+    Mem(Vec<u8>, (u32, u32)),
+}
+
+/// Takes one failure off `left`, if any is left to inject.
+fn injected(left: &mut u32) -> std::io::Result<()> {
+    if *left == 0 {
+        return Ok(());
+    }
+    *left -= 1;
+    Err(std::io::Error::other("injected failure"))
 }
 
 impl Sink {
     fn write_all(&mut self, buf: &[u8]) -> Result<bool, PersistError> {
         match self {
             Sink::File(f) => Ok(f.write_all(buf)?),
-            Sink::Mem(v) => {
+            Sink::Mem(v, (writes, _)) => {
+                injected(writes)?;
                 v.extend_from_slice(buf);
                 Ok(false)
             }
@@ -195,28 +207,35 @@ impl Sink {
     }
 
     fn sync(&mut self) -> Result<(), PersistError> {
-        if let Sink::File(f) = self {
-            f.file.sync_data()?;
+        match self {
+            Sink::File(f) => f.file.sync_data()?,
+            Sink::Mem(_, (_, syncs)) => injected(syncs)?,
         }
         Ok(())
     }
 
-    /// Empties the log. The file keeps its blocks: the used prefix is
-    /// zeroed and the position returns to 0. Any subset of the zeroed
-    /// blocks may reach the disk before a crash; the frames that survive
-    /// are superseded by the checkpoint the truncation belongs to and carry
-    /// sequence numbers below every one assigned after it.
-    fn truncate(&mut self) -> Result<(), PersistError> {
+    /// Empties the log down to `head`: the file keeps its blocks, `head` is
+    /// written at offset 0 and the rest of the used prefix zeroed, in one
+    /// pass. Any subset of those blocks may reach the disk before a crash;
+    /// the frames that survive are superseded by the checkpoint the
+    /// truncation belongs to and carry sequence numbers below every one
+    /// assigned after it. Returns whether `head` extended the reservation.
+    fn truncate(&mut self, head: &[u8]) -> Result<bool, PersistError> {
         match self {
             Sink::File(f) => {
                 f.scrub()?;
                 let used = std::mem::take(&mut f.pos);
                 f.file.seek(SeekFrom::Start(0))?;
-                f.zero_ahead(used)?;
+                let extended = f.write_all(head)?;
+                f.zero_ahead(used.saturating_sub(head.len() as u64))?;
+                Ok(extended)
             }
-            Sink::Mem(v) => v.clear(),
+            Sink::Mem(v, _) => {
+                v.clear();
+                v.extend_from_slice(head);
+                Ok(false)
+            }
         }
-        Ok(())
     }
 }
 
@@ -230,6 +249,9 @@ pub struct WalWriter {
     pending_records: usize,
     next_seq: u64,
     stats: WalStats,
+    /// The first failed write or sync: the file past the last good sync is
+    /// unknown, so every later call is refused.
+    failed: Option<String>,
 }
 
 impl WalWriter {
@@ -292,7 +314,12 @@ impl WalWriter {
 
     /// Creates an in-memory log (tests and the crash-injection harness).
     pub fn in_memory() -> Self {
-        Self::with_sink(Sink::Mem(Vec::new()), 0)
+        Self::failing(0, 0)
+    }
+
+    /// An in-memory log whose first `writes` writes and `syncs` syncs fail.
+    pub(crate) fn failing(writes: u32, syncs: u32) -> Self {
+        Self::with_sink(Sink::Mem(Vec::new(), (writes, syncs)), 0)
     }
 
     fn with_sink(sink: Sink, next_seq: u64) -> Self {
@@ -302,13 +329,31 @@ impl WalWriter {
             pending_records: 0,
             next_seq,
             stats: WalStats::default(),
+            failed: None,
         }
+    }
+
+    /// Refuses the call if the sink failed before.
+    fn check(&self) -> Result<(), PersistError> {
+        self.failed
+            .clone()
+            .map_or(Ok(()), |why| Err(PersistError::WriterFailed(why)))
+    }
+
+    /// Runs `op` unless the sink failed before, and remembers its failure.
+    fn guarded(
+        &mut self,
+        op: impl FnOnce(&mut Self) -> Result<(), PersistError>,
+    ) -> Result<(), PersistError> {
+        self.check()?;
+        op(self).inspect_err(|e| self.failed = Some(e.to_string()))
     }
 
     /// Appends one record, returning its sequence number. The record is
     /// only buffered (not yet durable) when this returns; call
     /// [`Self::sync`] to force it down.
     pub fn append(&mut self, record: &WalRecord) -> Result<u64, PersistError> {
+        self.check()?;
         let seq = self.next_seq;
         self.next_seq += 1;
         record.encode_into(seq, &mut self.pending);
@@ -323,6 +368,7 @@ impl WalWriter {
     /// sequences records on the submission side and hands the writer thread
     /// opaque batches to write + fsync in one go.
     pub fn append_frames(&mut self, frames: &[u8], count: u64) -> Result<(), PersistError> {
+        self.check()?;
         self.pending.extend_from_slice(frames);
         self.pending_records += count as usize;
         self.stats.appended += count;
@@ -334,30 +380,35 @@ impl WalWriter {
     /// is data-only: the blocks the records land in were reserved, and the
     /// reservation synced, before the write.
     pub fn sync(&mut self) -> Result<(), PersistError> {
-        if !self.pending.is_empty() {
-            self.stats.extensions += u64::from(self.sink.write_all(&self.pending)?);
-            self.stats.flushes += 1;
-            self.stats.bytes += self.pending.len() as u64;
-            self.pending.clear();
-            self.pending_records = 0;
-        }
-        self.sink.sync()?;
-        self.stats.syncs += 1;
-        Ok(())
+        self.guarded(|w| {
+            if !w.pending.is_empty() {
+                w.stats.extensions += u64::from(w.sink.write_all(&w.pending)?);
+                w.stats.flushes += 1;
+                w.stats.bytes += w.pending.len() as u64;
+                w.pending.clear();
+                w.pending_records = 0;
+            }
+            w.sink.sync()?;
+            w.stats.syncs += 1;
+            Ok(())
+        })
     }
 
-    /// Truncates the log after a checkpoint: the sink is emptied (a file by
-    /// zeroing what was written, synced here) but sequence numbers keep
-    /// increasing, so checkpoint watermarks remain comparable to
-    /// post-checkpoint records. Buffered records are dropped too — the
-    /// checkpoint already made their effects durable.
-    pub fn truncate(&mut self) -> Result<(), PersistError> {
-        self.pending.clear();
-        self.pending_records = 0;
-        self.sink.truncate()?;
-        self.sink.sync()?;
-        self.stats.syncs += 1;
-        Ok(())
+    /// Truncates the log after a checkpoint down to `head`, the
+    /// checkpoint's marker, which then opens it (a file keeps its blocks;
+    /// synced here). Sequence numbers keep increasing, so checkpoint
+    /// watermarks remain comparable to post-checkpoint records. Buffered
+    /// records are dropped too — the checkpoint already made their effects
+    /// durable.
+    pub fn truncate(&mut self, head: &[u8]) -> Result<(), PersistError> {
+        self.guarded(|w| {
+            w.pending.clear();
+            w.pending_records = 0;
+            w.stats.extensions += u64::from(w.sink.truncate(head)?);
+            w.sink.sync()?;
+            w.stats.syncs += 1;
+            Ok(())
+        })
     }
 
     /// Sequence number the next append will receive.
@@ -386,7 +437,7 @@ impl WalWriter {
     /// for file-backed sinks — read the file instead.
     pub fn durable_bytes(&self) -> Option<&[u8]> {
         match &self.sink {
-            Sink::Mem(v) => Some(v),
+            Sink::Mem(v, _) => Some(v),
             Sink::File(_) => None,
         }
     }
@@ -441,10 +492,36 @@ mod tests {
         w.append(&rec(0)).unwrap();
         w.append(&rec(1)).unwrap();
         w.sync().unwrap();
-        w.truncate().unwrap();
+        w.truncate(&[]).unwrap();
         assert_eq!(w.durable_bytes().unwrap().len(), 0);
         let seq = w.append(&rec(2)).unwrap();
         assert_eq!(seq, 2, "seq continues across checkpoint truncation");
+    }
+
+    /// A sink that fails one write, or one sync, and then would succeed: the
+    /// writer must not take it up again. A retried write would repeat frames
+    /// behind a torn copy, a retried sync vouch for pages the kernel may
+    /// have dropped.
+    #[test]
+    fn a_writer_whose_sink_failed_once_refuses_every_later_call() {
+        for (writes, syncs) in [(1, 0), (0, 1)] {
+            let what = format!("{writes} write / {syncs} sync failing");
+            let mut w = WalWriter::failing(writes, syncs);
+            w.append(&rec(0)).unwrap();
+            w.sync().unwrap_err();
+            let refused = |r: Result<(), PersistError>| {
+                assert!(
+                    matches!(r, Err(PersistError::WriterFailed(ref why)) if why.contains("injected failure")),
+                    "{what}: {r:?}"
+                )
+            };
+            refused(w.sync());
+            refused(w.append(&rec(1)).map(drop));
+            refused(w.append_frames(&rec(1).encode(1), 1));
+            refused(w.truncate(&[]));
+            refused(w.sync());
+            assert_eq!(w.stats().syncs, 0, "{what}: nothing was vouched for");
+        }
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl DurabilityGate {
         let mut slot = self.err.lock().expect("gate mutex");
         loop {
             if let Some(msg) = slot.as_ref() {
-                return Err(PersistError::Io(std::io::Error::other(msg.clone())));
+                return Err(PersistError::WriterFailed(msg.clone()));
             }
             if self.is_durable(seq) {
                 return Ok(());
@@ -110,7 +110,7 @@ impl DurabilityGate {
         }
         let slot = self.err.lock().expect("gate mutex");
         match slot.as_ref() {
-            Some(msg) => Err(PersistError::Io(std::io::Error::other(msg.clone()))),
+            Some(msg) => Err(PersistError::WriterFailed(msg.clone())),
             None => Ok(()),
         }
     }
@@ -145,6 +145,12 @@ impl DurabilityGate {
     }
 }
 
+/// What a submitter gets once the writer thread has exited without
+/// storing an error.
+fn gone() -> PersistError {
+    PersistError::WriterFailed("wal writer thread gone".into())
+}
+
 /// Submit-side backpressure: `append` blocks while the accumulating batch
 /// buffer holds this many bytes (the writer thread has fallen a full
 /// buffer behind), bounding memory instead of queue depth.
@@ -174,6 +180,8 @@ struct PipeState {
     closed: bool,
     /// A truncation request is pending (ordered after `buf`'s records).
     truncate: bool,
+    /// The head the log the pending truncation empties opens with.
+    trunc_head: Vec<u8>,
     /// The writer's answer to the pending truncation.
     trunc_result: Option<Result<(), String>>,
     /// The writer thread died (I/O failure): stop blocking on it.
@@ -196,9 +204,6 @@ struct SharedStats {
     syncs: AtomicU64,
     bytes: AtomicU64,
     extensions: AtomicU64,
-    /// Largest single batch the writer drained (observability for the
-    /// adaptive batching).
-    max_batch: AtomicU64,
 }
 
 /// The submission handle of a pipelined log: owns the sequence counter and
@@ -261,9 +266,7 @@ impl AsyncWalWriter {
         if st.dead {
             drop(st);
             self.gate.check()?;
-            return Err(PersistError::Io(std::io::Error::other(
-                "wal writer thread gone",
-            )));
+            return Err(gone());
         }
         record.encode_into(seq, &mut st.buf);
         st.count += 1;
@@ -276,28 +279,29 @@ impl AsyncWalWriter {
         Ok(seq)
     }
 
-    /// Blocks until everything submitted so far is durable.
+    /// Blocks until everything submitted so far is durable; refused once
+    /// the writer thread failed, also when that was before the last append.
     pub fn sync(&self) -> Result<(), PersistError> {
+        self.gate.check()?;
         match self.next_seq.checked_sub(1) {
             Some(last) => self.gate.wait_for(last),
             None => Ok(()),
         }
     }
 
-    /// Truncates the log file (checkpoint), synchronously: returns once the
-    /// writer thread has flushed everything submitted before this call and
-    /// then zeroed the file. Sequence numbers keep increasing, mirroring
-    /// [`WalWriter::truncate`].
-    pub fn truncate(&mut self) -> Result<(), PersistError> {
+    /// Truncates the log file (checkpoint) down to `head`, synchronously:
+    /// returns once the writer thread has flushed everything submitted
+    /// before this call and then emptied the file. Sequence numbers keep
+    /// increasing, mirroring [`WalWriter::truncate`].
+    pub fn truncate(&mut self, head: &[u8]) -> Result<(), PersistError> {
         let mut st = self.pipe.state.lock().expect("pipe mutex");
         if st.dead {
             drop(st);
             self.gate.check()?;
-            return Err(PersistError::Io(std::io::Error::other(
-                "wal writer thread gone",
-            )));
+            return Err(gone());
         }
         st.truncate = true;
+        st.trunc_head = head.to_vec();
         self.pipe.work.notify_one();
         loop {
             if let Some(res) = st.trunc_result.take() {
@@ -309,15 +313,13 @@ impl AsyncWalWriter {
                         self.gate.advance(self.next_seq);
                         Ok(())
                     }
-                    Err(msg) => Err(PersistError::Io(std::io::Error::other(msg))),
+                    Err(msg) => Err(PersistError::WriterFailed(msg)),
                 };
             }
             if st.dead {
                 drop(st);
                 self.gate.check()?;
-                return Err(PersistError::Io(std::io::Error::other(
-                    "wal writer thread gone",
-                )));
+                return Err(gone());
             }
             st = self.pipe.space.wait(st).expect("pipe mutex");
         }
@@ -342,11 +344,6 @@ impl AsyncWalWriter {
             bytes: self.stats.bytes.load(Ordering::Relaxed),
             extensions: self.stats.extensions.load(Ordering::Relaxed),
         }
-    }
-
-    /// Largest batch the writer thread has coalesced so far.
-    pub fn max_batch(&self) -> u64 {
-        self.stats.max_batch.load(Ordering::Relaxed)
     }
 }
 
@@ -410,7 +407,8 @@ fn writer_loop(
             batch.clear();
             std::mem::swap(&mut st.buf, &mut batch);
             let count = std::mem::take(&mut st.count);
-            let trunc = std::mem::take(&mut st.truncate);
+            let trunc =
+                std::mem::take(&mut st.truncate).then(|| std::mem::take(&mut st.trunc_head));
             // Backpressured submitters can refill the (now empty) buffer.
             pipe.space.notify_all();
             (count, st.last_seq, trunc)
@@ -422,7 +420,7 @@ fn writer_loop(
                 gate.fail(msg.clone());
                 let mut st = pipe.state.lock().expect("pipe mutex");
                 st.dead = true;
-                if trunc {
+                if trunc.is_some() {
                     st.trunc_result = Some(Err(msg));
                 }
                 pipe.space.notify_all();
@@ -436,18 +434,20 @@ fn writer_loop(
             stats
                 .extensions
                 .store(wal.stats().extensions, Ordering::Relaxed);
-            stats.max_batch.fetch_max(count, Ordering::Relaxed);
             gate.advance(last_seq + 1);
         }
 
-        if trunc {
+        if let Some(head) = trunc {
             // Ordered after the flush above: everything submitted before
             // the truncation request is on media (and checkpointed by the
             // caller) before the file empties.
-            let res = wal.truncate().map_err(|e| e.to_string());
+            let res = wal.truncate(&head).map_err(|e| e.to_string());
             let failed = res.is_err();
-            if let Err(msg) = &res {
-                gate.fail(msg.clone());
+            match &res {
+                Ok(()) => {
+                    stats.syncs.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(msg) => gate.fail(msg.clone()),
             }
             let mut st = pipe.state.lock().expect("pipe mutex");
             st.trunc_result = Some(res);
@@ -550,7 +550,7 @@ mod tests {
         for n in 0..10 {
             w.append(&rec(n)).unwrap();
         }
-        w.truncate().unwrap();
+        w.truncate(&[]).unwrap();
         let emptied = read_log(&std::fs::read(&path).unwrap());
         assert!(
             emptied.records.is_empty() && emptied.is_clean(),
@@ -561,6 +561,25 @@ mod tests {
         w.sync().unwrap();
         assert_eq!(read_log(&std::fs::read(&path).unwrap()).records.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Over a sink that fails one write, or one sync, and would then
+    /// succeed: the pipeline refuses everything after, with the typed error.
+    #[test]
+    fn a_failed_write_or_sync_refuses_every_later_call() {
+        for (writes, syncs) in [(1, 0), (0, 1)] {
+            let mut w = AsyncWalWriter::spawn(WalWriter::failing(writes, syncs));
+            assert_eq!(w.append(&rec(0)).unwrap(), 0, "accepted at submit");
+            w.sync().unwrap_err();
+            let typed = |r: Result<(), PersistError>| {
+                assert!(matches!(r, Err(PersistError::WriterFailed(_))), "{r:?}")
+            };
+            typed(w.sync());
+            typed(w.append(&rec(1)).map(drop));
+            typed(w.truncate(&[]));
+            typed(w.gate().wait_for(0));
+            assert_eq!(w.gate().watermark(), 0, "nothing was vouched for");
+        }
     }
 
     #[test]

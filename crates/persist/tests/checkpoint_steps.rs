@@ -7,21 +7,24 @@
 //! and from the directory before and after it the test materialises every
 //! on-disk state the protocol passes through:
 //!
-//! 1. the `Checkpoint` record synced to the WAL;
-//! 2. the image batch cut at every [`enumerate_crash_points`] position —
-//!    appended to `ckpt.log`, or in the temp file of a compacting checkpoint;
-//! 3. the image fsynced (and, compacting, renamed), `prot.log.tmp` present —
-//!    empty, torn, complete;
-//! 4. `prot.log` renamed, the WAL not yet truncated — whole, or damaged
-//!    anywhere (it is redundant by now), or with its zeroing interrupted:
-//!    any one 4 KiB block of the used prefix zeroed, or all but one;
-//! 5. the WAL truncated: zeros from byte 0.
+//! 1. the `Checkpoint` marker synced to the WAL;
+//! 2. the checkpoint's batch cut at every [`enumerate_crash_points`]
+//!    position, its closing frame included — appended to `ckpt.log`, or in
+//!    the temp file of a compacting checkpoint (empty, torn, whole); the
+//!    closing frame durable while an earlier 4 KiB block of its batch is
+//!    not; the batch whole — appended, or the temp file renamed — with the
+//!    WAL whole, or damaged anywhere (it is redundant by now);
+//! 3. the WAL's truncation interrupted: any one 4 KiB block of the used
+//!    prefix written, or all but one — block 0 either old or already holding
+//!    the marker at the head; then the WAL truncated: the marker, then
+//!    zeros.
 //!
 //! At each one, [`DurableStore::open`] must recover byte-identically to the
 //! reference — pages, allocator, roots — and reseal exactly the windows the
 //! reference has open: a checkpoint never changes what a crash recovers to.
-//! Both page sets (the compacting one and the appending one on top of it),
-//! both [`Visibility`] values.
+//! Both page sets (the compacting one and the appending one on top of it,
+//! one appending checkpoint with no page at all among them), both
+//! [`Visibility`] values.
 //!
 //! The second test states bounded recovery in counts, not times.
 
@@ -31,8 +34,7 @@ use std::path::{Path, PathBuf};
 
 use terp_persist::{
     enumerate_crash_points, inject, load_checkpoint, read_log, recover, DurableStore,
-    RecoveredState, Visibility, WalRecord, CHECKPOINT_TRIGGER, CKPT_FILE, PROT_FILE, WAL_FILE,
-    WAL_RESERVE,
+    RecoveredState, Visibility, WalRecord, CHECKPOINT_TRIGGER, CKPT_FILE, WAL_FILE, WAL_RESERVE,
 };
 use terp_pmo::{OpenMode, Permission, PmoId, PmoRegistry, Transaction, PAGE_SIZE};
 
@@ -134,11 +136,17 @@ impl Leader {
         }
     }
 
-    /// Logs harmless records until the store's trigger fires, so that the
-    /// next checkpoint is a forced one and appends.
+    /// Rewrites one root slot of `pmo` until the store's trigger fires, so
+    /// that the next checkpoint is a forced one and appends. A root dirties
+    /// no page; the fingerprint holds the slot's last value.
     fn fill_to_trigger(&mut self, pmo: PmoId) {
         while !self.store.checkpoint_due() {
-            self.log(WalRecord::Randomize { pmo });
+            let cell = 64 * (self.store.next_seq() % 16);
+            self.log(WalRecord::RootSet {
+                pmo,
+                key: 2,
+                oid: terp_pmo::ObjectId::new(pmo, cell).to_packed(),
+            });
         }
     }
 }
@@ -171,23 +179,19 @@ struct Files {
     wal: Vec<u8>,
     ckpt: Option<Vec<u8>>,
     ckpt_tmp: Option<Vec<u8>>,
-    prot: Option<Vec<u8>>,
-    prot_tmp: Option<Vec<u8>>,
 }
 
 impl Files {
     fn read(dir: &Path) -> Files {
-        let read = |name: &str| fs::read(dir.join(name)).ok();
-        let mut wal = read(WAL_FILE).unwrap_or_default();
+        let mut wal = fs::read(dir.join(WAL_FILE)).unwrap_or_default();
         assert_eq!(wal.len() as u64 % WAL_RESERVE, 0, "wal.log is reserved");
         let log = read_log(&wal);
         assert!(log.is_clean());
         wal.truncate(log.consumed);
         Files {
             wal,
-            ckpt: read(CKPT_FILE),
-            prot: read(PROT_FILE),
-            ..Files::default()
+            ckpt: fs::read(dir.join(CKPT_FILE)).ok(),
+            ckpt_tmp: None,
         }
     }
 
@@ -197,12 +201,9 @@ impl Files {
         let mut wal = self.wal.clone();
         wal.resize(wal.len().next_multiple_of(WAL_RESERVE as usize), 0);
         fs::write(dir.join(WAL_FILE), &wal).unwrap();
-        let tmp = |name: &str| format!("{name}.tmp");
         for (name, bytes) in [
             (CKPT_FILE.to_string(), &self.ckpt),
-            (tmp(CKPT_FILE), &self.ckpt_tmp),
-            (PROT_FILE.to_string(), &self.prot),
-            (tmp(PROT_FILE), &self.prot_tmp),
+            (format!("{CKPT_FILE}.tmp"), &self.ckpt_tmp),
         ] {
             if let Some(bytes) = bytes {
                 fs::write(dir.join(name), bytes).unwrap();
@@ -211,62 +212,60 @@ impl Files {
     }
 }
 
+const BLOCK: usize = 4096;
+
 /// Every on-disk state between `before` and `after` one checkpoint, in
 /// protocol order, labelled.
 fn protocol_states(before: &Files, after: &Files) -> Vec<(String, Files)> {
     let old_ckpt = before.ckpt.clone().unwrap_or_default();
     let new_ckpt = after.ckpt.clone().unwrap();
-    let new_prot = after.prot.clone().unwrap();
-    // prot.log opens with the very frame step 1 appended to the WAL.
-    let marker_len = 8 + u32::from_le_bytes(new_prot[..4].try_into().unwrap()) as usize;
+    // The truncated WAL is the very frame step 1 appended, and it closes
+    // the batch, committing exactly the new length.
+    let marker = after.wal.clone();
     assert!(matches!(
-        read_log(&new_prot[..marker_len]).records[..],
-        [(_, WalRecord::Checkpoint { .. })]
+        read_log(&marker).records[..],
+        [(_, WalRecord::Checkpoint { ckpt_len })] if ckpt_len == new_ckpt.len() as u64
     ));
-    let appended = new_ckpt.len() > old_ckpt.len() && new_ckpt.starts_with(&old_ckpt);
-    let batch = if appended {
-        new_ckpt[old_ckpt.len()..].to_vec()
-    } else {
-        new_ckpt.clone()
+    assert!(new_ckpt.ends_with(&marker));
+    let appended = before.ckpt.is_some() && new_ckpt.starts_with(&old_ckpt);
+    let batch = new_ckpt[if appended { old_ckpt.len() } else { 0 }..].to_vec();
+    // The file `batch` goes to, holding `bytes` of it.
+    let landed = |at: &Files, bytes: Vec<u8>| {
+        let mut at = at.clone();
+        if appended {
+            at.ckpt = Some([&old_ckpt[..], &bytes[..]].concat());
+        } else {
+            at.ckpt_tmp = Some(bytes);
+        }
+        at
     };
 
     let mut states = vec![("before".to_string(), before.clone())];
     let mut at = before.clone();
-    at.wal.extend_from_slice(&new_prot[..marker_len]);
-    states.push(("1: Checkpoint record synced".into(), at.clone()));
+    at.wal.extend_from_slice(&marker);
+    states.push(("1: marker synced".into(), at.clone()));
     for point in enumerate_crash_points(&batch) {
         let cut = inject(&batch, point);
-        let mut torn = at.clone();
-        if appended {
-            torn.ckpt = Some([&old_ckpt[..], &cut[..]].concat());
-        } else {
-            torn.ckpt_tmp = Some(cut);
-        }
-        states.push((format!("2: image batch, {}", point.describe()), torn));
+        states.push((format!("2: batch {}", point.describe()), landed(&at, cut)));
+    }
+    // The block holding the closing frame reached the disk, an earlier one
+    // of the batch did not (it holds what it held: nothing, past the end).
+    let first = if appended { old_ckpt.len() } else { 0 };
+    let closing_block = (new_ckpt.len() - 1) / BLOCK;
+    let blocks: Vec<usize> = (first / BLOCK..closing_block).collect();
+    for &block in blocks.iter().step_by(blocks.len() / 12 + 1) {
+        let mut holed = new_ckpt.clone();
+        holed[(block * BLOCK).max(first)..(block + 1) * BLOCK].fill(0);
+        states.push((
+            format!("2: closing frame durable, block @{} not", block * BLOCK),
+            landed(&at, holed[first..].to_vec()),
+        ));
     }
     if !appended {
-        at.ckpt_tmp = Some(new_ckpt.clone());
-        states.push(("2: image complete, not yet renamed".into(), at.clone()));
-        at.ckpt_tmp = None;
+        states.push(("2: temp file whole".into(), landed(&at, batch.clone())));
     }
     at.ckpt = Some(new_ckpt);
-    states.push(("3: image fsynced".into(), at.clone()));
-    for cut in [
-        0,
-        marker_len / 2,
-        marker_len,
-        new_prot.len() - 3,
-        new_prot.len(),
-    ] {
-        let mut torn = at.clone();
-        torn.prot_tmp = Some(new_prot[..cut].to_vec());
-        states.push((format!("3: prot.log.tmp holds {cut} bytes"), torn));
-    }
-    at.prot = Some(new_prot);
-    states.push((
-        "4: prot.log renamed, WAL not yet truncated".into(),
-        at.clone(),
-    ));
+    states.push(("2: batch committed".into(), at.clone()));
     // From here on the WAL is redundant, so damage to it must change
     // nothing: what survives of it lies below the checkpoint's watermarks
     // — the protection records too, or a surviving `WindowClose` would
@@ -275,29 +274,37 @@ fn protocol_states(before: &Files, after: &Files) -> Vec<(String, Files)> {
     for point in points.iter().step_by(points.len() / 24 + 1) {
         let mut torn = at.clone();
         torn.wal = inject(&at.wal, *point);
-        states.push((
-            format!("4: prot.log renamed, WAL {}", point.describe()),
-            torn,
-        ));
+        states.push((format!("2: committed, WAL {}", point.describe()), torn));
     }
-    // The truncation itself: zeros over the used prefix, whose 4 KiB blocks
-    // reach the disk in any order.
-    let blocks: Vec<_> = (0..at.wal.len()).step_by(4096).collect();
+    // The truncation: the marker over the head, zeros behind it; the 4 KiB
+    // blocks reach the disk in any order.
+    let mut truncated = vec![0u8; at.wal.len()];
+    truncated[..marker.len()].copy_from_slice(&marker);
+    let blocks: Vec<_> = (0..at.wal.len()).step_by(BLOCK).collect();
     for &block in blocks.iter().step_by(blocks.len() / 12 + 1) {
-        let end = (block + 4096).min(at.wal.len());
+        let end = (block + BLOCK).min(at.wal.len());
         let mut only = at.clone();
-        only.wal[block..end].fill(0);
-        states.push((format!("4: only block @{block} of the WAL zeroed"), only));
+        only.wal[block..end].copy_from_slice(&truncated[block..end]);
+        states.push((format!("3: only block @{block} of the WAL written"), only));
         let mut all_but = at.clone();
-        all_but.wal[..block].fill(0);
-        all_but.wal[end..].fill(0);
-        states.push((format!("4: all but block @{block} zeroed"), all_but));
+        all_but.wal = truncated.clone();
+        all_but.wal[block..end].copy_from_slice(&at.wal[block..end]);
+        states.push((format!("3: all but block @{block} written"), all_but));
     }
-    at.wal.clear();
-    states.push(("5: WAL truncated".into(), at.clone()));
+    at.wal = marker;
+    states.push(("3: WAL truncated".into(), at.clone()));
     assert_eq!(at.wal, after.wal);
     assert_eq!(at.ckpt, after.ckpt);
     states
+}
+
+/// How many states have the closing frame durable and a block before it
+/// not.
+fn holes(states: &[(String, Files)]) -> usize {
+    states
+        .iter()
+        .filter(|(label, _)| label.contains("closing frame durable"))
+        .count()
 }
 
 /// Opens every state and holds it to the reference.
@@ -338,28 +345,42 @@ fn check_states(
         // The store is left as the protocol's own files and nothing else,
         // and numbers its next record past everything it has seen.
         drop(store);
-        let mut names: Vec<_> = fs::read_dir(scratch)
+        let names: Vec<_> = fs::read_dir(scratch)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .filter(|n| n != WAL_FILE)
             .collect();
-        names.sort();
-        let mut allowed = vec![CKPT_FILE, PROT_FILE];
+        let mut allowed = vec![CKPT_FILE];
         allowed.retain(|n| names.iter().any(|have| have == n));
         assert_eq!(names, allowed, "{what} / {label}: debris left behind");
         // …with an uncommitted batch cut off, so that the next checkpoint
         // appends where the committed image ends.
+        let image = load_checkpoint(scratch).unwrap();
         assert_eq!(
             fs::metadata(scratch.join(CKPT_FILE)).map_or(0, |m| m.len()),
-            load_checkpoint(scratch).unwrap().ckpt_len,
+            image.ckpt_len,
             "{what} / {label}: ckpt.log keeps bytes nobody committed"
         );
-        // No record of the log the next appends will follow is one the
-        // checkpoint superseded: an interrupted truncation was finished.
-        let floor = load_checkpoint(scratch).unwrap().seq;
+        // The log the next appends will follow opens with the commit, and
+        // holds no record the checkpoint superseded: an interrupted
+        // truncation was finished.
         let left = read_log(&fs::read(scratch.join(WAL_FILE)).unwrap());
+        let newer = match image.seq {
+            Some(seq) => {
+                let marker = WalRecord::Checkpoint {
+                    ckpt_len: image.ckpt_len,
+                };
+                assert_eq!(
+                    left.records.first(),
+                    Some(&(seq, marker)),
+                    "{what} / {label}: the WAL does not open with the commit"
+                );
+                &left.records[1..]
+            }
+            None => &left.records[..],
+        };
         assert!(
-            left.is_clean() && left.records.iter().all(|(seq, _)| Some(*seq) > floor),
+            left.is_clean() && newer.iter().all(|(seq, _)| Some(*seq) > image.seq),
             "{what} / {label}: dead records left in front of the log"
         );
         let (store, _, again) = DurableStore::open(scratch, visibility).unwrap();
@@ -457,6 +478,7 @@ fn every_step_of_a_checkpoint_recovers_to_the_uncheckpointed_reference() {
         let after = Files::read(&dir);
         let states = protocol_states(&before, &after);
         assert!(states.len() > 40, "{} states", states.len());
+        assert!(holes(&states) > 0);
         check_states(&scratch, visibility, "compacting", &states, &reference);
 
         // The appending page set, on top of that image: more writes, the
@@ -474,7 +496,22 @@ fn every_step_of_a_checkpoint_recovers_to_the_uncheckpointed_reference() {
             "a forced checkpoint appends"
         );
         let states = protocol_states(&before, &after);
+        assert!(holes(&states) > 0);
         check_states(&scratch, visibility, "appending", &states, &reference);
+
+        // A forced checkpoint with nothing dirty: its batch is the
+        // protection snapshot and the closing frame, no page.
+        l.fill_to_trigger(a);
+        l.store.sync().unwrap();
+        let before = Files::read(&dir);
+        let reference = l.reference.clone();
+        assert_eq!(
+            l.store.checkpoint(l.reg.iter_mut(), &protection).unwrap(),
+            0
+        );
+        let after = Files::read(&dir);
+        let states = protocol_states(&before, &after);
+        check_states(&scratch, visibility, "no page", &states, &reference);
 
         // A compacting one again, now replacing an existing image.
         l.write(c, 0, b"c is dirty again");

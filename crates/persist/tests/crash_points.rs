@@ -28,7 +28,7 @@
 //! write-ahead ordering that `terp_pmo::txn` relies on, and every record
 //! prefix is a state the real medium could have held.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use terp_persist::{
     enumerate_crash_points, inject, read_log, recover, DurableStore, Visibility, WalRecord,
@@ -214,7 +214,11 @@ fn crash_matrix(visibility: Visibility) {
         perm: Permission::ReadWrite,
     });
     b.log(WalRecord::WindowOpen { pmo: a });
-    b.log(WalRecord::Randomize { pmo: a });
+    b.log(WalRecord::RootSet {
+        pmo: a,
+        key: 1,
+        oid: ObjectId::new(a, c2).to_packed(),
+    });
     let c2_new = rng.bytes(CELL);
     let before = b.phys(a);
     {
@@ -302,8 +306,12 @@ fn crash_matrix(visibility: Visibility) {
         // Model: scan the surviving prefix for protection state.
         let mut open: BTreeSet<PmoId> = BTreeSet::new();
         let mut sessions: BTreeSet<(u64, PmoId)> = BTreeSet::new();
+        let mut roots = BTreeMap::new();
         for record in &records[..k] {
             match record {
+                WalRecord::RootSet { pmo, key, oid } => {
+                    roots.insert((*pmo, *key), *oid);
+                }
                 WalRecord::WindowOpen { pmo } => {
                     open.insert(*pmo);
                 }
@@ -331,6 +339,7 @@ fn crash_matrix(visibility: Visibility) {
             "{}: sessions are discarded, never resurrected",
             point.describe()
         );
+        assert_eq!(state.roots, roots, "{}: root directory", point.describe());
         for pool in state.registry.iter() {
             assert_eq!(
                 pool.attach_generation() > 0,

@@ -28,7 +28,7 @@ use proptest::prelude::*;
 use terp_persist::record::MAX_PAYLOAD;
 use terp_persist::{
     load_checkpoint, read_log, DurableStore, TailReader, TailStatus, Visibility, WalRecord,
-    WalWriter, PROT_FILE, WAL_FILE, WAL_RESERVE,
+    WalWriter, CKPT_FILE, WAL_FILE, WAL_RESERVE,
 };
 use terp_pmo::{OpenMode, PmoId};
 
@@ -67,6 +67,9 @@ const POOL_SIZE: u64 = 1 << 18;
 /// Data bytes of one [`write`] record; its frame is `FRAME` bytes.
 const DATA: usize = 100;
 const FRAME: usize = 31 + DATA;
+/// Bytes of a `Checkpoint` frame: the marker a checkpoint's truncation
+/// leaves at the head of the log.
+const MARKER: usize = 25;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("terp-reserved-log-{tag}-{}", std::process::id()));
@@ -193,9 +196,13 @@ fn a_log_cut_anywhere_in_its_last_frame_recovers_its_prefix_once() {
 }
 
 /// A store with one generation of `frames` equal-sized records, then
-/// checkpointed: returns the generation's log bytes (as they stood before
-/// the checkpoint zeroed them) and the pool as it stands.
-fn one_generation_checkpointed(dir: &Path, visibility: Visibility, frames: u64) -> Vec<u8> {
+/// checkpointed: returns the generation's log bytes as they stood when the
+/// truncation began — the checkpoint's marker last — and the marker.
+fn one_generation_checkpointed(
+    dir: &Path,
+    visibility: Visibility,
+    frames: u64,
+) -> (Vec<u8>, Vec<u8>) {
     let (mut store, _) = open(dir, visibility);
     let mut reg = terp_pmo::PmoRegistry::new();
     reg.create("reserved", POOL_SIZE, OpenMode::ReadWrite)
@@ -211,39 +218,52 @@ fn one_generation_checkpointed(dir: &Path, visibility: Visibility, frames: u64) 
     store.sync().unwrap();
     let (image, used) = wal_image(dir);
     store.checkpoint(reg.iter_mut(), &[]).unwrap();
-    let (_, after) = wal_image(dir);
-    assert_eq!(after, 0, "the checkpoint zeroed the log");
-    image[..used].to_vec()
+    let (after, left) = wal_image(dir);
+    assert_eq!(
+        left, MARKER,
+        "the checkpoint zeroed the log behind its marker"
+    );
+    let marker = after[..MARKER].to_vec();
+    ([&image[..used], &marker[..]].concat(), marker)
 }
 
 /// How far behind its position the first write of an open looks for what a
 /// torn write left, and zeroes it (`wal.rs`: `WRITE_SPAN`).
 const SCRUBBED: usize = 256 << 10;
 
-/// (ii) The recycled-log trap. A stale frame within [`SCRUBBED`] bytes of
-/// the log's end is zeroed before generation 2 lands; one further on stays
-/// until generation 2 runs into it, where its sequence number gives it away.
+/// (ii) The recycled-log trap. The truncation writes the marker over block
+/// 0 and zeros behind it, and its blocks land in any order. A stale frame
+/// within [`SCRUBBED`] bytes of the log's end is zeroed before generation 2
+/// lands; one further on stays until generation 2 runs into it, where its
+/// sequence number gives it away.
 #[test]
 fn stale_frames_behind_an_interrupted_zeroing_are_never_reached() {
     for visibility in BOTH {
         let home = temp_dir(&format!("trap-home-{visibility:?}"));
         let dir = temp_dir(&format!("trap-{visibility:?}"));
-        let generation1 = one_generation_checkpointed(&home, visibility, 2_600);
+        let (generation1, marker) = one_generation_checkpointed(&home, visibility, 2_600);
         let image_records = load_checkpoint(&home).unwrap().pools.len();
         let stale_bounds = frame_bounds(&generation1);
         let blocks = generation1.len().div_ceil(4096);
         assert!(blocks > SCRUBBED / 4096 + 8, "{blocks} blocks");
 
-        // What the interrupted truncation left: nothing zeroed, everything
-        // zeroed, or everything but one block — near the head, on either
-        // side of what the first write scrubs, at the end.
+        // What the interrupted truncation left: nothing written, everything
+        // written, or everything but one block — the head, near it, on either
+        // side of what the first write scrubs, at the end. And one state no
+        // truncation leaves: zeros from byte 0, the marker lost with block 0.
+        let truncated = {
+            let mut all = vec![0u8; generation1.len()];
+            all[..MARKER].copy_from_slice(&marker);
+            all
+        };
         let mut states: Vec<(String, Vec<u8>)> = vec![
-            ("none zeroed".into(), generation1.clone()),
-            ("all zeroed".into(), Vec::new()),
+            ("none written".into(), generation1.clone()),
+            ("all written".into(), truncated.clone()),
+            ("all zeroed, no marker".into(), Vec::new()),
         ];
         for block in [0, 1, 2, 9, 62, 63, 64, 65, 71, blocks - 1] {
             let (from, to) = (block * 4096, ((block + 1) * 4096).min(generation1.len()));
-            let mut left = vec![0u8; generation1.len()];
+            let mut left = truncated.clone();
             left[from..to].copy_from_slice(&generation1[from..to]);
             states.push((format!("block {block} left"), left));
         }
@@ -252,9 +272,7 @@ fn stale_frames_behind_an_interrupted_zeroing_are_never_reached() {
             let what = format!("{visibility:?}, {label}");
             let _ = fs::remove_dir_all(&dir);
             fs::create_dir_all(&dir).unwrap();
-            for name in [terp_persist::CKPT_FILE, PROT_FILE] {
-                fs::copy(home.join(name), dir.join(name)).unwrap();
-            }
+            fs::copy(home.join(CKPT_FILE), dir.join(CKPT_FILE)).unwrap();
             let mut image = left.clone();
             image.resize(WAL_RESERVE as usize, 0);
             fs::write(dir.join(WAL_FILE), &image).unwrap();
@@ -269,7 +287,11 @@ fn stale_frames_behind_an_interrupted_zeroing_are_never_reached() {
             let floor = store.next_seq();
             assert_eq!(floor, 2_602, "{what}: past the marker, whatever survived");
             let reopened = fs::read(dir.join(WAL_FILE)).unwrap();
-            assert_eq!(&reopened[..8], &[0; 8], "{what}: the log starts over");
+            assert_eq!(
+                &reopened[..MARKER + 8],
+                &truncated[..MARKER + 8],
+                "{what}: the log starts over behind the marker"
+            );
 
             // Generation 2 ends exactly where the first whole stale frame
             // still in the file begins (anywhere, if none is).
@@ -288,7 +310,7 @@ fn stale_frames_behind_an_interrupted_zeroing_are_never_reached() {
             // lands; further on, generation 2 runs into it.
             let met = stale_ahead && target >= SCRUBBED;
             let mut appended = Vec::new();
-            let mut remaining = target;
+            let mut remaining = target - MARKER;
             while remaining > 0 {
                 let len = if remaining >= 2 * FRAME {
                     DATA
@@ -311,6 +333,7 @@ fn stale_frames_behind_an_interrupted_zeroing_are_never_reached() {
             assert_eq!(file[target..target + 8] != [0; 8], met, "{what}");
             let log = read_log(&file);
             assert_eq!(log.consumed, target, "{what}");
+            let seqs: Vec<u64> = [floor - 1].into_iter().chain(seqs).collect();
             assert_eq!(
                 log.records.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
                 seqs,
@@ -335,8 +358,8 @@ fn stale_frames_behind_an_interrupted_zeroing_are_never_reached() {
             assert_eq!(report.frames_decoded, seqs.len() as u64, "{what}");
             assert_eq!(
                 report.records_replayed,
-                image_records + seqs.len(),
-                "{what}"
+                image_records + seqs.len() - 1,
+                "{what}: the marker is not replayed"
             );
             assert_eq!(report.records_skipped, 0, "{what}");
             assert_eq!(store.next_seq(), seqs.last().unwrap() + 1, "{what}");
@@ -584,7 +607,7 @@ fn a_reopen_reads_the_written_prefix_once_and_the_steady_state_never_extends() {
             }
             store.sync().unwrap();
             store.checkpoint(reg.iter_mut(), &[]).unwrap();
-            assert_eq!(wal_image(&dir).1, 0, "zeroed, not shrunk");
+            assert_eq!(wal_image(&dir).1, MARKER, "zeroed, not shrunk");
         }
         assert_eq!(
             store.stats().extensions,

@@ -85,10 +85,14 @@ fn tail_reader_over_live_async_writer_sees_no_errors_and_survives_truncation() {
     assert!(chunk.records.is_empty());
     assert_eq!(tail.offset(), 0, "reader restarts from the top");
 
+    // The log from the top opens with the checkpoint's marker.
     store.log(&rec(999)).unwrap();
     store.sync().unwrap();
     let chunk = tail.poll().unwrap();
-    assert_eq!(chunk.records.len(), 1);
+    assert!(matches!(
+        chunk.records[..],
+        [(seq, WalRecord::Checkpoint { .. }), (next, _)] if next == seq + 1
+    ));
     assert_eq!(chunk.status, TailStatus::CaughtUp);
     // The shipped bytes are verbatim the post-checkpoint file prefix; what
     // the file holds behind them is its reservation, all zeros.

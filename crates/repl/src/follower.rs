@@ -4,18 +4,18 @@
 //! A follower keeps two representations of the leader's state and the
 //! failover guarantees come from which one promotion uses:
 //!
-//! * **The mirror** — per shard, the three files of a durable store
-//!   (`wal.log`, `ckpt.log`, `prot.log`) whose bytes are written *verbatim*
-//!   as shipped: byte-identical to the leader's durable prefix by
-//!   construction, with no re-encoding step to disagree with it. After
-//!   every message processed it is a state the leader's own checkpoint
-//!   protocol passes through (`apply_batch` says how), so it can be
-//!   promoted at any of them.
+//! * **The mirror** — per shard, the two files of a durable store
+//!   (`wal.log`, `ckpt.log`) whose bytes are written *verbatim* as shipped:
+//!   byte-identical to the leader's durable prefix by construction, with
+//!   no re-encoding step to disagree with it. After every message
+//!   processed it is a state the leader's own checkpoint protocol passes
+//!   through (`apply_batch` says how), so it can be promoted at any of
+//!   them.
 //! * **The warm registry** — a [`terp_persist::Replay`] per shard, the
 //!   same replayer a restart runs, fed each record as it arrives and each
-//!   checkpoint as it is published. This is what makes the standby *warm*:
-//!   the applied watermark and lag are always current, and reads can be
-//!   served without touching disk.
+//!   checkpoint as the WAL starts over behind it. This is what makes the
+//!   standby *warm*: the applied watermark and lag are always current, and
+//!   reads can be served without touching disk.
 //!
 //! [`ReplFollower::promote`] deliberately ignores the warm registry and
 //! reopens the *mirror* through the ordinary durable recovery path — so a
@@ -36,7 +36,7 @@ use std::time::Duration;
 
 use terp_net::repl::{LogFile, ReplMsg};
 use terp_net::{Backoff, ServiceError, VERSION};
-use terp_persist::{load_checkpoint, read_log, Replay, CKPT_FILE, PROT_FILE, WAL_FILE};
+use terp_persist::{load_checkpoint, read_log, Replay, CKPT_FILE, WAL_FILE};
 use terp_pmo::PmoRegistry;
 use terp_service::{PmoServer, ServiceConfig};
 use terp_trace::{EventKind, TraceRecorder};
@@ -389,16 +389,16 @@ fn shard_dir(config: &ReplFollowerConfig, shard: u32) -> PathBuf {
 /// warm replayer.
 ///
 /// The wire names a file by [`LogFile`] only, so every path written is one
-/// of five fixed names inside the shard's directory. `offset` must continue
+/// of three fixed names inside the shard's directory. `offset` must continue
 /// the file (a gap is a protocol error) or be 0, which starts it over:
 ///
-/// * `prot.log` always gathers in `prot.log.tmp`;
-/// * `ckpt.log` bytes append in place — they lie past the committed length
-///   until the checkpoint is published, where an open ignores them — unless
+/// * `ckpt.log` bytes append in place — a batch not yet closed is debris
+///   an open cuts off, a closed one a checkpoint newer than the mirror's WAL
+///   head, as on the leader between its append and its truncation — unless
 ///   the image starts over, which gathers in `ckpt.log.tmp`;
-/// * the WAL starting over publishes what was gathered (the image, then
-///   `prot.log`: both renames, the leader's order), installs the checkpoint
-///   into the warm replayer, and only then truncates the mirror's WAL.
+/// * the WAL starting over publishes what was gathered (the rename, the
+///   leader's own), installs the checkpoint into the warm replayer, and only
+///   then truncates the mirror's WAL.
 ///
 /// WAL bytes are then replayed frame by frame; bytes past the last complete
 /// frame stay pending until the next batch completes them.
@@ -411,24 +411,20 @@ fn apply_batch(
     bytes: &[u8],
 ) -> Result<(), ServiceError> {
     let dir = shard_dir(config, shard);
-    let staged = |name: &str| dir.join(format!("{name}.tmp"));
+    let staged = dir.join(format!("{CKPT_FILE}.tmp"));
     let path = match file {
         LogFile::Wal => {
             if offset == 0 {
-                if staged(PROT_FILE).exists() {
-                    if staged(CKPT_FILE).exists() {
-                        fs::rename(staged(CKPT_FILE), dir.join(CKPT_FILE)).map_err(disconnected)?;
-                    }
-                    fs::rename(staged(PROT_FILE), dir.join(PROT_FILE)).map_err(disconnected)?;
-                    m.replay.install_checkpoint(&load_checkpoint(&dir)?)?;
+                if staged.exists() {
+                    fs::rename(&staged, dir.join(CKPT_FILE)).map_err(disconnected)?;
                 }
+                m.replay.install_checkpoint(&load_checkpoint(&dir)?)?;
                 m.pending.clear();
             }
             dir.join(WAL_FILE)
         }
-        LogFile::Ckpt if offset == 0 || staged(CKPT_FILE).exists() => staged(CKPT_FILE),
+        LogFile::Ckpt if offset == 0 || staged.exists() => staged,
         LogFile::Ckpt => dir.join(CKPT_FILE),
-        LogFile::Prot => staged(PROT_FILE),
     };
     let mut out = fs::OpenOptions::new()
         .create(true)

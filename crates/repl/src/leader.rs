@@ -1,4 +1,4 @@
-//! The replication leader: the store's three files, tailed from byte 0.
+//! The replication leader: the store's two files, tailed from byte 0.
 //!
 //! The leader is deliberately *outside* the service process's lock domain:
 //! it watches the durable directory the service writes (per-shard
@@ -6,12 +6,13 @@
 //! — the bytes the log writer and the checkpoint already produce *are* the
 //! replication stream. The WAL is tailed through [`TailReader`]: a torn
 //! tail under a racing append reads as `NeedMore` and is retried. A cold
-//! bootstrap and a checkpoint's truncation are one case: the leader ships
-//! the committed checkpoint — `ckpt.log` up to the length `prot.log`
-//! commits, from where it left off or from the top after a compaction, then
-//! `prot.log` — and restarts the WAL at offset 0. Both files were written
-//! before the truncation the leader observed, so nothing is lost in
-//! between and the connection never drops for a checkpoint.
+//! bootstrap and a checkpoint's truncation are one case: the WAL read from
+//! byte 0 opens with the marker of the checkpoint it continues, `(seq,
+//! ckpt_len)`, and the leader ships that checkpoint — `ckpt.log` up to
+//! `ckpt_len`, from where it left off or from the top after a compaction —
+//! then the WAL from offset 0. The batch was committed before the
+//! truncation wrote the marker, so nothing is lost in between and the
+//! connection never drops for a checkpoint.
 //!
 //! Each follower connection gets its own feeder thread and its own tail
 //! offsets, so a slow follower never stalls a fast one. Acks flow back on
@@ -21,7 +22,7 @@
 use std::fs;
 use std::io::{Read, Seek, SeekFrom};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -29,9 +30,7 @@ use std::time::{Duration, Instant};
 
 use terp_net::repl::{LogFile, ReplMsg, LOG_CHUNK};
 use terp_net::{ServiceError, MAGIC, VERSION};
-use terp_persist::{
-    first_seq, CheckpointImage, TailReader, TailStatus, CKPT_FILE, PROT_FILE, WAL_FILE,
-};
+use terp_persist::{first_seq, TailReader, TailStatus, WalRecord, CKPT_FILE, WAL_FILE};
 use terp_trace::{EventKind, TraceRecorder};
 
 use crate::conn::{disconnected, Conn};
@@ -289,19 +288,6 @@ struct ShardFeed {
     last_seq: u64,
 }
 
-/// The shard's `prot.log` and the checkpoint it commits right now, `(seq,
-/// ckpt_len)` — `None` while the store has never checkpointed.
-fn read_commit(dir: &Path) -> Result<Option<(Vec<u8>, u64, u64)>, ServiceError> {
-    let prot = match fs::read(dir.join(PROT_FILE)) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(disconnected(e)),
-    };
-    let (seq, ckpt_len) = CheckpointImage::commit_of(&prot)
-        .ok_or_else(|| ServiceError::Persist("prot.log has no commit record".into()))?;
-    Ok(Some((prot, seq, ckpt_len)))
-}
-
 /// Ships `bytes` as the contents of `file` from `offset` on. A file that
 /// starts over (offset 0) is announced even when it is empty.
 fn send_file(
@@ -330,52 +316,45 @@ fn send_file(
     Ok(())
 }
 
-/// Ships the checkpoint the shard's `prot.log` commits, unless the follower
-/// has it already: the `ckpt.log` bytes it lacks, then `prot.log`. Returns
-/// `false` when the store is between the two renames of a compacting
-/// checkpoint — the image on disk is newer than the `prot.log` just read;
-/// the next pass finds them paired.
+/// Ships the checkpoint `(seq, ckpt_len)` the WAL opens with: the
+/// `ckpt.log` bytes the follower lacks. Returns `false` when there is no
+/// head (a truncation caught mid-write), or a compaction has replaced
+/// `ckpt.log` since the WAL was read — the image on disk is newer than its
+/// head. Either way the next pass reads both again.
 fn ship_checkpoint(
     conn: &mut Conn,
     shard: u32,
     feed: &mut ShardFeed,
+    head: Option<(u64, u64)>,
 ) -> Result<bool, ServiceError> {
-    // prot.log first: whatever ckpt.log is opened after it is the file this
-    // prot.log commits, grown since, or compacted since — never older.
-    let Some((prot, seq, ckpt_len)) = read_commit(&feed.dir)? else {
-        return Ok(true); // never checkpointed: the WAL is the whole story
+    let Some((seq, ckpt_len)) = head else {
+        return Ok(false);
     };
-    if feed.ckpt_seq == Some(seq) {
-        return Ok(true);
+    // Whatever ckpt.log is opened now is the file the head commits, grown
+    // since, or compacted since — never older.
+    let mut ckpt = fs::File::open(feed.dir.join(CKPT_FILE)).map_err(disconnected)?;
+    let mut head = [0u8; 16];
+    ckpt.read_exact(&mut head).map_err(disconnected)?;
+    let generation = first_seq(&head);
+    if generation.is_some_and(|newer| newer > seq) {
+        return Ok(false);
     }
+    let from = if generation == feed.ckpt_gen && feed.ckpt_sent <= ckpt_len {
+        feed.ckpt_sent
+    } else {
+        0
+    };
     let mut bytes = Vec::new();
-    let mut generation = None;
-    let mut from = 0;
-    if ckpt_len > 0 {
-        let mut ckpt = fs::File::open(feed.dir.join(CKPT_FILE)).map_err(disconnected)?;
-        let mut head = [0u8; 16];
-        ckpt.read_exact(&mut head).map_err(disconnected)?;
-        generation = first_seq(&head);
-        if generation.is_some_and(|newer| newer > seq) {
-            return Ok(false);
-        }
-        if generation == feed.ckpt_gen && feed.ckpt_sent <= ckpt_len {
-            from = feed.ckpt_sent;
-        }
-        ckpt.seek(SeekFrom::Start(from)).map_err(disconnected)?;
-        ckpt.take(ckpt_len - from)
-            .read_to_end(&mut bytes)
-            .map_err(disconnected)?;
-        if bytes.len() as u64 != ckpt_len - from {
-            return Err(ServiceError::Persist(format!(
-                "ckpt.log is shorter than the {ckpt_len} bytes prot.log commits"
-            )));
-        }
+    ckpt.seek(SeekFrom::Start(from)).map_err(disconnected)?;
+    ckpt.take(ckpt_len - from)
+        .read_to_end(&mut bytes)
+        .map_err(disconnected)?;
+    if bytes.len() as u64 != ckpt_len - from {
+        return Err(ServiceError::Persist(format!(
+            "ckpt.log is shorter than the {ckpt_len} bytes the WAL's head commits"
+        )));
     }
-    if from == 0 || !bytes.is_empty() {
-        send_file(conn, shard, LogFile::Ckpt, from, &bytes)?;
-    }
-    send_file(conn, shard, LogFile::Prot, 0, &prot)?;
+    send_file(conn, shard, LogFile::Ckpt, from, &bytes)?;
     feed.ckpt_seq = Some(seq);
     feed.ckpt_gen = generation;
     feed.ckpt_sent = ckpt_len;
@@ -408,32 +387,30 @@ fn feed(conn: &mut Conn, shared: &LeaderShared) -> Result<(), ServiceError> {
         let mut shipped_any = false;
         for (shard, feed) in feeds.iter_mut().enumerate() {
             let shard = shard as u32;
-            let restarted = feed.restart;
-            if restarted {
-                if !ship_checkpoint(conn, shard, feed)? {
-                    continue;
-                }
-                // The (possibly empty) start of the new WAL: this is where
-                // the follower publishes the checkpoint and drops its old
-                // log.
-                send_file(conn, shard, LogFile::Wal, 0, &[])?;
-                feed.wal = TailReader::new(&feed.dir.join(WAL_FILE));
-                feed.restart = false;
-            }
             let offset = feed.wal.offset();
             let chunk = feed.wal.poll()?;
-            // A log read from byte 0 continues the checkpoint shipped
-            // before it only if no other was committed since — which the
-            // reader cannot know before it holds a first frame to watch.
-            if chunk.status == TailStatus::Truncated
-                || (offset == 0
-                    && !chunk.bytes.is_empty()
-                    && read_commit(&feed.dir)?.map(|c| c.1) != feed.ckpt_seq)
-            {
+            if chunk.status == TailStatus::Truncated {
                 feed.restart = true;
                 shipped_any = true;
                 continue;
             }
+            // The log read from byte 0 opens with the marker of the
+            // checkpoint it continues. One the follower lacks goes first,
+            // and the follower's WAL then starts over with this one.
+            if offset == 0 && (feed.restart || !chunk.bytes.is_empty()) {
+                let head = match chunk.records.first() {
+                    Some(&(seq, WalRecord::Checkpoint { ckpt_len })) => Some((seq, ckpt_len)),
+                    _ => None,
+                };
+                if head.map(|(seq, _)| seq) != feed.ckpt_seq {
+                    if !ship_checkpoint(conn, shard, feed, head)? {
+                        feed.wal = TailReader::new(&feed.dir.join(WAL_FILE));
+                        continue;
+                    }
+                    feed.restart = true;
+                }
+            }
+            let restarted = std::mem::take(&mut feed.restart);
             if chunk.bytes.is_empty() && !restarted {
                 continue;
             }

@@ -30,9 +30,9 @@
 //! point across checkpoint boundaries instead: a real leader ships a
 //! history that crosses a compacting and an appending checkpoint through a
 //! proxy that forwards one message at a time, and after **every** message
-//! the follower's mirror — image half shipped, `prot.log` staged, WAL not
-//! yet restarted — is promoted and held to points 1 and 2 against the
-//! uncheckpointed reference.
+//! the follower's mirror — image half shipped, staged, or committed ahead of
+//! its WAL's head, WAL not yet restarted — is promoted and held to points 1
+//! and 2 against the uncheckpointed reference.
 
 mod common;
 
@@ -49,8 +49,8 @@ use terp_core::config::Scheme;
 use terp_net::repl::ReplMsg;
 use terp_net::{encode_frame, FrameDecoder};
 use terp_persist::{
-    enumerate_crash_points, inject, read_log, recover, DurableStore, Visibility, WalRecord,
-    WalWriter, WAL_FILE,
+    enumerate_crash_points, inject, load_checkpoint, read_log, recover, DurableStore, Visibility,
+    WalRecord, WalWriter, WAL_FILE,
 };
 use terp_pmo::{OpenMode, Permission, PmoId, PmoRegistry, Transaction};
 use terp_repl::{ReplFollower, ReplFollowerConfig, ReplLeader, ReplLeaderConfig};
@@ -107,7 +107,11 @@ fn build_leader_log() -> (Vec<u8>, u64, u64) {
         offset: a1.offset(),
         data: b"committed-v2".to_vec(),
     });
-    log(&WalRecord::Randomize { pmo: a });
+    log(&WalRecord::RootSet {
+        pmo: a,
+        key: 1,
+        oid: a1.to_packed(),
+    });
     log(&WalRecord::WindowClose { pmo: a });
     log(&WalRecord::SessionClose { client: 9, pmo: a });
 
@@ -245,6 +249,7 @@ fn every_kill_point_promotes_safely() {
             "{}: promoted state diverges from the leader's durable prefix",
             point.describe()
         );
+        assert_eq!(state.roots, reference.roots, "{}", point.describe());
         let mirror = fs::read(store.wal_path()).unwrap();
         assert!(
             mirror[..prefix.consumed] == damaged[..prefix.consumed]
@@ -510,6 +515,15 @@ fn every_shipped_message_across_checkpoints_promotes_safely() {
             stepping_proxy(listener, leader.local_addr(), &stop, |msg| {
                 // The mirror as it stands after this message, promoted.
                 copy_dir(&shard_dir(&mirror_dir, 0), &scratch);
+                // Its committed image, and whether its WAL opens with that
+                // image's marker (or is behind it, as the leader's is
+                // between a checkpoint's append and its truncation).
+                let image = load_checkpoint(&scratch).unwrap().seq;
+                let wal = fs::read(scratch.join(WAL_FILE)).unwrap_or_default();
+                let head = match read_log(&wal).records.first() {
+                    Some(&(seq, WalRecord::Checkpoint { .. })) => Some(seq),
+                    _ => None,
+                };
                 let (store, state, report) = DurableStore::open(&scratch, Visibility::Durable)
                     .unwrap_or_else(|e| panic!("after {msg:?}: mirror does not open: {e}"));
                 let Some(upto) = store.next_seq().checked_sub(1) else {
@@ -531,7 +545,7 @@ fn every_shipped_message_across_checkpoints_promotes_safely() {
                 );
                 assert_eq!(state.roots, expected.roots, "after {msg:?}");
                 assert!(!report.torn_tail, "whole frames only in this history");
-                seen_states.insert((scratch.join("ckpt.log").exists(), report.frames_decoded > 0));
+                seen_states.insert((image.is_some(), head == image));
             })
         });
 
@@ -564,12 +578,16 @@ fn every_shipped_message_across_checkpoints_promotes_safely() {
         s.write(b, b1, b"exposed!");
         s.log(WalRecord::WindowClose { pmo: a });
         s.log(WalRecord::SessionClose { client: 9, pmo: a });
-        // Up to the trigger in one burst, then a forced (appending)
-        // checkpoint with only B's window open.
+        // Up to the trigger in one burst of root rewrites, then a forced
+        // (appending) checkpoint with only B's window open.
         while !s.store.checkpoint_due() {
-            let seq = s.store.log(&WalRecord::Randomize { pmo: b }).unwrap();
-            let frame = WalRecord::Randomize { pmo: b }.encode(seq);
-            s.reference.lock().unwrap().push((seq, frame));
+            let root = WalRecord::RootSet {
+                pmo: b,
+                key: 2,
+                oid: terp_pmo::ObjectId::new(b, b1).to_packed(),
+            };
+            let seq = s.store.log(&root).unwrap();
+            s.reference.lock().unwrap().push((seq, root.encode(seq)));
         }
         s.store.commit().unwrap();
         s.checkpoint();
@@ -600,8 +618,9 @@ fn every_shipped_message_across_checkpoints_promotes_safely() {
         "only {batches} messages were stepped through"
     );
     assert!(
-        seen_states.contains(&(true, false)),
-        "a mirror with an image and no WAL yet was promoted: {seen_states:?}"
+        seen_states.contains(&(true, false)) && seen_states.contains(&(true, true)),
+        "a mirror whose image is ahead of its WAL's head was promoted, and one level \
+         with it: {seen_states:?}"
     );
 
     // And the real thing, at the end of the stream.

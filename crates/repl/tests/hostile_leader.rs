@@ -145,11 +145,14 @@ fn hostile_page_deltas_drop_the_connection_and_fail_promotion() {
             data: vec![0x5A; len],
         }
         .encode(1);
-        let image = [create_frame(), delta.clone()].concat();
-        let commit = WalRecord::Checkpoint {
-            ckpt_len: image.len() as u64,
+        let mut image = [create_frame(), delta.clone()].concat();
+        // The frame that closes — and commits — the checkpoint's batch.
+        let close = WalRecord::Checkpoint {
+            ckpt_len: (image.len() + 25) as u64,
         }
         .encode(1);
+        assert_eq!(close.len(), 25);
+        image.extend_from_slice(&close);
         let conversations = [
             // In the log stream…
             vec![
@@ -160,7 +163,6 @@ fn hostile_page_deltas_drop_the_connection_and_fail_promotion() {
             // starts over.
             vec![
                 batch(LogFile::Ckpt, 0, image),
-                batch(LogFile::Prot, 0, commit),
                 batch(LogFile::Wal, 0, Vec::new()),
             ],
         ];
