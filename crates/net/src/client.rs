@@ -1,9 +1,9 @@
 //! The client library: a sync handle over a pipelined multiplexer.
 //!
 //! One [`Client`] owns one TCP connection ([`Client`] is `Clone`; any
-//! thread may submit) and a background demultiplexer thread that routes
-//! responses — which the server may deliver **out of order** — back to
-//! their callers by request id.
+//! thread may submit). Responses — which the server may deliver **out of
+//! order** — reach their callers by request id, read by the callers
+//! themselves: the connection has no thread of its own.
 //!
 //! Two calling styles share the connection:
 //!
@@ -15,18 +15,28 @@
 //!   blocking attach therefore stalls just its ticket while later tickets
 //!   on the same connection complete.
 //!
+//! ## Who reads the replies
+//!
+//! A [`Pending::wait`] whose reply has not arrived takes the connection's
+//! read half if it is free, then reads and settles *every* ticket's replies
+//! until its own is settled. When it gives the read half up it unparks one
+//! waiter parked for it, to take over. A wait that finds the read half
+//! taken parks on its ticket. So a reply reaches a waiting caller with no
+//! thread hop in between, and a caller whose reply was read by another
+//! thread costs one wake-up.
+//!
 //! ## When a request reaches the socket
 //!
 //! A request submitted while the connection owes no reply is written at
 //! once: sync calls, depth-1 loops and open-loop callers pay one socket
 //! write per request. A request submitted behind an unanswered one joins
 //! the connection's outbox instead, and the whole outbox leaves in one
-//! write — the client half of the server's one write per batch — as soon
-//! as
+//! write as soon as
 //!
-//! * a [`Pending::wait`] on this connection is about to block,
+//! * a [`Pending::wait`] on this connection is about to block, in a socket
+//!   read or a park (never on entry: replies already read are taken first),
 //! * a [`Pending`] is dropped without being waited on,
-//! * the outbox holds 64 KiB, the server's own coalescing bound, or
+//! * the outbox holds 64 KiB, or
 //! * the last [`Client`] handle is dropped (best effort, before the socket
 //!   shuts down).
 //!
@@ -37,21 +47,25 @@
 //! depends on the request. [`Client::wire_counts`] shows the effect: at
 //! depth 1 writes equal requests; behind a busy pipeline they fall.
 //!
-//! The demultiplexer never touches the outbox. A submitter holds the outbox
-//! lock across its socket write, and when the server has stopped reading
-//! (its in-flight gate is full because the client is not reading its
-//! replies) only the demultiplexer's reads can unblock that write. All the
-//! demultiplexer shares with submitters is the reply map and the count of
-//! replies owed, which it decrements before it wakes a ticket.
+//! Reads and writes never wait on each other. When the server has stopped
+//! reading (its in-flight gate is full because the client is not reading
+//! its replies), a write can finish only after someone reads. So the thread
+//! holding the read half only try-locks the outbox, and a write the socket
+//! refuses does not block: it polls for both directions and reads the
+//! replies itself when it holds the read half or finds it free. If another
+//! thread holds it, that thread is reading. A reader that finds the outbox
+//! held does not read blind: the holder either writes everything queued,
+//! or is a submit that only queued, and that submit sends the outbox as it
+//! lets go because the reader flagged that it is about to block.
 //!
 //! ## What a request costs between caller and socket
 //!
 //! A request is framed in place into the outbox (no payload or frame
 //! buffer of its own; one that would exceed [`crate::frame::MAX_FRAME`] is
 //! taken back out and refused). Its reply lands in a slot the ticket
-//! shares with the reply map — waiting, done or dead — and the demultiplexer
-//! decodes it straight from its read buffer. A waiter parks on the slot
-//! only if the reply is not already there, and the demultiplexer unparks
+//! shares with the reply map — waiting, done or dead — decoded straight
+//! from the read buffer. A waiter parks on the slot only if the reply is
+//! not already there and another thread is reading, and the reader unparks
 //! only a parked waiter: a reply that beats its wait costs no wake-up
 //! syscall and no channel.
 //!
@@ -60,31 +74,43 @@
 //! surfaces as [`ServiceError::Disconnected`] / [`ServiceError::Protocol`]
 //! on every outstanding and subsequent call — the same error enum
 //! in-process callers see, per the design's "errors cross the wire as
-//! values" rule.
+//! values" rule. The read or write that sees it settles every ticket,
+//! which unparks every parked waiter.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::{JoinHandle, Thread};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::thread::Thread;
 use std::time::Duration;
 
 use terp_pmo::{ObjectId, OpenMode, Permission, PmoId};
 
 use crate::frame::{encode_frame, frame_into, FrameDecoder, WRITE_COALESCE};
 use crate::proto::{Request, Response, MAGIC, VERSION};
+use crate::sys::{send_now, wait_ready};
 use crate::{lock, ServiceError};
 
-/// Where one request's reply lands: the demux thread settles it once, and
-/// the ticket's waiter parks on it only while it is still waiting.
+/// Takes `m` if it is free.
+fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match m.try_lock() {
+        Ok(g) => Some(g),
+        Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
+
+/// Where one request's reply lands: whichever thread reads the reply
+/// settles it once, and the ticket's waiter parks on it only while it is
+/// still waiting.
 struct Slot(Mutex<SlotState>);
 
 enum SlotState {
     /// No reply yet; holds the waiter once it has parked.
     Waiting(Option<Thread>),
     Done(Response),
-    /// The connection died first; [`Demux::dead`] says why.
+    /// The connection died first; [`PendingMap::dead`] says why.
     Dead,
 }
 
@@ -105,62 +131,60 @@ impl Slot {
         !matches!(*lock(&self.0), SlotState::Waiting(_))
     }
 
-    /// Blocks until settled; `None` when the connection died.
-    fn wait(&self) -> Option<Response> {
+    /// The reply once settled: `Some(None)` when the connection died.
+    fn take(&self) -> Option<Option<Response>> {
         let mut st = lock(&self.0);
-        while let SlotState::Waiting(waiter) = &mut *st {
-            if waiter.is_none() {
-                *waiter = Some(std::thread::current());
-            }
-            drop(st);
-            // Returns at once if the unpark came first; a spurious return
-            // rechecks.
-            std::thread::park();
-            st = lock(&self.0);
-        }
         match std::mem::replace(&mut *st, SlotState::Dead) {
-            SlotState::Done(resp) => Some(resp),
-            _ => None,
+            SlotState::Done(resp) => Some(Some(resp)),
+            SlotState::Dead => Some(None),
+            waiting => {
+                *st = waiting;
+                None
+            }
         }
     }
-}
 
-/// Response routing state: everything the demux thread can reach.
-struct Demux {
-    /// In-flight tickets by request id. The demux thread removes an entry
-    /// to settle it with its reply; connection death settles every entry
-    /// left as dead.
-    pending: Mutex<PendingMap>,
-    /// Requests submitted and not yet answered. The demux decrements it
-    /// before it wakes the ticket, so the caller's next submit finds the
-    /// connection idle and writes at once.
-    owed: AtomicU64,
+    /// Records the calling thread as the one to unpark; false if the slot
+    /// is already settled.
+    fn register(&self) -> bool {
+        match &mut *lock(&self.0) {
+            SlotState::Waiting(waiter) => {
+                *waiter = Some(std::thread::current());
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Unparks the slot's waiter if it is still waiting; false if the slot
+    /// is settled.
+    fn wake(&self) -> bool {
+        match &*lock(&self.0) {
+            SlotState::Waiting(waiter) => {
+                if let Some(w) = waiter {
+                    w.unpark();
+                }
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
 struct PendingMap {
+    /// In-flight tickets by request id. A reader removes an entry to
+    /// settle it with its reply; connection death settles every entry left
+    /// as dead.
     map: HashMap<u64, Arc<Slot>>,
     /// Set once on connection death; every later submit/wait returns it.
     dead: Option<ServiceError>,
-}
-
-impl Demux {
-    fn fail_all(&self, err: ServiceError) {
-        let mut p = lock(&self.pending);
-        if p.dead.is_none() {
-            p.dead = Some(err);
-        }
-        // Every waiter wakes to a dead slot and reads `dead` for the cause.
-        for (_, slot) in p.map.drain() {
-            slot.settle(SlotState::Dead);
-        }
-    }
-
-    fn dead(&self) -> ServiceError {
-        lock(&self.pending)
-            .dead
-            .clone()
-            .unwrap_or_else(|| ServiceError::Disconnected("connection closed".to_string()))
-    }
+    /// The slots of waiters that parked because another thread held the
+    /// read half: giving the half up wakes one still waiting.
+    parked: Vec<Arc<Slot>>,
+    /// Set by the holder of the read half when it found the outbox held
+    /// right before a blocking read: the submit holding it, if it only
+    /// queued, sends the outbox as soon as it lets go.
+    flush_wanted: bool,
 }
 
 /// The write half and the frames queued behind an unanswered request.
@@ -169,12 +193,25 @@ struct Outbox {
     queued: Vec<u8>,
 }
 
-/// What submitters and tickets share: the outbox and the demux state.
-/// Lock order is outbox, then the demux's map; the demux thread holds only
-/// the latter.
+/// The read half: the socket, the decoder and its read buffer. Only ever
+/// try-locked; whoever holds it reads for every ticket.
+struct Inbox {
+    sock: TcpStream,
+    dec: FrameDecoder,
+    buf: Vec<u8>,
+}
+
+/// What submitters and tickets share. Blocking lock order is outbox, then
+/// the pending map, then a slot; the read half is only try-locked, and its
+/// holder only try-locks the outbox ([`Wire::try_outbox`]).
 struct Wire {
-    demux: Arc<Demux>,
+    pending: Mutex<PendingMap>,
+    /// Requests submitted and not yet answered. A reader decrements it
+    /// before it settles the ticket, so the caller's next submit finds the
+    /// connection idle and writes at once.
+    owed: AtomicU64,
     out: Mutex<Outbox>,
+    inbox: Mutex<Inbox>,
     requests: AtomicU64,
     writes: AtomicU64,
 }
@@ -194,7 +231,7 @@ impl Wire {
         frame_into(&mut out.queued, |o| req.encode_into(id, o))
             .map_err(|e| ServiceError::Protocol(format!("request refused: {e}")))?;
         {
-            let mut p = lock(&self.demux.pending);
+            let mut p = lock(&self.pending);
             if let Some(e) = &p.dead {
                 out.queued.truncate(start);
                 return Err(e.clone());
@@ -202,16 +239,22 @@ impl Wire {
             p.map.insert(id, Arc::clone(slot));
         }
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let idle = self.demux.owed.fetch_add(1, Ordering::AcqRel) == 0;
+        let idle = self.owed.fetch_add(1, Ordering::AcqRel) == 0;
         if !idle && out.queued.len() < WRITE_COALESCE {
+            drop(out);
+            // The holder of the read half may have found the outbox held
+            // here and be blocked in a read that waits on what is queued.
+            if std::mem::take(&mut lock(&self.pending).flush_wanted) {
+                self.flush();
+            }
             return Ok(());
         }
-        let sent = self.write_out(&mut out);
+        let sent = self.write_out(&mut out, None);
         drop(out);
         if sent {
             Ok(())
         } else {
-            Err(self.demux.dead())
+            Err(self.dead())
         }
     }
 
@@ -219,25 +262,248 @@ impl Wire {
     fn flush(&self) {
         let mut out = self.outbox();
         if !out.queued.is_empty() {
-            self.write_out(&mut out);
+            self.write_out(&mut out, None);
         }
     }
 
-    /// The whole outbox in one socket write. A failure kills the
-    /// connection, failing every outstanding ticket; returns whether the
-    /// write went through.
-    fn write_out(&self, out: &mut Outbox) -> bool {
+    /// The whole outbox in one write that never blocks without reading:
+    /// while the socket refuses bytes — the server stops reading when its
+    /// in-flight gate is full, and only the replies read here free it —
+    /// replies are read through `half` if the caller holds the read half,
+    /// or through the read half taken if it is free. If another thread
+    /// holds it, that thread is reading. A failure kills the connection,
+    /// failing every outstanding ticket; returns whether the write went
+    /// through.
+    fn write_out<'w>(&'w self, out: &mut Outbox, mut half: Option<&mut ReadHalf<'w>>) -> bool {
         self.writes.fetch_add(1, Ordering::Relaxed);
         let Outbox { sock, queued } = out;
-        let sent = sock.write_all(queued);
+        let mut taken = None;
+        let mut sent = 0;
+        let result = loop {
+            match send_now(sock, &queued[sent..]) {
+                Ok(n) if sent + n == queued.len() => break Ok(()),
+                Ok(n) => sent += n,
+                Err(e) => break Err(io_err("send", e)),
+            }
+            let ready = match wait_ready(sock) {
+                Ok(ready) => ready,
+                Err(e) => break Err(io_err("poll", e)),
+            };
+            if !ready.readable || ready.writable {
+                continue;
+            }
+            if half.is_none() && taken.is_none() {
+                taken = self.try_read_half();
+            }
+            match half.as_deref_mut().or(taken.as_mut()) {
+                Some(reader) => {
+                    if !reader.read_once() || !reader.settle_decoded() {
+                        break Err(self.dead());
+                    }
+                }
+                // The holder reads what is there; let it run.
+                None => std::thread::yield_now(),
+            }
+        };
         queued.clear();
-        match sent {
+        drop(taken);
+        match result {
             Ok(()) => true,
             Err(e) => {
-                self.demux.fail_all(io_err("send", e));
+                self.fail_all(e);
                 false
             }
         }
+    }
+
+    /// The outbox, for the holder of the read half, which must never wait
+    /// for it. `None` when another thread holds it: that thread either
+    /// writes everything queued, or it is a submit that only queues and
+    /// then finds `flush_wanted` set once it lets go.
+    fn try_outbox(&self) -> Option<MutexGuard<'_, Outbox>> {
+        if let Some(out) = try_lock(&self.out) {
+            return Some(out);
+        }
+        // Under the map's lock, where a queuing submit reads the flag after
+        // it lets the outbox go: either it sees the flag, or it let go
+        // before the second try below, which then cannot fail on it.
+        lock(&self.pending).flush_wanted = true;
+        let out = try_lock(&self.out)?;
+        // This thread sends what is queued itself.
+        lock(&self.pending).flush_wanted = false;
+        Some(out)
+    }
+
+    fn try_read_half(&self) -> Option<ReadHalf<'_>> {
+        try_lock(&self.inbox).map(|inbox| ReadHalf {
+            wire: self,
+            inbox: Some(inbox),
+        })
+    }
+
+    /// Blocks until `slot` is settled: reading for every ticket while this
+    /// thread holds the read half, parked while another thread does.
+    /// `None` when the connection died.
+    fn wait_for(&self, slot: &Arc<Slot>) -> Option<Response> {
+        loop {
+            if let Some(settled) = slot.take() {
+                return settled;
+            }
+            // Under the map's lock, so a holder giving the read half up
+            // either is seen here or sees this waiter in `parked`.
+            let half = {
+                let mut p = lock(&self.pending);
+                let half = self.try_read_half();
+                if half.is_none() {
+                    if !slot.register() {
+                        continue;
+                    }
+                    p.parked.retain(|s| !s.is_settled());
+                    p.parked.push(Arc::clone(slot));
+                }
+                half
+            };
+            match half {
+                Some(mut half) => half.read_until(slot),
+                None => {
+                    // Right before a park: what this thread queued may be
+                    // what the holder's read is waiting on.
+                    self.flush();
+                    std::thread::park();
+                }
+            }
+        }
+    }
+
+    /// The read half was given up: wakes one waiter still parked for it.
+    fn hand_off(&self) {
+        let mut p = lock(&self.pending);
+        while let Some(slot) = p.parked.pop() {
+            if slot.wake() {
+                break;
+            }
+        }
+    }
+
+    /// Settles reply `id`; false if no ticket is waiting for it.
+    fn settle(&self, id: u64, resp: Response) -> bool {
+        let Some(slot) = lock(&self.pending).map.remove(&id) else {
+            return false;
+        };
+        self.owed.fetch_sub(1, Ordering::AcqRel);
+        slot.settle(SlotState::Done(resp));
+        true
+    }
+
+    fn fail_all(&self, err: ServiceError) {
+        let mut p = lock(&self.pending);
+        if p.dead.is_none() {
+            p.dead = Some(err);
+        }
+        // Every waiter wakes to a dead slot and reads `dead` for the cause.
+        for (_, slot) in p.map.drain() {
+            slot.settle(SlotState::Dead);
+        }
+    }
+
+    fn dead(&self) -> ServiceError {
+        lock(&self.pending)
+            .dead
+            .clone()
+            .unwrap_or_else(|| ServiceError::Disconnected("connection closed".to_string()))
+    }
+}
+
+/// The read half, held. Dropping it gives the half up and wakes one parked
+/// waiter to take it over.
+struct ReadHalf<'a> {
+    wire: &'a Wire,
+    inbox: Option<MutexGuard<'a, Inbox>>,
+}
+
+impl Drop for ReadHalf<'_> {
+    fn drop(&mut self) {
+        // Let go first: a waiter woken while the half is still held would
+        // find it taken and park again, with no one left to wake it.
+        drop(self.inbox.take());
+        self.wire.hand_off();
+    }
+}
+
+impl ReadHalf<'_> {
+    fn inbox(&mut self) -> &mut Inbox {
+        self.inbox.as_mut().expect("held until dropped")
+    }
+
+    /// Reads and settles every ticket's replies until `slot` is settled.
+    /// Before each blocking read it sends what is queued, unless another
+    /// thread holds the outbox: then that thread sends it.
+    fn read_until(&mut self, slot: &Slot) {
+        let wire = self.wire;
+        while self.settle_decoded() && !slot.is_settled() {
+            if let Some(mut out) = wire.try_outbox() {
+                if !out.queued.is_empty() {
+                    // It may read while it writes.
+                    wire.write_out(&mut out, Some(self));
+                    continue;
+                }
+            }
+            if !self.read_once() {
+                return;
+            }
+        }
+    }
+
+    /// One socket read into the decoder; false, after failing every
+    /// ticket, when the connection is gone.
+    fn read_once(&mut self) -> bool {
+        let inbox = self.inbox();
+        let err = loop {
+            match inbox.sock.read(&mut inbox.buf) {
+                Ok(0) => {
+                    break ServiceError::Disconnected("server closed the connection".to_string())
+                }
+                Ok(n) => {
+                    inbox.dec.push(&inbox.buf[..n]);
+                    return true;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => break io_err("recv", e),
+            }
+        };
+        self.wire.fail_all(err);
+        false
+    }
+
+    /// Settles every reply the decoder holds, decoding each straight from
+    /// its buffer; false, after failing every ticket, when the stream is
+    /// broken or the server reported a connection-level error.
+    fn settle_decoded(&mut self) -> bool {
+        let wire = self.wire;
+        let inbox = self.inbox();
+        let err = loop {
+            let payload = match inbox.dec.next_frame() {
+                Ok(Some(p)) => p,
+                Ok(None) => return true,
+                Err(e) => break ServiceError::Protocol(e.to_string()),
+            };
+            match Response::decode(payload) {
+                // Id 0 is the server's connection-level error channel:
+                // fatal.
+                Ok((0, Response::Err(e))) => break e,
+                Ok((0, other)) => break unexpected(&other),
+                Ok((id, resp)) => {
+                    if !wire.settle(id, resp) {
+                        break ServiceError::Protocol(format!(
+                            "response for unknown request id {id}"
+                        ));
+                    }
+                }
+                Err(e) => break e,
+            }
+        };
+        wire.fail_all(err);
+        false
     }
 }
 
@@ -245,7 +511,6 @@ struct Mux {
     wire: Arc<Wire>,
     /// Original stream, for shutdown on drop.
     stream: TcpStream,
-    reader: Mutex<Option<JoinHandle<()>>>,
     next_id: AtomicU64,
     server_version: u16,
     server_scheme: String,
@@ -257,9 +522,6 @@ impl Drop for Mux {
         // Best effort: what is still queued leaves before the socket closes.
         self.wire.flush();
         let _ = self.stream.shutdown(Shutdown::Both);
-        if let Some(h) = lock(&self.reader).take() {
-            let _ = h.join();
-        }
     }
 }
 
@@ -299,19 +561,17 @@ impl Pending {
         self.id
     }
 
-    /// Blocks for this request's response, first sending whatever the
-    /// connection has queued. A [`Response::Err`] becomes the `Err` branch,
-    /// so protocol- and service-level failures read the same.
+    /// Blocks for this request's response. A reply already read returns
+    /// at once; otherwise this thread reads the connection's replies, or
+    /// parks while another thread does, and sends whatever the connection
+    /// has queued before it blocks. A [`Response::Err`] becomes the `Err`
+    /// branch, so protocol- and service-level failures read the same.
     pub fn wait(mut self) -> Result<Response, ServiceError> {
         self.waited = true;
-        if !self.slot.is_settled() {
-            // A failed write settles this ticket as dead too.
-            self.wire.flush();
-        }
-        match self.slot.wait() {
+        match self.wire.wait_for(&self.slot) {
             Some(Response::Err(e)) => Err(e),
             Some(r) => Ok(r),
-            None => Err(self.wire.demux.dead()),
+            None => Err(self.wire.dead()),
         }
     }
 
@@ -373,8 +633,9 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects, handshakes (magic + version + `client` identity), and
-    /// starts the demux thread.
+    /// Connects and handshakes (magic + version + `client` identity). The
+    /// connection has no thread of its own: callers waiting on it read its
+    /// replies.
     ///
     /// # Errors
     ///
@@ -432,32 +693,29 @@ impl Client {
             other => return Err(unexpected(&other)),
         };
 
-        let demux = Arc::new(Demux {
-            pending: Mutex::new(PendingMap {
-                map: HashMap::new(),
-                dead: None,
-            }),
-            owed: AtomicU64::new(0),
-        });
-        let demux_for_reader = Arc::clone(&demux);
-        let reader = std::thread::Builder::new()
-            .name("terp-net-client-demux".to_string())
-            .spawn(move || demux_loop(handshake, dec, demux_for_reader))
-            .map_err(|e| ServiceError::Disconnected(format!("spawn demux: {e}")))?;
-
         Ok(Client {
             mux: Arc::new(Mux {
                 wire: Arc::new(Wire {
-                    demux,
+                    pending: Mutex::new(PendingMap {
+                        map: HashMap::new(),
+                        dead: None,
+                        parked: Vec::new(),
+                        flush_wanted: false,
+                    }),
+                    owed: AtomicU64::new(0),
                     out: Mutex::new(Outbox {
                         sock: write,
                         queued: Vec::new(),
+                    }),
+                    inbox: Mutex::new(Inbox {
+                        sock: handshake,
+                        dec,
+                        buf: vec![0; 16 * 1024],
                     }),
                     requests: AtomicU64::new(0),
                     writes: AtomicU64::new(0),
                 }),
                 stream,
-                reader: Mutex::new(Some(reader)),
                 next_id: AtomicU64::new(2),
                 server_version,
                 server_scheme,
@@ -587,23 +845,17 @@ impl Client {
         self.submit(Request::Ping)
     }
 
-    /// Whether the connection has died (`fail_all` ran): every in-flight
-    /// ticket has completed with an error and every later submit will be
-    /// refused. The recovery path is a *new* connection —
-    /// [`Client::connect_with_retry`] — not this handle.
-    pub fn is_dead(&self) -> bool {
-        lock(&self.mux.wire.demux.pending).dead.is_some()
-    }
-
     /// [`Client::connect`] with exponential backoff: retries transient
     /// failures ([`ServiceError::Disconnected`], e.g. the server not
     /// listening yet or a dropped handshake) on the `backoff` schedule
     /// until it expires. Non-transient failures (a protocol or version
     /// refusal) abort immediately — retrying cannot fix those.
     ///
-    /// This is how a replication follower survives `fail_all`: the dead
-    /// [`Client`] is discarded and this reconnects to the (possibly
-    /// restarting) peer.
+    /// A [`Client`] whose connection died stays dead: every in-flight
+    /// ticket completed with an error and every later call is refused. The
+    /// recovery path is a new connection through this call. (The
+    /// `terp-repl` follower has connection code of its own and shares only
+    /// the [`Backoff`] schedule.)
     pub fn connect_with_retry(
         addr: impl ToSocketAddrs + Clone,
         client: u64,
@@ -679,69 +931,5 @@ impl Backoff {
         self.remaining -= delay;
         self.next = self.next.saturating_mul(2);
         Some(delay)
-    }
-}
-
-/// Reads responses and settles their tickets, decoding each straight from
-/// the decoder's buffer. Holds only the [`Demux`]: it must keep reading
-/// whatever a submitter's blocked write is waiting on.
-fn demux_loop(mut sock: TcpStream, mut dec: FrameDecoder, demux: Arc<Demux>) {
-    let mut buf = vec![0u8; 16 * 1024];
-    loop {
-        // Drain complete frames before reading more.
-        loop {
-            let payload = match dec.next_frame() {
-                Ok(Some(p)) => p,
-                Ok(None) => break,
-                Err(e) => {
-                    demux.fail_all(ServiceError::Protocol(e.to_string()));
-                    return;
-                }
-            };
-            let (id, resp) = match Response::decode(payload) {
-                Ok(ok) => ok,
-                Err(e) => {
-                    demux.fail_all(e);
-                    return;
-                }
-            };
-            // Id 0 is the server's connection-level error channel: fatal.
-            if id == 0 {
-                let err = match resp {
-                    Response::Err(e) => e,
-                    other => unexpected(&other),
-                };
-                demux.fail_all(err);
-                return;
-            }
-            let slot = lock(&demux.pending).map.remove(&id);
-            match slot {
-                // A dropped Pending is fine; the response is discarded.
-                Some(slot) => {
-                    demux.owed.fetch_sub(1, Ordering::AcqRel);
-                    slot.settle(SlotState::Done(resp));
-                }
-                None => {
-                    demux.fail_all(ServiceError::Protocol(format!(
-                        "response for unknown request id {id}"
-                    )));
-                    return;
-                }
-            }
-        }
-        match sock.read(&mut buf) {
-            Ok(0) => {
-                demux.fail_all(ServiceError::Disconnected(
-                    "server closed the connection".to_string(),
-                ));
-                return;
-            }
-            Ok(n) => dec.push(&buf[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                demux.fail_all(io_err("recv", e));
-                return;
-            }
-        }
     }
 }

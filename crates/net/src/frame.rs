@@ -34,8 +34,8 @@ pub const MAX_FRAME: usize = 1 << 20;
 /// Bytes of envelope around one payload (length prefix + CRC trailer).
 pub const FRAME_OVERHEAD: usize = 8;
 
-/// Upper bound on the bytes one socket write coalesces: the server's batch
-/// of responses and the client's outbox of requests both leave at this size.
+/// The bytes the client's outbox queues before it leaves without waiting
+/// for a wait to block.
 pub(crate) const WRITE_COALESCE: usize = 64 * 1024;
 
 /// A framing violation: the byte stream cannot be parsed into frames.

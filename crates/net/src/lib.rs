@@ -14,11 +14,14 @@
 //!   incremental decoder (same CRC codec as the WAL).
 //! * [`proto`] — versioned request/response messages and the
 //!   [`ServiceError`] wire mapping.
-//! * [`server`] — [`server::NetServer`]: accept loop, per-connection
-//!   reader/writer threads, per-shard batched executor, dedicated threads
-//!   for blocking attaches, drain-before-close shutdown.
+//! * [`server`] — [`server::NetServer`]: accept loop, a reader thread per
+//!   connection, per-shard batched executor whose workers write their own
+//!   replies (a per-connection flusher thread takes only what a full
+//!   socket refused), dedicated threads for blocking attaches,
+//!   drain-before-close shutdown.
 //! * [`client`] — [`client::Client`]: sync calls and pipelined
-//!   [`client::Pending`] tickets over one multiplexed connection, plus
+//!   [`client::Pending`] tickets over one multiplexed connection with no
+//!   thread of its own (a waiting caller reads for every caller), plus
 //!   [`client::Backoff`]-paced reconnects.
 //! * [`repl`] — the log-shipping message set used by the `terp-repl`
 //!   leader/follower stream (shares the frame codec, not the proto
@@ -31,6 +34,11 @@ pub mod frame;
 pub mod proto;
 pub mod repl;
 pub mod server;
+#[cfg(target_os = "linux")]
+mod sys;
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("terp-net calls Linux's `send` flags and `poll` directly (src/sys.rs)");
 
 pub use client::{Backoff, Client, Pending, WireCounts};
 pub use frame::{encode_frame, frame_into, FrameDecoder, FrameError, MAX_FRAME};

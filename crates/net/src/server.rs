@@ -3,8 +3,9 @@
 //! ## Threading model
 //!
 //! Each accepted connection gets a **reader** thread (socket → frames →
-//! requests) and a **writer** thread (responses → frames → socket), joined
-//! by an unbounded completion channel. Requests *execute* elsewhere:
+//! requests) and a **flusher** thread that stays parked unless the socket
+//! refuses reply bytes. Requests *execute* elsewhere, and the thread that
+//! executed a batch writes its replies itself:
 //!
 //! * **Blocking-capable attaches** (Merr / Basic semantics, where an attach
 //!   parks on a conflicting holder's exposure window) run on a dedicated
@@ -24,6 +25,9 @@
 //!   is one fsync for the whole batch, and the responses that depend on it
 //!   are held until it returns (`run_batch`).
 //!
+//! So the server's side of a round trip wakes two threads, the reader and
+//! then a worker, and the reply leaves from the worker.
+//!
 //! ## One hand-off per batch
 //!
 //! Every step between socket and service moves a batch, not a request, and
@@ -32,11 +36,11 @@
 //! * The reader routes the frames of one socket read into one local list
 //!   per shard and pushes each list onto its queue under one lock; the
 //!   queue wakes its worker only if the worker is parked.
-//! * A batch answers each connection with one channel message: its clean
-//!   replies when the batch turns dirty or ends, its held replies after
-//!   the commit.
-//! * The writer frames every reply already queued in place into one buffer
-//!   and sends it in one write, then releases the in-flight gate once for
+//! * A batch answers each connection with one delivery: its clean replies
+//!   when the batch turns dirty or ends, its held replies after the commit.
+//! * A delivery frames its replies in place into the connection's reply
+//!   buffer and sends them in one non-blocking write, under the
+//!   connection's reply lock, then releases the in-flight gate once for
 //!   all of them.
 //!
 //! [`NetServer::wire_counts`] counts requests, hand-offs and writes.
@@ -51,6 +55,14 @@
 //! Before it blocks on a full gate the reader hands off the jobs it holds:
 //! their replies are what frees the gate.
 //!
+//! A worker never blocks on a connection: its write is a `send` that
+//! returns when the socket is full. What the socket refuses stays in the
+//! reply buffer for the connection's flusher, which writes it with
+//! blocking writes; until the buffer is empty again, deliveries only
+//! append to it, so frames never interleave. A connection that stops
+//! reading its replies stalls only its own flusher
+//! ([`ServerWireCounts::stalled`] counts the deliveries left to one).
+//!
 //! ## Tracing
 //!
 //! When the service runs with tracing enabled, the reader records
@@ -62,7 +74,6 @@
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -71,8 +82,9 @@ use terp_service::metrics::ServiceReport;
 use terp_service::{Batch, ClientId, PmoServer, PmoService, TraceRecorder};
 use terp_trace::EventKind;
 
-use crate::frame::{frame_into, FrameDecoder, WRITE_COALESCE};
+use crate::frame::{frame_into, FrameDecoder};
 use crate::proto::{Request, Response, MAGIC, VERSION};
+use crate::sys::send_now;
 use crate::{lock, ServiceError};
 
 /// Per-connection cap on requests decoded but not yet responded to. At the
@@ -81,11 +93,11 @@ use crate::{lock, ServiceError};
 pub const MAX_INFLIGHT: usize = 256;
 
 /// One connection's replies from one batch, in the order they finished:
-/// what its writer receives in one channel message.
+/// what one delivery frames and sends.
 type Replies = Vec<(u64, Response)>;
 
 /// Counts in-flight requests on one connection; acquired by the reader per
-/// request, released by the writer once per socket write.
+/// request, released once per delivery whose bytes reached the socket.
 struct Gate {
     state: Mutex<GateState>,
     cv: Condvar,
@@ -134,6 +146,143 @@ impl Gate {
             self.cv.notify_one();
         }
     }
+
+    fn idle(&self) -> bool {
+        lock(&self.state).inflight == 0
+    }
+}
+
+/// One connection's reply path. Whichever thread finished a batch frames
+/// and sends that connection's replies itself ([`Replier::deliver`]); the
+/// connection's flusher thread ([`Replier::flush_loop`]) writes only what
+/// the socket refused.
+struct Replier {
+    /// The write half. Sent on under `out`'s lock, or by the flusher while
+    /// `flushing` is set.
+    sock: TcpStream,
+    out: Mutex<ReplyBuf>,
+    /// The flusher parks here.
+    cv: Condvar,
+    gate: Gate,
+    counts: Arc<Counts>,
+}
+
+struct ReplyBuf {
+    /// Framed replies the socket has not taken yet; empty unless
+    /// `flushing`.
+    bytes: Vec<u8>,
+    /// Replies in `bytes`: the gate slots their write releases.
+    replies: usize,
+    /// The flusher owns the next write: a delivery only appends.
+    flushing: bool,
+    /// A write failed: replies are dropped, their slots still released.
+    broken: bool,
+    /// The reader has stopped, so the flusher may leave once every slot is
+    /// free.
+    reader_done: bool,
+}
+
+impl Replier {
+    fn new(sock: TcpStream, counts: Arc<Counts>) -> Self {
+        Replier {
+            sock,
+            out: Mutex::new(ReplyBuf {
+                bytes: Vec::new(),
+                replies: 0,
+                flushing: false,
+                broken: false,
+                reader_done: false,
+            }),
+            cv: Condvar::new(),
+            gate: Gate::new(),
+            counts,
+        }
+    }
+
+    /// Frames `replies` in place into the reply buffer and sends them in
+    /// one write that never blocks. Bytes the socket refuses stay for the
+    /// flusher, and while it holds any a delivery only appends.
+    fn deliver(&self, replies: &[(u64, Response)]) {
+        let mut out = lock(&self.out);
+        if out.broken {
+            // Nothing reaches a dead socket: the slots are free at once.
+            self.release(&out, replies.len());
+            return;
+        }
+        for (req_id, resp) in replies {
+            frame_into(&mut out.bytes, |o| resp.encode_into(*req_id, o))
+                .expect("a response fits a frame: reads are capped at MAX_READ");
+        }
+        out.replies += replies.len();
+        if out.flushing {
+            self.counts.stalled.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        self.counts.writes.fetch_add(1, Ordering::Relaxed);
+        match send_now(&self.sock, &out.bytes) {
+            Ok(n) if n < out.bytes.len() => {
+                out.bytes.drain(..n);
+                out.flushing = true;
+                self.counts.stalled.fetch_add(1, Ordering::Relaxed);
+                self.cv.notify_one();
+            }
+            sent => {
+                out.broken |= sent.is_err();
+                out.bytes.clear();
+                let n = std::mem::take(&mut out.replies);
+                self.release(&out, n);
+            }
+        }
+    }
+
+    /// Releases the slots of `n` replies that left the buffer (written, or
+    /// dropped on a broken socket, so a reader blocked on the gate can
+    /// notice the connection died). Once the reader has finished, the
+    /// flusher checks whether that was the last. Called under `out`'s lock.
+    fn release(&self, out: &ReplyBuf, n: usize) {
+        self.gate.release(n);
+        if out.reader_done {
+            self.cv.notify_one();
+        }
+    }
+
+    /// The reader has stopped: no slot will be taken again.
+    fn reader_done(&self) {
+        lock(&self.out).reader_done = true;
+        self.cv.notify_one();
+    }
+
+    /// Writes, with blocking writes, whatever the socket refused a
+    /// delivery, until the reader has finished and every slot is free:
+    /// every decoded request has been answered. Then closes the socket.
+    fn flush_loop(&self) {
+        let mut pending = Vec::new();
+        let mut out = lock(&self.out);
+        loop {
+            if out.flushing {
+                std::mem::swap(&mut out.bytes, &mut pending);
+                let replies = std::mem::take(&mut out.replies);
+                let broken = out.broken;
+                drop(out);
+                let sent = broken || {
+                    self.counts.writes.fetch_add(1, Ordering::Relaxed);
+                    (&self.sock).write_all(&pending).is_ok()
+                };
+                pending.clear();
+                out = lock(&self.out);
+                out.broken |= !sent;
+                self.release(&out, replies);
+                out.flushing = !out.bytes.is_empty();
+                continue;
+            }
+            if out.reader_done && self.gate.idle() {
+                break;
+            }
+            out = self.cv.wait(out).unwrap_or_else(|e| e.into_inner());
+        }
+        drop(out);
+        let _ = self.sock.shutdown(Shutdown::Both);
+    }
 }
 
 /// One queued operation bound for a shard worker.
@@ -142,7 +291,7 @@ struct Job {
     req_id: u64,
     client: ClientId,
     req: Request,
-    tx: Sender<Replies>,
+    to: Arc<Replier>,
 }
 
 struct WorkQueue {
@@ -272,32 +421,32 @@ impl Executor {
 }
 
 /// Replies gathered per connection while a batch runs, each connection's
-/// sent as one channel message.
+/// sent as one delivery.
 #[derive(Default)]
-struct Outgoing(Vec<(u32, Sender<Replies>, Replies)>);
+struct Outgoing(Vec<(u32, Arc<Replier>, Replies)>);
 
 impl Outgoing {
-    fn add(&mut self, conn: u32, tx: Sender<Replies>, reply: (u64, Response)) {
+    fn add(&mut self, conn: u32, to: Arc<Replier>, reply: (u64, Response)) {
         // A connection's jobs arrive together, so its list is nearly always
         // the last one.
         match self.0.iter_mut().rev().find(|(c, ..)| *c == conn) {
             Some((_, _, replies)) => replies.push(reply),
-            None => self.0.push((conn, tx, vec![reply])),
+            None => self.0.push((conn, to, vec![reply])),
         }
     }
 
     fn send(&mut self) {
-        for (_, tx, replies) in self.0.drain(..) {
-            let _ = tx.send(replies);
+        for (_, to, replies) in self.0.drain(..) {
+            to.deliver(&replies);
         }
     }
 }
 
 /// Runs `jobs` (drained, capacity kept) through one [`Batch`] and one
-/// commit, and answers each connection once for its clean replies and once
-/// for its held ones. While the batch is clean — always, in memory and under
-/// `visibility = submit` — replies are gathered per connection and leave
-/// when the batch ends. Once an operation has left a shard store with
+/// commit, and answers each connection, from this thread, once for its
+/// clean replies and once for its held ones. While the batch is clean —
+/// always, in memory and under `visibility = submit` — replies are gathered
+/// per connection and leave when the batch ends. Once an operation has left a shard store with
 /// unsynced records the batch is dirty: the clean replies gathered so far
 /// leave at once, and every later reply, reads included (they may have seen
 /// an unsynced write), is held until the commit has fsynced what it depends
@@ -318,9 +467,9 @@ fn run_batch(service: &PmoService, tracer: Option<&TraceRecorder>, jobs: &mut Ve
         let resp = execute(&mut batch, job.client, &job.req);
         if batch.is_dirty() {
             clean.send();
-            held.add(job.conn, job.tx, (job.req_id, resp));
+            held.add(job.conn, job.to, (job.req_id, resp));
         } else {
-            clean.add(job.conn, job.tx, (job.req_id, resp));
+            clean.add(job.conn, job.to, (job.req_id, resp));
         }
     }
     clean.send();
@@ -365,7 +514,7 @@ struct Shared {
     stopping: AtomicBool,
     conns: Mutex<Vec<Conn>>,
     next_conn: AtomicU32,
-    counts: Counts,
+    counts: Arc<Counts>,
 }
 
 /// The live counters behind [`NetServer::wire_counts`] (statistics only:
@@ -375,13 +524,15 @@ struct Counts {
     requests: AtomicU64,
     handoffs: AtomicU64,
     writes: AtomicU64,
+    stalled: AtomicU64,
 }
 
 /// What a [`NetServer`] has moved since it started, over every connection:
 /// the server's mirror of [`crate::WireCounts`]. The handshake is decoded
 /// and answered by the reader itself: a request and a write, no hand-off.
 /// `handoffs < requests` is the reader's one push per shard per socket
-/// read; `writes < requests` is the writer's one write per batch.
+/// read; `writes < requests` is one write per batch and connection.
+/// `stalled` is 0 unless a client falls behind on reading its replies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerWireCounts {
     /// Request frames decoded.
@@ -391,12 +542,16 @@ pub struct ServerWireCounts {
     pub handoffs: u64,
     /// Socket writes that carried the replies.
     pub writes: u64,
+    /// Deliveries — one batch's replies to one connection — whose bytes
+    /// the socket refused in whole or in part, or that queued behind such
+    /// bytes: the connection's flusher thread wrote them.
+    pub stalled: u64,
 }
 
 struct Conn {
     stream: TcpStream,
     reader: JoinHandle<()>,
-    writer: JoinHandle<()>,
+    flusher: JoinHandle<()>,
 }
 
 /// The network front-end: owns the in-process [`PmoServer`], the listener,
@@ -430,7 +585,7 @@ impl NetServer {
             stopping: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
             next_conn: AtomicU32::new(1),
-            counts: Counts::default(),
+            counts: Arc::default(),
         });
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
@@ -465,14 +620,15 @@ impl NetServer {
         Arc::clone(&self.shared.service)
     }
 
-    /// Requests decoded, executor hand-offs and socket writes so far, over
-    /// every connection.
+    /// Requests decoded, executor hand-offs, socket writes and stalled
+    /// deliveries so far, over every connection.
     pub fn wire_counts(&self) -> ServerWireCounts {
         let c = &self.shared.counts;
         ServerWireCounts {
             requests: c.requests.load(Ordering::Relaxed),
             handoffs: c.handoffs.load(Ordering::Relaxed),
             writes: c.writes.load(Ordering::Relaxed),
+            stalled: c.stalled.load(Ordering::Relaxed),
         }
     }
 
@@ -481,9 +637,10 @@ impl NetServer {
     /// Ordering matters: shutdown begins *service-side first* (parked
     /// Basic-semantics attaches wake with [`ServiceError::ShuttingDown`]),
     /// then the accept loop stops, readers are unblocked via read-half
-    /// shutdown, the executor drains its queues, and writers flush every
-    /// pending response before the sockets close — a client mid-request
-    /// sees an error response, never a silently hung socket.
+    /// shutdown, the executor drains its queues, and each connection's
+    /// flusher waits until every decoded request is answered and written
+    /// before the socket closes — a client mid-request sees an error
+    /// response, never a silently hung socket.
     pub fn shutdown(mut self) -> ServiceReport {
         self.stop_net();
         self.server.take().expect("server present").shutdown()
@@ -506,20 +663,20 @@ impl NetServer {
         for c in &conns {
             let _ = c.stream.shutdown(Shutdown::Read);
         }
-        let mut writers = Vec::with_capacity(conns.len());
+        let mut flushers = Vec::with_capacity(conns.len());
         for c in conns {
             let _ = c.reader.join();
-            writers.push((c.stream, c.writer));
+            flushers.push((c.stream, c.flusher));
         }
         // No submitter remains; drain the shard queues (queued ops still
         // execute, returning ShuttingDown from the service) and join the
         // workers.
         self.shared.exec.stop();
-        // Writers exit once every response sender is dropped (readers are
-        // joined, workers stopped, blocking attaches woken by shutdown) —
-        // and they flush every pending response first.
-        for (stream, writer) in writers {
-            let _ = writer.join();
+        // A flusher exits once its reader is done and every in-flight slot
+        // is free (workers stopped, blocking attaches woken by shutdown) —
+        // after writing every reply the socket refused.
+        for (stream, flusher) in flushers {
+            let _ = flusher.join();
             let _ = stream.shutdown(Shutdown::Both);
         }
     }
@@ -545,13 +702,11 @@ fn spawn_conn(shared: &Arc<Shared>, stream: TcpStream) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let (tx, rx) = channel::<Replies>();
-    let gate = Arc::new(Gate::new());
+    let replier = Arc::new(Replier::new(write_half, Arc::clone(&shared.counts)));
     let reader = Reader {
         shared: Arc::clone(shared),
         conn: conn_id,
-        tx,
-        gate: Arc::clone(&gate),
+        to: Arc::clone(&replier),
         client: None,
         routed: shared.exec.queues.iter().map(|_| Vec::new()).collect(),
     };
@@ -559,15 +714,14 @@ fn spawn_conn(shared: &Arc<Shared>, stream: TcpStream) {
         .name(format!("terp-net-read-{conn_id}"))
         .spawn(move || reader.run(read_half))
         .expect("spawn reader");
-    let writer_shared = Arc::clone(shared);
-    let writer = std::thread::Builder::new()
-        .name(format!("terp-net-write-{conn_id}"))
-        .spawn(move || writer_loop(&writer_shared, write_half, rx, &gate))
-        .expect("spawn writer");
+    let flusher = std::thread::Builder::new()
+        .name(format!("terp-net-flush-{conn_id}"))
+        .spawn(move || replier.flush_loop())
+        .expect("spawn flusher");
     lock(&shared.conns).push(Conn {
         stream,
         reader,
-        writer,
+        flusher,
     });
 }
 
@@ -585,8 +739,8 @@ type Fatal = (u64, ServiceError);
 struct Reader {
     shared: Arc<Shared>,
     conn: u32,
-    tx: Sender<Replies>,
-    gate: Arc<Gate>,
+    /// The connection's reply path, which holds its in-flight gate.
+    to: Arc<Replier>,
     /// Set by the handshake.
     client: Option<ClientId>,
     /// Jobs decoded and not yet handed off, by shard queue.
@@ -603,6 +757,7 @@ impl Reader {
         if let Some((req_id, e)) = fatal {
             self.reply(req_id, Response::Err(e));
         }
+        self.to.reader_done();
     }
 
     fn read_all(&mut self, mut sock: TcpStream) -> Option<Fatal> {
@@ -664,7 +819,7 @@ impl Reader {
             req_id,
             client,
             req,
-            tx: self.tx.clone(),
+            to: Arc::clone(&self.to),
         };
         if matches!(job.req, Request::Attach { .. })
             && attach_can_block(self.shared.service.scheme())
@@ -723,16 +878,16 @@ impl Reader {
     /// Takes an in-flight slot. Before blocking on a full gate it hands off
     /// the jobs it holds: their replies are what frees the gate.
     fn admit(&mut self) {
-        if !self.gate.try_acquire() {
+        if !self.to.gate.try_acquire() {
             self.hand_off();
-            self.gate.acquire();
+            self.to.gate.acquire();
         }
     }
 
     /// A reply from the reader itself (handshake, protocol violation).
     fn reply(&mut self, req_id: u64, resp: Response) {
         self.admit();
-        let _ = self.tx.send(vec![(req_id, resp)]);
+        self.to.deliver(&[(req_id, resp)]);
     }
 
     /// Moves each shard's routed jobs onto its queue in one push.
@@ -745,40 +900,4 @@ impl Reader {
             }
         }
     }
-}
-
-/// Frames every reply already queued (a batch's replies arrive as one
-/// message per connection) in place into one buffer, up to
-/// [`WRITE_COALESCE`], sends it in one write, and releases the gate once
-/// for all of them.
-fn writer_loop(shared: &Shared, mut sock: TcpStream, rx: Receiver<Replies>, gate: &Gate) {
-    let mut broken = false;
-    let mut out = Vec::new();
-    while let Ok(first) = rx.recv() {
-        let mut next = Some(first);
-        let mut responses = 0;
-        while let Some(replies) = next {
-            responses += replies.len();
-            if !broken {
-                for (req_id, resp) in &replies {
-                    frame_into(&mut out, |o| resp.encode_into(*req_id, o))
-                        .expect("a response fits a frame: reads are capped at MAX_READ");
-                }
-            }
-            next = if out.len() < WRITE_COALESCE {
-                rx.try_recv().ok()
-            } else {
-                None
-            };
-        }
-        if !broken {
-            shared.counts.writes.fetch_add(1, Ordering::Relaxed);
-            broken = sock.write_all(&out).is_err();
-        }
-        out.clear();
-        // Release even on a broken socket so a reader blocked on the gate
-        // can notice the connection died instead of parking forever.
-        gate.release(responses);
-    }
-    let _ = sock.shutdown(Shutdown::Both);
 }

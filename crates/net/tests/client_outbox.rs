@@ -2,17 +2,28 @@
 //! written at once; one submitted behind an unanswered request is queued
 //! and leaves with the rest of the outbox in one write when a wait would
 //! block, a ticket is dropped unwaited, 64 KiB are queued or the last handle
-//! goes. The demux thread never waits on a submitter's write, so a pipeline
-//! deeper than the server's in-flight gate cannot deadlock it. Requests are
-//! framed in place, so one too large for a frame is taken back out.
+//! goes. The connection has no reader thread: a waiting caller reads for
+//! everyone. A reader never blocks on the outbox, and a write the socket
+//! refuses reads while it waits, so a pipeline deeper than the server's
+//! in-flight gate cannot deadlock it. Requests are framed in place, so one
+//! too large for a frame is taken back out.
+
+mod common;
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::io::{Read, Write};
+use std::net::TcpListener;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
+
+use common::watchdog;
 
 use terp_core::Scheme;
 use terp_net::server::MAX_INFLIGHT;
-use terp_net::{Client, NetServer, Pending, ServiceError, WireCounts, MAX_FRAME};
+use terp_net::{
+    encode_frame, Client, FrameDecoder, NetServer, Pending, Response, ServiceError, WireCounts,
+    MAX_FRAME, VERSION,
+};
 use terp_pmo::{ObjectId, OpenMode, Permission, PmoId};
 use terp_service::config::ServiceConfig;
 use terp_service::PmoServer;
@@ -30,24 +41,6 @@ fn eventually(what: &str, mut cond: impl FnMut() -> bool) {
     while !cond() {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-/// Runs `body` on a thread of its own and fails if it has not returned
-/// within `limit`. A hang is the failure these tests look for: the stuck
-/// thread, server included, is abandoned rather than joined.
-fn watchdog(limit: Duration, body: impl FnOnce() + Send + 'static) {
-    let (tx, rx) = mpsc::channel();
-    let runner = std::thread::spawn(move || {
-        body();
-        let _ = tx.send(());
-    });
-    match rx.recv_timeout(limit) {
-        Ok(()) => runner.join().expect("body"),
-        Err(RecvTimeoutError::Disconnected) => {
-            std::panic::resume_unwind(runner.join().expect_err("body panicked"))
-        }
-        Err(RecvTimeoutError::Timeout) => panic!("still blocked after {limit:?}"),
     }
 }
 
@@ -227,10 +220,11 @@ fn an_oversized_request_is_refused_and_leaves_the_outbox_as_it_was() {
 
 /// Twice the server's in-flight gate of 32 KiB writes, each followed by a
 /// 32 KiB read of it, none waited until all are submitted. The submitter
-/// spends much of this blocked in a write the server will not read until
-/// the client reads its replies; the demux thread must keep reading. A
-/// demux that waits on the outbox lock hangs in most rounds, so several
-/// rounds make that a certain failure.
+/// spends much of this in a write the server will not read until the
+/// client reads its replies, so the write must read them while it waits. A
+/// write that blocks without reading, or a reader that waits on the outbox
+/// lock, hangs in most rounds, so several rounds make that a certain
+/// failure.
 #[test]
 fn a_pipeline_twice_the_server_gate_deep_finishes() {
     watchdog(Duration::from_secs(60), || {
@@ -271,6 +265,62 @@ fn a_pipeline_twice_the_server_gate_deep_finishes() {
             "the pipeline was not coalesced: {counts:?}"
         );
         client.detach(pool).expect("detach");
+        net.shutdown();
+    });
+}
+
+/// One thread waits on a parked attach, so it holds the read half and reads
+/// for the connection the whole time. Another thread pipelines twice the
+/// server's in-flight gate of 32 KiB writes, each followed by a 32 KiB read
+/// of it, on the same connection. Its writes are refused whenever the
+/// server's gate is full, and only the waiter's reads free it: a reader that
+/// waits on the outbox lock, which the refused write holds, hangs here.
+#[test]
+fn a_waiter_holding_the_read_half_reads_for_a_pipeline_twice_the_gate_deep() {
+    watchdog(Duration::from_secs(60), || {
+        const ROUNDS: usize = 4;
+        const N: usize = 2 * MAX_INFLIGHT;
+        const LEN: usize = 32 << 10;
+        let Parked {
+            net,
+            holder,
+            waiter,
+            contended,
+            attach,
+            ..
+        } = parked();
+        let pool = waiter
+            .create_pool("deep", 1 << 16, OpenMode::ReadWrite)
+            .expect("create");
+        waiter.attach(pool, RW).expect("attach");
+        let oid = waiter.alloc(pool, LEN as u64).expect("alloc");
+        let reader = std::thread::spawn(move || attach.wait_attached());
+        // Long enough for the attach's waiter to take the read half. Nothing
+        // outside the client shows that, so this is a sleep, not a barrier:
+        // too short a one only lets this thread read for itself.
+        std::thread::sleep(Duration::from_millis(20));
+        let stamp = |i: usize| vec![i as u8 ^ (i >> 8) as u8; LEN];
+        for round in 0..ROUNDS {
+            let tickets: Vec<(Pending, Pending)> = (0..N)
+                .map(|i| {
+                    let w = waiter
+                        .write_pipelined(oid, &stamp(round + i))
+                        .expect("submit write");
+                    let r = waiter.read_pipelined(oid, LEN as u32).expect("submit read");
+                    (w, r)
+                })
+                .collect();
+            for (i, (w, r)) in tickets.into_iter().enumerate() {
+                w.wait_unit().expect("write acked");
+                let data = r.wait_data().expect("read");
+                assert!(data == stamp(round + i), "round {round}, read {i}");
+            }
+        }
+        holder.detach(contended).expect("release");
+        reader
+            .join()
+            .expect("waiter thread")
+            .expect("parked attach completes");
         net.shutdown();
     });
 }
@@ -373,4 +423,151 @@ fn four_threads_on_one_cloned_client_each_get_their_own_replies() {
     assert!(counts.writes <= counts.requests);
     client.detach(pool).expect("detach");
     net.shutdown();
+}
+
+/// An open loop: one thread submits and hands each ticket to a reaper that
+/// waits on them in order; the submitter never waits on or drops a ticket.
+/// The reaper holds the read half, and whenever it has read every reply on
+/// the wire its next ticket is still queued, often while a submit holds
+/// the outbox. If it then read without that ticket sent, it would block
+/// with nothing in flight for good: a round queues far less than 64 KiB,
+/// and nothing else would send it.
+#[test]
+fn a_reaper_waiting_while_another_thread_submits_gets_every_reply() {
+    watchdog(Duration::from_secs(60), || {
+        const ROUNDS: usize = 200;
+        const PER_ROUND: usize = 500;
+        let net = net_server(Scheme::terp_full());
+        let client = Client::connect(net.local_addr(), 8).expect("connect");
+        for _ in 0..ROUNDS {
+            let (tx, rx) = mpsc::channel::<Pending>();
+            let reaper = std::thread::spawn(move || {
+                for ticket in rx {
+                    ticket.wait_unit().expect("ping");
+                }
+            });
+            for _ in 0..PER_ROUND {
+                let ticket = client.ping_pipelined().expect("submit");
+                tx.send(ticket).expect("reaper alive");
+            }
+            drop(tx);
+            reaper.join().expect("reaper");
+        }
+        let counts = client.wire_counts();
+        assert_eq!(counts.requests, (ROUNDS * PER_ROUND) as u64);
+        net.shutdown();
+    });
+}
+
+/// Four threads on one cloned client each wait on an attach parked behind
+/// another client's hold, and the server shuts down. One waiter holds the
+/// read half and the others are parked on their tickets. Each must come
+/// back with an error: the drain's replies, or the close, reach the thread
+/// holding the read half, and its hand-off reaches the rest.
+#[test]
+fn a_shutdown_reaches_every_parked_waiter() {
+    watchdog(Duration::from_secs(60), || {
+        const THREADS: usize = 4;
+        let net = net_server(Scheme::BasicSemantics);
+        let holder = Client::connect(net.local_addr(), 1).expect("connect holder");
+        let waiter = Client::connect(net.local_addr(), 2).expect("connect waiter");
+        let pools: Vec<PmoId> = (0..THREADS)
+            .map(|i| {
+                let pool = holder
+                    .create_pool(&format!("held-{i}"), 1 << 12, OpenMode::ReadWrite)
+                    .expect("create");
+                holder.attach(pool, RW).expect("hold");
+                pool
+            })
+            .collect();
+        let svc = net.service();
+        let base = svc.report().ops.attach_conflicts;
+        let threads: Vec<_> = pools
+            .into_iter()
+            .map(|pool| {
+                let waiter = waiter.clone();
+                std::thread::spawn(move || {
+                    waiter
+                        .attach_pipelined(pool, RW)
+                        .expect("submit attach")
+                        .wait_attached()
+                })
+            })
+            .collect();
+        eventually("every attach to park", || {
+            svc.report().ops.attach_conflicts >= base + THREADS as u64
+        });
+        // Long enough for every waiter to block in its wait. Nothing outside
+        // the client shows that, so this is a sleep, not a barrier: too
+        // short a one only lets a waiter find its verdict already there.
+        std::thread::sleep(Duration::from_millis(50));
+        net.shutdown();
+        for t in threads {
+            let verdict = t.join().expect("waiter thread");
+            assert!(
+                matches!(
+                    verdict,
+                    Err(ServiceError::ShuttingDown | ServiceError::Disconnected(_))
+                ),
+                "{verdict:?}"
+            );
+        }
+        drop(holder);
+    });
+}
+
+/// The same with a peer that reads four requests and closes without
+/// answering any: only the read that sees the close can wake anyone.
+#[test]
+fn a_close_with_every_request_unanswered_reaches_every_waiter() {
+    watchdog(Duration::from_secs(60), || {
+        const THREADS: usize = 4;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("address");
+        let peer = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().expect("accept");
+            let mut dec = FrameDecoder::new();
+            let mut buf = [0u8; 4096];
+            let mut frames = 0;
+            // The hello, then one request per waiter.
+            loop {
+                while dec.next_frame().expect("clean stream").is_some() {
+                    frames += 1;
+                    if frames == 1 {
+                        let hello = Response::Hello {
+                            version: VERSION,
+                            scheme: "TT".to_string(),
+                            shards: 1,
+                        };
+                        sock.write_all(&encode_frame(&hello.encode(1)))
+                            .expect("answer the hello");
+                    }
+                }
+                if frames == 1 + THREADS {
+                    break;
+                }
+                let n = sock.read(&mut buf).expect("read requests");
+                assert!(n > 0, "client closed after {frames} frames");
+                dec.push(&buf[..n]);
+            }
+            // Long enough for every waiter to block in its wait (a sleep, as
+            // above).
+            std::thread::sleep(Duration::from_millis(50));
+        });
+        let client = Client::connect(addr, 3).expect("connect");
+        let threads: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let client = client.clone();
+                std::thread::spawn(move || client.ping_pipelined().expect("submit").wait())
+            })
+            .collect();
+        peer.join().expect("peer");
+        for t in threads {
+            let verdict = t.join().expect("waiter thread");
+            assert!(
+                matches!(verdict, Err(ServiceError::Disconnected(_))),
+                "{verdict:?}"
+            );
+        }
+    });
 }
