@@ -48,11 +48,6 @@ impl FunctionBuilder {
         }
     }
 
-    /// The block currently being appended to.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     /// Appends a raw instruction to the current block.
     pub fn instr(&mut self, instr: Instr) -> &mut Self {
         self.blocks[self.current].instrs.push(instr);

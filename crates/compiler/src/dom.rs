@@ -176,11 +176,6 @@ impl DomTree {
         false
     }
 
-    /// Whether `b` was reachable during construction.
-    pub fn is_computed(&self, b: BlockId) -> bool {
-        b < self.idom.len() && self.idom[b].is_some()
-    }
-
     /// The root (entry block, or the virtual exit id for post-dominators).
     pub fn root(&self) -> BlockId {
         self.root

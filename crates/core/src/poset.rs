@@ -12,7 +12,6 @@
 //! [`ProtectionLevel`] and [`terp_protection_poset`] instantiate it for the
 //! mechanisms the paper discusses.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -274,11 +273,6 @@ pub fn strictly_below<'a, T: PartialEq>(poset: &'a Poset<T>, x: &T) -> Vec<&'a T
         }
     }
     out
-}
-
-/// Distinct elements reachable in the order — helper for display code.
-pub fn element_names<T: fmt::Display>(poset: &Poset<T>) -> BTreeSet<String> {
-    poset.elements.iter().map(|e| e.to_string()).collect()
 }
 
 #[cfg(test)]

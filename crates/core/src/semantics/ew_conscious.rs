@@ -127,11 +127,6 @@ impl EwConsciousSemantics {
     pub fn holders(&self) -> usize {
         self.grants.len()
     }
-
-    /// The thread's current permission, if any.
-    pub fn grant_of(&self, thread: usize) -> Option<Permission> {
-        self.grants.get(&thread).copied()
-    }
 }
 
 #[cfg(test)]

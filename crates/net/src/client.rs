@@ -844,92 +844,4 @@ impl Client {
     pub fn ping_pipelined(&self) -> Result<Pending, ServiceError> {
         self.submit(Request::Ping)
     }
-
-    /// [`Client::connect`] with exponential backoff: retries transient
-    /// failures ([`ServiceError::Disconnected`], e.g. the server not
-    /// listening yet or a dropped handshake) on the `backoff` schedule
-    /// until it expires. Non-transient failures (a protocol or version
-    /// refusal) abort immediately — retrying cannot fix those.
-    ///
-    /// A [`Client`] whose connection died stays dead: every in-flight
-    /// ticket completed with an error and every later call is refused. The
-    /// recovery path is a new connection through this call. (The
-    /// `terp-repl` follower has connection code of its own and shares only
-    /// the [`Backoff`] schedule.)
-    pub fn connect_with_retry(
-        addr: impl ToSocketAddrs + Clone,
-        client: u64,
-        mut backoff: Backoff,
-    ) -> Result<Client, ServiceError> {
-        loop {
-            match Client::connect(addr.clone(), client) {
-                Ok(c) => return Ok(c),
-                Err(e @ ServiceError::Disconnected(_)) => match backoff.next_delay() {
-                    Some(delay) => std::thread::sleep(delay),
-                    None => return Err(e),
-                },
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-/// An exponential-backoff schedule for reconnects: delays start at
-/// `initial`, double per attempt, cap at `max_delay`, and stop when the
-/// accumulated sleep would exceed `budget`.
-///
-/// ```
-/// use std::time::Duration;
-/// use terp_net::Backoff;
-///
-/// let mut b = Backoff::new(Duration::from_millis(10), Duration::from_millis(80))
-///     .with_budget(Duration::from_millis(200));
-/// assert_eq!(b.next_delay(), Some(Duration::from_millis(10)));
-/// assert_eq!(b.next_delay(), Some(Duration::from_millis(20)));
-/// assert_eq!(b.next_delay(), Some(Duration::from_millis(40)));
-/// assert_eq!(b.next_delay(), Some(Duration::from_millis(80)));
-/// assert_eq!(b.next_delay(), Some(Duration::from_millis(50))); // budget remainder
-/// assert_eq!(b.next_delay(), None); // budget exhausted
-/// ```
-#[derive(Debug, Clone)]
-pub struct Backoff {
-    next: Duration,
-    max_delay: Duration,
-    remaining: Duration,
-}
-
-impl Backoff {
-    /// A schedule from `initial` doubling up to `max_delay`, with a default
-    /// 30-second total budget.
-    pub fn new(initial: Duration, max_delay: Duration) -> Self {
-        Backoff {
-            next: initial.max(Duration::from_millis(1)),
-            max_delay,
-            remaining: Duration::from_secs(30),
-        }
-    }
-
-    /// The follower default: 10 ms → 1 s doubling, 30 s budget.
-    pub fn default_reconnect() -> Self {
-        Backoff::new(Duration::from_millis(10), Duration::from_secs(1))
-    }
-
-    /// Caps the total time spent sleeping across all attempts.
-    pub fn with_budget(mut self, budget: Duration) -> Self {
-        self.remaining = budget;
-        self
-    }
-
-    /// The next delay to sleep, or `None` once the budget is exhausted.
-    /// The final delay is clipped to the budget remainder so the schedule
-    /// never overshoots it.
-    pub fn next_delay(&mut self) -> Option<Duration> {
-        if self.remaining.is_zero() {
-            return None;
-        }
-        let delay = self.next.min(self.max_delay).min(self.remaining);
-        self.remaining -= delay;
-        self.next = self.next.saturating_mul(2);
-        Some(delay)
-    }
 }

@@ -21,8 +21,9 @@
 //!   drain-before-close shutdown.
 //! * [`client`] — [`client::Client`]: sync calls and pipelined
 //!   [`client::Pending`] tickets over one multiplexed connection with no
-//!   thread of its own (a waiting caller reads for every caller), plus
-//!   [`client::Backoff`]-paced reconnects.
+//!   thread of its own (a waiting caller reads for every caller). A
+//!   client whose connection died stays dead; recovery is a new
+//!   [`client::Client::connect`].
 //! * [`repl`] — the log-shipping message set used by the `terp-repl`
 //!   leader/follower stream (shares the frame codec, not the proto
 //!   request/response machinery).
@@ -40,7 +41,7 @@ mod sys;
 #[cfg(not(target_os = "linux"))]
 compile_error!("terp-net calls Linux's `send` flags and `poll` directly (src/sys.rs)");
 
-pub use client::{Backoff, Client, Pending, WireCounts};
+pub use client::{Client, Pending, WireCounts};
 pub use frame::{encode_frame, frame_into, FrameDecoder, FrameError, MAX_FRAME};
 pub use proto::{Request, Response, MAGIC, VERSION};
 pub use repl::{LogFile, ReplMsg, LOG_CHUNK};

@@ -84,11 +84,6 @@ impl EmbeddedPageTable {
         self.level_nodes.iter().sum()
     }
 
-    /// Bytes of persistent metadata the embedded subtree occupies.
-    pub fn metadata_bytes(&self) -> u64 {
-        self.total_nodes() * PAGE_SIZE
-    }
-
     /// Process-page-table entry writes needed to attach with the embedded
     /// subtree: always exactly one (link the subtree root).
     pub fn attach_entry_writes_embedded(&self) -> u64 {
@@ -99,12 +94,6 @@ impl EmbeddedPageTable {
     /// PTE plus the interior nodes, i.e. linear in pool size.
     pub fn attach_entry_writes_legacy(&self) -> u64 {
         self.leaf_ptes + self.total_nodes() - 1
-    }
-
-    /// Entry invalidations needed to detach with the embedded subtree
-    /// (unlink the single root entry).
-    pub fn detach_entry_writes_embedded(&self) -> u64 {
-        1
     }
 }
 

@@ -245,17 +245,6 @@ impl ProcessAddressSpace {
         self.by_pmo.contains_key(&pmo)
     }
 
-    /// Current base address of an attached pool.
-    pub fn base_of(&self, pmo: PmoId) -> Option<VirtAddr> {
-        self.by_pmo.get(&pmo).copied()
-    }
-
-    /// Current process-wide permission of an attached pool's mapping.
-    pub fn permission_of(&self, pmo: PmoId) -> Option<Permission> {
-        let base = self.by_pmo.get(&pmo)?;
-        self.mappings.get(base).map(|m| m.permission)
-    }
-
     /// Translates an ObjectID to its current virtual address (Table I's
     /// `oid_direct`).
     ///
@@ -301,11 +290,6 @@ impl ProcessAddressSpace {
     /// Number of attached pools.
     pub fn attached_count(&self) -> usize {
         self.by_pmo.len()
-    }
-
-    /// Total attaches performed over the space's lifetime.
-    pub fn attach_total(&self) -> u64 {
-        self.attach_count
     }
 
     /// Total in-place randomizations performed.

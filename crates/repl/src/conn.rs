@@ -1,20 +1,22 @@
 //! Blocking framed connection shared by leader and follower.
 //!
-//! One CRC frame ([`terp_net::frame`]) carries one [`ReplMsg`]. Reads run
-//! under a socket timeout so stream threads can notice a shutdown flag
-//! without a poison message: [`Conn::recv`] returns `Ok(None)` on timeout
-//! and the caller re-checks its flag.
+//! One CRC frame ([`terp_net::frame`]) carries one [`ReplMsg`]. Until the
+//! handshake is done the peer is unvetted outside input, so reads run
+//! under [`HANDSHAKE_TIMEOUT`]; [`Conn::handshake_done`] clears it, and from
+//! then on [`Conn::recv`] blocks until a message arrives or the socket dies.
+//! A stream thread is stopped by shutting its socket down (its owner keeps
+//! a `try_clone` for that), never by a timeout. Dropping a [`Conn`] shuts
+//! the socket down too, so such a clone cannot keep the connection open.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 use terp_net::repl::ReplMsg;
 use terp_net::{frame_into, FrameDecoder, ServiceError};
 
-/// Socket read timeout: the longest a stream thread stays blind to its
-/// shutdown flag.
-pub(crate) const READ_TIMEOUT: Duration = Duration::from_millis(50);
+/// The longest a peer may take over its side of the handshake.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
 pub(crate) fn disconnected(e: impl std::fmt::Display) -> ServiceError {
     ServiceError::Disconnected(e.to_string())
@@ -29,7 +31,7 @@ impl Conn {
     pub(crate) fn new(stream: TcpStream) -> Result<Self, ServiceError> {
         stream.set_nodelay(true).map_err(disconnected)?;
         stream
-            .set_read_timeout(Some(READ_TIMEOUT))
+            .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
             .map_err(disconnected)?;
         Ok(Conn {
             stream,
@@ -37,9 +39,17 @@ impl Conn {
         })
     }
 
+    /// The peer has shaken hands: reads block from now on.
+    pub(crate) fn handshake_done(&self) -> Result<(), ServiceError> {
+        self.stream.set_read_timeout(None).map_err(disconnected)
+    }
+
     /// A second handle on the same socket (reader/writer split).
     pub(crate) fn split(&self) -> Result<Conn, ServiceError> {
-        Conn::new(self.stream.try_clone().map_err(disconnected)?)
+        Ok(Conn {
+            stream: self.stream.try_clone().map_err(disconnected)?,
+            decoder: FrameDecoder::new(),
+        })
     }
 
     pub(crate) fn send(&mut self, msg: &ReplMsg) -> Result<(), ServiceError> {
@@ -49,12 +59,12 @@ impl Conn {
         self.stream.write_all(&frame).map_err(disconnected)
     }
 
-    /// Receives one message; `Ok(None)` means the read timed out with no
-    /// complete frame (re-check shutdown and call again).
-    pub(crate) fn recv(&mut self) -> Result<Option<ReplMsg>, ServiceError> {
+    /// Receives one message. A handshake that outlives its timeout is a
+    /// dead connection.
+    pub(crate) fn recv(&mut self) -> Result<ReplMsg, ServiceError> {
         loop {
             match self.decoder.next_frame() {
-                Ok(Some(payload)) => return ReplMsg::decode(payload).map(Some),
+                Ok(Some(payload)) => return ReplMsg::decode(payload),
                 Ok(None) => {}
                 Err(e) => return Err(ServiceError::Protocol(e.to_string())),
             }
@@ -62,32 +72,16 @@ impl Conn {
             match self.stream.read(&mut buf) {
                 Ok(0) => return Err(disconnected("peer closed the stream")),
                 Ok(n) => self.decoder.push(&buf[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Ok(None)
-                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(disconnected(e)),
             }
         }
     }
+}
 
-    /// Blocks (re-polling across timeouts) until a message arrives, the
-    /// deadline passes, or the connection dies.
-    pub(crate) fn recv_deadline(
-        &mut self,
-        deadline: std::time::Instant,
-    ) -> Result<ReplMsg, ServiceError> {
-        loop {
-            if let Some(msg) = self.recv()? {
-                return Ok(msg);
-            }
-            if std::time::Instant::now() >= deadline {
-                return Err(disconnected("timed out waiting for replication peer"));
-            }
-        }
+impl Drop for Conn {
+    fn drop(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
 

@@ -24,10 +24,15 @@
 //! the leader's death is force-closed and resealed before the first client
 //! attaches. The server comes up in standby (read-only) mode and is
 //! flipped writable only after recovery has finished.
+//!
+//! Stopping waits on no timeout: the stream thread registers a clone of
+//! each socket it connects before it reads the shutdown flag, and `halt`
+//! sets the flag, then shuts down whatever is registered and unparks the
+//! thread from its reconnect wait.
 
 use std::fs;
 use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -35,13 +40,18 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use terp_net::repl::{LogFile, ReplMsg};
-use terp_net::{Backoff, ServiceError, VERSION};
+use terp_net::{ServiceError, VERSION};
 use terp_persist::{load_checkpoint, read_log, Replay, CKPT_FILE, WAL_FILE};
 use terp_pmo::PmoRegistry;
 use terp_service::{PmoServer, ServiceConfig};
 use terp_trace::{EventKind, TraceRecorder};
 
 use crate::conn::{disconnected, Conn};
+
+/// The first reconnect wait; each failed attempt doubles it.
+const RETRY_FIRST: Duration = Duration::from_millis(10);
+/// The longest reconnect wait.
+const RETRY_MAX: Duration = Duration::from_secs(1);
 
 /// Configuration for a [`ReplFollower`].
 #[derive(Debug, Clone)]
@@ -121,6 +131,8 @@ struct FollowerState {
     connected: AtomicBool,
     connections: AtomicU64,
     shutdown: AtomicBool,
+    /// A clone of the current leader socket, for `halt` to shut down.
+    live: Mutex<Option<TcpStream>>,
 }
 
 /// A running warm standby.
@@ -133,8 +145,8 @@ pub struct ReplFollower {
 
 impl ReplFollower {
     /// Starts the standby: a background thread connects to the leader
-    /// (retrying with exponential backoff, forever — a standby never gives
-    /// up on its leader), bootstraps, and mirrors continuously. Connection
+    /// (retrying with a doubling wait, forever — a standby never gives up
+    /// on its leader), bootstraps, and mirrors continuously. Connection
     /// death triggers reconnect and a fresh bootstrap.
     pub fn start(config: ReplFollowerConfig) -> Self {
         let state = Arc::new(FollowerState {
@@ -142,6 +154,7 @@ impl ReplFollower {
             connected: AtomicBool::new(false),
             connections: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
+            live: Mutex::new(None),
         });
         let thread_state = Arc::clone(&state);
         let thread_config = config.clone();
@@ -250,7 +263,11 @@ impl ReplFollower {
 
     fn halt(&mut self) {
         self.state.shutdown.store(true, Ordering::Release);
+        if let Some(socket) = &*self.state.live.lock().expect("live lock") {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
         if let Some(h) = self.thread.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -262,22 +279,27 @@ impl Drop for ReplFollower {
     }
 }
 
-/// Outer loop: connect (with backoff), stream until the connection dies,
-/// reconnect. Every reconnect starts the mirror over from byte 0.
+/// Outer loop: connect (waiting longer after each failure), stream until
+/// the connection dies, reconnect. Every reconnect starts the mirror over
+/// from byte 0.
 fn follower_loop(config: &ReplFollowerConfig, state: &FollowerState) {
-    let mut backoff = Backoff::default_reconnect().with_budget(Duration::MAX);
+    let mut delay = RETRY_FIRST;
     while !state.shutdown.load(Ordering::Acquire) {
-        let stream = match TcpStream::connect_timeout(&config.leader, Duration::from_secs(1)) {
-            Ok(s) => s,
-            Err(_) => {
-                match backoff.next_delay() {
-                    Some(delay) => std::thread::sleep(delay),
-                    None => return, // unreachable with an unbounded budget
-                }
-                continue;
-            }
+        let Ok((socket, stream)) =
+            TcpStream::connect_timeout(&config.leader, Duration::from_secs(1))
+                .and_then(|s| Ok((s.try_clone()?, s)))
+        else {
+            std::thread::park_timeout(delay);
+            delay = (delay * 2).min(RETRY_MAX);
+            continue;
         };
-        backoff = Backoff::default_reconnect().with_budget(Duration::MAX);
+        // Registered before the flag is read: a `halt` that comes later
+        // shuts this socket down, and one that came earlier is seen here.
+        *state.live.lock().expect("live lock") = Some(socket);
+        if state.shutdown.load(Ordering::Acquire) {
+            return;
+        }
+        delay = RETRY_FIRST;
         state.connected.store(true, Ordering::Release);
         state.connections.fetch_add(1, Ordering::AcqRel);
         let _ = run_stream(stream, config, state);
@@ -292,9 +314,8 @@ fn run_stream(
     state: &FollowerState,
 ) -> Result<(), ServiceError> {
     let mut conn = Conn::new(stream)?;
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
     conn.send(&ReplMsg::hello(config.follower))?;
-    let shards = match conn.recv_deadline(deadline)? {
+    let shards = match conn.recv()? {
         ReplMsg::Welcome { version, shards } if version == VERSION => shards as usize,
         ReplMsg::Welcome { version, .. } => {
             return Err(ServiceError::Protocol(format!(
@@ -307,6 +328,7 @@ fn run_stream(
             )))
         }
     };
+    conn.handshake_done()?;
 
     // Start over: reset warm state and clear the mirror stores (files of a
     // previous leader epoch must not survive into the new image). The
@@ -329,14 +351,7 @@ fn run_stream(
     conn.send(&ReplMsg::Subscribe)?;
 
     loop {
-        if state.shutdown.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        let msg = match conn.recv()? {
-            Some(m) => m,
-            None => continue, // read timeout; re-check shutdown
-        };
-        let (shard, applied) = match msg {
+        let (shard, applied) = match conn.recv()? {
             ReplMsg::LogBatch {
                 shard,
                 file,

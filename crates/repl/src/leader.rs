@@ -18,15 +18,21 @@
 //! offsets, so a slow follower never stalls a fast one. Acks flow back on
 //! the same socket and update the per-shard `acked` marks;
 //! [`ReplLeader::lag`] reports `shipped - acked` per shard.
+//!
+//! Stopping waits on no timeout. The accept loop blocks in `accept`, and
+//! [`ReplLeader::shutdown`] wakes it with one connection of its own. Every
+//! feeder is listed with a clone of its socket; shutdown closes each
+//! socket, which ends a feeder blocked in a send to a follower that stopped
+//! reading, and the feeder's own close then ends its ack reader.
 
 use std::fs;
 use std::io::{Read, Seek, SeekFrom};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use terp_net::repl::{LogFile, ReplMsg, LOG_CHUNK};
 use terp_net::{ServiceError, MAGIC, VERSION};
@@ -35,6 +41,12 @@ use terp_trace::{EventKind, TraceRecorder};
 
 use crate::conn::{disconnected, Conn};
 
+/// Feeder pacing when a pass over every shard ships nothing.
+const IDLE_POLL: Duration = Duration::from_micros(500);
+
+/// Feeder threads, each with a clone of its follower's socket.
+type Feeders = Arc<Mutex<Vec<(JoinHandle<()>, TcpStream)>>>;
+
 /// Configuration for a [`ReplLeader`].
 #[derive(Debug, Clone)]
 pub struct ReplLeaderConfig {
@@ -42,27 +54,18 @@ pub struct ReplLeaderConfig {
     pub dir: PathBuf,
     /// Shard count (must match the service's `effective_shards()`).
     pub shards: usize,
-    /// Feeder pacing when a pass over every shard ships nothing.
-    pub idle_poll: Duration,
     /// Optional flight recorder for `ReplShip` events.
     pub tracer: Option<Arc<TraceRecorder>>,
 }
 
 impl ReplLeaderConfig {
-    /// Defaults: 500 µs idle poll, no tracer.
+    /// Defaults: no tracer.
     pub fn new(dir: impl Into<PathBuf>, shards: usize) -> Self {
         ReplLeaderConfig {
             dir: dir.into(),
             shards: shards.max(1),
-            idle_poll: Duration::from_micros(500),
             tracer: None,
         }
-    }
-
-    /// Sets the idle poll interval.
-    pub fn with_idle_poll(mut self, idle_poll: Duration) -> Self {
-        self.idle_poll = idle_poll;
-        self
     }
 
     /// Attaches a flight recorder.
@@ -105,7 +108,7 @@ pub struct ReplLeader {
     addr: SocketAddr,
     shared: Arc<LeaderShared>,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Feeders,
 }
 
 impl ReplLeader {
@@ -117,7 +120,6 @@ impl ReplLeader {
     /// [`ServiceError::Disconnected`] if the listener cannot bind.
     pub fn start(config: ReplLeaderConfig, addr: impl ToSocketAddrs) -> Result<Self, ServiceError> {
         let listener = TcpListener::bind(addr).map_err(disconnected)?;
-        listener.set_nonblocking(true).map_err(disconnected)?;
         let addr = listener.local_addr().map_err(disconnected)?;
         let shards = config.shards;
         let shared = Arc::new(LeaderShared {
@@ -127,35 +129,37 @@ impl ReplLeader {
             acked: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             followers: AtomicUsize::new(0),
         });
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns = Feeders::default();
 
         let accept_shared = Arc::clone(&shared);
         let accept_conns = Arc::clone(&conns);
         let accept = std::thread::Builder::new()
             .name("repl-accept".into())
             .spawn(move || {
-                while !accept_shared.shutdown.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let conn_shared = Arc::clone(&accept_shared);
-                            let handle = std::thread::Builder::new()
-                                .name("repl-feed".into())
-                                .spawn(move || {
-                                    conn_shared.followers.fetch_add(1, Ordering::AcqRel);
-                                    // A dying follower is not a leader
-                                    // error: drop the connection and let
-                                    // its reconnect re-bootstrap.
-                                    let _ = serve_follower(stream, &conn_shared);
-                                    conn_shared.followers.fetch_sub(1, Ordering::AcqRel);
-                                })
-                                .expect("spawn repl feeder");
-                            accept_conns.lock().expect("conns lock").push(handle);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => break,
+                for stream in listener.incoming() {
+                    if accept_shared.shutdown.load(Ordering::Acquire) {
+                        break;
                     }
+                    let Ok((stream, socket)) = stream.and_then(|s| Ok((s.try_clone()?, s))) else {
+                        break;
+                    };
+                    // Finished feeders leave the list here, so it holds
+                    // the live connections and not every one ever made.
+                    let mut conns = accept_conns.lock().expect("conns lock");
+                    conns.retain(|(h, _)| !h.is_finished());
+                    let conn_shared = Arc::clone(&accept_shared);
+                    let handle = std::thread::Builder::new()
+                        .name("repl-feed".into())
+                        .spawn(move || {
+                            conn_shared.followers.fetch_add(1, Ordering::AcqRel);
+                            // A dying follower is not a leader error: drop
+                            // the connection and let its reconnect
+                            // re-bootstrap.
+                            let _ = serve_follower(stream, &conn_shared);
+                            conn_shared.followers.fetch_sub(1, Ordering::AcqRel);
+                        })
+                        .expect("spawn repl feeder");
+                    conns.push((handle, socket));
                 }
             })
             .expect("spawn repl accept loop");
@@ -197,9 +201,15 @@ impl ReplLeader {
     fn halt(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         if let Some(h) = self.accept.take() {
+            // `accept` blocks: a connection of our own wakes it to the flag.
+            let _ = TcpStream::connect(self.addr);
             let _ = h.join();
         }
-        for h in self.conns.lock().expect("conns lock").drain(..) {
+        let feeders = std::mem::take(&mut *self.conns.lock().expect("conns lock"));
+        for (_, socket) in &feeders {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+        for (h, _) in feeders {
             let _ = h.join();
         }
     }
@@ -214,9 +224,7 @@ impl Drop for ReplLeader {
 /// Serves one follower: handshake, then the shipping loop.
 fn serve_follower(stream: TcpStream, shared: &LeaderShared) -> Result<(), ServiceError> {
     let mut conn = Conn::new(stream)?;
-    let handshake_deadline = Instant::now() + Duration::from_secs(10);
-
-    match conn.recv_deadline(handshake_deadline)? {
+    match conn.recv()? {
         ReplMsg::Hello {
             magic,
             version,
@@ -237,7 +245,7 @@ fn serve_follower(stream: TcpStream, shared: &LeaderShared) -> Result<(), Servic
         version: VERSION,
         shards: shared.config.shards as u32,
     })?;
-    match conn.recv_deadline(handshake_deadline)? {
+    match conn.recv()? {
         ReplMsg::Subscribe => {}
         other => {
             return Err(ServiceError::Protocol(format!(
@@ -246,28 +254,26 @@ fn serve_follower(stream: TcpStream, shared: &LeaderShared) -> Result<(), Servic
         }
     }
 
+    conn.handshake_done()?;
+
     // Ack reader on a second handle; it only touches the acked marks.
     let mut ack_conn = conn.split()?;
-    let ack_shared_shutdown = &shared.shutdown;
     let ack_acked = &shared.acked;
     std::thread::scope(|scope| {
         scope.spawn(move || {
-            while !ack_shared_shutdown.load(Ordering::Acquire) {
-                match ack_conn.recv() {
-                    Ok(Some(ReplMsg::Ack { shard, applied_seq })) => {
-                        if let Some(mark) = ack_acked.get(shard as usize) {
-                            mark.fetch_max(applied_seq, Ordering::AcqRel);
-                        }
+            while let Ok(msg) = ack_conn.recv() {
+                if let ReplMsg::Ack { shard, applied_seq } = msg {
+                    if let Some(mark) = ack_acked.get(shard as usize) {
+                        mark.fetch_max(applied_seq, Ordering::AcqRel);
                     }
-                    Ok(Some(_)) | Ok(None) => {}
-                    Err(_) => break,
                 }
             }
         });
-        feed(&mut conn, shared)
-        // Scope exit joins the ack thread: `feed` only returns once the
-        // connection is dead or the leader is shutting down, and either
-        // condition ends the ack loop.
+        let fed = feed(&mut conn, shared);
+        // Dropping the feeder's handle shuts the socket down, which ends
+        // the ack reader the scope joins.
+        drop(conn);
+        fed
     })
 }
 
@@ -445,9 +451,43 @@ fn feed(conn: &mut Conn, shared: &LeaderShared) -> Result<(), ServiceError> {
                 }
             }
             idle_passes = idle_passes.wrapping_add(1);
-            std::thread::sleep(shared.config.idle_poll);
+            std::thread::sleep(IDLE_POLL);
         } else {
             idle_passes = 0;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_feeder_list_drops_finished_connections() {
+        // No follower here subscribes, so no feeder reads the directory.
+        let leader = ReplLeader::start(ReplLeaderConfig::new("unread", 1), "127.0.0.1:0").unwrap();
+        let all_finished = |leader: &ReplLeader| {
+            let conns = leader.conns.lock().unwrap();
+            conns.iter().all(|(h, _)| h.is_finished())
+        };
+        for _ in 0..50 {
+            let mut conn = Conn::new(TcpStream::connect(leader.local_addr()).unwrap()).unwrap();
+            conn.send(&ReplMsg::hello(1)).unwrap();
+            assert!(matches!(conn.recv().unwrap(), ReplMsg::Welcome { .. }));
+            drop(conn);
+            // The feeder was spawned under the list's lock and has
+            // answered, so it is listed: wait until it has seen the hang-up.
+            let start = std::time::Instant::now();
+            while !all_finished(&leader) {
+                assert!(
+                    start.elapsed() < Duration::from_secs(10),
+                    "feeder outlived its follower"
+                );
+                std::thread::yield_now();
+            }
+        }
+        assert_eq!(leader.followers(), 0);
+        assert!(leader.conns.lock().unwrap().len() <= 1);
+        leader.shutdown();
     }
 }

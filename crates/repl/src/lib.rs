@@ -3,10 +3,10 @@
 //! The durable service (terp-service + terp-persist) survives a crash of
 //! its own process; this crate makes the service survive the loss of its
 //! whole *machine* without weakening the paper's temporal-exposure
-//! invariant. A replication **leader** ([`ReplLeader`]) tails the three
+//! invariant. A replication **leader** ([`ReplLeader`]) tails the two
 //! files of every shard's durable store — the live write-ahead log through
-//! [`terp_persist::TailReader`], the checkpoint log and the protection
-//! snapshot whenever a checkpoint commits — and streams their raw bytes to
+//! [`terp_persist::TailReader`], and the checkpoint log whenever a
+//! checkpoint commits — and streams their raw bytes to
 //! **followers** ([`ReplFollower`]) over the terp-net frame codec (message
 //! set: [`terp_net::repl`]). Bootstrap is not a separate protocol: it is
 //! the same stream from byte 0. A follower writes shipped bytes *verbatim*

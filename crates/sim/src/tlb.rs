@@ -97,11 +97,6 @@ impl Tlb {
     pub fn shootdowns(&self) -> u64 {
         self.shootdowns
     }
-
-    /// Overall L1 hit rate.
-    pub fn l1_hit_rate(&self) -> f64 {
-        self.l1.hit_rate()
-    }
 }
 
 #[cfg(test)]

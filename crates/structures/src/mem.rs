@@ -332,11 +332,6 @@ impl LocalMem {
             })
             .unwrap_or_default()
     }
-
-    /// Runs `f` against the live registry (assertion helper).
-    pub fn with_registry<R>(&self, f: impl FnOnce(&PmoRegistry) -> R) -> R {
-        f(&self.inner.borrow().reg)
-    }
 }
 
 impl Default for LocalMem {
