@@ -42,15 +42,16 @@
 //!
 //! The log records two kinds of events, which is the point of the TERP
 //! persist layer: *data* mutations (`PoolCreate`/`Alloc`/`Free`/`DataWrite`)
-//! and *protection-state* mutations (`SessionOpen`/`SessionClose` for
-//! per-client grants, `WindowOpen`/`WindowClose` for the process exposure
-//! window). Recovery replays the first kind to rebuild pool bytes and the
-//! second kind to learn which exposure windows were open at crash time —
-//! those must be force-closed and re-randomized, never resumed.
+//! and *protection-state* mutations (`WindowOpen`/`WindowClose` for the
+//! process exposure window). Recovery replays the first kind to rebuild pool
+//! bytes and the second kind to learn which exposure windows were open at
+//! crash time — those must be force-closed and re-randomized, never resumed.
+//! Client sessions (per-client grants) are not logged: recovery resurrects
+//! none, so there is nothing for a record of one to restore.
 
 use std::io::{self, Read};
 
-use terp_pmo::{OpenMode, Permission, PmoId};
+use terp_pmo::{OpenMode, PmoId};
 
 use crate::crc::crc32;
 use crate::error::PersistError;
@@ -102,22 +103,6 @@ pub enum WalRecord {
         offset: u64,
         /// The bytes written.
         data: Vec<u8>,
-    },
-    /// Protection state: a client session opened (thread permission grant).
-    SessionOpen {
-        /// Client id.
-        client: u64,
-        /// Pool attached.
-        pmo: PmoId,
-        /// Permission granted to the client.
-        perm: Permission,
-    },
-    /// Protection state: a client session closed (grant revoked).
-    SessionClose {
-        /// Client id.
-        client: u64,
-        /// Pool detached.
-        pmo: PmoId,
     },
     /// Protection state: the pool was mapped — a process exposure window
     /// opened.
@@ -209,14 +194,6 @@ fn mode_byte(mode: OpenMode) -> u8 {
     }
 }
 
-fn perm_byte(perm: Permission) -> u8 {
-    match perm {
-        Permission::None => 0,
-        Permission::Read => 1,
-        Permission::ReadWrite => 2,
-    }
-}
-
 impl WalRecord {
     fn tag(&self) -> u8 {
         match self {
@@ -224,8 +201,6 @@ impl WalRecord {
             WalRecord::Alloc { .. } => 2,
             WalRecord::Free { .. } => 3,
             WalRecord::DataWrite { .. } => 4,
-            WalRecord::SessionOpen { .. } => 5,
-            WalRecord::SessionClose { .. } => 6,
             WalRecord::WindowOpen { .. } => 7,
             WalRecord::WindowClose { .. } => 8,
             WalRecord::Checkpoint { .. } => 10,
@@ -242,8 +217,6 @@ impl WalRecord {
             WalRecord::Alloc { pmo, .. }
             | WalRecord::Free { pmo, .. }
             | WalRecord::DataWrite { pmo, .. }
-            | WalRecord::SessionOpen { pmo, .. }
-            | WalRecord::SessionClose { pmo, .. }
             | WalRecord::WindowOpen { pmo }
             | WalRecord::WindowClose { pmo }
             | WalRecord::RootSet { pmo, .. }
@@ -259,9 +232,7 @@ impl WalRecord {
     pub(crate) fn is_protection(&self) -> bool {
         matches!(
             self,
-            WalRecord::SessionOpen { .. }
-                | WalRecord::SessionClose { .. }
-                | WalRecord::WindowOpen { .. }
+            WalRecord::WindowOpen { .. }
                 | WalRecord::WindowClose { .. }
                 | WalRecord::RootSet { .. }
         )
@@ -305,15 +276,6 @@ impl WalRecord {
                 payload.extend_from_slice(&pmo.raw().to_le_bytes());
                 payload.extend_from_slice(&offset.to_le_bytes());
                 put_bytes(payload, data);
-            }
-            WalRecord::SessionOpen { client, pmo, perm } => {
-                payload.extend_from_slice(&client.to_le_bytes());
-                payload.extend_from_slice(&pmo.raw().to_le_bytes());
-                payload.push(perm_byte(*perm));
-            }
-            WalRecord::SessionClose { client, pmo } => {
-                payload.extend_from_slice(&client.to_le_bytes());
-                payload.extend_from_slice(&pmo.raw().to_le_bytes());
             }
             WalRecord::WindowOpen { pmo } | WalRecord::WindowClose { pmo } => {
                 payload.extend_from_slice(&pmo.raw().to_le_bytes());
@@ -453,20 +415,6 @@ fn decode_payload(payload: &[u8]) -> Option<(u64, WalRecord)> {
             pmo: c.pmo()?,
             offset: c.u64()?,
             data: c.bytes()?.to_vec(),
-        },
-        5 => WalRecord::SessionOpen {
-            client: c.u64()?,
-            pmo: c.pmo()?,
-            perm: match c.u8()? {
-                0 => Permission::None,
-                1 => Permission::Read,
-                2 => Permission::ReadWrite,
-                _ => return None,
-            },
-        },
-        6 => WalRecord::SessionClose {
-            client: c.u64()?,
-            pmo: c.pmo()?,
         },
         7 => WalRecord::WindowOpen { pmo: c.pmo()? },
         8 => WalRecord::WindowClose { pmo: c.pmo()? },
@@ -868,13 +816,7 @@ mod tests {
                 offset: 0,
                 data: b"hello".to_vec(),
             },
-            WalRecord::SessionOpen {
-                client: 3,
-                pmo: p,
-                perm: Permission::ReadWrite,
-            },
             WalRecord::WindowOpen { pmo: p },
-            WalRecord::SessionClose { client: 3, pmo: p },
             WalRecord::WindowClose { pmo: p },
             WalRecord::Free { pmo: p, offset: 0 },
             WalRecord::RootSet {
@@ -976,16 +918,26 @@ mod tests {
                 "byte {victim}: corruption detected"
             );
         }
-        // So does a frame whose checksum holds but whose tag is retired
-        // (9, a relocation that never had a replay effect): a bad frame.
-        let mut retired = log.clone();
-        frame(99, 9, &mut retired, |payload| {
-            payload.extend_from_slice(&7u16.to_le_bytes())
-        });
-        let decoded = read_log(&retired);
-        assert_eq!(decoded.records.len(), records.len());
-        assert_eq!(decoded.consumed, log.len());
-        assert!(!decoded.is_clean());
+        // So does a frame whose checksum holds but whose tag is retired,
+        // with the fields it used to carry: 5 and 6 (a client session opened
+        // or closed, which recovery never resurrected) and 9 (a relocation
+        // that never had a replay effect). Each is a bad frame.
+        let session = [&3u64.to_le_bytes()[..], &7u16.to_le_bytes()].concat();
+        let retired = [
+            (5, [&session[..], &[2]].concat()),
+            (6, session),
+            (9, 7u16.to_le_bytes().to_vec()),
+        ];
+        for (tag, fields) in retired {
+            let mut bad = log.clone();
+            frame(99, tag, &mut bad, |payload| {
+                payload.extend_from_slice(&fields)
+            });
+            let decoded = read_log(&bad);
+            assert_eq!(decoded.records.len(), records.len(), "tag {tag}");
+            assert_eq!(decoded.consumed, log.len(), "tag {tag}");
+            assert!(!decoded.is_clean(), "tag {tag}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!    root records of that last batch) restores each pool at its original
 //!    id. Every `AllocTable` raises its pool's replay watermark to its
 //!    checkpoint's sequence number; the protection snapshot replaces the
-//!    open-window, session and root sets outright and raises the protection
+//!    open-window and root sets outright and raises the protection
 //!    watermark.
 //! 2. **Replay the log.** Data records (`PoolCreate`/`Alloc`/`Free`/
 //!    `DataWrite`/`PageDelta`) at or below their pool's watermark, and
@@ -29,9 +29,9 @@
 //!    open at crash time is force-closed — the recovered registry exposes
 //!    *no* mapped pools — and each such pool's attach generation is bumped
 //!    ([`terp_pmo::Pmo::reseal`]) so the next attach re-randomizes its MERR
-//!    placement instead of resuming the pre-crash mapping. Sessions are
-//!    discarded, never resurrected: clients must re-attach through the
-//!    permission path.
+//!    placement instead of resuming the pre-crash mapping. No client session
+//!    comes back: sessions are not logged, so a recovered registry holds no
+//!    grant and every client re-attaches through the permission path.
 //!
 //! A follower's warm standby state is a `Replay` that is never finished:
 //! it applies shipped records as they arrive and installs each checkpoint
@@ -80,8 +80,6 @@ pub struct RecoveryReport {
     pub txns_rolled_back: usize,
     /// Exposure windows open at crash time, force-closed and re-randomized.
     pub windows_resealed: usize,
-    /// Client sessions open at crash time, discarded (not resurrected).
-    pub sessions_discarded: usize,
     /// Wall-clock nanoseconds the recovery took.
     pub recovery_ns: u128,
     /// Root-directory entries live after replay (cleared slots excluded).
@@ -111,8 +109,8 @@ pub struct CheckpointImage {
     /// every committed batch, oldest batch first.
     pub pools: Vec<(u64, WalRecord)>,
     /// The protection snapshot of the last committed batch:
-    /// `WindowOpen`/`SessionOpen` for everything open at the checkpoint, and
-    /// the live root directory.
+    /// `WindowOpen` for every window open at the checkpoint, and the live
+    /// root directory.
     pub protection: Vec<(u64, WalRecord)>,
 }
 
@@ -193,7 +191,6 @@ pub struct Replay {
     /// protection snapshot.
     prot_mark: Option<u64>,
     open_windows: BTreeSet<PmoId>,
-    sessions: BTreeSet<(u64, PmoId)>,
     roots: BTreeMap<(PmoId, u32), u64>,
     applied_seq: Option<u64>,
     /// The report under construction: the replayed/skipped counts.
@@ -249,7 +246,6 @@ impl Replay {
             self.apply(*seq, record)?;
         }
         self.open_windows.clear();
-        self.sessions.clear();
         self.roots.clear();
         self.prot_mark = None;
         for (seq, record) in &image.protection {
@@ -337,12 +333,6 @@ impl Replay {
                 self.registry.pool_mut(*pmo)?.restore_allocator(live)?;
                 self.raise(*pmo, seq);
             }
-            WalRecord::SessionOpen { client, pmo, .. } => {
-                self.sessions.insert((*client, *pmo));
-            }
-            WalRecord::SessionClose { client, pmo } => {
-                self.sessions.remove(&(*client, *pmo));
-            }
             WalRecord::WindowOpen { pmo } => {
                 self.open_windows.insert(*pmo);
             }
@@ -365,8 +355,7 @@ impl Replay {
     }
 
     /// Ends the replay: rolls back every in-flight transaction, then
-    /// force-closes and reseals every window still open. Sessions are
-    /// discarded, not resurrected.
+    /// force-closes and reseals every window still open.
     ///
     /// # Errors
     ///
@@ -384,7 +373,6 @@ impl Replay {
             }
         }
         report.windows_resealed = resealed.len();
-        report.sessions_discarded = self.sessions.len();
         report.pools_recovered = self.registry.len();
         report.roots_recovered = self.roots.len();
         Ok((
@@ -446,7 +434,7 @@ mod tests {
     use super::*;
     use crate::record::read_log;
     use crate::wal::WalWriter;
-    use terp_pmo::{OpenMode, Permission};
+    use terp_pmo::OpenMode;
 
     fn id(raw: u16) -> PmoId {
         PmoId::new(raw).unwrap()
@@ -482,12 +470,6 @@ mod tests {
             data: b"payload".to_vec(),
         })
         .unwrap();
-        wal.append(&WalRecord::SessionOpen {
-            client: 9,
-            pmo: pid,
-            perm: Permission::ReadWrite,
-        })
-        .unwrap();
         wal.append(&WalRecord::WindowOpen { pmo: pid }).unwrap();
         reg.pool_mut(pid)
             .unwrap()
@@ -513,7 +495,6 @@ mod tests {
         let (state, report) = recover(&log).unwrap();
         assert_eq!(report.pools_recovered, 1);
         assert_eq!(report.windows_resealed, 1);
-        assert_eq!(report.sessions_discarded, 1);
         assert_eq!(state.resealed, vec![pid]);
 
         let pool = state.registry.pool(pid).unwrap();
@@ -531,19 +512,13 @@ mod tests {
     fn closed_windows_are_not_resealed() {
         let (_, mut log) = logged_workload();
         let mut wal = WalWriter::in_memory();
-        wal.set_next_seq(6);
+        wal.set_next_seq(5);
         wal.append(&WalRecord::WindowClose { pmo: id(1) }).unwrap();
-        wal.append(&WalRecord::SessionClose {
-            client: 9,
-            pmo: id(1),
-        })
-        .unwrap();
         wal.sync().unwrap();
         log.extend_from_slice(wal.durable_bytes().unwrap());
 
         let (state, report) = recover(&log).unwrap();
         assert_eq!(report.windows_resealed, 0);
-        assert_eq!(report.sessions_discarded, 0);
         assert!(state.resealed.is_empty());
     }
 
@@ -574,20 +549,19 @@ mod tests {
     fn snapshot_watermark_suppresses_double_replay() {
         let (live, log) = logged_workload();
         let pid = id(1);
-        // Checkpoint after the whole log (last seq = 5), window still open.
+        // Checkpoint after the whole log (last seq = 4), window still open.
         let image = CheckpointImage {
-            seq: Some(5),
+            seq: Some(4),
             ckpt_len: 0,
-            pools: image_batch(live.pool(pid).unwrap(), 5),
-            protection: vec![(5, WalRecord::WindowOpen { pmo: pid })],
+            pools: image_batch(live.pool(pid).unwrap(), 4),
+            protection: vec![(4, WalRecord::WindowOpen { pmo: pid })],
         };
 
         let (state, report) = recover_from(&image, &log).unwrap();
         // Every record of the un-truncated WAL is skipped: data below the
         // pool's watermark, protection below the snapshot's.
-        assert_eq!(report.records_skipped, 6);
+        assert_eq!(report.records_skipped, 5);
         assert_eq!(report.windows_resealed, 1, "carried by the snapshot");
-        assert_eq!(report.sessions_discarded, 0, "the snapshot listed none");
         let pool = state.registry.pool(pid).unwrap();
         assert_eq!(pool.allocator().live_count(), 1, "alloc not double-applied");
         assert_eq!(fingerprint(&state.registry), fingerprint(&live));
@@ -604,24 +578,23 @@ mod tests {
             replay.apply(*seq, record).unwrap();
         }
         assert_eq!(replay.open_windows().len(), 1);
-        assert_eq!(replay.applied_seq(), Some(5));
-        // The leader closed the window at seq 6 and checkpointed at 7; the
+        assert_eq!(replay.applied_seq(), Some(4));
+        // The leader closed the window at seq 5 and checkpointed at 6; the
         // close was truncated away before it shipped.
         let image = CheckpointImage {
-            seq: Some(7),
+            seq: Some(6),
             ckpt_len: 0,
-            pools: image_batch(live.pool(pid).unwrap(), 7),
+            pools: image_batch(live.pool(pid).unwrap(), 6),
             protection: Vec::new(),
         };
         replay.install_checkpoint(&image).unwrap();
         assert!(replay.open_windows().is_empty());
-        assert_eq!(replay.applied_seq(), Some(7));
+        assert_eq!(replay.applied_seq(), Some(6));
         // Installing it again changes nothing (watermarks skip the batch).
         replay.install_checkpoint(&image).unwrap();
         assert_eq!(fingerprint(replay.registry()), fingerprint(&live));
-        let (state, report) = replay.finish().unwrap();
+        let (state, _) = replay.finish().unwrap();
         assert!(state.resealed.is_empty());
-        assert_eq!(report.sessions_discarded, 0);
     }
 
     type PoolPrint = (u16, Vec<(u64, u64)>, Vec<(u64, Vec<u8>)>);

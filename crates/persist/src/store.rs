@@ -105,12 +105,14 @@ pub enum Visibility {
     /// Return only once the operation's log records are *durable*: the
     /// caller writes and fsyncs them inline — at operation end, or once at
     /// the end of a batch of operations whose results it holds back until
-    /// then — so grant acks, detach acks and writes never precede their
-    /// records' fsync (read-your-durable-writes). What acknowledges nobody
-    /// buys no fsync: the `WindowClose` of a window the service's sweeper
-    /// expired waits in the buffer for the owner's next commit (the sweeper
-    /// makes one itself when none comes), because a crash that loses it
-    /// only reseals that window once more.
+    /// then — so attach acks, detach acks and writes never precede their
+    /// records' fsync (read-your-durable-writes). A silent grant and a
+    /// delayed detach have no record, so their acks wait for no fsync:
+    /// sessions are not logged, because recovery resurrects none. What
+    /// acknowledges nobody buys no fsync either: the `WindowClose` of a
+    /// window the service's sweeper expired waits in the buffer for the
+    /// owner's next commit (the sweeper makes one itself when none comes),
+    /// because a crash that loses it only reseals that window once more.
     Durable,
 }
 
@@ -339,9 +341,9 @@ impl DurableStore {
     /// behind a temp file + rename that replaces `ckpt.log`.
     ///
     /// No quiescent point is needed: pass the current protection state
-    /// (`WindowOpen`/`SessionOpen` for every open window/session) in
-    /// `protection` — it is preserved in the checkpoint's batch so a later
-    /// crash still knows exactly what to reseal. The live root directory is
+    /// (`WindowOpen` for every open window) in `protection` — it is
+    /// preserved in the checkpoint's batch so a later crash still knows
+    /// exactly what to reseal. The live root directory is
     /// carried automatically. Every pool whose mutations were logged through
     /// this store must be passed; clean pools cost an append nothing.
     ///
@@ -950,14 +952,7 @@ mod tests {
                     oid: 0x0040_0000_0000_0080,
                 })
                 .unwrap();
-            let protection = [
-                WalRecord::WindowOpen { pmo: id(1) },
-                WalRecord::SessionOpen {
-                    client: 4,
-                    pmo: id(1),
-                    perm: terp_pmo::Permission::ReadWrite,
-                },
-            ];
+            let protection = [WalRecord::WindowOpen { pmo: id(1) }];
             store.checkpoint(reg.iter_mut(), &protection).unwrap();
         }
         let path = dir.join(CKPT_FILE);
@@ -989,7 +984,7 @@ mod tests {
         fs::write(&path, &good).unwrap();
         let (_, state, report) = DurableStore::open(&dir, Visibility::Durable).unwrap();
         assert_recovered(&state);
-        assert_eq!(report.sessions_discarded, 1);
+        assert_eq!(report.windows_resealed, 1);
         assert_eq!(report.roots_recovered, 1);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,7 +1,7 @@
 //! The checkpoint protocol at every crash step, and the bound it buys.
 //!
-//! A scripted history — three pools, two exposure windows and their
-//! sessions left open, a root, one transaction abandoned in flight — runs
+//! A scripted history — three pools, two exposure windows left open, a
+//! root, one transaction abandoned in flight — runs
 //! against a real [`DurableStore`] while every record it logs is also kept,
 //! un-truncated, as the *uncheckpointed reference*. Then a checkpoint runs,
 //! and from the directory before and after it the test materialises every
@@ -36,7 +36,7 @@ use terp_persist::{
     enumerate_crash_points, inject, load_checkpoint, read_log, recover, DurableStore,
     RecoveredState, Visibility, WalRecord, CHECKPOINT_TRIGGER, CKPT_FILE, WAL_FILE, WAL_RESERVE,
 };
-use terp_pmo::{OpenMode, Permission, PmoId, PmoRegistry, Transaction, PAGE_SIZE};
+use terp_pmo::{OpenMode, PmoId, PmoRegistry, Transaction, PAGE_SIZE};
 
 const POOL_SIZE: u64 = 1 << 18;
 
@@ -321,7 +321,7 @@ fn check_states(
     assert!(expected_report.txns_rolled_back > 0, "and one transaction");
     for (label, files) in states {
         files.write(scratch);
-        let (store, state, report) = DurableStore::open(scratch, visibility)
+        let (store, state, _) = DurableStore::open(scratch, visibility)
             .unwrap_or_else(|e| panic!("{what} / {label}: {e}"));
         assert_eq!(
             fingerprint(&state),
@@ -330,10 +330,6 @@ fn check_states(
         );
         let resealed: BTreeSet<PmoId> = state.resealed.iter().copied().collect();
         assert_eq!(resealed, expected_open, "{what} / {label}: resealed set");
-        assert_eq!(
-            report.sessions_discarded, expected_report.sessions_discarded,
-            "{what} / {label}: sessions"
-        );
         for pool in state.registry.iter() {
             assert_eq!(
                 pool.attach_generation() > 0,
@@ -421,12 +417,7 @@ fn every_step_of_a_checkpoint_recovers_to_the_uncheckpointed_reference() {
             key: 1,
             oid: terp_pmo::ObjectId::new(a, cell).to_packed(),
         });
-        for (client, pmo) in [(1, a), (2, b), (3, c)] {
-            l.log(WalRecord::SessionOpen {
-                client,
-                pmo,
-                perm: Permission::ReadWrite,
-            });
+        for pmo in [a, b, c] {
             l.log(WalRecord::WindowOpen { pmo });
         }
         let far = l.alloc(b, 3 * PAGE_SIZE);
@@ -446,7 +437,6 @@ fn every_step_of_a_checkpoint_recovers_to_the_uncheckpointed_reference() {
             offset: gone,
         });
         l.log(WalRecord::WindowClose { pmo: c });
-        l.log(WalRecord::SessionClose { client: 3, pmo: c });
         l.write(c, 64, b"between b's close and its reopening");
         l.log(WalRecord::WindowOpen { pmo: b });
         l.mirrored(a, |pool| {
@@ -459,16 +449,6 @@ fn every_step_of_a_checkpoint_recovers_to_the_uncheckpointed_reference() {
         let protection = [
             WalRecord::WindowOpen { pmo: a },
             WalRecord::WindowOpen { pmo: b },
-            WalRecord::SessionOpen {
-                client: 1,
-                pmo: a,
-                perm: Permission::ReadWrite,
-            },
-            WalRecord::SessionOpen {
-                client: 2,
-                pmo: b,
-                perm: Permission::ReadWrite,
-            },
         ];
 
         // The compacting page set: nobody forced this checkpoint.

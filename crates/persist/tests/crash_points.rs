@@ -2,7 +2,7 @@
 //!
 //! Runs one randomized-but-deterministic workload — three pools, plain
 //! writes, a committed transaction, an in-flight transaction abandoned by a
-//! crash, sessions and exposure windows opened and closed — while mirroring
+//! crash, exposure windows opened and closed — while mirroring
 //! every pool mutation into a [`DurableStore`], once per [`Visibility`]
 //! (the pipelined writer and the inline one must leave the same image on
 //! disk). Then, for **every** crash
@@ -14,8 +14,7 @@
 //!
 //! (a) **No exposure window is readable.** The resealed set equals exactly
 //!     the windows open in the surviving prefix, every resealed pool has a
-//!     bumped attach generation (next attach re-randomizes), and crashed
-//!     sessions are discarded, never resurrected.
+//!     bumped attach generation (next attach re-randomizes).
 //! (b) **Committed transactions are intact.** Once the commit record is
 //!     durable, the committed value survives every later crash point.
 //! (c) **Uncommitted transactions roll back.** The in-flight transaction's
@@ -34,7 +33,7 @@ use terp_persist::{
     enumerate_crash_points, inject, read_log, recover, DurableStore, Visibility, WalRecord,
     WAL_FILE,
 };
-use terp_pmo::{txn, ObjectId, OpenMode, Permission, PmoId, PmoRegistry, Transaction, PAGE_SIZE};
+use terp_pmo::{txn, ObjectId, OpenMode, PmoId, PmoRegistry, Transaction, PAGE_SIZE};
 
 const POOL_SIZE: u64 = 1 << 18;
 const CELL: usize = 24;
@@ -208,11 +207,6 @@ fn crash_matrix(visibility: Visibility) {
     let (c2, c2_alloc) = b.alloc(a, 64);
     let c2_pre = rng.bytes(CELL);
     let c2_pre_idx = b.write(a, c2, &c2_pre);
-    b.log(WalRecord::SessionOpen {
-        client: 11,
-        pmo: a,
-        perm: Permission::ReadWrite,
-    });
     b.log(WalRecord::WindowOpen { pmo: a });
     b.log(WalRecord::RootSet {
         pmo: a,
@@ -229,7 +223,6 @@ fn crash_matrix(visibility: Visibility) {
     b.mirror(a, &before);
     let c2_commit_end = b.records.len(); // first index *after* the commit
     b.log(WalRecord::WindowClose { pmo: a });
-    b.log(WalRecord::SessionClose { client: 11, pmo: a });
 
     // Pool C: allocator churn and window churn; one window open at the end.
     let c = b.create("crash-c");
@@ -238,19 +231,8 @@ fn crash_matrix(visibility: Visibility) {
     b.free(c, t0);
     let (t1, _) = b.alloc(c, 256);
     b.write(c, t1, &rng.bytes(48));
-    b.log(WalRecord::SessionOpen {
-        client: 21,
-        pmo: c,
-        perm: Permission::Read,
-    });
     b.log(WalRecord::WindowOpen { pmo: c });
     b.log(WalRecord::WindowClose { pmo: c });
-    b.log(WalRecord::SessionOpen {
-        client: 22,
-        pmo: c,
-        perm: Permission::ReadWrite,
-    });
-    b.log(WalRecord::SessionClose { client: 21, pmo: c });
     b.log(WalRecord::WindowOpen { pmo: c }); // still open at the crash
 
     // Pool B: an in-flight transaction abandoned mid-air, window open.
@@ -259,11 +241,6 @@ fn crash_matrix(visibility: Visibility) {
     let (c3, c3_alloc) = b.alloc(pb, 64);
     let c3_pre = rng.bytes(CELL);
     let c3_pre_idx = b.write(pb, c3, &c3_pre);
-    b.log(WalRecord::SessionOpen {
-        client: 31,
-        pmo: pb,
-        perm: Permission::ReadWrite,
-    });
     b.log(WalRecord::WindowOpen { pmo: pb });
     let before = b.phys(pb);
     {
@@ -305,7 +282,6 @@ fn crash_matrix(visibility: Visibility) {
 
         // Model: scan the surviving prefix for protection state.
         let mut open: BTreeSet<PmoId> = BTreeSet::new();
-        let mut sessions: BTreeSet<(u64, PmoId)> = BTreeSet::new();
         let mut roots = BTreeMap::new();
         for record in &records[..k] {
             match record {
@@ -318,12 +294,6 @@ fn crash_matrix(visibility: Visibility) {
                 WalRecord::WindowClose { pmo } => {
                     open.remove(pmo);
                 }
-                WalRecord::SessionOpen { client, pmo, .. } => {
-                    sessions.insert((*client, *pmo));
-                }
-                WalRecord::SessionClose { client, pmo } => {
-                    sessions.remove(&(*client, *pmo));
-                }
                 _ => {}
             }
         }
@@ -333,12 +303,6 @@ fn crash_matrix(visibility: Visibility) {
         let resealed: BTreeSet<PmoId> = state.resealed.iter().copied().collect();
         assert_eq!(resealed, open, "{}: resealed set", point.describe());
         assert_eq!(report.windows_resealed, open.len(), "{}", point.describe());
-        assert_eq!(
-            report.sessions_discarded,
-            sessions.len(),
-            "{}: sessions are discarded, never resurrected",
-            point.describe()
-        );
         assert_eq!(state.roots, roots, "{}: root directory", point.describe());
         for pool in state.registry.iter() {
             assert_eq!(

@@ -92,11 +92,6 @@ fn build_leader_log() -> (Vec<u8>, u64, u64) {
         offset: a1.offset(),
         data: b"committed-v1".to_vec(),
     });
-    log(&WalRecord::SessionOpen {
-        client: 9,
-        pmo: a,
-        perm: Permission::ReadWrite,
-    });
     log(&WalRecord::WindowOpen { pmo: a });
     reg.pool_mut(a)
         .unwrap()
@@ -113,7 +108,6 @@ fn build_leader_log() -> (Vec<u8>, u64, u64) {
         oid: a1.to_packed(),
     });
     log(&WalRecord::WindowClose { pmo: a });
-    log(&WalRecord::SessionClose { client: 9, pmo: a });
 
     // Pool B: exposure window open at the crash.
     let b = reg.create("scratch", 1 << 16, OpenMode::ReadWrite).unwrap();
@@ -128,11 +122,6 @@ fn build_leader_log() -> (Vec<u8>, u64, u64) {
         pmo: b,
         size: 64,
         offset: b1.offset(),
-    });
-    log(&WalRecord::SessionOpen {
-        client: 4,
-        pmo: b,
-        perm: Permission::ReadWrite,
     });
     log(&WalRecord::WindowOpen { pmo: b });
     reg.pool_mut(b)
@@ -378,29 +367,10 @@ impl Scripted<'_> {
             .flat_map(|(_, frame)| frame.clone())
             .collect();
         let records = read_log(&frames).records;
-        let mut protection: Vec<WalRecord> = open_windows_in(&records)
+        let protection: Vec<WalRecord> = open_windows_in(&records)
             .into_iter()
             .map(|pmo| WalRecord::WindowOpen { pmo })
             .collect();
-        let mut sessions = Vec::new();
-        for (_, record) in &records {
-            match record {
-                WalRecord::SessionOpen { client, pmo, .. } => sessions.push((*client, *pmo)),
-                WalRecord::SessionClose { client, pmo } => {
-                    sessions.retain(|s| s != &(*client, *pmo))
-                }
-                _ => {}
-            }
-        }
-        protection.extend(
-            sessions
-                .into_iter()
-                .map(|(client, pmo)| WalRecord::SessionOpen {
-                    client,
-                    pmo,
-                    perm: Permission::ReadWrite,
-                }),
-        );
         self.store
             .checkpoint(self.reg.iter_mut(), &protection)
             .unwrap();
@@ -555,11 +525,6 @@ fn every_shipped_message_across_checkpoints_promotes_safely() {
         let b = s.create("scratch");
         let a1 = s.alloc(a, 128);
         s.write(a, a1, b"committed-v1");
-        s.log(WalRecord::SessionOpen {
-            client: 9,
-            pmo: a,
-            perm: Permission::ReadWrite,
-        });
         s.log(WalRecord::WindowOpen { pmo: a });
         s.write(a, a1, b"committed-v2");
         s.log(WalRecord::RootSet {
@@ -569,15 +534,9 @@ fn every_shipped_message_across_checkpoints_promotes_safely() {
         });
         s.checkpoint(); // nobody forced it: compacts, window on A open
         let b1 = s.alloc(b, 64);
-        s.log(WalRecord::SessionOpen {
-            client: 4,
-            pmo: b,
-            perm: Permission::ReadWrite,
-        });
         s.log(WalRecord::WindowOpen { pmo: b });
         s.write(b, b1, b"exposed!");
         s.log(WalRecord::WindowClose { pmo: a });
-        s.log(WalRecord::SessionClose { client: 9, pmo: a });
         // Up to the trigger in one burst of root rewrites, then a forced
         // (appending) checkpoint with only B's window open.
         while !s.store.checkpoint_due() {

@@ -335,8 +335,6 @@ pub struct RecoveryStats {
     pub txns_rolled_back: u64,
     /// Exposure windows open at crash time, force-closed and re-randomized.
     pub windows_resealed: u64,
-    /// Client sessions open at crash time, discarded (never resurrected).
-    pub sessions_discarded: u64,
     /// Wall-clock nanoseconds spent in recovery, summed over shards.
     pub recovery_ns: u128,
 }
@@ -351,7 +349,6 @@ impl RecoveryStats {
         self.torn_tails += u64::from(r.torn_tail);
         self.txns_rolled_back += r.txns_rolled_back as u64;
         self.windows_resealed += r.windows_resealed as u64;
-        self.sessions_discarded += r.sessions_discarded as u64;
         self.recovery_ns += r.recovery_ns;
     }
 }
@@ -383,8 +380,8 @@ pub struct ServiceReport {
     pub sweeper_syncs: u64,
     /// Sweeper actions (unmap, relocation, leftover commit) that failed.
     pub sweeper_errors: u64,
-    /// Steps of [`crate::PmoService::drain`] (unmap, MERR detach, session
-    /// revoke, the closing checkpoint) that failed.
+    /// Steps of [`crate::PmoService::drain`] (unmap, MERR detach, the
+    /// closing checkpoint) that failed.
     pub drain_errors: u64,
     /// Nanoseconds clients spent blocked on Basic-semantics attach
     /// serialization.
@@ -454,11 +451,10 @@ impl std::fmt::Display for ServiceReport {
             write!(
                 f,
                 "\n  recovery: {} pools ({} records), \
-                 {} windows resealed, {} sessions discarded, {:.2} ms",
+                 {} windows resealed, {:.2} ms",
                 rec.pools_recovered,
                 rec.records_replayed,
                 rec.windows_resealed,
-                rec.sessions_discarded,
                 rec.recovery_ns as f64 / 1e6,
             )?;
         }

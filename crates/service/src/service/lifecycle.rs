@@ -83,8 +83,7 @@ impl PmoService {
                 .collect();
             for (pmo, clients) in sessions {
                 for client in clients {
-                    let done = state.revoke_client(client, pmo, now);
-                    state.drain_errors += u64::from(done.is_err());
+                    state.revoke_client(client, pmo, now);
                 }
             }
             state.holders.clear();

@@ -318,7 +318,7 @@ impl Batch<'_> {
                 return Err(e);
             }
         }
-        state.grant_client(client, pmo, perm, now)?;
+        state.grant_client(client, pmo, perm, now);
         state.add_holder(client, pmo);
         state.trace(EventKind::Attach {
             pmo: pmo.raw(),
@@ -424,7 +424,7 @@ impl Batch<'_> {
             state.engine.evict(pmo);
             outcome = DetachOutcome::FullDetach;
         }
-        state.revoke_client(client, pmo, now)?;
+        state.revoke_client(client, pmo, now);
         state.remove_holder(client, pmo);
         state.trace(EventKind::Detach {
             pmo: pmo.raw(),

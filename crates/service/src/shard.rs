@@ -227,9 +227,9 @@ impl ShardState {
     /// under `submit` or in memory.
     ///
     /// The trigger runs at *operation end* — never mid-operation, where a
-    /// journaled protection record (e.g. the `SessionOpen` written before
-    /// the grant) could be truncated before the shard state it describes
-    /// exists.
+    /// journaled protection record (e.g. the `WindowOpen` written before
+    /// the mapping is published) could be truncated before the shard state
+    /// it describes exists.
     pub(crate) fn finish_op(&mut self) -> Result<bool, ServiceError> {
         if self
             .store
@@ -258,16 +258,14 @@ impl ShardState {
 
     /// Checkpoints this shard's durable store (a no-op in memory): the
     /// store writes its page set, the protection snapshot rebuilt here from
-    /// live shard state — open windows and open sessions, exactly what
-    /// recovery needs to reseal and discard — and truncates the WAL. No
-    /// quiescent point is needed; call between operations.
+    /// live shard state — the open windows, exactly what recovery needs to
+    /// reseal — and truncates the WAL. No quiescent point is needed; call
+    /// between operations.
     pub(crate) fn checkpoint(&mut self) -> Result<(), ServiceError> {
         let ShardState {
             store,
             pools,
             space,
-            holders,
-            perms,
             leftover_since,
             ..
         } = self;
@@ -276,35 +274,11 @@ impl ShardState {
         };
         // The checkpoint's first step syncs everything journaled so far.
         *leftover_since = None;
-        let mut protection: Vec<WalRecord> = Vec::new();
-        for &pmo in pools.keys() {
-            if space.is_attached(pmo) {
-                protection.push(WalRecord::WindowOpen { pmo });
-            }
-        }
-        for (&pmo, clients) in holders.iter() {
-            for &client in clients {
-                let perm = perms
-                    .get(&client)
-                    .map(|set| {
-                        if set.has(pmo, Right::Write) {
-                            Permission::ReadWrite
-                        } else if set.has(pmo, Right::Read) {
-                            Permission::Read
-                        } else {
-                            Permission::None
-                        }
-                    })
-                    .unwrap_or(Permission::None);
-                if perm != Permission::None {
-                    protection.push(WalRecord::SessionOpen {
-                        client: client as u64,
-                        pmo,
-                        perm,
-                    });
-                }
-            }
-        }
+        let protection: Vec<WalRecord> = pools
+            .keys()
+            .filter(|&&pmo| space.is_attached(pmo))
+            .map(|&pmo| WalRecord::WindowOpen { pmo })
+            .collect();
         let mut guards: Vec<_> = pools.values().map(|s| s.pool_mut()).collect();
         store.checkpoint(guards.iter_mut().map(|g| &mut **g), &protection)?;
         Ok(())
@@ -420,19 +394,16 @@ impl ShardState {
     }
 
     /// Grants `client` the thread rights implied by `perm`, opens its TEW,
-    /// and mirrors the grant to the fast path (publish last).
+    /// and mirrors the grant to the fast path (publish last). Nothing is
+    /// journaled: recovery resurrects no session, so a grant leaves it
+    /// nothing to re-derive and a silent attach buys no fsync.
     pub(crate) fn grant_client(
         &mut self,
         client: ClientId,
         pmo: PmoId,
         perm: Permission,
         now: u64,
-    ) -> Result<(), ServiceError> {
-        self.log(&WalRecord::SessionOpen {
-            client: client as u64,
-            pmo,
-            perm,
-        })?;
+    ) {
         let set = self.perms.entry(client).or_default();
         set.grant(pmo, Right::Read);
         if perm == Permission::ReadWrite {
@@ -448,18 +419,13 @@ impl ShardState {
             client: client as u64,
             writable: perm == Permission::ReadWrite,
         });
-        Ok(())
     }
 
     /// Revokes every thread right `client` holds on `pmo` and closes its
     /// TEW. The fast-path mirror is revoked *first*: a reader racing this
-    /// call is denied as soon as the revocation begins.
-    pub(crate) fn revoke_client(
-        &mut self,
-        client: ClientId,
-        pmo: PmoId,
-        now: u64,
-    ) -> Result<(), ServiceError> {
+    /// call is denied as soon as the revocation begins. Nothing is
+    /// journaled, as for the grant: a delayed detach buys no fsync.
+    pub(crate) fn revoke_client(&mut self, client: ClientId, pmo: PmoId, now: u64) {
         if let Some(slot) = self.pools.get(&pmo) {
             slot.publish(|w| w.revoke(client));
             self.trace_publish(pmo, slot);
@@ -473,11 +439,6 @@ impl ShardState {
             set.revoke(pmo, Right::Write);
         }
         self.windows.close_tew(client, pmo, now);
-        self.log(&WalRecord::SessionClose {
-            client: client as u64,
-            pmo,
-        })?;
-        Ok(())
     }
 
     /// Publishes the Basic-semantics owner change.

@@ -312,7 +312,7 @@ impl LocalMem {
         Ok(id)
     }
 
-    /// Appends a protection-state record (session/window bookkeeping the
+    /// Appends a protection-state record (window bookkeeping the
     /// crash suite interleaves with data ops) without touching the
     /// registry.
     pub fn log_protection(&self, record: &WalRecord) {
