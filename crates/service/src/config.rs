@@ -77,8 +77,6 @@ pub struct ServiceConfig {
     /// Sweeper wake-up period in microseconds (0 disables the thread; tests
     /// then drive [`crate::PmoService::sweep_all`] manually).
     pub sweep_period_us: u64,
-    /// Circular-buffer capacity per shard (paper default 32).
-    pub cb_capacity: usize,
     /// Base seed for per-shard address-space randomization.
     pub seed: u64,
     /// Busy-wait cost charges.
@@ -118,7 +116,6 @@ impl ServiceConfig {
             shards: 16,
             ew_target_us: 40,
             sweep_period_us: 10,
-            cb_capacity: 32,
             seed: 0x7e2f,
             cost: CostModel::default(),
             durable: None,

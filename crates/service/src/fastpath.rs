@@ -4,9 +4,10 @@
 //! cycle and a silent conditional op at 27 — numbers a shard mutex cannot
 //! approach once several clients share a shard. This module publishes the
 //! *decision-relevant* slice of a pool's protection state (is it mapped,
-//! with which process permission, who owns it, which clients hold thread
-//! rights) through a per-pool seqlock so data-path readers never touch the
-//! shard mutex. Writers — attach, detach, the sweeper, recovery, drain —
+//! with which process permission, which clients hold it and with what
+//! permission — the shard's holder table, whose entries are thread rights
+//! under TERP and the one owner under Basic semantics) through a per-pool
+//! seqlock so data-path readers never touch the shard mutex. Writers — attach, detach, the sweeper, recovery, drain —
 //! already serialize on the shard lock; they additionally bump the pool's
 //! epoch before and after every mutation so a concurrent reader either sees
 //! the pre-state, the post-state, or retries.
@@ -38,8 +39,8 @@ use terp_pmo::{AccessKind, Permission, Pmo, PmoId};
 
 use crate::ClientId;
 
-/// Published thread-permission slots per pool. Pools with more concurrent
-/// holders than this set the *crowded* bit and push every client-level
+/// Published holder slots per pool. Pools with more concurrent holders
+/// than this set the *crowded* bit and push every client-level
 /// check back to the locked slow path until the pool quiesces.
 pub(crate) const GRANT_SLOTS: usize = 8;
 
@@ -87,9 +88,7 @@ pub(crate) struct PoolSlot {
     seq: AtomicU64,
     /// Packed MAPPED / PROC_READ / PROC_WRITE / CROWDED bits.
     state: AtomicU64,
-    /// Basic-semantics owner, stored as `client + 1` (0 = none).
-    owner: AtomicU64,
-    /// TERP thread-permission mirror: up to [`GRANT_SLOTS`] live grants.
+    /// Holder mirror: up to [`GRANT_SLOTS`] live holders and their rights.
     grants: [AtomicU64; GRANT_SLOTS],
     /// The pool itself. Data reads take the read half; data writes and
     /// substrate mutations (attach/detach/alloc/free) take the write half.
@@ -111,7 +110,6 @@ impl PoolSlot {
         PoolSlot {
             seq: AtomicU64::new(0),
             state: AtomicU64::new(0),
-            owner: AtomicU64::new(0),
             grants: Default::default(),
             pool: RwLock::new(pool),
         }
@@ -163,7 +161,6 @@ impl PoolSlot {
                 continue;
             }
             let state = self.state.load(Ordering::Relaxed);
-            let owner = self.owner.load(Ordering::Relaxed);
             let mut grants = [0u64; GRANT_SLOTS];
             for (g, slot) in grants.iter_mut().zip(&self.grants) {
                 *g = slot.load(Ordering::Relaxed);
@@ -172,12 +169,7 @@ impl PoolSlot {
             // the writer's Release fence in `begin_publish`).
             fence(Ordering::Acquire);
             if self.seq.load(Ordering::Relaxed) == seq {
-                return Some(WindowSnapshot {
-                    seq,
-                    state,
-                    owner,
-                    grants,
-                });
+                return Some(WindowSnapshot { seq, state, grants });
             }
             std::hint::spin_loop();
         }
@@ -222,13 +214,7 @@ impl WindowWriter<'_> {
         self.slot.state.store(state, Ordering::Relaxed);
     }
 
-    /// Publishes the Basic-semantics owner.
-    pub(crate) fn set_owner(&self, owner: Option<ClientId>) {
-        let word = owner.map_or(0, |c| (c as u64).wrapping_add(1));
-        self.slot.owner.store(word, Ordering::Relaxed);
-    }
-
-    /// Mirrors a thread-permission grant. Falls back to the sticky crowded
+    /// Mirrors a holder and its permission. Falls back to the sticky crowded
     /// bit when every slot is taken, which sends client-level checks to the
     /// locked slow path until [`Self::clear_grants`].
     pub(crate) fn grant(&self, client: ClientId, perm: Permission) {
@@ -250,7 +236,7 @@ impl WindowWriter<'_> {
         self.slot.state.fetch_or(CROWDED, Ordering::Relaxed);
     }
 
-    /// Mirrors a thread-permission revocation.
+    /// Mirrors a holder leaving.
     pub(crate) fn revoke(&self, client: ClientId) {
         let key = (client as u64).wrapping_add(1);
         for slot in &self.slot.grants {
@@ -275,7 +261,6 @@ impl WindowWriter<'_> {
 pub(crate) struct WindowSnapshot {
     seq: u64,
     state: u64,
-    owner: u64,
     grants: [u64; GRANT_SLOTS],
 }
 
@@ -308,12 +293,9 @@ impl WindowSnapshot {
         self.state & bit != 0
     }
 
-    /// Basic-semantics ownership check.
-    pub(crate) fn owner_is(&self, client: ClientId) -> bool {
-        self.owner == (client as u64).wrapping_add(1)
-    }
-
-    /// TERP thread-permission check. Only meaningful when `!crowded()`.
+    /// Client-level permission check: the mirror of
+    /// `ShardState::client_may` for a scheme that checks permissions. Only
+    /// meaningful when `!crowded()`.
     pub(crate) fn client_allows(&self, client: ClientId, kind: AccessKind) -> bool {
         let key = (client as u64).wrapping_add(1);
         let bit = match kind {
@@ -471,7 +453,8 @@ mod tests {
             .unwrap_or(200);
         let mut rng = TestRng::new(0x5e9_10c4 ^ 0x7e2f_c0de);
         for case in 0..8 {
-            // Two distinguishable generations: distinct owners and grants.
+            // Two distinguishable generations: distinct process write bits
+            // and grants.
             let client_a = rng.below(1 << 20) as ClientId;
             let client_b = client_a + 1 + rng.below(1 << 20) as ClientId;
             let s = Arc::new(slot());
@@ -490,7 +473,6 @@ mod tests {
                             s.publish(|w| {
                                 w.clear_grants();
                                 w.set_mapped(Some(perm));
-                                w.set_owner(Some(client));
                                 w.grant(client, perm);
                             });
                         }
@@ -506,12 +488,10 @@ mod tests {
                             if !snap.mapped() {
                                 continue; // initial generation
                             }
-                            let gen_a = snap.owner_is(client_a)
-                                && snap.proc_allows(AccessKind::Write)
+                            let gen_a = snap.proc_allows(AccessKind::Write)
                                 && snap.client_allows(client_a, AccessKind::Write)
                                 && !snap.client_allows(client_b, AccessKind::Read);
-                            let gen_b = snap.owner_is(client_b)
-                                && !snap.proc_allows(AccessKind::Write)
+                            let gen_b = !snap.proc_allows(AccessKind::Write)
                                 && snap.client_allows(client_b, AccessKind::Read)
                                 && !snap.client_allows(client_a, AccessKind::Read);
                             assert!(gen_a || gen_b, "torn snapshot in case {case}: {snap:?}");

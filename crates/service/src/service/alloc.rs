@@ -4,8 +4,6 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use terp_core::config::Scheme;
-use terp_core::permission::Right;
 use terp_persist::WalRecord;
 use terp_pmo::id::MAX_POOL_ID;
 use terp_pmo::{AccessKind, ObjectId, OpenMode, Pmo, PmoError, PmoId};
@@ -14,7 +12,6 @@ use super::{Batch, PmoService};
 use crate::error::ServiceError;
 use crate::fastpath::PoolSlot;
 use crate::metrics::ThreadSlab;
-use crate::shard::ShardState;
 use crate::ClientId;
 
 impl PmoService {
@@ -40,7 +37,7 @@ impl PmoService {
     /// service's root directory. In durable mode the entry is journaled as
     /// a [`WalRecord::RootSet`] and survives crashes and checkpoints, so a
     /// persistent structure's root ObjectID can be re-found after
-    /// recovery. Requires the rights a write would.
+    /// recovery. Requires the client-level rights a write would.
     ///
     /// # Errors
     ///
@@ -64,10 +61,7 @@ impl PmoService {
     ///
     /// [`ServiceError::UnknownPmo`] when the pool is not served here.
     pub fn root(&self, pmo: PmoId, key: u32) -> Result<Option<ObjectId>, ServiceError> {
-        let state = self.lock(self.shard(pmo));
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
+        let state = self.lock_pool(pmo)?;
         Ok(state
             .roots
             .get(&(pmo, key))
@@ -75,8 +69,9 @@ impl PmoService {
             .and_then(ObjectId::from_packed))
     }
 
-    /// Allocates `size` bytes in the pool (`pmalloc`). Requires the rights
-    /// a write would.
+    /// Allocates `size` bytes in the pool (`pmalloc`). Requires the
+    /// client-level rights a write would; like the other pool operations it
+    /// does not consult the permission matrix.
     ///
     /// # Errors
     ///
@@ -86,38 +81,14 @@ impl PmoService {
         self.one(|b| b.alloc(client, pmo, size))
     }
 
-    /// Frees an object (`pfree`). Requires the rights a write would.
+    /// Frees an object (`pfree`). Requires the client-level rights a write
+    /// would.
     ///
     /// # Errors
     ///
     /// Same as [`Self::alloc`].
     pub fn free(&self, client: ClientId, oid: ObjectId) -> Result<(), ServiceError> {
         self.one(|b| b.free(client, oid))
-    }
-
-    fn check_alloc_rights(
-        state: &ShardState,
-        scheme: Scheme,
-        client: ClientId,
-        pmo: PmoId,
-    ) -> Result<(), ServiceError> {
-        let allowed = match scheme {
-            Scheme::Unprotected => true,
-            Scheme::Merr | Scheme::BasicSemantics => state.owner.get(&pmo) == Some(&client),
-            Scheme::TerpSoftware | Scheme::TerpFull { .. } => state
-                .perms
-                .get(&client)
-                .is_some_and(|p| p.has(pmo, Right::Write)),
-        };
-        if allowed {
-            Ok(())
-        } else {
-            Err(ServiceError::PermissionDenied {
-                client,
-                pmo,
-                kind: AccessKind::Write,
-            })
-        }
     }
 }
 
@@ -171,13 +142,7 @@ impl Batch<'_> {
     ) -> Result<(), ServiceError> {
         let svc = self.svc;
         svc.check_writable()?;
-        let mut state = svc.lock(svc.shard(pmo));
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
-        let slab = svc.slab();
-        PmoService::check_alloc_rights(&state, svc.config.scheme, client, pmo)
-            .inspect_err(|e| PmoService::tally_denial(&slab, e))?;
+        let mut state = svc.lock_for(client, pmo, None, AccessKind::Write)?;
         let packed = oid.map_or(0, |o| o.to_packed());
         state.log(&WalRecord::RootSet {
             pmo,
@@ -202,15 +167,9 @@ impl Batch<'_> {
     ) -> Result<ObjectId, ServiceError> {
         let svc = self.svc;
         svc.check_writable()?;
-        let mut state = svc.lock(svc.shard(pmo));
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
-        let slab = svc.slab();
-        PmoService::check_alloc_rights(&state, svc.config.scheme, client, pmo)
-            .inspect_err(|e| PmoService::tally_denial(&slab, e))?;
+        let mut state = svc.lock_for(client, pmo, None, AccessKind::Write)?;
         let oid = state.pools[&pmo].pool_mut().pmalloc(size)?;
-        ThreadSlab::bump(&slab.allocs);
+        svc.metrics.with_slab(|s| ThreadSlab::bump(&s.allocs));
         state.log(&WalRecord::Alloc {
             pmo,
             size,
@@ -225,13 +184,7 @@ impl Batch<'_> {
         let svc = self.svc;
         svc.check_writable()?;
         let pmo = oid.pmo();
-        let mut state = svc.lock(svc.shard(pmo));
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
-        let slab = svc.slab();
-        PmoService::check_alloc_rights(&state, svc.config.scheme, client, pmo)
-            .inspect_err(|e| PmoService::tally_denial(&slab, e))?;
+        let mut state = svc.lock_for(client, pmo, None, AccessKind::Write)?;
         state.pools[&pmo].pool_mut().pfree(oid)?;
         state.log(&WalRecord::Free {
             pmo,

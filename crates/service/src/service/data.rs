@@ -2,74 +2,27 @@
 //! snapshot), the lock-free fast path, and read/write/compare-and-swap
 //! (plain entry points and their [`Batch`] bodies).
 
-use terp_core::config::Scheme;
-use terp_core::permission::Right;
 use terp_persist::WalRecord;
 use terp_pmo::{AccessKind, ObjectId, PmoId};
 use terp_trace::EventKind;
 
-use super::{Batch, PmoService};
+use super::{Batch, PmoService, StateGuard};
 use crate::error::ServiceError;
 use crate::fastpath::WindowSnapshot;
 use crate::metrics::ThreadSlab;
-use crate::shard::ShardState;
 use crate::ClientId;
 
-fn right_for(kind: AccessKind) -> Right {
-    match kind {
-        AccessKind::Read => Right::Read,
-        AccessKind::Write => Right::Write,
-    }
-}
-
 impl PmoService {
-    fn check_access(
-        state: &mut ShardState,
-        scheme: Scheme,
-        client: ClientId,
-        oid: ObjectId,
-        kind: AccessKind,
-    ) -> Result<(), ServiceError> {
-        let pmo = oid.pmo();
-        let va = state.space.oid_direct(oid)?;
-        let allowed = match scheme {
-            Scheme::Unprotected => true,
-            Scheme::Merr | Scheme::BasicSemantics => {
-                state.owner.get(&pmo) == Some(&client) && state.matrix.check(va, kind)
-            }
-            Scheme::TerpSoftware | Scheme::TerpFull { .. } => {
-                state
-                    .perms
-                    .get(&client)
-                    .is_some_and(|p| p.has(pmo, right_for(kind)))
-                    && state.matrix.check(va, kind)
-            }
-        };
-        if allowed {
-            Ok(())
-        } else {
-            Err(ServiceError::PermissionDenied { client, pmo, kind })
-        }
-    }
-
-    /// The fast-path permission decision against a published snapshot.
-    /// Returns `true` only when the op may proceed lock-free; every other
-    /// case (unmapped, denied, crowded mirror) falls back to the locked
-    /// slow path, which recomputes the decision authoritatively and emits
-    /// the exact legacy error.
+    /// The fast-path permission decision against a published snapshot:
+    /// the locked rule (`ShardState::client_may` plus the permission
+    /// matrix) read from the pool's mirror. Returns `true` only when the op
+    /// may proceed lock-free; every other case (unmapped, denied, crowded
+    /// mirror) falls back to the locked slow path, which recomputes the
+    /// decision authoritatively and emits the exact error.
     fn snapshot_allows(&self, snap: &WindowSnapshot, client: ClientId, kind: AccessKind) -> bool {
-        if !snap.mapped() {
-            return false;
-        }
-        match self.config.scheme {
-            Scheme::Unprotected => true,
-            Scheme::Merr | Scheme::BasicSemantics => {
-                snap.proc_allows(kind) && snap.owner_is(client)
-            }
-            Scheme::TerpSoftware | Scheme::TerpFull { .. } => {
-                snap.proc_allows(kind) && !snap.crowded() && snap.client_allows(client, kind)
-            }
-        }
+        snap.mapped()
+            && (!self.config.scheme.checks_permissions()
+                || (snap.proc_allows(kind) && !snap.crowded() && snap.client_allows(client, kind)))
     }
 
     /// Lock-free read attempt. `None` means "take the locked slow path" —
@@ -154,20 +107,7 @@ impl PmoService {
             return Ok(());
         }
         let pmo = oid.pmo();
-        let mut state = self.lock(self.shard(pmo));
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
-        if let Err(e) = Self::check_access(
-            &mut state,
-            self.config.scheme,
-            client,
-            oid,
-            AccessKind::Read,
-        ) {
-            self.metrics.with_slab(|s| Self::tally_denial(s, &e));
-            return Err(e);
-        }
+        let state = self.lock_for(client, pmo, Some(oid), AccessKind::Read)?;
         state.pools[&pmo].pool().read_bytes(oid.offset(), buf)?;
         self.metrics.with_slab(|s| ThreadSlab::bump(&s.reads));
         // Slow-path epoch 0: the lock events already order this access.
@@ -254,8 +194,8 @@ impl PmoService {
     }
 
     /// Whether `client` can currently perform `kind` on the pool: the
-    /// permission-matrix entry must allow it *and* the scheme's
-    /// client-level state (ownership / thread permission) must agree.
+    /// permission-matrix entry must allow it *and* the client's holder
+    /// entry must (`ShardState::client_may`).
     /// Lock-free unless the pool's grant mirror has overflowed (or the
     /// seqlock snapshot collides).
     pub fn client_can(&self, client: ClientId, pmo: PmoId, kind: AccessKind) -> bool {
@@ -269,23 +209,11 @@ impl PmoService {
             _ => {}
         }
         let state = self.lock(self.shard(pmo));
-        let process = state
-            .matrix
-            .entry(pmo)
-            .is_some_and(|e| e.permission.allows(kind));
-        match self.config.scheme {
-            Scheme::Unprotected => state.space.is_attached(pmo),
-            Scheme::Merr | Scheme::BasicSemantics => {
-                process && state.owner.get(&pmo) == Some(&client)
-            }
-            Scheme::TerpSoftware | Scheme::TerpFull { .. } => {
-                process
-                    && state
-                        .perms
-                        .get(&client)
-                        .is_some_and(|p| p.has(pmo, right_for(kind)))
-            }
-        }
+        let scheme = self.config.scheme;
+        state.matrix.entry(pmo).is_some_and(|e| {
+            !scheme.checks_permissions()
+                || (e.permission.allows(kind) && state.client_may(scheme, client, pmo, kind))
+        })
     }
 }
 
@@ -302,25 +230,47 @@ impl Batch<'_> {
         if svc.fast_write(client, oid, data).is_some() {
             return Ok(());
         }
+        let state = svc.lock_for(client, oid.pmo(), Some(oid), AccessKind::Write)?;
+        self.write_locked(state, client, oid, data)
+    }
+
+    /// [`PmoService::cas_u64`] without its end-of-operation commit.
+    pub fn cas_u64(
+        &mut self,
+        client: ClientId,
+        oid: ObjectId,
+        expected: u64,
+        new: u64,
+    ) -> Result<u64, ServiceError> {
+        let svc = self.svc;
+        svc.check_writable()?;
+        let state = svc.lock_for(client, oid.pmo(), Some(oid), AccessKind::Write)?;
+        let mut buf = [0u8; 8];
+        state.pools[&oid.pmo()]
+            .pool()
+            .read_bytes(oid.offset(), &mut buf)?;
+        let observed = u64::from_le_bytes(buf);
+        if observed == expected {
+            self.write_locked(state, client, oid, &new.to_le_bytes())?;
+        }
+        Ok(observed)
+    }
+
+    /// The locked tail of `write` and `cas_u64`: stores `data` at `oid`
+    /// under the shard lock `lock_for` granted, journals it in durable
+    /// mode, and ends the operation.
+    fn write_locked(
+        &mut self,
+        mut state: StateGuard<'_>,
+        client: ClientId,
+        oid: ObjectId,
+        data: &[u8],
+    ) -> Result<(), ServiceError> {
         let pmo = oid.pmo();
-        let mut state = svc.lock(svc.shard(pmo));
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
-        if let Err(e) = PmoService::check_access(
-            &mut state,
-            svc.config.scheme,
-            client,
-            oid,
-            AccessKind::Write,
-        ) {
-            svc.metrics.with_slab(|s| PmoService::tally_denial(s, &e));
-            return Err(e);
-        }
         state.pools[&pmo]
             .pool_mut()
             .write_bytes(oid.offset(), data)?;
-        svc.metrics.with_slab(|s| ThreadSlab::bump(&s.writes));
+        self.svc.metrics.with_slab(|s| ThreadSlab::bump(&s.writes));
         state.trace_data(EventKind::Write {
             pmo: pmo.raw(),
             client: client as u64,
@@ -335,62 +285,6 @@ impl Batch<'_> {
                 data: data.to_vec(),
             })?;
         }
-        self.finish(state)?;
-        Ok(())
-    }
-
-    /// [`PmoService::cas_u64`] without its end-of-operation commit.
-    pub fn cas_u64(
-        &mut self,
-        client: ClientId,
-        oid: ObjectId,
-        expected: u64,
-        new: u64,
-    ) -> Result<u64, ServiceError> {
-        let svc = self.svc;
-        svc.check_writable()?;
-        let pmo = oid.pmo();
-        let mut state = svc.lock(svc.shard(pmo));
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
-        if let Err(e) = PmoService::check_access(
-            &mut state,
-            svc.config.scheme,
-            client,
-            oid,
-            AccessKind::Write,
-        ) {
-            svc.metrics.with_slab(|s| PmoService::tally_denial(s, &e));
-            return Err(e);
-        }
-        let mut buf = [0u8; 8];
-        state.pools[&pmo]
-            .pool()
-            .read_bytes(oid.offset(), &mut buf)?;
-        let observed = u64::from_le_bytes(buf);
-        if observed != expected {
-            return Ok(observed);
-        }
-        state.pools[&pmo]
-            .pool_mut()
-            .write_bytes(oid.offset(), &new.to_le_bytes())?;
-        svc.metrics.with_slab(|s| ThreadSlab::bump(&s.writes));
-        state.trace_data(EventKind::Write {
-            pmo: pmo.raw(),
-            client: client as u64,
-            offset: oid.offset(),
-            len: 8,
-            epoch: 0,
-        });
-        if state.store.is_some() {
-            state.log(&WalRecord::DataWrite {
-                pmo,
-                offset: oid.offset(),
-                data: new.to_le_bytes().to_vec(),
-            })?;
-        }
-        self.finish(state)?;
-        Ok(observed)
+        self.finish(state)
     }
 }

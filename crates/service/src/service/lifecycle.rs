@@ -55,16 +55,8 @@ impl PmoService {
                 let done = state.unmap_pool(pmo, now);
                 state.drain_errors += u64::from(done.is_err());
             }
-            // Basic semantics: force-detach owned pools.
-            let owned: Vec<PmoId> = state.owner.keys().copied().collect();
-            for pmo in owned {
-                let released = state.merr.detach(pmo).is_ok();
-                let done = state.unmap_pool(pmo, now);
-                state.drain_errors += u64::from(!released) + u64::from(done.is_err());
-                state.publish_owner(pmo, None);
-            }
-            state.owner.clear();
-            // Anything still mapped (unprotected pools, untracked attaches).
+            // Anything still mapped: Basic-semantics owners' pools,
+            // unprotected pools, untracked attaches.
             let mapped: Vec<PmoId> = state
                 .pools
                 .keys()
@@ -72,27 +64,20 @@ impl PmoService {
                 .filter(|&p| state.space.is_attached(p))
                 .collect();
             for pmo in mapped {
+                // Releases an owner's MERR attach; a no-op for other pools.
+                let _ = state.merr.detach(pmo);
                 let done = state.unmap_pool(pmo, now);
                 state.drain_errors += u64::from(done.is_err());
             }
-            // Close every remaining client session.
-            let sessions: Vec<(PmoId, Vec<ClientId>)> = state
+            // Close every remaining client session; the last one out clears
+            // its pool's grant mirror.
+            let sessions: Vec<(PmoId, ClientId)> = state
                 .holders
                 .iter()
-                .map(|(&pmo, clients)| (pmo, clients.iter().copied().collect()))
+                .flat_map(|(&pmo, h)| h.keys().map(move |&client| (pmo, client)))
                 .collect();
-            for (pmo, clients) in sessions {
-                for client in clients {
-                    state.revoke_client(client, pmo, now);
-                }
-            }
-            state.holders.clear();
-            // Scrub the published mirrors: no grant survives the drain.
-            for slot in state.pools.values() {
-                slot.publish(|w| {
-                    w.clear_grants();
-                    w.set_owner(None);
-                });
+            for (pmo, client) in sessions {
+                state.revoke_client(client, pmo, now);
             }
             state.windows.finalize(now);
             shard.cvar.notify_all();

@@ -1,14 +1,19 @@
 //! The service proper: scheme semantics enforced at the shard boundary.
 //!
 //! * **Basic semantics** (MM / basic-semantics ablation): a pool has at most
-//!   one owning client; a conflicting attach *blocks* on the shard condvar
-//!   until the owner detaches or the service shuts down.
+//!   one holder, its owner; a conflicting attach *blocks* on the shard
+//!   condvar until the owner detaches or the service shuts down.
 //! * **EW-conscious semantics** (TM / TT): attach/detach run through the
-//!   shard's [`CondEngine`]; lowered operations update only the client's
-//!   thread-permission set (a *silent* conditional op), and only
-//!   first-attach / full-detach outcomes touch the address space.
+//!   shard's [`CondEngine`]; lowered operations update only the pool's
+//!   holder table (a *silent* conditional op), and only first-attach /
+//!   full-detach outcomes touch the address space.
 //! * **Unprotected**: constructs are bookkeeping only — pools stay mapped
 //!   once touched, nothing is checked.
+//!
+//! Whatever the scheme, a client's right to a pool is decided from one
+//! record by one rule: its entry in the shard's holder table, read by
+//! `ShardState::client_may` on the locked paths and through the pool's
+//! published grant slots on the fast path.
 //!
 //! Hot-path layering (DESIGN.md §11): data ops and permission probes first
 //! try the lock-free fast path — a [`crate::fastpath::PoolIndex`] lookup
@@ -28,8 +33,9 @@
 //! The service is one type, [`PmoService`], and its batched twin [`Batch`];
 //! their `impl` blocks are split by concern. This file holds the struct,
 //! construction and recovery adoption, the shard-lock guard, and the private
-//! gates and helpers every entry point calls (`lock`, `one`, `is_down`,
-//! `check_writable`, the trace and metric shims); the rest is in
+//! gates and helpers every entry point calls (`lock`, `lock_pool`,
+//! `lock_for`, `one`, `is_down`, `check_writable`, the trace and metric
+//! shims); the rest is in
 //! `batch` (the commit protocol), `windows` (attach/detach per scheme and
 //! the sweeper), `data` (read/write/cas and the lock-free fast path),
 //! `alloc` (pools, objects, roots) and `lifecycle` (shutdown, drain,
@@ -45,7 +51,7 @@ use std::time::Duration;
 
 use terp_core::config::Scheme;
 use terp_persist::DurableStore;
-use terp_pmo::PmoId;
+use terp_pmo::{AccessKind, ObjectId, PmoId};
 use terp_trace::{EventKind, TraceRecorder};
 
 use crate::clock::ServiceClock;
@@ -54,6 +60,7 @@ use crate::error::ServiceError;
 use crate::fastpath::{PoolIndex, PoolSlot};
 use crate::metrics::{MetricsHub, RecoveryStats, ThreadSlab};
 use crate::shard::{Shard, ShardState};
+use crate::ClientId;
 
 mod alloc;
 mod batch;
@@ -209,7 +216,6 @@ impl PmoService {
                 Shard::new(
                     config.seed.wrapping_add(i as u64),
                     config.ew_target_ns(),
-                    config.cb_capacity,
                     i as u32,
                     tracer.clone(),
                 )
@@ -336,6 +342,44 @@ impl PmoService {
         StateGuard::acquire(shard.state.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
+    /// Takes `pmo`'s shard lock, refusing a pool this service does not
+    /// hold.
+    fn lock_pool(&self, pmo: PmoId) -> Result<StateGuard<'_>, ServiceError> {
+        let state = self.lock(self.shard(pmo));
+        if state.pools.contains_key(&pmo) {
+            Ok(state)
+        } else {
+            Err(ServiceError::UnknownPmo(pmo))
+        }
+    }
+
+    /// [`Self::lock_pool`], then the rights `client` needs for `kind` on
+    /// `pmo`: the client-level rule and, for a data access to `oid`, a
+    /// mapping covering it and the permission matrix. A refusal counts as
+    /// a denial.
+    fn lock_for(
+        &self,
+        client: ClientId,
+        pmo: PmoId,
+        oid: Option<ObjectId>,
+        kind: AccessKind,
+    ) -> Result<StateGuard<'_>, ServiceError> {
+        let mut state = self.lock_pool(pmo)?;
+        let scheme = self.config.scheme;
+        let process = match oid {
+            Some(oid) => {
+                let va = state.space.oid_direct(oid)?;
+                !scheme.checks_permissions() || state.matrix.check(va, kind)
+            }
+            None => true,
+        };
+        if process && state.client_may(scheme, client, pmo, kind) {
+            return Ok(state);
+        }
+        self.metrics.with_slab(|s| ThreadSlab::bump(&s.denials));
+        Err(ServiceError::PermissionDenied { client, pmo, kind })
+    }
+
     /// Opens a [`Batch`]: the mutating entry points with their commit
     /// deferred to one [`Batch::commit`] at the end.
     pub fn batch(&self) -> Batch<'_> {
@@ -400,12 +444,6 @@ impl PmoService {
 
     fn slab(&self) -> Arc<ThreadSlab> {
         self.metrics.slab()
-    }
-
-    fn tally_denial(slab: &ThreadSlab, e: &ServiceError) {
-        if matches!(e, ServiceError::PermissionDenied { .. }) {
-            ThreadSlab::bump(&slab.denials);
-        }
     }
 
     /// Total pools currently mapped across all shards.

@@ -505,3 +505,90 @@ fn distinct_pools_land_in_distinct_shards() {
         .collect();
     assert_eq!(shards.len(), svc.shard_count());
 }
+
+/// Every client-level right, decided by one rule: for each scheme, both
+/// attach permissions, in memory and durable (where `write` and `cas_u64`
+/// always take the locked path), the outcome of each entry point for the
+/// pool's holder, a stranger, and the holder after its detach. A 10 s EW
+/// target and no sweeper keep every row deterministic.
+///
+/// Each cell reads `read write cas_u64 set_root alloc free` (`Y` ok, `D`
+/// [`ServiceError::PermissionDenied`], `E` any other error), then
+/// `client_can(Read/Write)` and `process_can(Read/Write)` (`Y`/`N`).
+#[test]
+fn rights_table_every_scheme_memory_and_durable() {
+    use Permission::{Read, ReadWrite};
+    let no_combining = Scheme::TerpFull {
+        window_combining: false,
+    };
+    // (scheme, attach permission, [holder, stranger, holder after detach])
+    #[rustfmt::skip]
+    let table = [
+        (Scheme::Unprotected, ReadWrite, ["YYYYYY YY YY", "YYYYYY YY YY", "YYYYYY YY YY"]),
+        (Scheme::Unprotected, Read,      ["YYYYYY YY YN", "YYYYYY YY YN", "YYYYYY YY YN"]),
+        (Scheme::Merr, ReadWrite,        ["YYYYYY YY YY", "DDDDDD NN YY", "EEEDDD NN NN"]),
+        (Scheme::Merr, Read,             ["YDDDDD YN YN", "DDDDDD NN YN", "EEEDDD NN NN"]),
+        (Scheme::BasicSemantics, ReadWrite, ["YYYYYY YY YY", "DDDDDD NN YY", "EEEDDD NN NN"]),
+        (Scheme::BasicSemantics, Read,   ["YDDDDD YN YN", "DDDDDD NN YN", "EEEDDD NN NN"]),
+        (Scheme::TerpSoftware, ReadWrite, ["YYYYYY YY YY", "DDDDDD NN YY", "DDDDDD NN YY"]),
+        (Scheme::TerpSoftware, Read,     ["YDDDDD YN YN", "DDDDDD NN YN", "DDDDDD NN YN"]),
+        (Scheme::terp_full(), ReadWrite, ["YYYYYY YY YY", "DDDDDD NN YY", "DDDDDD NN YY"]),
+        (Scheme::terp_full(), Read,      ["YDDDDD YN YN", "DDDDDD NN YN", "DDDDDD NN YN"]),
+        (no_combining, ReadWrite,        ["YYYYYY YY YY", "DDDDDD NN YY", "EEEDDD NN NN"]),
+        (no_combining, Read,             ["YDDDDD YN YN", "DDDDDD NN YN", "EEEDDD NN NN"]),
+    ];
+    let dir = std::env::temp_dir().join(format!("terp-svc-rights-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mark = |ok: Result<(), ServiceError>| match ok {
+        Ok(()) => 'Y',
+        Err(ServiceError::PermissionDenied { .. }) => 'D',
+        Err(_) => 'E',
+    };
+    let yes = |b: bool| if b { 'Y' } else { 'N' };
+    // Runs every entry point as `client` and renders the cell.
+    let cell = |svc: &PmoService, client: ClientId, p: PmoId| {
+        let alloc = svc.alloc(client, p, 64);
+        let oid = alloc.as_ref().map_or(ObjectId::new(p, 0), |&o| o);
+        let read = svc.read(client, oid, 8).map(drop);
+        let write = svc.write(client, oid, &7u64.to_le_bytes());
+        let cas = svc.cas_u64(client, oid, 7, 8).map(drop);
+        let root = svc.set_root(client, p, 1, Some(oid));
+        let free = svc.free(client, oid);
+        format!(
+            "{}{}{}{}{}{} {}{} {}{}",
+            mark(read),
+            mark(write),
+            mark(cas),
+            mark(root),
+            mark(alloc.map(drop)),
+            mark(free),
+            yes(svc.client_can(client, p, AccessKind::Read)),
+            yes(svc.client_can(client, p, AccessKind::Write)),
+            yes(svc.process_can(p, AccessKind::Read)),
+            yes(svc.process_can(p, AccessKind::Write)),
+        )
+    };
+    for (i, (scheme, perm, expected)) in table.into_iter().enumerate() {
+        for durable in [false, true] {
+            let mut config = ServiceConfig::for_tests(scheme).with_ew_target_us(10_000_000);
+            if durable {
+                config = config
+                    .with_durable(dir.join(i.to_string()))
+                    .with_visibility(crate::Visibility::Durable);
+            }
+            let svc = PmoService::new(config);
+            let p = svc.create_pool("t", 1 << 16, OpenMode::ReadWrite).unwrap();
+            svc.attach(1, p, perm).unwrap();
+            let holder = cell(&svc, 1, p);
+            let stranger = cell(&svc, 2, p);
+            svc.detach(1, p).unwrap();
+            let after = cell(&svc, 1, p);
+            assert_eq!(
+                [holder.as_str(), stranger.as_str(), after.as_str()],
+                expected,
+                "{scheme}, attached {perm:?}, durable={durable}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -203,12 +203,9 @@ impl Batch<'_> {
         perm: Permission,
     ) -> Result<u64, ServiceError> {
         let svc = self.svc;
-        let mut state = svc.lock(svc.shard(pmo));
+        let mut state = svc.lock_pool(pmo)?;
         if svc.is_down() {
             return Err(ServiceError::ShuttingDown);
-        }
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
         }
         if state.is_holder(client, pmo) {
             return Err(ServiceError::AlreadyAttached { client, pmo });
@@ -218,7 +215,7 @@ impl Batch<'_> {
             state.map_pool(pmo, perm, svc.clock.now_ns())?;
             cost = svc.config.cost.attach_ns;
         }
-        state.add_holder(client, pmo);
+        state.add_holder(client, pmo, perm);
         state.trace(EventKind::Attach {
             pmo: pmo.raw(),
             client: client as u64,
@@ -238,16 +235,13 @@ impl Batch<'_> {
         let svc = self.svc;
         let slab = svc.slab();
         let shard = svc.shard(pmo);
-        let mut state = svc.lock(shard);
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
+        let mut state = svc.lock_pool(pmo)?;
         let mut waited_from = None;
         loop {
             if svc.is_down() {
                 return Err(ServiceError::ShuttingDown);
             }
-            if state.owner.get(&pmo) == Some(&client) {
+            if state.is_holder(client, pmo) {
                 return Err(ServiceError::AlreadyAttached { client, pmo });
             }
             if !state.merr.is_attached(pmo) {
@@ -278,9 +272,8 @@ impl Batch<'_> {
             let _ = state.merr.detach(pmo);
             return Err(e);
         }
-        state.owner.insert(pmo, client);
-        state.publish_owner(pmo, Some(client));
-        state.add_holder(client, pmo);
+        // The owner is the pool's only holder: never a crowded mirror.
+        state.add_holder(client, pmo, perm);
         state.trace(EventKind::Attach {
             pmo: pmo.raw(),
             client: client as u64,
@@ -298,12 +291,9 @@ impl Batch<'_> {
         perm: Permission,
     ) -> Result<u64, ServiceError> {
         let svc = self.svc;
-        let mut state = svc.lock(svc.shard(pmo));
+        let mut state = svc.lock_pool(pmo)?;
         if svc.is_down() {
             return Err(ServiceError::ShuttingDown);
-        }
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
         }
         if state.is_holder(client, pmo) {
             return Err(ServiceError::AlreadyAttached { client, pmo });
@@ -319,7 +309,6 @@ impl Batch<'_> {
             }
         }
         state.grant_client(client, pmo, perm, now);
-        state.add_holder(client, pmo);
         state.trace(EventKind::Attach {
             pmo: pmo.raw(),
             client: client as u64,
@@ -354,10 +343,7 @@ impl Batch<'_> {
 
     fn detach_unprotected(&mut self, client: ClientId, pmo: PmoId) -> Result<u64, ServiceError> {
         let svc = self.svc;
-        let mut state = svc.lock(svc.shard(pmo));
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
+        let mut state = svc.lock_pool(pmo)?;
         if !state.is_holder(client, pmo) {
             return Err(ServiceError::NotAttached { client, pmo });
         }
@@ -375,12 +361,8 @@ impl Batch<'_> {
 
     fn detach_basic(&mut self, client: ClientId, pmo: PmoId) -> Result<u64, ServiceError> {
         let svc = self.svc;
-        let shard = svc.shard(pmo);
-        let mut state = svc.lock(shard);
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
-        if state.owner.get(&pmo) != Some(&client) {
+        let mut state = svc.lock_pool(pmo)?;
+        if !state.is_holder(client, pmo) {
             return Err(ServiceError::NotAttached { client, pmo });
         }
         state
@@ -388,8 +370,6 @@ impl Batch<'_> {
             .detach(pmo)
             .expect("owned pool must be MERR-attached");
         state.unmap_pool(pmo, svc.clock.now_ns())?;
-        state.owner.remove(&pmo);
-        state.publish_owner(pmo, None);
         state.remove_holder(client, pmo);
         state.trace(EventKind::Detach {
             pmo: pmo.raw(),
@@ -397,16 +377,13 @@ impl Batch<'_> {
         });
         self.finish(state)?;
         ThreadSlab::bump(&svc.slab().detaches);
-        shard.cvar.notify_all();
+        svc.shard(pmo).cvar.notify_all();
         Ok(svc.config.cost.detach_ns)
     }
 
     fn detach_terp(&mut self, client: ClientId, pmo: PmoId) -> Result<u64, ServiceError> {
         let svc = self.svc;
-        let mut state = svc.lock(svc.shard(pmo));
-        if !state.pools.contains_key(&pmo) {
-            return Err(ServiceError::UnknownPmo(pmo));
-        }
+        let mut state = svc.lock_pool(pmo)?;
         if !state.is_holder(client, pmo) {
             return Err(ServiceError::NotAttached { client, pmo });
         }
@@ -425,7 +402,6 @@ impl Batch<'_> {
             outcome = DetachOutcome::FullDetach;
         }
         state.revoke_client(client, pmo, now);
-        state.remove_holder(client, pmo);
         state.trace(EventKind::Detach {
             pmo: pmo.raw(),
             client: client as u64,

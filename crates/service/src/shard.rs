@@ -6,8 +6,10 @@
 //! take different locks and never contend — the sharding requirement of the
 //! service design (DESIGN.md §9). Everything keyed by pool therefore lives
 //! *inside* the shard: the address-space slice, the permission matrix, the
-//! MERR attach state, the conditional engine with its circular buffer, and
-//! the window tracker.
+//! MERR attach state, the conditional engine with its circular buffer, the
+//! window tracker, and the holder table — the one record of who holds each
+//! pool and with what permission, from which [`ShardState::client_may`]
+//! decides every client-level right under every scheme.
 //!
 //! Pools themselves are held as [`PoolSlot`]s shared with the lock-free
 //! [`crate::fastpath`] index: the shard mutex still serializes every
@@ -19,20 +21,23 @@
 //! either side can only leave the mirror more restrictive than the truth,
 //! never less.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Condvar, Mutex};
 
 use terp_arch::{CondEngine, MerrArch};
-use terp_core::permission::{PermissionSet, Right};
+use terp_core::config::Scheme;
 use terp_core::window::WindowTracker;
 use terp_persist::{DurableStore, WalRecord};
-use terp_pmo::{Permission, PmoError, PmoId, ProcessAddressSpace};
+use terp_pmo::{AccessKind, Permission, PmoError, PmoId, ProcessAddressSpace};
 use terp_sim::PermissionMatrix;
 use terp_trace::{EventKind, TraceRecorder};
 
 use crate::error::ServiceError;
 use crate::fastpath::PoolSlot;
 use crate::ClientId;
+
+/// Circular-buffer entries per shard (the paper's default).
+const CB_CAPACITY: usize = 32;
 
 /// A shard: its state mutex plus the condvar Basic-semantics attach waiters
 /// sleep on.
@@ -46,7 +51,6 @@ impl Shard {
     pub(crate) fn new(
         seed: u64,
         max_ew_ns: u64,
-        cb_capacity: usize,
         idx: u32,
         tracer: Option<Arc<TraceRecorder>>,
     ) -> Self {
@@ -56,10 +60,8 @@ impl Shard {
                 space: ProcessAddressSpace::with_seed(seed),
                 matrix: PermissionMatrix::new(),
                 merr: MerrArch::new(),
-                engine: CondEngine::with_capacity(max_ew_ns, cb_capacity),
+                engine: CondEngine::with_capacity(max_ew_ns, CB_CAPACITY),
                 windows: WindowTracker::new(),
-                owner: HashMap::new(),
-                perms: HashMap::new(),
                 holders: HashMap::new(),
                 roots: HashMap::new(),
                 attach_syscalls: 0,
@@ -98,12 +100,12 @@ pub(crate) struct ShardState {
     pub engine: CondEngine,
     /// EW/TEW tracker; times are nanoseconds since the service epoch.
     pub windows: WindowTracker,
-    /// Basic semantics: which client currently owns each attached pool.
-    pub owner: HashMap<PmoId, ClientId>,
-    /// TERP semantics: per-client thread-permission sets (Definition 1).
-    pub perms: HashMap<ClientId, PermissionSet>,
-    /// Clients holding an open session per pool (all schemes).
-    pub holders: HashMap<PmoId, BTreeSet<ClientId>>,
+    /// Who holds an open session on each pool, and the permission each
+    /// attached with (all schemes). Under Basic semantics a pool's only
+    /// holder is its owner; under TERP semantics a holder's entry is its
+    /// thread permission (Definition 1). The fast path mirrors it in the
+    /// pool's grant slots.
+    pub holders: HashMap<PmoId, BTreeMap<ClientId, Permission>>,
     /// Root directory for this shard's pools: `(pool, key) → packed
     /// ObjectId` of a persistent data structure's root. Journaled as
     /// [`WalRecord::RootSet`] in durable mode and rebuilt by recovery, so
@@ -393,10 +395,11 @@ impl ShardState {
         Some(self.leftover_since?.saturating_add(self.engine.max_ew()))
     }
 
-    /// Grants `client` the thread rights implied by `perm`, opens its TEW,
-    /// and mirrors the grant to the fast path (publish last). Nothing is
-    /// journaled: recovery resurrects no session, so a grant leaves it
-    /// nothing to re-derive and a silent attach buys no fsync.
+    /// Opens `client`'s TERP session: records it as a holder with `perm` as
+    /// its thread permission (published to the fast path) and opens its
+    /// TEW. Nothing is journaled: recovery resurrects no session, so a
+    /// grant leaves it nothing to re-derive and a silent attach buys no
+    /// fsync.
     pub(crate) fn grant_client(
         &mut self,
         client: ClientId,
@@ -404,16 +407,8 @@ impl ShardState {
         perm: Permission,
         now: u64,
     ) {
-        let set = self.perms.entry(client).or_default();
-        set.grant(pmo, Right::Read);
-        if perm == Permission::ReadWrite {
-            set.grant(pmo, Right::Write);
-        }
+        self.add_holder(client, pmo, perm);
         self.windows.open_tew(client, pmo, now);
-        if let Some(slot) = self.pools.get(&pmo) {
-            slot.publish(|w| w.grant(client, perm));
-            self.trace_publish(pmo, slot);
-        }
         self.trace(EventKind::Grant {
             pmo: pmo.raw(),
             client: client as u64,
@@ -421,56 +416,77 @@ impl ShardState {
         });
     }
 
-    /// Revokes every thread right `client` holds on `pmo` and closes its
-    /// TEW. The fast-path mirror is revoked *first*: a reader racing this
-    /// call is denied as soon as the revocation begins. Nothing is
-    /// journaled, as for the grant: a delayed detach buys no fsync.
+    /// Closes `client`'s TERP session: drops the holder and its fast-path
+    /// mirror first, so a reader racing this call is denied as soon as the
+    /// revocation begins, then closes its TEW. Nothing is journaled, as for
+    /// the grant: a delayed detach buys no fsync.
     pub(crate) fn revoke_client(&mut self, client: ClientId, pmo: PmoId, now: u64) {
-        if let Some(slot) = self.pools.get(&pmo) {
-            slot.publish(|w| w.revoke(client));
-            self.trace_publish(pmo, slot);
-        }
+        self.remove_holder(client, pmo);
         self.trace(EventKind::Revoke {
             pmo: pmo.raw(),
             client: client as u64,
         });
-        if let Some(set) = self.perms.get_mut(&client) {
-            set.revoke(pmo, Right::Read);
-            set.revoke(pmo, Right::Write);
-        }
         self.windows.close_tew(client, pmo, now);
     }
 
-    /// Publishes the Basic-semantics owner change.
-    pub(crate) fn publish_owner(&self, pmo: PmoId, owner: Option<ClientId>) {
-        if let Some(slot) = self.pools.get(&pmo) {
-            slot.publish(|w| w.set_owner(owner));
-            self.trace_publish(pmo, slot);
-        }
+    /// The one client-level rights rule, for every scheme and every entry
+    /// point: `client` may perform `kind` on `pmo` when the scheme checks
+    /// nothing, or when it holds the pool with a permission allowing `kind`.
+    pub(crate) fn client_may(
+        &self,
+        scheme: Scheme,
+        client: ClientId,
+        pmo: PmoId,
+        kind: AccessKind,
+    ) -> bool {
+        !scheme.checks_permissions()
+            || self
+                .holders
+                .get(&pmo)
+                .and_then(|h| h.get(&client))
+                .is_some_and(|perm| perm.allows(kind))
     }
 
     /// Whether `client` currently holds an open session on `pmo`.
     pub(crate) fn is_holder(&self, client: ClientId, pmo: PmoId) -> bool {
-        self.holders.get(&pmo).is_some_and(|h| h.contains(&client))
+        self.holders
+            .get(&pmo)
+            .is_some_and(|h| h.contains_key(&client))
     }
 
-    /// Records a session open.
-    pub(crate) fn add_holder(&mut self, client: ClientId, pmo: PmoId) {
-        self.holders.entry(pmo).or_default().insert(client);
+    /// Records a session open with the permission it attached with, and
+    /// mirrors it to the pool's grant slots (publish last).
+    pub(crate) fn add_holder(&mut self, client: ClientId, pmo: PmoId, perm: Permission) {
+        self.holders.entry(pmo).or_default().insert(client, perm);
+        if let Some(slot) = self.pools.get(&pmo) {
+            slot.publish(|w| w.grant(client, perm));
+            self.trace_publish(pmo, slot);
+        }
     }
 
-    /// Records a session close. When the last holder leaves, the pool's
-    /// published grant mirror (including a sticky crowded bit) is known
-    /// stale and is cleared.
+    /// Records a session close and unpublishes it. When the last holder
+    /// leaves, the pool's whole grant mirror (including a sticky crowded
+    /// bit) is known stale and is cleared instead.
     pub(crate) fn remove_holder(&mut self, client: ClientId, pmo: PmoId) {
-        if let Some(h) = self.holders.get_mut(&pmo) {
-            h.remove(&client);
-            if h.is_empty() {
-                self.holders.remove(&pmo);
-                if let Some(slot) = self.pools.get(&pmo) {
-                    slot.publish(|w| w.clear_grants());
+        let Some(h) = self.holders.get_mut(&pmo) else {
+            return;
+        };
+        if h.remove(&client).is_none() {
+            return;
+        }
+        let last = h.is_empty();
+        if last {
+            self.holders.remove(&pmo);
+        }
+        if let Some(slot) = self.pools.get(&pmo) {
+            slot.publish(|w| {
+                if last {
+                    w.clear_grants()
+                } else {
+                    w.revoke(client)
                 }
-            }
+            });
+            self.trace_publish(pmo, slot);
         }
     }
 }
