@@ -391,6 +391,10 @@ pub struct ServiceReport {
     pub queue_wait: LatencyHistogram,
     /// Sweeper passes executed.
     pub sweep_passes: u64,
+    /// Wake-ups a first attach delivered to the sweeper because its planned
+    /// wake-up would have missed the new window's expiry. The other passes
+    /// (`sweep_passes` less these, roughly) are timer-driven.
+    pub sweeper_unparks: u64,
     /// Threads that recorded at least one metric (one slab each). Threads
     /// that never issued an op register no slab; this count makes that
     /// visible instead of silently merging fewer threads than ran.
@@ -471,9 +475,10 @@ impl std::fmt::Display for ServiceReport {
         }
         write!(
             f,
-            "\n  sweeper: {} passes, {} fsyncs of its own, {} errors; {} windows over target; \
-             {} drain errors",
+            "\n  sweeper: {} passes ({} attach wake-ups), {} fsyncs of its own, {} errors; \
+             {} windows over target; {} drain errors",
             self.sweep_passes,
+            self.sweeper_unparks,
             self.sweeper_syncs,
             self.sweeper_errors,
             self.ew_over_target,

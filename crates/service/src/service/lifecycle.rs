@@ -158,6 +158,7 @@ impl PmoService {
             blocked_ns,
             queue_wait,
             sweep_passes: self.sweep_passes.load(Ordering::Relaxed),
+            sweeper_unparks: self.sweeper_unparks.load(Ordering::Relaxed),
             threads_observed,
             ew,
             tew,

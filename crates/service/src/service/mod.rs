@@ -46,7 +46,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use terp_core::config::Scheme;
@@ -71,6 +71,11 @@ mod tests;
 mod windows;
 
 pub use batch::Batch;
+
+/// [`PmoService::sweeper_plan`] while a sweep pass runs (and before the
+/// sweeper's first pass): every first attach must wake the sweeper, since
+/// the pass may already have scanned the attach's shard.
+const PASS_RUNNING: u64 = 0;
 
 /// A shard-state guard that records `LockAcquire`/`LockRelease` trace
 /// events around the mutex critical section. When tracing is off it is a
@@ -168,9 +173,16 @@ pub struct PmoService {
     /// refused with [`ServiceError::ReadOnly`]; [`Self::promote`] clears it.
     read_only: AtomicBool,
     sweep_passes: AtomicU64,
-    /// The adaptive sweeper's thread handle, registered by the sweeper
-    /// itself so first-attaches can wake it from an indefinite park.
-    sweeper_thread: Mutex<Option<std::thread::Thread>>,
+    /// The adaptive sweeper's thread handle, registered once by the sweeper
+    /// itself so first attaches can wake it.
+    sweeper_thread: OnceLock<std::thread::Thread>,
+    /// The sweeper's planned wake-up (service ns): [`PASS_RUNNING`] while a
+    /// pass runs, the instant its timed park ends, or `u64::MAX` while it
+    /// parks indefinitely. A first attach reads it to decide whether the
+    /// sweeper would miss the new window's expiry (DESIGN.md §11).
+    sweeper_plan: AtomicU64,
+    /// Wake-ups first attaches actually delivered to the sweeper.
+    sweeper_unparks: AtomicU64,
     metrics: MetricsHub,
     recovery: Option<RecoveryStats>,
     /// Flight recorder shared with every shard (`None` = tracing off).
@@ -291,7 +303,9 @@ impl PmoService {
             shutting_down: AtomicBool::new(false),
             read_only: AtomicBool::new(config.standby),
             sweep_passes: AtomicU64::new(0),
-            sweeper_thread: Mutex::new(None),
+            sweeper_thread: OnceLock::new(),
+            sweeper_plan: AtomicU64::new(PASS_RUNNING),
+            sweeper_unparks: AtomicU64::new(0),
             metrics: MetricsHub::new(),
             recovery,
             tracer,

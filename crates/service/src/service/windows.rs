@@ -10,7 +10,7 @@ use terp_core::config::Scheme;
 use terp_pmo::{Permission, PmoId};
 use terp_trace::EventKind;
 
-use super::{Batch, PmoService};
+use super::{Batch, PmoService, PASS_RUNNING};
 use crate::error::ServiceError;
 use crate::metrics::ThreadSlab;
 use crate::ClientId;
@@ -60,9 +60,45 @@ impl PmoService {
     }
 
     /// Runs one circular-buffer expiry walk over every shard (the sweeper
-    /// thread calls this periodically; tests with `sweep_period_us == 0`
+    /// thread runs it between parks; tests with `sweep_period_us == 0`
     /// call it directly). Returns the number of actions performed.
     pub fn sweep_all(&self) -> usize {
+        self.sweep_pass().0
+    }
+
+    /// One pass of the sweeper thread, bracketed by its plan: publishes
+    /// [`PASS_RUNNING`] before the first shard lock, sweeps, then publishes
+    /// and returns how long the thread parks — until the earliest deadline
+    /// the pass found, but at least `floor_ns`, or (`None`) until an attach
+    /// or shutdown wakes it. The plan is stored before the thread parks; an
+    /// unpark that lands in between makes the park return at once.
+    pub(crate) fn sweeper_pass(&self, floor_ns: u64) -> Option<Duration> {
+        // Sequenced before the first shard lock: every attach that takes a
+        // shard's lock after this pass scanned it reads PASS_RUNNING or a
+        // later plan (see `wake_sweeper_for`). That order comes from the
+        // shard lock; the plan word publishes no other data, and its
+        // Release stores / Acquire load pair only the plan itself.
+        self.sweeper_plan.store(PASS_RUNNING, Ordering::Release);
+        let Some(deadline) = self.sweep_pass().1 else {
+            self.sweeper_plan.store(u64::MAX, Ordering::Release);
+            return None;
+        };
+        let now = self.clock.now_ns();
+        let wait = deadline.saturating_sub(now).max(floor_ns);
+        self.sweeper_plan
+            .store(now.saturating_add(wait), Ordering::Release);
+        Some(Duration::from_nanos(wait))
+    }
+
+    /// The sweeper's published plan word, for tests that poll it.
+    #[cfg(test)]
+    pub(crate) fn sweeper_plan(&self) -> u64 {
+        self.sweeper_plan.load(Ordering::Acquire)
+    }
+
+    /// The pass itself: actions performed, and the earliest next deadline
+    /// over every shard, each read under the lock its sweep already holds.
+    fn sweep_pass(&self) -> (usize, Option<u64>) {
         // Stamp the wake tickets observed at pass start: every Unpark with
         // a ticket <= this one really happens-before this pass (the
         // AcqRel fetch_add / Acquire load pair on `unpark_tokens`).
@@ -71,6 +107,7 @@ impl PmoService {
             self.trace(EventKind::Wakeup { token });
         }
         let mut total = 0;
+        let mut earliest: Option<u64> = None;
         if self.config.scheme.has_thread_permissions() {
             for shard in &self.shards {
                 let mut state = self.lock(shard);
@@ -104,64 +141,75 @@ impl PmoService {
                 // the pass commits once it has waited one EW target.
                 let done = state.finish_sweep(now, expired);
                 state.sweeper_errors += u64::from(done.is_err());
+                earliest = earliest.into_iter().chain(state.next_deadline()).min();
             }
         }
         self.sweep_passes.fetch_add(1, Ordering::Relaxed);
-        total
+        (total, earliest)
     }
 
     /// The earliest moment (service ns) at which the sweeper has work: a
     /// tracked circular-buffer entry can expire, or records it left for a
     /// shard's next commit fall to it to commit. `None` when nothing is
-    /// tracked or left behind. The adaptive sweeper parks until this
-    /// instant instead of polling: entry starts only move via first-attach
-    /// (which wakes the sweeper) or a sweep itself, and only a sweep leaves
-    /// records behind, so the hint never becomes stale-late.
+    /// tracked or left behind. The sweeper thread parks on the same value,
+    /// computed by its pass under the locks the pass already holds; this
+    /// is that fold on its own. Entry starts only move via a first attach
+    /// (which wakes the sweeper when its plan would miss the new expiry) or
+    /// a sweep itself, and only a sweep leaves records behind, so the plan
+    /// never becomes stale-late.
     pub fn next_expiry_ns(&self) -> Option<u64> {
         if !self.config.scheme.has_thread_permissions() {
             return None;
         }
-        let mut earliest: Option<u64> = None;
-        for shard in &self.shards {
-            let state = self.lock(shard);
-            let max_ew = state.engine.max_ew();
-            let expiries = state
-                .engine
-                .buffer()
-                .iter()
-                .map(|e| e.ts.saturating_add(max_ew));
-            earliest = expiries
-                .chain(state.leftover_deadline())
-                .chain(earliest)
-                .min();
-        }
-        earliest
+        self.shards
+            .iter()
+            .filter_map(|shard| self.lock(shard).next_deadline())
+            .min()
     }
 
     /// Registers the sweeper's thread handle so attach paths can wake it
     /// (called by the sweeper itself before its first pass).
     pub(crate) fn register_sweeper(&self, thread: std::thread::Thread) {
-        *self
-            .sweeper_thread
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = Some(thread);
+        // `Sweeper::spawn` refuses a second sweeper; should two spawns race
+        // past that check, the first registration stands.
+        let _ = self.sweeper_thread.set(thread);
     }
 
-    fn wake_sweeper(&self) {
+    /// Whether a sweeper thread has registered with this service.
+    pub(crate) fn has_sweeper(&self) -> bool {
+        self.sweeper_thread.get().is_some()
+    }
+
+    /// Wakes the sweeper unless its published plan already catches a
+    /// window that expires at `expiry`. Called by a first attach after its
+    /// shard lock is released.
+    ///
+    /// No wake is lost. The shard lock orders the attach's buffer insert
+    /// against the sweeper pass's scan of that shard. If the scan comes
+    /// second, it sees the entry and the pass plans for it. If the scan
+    /// comes first, the pass's `PASS_RUNNING` store was sequenced before
+    /// that lock and so happens-before this load: the attach reads
+    /// `PASS_RUNNING` (and wakes), that pass's plan, or a later one. A plan
+    /// at or before `expiry` wakes the sweeper in time for a pass that
+    /// scans the shard after the insert; a later plan makes the attach wake
+    /// it now. An unpark that lands before the park makes the park return
+    /// at once.
+    fn wake_sweeper_for(&self, expiry: u64) {
+        let plan = self.sweeper_plan.load(Ordering::Acquire);
+        if plan != PASS_RUNNING && plan <= expiry {
+            return;
+        }
+        let Some(thread) = self.sweeper_thread.get() else {
+            return;
+        };
         if self.tracer.is_some() {
             // Issue the wake ticket before the unpark so the edge exists
             // by the time the sweeper stamps its Wakeup.
             let token = self.unpark_tokens.fetch_add(1, Ordering::AcqRel) + 1;
             self.trace(EventKind::Unpark { token });
         }
-        if let Some(t) = self
-            .sweeper_thread
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-        {
-            t.unpark();
-        }
+        thread.unpark();
+        self.sweeper_unparks.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -314,13 +362,17 @@ impl Batch<'_> {
             client: client as u64,
             writable: perm == Permission::ReadWrite,
         });
-        self.finish(state)?;
-        ThreadSlab::bump(&svc.slab().attaches);
-        if outcome == AttachOutcome::FirstAttach {
-            // A fresh circular-buffer entry means a new earliest expiry:
-            // the adaptive sweeper may be parked indefinitely, so wake it.
-            svc.wake_sweeper();
+        // A fresh circular-buffer entry expires one EW target from now.
+        let expiry = (outcome == AttachOutcome::FirstAttach)
+            .then(|| now.saturating_add(state.engine.max_ew()));
+        let done = self.finish(state);
+        // The entry stays tracked even if the commit failed, so the
+        // sweeper must hear of it either way.
+        if let Some(expiry) = expiry {
+            svc.wake_sweeper_for(expiry);
         }
+        done?;
+        ThreadSlab::bump(&svc.slab().attaches);
         let syscall = outcome.needs_syscall() || svc.config.scheme.cond_is_syscall();
         Ok(if syscall {
             svc.config.cost.attach_ns

@@ -395,6 +395,19 @@ impl ShardState {
         Some(self.leftover_since?.saturating_add(self.engine.max_ew()))
     }
 
+    /// The earliest moment this shard has work for the sweeper: a tracked
+    /// circular-buffer entry expires, or [`Self::leftover_deadline`].
+    /// `None` when nothing is tracked or left behind.
+    pub(crate) fn next_deadline(&self) -> Option<u64> {
+        let max_ew = self.engine.max_ew();
+        self.engine
+            .buffer()
+            .iter()
+            .map(|e| e.ts.saturating_add(max_ew))
+            .chain(self.leftover_deadline())
+            .min()
+    }
+
     /// Opens `client`'s TERP session: records it as a holder with `perm` as
     /// its thread permission (published to the fast path) and opens its
     /// TEW. Nothing is journaled: recovery resurrects no session, so a

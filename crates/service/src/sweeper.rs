@@ -1,29 +1,38 @@
 //! The background sweeper thread.
 //!
 //! TERP's hardware walks the circular buffer on a timer (Figure 7a); the
-//! service models that with one OS thread that calls
-//! [`PmoService::sweep_all`]: expired idle entries are detached for real,
-//! expired live entries are randomized in place.
+//! service models that with one OS thread that runs
+//! [`PmoService::sweep_all`]'s pass: expired idle entries are detached for
+//! real, expired live entries are randomized in place.
 //!
-//! The wake-up schedule is *adaptive*, not periodic: after each pass the
-//! thread asks [`PmoService::next_expiry_ns`] for the earliest moment any
-//! tracked window can expire and parks exactly until then — or indefinitely
-//! when no windows are tracked. A first attach publishes a new earliest
-//! expiry and unparks the thread, so the hint can never go stale in the
-//! dangerous direction; the configured period only acts as a floor on how
-//! tightly the thread is allowed to spin. Under `visibility = durable` an
-//! expiry's `WindowClose` waits for the shard's next commit, and the hint
-//! counts the moment — one EW target later — at which that commit falls to
-//! the sweeper: one more wake-up, at most, after the last window closes.
-//! An idle service therefore costs zero wakeups. The thread supports clean
-//! shutdown: flag, wake, join — and dropping the handle does the same, so no
-//! detached thread (with its service `Arc` and open WAL files) survives the
-//! server.
+//! The wake-up schedule is *adaptive*, not periodic: each pass also
+//! returns the earliest moment any tracked window can expire (the fold
+//! [`PmoService::next_expiry_ns`] computes, read under the shard locks the
+//! pass already holds), and the thread parks exactly until then — or
+//! indefinitely when no windows are tracked. The configured period only
+//! floors how tightly the thread may spin. Under `visibility = durable` an
+//! expiry's `WindowClose` waits for the shard's next commit, and the
+//! deadline counts the moment — one EW target later — at which that commit
+//! falls to the sweeper: one more wake-up, at most, after the last window
+//! closes. An idle service therefore costs zero wakeups.
+//!
+//! The thread wakes when a window *expires*, not when one opens. It
+//! publishes its plan in one word: `0` while a pass runs (stored before
+//! the pass takes its first shard lock), then the instant its timed park
+//! ends, or `u64::MAX` for an indefinite park (stored before it parks). A
+//! first attach unparks the thread only when the word is `0` or the new
+//! window expires before the plan; otherwise the planned wake-up already
+//! catches it. Why the shard lock makes this lose no wake is written down
+//! at the wake path (`PmoService::wake_sweeper_for`) and in DESIGN.md §11.
+//! `ServiceReport::sweeper_unparks` counts the wakes attaches delivered.
+//!
+//! The thread supports clean shutdown: flag, wake, join — and dropping the
+//! handle does the same, so no detached thread (with its service `Arc` and
+//! open WAL files) survives the server.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crate::service::PmoService;
 
@@ -38,31 +47,37 @@ pub struct Sweeper {
 impl Sweeper {
     /// Spawns the sweeper over `service`. `period_us` floors the time
     /// between passes; actual wake-ups track the earliest window expiry.
+    ///
+    /// # Panics
+    ///
+    /// If `service` already has a sweeper, running or stopped: attaches
+    /// wake the first one registered, for the service's lifetime.
     pub fn spawn(service: Arc<PmoService>, period_us: u64) -> Self {
+        assert!(
+            !service.has_sweeper(),
+            "a service has one sweeper for its lifetime"
+        );
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
-        let floor = Duration::from_micros(period_us.max(1));
+        let floor_ns = period_us.max(1).saturating_mul(1_000);
         let handle = std::thread::Builder::new()
             .name("terp-sweeper".into())
             .spawn(move || {
                 // Register before the first pass: an attach that lands after
                 // this point can always wake us. `unpark` tokens make the
-                // register→park window race-free — a wake delivered while
-                // sweeping just makes the next park return immediately.
+                // plan→park window race-free — a wake delivered while
+                // sweeping or before the park just makes the park return
+                // immediately.
                 service.register_sweeper(std::thread::current());
                 let mut passes = 0u64;
                 while !stop_flag.load(Ordering::Acquire) {
-                    service.sweep_all();
+                    let wait = service.sweeper_pass(floor_ns);
                     passes += 1;
-                    match service.next_expiry_ns() {
+                    match wait {
                         // Nothing tracked: sleep until an attach or shutdown
                         // wakes us. Zero idle wakeups.
                         None => std::thread::park(),
-                        Some(expiry) => {
-                            let now = service.clock().now_ns();
-                            let wait = Duration::from_nanos(expiry.saturating_sub(now)).max(floor);
-                            std::thread::park_timeout(wait);
-                        }
+                        Some(wait) => std::thread::park_timeout(wait),
                     }
                 }
                 passes
@@ -103,6 +118,7 @@ impl Drop for Sweeper {
 mod tests {
     use super::*;
     use crate::config::ServiceConfig;
+    use std::time::Duration;
     use terp_core::config::Scheme;
     use terp_pmo::{AccessKind, OpenMode, Permission};
 
@@ -233,5 +249,71 @@ mod tests {
         }
         sweeper.stop();
         assert_eq!(svc.attached_total(), 0);
+    }
+
+    /// Polls `cond` (bounded) instead of sleeping a fixed time.
+    fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_first_attach_wakes_the_sweeper_only_if_its_plan_would_miss_the_window() {
+        // A 1 s EW target: the second window opens long before the first
+        // one expires, so it expires after the wake-up the sweeper already
+        // plans for the first.
+        let config = ServiceConfig::for_tests(Scheme::terp_full())
+            .with_ew_target_us(1_000_000)
+            .with_sweep_period_us(100);
+        let svc = Arc::new(PmoService::new(config));
+        let a = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
+        let b = svc.create_pool("b", 1 << 16, OpenMode::ReadWrite).unwrap();
+        let sweeper = Sweeper::spawn(Arc::clone(&svc), 100);
+        wait_until("the idle sweeper never parked indefinitely", || {
+            svc.sweeper_plan() == u64::MAX
+        });
+
+        svc.attach(0, a, Permission::ReadWrite).unwrap();
+        assert_eq!(
+            svc.report().sweeper_unparks,
+            1,
+            "a first attach must wake an indefinitely parked sweeper"
+        );
+        // The woken pass finds a's entry and plans to wake at its expiry.
+        wait_until("the woken sweeper never planned a timed wake-up", || {
+            let plan = svc.sweeper_plan();
+            plan != 0 && plan != u64::MAX
+        });
+        svc.attach(0, b, Permission::ReadWrite).unwrap();
+        assert_eq!(
+            svc.report().sweeper_unparks,
+            1,
+            "b expires after the planned wake-up: its attach must not unpark the sweeper"
+        );
+
+        // Delayed detaches: only the sweeper can close the windows now.
+        svc.detach(0, a).unwrap();
+        svc.detach(0, b).unwrap();
+        wait_until("a window never expired", || svc.attached_total() == 0);
+        assert!(!svc.process_can(a, AccessKind::Read));
+        assert!(!svc.process_can(b, AccessKind::Read));
+        assert_eq!(svc.report().sweeper_unparks, 1, "expiries need no unpark");
+        sweeper.stop();
+    }
+
+    #[test]
+    #[should_panic(expected = "one sweeper for its lifetime")]
+    fn a_second_sweeper_is_refused_even_after_the_first_stopped() {
+        let svc = Arc::new(PmoService::new(ServiceConfig::for_tests(
+            Scheme::terp_full(),
+        )));
+        let first = Sweeper::spawn(Arc::clone(&svc), 100);
+        // It registers before its first pass.
+        wait_until("the sweeper never ran", || svc.report().sweep_passes > 0);
+        first.stop();
+        let _second = Sweeper::spawn(svc, 100);
     }
 }

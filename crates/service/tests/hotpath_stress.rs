@@ -11,16 +11,20 @@
 //!    never reads data through the fast path, no matter how the seqlock
 //!    epochs interleave.
 //!
+//! A last test guards the sweeper's side: it wakes for expiries, not for
+//! attaches, and no first attach may leave a window the sweeper never
+//! hears of.
+//!
 //! Iteration counts scale with `TERP_STRESS_ITERS` (default 200); CI runs
 //! the release-mode high-iteration variant as the TSan-free fallback.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use terp_core::config::Scheme;
 use terp_pmo::{AccessKind, ObjectId, OpenMode, Permission, PmoId};
-use terp_service::{PmoService, ServiceConfig};
+use terp_service::{PmoService, ServiceConfig, Sweeper};
 
 const THREADS: usize = 4;
 const POOLS: usize = 4;
@@ -194,4 +198,101 @@ fn expired_windows_are_unreadable_after_sweep() {
         }
     }
     assert_eq!(svc.attached_total(), 0);
+}
+
+/// Runs `body` on its own thread and fails the test if it has not finished
+/// within `limit` (a lost sweeper wake would otherwise show as a hang).
+fn watchdog(limit: Duration, body: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        body();
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(()) => runner.join().expect("body"),
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().expect_err("body panicked"))
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("still running after {limit:?}"),
+    }
+}
+
+/// A first attach unparks the sweeper only when the sweeper's planned
+/// wake-up would miss the new window, so a wake lost between a pass's scan
+/// and its park would leave windows open with nobody coming for them.
+/// Bursts of attach/detach churn over 16 pools (EW target 200 µs, the real
+/// sweeper) alternate with idle gaps in which the sweeper parks for good;
+/// after every burst every pool must be unmapped within a bound that is
+/// ample for a sweeper that woke — and never reached by one that did not.
+#[test]
+fn the_sweeper_closes_every_burst_without_a_lost_wake() {
+    const CHURNERS: usize = 2;
+    const BURST_POOLS: usize = 16;
+    const BOUND: Duration = Duration::from_millis(500);
+    watchdog(Duration::from_secs(120), || {
+        let config = ServiceConfig::for_tests(Scheme::terp_full())
+            .with_ew_target_us(200)
+            .with_sweep_period_us(10);
+        let svc = Arc::new(PmoService::new(config));
+        let pools: Vec<PmoId> = (0..BURST_POOLS)
+            .map(|i| {
+                svc.create_pool(&format!("burst-{i}"), 1 << 16, OpenMode::ReadWrite)
+                    .unwrap()
+            })
+            .collect();
+        let sweeper = Sweeper::spawn(Arc::clone(&svc), 10);
+        let rounds = (iters() / 4).max(20);
+        for round in 0..rounds {
+            let churners: Vec<_> = (0..CHURNERS)
+                .map(|t| {
+                    let svc = Arc::clone(&svc);
+                    let pools = pools.clone();
+                    std::thread::spawn(move || {
+                        // Varying lengths put the burst's end at a different
+                        // point of the sweeper's cycle each round.
+                        let ops = 1 + (round as usize * 7 + t * 3) % 40;
+                        for i in 0..ops {
+                            let p = pools[(t * 5 + i * 3 + round as usize) % BURST_POOLS];
+                            svc.attach(t, p, Permission::ReadWrite).unwrap();
+                            svc.detach(t, p).unwrap();
+                            // Pauses around the EW target let windows expire
+                            // mid-burst, so passes that close the last
+                            // tracked window race the next first attach.
+                            let pause =
+                                Duration::from_micros(((i + round as usize) % 4) as u64 * 100);
+                            let until = Instant::now() + pause;
+                            while Instant::now() < until {
+                                std::hint::spin_loop();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for c in churners {
+                c.join().unwrap();
+            }
+            let deadline = Instant::now() + BOUND;
+            while svc.attached_total() > 0 {
+                assert!(
+                    Instant::now() < deadline,
+                    "round {round}: {} pools still mapped {BOUND:?} after the burst \
+                     (a first attach's wake was lost)",
+                    svc.attached_total()
+                );
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            // Idle gap: the sweeper's last pass found nothing and parks
+            // until the next burst's first attach wakes it. Every other
+            // round skips the gap, so that attach may land while the pass
+            // that closed the last window is still running.
+            if round % 2 == 1 {
+                std::thread::sleep(Duration::from_micros(100 + (round % 7) * 150));
+            }
+        }
+        assert!(
+            svc.report().sweeper_unparks > 0,
+            "bursts that start against a parked sweeper must wake it"
+        );
+        sweeper.stop();
+    });
 }
