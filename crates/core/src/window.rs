@@ -10,8 +10,6 @@
 //! * **ER** = exposed time / total time, averaged over pools;
 //!   **TER** = thread-exposed time / total time, averaged over pools.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use terp_pmo::PmoId;
@@ -43,12 +41,28 @@ pub struct WindowStats {
 /// assert_eq!(stats.count, 1);
 /// assert_eq!(stats.max_cycles, 300);
 /// ```
+///
+/// Every table is indexed by [`PmoId::index`] and grows on first touch to
+/// the highest pool seen: an id has 10 bits and is never reused, so a
+/// window opens and closes with an index where a map would hash.
 #[derive(Debug, Clone, Default)]
 pub struct WindowTracker {
-    open_ew: HashMap<PmoId, Cycles>,
+    /// Start of each pool's open EW (`None`: not mapped).
+    open_ew: Vec<Option<Cycles>>,
     closed_ew: Closed,
-    open_tew: HashMap<(usize, PmoId), Cycles>,
+    /// Each pool's open TEWs as `(thread, start)`. A list keeps its
+    /// allocation when it empties, so a session that reopens allocates
+    /// nothing.
+    open_tew: Vec<Vec<(usize, Cycles)>>,
     closed_tew: Closed,
+}
+
+/// `table`'s entry at index `i`, growing the table to reach it.
+fn grown<T: Clone + Default>(table: &mut Vec<T>, i: usize) -> &mut T {
+    if table.len() <= i {
+        table.resize(i + 1, T::default());
+    }
+    &mut table[i]
 }
 
 /// Running aggregates over every closed window of one kind. A long-lived
@@ -58,23 +72,19 @@ struct Closed {
     count: u64,
     total: Cycles,
     max: Cycles,
-    /// Exposed time per pool — all the exposure rates read — indexed by the
-    /// pool's raw id (`None`: no window of that pool closed yet). An id has
-    /// 10 bits, so this stops growing at 16 KiB, and a close costs an index
-    /// where a map would cost a hash.
+    /// Exposed time per pool — all the exposure rates read — indexed by
+    /// [`PmoId::index`] (`None`: no window of that pool closed yet). An id
+    /// has 10 bits, so this stops growing at 16 KiB.
     per_pool: Vec<Option<Cycles>>,
 }
 
 impl Closed {
-    fn record(&mut self, pmo: PmoId, len: Cycles) {
+    /// Records a closed window of `len` of the pool at index `pool`.
+    fn record(&mut self, pool: usize, len: Cycles) {
         self.count += 1;
         self.total += len;
         self.max = self.max.max(len);
-        let slot = usize::from(pmo.raw());
-        if self.per_pool.len() <= slot {
-            self.per_pool.resize(slot + 1, None);
-        }
-        *self.per_pool[slot].get_or_insert(0) += len;
+        *grown(&mut self.per_pool, pool).get_or_insert(0) += len;
     }
 
     fn stats(&self) -> WindowStats {
@@ -112,17 +122,17 @@ impl WindowTracker {
     /// Opening an already-open window is a logic error upstream and panics
     /// in debug builds.
     pub fn open_ew(&mut self, pmo: PmoId, now: Cycles) {
-        let prev = self.open_ew.insert(pmo, now);
+        let prev = grown(&mut self.open_ew, pmo.index()).replace(now);
         debug_assert!(prev.is_none(), "double EW open for {pmo}");
     }
 
     /// Marks a real detach: closes the exposure window at `now` and returns
     /// its length (`None` when no window was open).
     pub fn close_ew(&mut self, pmo: PmoId, now: Cycles) -> Option<Cycles> {
-        let start = self.open_ew.remove(&pmo);
+        let start = self.open_ew.get_mut(pmo.index()).and_then(Option::take);
         debug_assert!(start.is_some(), "EW close without open for {pmo}");
         let len = now.saturating_sub(start?);
-        self.closed_ew.record(pmo, len);
+        self.closed_ew.record(pmo.index(), len);
         Some(len)
     }
 
@@ -130,40 +140,52 @@ impl WindowTracker {
     /// and immediately reopened), since the location knowledge resets.
     /// Returns the length of the half that closed.
     pub fn split_ew(&mut self, pmo: PmoId, now: Cycles) -> Option<Cycles> {
-        let start = self.open_ew.get_mut(&pmo)?;
+        let start = self.open_ew.get_mut(pmo.index())?.as_mut()?;
         let len = now.saturating_sub(std::mem::replace(start, now));
-        self.closed_ew.record(pmo, len);
+        self.closed_ew.record(pmo.index(), len);
         Some(len)
     }
 
     /// Whether an EW is currently open for `pmo`.
     pub fn ew_open(&self, pmo: PmoId) -> bool {
-        self.open_ew.contains_key(&pmo)
+        self.open_ew.get(pmo.index()).is_some_and(Option::is_some)
     }
 
     /// Opens a thread exposure window (`thread` gains permission) at `now`.
     pub fn open_tew(&mut self, thread: usize, pmo: PmoId, now: Cycles) {
-        let prev = self.open_tew.insert((thread, pmo), now);
-        debug_assert!(prev.is_none(), "double TEW open for t{thread}/{pmo}");
+        let open = grown(&mut self.open_tew, pmo.index());
+        debug_assert!(
+            open.iter().all(|&(t, _)| t != thread),
+            "double TEW open for t{thread}/{pmo}"
+        );
+        open.push((thread, now));
     }
 
     /// Closes a thread exposure window at `now`.
     pub fn close_tew(&mut self, thread: usize, pmo: PmoId, now: Cycles) {
-        if let Some(start) = self.open_tew.remove(&(thread, pmo)) {
-            self.closed_tew.record(pmo, now.saturating_sub(start));
+        let Some(open) = self.open_tew.get_mut(pmo.index()) else {
+            return;
+        };
+        if let Some(i) = open.iter().position(|&(t, _)| t == thread) {
+            let (_, start) = open.swap_remove(i);
+            self.closed_tew
+                .record(pmo.index(), now.saturating_sub(start));
         }
     }
 
     /// Force-closes every window at end of run (`now` = final time) so the
-    /// statistics include still-open tails.
+    /// statistics include still-open tails. Pools close in ascending id
+    /// order; nothing the statistics report depends on it.
     pub fn finalize(&mut self, now: Cycles) {
-        let open: Vec<PmoId> = self.open_ew.keys().copied().collect();
-        for pmo in open {
-            self.close_ew(pmo, now);
+        for (i, start) in self.open_ew.iter_mut().enumerate() {
+            if let Some(start) = start.take() {
+                self.closed_ew.record(i, now.saturating_sub(start));
+            }
         }
-        let open_t: Vec<(usize, PmoId)> = self.open_tew.keys().copied().collect();
-        for (t, pmo) in open_t {
-            self.close_tew(t, pmo, now);
+        for (i, open) in self.open_tew.iter_mut().enumerate() {
+            for (_, start) in open.drain(..) {
+                self.closed_tew.record(i, now.saturating_sub(start));
+            }
         }
     }
 

@@ -100,8 +100,13 @@ struct Mapping {
 /// [`Self::randomize`] (re-randomization without a detach, used by TERP's
 /// partial window combining).
 pub struct ProcessAddressSpace {
+    /// One entry per attached pool, in address order: the range query of
+    /// [`Self::resolve`] and the free-range test of placement need it.
     mappings: BTreeMap<VirtAddr, Mapping>,
-    by_pmo: BTreeMap<PmoId, VirtAddr>,
+    /// Each attached pool's base, indexed by [`PmoId::index`]: the lookup
+    /// every attach, detach and translation makes is an index, not a tree
+    /// walk. Ids are never reused, so it grows to the highest id attached.
+    by_pmo: Vec<Option<VirtAddr>>,
     rng: StdRng,
     attach_count: u64,
     randomize_count: u64,
@@ -110,7 +115,7 @@ pub struct ProcessAddressSpace {
 impl fmt::Debug for ProcessAddressSpace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ProcessAddressSpace")
-            .field("attached", &self.by_pmo.len())
+            .field("attached", &self.attached_count())
             .field("attach_count", &self.attach_count)
             .field("randomize_count", &self.randomize_count)
             .finish()
@@ -129,7 +134,7 @@ impl ProcessAddressSpace {
     pub fn with_seed(seed: u64) -> Self {
         ProcessAddressSpace {
             mappings: BTreeMap::new(),
-            by_pmo: BTreeMap::new(),
+            by_pmo: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             attach_count: 0,
             randomize_count: 0,
@@ -156,7 +161,7 @@ impl ProcessAddressSpace {
         if !pool.is_open() {
             return Err(PmoError::Closed(pool.id()));
         }
-        if self.by_pmo.contains_key(&pool.id()) {
+        if self.is_attached(pool.id()) {
             return Err(PmoError::AlreadyAttached(pool.id()));
         }
         if !pool.mode().permits(permission) {
@@ -172,7 +177,11 @@ impl ProcessAddressSpace {
                 permission,
             },
         );
-        self.by_pmo.insert(pool.id(), base);
+        let i = pool.id().index();
+        if self.by_pmo.len() <= i {
+            self.by_pmo.resize(i + 1, None);
+        }
+        self.by_pmo[i] = Some(base);
         pool.bump_attach_generation();
         self.attach_count += 1;
         Ok(AttachHandle {
@@ -191,8 +200,7 @@ impl ProcessAddressSpace {
     /// [`PmoError::NotAttached`] if the pool is not currently mapped.
     pub fn detach(&mut self, pool: &mut Pmo) -> Result<(), PmoError> {
         let base = self
-            .by_pmo
-            .remove(&pool.id())
+            .take_base(pool.id())
             .ok_or(PmoError::NotAttached(pool.id()))?;
         self.mappings.remove(&base);
         Ok(())
@@ -211,15 +219,12 @@ impl ProcessAddressSpace {
     /// [`PmoError::NotAttached`] if the pool is not currently mapped.
     pub fn randomize(&mut self, pool: &mut Pmo) -> Result<AttachHandle, PmoError> {
         let old_base = self
-            .by_pmo
-            .get(&pool.id())
-            .copied()
+            .take_base(pool.id())
             .ok_or(PmoError::NotAttached(pool.id()))?;
         let mapping = self
             .mappings
             .remove(&old_base)
             .expect("mapping table out of sync");
-        self.by_pmo.remove(&pool.id());
         let new_base = self.pick_random_base(mapping.size)?;
         self.mappings.insert(
             new_base,
@@ -228,7 +233,7 @@ impl ProcessAddressSpace {
                 ..mapping
             },
         );
-        self.by_pmo.insert(pool.id(), new_base);
+        self.by_pmo[pool.id().index()] = Some(new_base);
         pool.bump_attach_generation();
         self.randomize_count += 1;
         Ok(AttachHandle {
@@ -242,7 +247,17 @@ impl ProcessAddressSpace {
 
     /// Whether a pool is currently attached.
     pub fn is_attached(&self, pmo: PmoId) -> bool {
-        self.by_pmo.contains_key(&pmo)
+        self.base(pmo).is_some()
+    }
+
+    /// The attached pool's base address.
+    fn base(&self, pmo: PmoId) -> Option<VirtAddr> {
+        self.by_pmo.get(pmo.index()).copied().flatten()
+    }
+
+    /// Forgets the attached pool's base, returning it.
+    fn take_base(&mut self, pmo: PmoId) -> Option<VirtAddr> {
+        self.by_pmo.get_mut(pmo.index())?.take()
     }
 
     /// Translates an ObjectID to its current virtual address (Table I's
@@ -254,10 +269,9 @@ impl ProcessAddressSpace {
     /// [`PmoError::OutOfBounds`] if the offset exceeds the mapping.
     pub fn oid_direct(&self, oid: ObjectId) -> Result<VirtAddr, PmoError> {
         let base = self
-            .by_pmo
-            .get(&oid.pmo())
+            .base(oid.pmo())
             .ok_or(PmoError::NotAttached(oid.pmo()))?;
-        let mapping = &self.mappings[base];
+        let mapping = &self.mappings[&base];
         if oid.offset() >= mapping.size {
             return Err(PmoError::OutOfBounds {
                 pmo: oid.pmo(),
@@ -289,7 +303,7 @@ impl ProcessAddressSpace {
 
     /// Number of attached pools.
     pub fn attached_count(&self) -> usize {
-        self.by_pmo.len()
+        self.mappings.len()
     }
 
     /// Total in-place randomizations performed.

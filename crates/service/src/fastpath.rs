@@ -5,7 +5,7 @@
 //! approach once several clients share a shard. This module publishes the
 //! *decision-relevant* slice of a pool's protection state (is it mapped,
 //! with which process permission, which clients hold it and with what
-//! permission — the shard's holder table, whose entries are thread rights
+//! permission — the pool's holder list, whose entries are thread rights
 //! under TERP and the one owner under Basic semantics) through a per-pool
 //! seqlock so data-path readers never touch the shard mutex. Writers — attach, detach, the sweeper, recovery, drain —
 //! already serialize on the shard lock; they additionally bump the pool's

@@ -120,7 +120,7 @@ impl Batch<'_> {
         drop(names);
         let slot = Arc::new(PoolSlot::new(pool));
         let mut state = svc.lock(svc.shard(id));
-        state.pools.insert(id, Arc::clone(&slot));
+        state.add_pool(id, Arc::clone(&slot));
         state.log(&WalRecord::PoolCreate {
             id,
             name: name.to_string(),
@@ -168,7 +168,7 @@ impl Batch<'_> {
         let svc = self.svc;
         svc.check_writable()?;
         let mut state = svc.lock_for(client, pmo, None, AccessKind::Write)?;
-        let oid = state.pools[&pmo].pool_mut().pmalloc(size)?;
+        let oid = state.slot(pmo).pool_mut().pmalloc(size)?;
         svc.metrics.with_slab(|s| ThreadSlab::bump(&s.allocs));
         state.log(&WalRecord::Alloc {
             pmo,
@@ -185,7 +185,7 @@ impl Batch<'_> {
         svc.check_writable()?;
         let pmo = oid.pmo();
         let mut state = svc.lock_for(client, pmo, None, AccessKind::Write)?;
-        state.pools[&pmo].pool_mut().pfree(oid)?;
+        state.slot(pmo).pool_mut().pfree(oid)?;
         state.log(&WalRecord::Free {
             pmo,
             offset: oid.offset(),

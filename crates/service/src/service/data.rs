@@ -108,7 +108,7 @@ impl PmoService {
         }
         let pmo = oid.pmo();
         let state = self.lock_for(client, pmo, Some(oid), AccessKind::Read)?;
-        state.pools[&pmo].pool().read_bytes(oid.offset(), buf)?;
+        state.slot(pmo).pool().read_bytes(oid.offset(), buf)?;
         self.metrics.with_slab(|s| ThreadSlab::bump(&s.reads));
         // Slow-path epoch 0: the lock events already order this access.
         state.trace_data(EventKind::Read {
@@ -246,7 +246,8 @@ impl Batch<'_> {
         svc.check_writable()?;
         let state = svc.lock_for(client, oid.pmo(), Some(oid), AccessKind::Write)?;
         let mut buf = [0u8; 8];
-        state.pools[&oid.pmo()]
+        state
+            .slot(oid.pmo())
             .pool()
             .read_bytes(oid.offset(), &mut buf)?;
         let observed = u64::from_le_bytes(buf);
@@ -267,9 +268,7 @@ impl Batch<'_> {
         data: &[u8],
     ) -> Result<(), ServiceError> {
         let pmo = oid.pmo();
-        state.pools[&pmo]
-            .pool_mut()
-            .write_bytes(oid.offset(), data)?;
+        state.slot(pmo).pool_mut().write_bytes(oid.offset(), data)?;
         self.svc.metrics.with_slab(|s| ThreadSlab::bump(&s.writes));
         state.trace_data(EventKind::Write {
             pmo: pmo.raw(),

@@ -9,7 +9,6 @@ use terp_pmo::PmoId;
 use super::PmoService;
 use crate::error::ServiceError;
 use crate::metrics::{merge_cond_stats, merge_wal_stats, merge_window_stats, ServiceReport};
-use crate::ClientId;
 
 impl PmoService {
     /// Whether the service is a warm standby still refusing mutations.
@@ -58,9 +57,8 @@ impl PmoService {
             // Anything still mapped: Basic-semantics owners' pools,
             // unprotected pools, untracked attaches.
             let mapped: Vec<PmoId> = state
-                .pools
-                .keys()
-                .copied()
+                .entries()
+                .map(|e| e.pmo)
                 .filter(|&p| state.space.is_attached(p))
                 .collect();
             for pmo in mapped {
@@ -71,12 +69,7 @@ impl PmoService {
             }
             // Close every remaining client session; the last one out clears
             // its pool's grant mirror.
-            let sessions: Vec<(PmoId, ClientId)> = state
-                .holders
-                .iter()
-                .flat_map(|(&pmo, h)| h.keys().map(move |&client| (pmo, client)))
-                .collect();
-            for (pmo, client) in sessions {
+            for (pmo, client) in state.sessions() {
                 state.revoke_client(client, pmo, now);
             }
             state.windows.finalize(now);

@@ -5,13 +5,13 @@
 //!   condvar until the owner detaches or the service shuts down.
 //! * **EW-conscious semantics** (TM / TT): attach/detach run through the
 //!   shard's [`CondEngine`]; lowered operations update only the pool's
-//!   holder table (a *silent* conditional op), and only first-attach /
+//!   holder list (a *silent* conditional op), and only first-attach /
 //!   full-detach outcomes touch the address space.
 //! * **Unprotected**: constructs are bookkeeping only — pools stay mapped
 //!   once touched, nothing is checked.
 //!
 //! Whatever the scheme, a client's right to a pool is decided from one
-//! record by one rule: its entry in the shard's holder table, read by
+//! record by one rule: its entry in the pool's holder list, read by
 //! `ShardState::client_may` on the locked paths and through the pool's
 //! published grant slots on the fast path.
 //!
@@ -34,11 +34,10 @@
 //! their `impl` blocks are split by concern. This file holds the struct,
 //! construction and recovery adoption, the shard-lock guard, and the private
 //! gates and helpers every entry point calls (`lock`, `lock_pool`,
-//! `lock_for`, `one`, `is_down`, `check_writable`, the trace and metric
-//! shims); the rest is in
-//! `batch` (the commit protocol), `windows` (attach/detach per scheme and
-//! the sweeper), `data` (read/write/cas and the lock-free fast path),
-//! `alloc` (pools, objects, roots) and `lifecycle` (shutdown, drain,
+//! `lock_for`, `one`, `is_down`, `check_writable`, the trace shims); the
+//! rest is in `batch` (the commit protocol), `windows` (attach/detach per
+//! scheme and the sweeper), `data` (read/write/cas and the lock-free fast
+//! path), `alloc` (pools, objects, roots) and `lifecycle` (shutdown, drain,
 //! promotion, report).
 
 use std::collections::hash_map::DefaultHasher;
@@ -262,7 +261,7 @@ impl PmoService {
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
                         .insert(name, id);
-                    state.pools.insert(id, Arc::clone(&slot));
+                    state.add_pool(id, Arc::clone(&slot));
                     index.insert(id, slot);
                     max_raw = max_raw.max(id.raw());
                 }
@@ -360,7 +359,7 @@ impl PmoService {
     /// hold.
     fn lock_pool(&self, pmo: PmoId) -> Result<StateGuard<'_>, ServiceError> {
         let state = self.lock(self.shard(pmo));
-        if state.pools.contains_key(&pmo) {
+        if state.holds(pmo) {
             Ok(state)
         } else {
             Err(ServiceError::UnknownPmo(pmo))
@@ -454,10 +453,6 @@ impl PmoService {
         } else {
             Ok(())
         }
-    }
-
-    fn slab(&self) -> Arc<ThreadSlab> {
-        self.metrics.slab()
     }
 
     /// Total pools currently mapped across all shards.

@@ -270,7 +270,7 @@ impl Batch<'_> {
             writable: perm == Permission::ReadWrite,
         });
         self.finish(state)?;
-        ThreadSlab::bump(&svc.slab().attaches);
+        svc.metrics.with_slab(|s| ThreadSlab::bump(&s.attaches));
         Ok(cost)
     }
 
@@ -281,7 +281,6 @@ impl Batch<'_> {
         perm: Permission,
     ) -> Result<(u64, u64), ServiceError> {
         let svc = self.svc;
-        let slab = svc.slab();
         let shard = svc.shard(pmo);
         let mut state = svc.lock_pool(pmo)?;
         let mut waited_from = None;
@@ -299,18 +298,21 @@ impl Batch<'_> {
             // shard condvar; the timeout bounds shutdown latency.
             if waited_from.is_none() {
                 waited_from = Some(svc.clock.now_ns());
-                ThreadSlab::bump(&slab.attach_conflicts);
+                svc.metrics
+                    .with_slab(|s| ThreadSlab::bump(&s.attach_conflicts));
             }
             state = state.wait_on(&shard.cvar, Duration::from_millis(1));
         }
         let mut waited = 0;
         if let Some(from) = waited_from {
             waited = svc.clock.now_ns().saturating_sub(from);
-            slab.blocked_ns.fetch_add(waited, Ordering::Relaxed);
-            slab.queue_wait
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record(waited);
+            svc.metrics.with_slab(|s| {
+                s.blocked_ns.fetch_add(waited, Ordering::Relaxed);
+                s.queue_wait
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .record(waited);
+            });
         }
         state
             .merr
@@ -328,7 +330,7 @@ impl Batch<'_> {
             writable: perm == Permission::ReadWrite,
         });
         self.finish(state)?;
-        ThreadSlab::bump(&slab.attaches);
+        svc.metrics.with_slab(|s| ThreadSlab::bump(&s.attaches));
         Ok((svc.config.cost.attach_ns, waited))
     }
 
@@ -372,7 +374,7 @@ impl Batch<'_> {
             svc.wake_sweeper_for(expiry);
         }
         done?;
-        ThreadSlab::bump(&svc.slab().attaches);
+        svc.metrics.with_slab(|s| ThreadSlab::bump(&s.attaches));
         let syscall = outcome.needs_syscall() || svc.config.scheme.cond_is_syscall();
         Ok(if syscall {
             svc.config.cost.attach_ns
@@ -407,7 +409,7 @@ impl Batch<'_> {
             client: client as u64,
         });
         drop(state);
-        ThreadSlab::bump(&svc.slab().detaches);
+        svc.metrics.with_slab(|s| ThreadSlab::bump(&s.detaches));
         Ok(0)
     }
 
@@ -428,7 +430,7 @@ impl Batch<'_> {
             client: client as u64,
         });
         self.finish(state)?;
-        ThreadSlab::bump(&svc.slab().detaches);
+        svc.metrics.with_slab(|s| ThreadSlab::bump(&s.detaches));
         svc.shard(pmo).cvar.notify_all();
         Ok(svc.config.cost.detach_ns)
     }
@@ -462,7 +464,7 @@ impl Batch<'_> {
             state.unmap_pool(pmo, now)?;
         }
         self.finish(state)?;
-        ThreadSlab::bump(&svc.slab().detaches);
+        svc.metrics.with_slab(|s| ThreadSlab::bump(&s.detaches));
         let syscall = outcome.needs_syscall() || svc.config.scheme.cond_is_syscall();
         Ok(if syscall {
             svc.config.cost.detach_ns

@@ -7,9 +7,14 @@
 //! service design (DESIGN.md §9). Everything keyed by pool therefore lives
 //! *inside* the shard: the address-space slice, the permission matrix, the
 //! MERR attach state, the conditional engine with its circular buffer, the
-//! window tracker, and the holder table — the one record of who holds each
-//! pool and with what permission, from which [`ShardState::client_may`]
+//! window tracker, and each pool's holder list — the one record of who
+//! holds it and with what permission, from which [`ShardState::client_may`]
 //! decides every client-level right under every scheme.
+//!
+//! Per-pool state is indexed by [`PmoId::index`], not hashed: an id has 10
+//! bits and is never reused, so an index cannot alias, and each table grows
+//! on first touch to the highest id it has seen. Walks over the pools run in
+//! ascending id order; nothing depends on that order.
 //!
 //! Pools themselves are held as [`PoolSlot`]s shared with the lock-free
 //! [`crate::fastpath`] index: the shard mutex still serializes every
@@ -21,7 +26,7 @@
 //! either side can only leave the mirror more restrictive than the truth,
 //! never less.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
 use terp_arch::{CondEngine, MerrArch};
@@ -56,13 +61,12 @@ impl Shard {
     ) -> Self {
         Shard {
             state: Mutex::new(ShardState {
-                pools: HashMap::new(),
+                pools: Vec::new(),
                 space: ProcessAddressSpace::with_seed(seed),
                 matrix: PermissionMatrix::new(),
                 merr: MerrArch::new(),
                 engine: CondEngine::with_capacity(max_ew_ns, CB_CAPACITY),
                 windows: WindowTracker::new(),
-                holders: HashMap::new(),
                 roots: HashMap::new(),
                 attach_syscalls: 0,
                 detach_syscalls: 0,
@@ -83,13 +87,36 @@ impl Shard {
     }
 }
 
+/// One pool a shard owns.
+#[derive(Debug)]
+pub(crate) struct PoolEntry {
+    pub pmo: PmoId,
+    /// The same `Arc` is published in the service's lock-free
+    /// [`crate::fastpath::PoolIndex`].
+    pub slot: Arc<PoolSlot>,
+    /// Who holds an open session on the pool, and the permission each
+    /// attached with (all schemes), sorted by client. Under Basic semantics
+    /// the only holder is the owner; under TERP semantics a holder's entry
+    /// is its thread permission (Definition 1). The fast path mirrors it in
+    /// the pool's grant slots. The list keeps its allocation when it
+    /// empties, so a session that reopens allocates nothing.
+    holders: Vec<(ClientId, Permission)>,
+}
+
+impl PoolEntry {
+    /// Where `client` sits in the holder list (`Err`: where it would go).
+    fn find(&self, client: ClientId) -> Result<usize, usize> {
+        self.holders.binary_search_by_key(&client, |&(c, _)| c)
+    }
+}
+
 /// Everything a shard protects with its mutex.
 #[derive(Debug)]
 pub(crate) struct ShardState {
-    /// Pools owned by this shard. The same `Arc` is published in the
-    /// service's lock-free [`crate::fastpath::PoolIndex`]; the shard map is
-    /// the authoritative membership list used by the locked paths.
-    pub pools: HashMap<PmoId, Arc<PoolSlot>>,
+    /// Pools owned by this shard and their holders, indexed by
+    /// [`PmoId::index`] (`None`: another shard's pool, or none yet): the
+    /// authoritative membership list the locked paths use.
+    pools: Vec<Option<PoolEntry>>,
     /// This shard's slice of the process address space.
     pub space: ProcessAddressSpace,
     /// MERR process-wide permission matrix for this shard's mappings.
@@ -100,12 +127,6 @@ pub(crate) struct ShardState {
     pub engine: CondEngine,
     /// EW/TEW tracker; times are nanoseconds since the service epoch.
     pub windows: WindowTracker,
-    /// Who holds an open session on each pool, and the permission each
-    /// attached with (all schemes). Under Basic semantics a pool's only
-    /// holder is its owner; under TERP semantics a holder's entry is its
-    /// thread permission (Definition 1). The fast path mirrors it in the
-    /// pool's grant slots.
-    pub holders: HashMap<PmoId, BTreeMap<ClientId, Permission>>,
     /// Root directory for this shard's pools: `(pool, key) → packed
     /// ObjectId` of a persistent data structure's root. Journaled as
     /// [`WalRecord::RootSet`] in durable mode and rebuilt by recovery, so
@@ -153,10 +174,52 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
-    fn slot(&self, pmo: PmoId) -> Result<Arc<PoolSlot>, PmoError> {
-        self.pools
-            .get(&pmo)
-            .cloned()
+    /// `pmo`'s entry, when this shard holds the pool.
+    fn entry(&self, pmo: PmoId) -> Option<&PoolEntry> {
+        self.pools.get(pmo.index())?.as_ref()
+    }
+
+    fn entry_mut(&mut self, pmo: PmoId) -> Option<&mut PoolEntry> {
+        self.pools.get_mut(pmo.index())?.as_mut()
+    }
+
+    /// Whether this shard holds `pmo`.
+    pub(crate) fn holds(&self, pmo: PmoId) -> bool {
+        self.entry(pmo).is_some()
+    }
+
+    /// Every pool this shard holds, in ascending id order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &PoolEntry> {
+        self.pools.iter().flatten()
+    }
+
+    /// Adds a pool, growing the table to reach its index.
+    pub(crate) fn add_pool(&mut self, pmo: PmoId, slot: Arc<PoolSlot>) {
+        let i = pmo.index();
+        if self.pools.len() <= i {
+            self.pools.resize_with(i + 1, || None);
+        }
+        self.pools[i] = Some(PoolEntry {
+            pmo,
+            slot,
+            holders: Vec::new(),
+        });
+    }
+
+    /// `pmo`'s slot, for callers past `lock_pool`, which refused a pool this
+    /// shard does not hold.
+    ///
+    /// # Panics
+    ///
+    /// If this shard does not hold `pmo`.
+    pub(crate) fn slot(&self, pmo: PmoId) -> &PoolSlot {
+        &self.entry(pmo).expect("pool checked by lock_pool").slot
+    }
+
+    /// `pmo`'s slot, shared, for a caller that also mutates the shard.
+    fn shared_slot(&self, pmo: PmoId) -> Result<Arc<PoolSlot>, PmoError> {
+        self.entry(pmo)
+            .map(|e| Arc::clone(&e.slot))
             .ok_or(PmoError::UnknownPmo(pmo))
     }
 
@@ -202,12 +265,14 @@ impl ShardState {
     /// Records the post-publish seqlock epoch of `slot` as a `Publish`
     /// event. Callers hold the shard mutex, so no publish is in flight and
     /// the loaded epoch is the even value the critical section installed.
-    fn trace_publish(&self, pmo: PmoId, slot: &PoolSlot) {
+    fn trace_publish(&self, pmo: PmoId) {
         if self.tracer.is_some() {
-            self.trace(EventKind::Publish {
-                pmo: pmo.raw(),
-                epoch: slot.epoch(),
-            });
+            if let Some(entry) = self.entry(pmo) {
+                self.trace(EventKind::Publish {
+                    pmo: pmo.raw(),
+                    epoch: entry.slot.epoch(),
+                });
+            }
         }
     }
 
@@ -276,12 +341,12 @@ impl ShardState {
         };
         // The checkpoint's first step syncs everything journaled so far.
         *leftover_since = None;
-        let protection: Vec<WalRecord> = pools
-            .keys()
-            .filter(|&&pmo| space.is_attached(pmo))
-            .map(|&pmo| WalRecord::WindowOpen { pmo })
+        let entries = || pools.iter().flatten();
+        let protection: Vec<WalRecord> = entries()
+            .filter(|e| space.is_attached(e.pmo))
+            .map(|e| WalRecord::WindowOpen { pmo: e.pmo })
             .collect();
-        let mut guards: Vec<_> = pools.values().map(|s| s.pool_mut()).collect();
+        let mut guards: Vec<_> = entries().map(|e| e.slot.pool_mut()).collect();
         store.checkpoint(guards.iter_mut().map(|g| &mut **g), &protection)?;
         Ok(())
     }
@@ -301,7 +366,7 @@ impl ShardState {
         perm: Permission,
         now: u64,
     ) -> Result<(), ServiceError> {
-        let slot = self.slot(pmo)?;
+        let slot = self.shared_slot(pmo)?;
         let handle = {
             let mut pool = slot.pool_mut();
             self.space.attach(&mut pool, perm)?
@@ -315,7 +380,7 @@ impl ShardState {
         self.windows.open_ew(pmo, now);
         self.attach_syscalls += 1;
         slot.publish(|w| w.set_mapped(Some(perm)));
-        self.trace_publish(pmo, &slot);
+        self.trace_publish(pmo);
         Ok(())
     }
 
@@ -324,9 +389,9 @@ impl ShardState {
     /// teardown starts), then unmaps, removes the matrix entry, and closes
     /// the process EW.
     pub(crate) fn unmap_pool(&mut self, pmo: PmoId, now: u64) -> Result<(), ServiceError> {
-        let slot = self.slot(pmo)?;
+        let slot = self.shared_slot(pmo)?;
         slot.publish(|w| w.set_mapped(None));
-        self.trace_publish(pmo, &slot);
+        self.trace_publish(pmo);
         {
             let mut pool = slot.pool_mut();
             self.space.detach(&mut pool)?;
@@ -348,7 +413,7 @@ impl ShardState {
     /// re-derive (every crash-open window is resealed and re-randomized
     /// anyway), so nothing can fail between the move and its publish.
     pub(crate) fn randomize_pool(&mut self, pmo: PmoId, now: u64) -> Result<(), ServiceError> {
-        let slot = self.slot(pmo)?;
+        let slot = self.shared_slot(pmo)?;
         let handle = {
             let mut pool = slot.pool_mut();
             self.space.randomize(&mut pool)?
@@ -358,7 +423,7 @@ impl ShardState {
         self.count_window(closed);
         self.randomizations += 1;
         slot.publish(|_| {});
-        self.trace_publish(pmo, &slot);
+        self.trace_publish(pmo);
         Ok(())
     }
 
@@ -452,54 +517,62 @@ impl ShardState {
         pmo: PmoId,
         kind: AccessKind,
     ) -> bool {
-        !scheme.checks_permissions()
-            || self
-                .holders
-                .get(&pmo)
-                .and_then(|h| h.get(&client))
-                .is_some_and(|perm| perm.allows(kind))
+        !scheme.checks_permissions() || self.holder(client, pmo).is_some_and(|p| p.allows(kind))
+    }
+
+    /// The permission `client` holds `pmo` with, if it holds an open
+    /// session.
+    fn holder(&self, client: ClientId, pmo: PmoId) -> Option<Permission> {
+        let entry = self.entry(pmo)?;
+        entry.find(client).ok().map(|i| entry.holders[i].1)
     }
 
     /// Whether `client` currently holds an open session on `pmo`.
     pub(crate) fn is_holder(&self, client: ClientId, pmo: PmoId) -> bool {
-        self.holders
-            .get(&pmo)
-            .is_some_and(|h| h.contains_key(&client))
+        self.holder(client, pmo).is_some()
+    }
+
+    /// Every open session, as `(pool, client)`: pools in ascending id
+    /// order, each pool's clients in ascending order.
+    pub(crate) fn sessions(&self) -> Vec<(PmoId, ClientId)> {
+        self.entries()
+            .flat_map(|e| e.holders.iter().map(move |&(client, _)| (e.pmo, client)))
+            .collect()
     }
 
     /// Records a session open with the permission it attached with, and
     /// mirrors it to the pool's grant slots (publish last).
     pub(crate) fn add_holder(&mut self, client: ClientId, pmo: PmoId, perm: Permission) {
-        self.holders.entry(pmo).or_default().insert(client, perm);
-        if let Some(slot) = self.pools.get(&pmo) {
-            slot.publish(|w| w.grant(client, perm));
-            self.trace_publish(pmo, slot);
+        let Some(entry) = self.entry_mut(pmo) else {
+            return;
+        };
+        match entry.find(client) {
+            Ok(i) => entry.holders[i].1 = perm,
+            Err(i) => entry.holders.insert(i, (client, perm)),
         }
+        entry.slot.publish(|w| w.grant(client, perm));
+        self.trace_publish(pmo);
     }
 
     /// Records a session close and unpublishes it. When the last holder
     /// leaves, the pool's whole grant mirror (including a sticky crowded
     /// bit) is known stale and is cleared instead.
     pub(crate) fn remove_holder(&mut self, client: ClientId, pmo: PmoId) {
-        let Some(h) = self.holders.get_mut(&pmo) else {
+        let Some(entry) = self.entry_mut(pmo) else {
             return;
         };
-        if h.remove(&client).is_none() {
+        let Ok(i) = entry.find(client) else {
             return;
-        }
-        let last = h.is_empty();
-        if last {
-            self.holders.remove(&pmo);
-        }
-        if let Some(slot) = self.pools.get(&pmo) {
-            slot.publish(|w| {
-                if last {
-                    w.clear_grants()
-                } else {
-                    w.revoke(client)
-                }
-            });
-            self.trace_publish(pmo, slot);
-        }
+        };
+        entry.holders.remove(i);
+        let last = entry.holders.is_empty();
+        entry.slot.publish(|w| {
+            if last {
+                w.clear_grants()
+            } else {
+                w.revoke(client)
+            }
+        });
+        self.trace_publish(pmo);
     }
 }

@@ -196,12 +196,22 @@ mod tests {
         let svc = Arc::new(PmoService::new(config));
         let sweeper = Sweeper::spawn(Arc::clone(&svc), 200);
         let p = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
+        // Parked for good before the attach: only the attach's wake-up can
+        // get the sweeper to the window.
+        wait_until("the idle sweeper never parked indefinitely", || {
+            svc.sweeper_plan() == u64::MAX
+        });
         // One commit for both: the detach is delayed, the close the
         // sweeper's — and nobody calls the service again.
         let mut batch = svc.batch();
         batch.attach(0, p, Permission::ReadWrite).unwrap();
         batch.detach(0, p).unwrap();
         batch.commit().unwrap();
+        assert_eq!(
+            svc.report().sweeper_unparks,
+            1,
+            "the attach must wake the parked sweeper"
+        );
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while svc.report().sweeper_syncs == 0 {
             assert!(
@@ -234,8 +244,9 @@ mod tests {
             .with_sweep_period_us(100);
         let svc = Arc::new(PmoService::new(config));
         let sweeper = Sweeper::spawn(Arc::clone(&svc), 100);
-        // Let the sweeper reach its indefinite park.
-        std::thread::sleep(Duration::from_millis(5));
+        wait_until("the idle sweeper never parked indefinitely", || {
+            svc.sweeper_plan() == u64::MAX
+        });
         let p = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
         svc.attach(0, p, Permission::ReadWrite).unwrap();
         svc.detach(0, p).unwrap(); // delayed — only a sweep can close it
