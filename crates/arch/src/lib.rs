@@ -33,5 +33,5 @@ pub mod watch;
 
 pub use circular_buffer::{CbEntry, CircularBuffer};
 pub use cond::{AttachOutcome, CondEngine, CondStats, DetachOutcome, SweepAction};
-pub use merr::{MerrArch, MerrStats};
+pub use merr::MerrArch;
 pub use watch::{FetchDecision, WatchRegisters, WatchUnit};

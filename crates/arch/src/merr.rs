@@ -35,17 +35,6 @@ impl std::fmt::Display for MerrError {
 
 impl std::error::Error for MerrError {}
 
-/// Counters for MERR protection events.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MerrStats {
-    /// Successful full attach syscalls.
-    pub attaches: u64,
-    /// Successful full detach syscalls.
-    pub detaches: u64,
-    /// Attach attempts rejected/serialized because the PMO was attached.
-    pub attach_conflicts: u64,
-}
-
 /// Process-wide MERR attach state.
 ///
 /// ```
@@ -61,7 +50,6 @@ pub struct MerrStats {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct MerrArch {
     attached: HashSet<PmoId>,
-    stats: MerrStats,
 }
 
 impl MerrArch {
@@ -79,10 +67,8 @@ impl MerrArch {
     /// callers use this signal to serialize (block until detached).
     pub fn attach(&mut self, pmo: PmoId) -> Result<(), MerrError> {
         if !self.attached.insert(pmo) {
-            self.stats.attach_conflicts += 1;
             return Err(MerrError::AlreadyAttached(pmo));
         }
-        self.stats.attaches += 1;
         Ok(())
     }
 
@@ -96,23 +82,12 @@ impl MerrArch {
         if !self.attached.remove(&pmo) {
             return Err(MerrError::NotAttached(pmo));
         }
-        self.stats.detaches += 1;
         Ok(())
-    }
-
-    /// Whether a PMO is currently attached process-wide.
-    pub fn is_attached(&self, pmo: PmoId) -> bool {
-        self.attached.contains(&pmo)
     }
 
     /// Number of currently attached PMOs.
     pub fn attached_count(&self) -> usize {
         self.attached.len()
-    }
-
-    /// Event counters.
-    pub fn stats(&self) -> MerrStats {
-        self.stats
     }
 }
 
@@ -128,11 +103,10 @@ mod tests {
     fn attach_detach_pairs() {
         let mut m = MerrArch::new();
         m.attach(pmo(1)).unwrap();
-        assert!(m.is_attached(pmo(1)));
+        assert_eq!(m.attached_count(), 1);
         m.detach(pmo(1)).unwrap();
-        assert!(!m.is_attached(pmo(1)));
-        assert_eq!(m.stats().attaches, 1);
-        assert_eq!(m.stats().detaches, 1);
+        assert_eq!(m.attached_count(), 0);
+        m.attach(pmo(1)).unwrap();
     }
 
     #[test]
@@ -140,9 +114,10 @@ mod tests {
         let mut m = MerrArch::new();
         m.attach(pmo(1)).unwrap();
         assert_eq!(m.attach(pmo(1)), Err(MerrError::AlreadyAttached(pmo(1))));
-        assert_eq!(m.stats().attach_conflicts, 1);
-        // The conflicting attach did not count as a successful one.
-        assert_eq!(m.stats().attaches, 1);
+        // The conflicting attach changed nothing.
+        assert_eq!(m.attached_count(), 1);
+        m.detach(pmo(1)).unwrap();
+        assert_eq!(m.detach(pmo(1)), Err(MerrError::NotAttached(pmo(1))));
     }
 
     #[test]
@@ -158,6 +133,6 @@ mod tests {
         m.attach(pmo(2)).unwrap();
         assert_eq!(m.attached_count(), 2);
         m.detach(pmo(1)).unwrap();
-        assert!(m.is_attached(pmo(2)));
+        assert_eq!(m.attach(pmo(2)), Err(MerrError::AlreadyAttached(pmo(2))));
     }
 }

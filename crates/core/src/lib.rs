@@ -17,9 +17,6 @@
 //!   insertion + MERR architecture), TM (TERP insertion on MERR
 //!   architecture), TT (TERP insertion + TERP architecture), and the
 //!   Figure 11 ablations (Basic semantics, +Cond, +CB).
-//! * [`session`] — a *functional* protection layer for adopting
-//!   applications: reads/writes of real pool bytes gated by EW-conscious
-//!   windows, with automatic re-randomization.
 //! * [`runtime`] — the executor: interprets per-thread traces, drives the
 //!   protection hardware ([`terp_arch`]) and the timing model
 //!   ([`terp_sim`]), and produces a [`report::RunReport`] with the overhead
@@ -60,11 +57,9 @@ pub mod poset;
 pub mod report;
 pub mod runtime;
 pub mod semantics;
-pub mod session;
 pub mod window;
 
 pub use config::{ProtectionConfig, Scheme};
 pub use report::RunReport;
 pub use runtime::Executor;
-pub use session::PmoSession;
 pub use window::WindowTracker;

@@ -22,6 +22,7 @@
 //! [`ServiceError::Protocol`], never a panic, and trailing bytes after a
 //! well-formed body are rejected (they would mean a framing bug).
 
+use terp_persist::{ReadError, Reader};
 use terp_pmo::{AccessKind, ObjectId, OpenMode, Permission, PmoId};
 use terp_service::{ClientId, ServiceError};
 
@@ -162,81 +163,53 @@ pub enum Response {
     Err(ServiceError),
 }
 
-fn perr(msg: impl Into<String>) -> ServiceError {
-    ServiceError::Protocol(msg.into())
+/// A payload that did not decode: the [`Reader`] ran short or was left with
+/// bytes, or a field holds a value the format forbids. It becomes a
+/// [`ServiceError::Protocol`] naming what was being decoded
+/// ([`Malformed::protocol`]).
+#[derive(Debug)]
+pub(crate) enum Malformed {
+    Read(ReadError),
+    Field(String),
 }
 
-/// Bounds-checked little-endian cursor over a message body.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+impl From<ReadError> for Malformed {
+    fn from(e: ReadError) -> Self {
+        Malformed::Read(e)
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
+impl Malformed {
+    /// The protocol error for a malformed `what` ("message body", …).
+    pub(crate) fn protocol(self, what: &str) -> ServiceError {
+        ServiceError::Protocol(match self {
+            Malformed::Read(ReadError::Truncated) => format!("truncated {what}"),
+            Malformed::Read(ReadError::Trailing(n)) => format!("{n} trailing bytes after {what}"),
+            Malformed::Field(msg) => msg,
+        })
     }
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ServiceError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| perr("truncated message body"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
+pub(crate) fn bad(msg: impl Into<String>) -> Malformed {
+    Malformed::Field(msg.into())
+}
 
-    fn u8(&mut self) -> Result<u8, ServiceError> {
-        Ok(self.take(1)?[0])
-    }
+fn get_pmo(r: &mut Reader<'_>) -> Result<PmoId, Malformed> {
+    let raw = r.u16()?;
+    PmoId::new(raw).ok_or_else(|| bad(format!("invalid pool id {raw} on the wire")))
+}
 
-    fn u16(&mut self) -> Result<u16, ServiceError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
+fn get_oid(r: &mut Reader<'_>) -> Result<ObjectId, Malformed> {
+    let packed = r.u64()?;
+    ObjectId::from_packed(packed)
+        .ok_or_else(|| bad(format!("invalid packed object id {packed:#x} on the wire")))
+}
 
-    fn u32(&mut self) -> Result<u32, ServiceError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ServiceError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
-    }
-
-    fn finish(self) -> Result<(), ServiceError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(perr(format!(
-                "{} trailing bytes after message body",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
-
-    fn pmo(&mut self) -> Result<PmoId, ServiceError> {
-        let raw = self.u16()?;
-        PmoId::new(raw).ok_or_else(|| perr(format!("invalid pool id {raw} on the wire")))
-    }
-
-    fn oid(&mut self) -> Result<ObjectId, ServiceError> {
-        let packed = self.u64()?;
-        ObjectId::from_packed(packed)
-            .ok_or_else(|| perr(format!("invalid packed object id {packed:#x} on the wire")))
-    }
-
-    fn string(&mut self) -> Result<String, ServiceError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| perr("non-UTF-8 string on the wire"))
-    }
+/// A `u16`-length-prefixed UTF-8 string.
+fn get_string(r: &mut Reader<'_>) -> Result<String, Malformed> {
+    let len = r.u16()?;
+    let bytes = r.take(usize::from(len))?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| bad("non-UTF-8 string on the wire"))
 }
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
@@ -253,11 +226,11 @@ fn mode_byte(mode: OpenMode) -> u8 {
     }
 }
 
-fn mode_from(b: u8) -> Result<OpenMode, ServiceError> {
+fn mode_from(b: u8) -> Result<OpenMode, Malformed> {
     match b {
         0 => Ok(OpenMode::ReadOnly),
         1 => Ok(OpenMode::ReadWrite),
-        _ => Err(perr(format!("invalid open mode {b}"))),
+        _ => Err(bad(format!("invalid open mode {b}"))),
     }
 }
 
@@ -269,12 +242,12 @@ fn perm_byte(perm: Permission) -> u8 {
     }
 }
 
-fn perm_from(b: u8) -> Result<Permission, ServiceError> {
+fn perm_from(b: u8) -> Result<Permission, Malformed> {
     match b {
         0 => Ok(Permission::None),
         1 => Ok(Permission::Read),
         2 => Ok(Permission::ReadWrite),
-        _ => Err(perr(format!("invalid permission {b}"))),
+        _ => Err(bad(format!("invalid permission {b}"))),
     }
 }
 
@@ -285,11 +258,11 @@ fn kind_byte(kind: AccessKind) -> u8 {
     }
 }
 
-fn kind_from(b: u8) -> Result<AccessKind, ServiceError> {
+fn kind_from(b: u8) -> Result<AccessKind, Malformed> {
     match b {
         0 => Ok(AccessKind::Read),
         1 => Ok(AccessKind::Write),
-        _ => Err(perr(format!("invalid access kind {b}"))),
+        _ => Err(bad(format!("invalid access kind {b}"))),
     }
 }
 
@@ -361,48 +334,51 @@ impl Request {
     /// [`ServiceError::Protocol`] on truncation, unknown kinds, invalid
     /// enum bytes, or trailing garbage.
     pub fn decode(payload: &[u8]) -> Result<(u64, Request), ServiceError> {
-        let mut c = Cursor::new(payload);
-        let kind = c.u8()?;
-        let req_id = c.u64()?;
+        Self::decode_body(&mut Reader::new(payload)).map_err(|e| e.protocol("message body"))
+    }
+
+    fn decode_body(r: &mut Reader<'_>) -> Result<(u64, Request), Malformed> {
+        let kind = r.u8()?;
+        let req_id = r.u64()?;
         let req = match kind {
             K_HELLO => Request::Hello {
-                magic: c.u32()?,
-                version: c.u16()?,
-                client: c.u64()?,
+                magic: r.u32()?,
+                version: r.u16()?,
+                client: r.u64()?,
             },
             K_CREATE => {
-                let size = c.u64()?;
-                let mode = mode_from(c.u8()?)?;
-                let name = c.string()?;
+                let size = r.u64()?;
+                let mode = mode_from(r.u8()?)?;
+                let name = get_string(r)?;
                 Request::CreatePool { name, size, mode }
             }
             K_ATTACH => Request::Attach {
-                pmo: c.pmo()?,
-                perm: perm_from(c.u8()?)?,
+                pmo: get_pmo(r)?,
+                perm: perm_from(r.u8()?)?,
             },
-            K_DETACH => Request::Detach { pmo: c.pmo()? },
+            K_DETACH => Request::Detach { pmo: get_pmo(r)? },
             K_READ => {
-                let oid = c.oid()?;
-                let len = c.u32()?;
+                let oid = get_oid(r)?;
+                let len = r.u32()?;
                 if len > MAX_READ {
-                    return Err(perr(format!("read length {len} exceeds {MAX_READ}")));
+                    return Err(bad(format!("read length {len} exceeds {MAX_READ}")));
                 }
                 Request::Read { oid, len }
             }
             K_WRITE => {
-                let oid = c.oid()?;
-                let data = c.rest().to_vec();
+                let oid = get_oid(r)?;
+                let data = r.rest().to_vec();
                 Request::Write { oid, data }
             }
             K_ALLOC => Request::Alloc {
-                pmo: c.pmo()?,
-                size: c.u64()?,
+                pmo: get_pmo(r)?,
+                size: r.u64()?,
             },
-            K_FREE => Request::Free { oid: c.oid()? },
+            K_FREE => Request::Free { oid: get_oid(r)? },
             K_PING => Request::Ping,
-            other => return Err(perr(format!("unknown request kind {other:#04x}"))),
+            other => return Err(bad(format!("unknown request kind {other:#04x}"))),
         };
-        c.finish()?;
+        r.finish()?;
         Ok((req_id, req))
     }
 }
@@ -442,13 +418,13 @@ fn encode_err(out: &mut Vec<u8>, e: &ServiceError) {
     put_string(out, &msg);
 }
 
-fn decode_err(c: &mut Cursor<'_>) -> Result<ServiceError, ServiceError> {
-    let code = c.u16()?;
-    let a = c.u64()?;
-    let b = c.u64()?;
-    let msg = c.string()?;
+fn decode_err(r: &mut Reader<'_>) -> Result<ServiceError, Malformed> {
+    let code = r.u16()?;
+    let a = r.u64()?;
+    let b = r.u64()?;
+    let msg = get_string(r)?;
     let wire_pmo = |raw: u64| {
-        PmoId::new(raw as u16).ok_or_else(|| perr(format!("invalid pool id {raw} in error body")))
+        PmoId::new(raw as u16).ok_or_else(|| bad(format!("invalid pool id {raw} in error body")))
     };
     Ok(match code {
         E_UNKNOWN_PMO => ServiceError::UnknownPmo(wire_pmo(a)?),
@@ -471,7 +447,7 @@ fn decode_err(c: &mut Cursor<'_>) -> Result<ServiceError, ServiceError> {
         E_PROTOCOL => ServiceError::Protocol(msg),
         E_DISCONNECTED => ServiceError::Disconnected(msg),
         E_READ_ONLY => ServiceError::ReadOnly,
-        other => return Err(perr(format!("unknown error code {other}"))),
+        other => return Err(bad(format!("unknown error code {other}"))),
     })
 }
 
@@ -523,31 +499,34 @@ impl Response {
     /// [`ServiceError::Protocol`] on truncation, unknown kinds, or trailing
     /// garbage.
     pub fn decode(payload: &[u8]) -> Result<(u64, Response), ServiceError> {
-        let mut c = Cursor::new(payload);
-        let kind = c.u8()?;
-        let req_id = c.u64()?;
+        Self::decode_body(&mut Reader::new(payload)).map_err(|e| e.protocol("message body"))
+    }
+
+    fn decode_body(r: &mut Reader<'_>) -> Result<(u64, Response), Malformed> {
+        let kind = r.u8()?;
+        let req_id = r.u64()?;
         let resp = match kind {
             K_OK_UNIT => Response::Unit,
-            K_OK_POOL => Response::Pool(c.pmo()?),
-            K_OK_OID => Response::Oid(c.oid()?),
-            K_OK_DATA => Response::Data(c.rest().to_vec()),
+            K_OK_POOL => Response::Pool(get_pmo(r)?),
+            K_OK_OID => Response::Oid(get_oid(r)?),
+            K_OK_DATA => Response::Data(r.rest().to_vec()),
             K_OK_ATTACHED => Response::Attached {
-                waited_ns: c.u64()?,
+                waited_ns: r.u64()?,
             },
             K_OK_HELLO => {
-                let version = c.u16()?;
-                let shards = c.u16()?;
-                let scheme = c.string()?;
+                let version = r.u16()?;
+                let shards = r.u16()?;
+                let scheme = get_string(r)?;
                 Response::Hello {
                     version,
                     scheme,
                     shards,
                 }
             }
-            K_ERR => Response::Err(decode_err(&mut c)?),
-            other => return Err(perr(format!("unknown response kind {other:#04x}"))),
+            K_ERR => Response::Err(decode_err(r)?),
+            other => return Err(bad(format!("unknown response kind {other:#04x}"))),
         };
-        c.finish()?;
+        r.finish()?;
         Ok((req_id, resp))
     }
 }

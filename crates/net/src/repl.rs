@@ -30,9 +30,10 @@
 //! decoder. Batches chunk under [`LOG_CHUNK`] so every message fits
 //! [`crate::frame::MAX_FRAME`].
 
+use terp_persist::Reader;
 use terp_service::ServiceError;
 
-use crate::proto::{MAGIC, VERSION};
+use crate::proto::{bad, Malformed, MAGIC, VERSION};
 
 /// Chunk size for log batches (512 KiB): comfortably under
 /// [`crate::frame::MAX_FRAME`] with header room to spare.
@@ -56,11 +57,11 @@ impl LogFile {
         }
     }
 
-    fn from_code(code: u8) -> Result<Self, ServiceError> {
+    fn from_code(code: u8) -> Result<Self, Malformed> {
         match code {
             0 => Ok(LogFile::Wal),
             1 => Ok(LogFile::Ckpt),
-            other => Err(perr(format!("unknown log file code {other}"))),
+            other => Err(bad(format!("unknown log file code {other}"))),
         }
     }
 }
@@ -132,67 +133,6 @@ pub enum ReplMsg {
     },
 }
 
-fn perr(msg: impl Into<String>) -> ServiceError {
-    ServiceError::Protocol(msg.into())
-}
-
-/// Bounds-checked little-endian cursor (same shape as the proto layer's,
-/// private to each message set).
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ServiceError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| perr("truncated replication message"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ServiceError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ServiceError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, ServiceError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ServiceError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
-    }
-
-    fn finish(self) -> Result<(), ServiceError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(perr(format!(
-                "{} trailing bytes after replication message",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
-}
-
 impl ReplMsg {
     /// Serializes the message as one frame payload.
     pub fn encode(&self) -> Vec<u8> {
@@ -253,35 +193,38 @@ impl ReplMsg {
     /// [`ServiceError::Protocol`] on truncation, unknown kinds, or trailing
     /// bytes — always connection-fatal, as for the proto layer.
     pub fn decode(payload: &[u8]) -> Result<ReplMsg, ServiceError> {
-        let mut c = Cursor::new(payload);
-        let msg = match c.u8()? {
+        Self::decode_body(&mut Reader::new(payload)).map_err(|e| e.protocol("replication message"))
+    }
+
+    fn decode_body(r: &mut Reader<'_>) -> Result<ReplMsg, Malformed> {
+        let msg = match r.u8()? {
             K_HELLO => ReplMsg::Hello {
-                magic: c.u32()?,
-                version: c.u16()?,
-                follower: c.u64()?,
+                magic: r.u32()?,
+                version: r.u16()?,
+                follower: r.u64()?,
             },
             K_WELCOME => ReplMsg::Welcome {
-                version: c.u16()?,
-                shards: c.u32()?,
+                version: r.u16()?,
+                shards: r.u32()?,
             },
             K_SUBSCRIBE => ReplMsg::Subscribe,
             K_LOG_BATCH => ReplMsg::LogBatch {
-                shard: c.u32()?,
-                file: LogFile::from_code(c.u8()?)?,
-                offset: c.u64()?,
-                bytes: c.rest().to_vec(),
+                shard: r.u32()?,
+                file: LogFile::from_code(r.u8()?)?,
+                offset: r.u64()?,
+                bytes: r.rest().to_vec(),
             },
             K_HEARTBEAT => ReplMsg::Heartbeat {
-                shard: c.u32()?,
-                durable_seq: c.u64()?,
+                shard: r.u32()?,
+                durable_seq: r.u64()?,
             },
             K_ACK => ReplMsg::Ack {
-                shard: c.u32()?,
-                applied_seq: c.u64()?,
+                shard: r.u32()?,
+                applied_seq: r.u64()?,
             },
-            other => return Err(perr(format!("unknown replication kind {other:#04x}"))),
+            other => return Err(bad(format!("unknown replication kind {other:#04x}"))),
         };
-        c.finish()?;
+        r.finish()?;
         Ok(msg)
     }
 

@@ -9,6 +9,7 @@
 use proptest::prelude::*;
 use terp_net::frame::{encode_frame, frame_into, FrameDecoder, FrameError, FRAME_OVERHEAD};
 use terp_net::proto::{Request, Response};
+use terp_net::ReplMsg;
 
 /// Splits `wire` into chunks at pseudo-random boundaries drawn from `rng`.
 fn chunked<'a>(wire: &'a [u8], rng: &mut TestRng) -> Vec<&'a [u8]> {
@@ -98,6 +99,28 @@ proptest! {
                 Ok(None) => break,
                 Err(_) => break,
             }
+        }
+    }
+
+    /// Garbage payloads inside frames with a valid CRC: unlike a garbage
+    /// stream, which rarely passes the frame checksum, every one reaches
+    /// the message decoders, which must refuse it or decode it, never panic.
+    #[test]
+    fn garbage_payloads_in_valid_frames_reach_the_decoders(
+        payloads in collection::vec(collection::vec(any::<u8>(), 0..80), 1..6),
+    ) {
+        let mut wire = Vec::new();
+        for p in &payloads {
+            wire.extend_from_slice(&encode_frame(p));
+        }
+        let mut dec = FrameDecoder::new();
+        dec.push(&wire);
+        for p in &payloads {
+            let got = dec.next_frame().expect("valid frames").expect("complete");
+            prop_assert_eq!(got, &p[..]);
+            let _ = Request::decode(got);
+            let _ = Response::decode(got);
+            let _ = ReplMsg::decode(got);
         }
     }
 

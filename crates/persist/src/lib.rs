@@ -90,6 +90,7 @@
 pub mod crash;
 pub mod crc;
 pub mod error;
+pub mod reader;
 pub mod record;
 pub mod recovery;
 pub mod store;
@@ -99,6 +100,7 @@ pub mod writer;
 
 pub use crash::{enumerate_crash_points, inject, CrashMode, CrashPoint};
 pub use error::PersistError;
+pub use reader::{ReadError, Reader};
 pub use record::{first_seq, read_log, LogContents, WalRecord};
 pub use recovery::{
     recover, recover_from, CheckpointImage, RecoveredState, RecoveryReport, Replay,

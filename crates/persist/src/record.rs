@@ -55,6 +55,7 @@ use terp_pmo::{OpenMode, PmoId};
 
 use crate::crc::crc32;
 use crate::error::PersistError;
+use crate::reader::Reader;
 
 /// Frame header size: length + checksum.
 pub const FRAME_HEADER: usize = 8;
@@ -331,66 +332,29 @@ fn frame(seq: u64, tag: u8, out: &mut Vec<u8>, fields: impl FnOnce(&mut Vec<u8>)
     out[start + 4..start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A pool id field.
+fn pmo(r: &mut Reader<'_>) -> Option<PmoId> {
+    PmoId::new(r.u16().ok()?)
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2)
-            .map(|s| u16::from_le_bytes(s.try_into().expect("2")))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes(s.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes(s.try_into().expect("8")))
-    }
-
-    fn bytes(&mut self) -> Option<&'a [u8]> {
-        let len = self
-            .take(4)
-            .map(|s| u32::from_le_bytes(s.try_into().expect("4")))?;
-        self.take(len as usize)
-    }
-
-    fn pmo(&mut self) -> Option<PmoId> {
-        PmoId::new(self.u16()?)
-    }
+/// A `u32`-length-prefixed byte field.
+fn bytes<'a>(r: &mut Reader<'a>) -> Option<&'a [u8]> {
+    let len = r.u32().ok()?;
+    r.take(len as usize).ok()
 }
 
+/// Decodes one checksummed payload; `None` when it is structurally invalid
+/// (a reader error, an unknown tag or enum byte, trailing bytes).
 fn decode_payload(payload: &[u8]) -> Option<(u64, WalRecord)> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
-    };
-    let seq = c.u64()?;
-    let tag = c.u8()?;
+    let mut r = Reader::new(payload);
+    let seq = r.u64().ok()?;
+    let tag = r.u8().ok()?;
     let record = match tag {
         1 => {
-            let id = c.pmo()?;
-            let name = String::from_utf8(c.bytes()?.to_vec()).ok()?;
-            let size = c.u64()?;
-            let mode = match c.u8()? {
+            let id = pmo(&mut r)?;
+            let name = String::from_utf8(bytes(&mut r)?.to_vec()).ok()?;
+            let size = r.u64().ok()?;
+            let mode = match r.u8().ok()? {
                 0 => OpenMode::ReadOnly,
                 1 => OpenMode::ReadWrite,
                 _ => return None,
@@ -403,50 +367,51 @@ fn decode_payload(payload: &[u8]) -> Option<(u64, WalRecord)> {
             }
         }
         2 => WalRecord::Alloc {
-            pmo: c.pmo()?,
-            size: c.u64()?,
-            offset: c.u64()?,
+            pmo: pmo(&mut r)?,
+            size: r.u64().ok()?,
+            offset: r.u64().ok()?,
         },
         3 => WalRecord::Free {
-            pmo: c.pmo()?,
-            offset: c.u64()?,
+            pmo: pmo(&mut r)?,
+            offset: r.u64().ok()?,
         },
         4 => WalRecord::DataWrite {
-            pmo: c.pmo()?,
-            offset: c.u64()?,
-            data: c.bytes()?.to_vec(),
+            pmo: pmo(&mut r)?,
+            offset: r.u64().ok()?,
+            data: bytes(&mut r)?.to_vec(),
         },
-        7 => WalRecord::WindowOpen { pmo: c.pmo()? },
-        8 => WalRecord::WindowClose { pmo: c.pmo()? },
-        10 => WalRecord::Checkpoint { ckpt_len: c.u64()? },
+        7 => WalRecord::WindowOpen { pmo: pmo(&mut r)? },
+        8 => WalRecord::WindowClose { pmo: pmo(&mut r)? },
+        10 => WalRecord::Checkpoint {
+            ckpt_len: r.u64().ok()?,
+        },
         11 => WalRecord::RootSet {
-            pmo: c.pmo()?,
-            key: c.u32()?,
-            oid: c.u64()?,
+            pmo: pmo(&mut r)?,
+            key: r.u32().ok()?,
+            oid: r.u64().ok()?,
         },
         TAG_PAGE_DELTA => WalRecord::PageDelta {
-            pmo: c.pmo()?,
-            page: c.u64()?,
-            data: c.bytes()?.to_vec(),
+            pmo: pmo(&mut r)?,
+            page: r.u64().ok()?,
+            data: bytes(&mut r)?.to_vec(),
         },
         13 => {
-            let pmo = c.pmo()?;
-            let count = c.u32()? as usize;
+            let pmo = pmo(&mut r)?;
+            let count = r.u32().ok()? as usize;
             // Bound the allocation by what the payload can actually hold.
-            if payload.len() - c.pos < count.checked_mul(16)? {
+            if r.remaining() < count.checked_mul(16)? {
                 return None;
             }
             let mut live = Vec::with_capacity(count);
             for _ in 0..count {
-                live.push((c.u64()?, c.u64()?));
+                live.push((r.u64().ok()?, r.u64().ok()?));
             }
             WalRecord::AllocTable { pmo, live }
         }
         _ => return None,
     };
-    if c.pos != payload.len() {
-        return None; // trailing garbage inside a checksummed frame
-    }
+    // No trailing garbage inside a checksummed frame.
+    r.finish().ok()?;
     Some((seq, record))
 }
 

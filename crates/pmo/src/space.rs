@@ -250,6 +250,12 @@ impl ProcessAddressSpace {
         self.base(pmo).is_some()
     }
 
+    /// The process-wide permission the pool is mapped with (`None`: not
+    /// attached) — the mapping's permission-matrix entry (Fig. 1b).
+    pub fn permission(&self, pmo: PmoId) -> Option<Permission> {
+        Some(self.mappings[&self.base(pmo)?].permission)
+    }
+
     /// The attached pool's base address.
     fn base(&self, pmo: PmoId) -> Option<VirtAddr> {
         self.by_pmo.get(pmo.index()).copied().flatten()

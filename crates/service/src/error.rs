@@ -23,9 +23,9 @@ pub enum ServiceError {
         /// The pool.
         pmo: PmoId,
     },
-    /// The access was denied by the permission matrix or by the permission
-    /// the client holds the pool with (none, for a client that holds no
-    /// session on it).
+    /// The access was denied by the mapping's process permission or by the
+    /// permission the client holds the pool with (none, for a client that
+    /// holds no session on it).
     PermissionDenied {
         /// The requesting client.
         client: ClientId,

@@ -283,8 +283,8 @@ impl WindowSnapshot {
         self.state & CROWDED != 0
     }
 
-    /// Process-level permission check: the mirror of
-    /// `matrix.check(va, kind)` for this pool's mapping.
+    /// Process-level permission check: the mirror of the mapping's
+    /// permission (`ShardState::process_may`).
     pub(crate) fn proc_allows(&self, kind: AccessKind) -> bool {
         let bit = match kind {
             AccessKind::Read => PROC_READ,

@@ -10,9 +10,9 @@
 //! Architecture (DESIGN.md §9):
 //!
 //! * **Shards** — pool ids map to shards by mask; each shard owns its pools,
-//!   address-space slice, permission matrix, MERR state, conditional engine,
-//!   and window tracker behind one mutex, so operations on PMOs in distinct
-//!   shards never contend.
+//!   address-space slice (whose mappings carry the process permission),
+//!   holder lists, conditional engine and window tracker behind one mutex,
+//!   so operations on PMOs in distinct shards never contend.
 //! * **Sweeper** — a background thread running the circular-buffer expiry
 //!   walk (close idle expired windows, randomize live ones) with clean
 //!   flag/wake/join shutdown.

@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use terp_arch::{CondStats, MerrStats};
+use terp_arch::CondStats;
 use terp_core::config::Scheme;
 use terp_core::window::WindowStats;
 pub use terp_persist::WalStats;
@@ -363,8 +363,6 @@ pub struct ServiceReport {
     /// Conditional-instruction statistics (all shards; zero for non-TERP
     /// schemes).
     pub cond: CondStats,
-    /// MERR attach-state statistics (all shards).
-    pub merr: MerrStats,
     /// Real attach system calls performed.
     pub attach_syscalls: u64,
     /// Real detach system calls performed.
@@ -380,8 +378,8 @@ pub struct ServiceReport {
     pub sweeper_syncs: u64,
     /// Sweeper actions (unmap, relocation, leftover commit) that failed.
     pub sweeper_errors: u64,
-    /// Steps of [`crate::PmoService::drain`] (unmap, MERR detach, the
-    /// closing checkpoint) that failed.
+    /// Steps of [`crate::PmoService::drain`] (unmap, the closing
+    /// checkpoint) that failed.
     pub drain_errors: u64,
     /// Nanoseconds clients spent blocked on Basic-semantics attach
     /// serialization.

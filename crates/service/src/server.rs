@@ -8,7 +8,7 @@
 //! 2. **Stop the sweeper** — flag, unpark, join. After this no thread
 //!    mutates shard state concurrently with the drain.
 //! 3. **Drain** — force-close every window (circular buffers, mappings,
-//!    matrix entries, client grants) and finalize window statistics.
+//!    client grants) and finalize window statistics.
 //!
 //! The returned [`ServiceReport`] is therefore complete: every window that
 //! ever opened has closed and been accounted.
@@ -113,7 +113,7 @@ mod tests {
         let p = svc.create_pool("a", 1 << 12, OpenMode::ReadWrite).unwrap();
         svc.attach(7, p, Permission::ReadWrite).unwrap();
         let report = server.shutdown();
-        assert_eq!(report.merr.attaches, 1);
+        assert_eq!(report.attach_syscalls, 1);
         assert_eq!(svc.attached_total(), 0, "drain force-detached the owner");
     }
 }

@@ -71,7 +71,7 @@ impl PmoService {
 
     /// Allocates `size` bytes in the pool (`pmalloc`). Requires the
     /// client-level rights a write would; like the other pool operations it
-    /// does not consult the permission matrix.
+    /// does not consult the mapping's process permission.
     ///
     /// # Errors
     ///

@@ -14,11 +14,12 @@ use crate::ClientId;
 
 impl PmoService {
     /// The fast-path permission decision against a published snapshot:
-    /// the locked rule (`ShardState::client_may` plus the permission
-    /// matrix) read from the pool's mirror. Returns `true` only when the op
-    /// may proceed lock-free; every other case (unmapped, denied, crowded
-    /// mirror) falls back to the locked slow path, which recomputes the
-    /// decision authoritatively and emits the exact error.
+    /// the locked rule (`ShardState::process_may` plus
+    /// `ShardState::client_may`) read from the pool's mirror. Returns
+    /// `true` only when the op may proceed lock-free; every other case
+    /// (unmapped, denied, crowded mirror) falls back to the locked slow
+    /// path, which recomputes the decision authoritatively and emits the
+    /// exact error.
     fn snapshot_allows(&self, snap: &WindowSnapshot, client: ClientId, kind: AccessKind) -> bool {
         snap.mapped()
             && (!self.config.scheme.checks_permissions()
@@ -175,27 +176,24 @@ impl PmoService {
     }
 
     /// Whether the *process* currently holds `kind` access to the pool —
-    /// i.e. the permission matrix has a live entry allowing it. This is the
+    /// i.e. the pool is mapped with a permission allowing it. This is the
     /// probe the soak test uses: after a full detach or sweep expiry it must
     /// be `false`. Lock-free unless the seqlock snapshot collides.
     pub fn process_can(&self, pmo: PmoId, kind: AccessKind) -> bool {
         let Some(slot) = self.index.get(pmo) else {
-            return false; // never created: no matrix entry
+            return false; // never created: never mapped
         };
         if let Some(snap) = slot.snapshot() {
             return snap.mapped() && snap.proc_allows(kind);
         }
         // Persistent seqlock collision: fall through to the lock.
-        let state = self.lock(self.shard(pmo));
-        state
-            .matrix
-            .entry(pmo)
-            .is_some_and(|e| e.permission.allows(kind))
+        self.lock(self.shard(pmo)).process_may(pmo, kind)
     }
 
-    /// Whether `client` can currently perform `kind` on the pool: the
-    /// permission-matrix entry must allow it *and* the client's holder
-    /// entry must (`ShardState::client_may`).
+    /// Whether `client` can currently perform `kind` on the pool: the pool
+    /// must be mapped, and under a checking scheme its process permission
+    /// must allow `kind` *and* the client's holder entry must
+    /// (`ShardState::client_may`).
     /// Lock-free unless the pool's grant mirror has overflowed (or the
     /// seqlock snapshot collides).
     pub fn client_can(&self, client: ClientId, pmo: PmoId, kind: AccessKind) -> bool {
@@ -210,9 +208,9 @@ impl PmoService {
         }
         let state = self.lock(self.shard(pmo));
         let scheme = self.config.scheme;
-        state.matrix.entry(pmo).is_some_and(|e| {
+        state.space.permission(pmo).is_some_and(|p| {
             !scheme.checks_permissions()
-                || (e.permission.allows(kind) && state.client_may(scheme, client, pmo, kind))
+                || (p.allows(kind) && state.client_may(scheme, client, pmo, kind))
         })
     }
 }

@@ -3,7 +3,7 @@
 
 use std::sync::atomic::Ordering;
 
-use terp_arch::{CondStats, MerrStats};
+use terp_arch::CondStats;
 use terp_pmo::PmoId;
 
 use super::PmoService;
@@ -62,8 +62,6 @@ impl PmoService {
                 .filter(|&p| state.space.is_attached(p))
                 .collect();
             for pmo in mapped {
-                // Releases an owner's MERR attach; a no-op for other pools.
-                let _ = state.merr.detach(pmo);
                 let done = state.unmap_pool(pmo, now);
                 state.drain_errors += u64::from(done.is_err());
             }
@@ -105,7 +103,6 @@ impl PmoService {
     pub fn report(&self) -> ServiceReport {
         let (ops, blocked_ns, queue_wait, threads_observed) = self.metrics.merged();
         let mut cond = CondStats::default();
-        let mut merr = MerrStats::default();
         let mut attach_syscalls = 0;
         let mut detach_syscalls = 0;
         let mut randomizations = 0;
@@ -119,10 +116,6 @@ impl PmoService {
         for shard in &self.shards {
             let state = self.lock(shard);
             merge_cond_stats(&mut cond, state.engine.stats());
-            let m = state.merr.stats();
-            merr.attaches += m.attaches;
-            merr.detaches += m.detaches;
-            merr.attach_conflicts += m.attach_conflicts;
             attach_syscalls += state.attach_syscalls;
             detach_syscalls += state.detach_syscalls;
             randomizations += state.randomizations;
@@ -140,7 +133,6 @@ impl PmoService {
             scheme: self.config.scheme,
             ops,
             cond,
-            merr,
             attach_syscalls,
             detach_syscalls,
             randomizations,

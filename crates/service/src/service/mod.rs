@@ -368,8 +368,8 @@ impl PmoService {
 
     /// [`Self::lock_pool`], then the rights `client` needs for `kind` on
     /// `pmo`: the client-level rule and, for a data access to `oid`, a
-    /// mapping covering it and the permission matrix. A refusal counts as
-    /// a denial.
+    /// mapping covering it whose process permission allows `kind`. A
+    /// refusal counts as a denial.
     fn lock_for(
         &self,
         client: ClientId,
@@ -377,12 +377,12 @@ impl PmoService {
         oid: Option<ObjectId>,
         kind: AccessKind,
     ) -> Result<StateGuard<'_>, ServiceError> {
-        let mut state = self.lock_pool(pmo)?;
+        let state = self.lock_pool(pmo)?;
         let scheme = self.config.scheme;
         let process = match oid {
             Some(oid) => {
-                let va = state.space.oid_direct(oid)?;
-                !scheme.checks_permissions() || state.matrix.check(va, kind)
+                state.space.oid_direct(oid)?;
+                !scheme.checks_permissions() || state.process_may(pmo, kind)
             }
             None => true,
         };
@@ -461,10 +461,5 @@ impl PmoService {
             .iter()
             .map(|s| self.lock(s).space.attached_count())
             .sum()
-    }
-
-    /// Total live permission-matrix entries across all shards.
-    pub fn matrix_total(&self) -> usize {
-        self.shards.iter().map(|s| self.lock(s).matrix.len()).sum()
     }
 }

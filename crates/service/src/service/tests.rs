@@ -173,7 +173,6 @@ fn drain_closes_everything_and_refuses_new_work() {
     );
     svc.drain();
     assert_eq!(svc.attached_total(), 0);
-    assert_eq!(svc.matrix_total(), 0);
     assert!(!svc.client_can(0, a, AccessKind::Read));
     assert!(!svc.client_can(1, b, AccessKind::Read));
     let r = svc.report();
@@ -256,6 +255,59 @@ fn fastpath_and_locked_paths_agree() {
         assert_eq!(r.ops.reads, 1, "crowded={crowded}");
         assert_eq!(r.ops.writes, 1);
         assert_eq!(r.ops.denials, 2, "client 4, then client 3 post-detach");
+    }
+}
+
+#[test]
+fn a_read_only_mapping_refuses_a_read_write_holder() {
+    // The process right is the mapping's permission: a silent read-write
+    // attach to a pool mapped read-only holds write rights it cannot use,
+    // on the fast path and (crowded past the grant slots) on the locked one.
+    for crowded in [false, true] {
+        let svc = service_expiring(Scheme::terp_full());
+        let p = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
+        let (reader, writer) = (1, 2);
+        svc.attach(reader, p, Permission::Read).unwrap();
+        let crowd: Vec<ClientId> = if crowded {
+            (100..109).collect()
+        } else {
+            Vec::new()
+        };
+        for &c in &crowd {
+            svc.attach(c, p, Permission::ReadWrite).unwrap();
+        }
+        svc.attach(writer, p, Permission::ReadWrite).unwrap();
+        let snap = svc.index.get(p).unwrap().snapshot().unwrap();
+        assert_eq!(snap.crowded(), crowded, "the mirror decides the path");
+        assert_eq!(svc.report().attach_syscalls, 1, "one real, read-only map");
+        let oid = svc.alloc(writer, p, 8).unwrap();
+        let denied = ServiceError::PermissionDenied {
+            client: writer,
+            pmo: p,
+            kind: AccessKind::Write,
+        };
+        assert_eq!(svc.write(writer, oid, b"x").unwrap_err(), denied);
+        assert_eq!(svc.cas_u64(writer, oid, 0, 1).unwrap_err(), denied);
+        assert!(!svc.client_can(writer, p, AccessKind::Write));
+        assert!(svc.client_can(writer, p, AccessKind::Read));
+        assert!(!svc.process_can(p, AccessKind::Write));
+        assert_eq!(svc.read(writer, oid, 8).unwrap(), [0; 8]);
+        assert_eq!(svc.report().ops.denials, 2, "crowded={crowded}");
+
+        // Everyone leaves and the window expires: the next attach maps the
+        // pool afresh, read-write.
+        for c in crowd.into_iter().chain([reader, writer]) {
+            svc.detach(c, p).unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        svc.sweep_all();
+        assert!(!svc.process_can(p, AccessKind::Read));
+        svc.attach(writer, p, Permission::ReadWrite).unwrap();
+        assert!(svc.process_can(p, AccessKind::Write));
+        assert!(svc.client_can(writer, p, AccessKind::Write));
+        svc.write(writer, oid, &7u64.to_le_bytes()).unwrap();
+        assert_eq!(svc.cas_u64(writer, oid, 7, 8).unwrap(), 7);
+        assert_eq!(svc.read(writer, oid, 8).unwrap(), 8u64.to_le_bytes());
     }
 }
 

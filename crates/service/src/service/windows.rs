@@ -291,7 +291,7 @@ impl Batch<'_> {
             if state.is_holder(client, pmo) {
                 return Err(ServiceError::AlreadyAttached { client, pmo });
             }
-            if !state.merr.is_attached(pmo) {
+            if !state.is_held(pmo) {
                 break;
             }
             // Basic semantics: serialize on the owner's window. Sleep on the
@@ -314,14 +314,7 @@ impl Batch<'_> {
                     .record(waited);
             });
         }
-        state
-            .merr
-            .attach(pmo)
-            .expect("pool with no owner must be MERR-attachable");
-        if let Err(e) = state.map_pool(pmo, perm, svc.clock.now_ns()) {
-            let _ = state.merr.detach(pmo);
-            return Err(e);
-        }
+        state.map_pool(pmo, perm, svc.clock.now_ns())?;
         // The owner is the pool's only holder: never a crowded mirror.
         state.add_holder(client, pmo, perm);
         state.trace(EventKind::Attach {
@@ -419,10 +412,6 @@ impl Batch<'_> {
         if !state.is_holder(client, pmo) {
             return Err(ServiceError::NotAttached { client, pmo });
         }
-        state
-            .merr
-            .detach(pmo)
-            .expect("owned pool must be MERR-attached");
         state.unmap_pool(pmo, svc.clock.now_ns())?;
         state.remove_holder(client, pmo);
         state.trace(EventKind::Detach {

@@ -5,11 +5,14 @@
 //! (`raw_id & (shards - 1)`), so operations on PMOs in different shards
 //! take different locks and never contend — the sharding requirement of the
 //! service design (DESIGN.md §9). Everything keyed by pool therefore lives
-//! *inside* the shard: the address-space slice, the permission matrix, the
-//! MERR attach state, the conditional engine with its circular buffer, the
-//! window tracker, and each pool's holder list — the one record of who
-//! holds it and with what permission, from which [`ShardState::client_may`]
-//! decides every client-level right under every scheme.
+//! *inside* the shard: the address-space slice, the conditional engine with
+//! its circular buffer, the window tracker, and each pool's holder list.
+//! Each fact is kept once. The address space's mapping is the process's
+//! right to a pool (its permission is the permission-matrix entry of the
+//! paper's Fig. 1b, as a PTE's bits would be), and the holder list is the
+//! one record of who holds a pool and with what permission, from which
+//! [`ShardState::client_may`] decides every client-level right under every
+//! scheme — including the Basic owner, the pool's one holder.
 //!
 //! Per-pool state is indexed by [`PmoId::index`], not hashed: an id has 10
 //! bits and is never reused, so an index cannot alias, and each table grows
@@ -29,12 +32,11 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
-use terp_arch::{CondEngine, MerrArch};
+use terp_arch::CondEngine;
 use terp_core::config::Scheme;
 use terp_core::window::WindowTracker;
 use terp_persist::{DurableStore, WalRecord};
 use terp_pmo::{AccessKind, Permission, PmoError, PmoId, ProcessAddressSpace};
-use terp_sim::PermissionMatrix;
 use terp_trace::{EventKind, TraceRecorder};
 
 use crate::error::ServiceError;
@@ -63,8 +65,6 @@ impl Shard {
             state: Mutex::new(ShardState {
                 pools: Vec::new(),
                 space: ProcessAddressSpace::with_seed(seed),
-                matrix: PermissionMatrix::new(),
-                merr: MerrArch::new(),
                 engine: CondEngine::with_capacity(max_ew_ns, CB_CAPACITY),
                 windows: WindowTracker::new(),
                 roots: HashMap::new(),
@@ -119,10 +119,6 @@ pub(crate) struct ShardState {
     pools: Vec<Option<PoolEntry>>,
     /// This shard's slice of the process address space.
     pub space: ProcessAddressSpace,
-    /// MERR process-wide permission matrix for this shard's mappings.
-    pub matrix: PermissionMatrix,
-    /// MERR attach state (Basic semantics schemes).
-    pub merr: MerrArch,
     /// CONDAT/CONDDT engine with the circular buffer (TERP schemes).
     pub engine: CondEngine,
     /// EW/TEW tracker; times are nanoseconds since the service epoch.
@@ -351,9 +347,10 @@ impl ShardState {
         Ok(())
     }
 
-    /// Performs the real `attach()`: maps the pool at a random base, adds
-    /// the permission-matrix entry, opens the process EW, and publishes the
-    /// mapping to the fast path (grant direction: publish last).
+    /// Performs the real `attach()`: maps the pool at a random base with
+    /// `perm` as its process permission, opens the process EW, and
+    /// publishes the mapping to the fast path (grant direction: publish
+    /// last).
     ///
     /// The `WindowOpen` record is journaled only once the address space has
     /// accepted the mapping — a refused attach (mode mismatch, already
@@ -367,16 +364,11 @@ impl ShardState {
         now: u64,
     ) -> Result<(), ServiceError> {
         let slot = self.shared_slot(pmo)?;
-        let handle = {
-            let mut pool = slot.pool_mut();
-            self.space.attach(&mut pool, perm)?
-        };
+        self.space.attach(&mut slot.pool_mut(), perm)?;
         if let Err(e) = self.log(&WalRecord::WindowOpen { pmo }) {
             let _ = self.space.detach(&mut slot.pool_mut());
             return Err(e);
         }
-        self.matrix
-            .insert(pmo, handle.base_va(), handle.size(), perm);
         self.windows.open_ew(pmo, now);
         self.attach_syscalls += 1;
         slot.publish(|w| w.set_mapped(Some(perm)));
@@ -386,17 +378,12 @@ impl ShardState {
 
     /// Performs the real `detach()`: unpublishes the mapping first
     /// (revocation direction: fast-path readers lose access before the
-    /// teardown starts), then unmaps, removes the matrix entry, and closes
-    /// the process EW.
+    /// teardown starts), then unmaps and closes the process EW.
     pub(crate) fn unmap_pool(&mut self, pmo: PmoId, now: u64) -> Result<(), ServiceError> {
         let slot = self.shared_slot(pmo)?;
         slot.publish(|w| w.set_mapped(None));
         self.trace_publish(pmo);
-        {
-            let mut pool = slot.pool_mut();
-            self.space.detach(&mut pool)?;
-        }
-        self.matrix.remove(pmo);
+        self.space.detach(&mut slot.pool_mut())?;
         let closed = self.windows.close_ew(pmo, now);
         self.count_window(closed);
         self.detach_syscalls += 1;
@@ -404,8 +391,8 @@ impl ShardState {
         Ok(())
     }
 
-    /// Re-randomizes an attached pool in place: new base, relocated matrix
-    /// entry, split EW (the attacker's location knowledge resets). The
+    /// Re-randomizes an attached pool in place: new base, split EW (the
+    /// attacker's location knowledge resets). The
     /// pool's write lock drains in-flight fast readers for the relocation;
     /// the final epoch bump invalidates any snapshot taken before it.
     ///
@@ -414,11 +401,7 @@ impl ShardState {
     /// anyway), so nothing can fail between the move and its publish.
     pub(crate) fn randomize_pool(&mut self, pmo: PmoId, now: u64) -> Result<(), ServiceError> {
         let slot = self.shared_slot(pmo)?;
-        let handle = {
-            let mut pool = slot.pool_mut();
-            self.space.randomize(&mut pool)?
-        };
-        self.matrix.relocate(pmo, handle.base_va());
+        self.space.randomize(&mut slot.pool_mut())?;
         let closed = self.windows.split_ew(pmo, now);
         self.count_window(closed);
         self.randomizations += 1;
@@ -507,6 +490,12 @@ impl ShardState {
         self.windows.close_tew(client, pmo, now);
     }
 
+    /// The process-level rule: `pmo` is mapped with a permission allowing
+    /// `kind`. The mapping is the one record of the process's right.
+    pub(crate) fn process_may(&self, pmo: PmoId, kind: AccessKind) -> bool {
+        self.space.permission(pmo).is_some_and(|p| p.allows(kind))
+    }
+
     /// The one client-level rights rule, for every scheme and every entry
     /// point: `client` may perform `kind` on `pmo` when the scheme checks
     /// nothing, or when it holds the pool with a permission allowing `kind`.
@@ -530,6 +519,12 @@ impl ShardState {
     /// Whether `client` currently holds an open session on `pmo`.
     pub(crate) fn is_holder(&self, client: ClientId, pmo: PmoId) -> bool {
         self.holder(client, pmo).is_some()
+    }
+
+    /// Whether anyone holds an open session on `pmo` — under Basic
+    /// semantics, whether the pool has its one holder, the owner.
+    pub(crate) fn is_held(&self, pmo: PmoId) -> bool {
+        self.entry(pmo).is_some_and(|e| !e.holders.is_empty())
     }
 
     /// Every open session, as `(pool, client)`: pools in ascending id

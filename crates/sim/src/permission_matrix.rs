@@ -105,21 +105,6 @@ impl PermissionMatrix {
         allowed
     }
 
-    /// Entry for a PMO if attached.
-    pub fn entry(&self, pmo: PmoId) -> Option<&MatrixEntry> {
-        self.entries.iter().find(|e| e.pmo == pmo)
-    }
-
-    /// Number of live entries (attached PMOs).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the matrix has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Lifetime check count.
     pub fn checks(&self) -> u64 {
         self.checks
@@ -241,7 +226,6 @@ mod tests {
         let mut m = PermissionMatrix::new();
         m.insert(pmo(1), 0x1000, 0x1000, Permission::Read);
         m.insert(pmo(1), 0x5000, 0x1000, Permission::ReadWrite);
-        assert_eq!(m.len(), 1);
         assert!(!m.check(0x1800, AccessKind::Read), "old range gone");
         assert!(m.check(0x5800, AccessKind::Write));
     }

@@ -6,13 +6,15 @@
 //!    entries) lives in one PMO, addressed by relocatable ObjectIDs;
 //! 2. the store survives detach/re-attach at a *different randomized
 //!    address* — the relocation TERP's per-window randomization relies on;
-//! 3. the WHISPER-like `echo` workload is run under MERR (MM) and TERP (TT)
+//! 3. the in-process service gates every access by EW-conscious windows;
+//! 4. the WHISPER-like `echo` workload is run under MERR (MM) and TERP (TT)
 //!    to show the protection/overhead trade-off on a realistic KV mix.
 //!
 //! ```sh
 //! cargo run --example kv_store_protection
 //! ```
 
+use terp_service::{PmoService, ServiceConfig, ServiceError};
 use terp_suite::prelude::*;
 use terp_suite::terp_workloads::whisper;
 
@@ -105,30 +107,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     space.detach(reg.pool_mut(pmo)?)?;
 
-    // --- 3. The adoptable API: the same store behind a PmoSession, where
-    //        every read/write is gated by EW-conscious windows. ---
+    // --- 3. The adoptable API: the same kind of store behind the
+    //        in-process PmoService, where every read/write is gated by
+    //        EW-conscious windows. No sweeper thread: we wait past the EW
+    //        target and sweep ourselves. ---
     {
-        use terp_suite::terp_core::session::{PmoSession, SessionError};
-        let mut sreg = PmoRegistry::new();
-        let spmo = sreg.create("kv-guarded", 1 << 22, OpenMode::ReadWrite)?;
-        let slot = sreg.pool_mut(spmo)?.pmalloc(32)?;
-        let mut session = PmoSession::new(sreg, 10_000);
-
-        // Outside any window: a read is a segfault, exactly as if detached.
-        let mut buf = [0u8; 5];
-        assert_eq!(
-            session.read(0, slot, &mut buf).unwrap_err(),
-            SessionError::Unmapped(spmo)
+        let svc = PmoService::new(
+            ServiceConfig::for_tests(Scheme::terp_full()).with_ew_target_us(10_000),
         );
+        let spmo = svc.create_pool("kv-guarded", 1 << 22, OpenMode::ReadWrite)?;
         // Inside a window: normal operation.
-        session.attach(0, spmo, Permission::ReadWrite)?;
-        session.write(0, slot, b"gated")?;
-        session.read(0, slot, &mut buf)?;
-        session.advance(20_000);
-        session.detach(0, spmo)?;
+        svc.attach(0, spmo, Permission::ReadWrite)?;
+        let slot = svc.alloc(0, spmo, 32)?;
+        svc.write(0, slot, b"gated")?;
+        let value = svc.read(0, slot, 5)?;
+        svc.detach(0, spmo)?;
+        // The session is closed: the client is refused even while the
+        // delayed detach keeps the pool mapped for window combining.
+        assert!(matches!(
+            svc.read(0, slot, 5).unwrap_err(),
+            ServiceError::PermissionDenied { .. }
+        ));
+        // Past the EW target the sweep unmaps it: a read is a segfault,
+        // exactly as if detached.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        svc.sweep_all();
+        assert_eq!(
+            svc.read(0, slot, 5).unwrap_err(),
+            ServiceError::Substrate(terp_pmo::PmoError::NotAttached(spmo))
+        );
         println!(
-            "PmoSession: value {:?} only reachable inside a window; outside it reads fault",
-            std::str::from_utf8(&buf)?
+            "PmoService: value {:?} only reachable inside a window; outside it reads fault",
+            std::str::from_utf8(&value)?
         );
     }
 

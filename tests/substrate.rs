@@ -1,14 +1,16 @@
 //! Cross-crate substrate tests: the PMO properties of Section II working
 //! *together* — crash consistency, pointer-rich persistent structures,
-//! namespace permissions, and the functional protection session.
+//! namespace permissions, and protection windows over real pool bytes.
 
 use std::collections::BTreeSet;
+use std::thread;
+use std::time::Duration;
 
+use terp_service::{PmoService, ServiceConfig, ServiceError};
 use terp_suite::prelude::*;
-use terp_suite::terp_core::session::{PmoSession, SessionError};
 use terp_suite::terp_pmo::acl::{AclRegistry, PoolAcl};
 use terp_suite::terp_pmo::txn::{recover, Transaction};
-use terp_suite::terp_pmo::Pmo;
+use terp_suite::terp_pmo::{Pmo, PmoError};
 
 fn read_u64(pool: &Pmo, offset: u64) -> u64 {
     let mut buf = [0u8; 8];
@@ -151,58 +153,69 @@ fn acl_gates_the_namespace_before_any_window_exists() {
 
 #[test]
 fn session_protected_kv_round_trip_with_expiring_windows() {
-    // A miniature protected application: a session-guarded counter array
-    // updated across many short windows, with a long-lived reader thread
-    // forcing in-place randomizations.
-    let mut reg = PmoRegistry::new();
-    let pmo = reg
-        .create("counters", 1 << 20, OpenMode::ReadWrite)
+    // A miniature protected application on the in-process service under
+    // full TERP: a counter array updated across many short windows, with a
+    // long-lived reader session forcing in-place randomizations. No sweeper
+    // thread runs; the test waits past the EW target and sweeps itself.
+    let target = Duration::from_micros(500);
+    let svc = PmoService::new(
+        ServiceConfig::for_tests(Scheme::terp_full())
+            .with_ew_target_us(500)
+            .with_seed(0xfeed),
+    );
+    let pmo = svc
+        .create_pool("counters", 1 << 20, OpenMode::ReadWrite)
         .unwrap();
-    let counters = alloc_u64s(reg.pool_mut(pmo).unwrap(), &[0; 4]);
-    let mut session = PmoSession::with_seed(reg, 500, 0xfeed);
-
-    // Reader thread holds a long window; writer opens short ones.
-    session.attach(1, pmo, Permission::Read).unwrap();
+    let (writer, reader) = (0, 1);
+    // The writer's first attach maps the pool read-write; the reader's
+    // joins it silently and holds its session throughout.
+    svc.attach(writer, pmo, Permission::ReadWrite).unwrap();
+    let counters = svc.alloc(writer, pmo, 32).unwrap().offset();
+    svc.attach(reader, pmo, Permission::Read).unwrap();
+    let counter = |idx: u64| ObjectId::new(pmo, counters + 8 * idx);
+    let read_u64 =
+        |client, oid| u64::from_le_bytes(svc.read(client, oid, 8).unwrap().try_into().unwrap());
     for round in 0..20u64 {
-        session.attach(0, pmo, Permission::ReadWrite).unwrap();
-        let off = counters + 8 * (round % 4);
-        let current = read_u64(session.registry().pool(pmo).unwrap(), off);
-        session
-            .write(0, ObjectId::new(pmo, off), &(current + 1).to_le_bytes())
+        if round > 0 {
+            svc.attach(writer, pmo, Permission::ReadWrite).unwrap();
+        }
+        let oid = counter(round % 4);
+        let current = read_u64(writer, oid);
+        svc.write(writer, oid, &(current + 1).to_le_bytes())
             .unwrap();
-        session.advance(600); // beyond L=500: every detach wants to close
-        session.detach(0, pmo).unwrap(); // reader still holds → randomize
+        svc.detach(writer, pmo).unwrap();
+        // Past the target: the reader still holds the pool → randomize.
+        thread::sleep(target * 2);
+        svc.sweep_all();
     }
+    let randomizations = svc.report().randomizations;
     assert!(
-        session.randomizations() >= 10,
-        "expired shared windows must randomize (got {})",
-        session.randomizations()
+        randomizations >= 10,
+        "expired shared windows must randomize in place (got {randomizations})"
     );
 
-    // The reader sees the accumulated counts; each counter hit 5 times.
-    let mut buf = [0u8; 8];
+    // The reader sees the accumulated counts across every relocation; each
+    // counter was hit 5 times.
     for idx in 0..4u64 {
-        let off = counters + 8 * idx;
-        session.read(1, ObjectId::new(pmo, off), &mut buf).unwrap();
-        assert_eq!(u64::from_le_bytes(buf), 5, "counter {idx}");
+        assert_eq!(read_u64(reader, counter(idx)), 5, "counter {idx}");
     }
-    session.advance(600);
-    session.detach(1, pmo).unwrap();
+    svc.detach(reader, pmo).unwrap();
+    thread::sleep(target * 2);
+    svc.sweep_all();
 
-    // All windows closed: the data is now unreachable (three-state model).
-    assert!(matches!(
-        session
-            .read(1, ObjectId::new(pmo, 0), &mut buf)
-            .unwrap_err(),
-        SessionError::Unmapped(_)
-    ));
+    // All windows closed: the pool is unmapped and its data unreachable.
+    assert!(!svc.process_can(pmo, AccessKind::Read));
+    assert_eq!(
+        svc.read(reader, counter(0), 8).unwrap_err(),
+        ServiceError::Substrate(PmoError::NotAttached(pmo))
+    );
 }
 
 #[test]
 fn transaction_inside_a_session_window() {
     // Crash consistency and temporal protection compose: the transaction
-    // runs against the pool while the session window is open; recovery
-    // works in a later window.
+    // runs against the pool while its window is open; recovery works in a
+    // later window, at another randomized address.
     let mut reg = PmoRegistry::new();
     let pmo = reg.create("combo", 1 << 20, OpenMode::ReadWrite).unwrap();
     let cell = reg.pool_mut(pmo).unwrap().pmalloc(16).unwrap();
@@ -210,26 +223,34 @@ fn transaction_inside_a_session_window() {
         .unwrap()
         .write_bytes(cell.offset(), b"stable!!")
         .unwrap();
-    let mut session = PmoSession::new(reg, 1000);
+    let mut space = ProcessAddressSpace::with_seed(0xc0b0);
 
     // Window 1: a transaction crashes mid-update.
-    session.attach(0, pmo, Permission::ReadWrite).unwrap();
+    let first = space
+        .attach(reg.pool_mut(pmo).unwrap(), Permission::ReadWrite)
+        .unwrap();
     {
-        let pool = session.registry_mut().pool_mut(pmo).unwrap();
+        let pool = reg.pool_mut(pmo).unwrap();
         let mut tx = Transaction::begin(pool).unwrap();
         tx.write(cell.offset(), b"torn....").unwrap();
         tx.crash();
     }
-    session.advance(2000);
-    session.detach(0, pmo).unwrap();
+    space.detach(reg.pool_mut(pmo).unwrap()).unwrap();
+    assert!(space.oid_direct(cell).is_err(), "closed window: unmapped");
 
-    // Window 2: recover, then read through the protected path.
-    session.attach(0, pmo, Permission::ReadWrite).unwrap();
-    let rolled = recover(session.registry_mut().pool_mut(pmo).unwrap()).unwrap();
+    // Window 2: recover, then read through the mapping.
+    let second = space
+        .attach(reg.pool_mut(pmo).unwrap(), Permission::ReadWrite)
+        .unwrap();
+    assert_ne!(first.base_va(), second.base_va(), "re-randomized");
+    let rolled = recover(reg.pool_mut(pmo).unwrap()).unwrap();
     assert_eq!(rolled, 1);
+    assert_eq!(space.oid_direct(cell).unwrap(), second.va_of(cell));
     let mut buf = [0u8; 8];
-    session.read(0, cell, &mut buf).unwrap();
+    reg.pool(pmo)
+        .unwrap()
+        .read_bytes(cell.offset(), &mut buf)
+        .unwrap();
     assert_eq!(&buf, b"stable!!");
-    session.advance(2000);
-    session.detach(0, pmo).unwrap();
+    space.detach(reg.pool_mut(pmo).unwrap()).unwrap();
 }
