@@ -9,7 +9,7 @@
 //! ## Partial-order reconstruction
 //!
 //! Each thread's retained event stream is totally ordered (program order).
-//! Cross-thread order comes from five kinds of recorded sync edges:
+//! Cross-thread order comes from four kinds of recorded sync edges:
 //!
 //! | edge | source event | sink event |
 //! |------|--------------|------------|
@@ -17,7 +17,6 @@
 //! | seqlock | `Publish{pmo, e'}` | `Read`/`Write` on `pmo` validating epoch `e >= e'` |
 //! | sweeper park | `Unpark{token k}` | `Wakeup{token n}` for `k <= n` |
 //! | net dispatch | `NetRecv{conn, req}` | `NetExec{conn, req}` (same pair) |
-//! | log shipping | `ReplShip{shard, seq}` | `ReplApply{shard, seq}` (same pair) |
 //!
 //! The checker performs a topological sweep: a thread's next event is
 //! processed only once every edge source it depends on has been processed,
@@ -145,17 +144,12 @@ struct Checker {
     unpark_tokens: Vec<u64>,
     /// Pre-scanned net-dispatch sources present in the analyzed region.
     net_recv_present: HashSet<(u32, u64)>,
-    /// Pre-scanned log-shipping sources present in the analyzed region.
-    repl_ship_present: HashSet<(u32, u64)>,
     locks: HashMap<u32, LockState>,
     pubs: HashMap<PoolId, PubState>,
     unparks: BTreeMap<u64, VectorClock>,
     /// Reader-thread clocks at each processed `NetRecv`, keyed by
     /// `(conn, req)`; joined into the executing thread at `NetExec`.
     net_recvs: HashMap<(u32, u64), VectorClock>,
-    /// Shipper-thread clocks at each processed `ReplShip`, keyed by
-    /// `(shard, seq)`; joined into the applying thread at `ReplApply`.
-    repl_ships: HashMap<(u32, u64), VectorClock>,
     windows: HashMap<PoolId, Vec<Win>>,
     profiles: Vec<BTreeMap<PoolId, bool>>,
     racy_pools: BTreeSet<PoolId>,
@@ -204,10 +198,6 @@ impl Checker {
                 !self.net_recv_present.contains(&(conn, req))
                     || self.net_recvs.contains_key(&(conn, req))
             }
-            EventKind::ReplApply { shard, seq } => {
-                !self.repl_ship_present.contains(&(shard, seq))
-                    || self.repl_ships.contains_key(&(shard, seq))
-            }
             _ => true,
         }
     }
@@ -249,12 +239,6 @@ impl Checker {
                     self.clocks[t].join(&cum);
                 }
             }
-            EventKind::ReplApply { shard, seq } => {
-                let cum = self.repl_ships.get(&(shard, seq)).cloned();
-                if let Some(cum) = cum {
-                    self.clocks[t].join(&cum);
-                }
-            }
             _ => {}
         }
         self.clocks[t].tick(t);
@@ -287,9 +271,6 @@ impl Checker {
             }
             EventKind::NetRecv { conn, req } => {
                 self.net_recvs.insert((conn, req), self.clocks[t].clone());
-            }
-            EventKind::ReplShip { shard, seq } => {
-                self.repl_ships.insert((shard, seq), self.clocks[t].clone());
             }
             EventKind::Attach {
                 pmo,
@@ -528,7 +509,6 @@ pub fn check_trace(set: &TraceSet) -> HbReport {
     let mut pub_epochs: HashMap<PoolId, Vec<u64>> = HashMap::new();
     let mut unpark_tokens: Vec<u64> = Vec::new();
     let mut net_recv_present: HashSet<(u32, u64)> = HashSet::new();
-    let mut repl_ship_present: HashSet<(u32, u64)> = HashSet::new();
     for stream in &evs {
         for ev in stream {
             match ev.kind {
@@ -537,9 +517,6 @@ pub fn check_trace(set: &TraceSet) -> HbReport {
                 EventKind::Unpark { token } => unpark_tokens.push(token),
                 EventKind::NetRecv { conn, req } => {
                     net_recv_present.insert((conn, req));
-                }
-                EventKind::ReplShip { shard, seq } => {
-                    repl_ship_present.insert((shard, seq));
                 }
                 _ => {}
             }
@@ -561,12 +538,10 @@ pub fn check_trace(set: &TraceSet) -> HbReport {
         pub_epochs,
         unpark_tokens,
         net_recv_present,
-        repl_ship_present,
         locks: HashMap::new(),
         pubs: HashMap::new(),
         unparks: BTreeMap::new(),
         net_recvs: HashMap::new(),
-        repl_ships: HashMap::new(),
         windows: HashMap::new(),
         profiles: vec![BTreeMap::new(); n],
         racy_pools: BTreeSet::new(),

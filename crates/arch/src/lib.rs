@@ -14,9 +14,6 @@
 //!   thread-level permissions.
 //! * [`cost`] — the hardware cost model (32 × 34-bit entries ≈ 140 bytes,
 //!   0.006 % of a 45 nm Nehalem die).
-//! * [`WatchUnit`] — the paper's alternative trigger design: watch registers
-//!   intercepting the attach/detach syscall PCs at fetch, driving the same
-//!   decision engine (proven decision-equivalent in tests).
 //!
 //! This crate holds only the *hardware state machines*; charging their costs
 //! on the timing model and enforcing language-level semantics happen in
@@ -29,9 +26,7 @@ pub mod circular_buffer;
 pub mod cond;
 pub mod cost;
 pub mod merr;
-pub mod watch;
 
 pub use circular_buffer::{CbEntry, CircularBuffer};
 pub use cond::{AttachOutcome, CondEngine, CondStats, DetachOutcome, SweepAction};
 pub use merr::MerrArch;
-pub use watch::{FetchDecision, WatchRegisters, WatchUnit};

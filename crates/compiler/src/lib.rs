@@ -49,7 +49,6 @@
 pub mod builder;
 pub mod cfg;
 pub mod dom;
-pub mod dot;
 pub mod insertion;
 pub mod ir;
 pub mod let_est;

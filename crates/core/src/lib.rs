@@ -5,9 +5,6 @@
 //! formal framework and the runtime that enforces it on the simulated
 //! machine:
 //!
-//! * [`permission`] — Definitions 1–2: permission sets and permission groups.
-//! * [`poset`] — Definition 4: TERP posets of protection mechanisms, with
-//!   Hasse-diagram extraction (Figure 2) and partial-order law checking.
 //! * [`window`] — Definition 5: exposure windows (EW) and thread exposure
 //!   windows (TEW), with the ER/TER metrics of Tables III–IV.
 //! * [`semantics`] — the semantics design space of Section IV: Basic,
@@ -52,8 +49,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod config;
-pub mod permission;
-pub mod poset;
 pub mod report;
 pub mod runtime;
 pub mod semantics;

@@ -23,11 +23,6 @@
 //! TERP/MERR protection layers randomize the mapped location of a PMO at
 //! every (re)attach.
 //!
-//! The pool's page-table subtree ([`pagetable::EmbeddedPageTable`]) is
-//! embedded in the PMO itself, mirroring the MERR design of Figure 1: a full
-//! attach only needs to install a single upper-level PTE, making attach and
-//! detach O(1) in pool size.
-//!
 //! Storage is a sparse page store ([`pool::Pmo`] materializes 4 KiB pages on
 //! first touch), so gigabyte-scale pools used by the paper's evaluation cost
 //! only as much host memory as they actually touch.
@@ -61,11 +56,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod acl;
 pub mod alloc;
 pub mod error;
 pub mod id;
-pub mod pagetable;
 pub mod perm;
 pub mod pool;
 pub mod registry;

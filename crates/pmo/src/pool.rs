@@ -6,7 +6,6 @@
 //! * a sparse page store standing in for the NVM data area (pages materialize
 //!   on first touch so gigabyte pools are cheap to model),
 //! * a [`PoolAllocator`] implementing `pmalloc`/`pfree`,
-//! * an [`EmbeddedPageTable`] subtree enabling O(1) attach/detach,
 //! * bookkeeping used by upper layers: attach generation (bumped at every
 //!   real attach or randomization) and open/closed state.
 
@@ -16,11 +15,11 @@ use std::fmt;
 use crate::alloc::PoolAllocator;
 use crate::error::PmoError;
 use crate::id::{ObjectId, PmoId};
-use crate::pagetable::{EmbeddedPageTable, PAGE_SIZE};
 use crate::perm::OpenMode;
+use crate::space::PAGE_SIZE;
 
 /// A persistent memory object: a named pool of byte-addressable persistent
-/// storage with an embedded page-table subtree.
+/// storage.
 ///
 /// Pools are created through [`crate::PmoRegistry::create`] and survive
 /// close/reopen (the registry keeps them, modelling persistence across
@@ -47,7 +46,6 @@ pub struct Pmo {
     mode: OpenMode,
     open: bool,
     allocator: PoolAllocator,
-    page_table: EmbeddedPageTable,
     /// Sparse data pages, index → 4 KiB page. Materialized on first write.
     pages: BTreeMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
     /// Pages written since the last checkpoint ([`Self::clear_dirty`]) —
@@ -93,7 +91,6 @@ impl Pmo {
             mode,
             open: true,
             allocator: PoolAllocator::new(size),
-            page_table: EmbeddedPageTable::for_size(size),
             pages: BTreeMap::new(),
             dirty_pages: BTreeSet::new(),
             // A fresh pool has never been checkpointed: its (empty)
@@ -126,11 +123,6 @@ impl Pmo {
     /// Whether the pool is currently open (usable).
     pub fn is_open(&self) -> bool {
         self.open
-    }
-
-    /// The embedded page-table subtree (Figure 1).
-    pub fn page_table(&self) -> &EmbeddedPageTable {
-        &self.page_table
     }
 
     /// The pool's allocator state (read-only view, e.g. for live-object
@@ -452,11 +444,5 @@ mod tests {
         p.write_bytes(0, b"a").unwrap();
         p.write_bytes(1, b"b").unwrap();
         assert_eq!(p.dirty_page_count(), 1);
-    }
-
-    #[test]
-    fn page_table_matches_pool_size() {
-        let p = pool();
-        assert_eq!(p.page_table().pool_size(), p.size());
     }
 }

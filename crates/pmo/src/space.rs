@@ -28,7 +28,7 @@ use crate::pool::Pmo;
 pub type VirtAddr = u64;
 
 /// Page size used for mapping granularity and entropy computations.
-pub const PAGE_SIZE: u64 = crate::pagetable::PAGE_SIZE;
+pub const PAGE_SIZE: u64 = 4096;
 
 /// Inclusive start of the PMO mapping region.
 pub const PMO_REGION_BASE: VirtAddr = 0x6000_0000_0000;

@@ -44,7 +44,6 @@ use terp_net::{ServiceError, VERSION};
 use terp_persist::{load_checkpoint, read_log, Replay, CKPT_FILE, WAL_FILE};
 use terp_pmo::PmoRegistry;
 use terp_service::{PmoServer, ServiceConfig};
-use terp_trace::{EventKind, TraceRecorder};
 
 use crate::conn::{disconnected, Conn};
 
@@ -63,25 +62,16 @@ pub struct ReplFollowerConfig {
     pub dir: PathBuf,
     /// Follower identity tag (diagnostics only).
     pub follower: u64,
-    /// Optional flight recorder for `ReplApply` events.
-    pub tracer: Option<Arc<TraceRecorder>>,
 }
 
 impl ReplFollowerConfig {
-    /// Defaults: no tracer.
+    /// A follower of `leader` mirroring into `dir`, tagged `follower`.
     pub fn new(leader: SocketAddr, dir: impl Into<PathBuf>, follower: u64) -> Self {
         ReplFollowerConfig {
             leader,
             dir: dir.into(),
             follower,
-            tracer: None,
         }
-    }
-
-    /// Attaches a flight recorder.
-    pub fn with_tracer(mut self, tracer: Arc<TraceRecorder>) -> Self {
-        self.tracer = Some(tracer);
-        self
     }
 }
 
@@ -462,9 +452,6 @@ fn apply_batch(
         let decoded = read_log(&m.pending);
         for (seq, record) in &decoded.records {
             m.replay.apply(*seq, record)?;
-            if let Some(tracer) = &config.tracer {
-                tracer.record(EventKind::ReplApply { shard, seq: *seq });
-            }
         }
         m.pending.drain(..decoded.consumed);
     }

@@ -37,7 +37,6 @@ use std::time::Duration;
 use terp_net::repl::{LogFile, ReplMsg, LOG_CHUNK};
 use terp_net::{ServiceError, MAGIC, VERSION};
 use terp_persist::{first_seq, TailReader, TailStatus, WalRecord, CKPT_FILE, WAL_FILE};
-use terp_trace::{EventKind, TraceRecorder};
 
 use crate::conn::{disconnected, Conn};
 
@@ -54,24 +53,15 @@ pub struct ReplLeaderConfig {
     pub dir: PathBuf,
     /// Shard count (must match the service's `effective_shards()`).
     pub shards: usize,
-    /// Optional flight recorder for `ReplShip` events.
-    pub tracer: Option<Arc<TraceRecorder>>,
 }
 
 impl ReplLeaderConfig {
-    /// Defaults: no tracer.
+    /// A leader over `dir` with `shards` shards (at least one).
     pub fn new(dir: impl Into<PathBuf>, shards: usize) -> Self {
         ReplLeaderConfig {
             dir: dir.into(),
             shards: shards.max(1),
-            tracer: None,
         }
-    }
-
-    /// Attaches a flight recorder.
-    pub fn with_tracer(mut self, tracer: Arc<TraceRecorder>) -> Self {
-        self.tracer = Some(tracer);
-        self
     }
 }
 
@@ -424,11 +414,6 @@ fn feed(conn: &mut Conn, shared: &LeaderShared) -> Result<(), ServiceError> {
                 feed.last_seq = *seq;
             }
             send_file(conn, shard, LogFile::Wal, offset, &chunk.bytes)?;
-            if let Some(tracer) = &shared.config.tracer {
-                for (seq, _) in &chunk.records {
-                    tracer.record(EventKind::ReplShip { shard, seq: *seq });
-                }
-            }
             // The mark follows the bytes it covers: after a (re)start, the
             // checkpoint *and* the log read behind it — a follower is not
             // level with this shard before it has both.

@@ -28,12 +28,9 @@
 //! read-only: every client mutation is refused with
 //! [`terp_service::ServiceError::ReadOnly`].
 //!
-//! Observability: when a [`terp_trace::TraceRecorder`] is configured, the
-//! leader records a `ReplShip{shard, seq}` event per shipped record and
-//! the follower a matching `ReplApply{shard, seq}` — the offline
-//! happens-before checker (terp-analysis) joins the two as a
-//! synchronization edge, extending race detection across the replication
-//! boundary.
+//! Observability: [`ReplLeader::lag`] and [`ReplFollower::lag`] report each
+//! shard's shipped, acknowledged and replayed sequence numbers. Neither
+//! side records trace events.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

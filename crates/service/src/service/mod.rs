@@ -4,7 +4,7 @@
 //!   one holder, its owner; a conflicting attach *blocks* on the shard
 //!   condvar until the owner detaches or the service shuts down.
 //! * **EW-conscious semantics** (TM / TT): attach/detach run through the
-//!   shard's [`CondEngine`]; lowered operations update only the pool's
+//!   shard's [`terp_arch::CondEngine`]; lowered operations update only the pool's
 //!   holder list (a *silent* conditional op), and only first-attach /
 //!   full-detach outcomes touch the address space.
 //! * **Unprotected**: constructs are bookkeeping only — pools stay mapped
@@ -16,14 +16,14 @@
 //! published grant slots on the fast path.
 //!
 //! Hot-path layering (DESIGN.md §11): data ops and permission probes first
-//! try the lock-free fast path — a [`crate::fastpath::PoolIndex`] lookup
+//! try the lock-free fast path — a `fastpath::PoolIndex` lookup
 //! plus a seqlock snapshot of the pool's published window state — and fall
 //! back to the locked slow path on any miss, mid-publish collision,
 //! crowded-pool overflow, or would-be failure, so every error and denial is
 //! produced by exactly the same code as before. Pool creation is sharded
 //! too: a global atomic id allocator plus hash-sharded name maps replace
 //! the old global registry mutex. Metrics go to per-thread slabs
-//! ([`crate::metrics::MetricsHub`]) merged at report time.
+//! (`metrics::MetricsHub`) merged at report time.
 //!
 //! Every operation computes its cost charge (see [`crate::CostModel`])
 //! under the shard lock but *spins it off after the lock is released*, so

@@ -14,7 +14,7 @@
 //! containing node is unlinked before it is freed), so they stay full
 //! 54-bit packed ObjectIDs. The 32-bit offset field caps root-reachable
 //! structures at 4 GiB pools — far above anything this workspace drives —
-//! and [`pack`] asserts it.
+//! and [`TaggedOid::pack`] asserts it.
 //!
 //! The null word keeps its tag: an empty→non-empty transition still bumps,
 //! so `pop; push` of the same node cannot satisfy a stale comparand.

@@ -20,7 +20,7 @@ pub const EVENT_WORDS: usize = 5;
 /// One recorded operation or synchronization stamp.
 ///
 /// The first seven kinds are *window/data plane* events the checker analyzes
-/// for races; the last five are *sync edges* it uses to reconstruct the
+/// for races; the other seven are *sync edges* it uses to reconstruct the
 /// happens-before partial order (DESIGN.md §12).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
@@ -148,24 +148,6 @@ pub enum EventKind {
         /// Client-assigned request id (unique per connection).
         req: u64,
     },
-    /// The replication leader shipped WAL record `seq` of shard `shard` to
-    /// a follower (terp-repl). The ship happens-before the follower's
-    /// application of the same record ([`EventKind::ReplApply`]).
-    ReplShip {
-        /// Shard whose WAL the record came from.
-        shard: u32,
-        /// WAL sequence number of the shipped record.
-        seq: u64,
-    },
-    /// A follower applied WAL record `seq` of shard `shard` to its warm
-    /// standby state (terp-repl). The matching [`EventKind::ReplShip`]
-    /// happens-before this.
-    ReplApply {
-        /// Shard whose WAL the record came from.
-        shard: u32,
-        /// WAL sequence number of the applied record.
-        seq: u64,
-    },
 }
 
 /// One recorded event: a service-clock timestamp plus the operation.
@@ -179,6 +161,9 @@ pub struct Event {
 }
 
 impl EventKind {
+    /// The kind's wire tag. Tags 15 and 16 (mnemonics `rs` and `ra`) were
+    /// the replication ship/apply events, which nothing recorded; they are
+    /// retired, decode as unknown and are never reused.
     fn tag(&self) -> u64 {
         match self {
             EventKind::Attach { .. } => 1,
@@ -195,8 +180,6 @@ impl EventKind {
             EventKind::Wakeup { .. } => 12,
             EventKind::NetRecv { .. } => 13,
             EventKind::NetExec { .. } => 14,
-            EventKind::ReplShip { .. } => 15,
-            EventKind::ReplApply { .. } => 16,
         }
     }
 
@@ -217,8 +200,6 @@ impl EventKind {
             EventKind::Wakeup { .. } => "wk",
             EventKind::NetRecv { .. } => "nr",
             EventKind::NetExec { .. } => "nx",
-            EventKind::ReplShip { .. } => "rs",
-            EventKind::ReplApply { .. } => "ra",
         }
     }
 }
@@ -263,8 +244,6 @@ impl Event {
             EventKind::Wakeup { token } => (0, 0, 0, token, 0, 0),
             EventKind::NetRecv { conn, req } => (0, 0, 0, conn as u64, req, 0),
             EventKind::NetExec { conn, req } => (0, 0, 0, conn as u64, req, 0),
-            EventKind::ReplShip { shard, seq } => (0, 0, 0, shard as u64, seq, 0),
-            EventKind::ReplApply { shard, seq } => (0, 0, 0, shard as u64, seq, 0),
         };
         let packed = tag | ((pmo as u64) << 8) | (flag << 24) | ((len as u64) << 32);
         [self.ts_ns, packed, a, b, c]
@@ -327,14 +306,6 @@ impl Event {
                 conn: a as u32,
                 req: b,
             },
-            15 => EventKind::ReplShip {
-                shard: a as u32,
-                seq: b,
-            },
-            16 => EventKind::ReplApply {
-                shard: a as u32,
-                seq: b,
-            },
             _ => return None,
         };
         Some(Event { ts_ns, kind })
@@ -384,24 +355,26 @@ impl Event {
             EventKind::NetRecv { conn, req } | EventKind::NetExec { conn, req } => {
                 format!("{m} {ts} {conn} {req}")
             }
-            EventKind::ReplShip { shard, seq } | EventKind::ReplApply { shard, seq } => {
-                format!("{m} {ts} {shard} {seq}")
-            }
         }
     }
 
     /// Parses a line produced by [`Event::render_line`]. Returns `None` on
-    /// malformed input.
+    /// malformed input: an unknown mnemonic, a missing or trailing token, a
+    /// number out of its field's range, or a `writable` flag other than `0`
+    /// or `1`.
     pub fn parse_line(line: &str) -> Option<Event> {
         let mut it = line.split_whitespace();
         let m = it.next()?;
-        let mut next = || -> Option<u64> { it.next()?.parse().ok() };
-        let ts_ns = next()?;
+        let ts_ns = field(&mut it)?;
         let kind = match m {
             "at" | "gr" => {
-                let pmo = next()? as PoolId;
-                let client = next()?;
-                let writable = next()? != 0;
+                let pmo = field(&mut it)?;
+                let client = field(&mut it)?;
+                let writable = match it.next()? {
+                    "0" => false,
+                    "1" => true,
+                    _ => return None,
+                };
                 if m == "at" {
                     EventKind::Attach {
                         pmo,
@@ -417,8 +390,8 @@ impl Event {
                 }
             }
             "dt" | "rv" => {
-                let pmo = next()? as PoolId;
-                let client = next()?;
+                let pmo = field(&mut it)?;
+                let client = field(&mut it)?;
                 if m == "dt" {
                     EventKind::Detach { pmo, client }
                 } else {
@@ -426,14 +399,14 @@ impl Event {
                 }
             }
             "ex" => EventKind::Expire {
-                pmo: next()? as PoolId,
+                pmo: field(&mut it)?,
             },
             "rd" | "wr" => {
-                let pmo = next()? as PoolId;
-                let client = next()?;
-                let offset = next()?;
-                let len = next()? as u32;
-                let epoch = next()?;
+                let pmo = field(&mut it)?;
+                let client = field(&mut it)?;
+                let offset = field(&mut it)?;
+                let len = field(&mut it)?;
+                let epoch = field(&mut it)?;
                 if m == "rd" {
                     EventKind::Read {
                         pmo,
@@ -453,8 +426,8 @@ impl Event {
                 }
             }
             "la" | "lr" => {
-                let obj = next()? as u32;
-                let seq = next()?;
+                let obj = field(&mut it)?;
+                let seq = field(&mut it)?;
                 if m == "la" {
                     EventKind::LockAcquire { obj, seq }
                 } else {
@@ -462,34 +435,35 @@ impl Event {
                 }
             }
             "pb" => {
-                let pmo = next()? as PoolId;
-                let epoch = next()?;
+                let pmo = field(&mut it)?;
+                let epoch = field(&mut it)?;
                 EventKind::Publish { pmo, epoch }
             }
-            "up" => EventKind::Unpark { token: next()? },
-            "wk" => EventKind::Wakeup { token: next()? },
+            "up" => EventKind::Unpark {
+                token: field(&mut it)?,
+            },
+            "wk" => EventKind::Wakeup {
+                token: field(&mut it)?,
+            },
             "nr" | "nx" => {
-                let conn = next()? as u32;
-                let req = next()?;
+                let conn = field(&mut it)?;
+                let req = field(&mut it)?;
                 if m == "nr" {
                     EventKind::NetRecv { conn, req }
                 } else {
                     EventKind::NetExec { conn, req }
                 }
             }
-            "rs" | "ra" => {
-                let shard = next()? as u32;
-                let seq = next()?;
-                if m == "rs" {
-                    EventKind::ReplShip { shard, seq }
-                } else {
-                    EventKind::ReplApply { shard, seq }
-                }
-            }
             _ => return None,
         };
-        Some(Event { ts_ns, kind })
+        it.next().is_none().then_some(Event { ts_ns, kind })
     }
+}
+
+/// The next token as a number of the field's own width: a token out of
+/// that range is refused, not narrowed.
+fn field<T: std::str::FromStr>(it: &mut std::str::SplitWhitespace<'_>) -> Option<T> {
+    it.next()?.parse().ok()
 }
 
 #[cfg(test)]
@@ -544,14 +518,6 @@ mod tests {
                 conn: u32::MAX,
                 req: 0,
             },
-            EventKind::ReplShip {
-                shard: 5,
-                seq: 1 << 47,
-            },
-            EventKind::ReplApply {
-                shard: u32::MAX,
-                seq: u64::MAX,
-            },
         ]
     }
 
@@ -586,5 +552,37 @@ mod tests {
         assert_eq!(Event::parse_line(""), None);
         assert_eq!(Event::parse_line("zz 1 2 3"), None);
         assert_eq!(Event::parse_line("rd 1 2"), None);
+    }
+
+    #[test]
+    fn out_of_range_fields_and_trailing_tokens_are_refused() {
+        // Each would narrow or be ignored if parsed loosely: a pool id past
+        // u16 on an attach and on an expiry, a length past u32, and an
+        // attach with a junk token after it.
+        assert_eq!(Event::parse_line("at 5 70000 3 1"), None);
+        assert_eq!(Event::parse_line("rd 9 1 2 3 4294967297 5"), None);
+        assert_eq!(Event::parse_line("ex 1 65537"), None);
+        assert_eq!(Event::parse_line("at 5 7 3 1 junk"), None);
+        // `writable` is a flag: only 0 and 1.
+        assert_eq!(Event::parse_line("gr 5 7 3 2"), None);
+        assert!(Event::parse_line("gr 5 7 3 1").is_some());
+    }
+
+    #[test]
+    fn retired_tags_and_mnemonics_are_refused() {
+        // Tags 1..=14 are live; 0 is an empty slot, and 15 and 16 (the
+        // replication ship/apply events) are retired.
+        for tag in 0..=16u64 {
+            let words = [1, tag | (3 << 8), 4, 5, 6];
+            let decoded = Event::decode_words(&words);
+            if (1..=14).contains(&tag) {
+                let event = decoded.unwrap_or_else(|| panic!("live tag {tag} refused"));
+                assert_eq!(event.encode_words()[1] & 0xff, tag);
+            } else {
+                assert_eq!(decoded, None, "tag {tag} decoded");
+            }
+        }
+        assert_eq!(Event::parse_line("rs 1 2 3"), None);
+        assert_eq!(Event::parse_line("ra 1 2 3"), None);
     }
 }

@@ -13,7 +13,7 @@
 //! target offers (`rdtsc` on x86-64, `Instant` elsewhere): calling
 //! `clock_gettime` per event would cost more than the ring push it
 //! timestamps. Even `rdtsc` is a large fraction of a push, so each thread
-//! caches its last tick and refreshes it only every [`TICK_REFRESH`]-th
+//! caches its last tick and refreshes it only every `TICK_REFRESH`-th
 //! record: an event's stamp may be up to `TICK_REFRESH - 1` events stale,
 //! but never goes backwards on its thread. Events carry raw *ticks* in the
 //! ring; `snapshot` / `dump` calibrate ticks against wall time over the

@@ -239,7 +239,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Element-count bounds for [`vec`] (subset of
+    /// Element-count bounds for [`vec()`] (subset of
     /// `proptest::collection::SizeRange`).
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {

@@ -11,7 +11,7 @@
 //!   CONDAT/CONDDT, window combining) and the MERR baseline;
 //! * [`terp_compiler`] — the IR, region analyses, and automatic construct
 //!   insertion (paper Algorithm 1);
-//! * [`terp_core`] — the TERP framework itself: poset, semantics, exposure
+//! * [`terp_core`] — the TERP framework itself: semantics, exposure
 //!   windows, and the protection runtime;
 //! * [`terp_workloads`] — WHISPER-like / SPEC-like / churn workloads;
 //! * [`terp_security`] — attack models and quantitative security analysis.

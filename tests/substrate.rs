@@ -1,14 +1,12 @@
 //! Cross-crate substrate tests: the PMO properties of Section II working
 //! *together* — crash consistency, pointer-rich persistent structures,
-//! namespace permissions, and protection windows over real pool bytes.
+//! and protection windows over real pool bytes.
 
-use std::collections::BTreeSet;
 use std::thread;
 use std::time::Duration;
 
 use terp_service::{PmoService, ServiceConfig, ServiceError};
 use terp_suite::prelude::*;
-use terp_suite::terp_pmo::acl::{AclRegistry, PoolAcl};
 use terp_suite::terp_pmo::txn::{recover, Transaction};
 use terp_suite::terp_pmo::{Pmo, PmoError};
 
@@ -110,45 +108,6 @@ fn linked_list_survives_close_reopen_and_relocation() {
         .unwrap();
     space.randomize(reg.pool_mut(pmo).unwrap()).unwrap();
     assert_eq!(walk(reg.pool(pmo).unwrap(), head_slot), walked);
-}
-
-#[test]
-fn acl_gates_the_namespace_before_any_window_exists() {
-    // The Figure 2 poset top level: a user without an ACL grant cannot even
-    // open the pool, regardless of attach/thread state below.
-    let mut reg = PmoRegistry::new();
-    let pmo = reg
-        .create("classified", 1 << 16, OpenMode::ReadWrite)
-        .unwrap();
-
-    let mut acls = AclRegistry::new();
-    acls.set(pmo, PoolAcl::new(1000));
-    acls.acl_mut(pmo)
-        .unwrap()
-        .grant_group(77, OpenMode::ReadOnly);
-
-    let analysts: BTreeSet<u32> = [77].into_iter().collect();
-    let nobody: BTreeSet<u32> = BTreeSet::new();
-
-    // Owner: read-write. Group member: read-only. Stranger: nothing.
-    assert!(acls
-        .check_open(pmo, 1000, &nobody, OpenMode::ReadWrite)
-        .is_ok());
-    assert!(acls
-        .check_open(pmo, 2000, &analysts, OpenMode::ReadOnly)
-        .is_ok());
-    assert!(acls
-        .check_open(pmo, 2000, &analysts, OpenMode::ReadWrite)
-        .is_err());
-    assert!(acls
-        .check_open(pmo, 3000, &nobody, OpenMode::ReadOnly)
-        .is_err());
-
-    // Revoking the group is the coarsest depriving construct.
-    acls.acl_mut(pmo).unwrap().revoke_group(77);
-    assert!(acls
-        .check_open(pmo, 2000, &analysts, OpenMode::ReadOnly)
-        .is_err());
 }
 
 #[test]
