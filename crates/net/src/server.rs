@@ -4,38 +4,41 @@
 //!
 //! Each accepted connection gets a **reader** thread (socket → frames →
 //! requests) and a **flusher** thread that stays parked unless the socket
-//! refuses reply bytes. Requests *execute* elsewhere, and the thread that
-//! executed a batch writes its replies itself:
+//! refuses reply bytes. Whichever thread executed a batch writes its replies
+//! itself. Where a request executes depends on whether its batch can ever
+//! turn dirty:
 //!
+//! * **A batch that never turns dirty** — every batch of an in-memory
+//!   service and of a `visibility = submit` store — runs on the reader that
+//!   decoded it. The reader runs everything one socket read decoded, across
+//!   all shards, as one service [`Batch`] and answers it in one delivery. Its
+//!   data ops hit the seqlock fast path, its window ops take their shard's
+//!   lock, as in-process callers do. Such a server starts no executor
+//!   thread, and its side of a round trip wakes one thread: the reader.
+//! * **Under `durable` + `visibility = durable`** requests go to a per-shard
+//!   batched executor: one worker per service shard, routed by the op's
+//!   pool id with the same `raw & mask` rule the service's own shard map
+//!   uses. A worker drains its whole queue, from every connection, into one
+//!   batch per wakeup and commits it once: one fsync for the whole batch,
+//!   with the responses that depend on it held until it returns
+//!   (`run_batch`). Sharing that fsync across connections is what the extra
+//!   hop buys; the reader only decodes and routes.
 //! * **Blocking-capable attaches** (Merr / Basic semantics, where an attach
 //!   parks on a conflicting holder's exposure window) run on a dedicated
-//!   spawned thread per request. A parked attach therefore blocks only its
-//!   own request — later pipelined ops on the same connection keep flowing
-//!   and may complete first (out-of-order completion is the protocol's
-//!   contract, see [`crate::proto`]).
-//! * **Everything else** is submitted to a per-shard batched executor: one
-//!   worker per service shard, routed by the op's pool id with the same
-//!   `raw & mask` rule the service's own shard map uses. Workers drain
-//!   their whole queue into a local batch per wakeup, so pool-lock traffic
-//!   comes only from executor threads — network reader threads never touch
-//!   a shard lock, they ride the frame decoder and the submission queues.
-//!   Data ops still hit the seqlock fast path inside the service, which
-//!   never takes the shard lock at all. Each drained batch runs through one
-//!   service [`Batch`] and commits once: under `visibility = durable` that
-//!   is one fsync for the whole batch, and the responses that depend on it
-//!   are held until it returns (`run_batch`).
-//!
-//! So the server's side of a round trip wakes two threads, the reader and
-//! then a worker, and the reply leaves from the worker.
+//!   spawned thread per request, in either mode. A parked attach therefore
+//!   blocks only its own request — later pipelined ops on the same
+//!   connection keep flowing and may complete first (out-of-order
+//!   completion is the protocol's contract, see [`crate::proto`]).
 //!
 //! ## One hand-off per batch
 //!
 //! Every step between socket and service moves a batch, not a request, and
 //! a wake-up is paid only when its thread is actually asleep:
 //!
-//! * The reader routes the frames of one socket read into one local list
-//!   per shard and pushes each list onto its queue under one lock; the
-//!   queue wakes its worker only if the worker is parked.
+//! * The reader gathers the frames of one socket read into one batch — one
+//!   local list per shard when workers run them — and hands each off once:
+//!   it runs it, or pushes it onto its queue under one lock, and the queue
+//!   wakes its worker only if the worker is parked.
 //! * A batch answers each connection with one delivery: its clean replies
 //!   when the batch turns dirty or ends, its held replies after the commit.
 //! * A delivery frames its replies in place into the connection's reply
@@ -55,21 +58,22 @@
 //! Before it blocks on a full gate the reader hands off the jobs it holds:
 //! their replies are what frees the gate.
 //!
-//! A worker never blocks on a connection: its write is a `send` that
+//! No executing thread blocks on a connection: its write is a `send` that
 //! returns when the socket is full. What the socket refuses stays in the
 //! reply buffer for the connection's flusher, which writes it with
 //! blocking writes; until the buffer is empty again, deliveries only
 //! append to it, so frames never interleave. A connection that stops
-//! reading its replies stalls only its own flusher
+//! reading its replies stalls only its own flusher and reader
 //! ([`ServerWireCounts::stalled`] counts the deliveries left to one).
 //!
 //! ## Tracing
 //!
 //! When the service runs with tracing enabled, the reader records
 //! `NetRecv{conn, req}` at decode and every executing thread records
-//! `NetExec{conn, req}` before touching the service. The pair is a
-//! happens-before edge for the offline checker, so cross-thread windows
-//! driven by network requests order through their dispatch points.
+//! `NetExec{conn, req}` before touching the service — on a batch the reader
+//! runs itself, both on the reader's thread. The pair is a happens-before
+//! edge for the offline checker, so cross-thread windows driven by network
+//! requests order through their dispatch points.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -79,7 +83,7 @@ use std::thread::JoinHandle;
 
 use terp_core::Scheme;
 use terp_service::metrics::ServiceReport;
-use terp_service::{Batch, ClientId, PmoServer, PmoService, TraceRecorder};
+use terp_service::{Batch, ClientId, PmoServer, PmoService, TraceRecorder, Visibility};
 use terp_trace::EventKind;
 
 use crate::frame::{frame_into, FrameDecoder};
@@ -285,7 +289,7 @@ impl Replier {
     }
 }
 
-/// One queued operation bound for a shard worker.
+/// One decoded operation bound for a batch.
 struct Job {
     conn: u32,
     req_id: u64,
@@ -354,8 +358,9 @@ impl WorkQueue {
     }
 }
 
-/// Per-shard batched op execution: one worker per service shard, routed by
-/// pool id with the service's own sharding rule.
+/// Per-shard batched op execution for a service whose batches can turn
+/// dirty: one worker per service shard, routed by pool id with the service's
+/// own sharding rule, so requests of every connection share its commits.
 struct Executor {
     queues: Vec<Arc<WorkQueue>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -451,8 +456,9 @@ impl Outgoing {
 /// leave at once, and every later reply, reads included (they may have seen
 /// an unsynced write), is held until the commit has fsynced what it depends
 /// on; if the commit fails, each held reply becomes the commit's error
-/// instead. Runs on an executor worker or, as a batch of one, on a
-/// dedicated blocking-attach thread — never on a network reader thread.
+/// instead. Runs on the reader that decoded `jobs` when no batch of the
+/// service can turn dirty, else on an executor worker; and, as a batch of
+/// one, on a dedicated blocking-attach thread.
 fn run_batch(service: &PmoService, tracer: Option<&TraceRecorder>, jobs: &mut Vec<Job>) {
     let mut batch = service.batch();
     let mut clean = Outgoing::default();
@@ -510,7 +516,10 @@ fn execute(batch: &mut Batch<'_>, client: ClientId, req: &Request) -> Response {
 struct Shared {
     service: Arc<PmoService>,
     tracer: Option<Arc<TraceRecorder>>,
-    exec: Executor,
+    /// The shard workers, for a service whose batches can turn dirty
+    /// (`durable` + `visibility = durable`); `None` runs every batch on the
+    /// reader that decoded it.
+    exec: Option<Executor>,
     stopping: AtomicBool,
     conns: Mutex<Vec<Conn>>,
     next_conn: AtomicU32,
@@ -530,15 +539,17 @@ struct Counts {
 /// What a [`NetServer`] has moved since it started, over every connection:
 /// the server's mirror of [`crate::WireCounts`]. The handshake is decoded
 /// and answered by the reader itself: a request and a write, no hand-off.
-/// `handoffs < requests` is the reader's one push per shard per socket
-/// read; `writes < requests` is one write per batch and connection.
+/// `handoffs < requests` is one batch per socket read (per shard, when
+/// shard workers run them); `writes < requests` is one write per batch and
+/// connection.
 /// `stalled` is 0 unless a client falls behind on reading its replies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerWireCounts {
     /// Request frames decoded.
     pub requests: u64,
-    /// Hand-offs to the threads that execute them: pushes onto a shard
-    /// worker's queue, and the dedicated threads of blocking attaches.
+    /// Batches handed to execution: each batch a reader runs itself, each
+    /// push onto a shard worker's queue, and each blocking attach's
+    /// dedicated thread.
     pub handoffs: u64,
     /// Socket writes that carried the replies.
     pub writes: u64,
@@ -577,7 +588,9 @@ impl NetServer {
         let local = listener.local_addr()?;
         let service = server.service();
         let tracer = service.tracer().cloned();
-        let exec = Executor::start(&service, tracer.clone());
+        let config = service.config();
+        let exec = (config.durable.is_some() && config.visibility == Visibility::Durable)
+            .then(|| Executor::start(&service, tracer.clone()));
         let shared = Arc::new(Shared {
             service,
             tracer,
@@ -620,7 +633,7 @@ impl NetServer {
         Arc::clone(&self.shared.service)
     }
 
-    /// Requests decoded, executor hand-offs, socket writes and stalled
+    /// Requests decoded, batches handed off, socket writes and stalled
     /// deliveries so far, over every connection.
     pub fn wire_counts(&self) -> ServerWireCounts {
         let c = &self.shared.counts;
@@ -637,7 +650,8 @@ impl NetServer {
     /// Ordering matters: shutdown begins *service-side first* (parked
     /// Basic-semantics attaches wake with [`ServiceError::ShuttingDown`]),
     /// then the accept loop stops, readers are unblocked via read-half
-    /// shutdown, the executor drains its queues, and each connection's
+    /// shutdown and run or hand off what they decoded, the executor (if
+    /// any) drains its queues, and each connection's
     /// flusher waits until every decoded request is answered and written
     /// before the socket closes — a client mid-request sees an error
     /// response, never a silently hung socket.
@@ -671,7 +685,9 @@ impl NetServer {
         // No submitter remains; drain the shard queues (queued ops still
         // execute, returning ShuttingDown from the service) and join the
         // workers.
-        self.shared.exec.stop();
+        if let Some(exec) = &self.shared.exec {
+            exec.stop();
+        }
         // A flusher exits once its reader is done and every in-flight slot
         // is free (workers stopped, blocking attaches woken by shutdown) —
         // after writing every reply the socket refused.
@@ -708,7 +724,9 @@ fn spawn_conn(shared: &Arc<Shared>, stream: TcpStream) {
         conn: conn_id,
         to: Arc::clone(&replier),
         client: None,
-        routed: shared.exec.queues.iter().map(|_| Vec::new()).collect(),
+        routed: (0..shared.exec.as_ref().map_or(1, |e| e.queues.len()))
+            .map(|_| Vec::new())
+            .collect(),
     };
     let reader = std::thread::Builder::new()
         .name(format!("terp-net-read-{conn_id}"))
@@ -743,7 +761,8 @@ struct Reader {
     to: Arc<Replier>,
     /// Set by the handshake.
     client: Option<ClientId>,
-    /// Jobs decoded and not yet handed off, by shard queue.
+    /// Jobs decoded and not yet handed off: one list per shard worker, or
+    /// the one list this reader runs itself when there are none.
     routed: Vec<Vec<Job>>,
 }
 
@@ -787,7 +806,7 @@ impl Reader {
         }
     }
 
-    /// Decodes one request and routes it: onto its shard's list, or, for an
+    /// Decodes one request and routes it: onto its batch's list, or, for an
     /// attach that may park, onto a dedicated thread.
     fn dispatch(&mut self, payload: &[u8]) -> Result<(), Fatal> {
         let (req_id, req) = Request::decode(payload).map_err(|e| (0, e))?;
@@ -836,7 +855,8 @@ impl Reader {
                 .name(format!("terp-net-attach-{}-{req_id}", self.conn))
                 .spawn(move || run_batch(&svc, tr.as_deref(), &mut vec![job]));
         } else {
-            let shard = self.shared.exec.shard_of(self.conn, &job.req);
+            let exec = self.shared.exec.as_ref();
+            let shard = exec.map_or(0, |e| e.shard_of(self.conn, &job.req));
             self.routed[shard].push(job);
         }
         Ok(())
@@ -890,13 +910,18 @@ impl Reader {
         self.to.deliver(&[(req_id, resp)]);
     }
 
-    /// Moves each shard's routed jobs onto its queue in one push.
+    /// Hands off each routed list as one batch: onto its shard worker's
+    /// queue in one push, or, without workers, run right here.
     fn hand_off(&mut self) {
         let shared = &self.shared;
-        for (queue, jobs) in shared.exec.queues.iter().zip(&mut self.routed) {
-            if !jobs.is_empty() {
-                shared.counts.handoffs.fetch_add(1, Ordering::Relaxed);
-                queue.push_all(jobs);
+        for (shard, jobs) in self.routed.iter_mut().enumerate() {
+            if jobs.is_empty() {
+                continue;
+            }
+            shared.counts.handoffs.fetch_add(1, Ordering::Relaxed);
+            match &shared.exec {
+                Some(exec) => exec.queues[shard].push_all(jobs),
+                None => run_batch(&shared.service, shared.tracer.as_deref(), jobs),
             }
         }
     }

@@ -1,10 +1,12 @@
 //! The server's hand-offs, counted by `NetServer::wire_counts()`. At depth 1
-//! every request is one hand-off to an executing thread and one socket
-//! write. A burst that arrives in one client write is handed to its shard
-//! queue in one push per socket read, runs as one batch, and is answered in
-//! fewer writes than requests. The workers write every reply themselves
-//! unless a client stops reading: then, and only then, the connection's
-//! flusher takes over, and only that connection waits.
+//! every request is one batch and one socket write. In memory, a burst that
+//! arrives in one client write is one batch, whatever shards it spans: the
+//! reader runs it itself and answers it in one write, and the server starts
+//! no shard worker. Under `visibility = durable` a burst is handed to each
+//! shard's worker in one push per socket read. The thread that ran a batch
+//! writes its replies itself unless a client stops reading: then, and only
+//! then, the connection's flusher takes over, and only that connection
+//! waits.
 
 mod common;
 
@@ -22,7 +24,7 @@ use terp_net::{
 };
 use terp_pmo::{ObjectId, OpenMode, Permission, PmoId};
 use terp_service::config::ServiceConfig;
-use terp_service::PmoServer;
+use terp_service::{PmoServer, Visibility};
 
 fn net_server() -> NetServer {
     let config = ServiceConfig::for_tests(Scheme::terp_full());
@@ -160,8 +162,110 @@ fn two_shard_server() -> NetServer {
     NetServer::start(PmoServer::start(config), "127.0.0.1:0").expect("bind loopback")
 }
 
+/// A burst of writes and reads over pools on both shards, sent in one
+/// client write, is one batch: the reader runs it and answers it in one
+/// write. (Shard workers would take one push and make one delivery per
+/// shard.)
 #[test]
-fn a_depth_32_pipeline_is_written_by_the_workers_alone() {
+fn an_in_memory_burst_across_shards_is_one_batch_and_one_write() {
+    const BURST: u64 = 16;
+    let net = two_shard_server();
+    let client = Client::connect(net.local_addr(), 8).expect("connect");
+    let objs = two_shard_objects(&net, &client, 8);
+    let (mut sock, mut dec) = raw(&net, 8);
+
+    let base = net.wire_counts();
+    let burst: Vec<(u64, Request)> = (0..BURST)
+        .map(|i| {
+            let oid = objs[i as usize % 2];
+            let req = if i < BURST / 2 {
+                Request::Write {
+                    oid,
+                    data: i.to_le_bytes().to_vec(),
+                }
+            } else {
+                Request::Read { oid, len: 8 }
+            };
+            (100 + i, req)
+        })
+        .collect();
+    send_all(&mut sock, &burst);
+    let replies = recv_n(&mut sock, &mut dec, BURST as usize);
+    assert_eq!(replies.len(), BURST as usize);
+    for (id, resp) in replies {
+        let i = id - 100;
+        let want = match i {
+            _ if i < BURST / 2 => Response::Unit,
+            // The last write to the read's object, which precedes it in
+            // the batch.
+            _ => Response::Data((BURST / 2 - 2 + i % 2).to_le_bytes().to_vec()),
+        };
+        assert_eq!(resp, want, "reply {id}");
+    }
+
+    let counts = since(base, net.wire_counts());
+    assert_eq!(
+        counts,
+        ServerWireCounts {
+            requests: BURST,
+            handoffs: 1,
+            writes: 1,
+            stalled: 0
+        }
+    );
+    drop(client);
+    net.shutdown();
+}
+
+/// Threads of this process whose name starts with `prefix`.
+fn threads_named(prefix: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("list threads")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|name| name.starts_with(prefix))
+        .count()
+}
+
+/// An in-memory server runs its batches on its readers and starts no shard
+/// worker; a `visibility = durable` server starts one per shard. (No other
+/// test in this file starts a durable server.)
+#[test]
+fn only_a_durable_server_starts_shard_workers() {
+    const WORKER: &str = "terp-net-exec-";
+    let net = two_shard_server();
+    let client = Client::connect(net.local_addr(), 9).expect("connect");
+    let objs = two_shard_objects(&net, &client, 8);
+    for oid in objs {
+        client.write(oid, &[1; 8]).expect("write");
+    }
+    assert_eq!(threads_named(WORKER), 0);
+    drop(client);
+    net.shutdown();
+
+    let dir = std::env::temp_dir().join(format!("terp-net-workers-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServiceConfig::for_tests(Scheme::terp_full())
+        .with_shards(2)
+        .with_durable(&dir)
+        .with_visibility(Visibility::Durable);
+    let server = PmoServer::try_start(config).expect("open durable store");
+    let net = NetServer::start(server, "127.0.0.1:0").expect("bind loopback");
+    // A worker names itself once it runs.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while threads_named(WORKER) < 2 {
+        assert!(Instant::now() < deadline, "the shard workers never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let client = Client::connect(net.local_addr(), 9).expect("connect");
+    client.ping().expect("ping");
+    assert_eq!(threads_named(WORKER), 2);
+    drop(client);
+    net.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_depth_32_pipeline_is_written_without_the_flusher() {
     const OPS: u64 = 20_000;
     const DEPTH: usize = 32;
     let net = two_shard_server();
@@ -195,10 +299,10 @@ fn a_depth_32_pipeline_is_written_by_the_workers_alone() {
 /// A raw connection pipelines twice the server's in-flight gate of 32 KiB
 /// reads and reads none of the replies, so its socket fills and its reader
 /// stops at the gate. Meanwhile a second client, with pools on both shards,
-/// completes its reads and writes: the workers that answered the stalled
+/// completes its reads and writes: the reader that answered the stalled
 /// connection left what its socket refused to that connection's flusher.
-/// Then the raw connection reads every reply, intact and once each. A worker
-/// that blocks on a full socket hangs this test.
+/// Then the raw connection reads every reply, intact and once each. A thread
+/// that blocks on a full socket while running a batch hangs this test.
 #[test]
 fn a_connection_that_stops_reading_stalls_only_itself() {
     watchdog(Duration::from_secs(60), || {

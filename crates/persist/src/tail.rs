@@ -26,18 +26,21 @@
 //! sequence number it returned across polls, so a stale frame of an earlier
 //! generation can never follow a newer one out of the reader.
 //!
-//! Chunks carry both decoded records (for watermark accounting) and the raw
-//! validated frame bytes (so a follower can append them verbatim and end up
-//! with a byte-identical log prefix).
+//! Chunks carry the raw validated frame bytes (so a follower can append them
+//! verbatim and end up with a byte-identical log prefix) and what a shipper
+//! reads of them: the frame count, the last sequence number (for watermark
+//! accounting) and the checkpoint marker the chunk opens with. Every frame
+//! is checksummed, sequence-checked and parsed, but no record is copied out
+//! of its frame.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use crate::error::PersistError;
-use crate::record::{first_seq, FrameDecoder, FrameStream, LogEnd, Step, WalRecord};
+use crate::record::{first_seq, FrameDecoder, FrameStream, LogEnd, Step};
 
-/// What [`TailReader::poll`] observed past the returned records.
+/// What [`TailReader::poll`] observed past the returned frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TailStatus {
     /// Every byte up to the log's clean end decoded into valid frames; the
@@ -54,17 +57,34 @@ pub enum TailStatus {
     Truncated,
 }
 
-/// One batch of tailed records: the valid frames between the reader's
+/// One batch of tailed frames: the valid frames between the reader's
 /// previous offset and the end of the log.
 #[derive(Debug)]
 pub struct TailChunk {
-    /// Newly decoded records in log order, with sequence numbers.
-    pub records: Vec<(u64, WalRecord)>,
+    /// The checkpoint marker the chunk's first frame is, as `(seq,
+    /// ckpt_len)`: what a log read from byte 0 opens with.
+    pub marker: Option<(u64, u64)>,
+    /// Sequence number of the chunk's last frame.
+    pub last_seq: Option<u64>,
+    /// Frames in the chunk.
+    pub frames: usize,
     /// The raw bytes of exactly those frames, verbatim from the file —
     /// appending them to another log reproduces the prefix byte for byte.
     pub bytes: Vec<u8>,
     /// What the reader saw past the last valid frame.
     pub status: TailStatus,
+}
+
+impl TailChunk {
+    fn empty(status: TailStatus) -> Self {
+        TailChunk {
+            marker: None,
+            last_seq: None,
+            frames: 0,
+            bytes: Vec::new(),
+            status,
+        }
+    }
 }
 
 /// Incremental reader over a live WAL file.
@@ -81,9 +101,9 @@ pub struct TailChunk {
 ///
 /// let mut tail = TailReader::new(&path);
 /// let chunk = tail.poll()?;
-/// assert_eq!(chunk.records.len(), 1);
+/// assert_eq!((chunk.frames, chunk.last_seq), (1, Some(0)));
 /// assert_eq!(chunk.status, TailStatus::CaughtUp);
-/// assert!(tail.poll()?.records.is_empty()); // nothing new
+/// assert_eq!(tail.poll()?.frames, 0); // nothing new
 /// # std::fs::remove_dir_all(&dir).ok();
 /// # Ok(())
 /// # }
@@ -118,8 +138,8 @@ impl TailReader {
 
     /// Reads and validates everything appended since the last poll.
     ///
-    /// Returns the decoded records and their raw frame bytes; the offset
-    /// advances past exactly the valid frames, so a frame that is torn in
+    /// Returns the raw bytes of the valid frames and what they hold; the
+    /// offset advances past exactly those frames, so a frame that is torn in
     /// this poll is retried whole in the next. Only real I/O failures are
     /// errors — an undecodable tail is [`TailStatus::NeedMore`] by design.
     pub fn poll(&mut self) -> Result<TailChunk, PersistError> {
@@ -128,28 +148,28 @@ impl TailReader {
             // A shard that has never logged has no file yet: empty, not an
             // error — the writer creates it on first append.
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(TailChunk {
-                    records: Vec::new(),
-                    bytes: Vec::new(),
-                    status: TailStatus::CaughtUp,
-                })
+                return Ok(TailChunk::empty(TailStatus::CaughtUp))
             }
             Err(e) => return Err(e.into()),
         };
         file.seek(SeekFrom::Start(self.offset))?;
-        let mut stream = FrameStream::new(&file, FrameDecoder::wal(self.last_seq));
-        let mut records = Vec::new();
+        let mut stream = FrameStream::new(&file, FrameDecoder::wal(self.last_seq).markers());
+        let (mut first, mut marker, mut last_seq) = (None, None, None);
         let mut bytes = Vec::new();
         let end = loop {
             match stream.next()? {
                 Step::Frame { seq, record, len } => {
-                    records.push((seq, record));
+                    if first.is_none() {
+                        first = Some(seq);
+                        marker = record.map(|ckpt_len| (seq, ckpt_len));
+                    }
+                    last_seq = Some(seq);
                     bytes.extend_from_slice(stream.frame_bytes(len));
                 }
                 Step::End(end) => break end,
             }
         };
-        let last_seq = stream.last_seq();
+        let frames = stream.frames as usize;
         // Still the log the offset belongs to? Asked after the read: a head
         // that is intact now was intact while the bytes behind it were read,
         // because a truncation zeroes from the head on.
@@ -164,19 +184,17 @@ impl TailReader {
             if !same_log {
                 // A checkpoint truncated the log out from under us.
                 *self = TailReader::new(&self.path);
-                return Ok(TailChunk {
-                    records: Vec::new(),
-                    bytes: Vec::new(),
-                    status: TailStatus::Truncated,
-                });
+                return Ok(TailChunk::empty(TailStatus::Truncated));
             }
-        } else if let Some((first, _)) = records.first() {
-            self.generation = Some(*first);
+        } else if first.is_some() {
+            self.generation = first;
         }
         self.offset += bytes.len() as u64;
-        self.last_seq = last_seq;
+        self.last_seq = last_seq.or(self.last_seq);
         Ok(TailChunk {
-            records,
+            marker,
+            last_seq,
+            frames,
             bytes,
             status: match end {
                 LogEnd::Clean => TailStatus::CaughtUp,
@@ -189,6 +207,7 @@ impl TailReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{read_log, WalRecord};
     use crate::wal::WalWriter;
     use terp_pmo::PmoId;
 
@@ -212,7 +231,7 @@ mod tests {
         let dir = temp_dir("missing");
         let mut tail = TailReader::new(&dir.join("nope.log"));
         let chunk = tail.poll().unwrap();
-        assert!(chunk.records.is_empty());
+        assert_eq!((chunk.frames, chunk.last_seq), (0, None));
         assert_eq!(chunk.status, TailStatus::CaughtUp);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -228,14 +247,14 @@ mod tests {
 
         let mut tail = TailReader::new(&path);
         let c1 = tail.poll().unwrap();
-        assert_eq!(c1.records.len(), 2);
+        assert_eq!((c1.frames, c1.last_seq), (2, Some(1)));
         assert_eq!(c1.status, TailStatus::CaughtUp);
 
         w.append(&rec(2)).unwrap();
         w.sync().unwrap();
         let c2 = tail.poll().unwrap();
-        assert_eq!(c2.records.len(), 1);
-        assert_eq!(c2.records[0].0, 2);
+        assert_eq!((c2.frames, c2.last_seq), (1, Some(2)));
+        assert_eq!(read_log(&c2.bytes).records, [(2, rec(2))]);
         // Raw bytes match the file slice exactly, and stop where the log
         // does: the reservation behind it is not the reader's to return.
         let all = std::fs::read(&path).unwrap();
@@ -256,14 +275,14 @@ mod tests {
 
         let mut tail = TailReader::new(&path);
         let c1 = tail.poll().unwrap();
-        assert!(c1.records.is_empty());
+        assert_eq!((c1.frames, c1.last_seq), (0, None));
         assert_eq!(c1.status, TailStatus::NeedMore, "torn tail is not an error");
         assert_eq!(tail.offset(), 0, "offset holds at the torn frame");
 
         // Writer finishes the frame; the retry decodes it whole.
         std::fs::write(&path, &frame).unwrap();
         let c2 = tail.poll().unwrap();
-        assert_eq!(c2.records.len(), 1);
+        assert_eq!((c2.frames, c2.last_seq), (1, Some(0)));
         assert_eq!(c2.status, TailStatus::CaughtUp);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -280,20 +299,27 @@ mod tests {
         let seq = w.append(&marker).unwrap();
         w.sync().unwrap();
         let mut tail = TailReader::new(&path);
-        assert_eq!(tail.poll().unwrap().records.len(), 5);
+        let chunk = tail.poll().unwrap();
+        assert_eq!((chunk.frames, chunk.last_seq), (5, Some(seq)));
+        assert_eq!(chunk.marker, None, "the log opens with a write");
 
         // A checkpoint's truncation: the marker again, at the head.
         w.truncate(&marker.encode(seq)).unwrap();
         let chunk = tail.poll().unwrap();
         assert_eq!(chunk.status, TailStatus::Truncated);
-        assert!(chunk.records.is_empty());
+        assert_eq!((chunk.frames, chunk.last_seq), (0, None));
         assert_eq!(tail.offset(), 0);
 
         // Post-checkpoint appends read from the top, behind the marker.
         w.append(&rec(9)).unwrap();
         w.sync().unwrap();
         let chunk = tail.poll().unwrap();
-        assert_eq!(chunk.records, [(seq, marker), (seq + 1, rec(9))]);
+        assert_eq!(chunk.marker, Some((seq, 0)));
+        assert_eq!((chunk.frames, chunk.last_seq), (2, Some(seq + 1)));
+        assert_eq!(
+            read_log(&chunk.bytes).records,
+            [(seq, marker), (seq + 1, rec(9))]
+        );
         assert_eq!(chunk.status, TailStatus::CaughtUp);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -311,7 +337,7 @@ mod tests {
         }
         w.sync().unwrap();
         let mut tail = TailReader::new(&path);
-        assert_eq!(tail.poll().unwrap().records.len(), 4);
+        assert_eq!(tail.poll().unwrap().last_seq, Some(3));
 
         w.truncate(&[]).unwrap();
         for n in 4..12 {
@@ -321,9 +347,14 @@ mod tests {
         assert!(std::fs::metadata(&path).unwrap().len() > tail.offset());
         let chunk = tail.poll().unwrap();
         assert_eq!(chunk.status, TailStatus::Truncated);
-        assert!(chunk.records.is_empty());
+        assert_eq!((chunk.frames, chunk.last_seq), (0, None));
         let chunk = tail.poll().unwrap();
-        let seqs: Vec<u64> = chunk.records.iter().map(|(seq, _)| *seq).collect();
+        assert_eq!((chunk.frames, chunk.last_seq), (8, Some(11)));
+        let seqs: Vec<u64> = read_log(&chunk.bytes)
+            .records
+            .iter()
+            .map(|(seq, _)| *seq)
+            .collect();
         assert_eq!(
             seqs,
             (4..12).collect::<Vec<_>>(),
@@ -365,10 +396,11 @@ mod tests {
             while seen.len() < total as usize {
                 let chunk = tail.poll().expect("tail poll must never error");
                 assert_ne!(chunk.status, TailStatus::Truncated);
-                for (seq, _) in &chunk.records {
-                    seen.push(*seq);
-                }
-                if chunk.records.is_empty() {
+                let records = read_log(&chunk.bytes).records;
+                assert_eq!(records.len(), chunk.frames);
+                assert_eq!(records.last().map(|(seq, _)| *seq), chunk.last_seq);
+                seen.extend(records.iter().map(|(seq, _)| *seq));
+                if chunk.frames == 0 {
                     std::thread::yield_now();
                 }
             }

@@ -346,7 +346,9 @@ fn stale_frames_behind_an_interrupted_zeroing_are_never_reached() {
             for _ in 0..3 {
                 let chunk = tail.poll().unwrap();
                 assert_ne!(chunk.status, TailStatus::Truncated, "{what}");
-                shipped.extend(chunk.records.iter().map(|(s, _)| *s));
+                let records = read_log(&chunk.bytes).records;
+                assert_eq!(records.len(), chunk.frames, "{what}");
+                shipped.extend(records.iter().map(|(s, _)| *s));
                 bytes.extend_from_slice(&chunk.bytes);
             }
             assert_eq!(shipped, seqs, "{what}: shipped");
@@ -470,7 +472,7 @@ fn intact_frames_behind_a_lost_first_sector_are_never_reached() {
         assert_eq!(report.frames_decoded, base);
         assert_eq!(store.next_seq(), base);
         let mut tail = TailReader::new(&dir.join(WAL_FILE));
-        assert_eq!(tail.poll().unwrap().records.len(), base as usize);
+        assert_eq!(tail.poll().unwrap().frames, base as usize);
         assert_eq!(tail.offset(), first as u64);
 
         // One record of the lost one's size: it ends where the survivor
@@ -488,7 +490,7 @@ fn intact_frames_behind_a_lost_first_sector_are_never_reached() {
         assert!(log.is_clean());
         for _ in 0..2 {
             let chunk = tail.poll().unwrap();
-            assert!(chunk.records.iter().all(|(s, _)| *s == base));
+            assert!(chunk.last_seq.is_none_or(|s| s == base) && chunk.frames <= 1);
             assert_eq!(chunk.status, TailStatus::CaughtUp);
         }
         assert_eq!(tail.offset(), second as u64, "shipped the new frame only");
@@ -633,7 +635,7 @@ fn tail_reader_sees_a_zeroed_head_as_truncation_and_stops_at_debris() {
     }
     w.sync().unwrap();
     let mut tail = TailReader::new(&path);
-    assert_eq!(tail.poll().unwrap().records.len(), 4);
+    assert_eq!(tail.poll().unwrap().frames, 4);
     let mid = tail.offset();
     assert_eq!(mid, 4 * FRAME as u64);
 
@@ -647,12 +649,12 @@ fn tail_reader_sees_a_zeroed_head_as_truncation_and_stops_at_debris() {
     fs::write(&path, &image).unwrap();
     let chunk = tail.poll().unwrap();
     assert_eq!(chunk.status, TailStatus::Truncated);
-    assert!(chunk.records.is_empty() && chunk.bytes.is_empty());
+    assert!(chunk.frames == 0 && chunk.bytes.is_empty());
     assert_eq!(tail.offset(), 0);
     // From the top the zeroed head is an empty log, not generation 0.
     let chunk = tail.poll().unwrap();
     assert_eq!(chunk.status, TailStatus::CaughtUp);
-    assert!(chunk.records.is_empty());
+    assert_eq!(chunk.frames, 0);
 
     // Debris behind valid frames: a cut frame, then whole frames behind it.
     let mut debris = intact.clone();
@@ -678,15 +680,12 @@ fn tail_reader_sees_a_zeroed_head_as_truncation_and_stops_at_debris() {
     fs::write(&path, &recycled).unwrap();
     let mut tail = TailReader::new(&path);
     let chunk = tail.poll().unwrap();
-    assert_eq!(
-        chunk.records.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-        [10, 11]
-    );
+    assert_eq!((chunk.frames, chunk.last_seq), (2, Some(11)));
     assert_eq!(chunk.bytes, newer);
     // …nor on the next poll, which starts at the stale frame with no
     // predecessor in hand but the one it remembers.
     let chunk = tail.poll().unwrap();
-    assert!(chunk.records.is_empty() && chunk.bytes.is_empty());
+    assert!(chunk.frames == 0 && chunk.bytes.is_empty());
     assert_eq!(tail.offset(), newer.len() as u64);
     drop(w);
     fs::remove_dir_all(&dir).unwrap();
@@ -739,7 +738,7 @@ proptest! {
         prop_assert_eq!(&cleaned[..prefix.len()], &prefix[..]);
         prop_assert!(cleaned[prefix.len()..].iter().all(|&b| b == 0));
         let mut tailer = TailReader::new(&path);
-        prop_assert_eq!(tailer.poll().unwrap().records.len(), frames);
+        prop_assert_eq!(tailer.poll().unwrap().frames, frames);
         fs::remove_dir_all(&dir).unwrap();
         prop_assert!(LARGEST.load(Ordering::Relaxed) < MAX_PAYLOAD);
     }
@@ -767,7 +766,7 @@ fn no_reader_allocates_what_a_length_field_claims() {
         assert_eq!(contents.records.len(), 3);
         assert_eq!(contents.dropped, 44);
         fs::write(&path, &image).unwrap();
-        assert_eq!(TailReader::new(&path).poll().unwrap().records.len(), 3);
+        assert_eq!(TailReader::new(&path).poll().unwrap().frames, 3);
     }
     assert!(
         LARGEST.load(Ordering::Relaxed) < MAX_PAYLOAD,

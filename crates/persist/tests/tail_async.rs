@@ -6,7 +6,9 @@
 //! survive a checkpoint truncating the log out from under it with a clean
 //! `Truncated` + restart-from-zero, not corruption.
 
-use terp_persist::{DurableStore, TailReader, TailStatus, Visibility, WalRecord, WAL_FILE};
+use terp_persist::{
+    read_log, DurableStore, TailReader, TailStatus, Visibility, WalRecord, WAL_FILE,
+};
 use terp_pmo::{OpenMode, PmoId, PmoRegistry};
 
 fn rec(n: u64) -> WalRecord {
@@ -53,8 +55,8 @@ fn tail_reader_over_live_async_writer_sees_no_errors_and_survives_truncation() {
                 .poll()
                 .expect("poll must never error under a live writer");
             assert_ne!(chunk.status, TailStatus::Truncated, "no checkpoint ran yet");
-            seen.extend(chunk.records.iter().map(|(seq, _)| *seq));
-            if chunk.records.is_empty() {
+            seen.extend(read_log(&chunk.bytes).records.iter().map(|(seq, _)| *seq));
+            if chunk.frames == 0 {
                 std::thread::yield_now();
             }
         }
@@ -82,16 +84,18 @@ fn tail_reader_over_live_async_writer_sees_no_errors_and_survives_truncation() {
 
     let chunk = tail.poll().expect("truncation is a status, not an error");
     assert_eq!(chunk.status, TailStatus::Truncated);
-    assert!(chunk.records.is_empty());
+    assert_eq!(chunk.frames, 0);
     assert_eq!(tail.offset(), 0, "reader restarts from the top");
 
     // The log from the top opens with the checkpoint's marker.
     store.log(&rec(999)).unwrap();
     store.sync().unwrap();
     let chunk = tail.poll().unwrap();
+    let (seq, _) = chunk.marker.expect("the log opens with the marker");
+    assert_eq!((chunk.frames, chunk.last_seq), (2, Some(seq + 1)));
     assert!(matches!(
-        chunk.records[..],
-        [(seq, WalRecord::Checkpoint { .. }), (next, _)] if next == seq + 1
+        read_log(&chunk.bytes).records[..],
+        [(s, WalRecord::Checkpoint { .. }), (next, _)] if s == seq && next == seq + 1
     ));
     assert_eq!(chunk.status, TailStatus::CaughtUp);
     // The shipped bytes are verbatim the post-checkpoint file prefix; what

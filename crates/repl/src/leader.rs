@@ -36,7 +36,7 @@ use std::time::Duration;
 
 use terp_net::repl::{LogFile, ReplMsg, LOG_CHUNK};
 use terp_net::{ServiceError, MAGIC, VERSION};
-use terp_persist::{first_seq, TailReader, TailStatus, WalRecord, CKPT_FILE, WAL_FILE};
+use terp_persist::{first_seq, TailReader, TailStatus, CKPT_FILE, WAL_FILE};
 
 use crate::conn::{disconnected, Conn};
 
@@ -393,25 +393,22 @@ fn feed(conn: &mut Conn, shared: &LeaderShared) -> Result<(), ServiceError> {
             // The log read from byte 0 opens with the marker of the
             // checkpoint it continues. One the follower lacks goes first,
             // and the follower's WAL then starts over with this one.
-            if offset == 0 && (feed.restart || !chunk.bytes.is_empty()) {
-                let head = match chunk.records.first() {
-                    Some(&(seq, WalRecord::Checkpoint { ckpt_len })) => Some((seq, ckpt_len)),
-                    _ => None,
-                };
-                if head.map(|(seq, _)| seq) != feed.ckpt_seq {
-                    if !ship_checkpoint(conn, shard, feed, head)? {
-                        feed.wal = TailReader::new(&feed.dir.join(WAL_FILE));
-                        continue;
-                    }
-                    feed.restart = true;
+            if offset == 0
+                && (feed.restart || !chunk.bytes.is_empty())
+                && chunk.marker.map(|(seq, _)| seq) != feed.ckpt_seq
+            {
+                if !ship_checkpoint(conn, shard, feed, chunk.marker)? {
+                    feed.wal = TailReader::new(&feed.dir.join(WAL_FILE));
+                    continue;
                 }
+                feed.restart = true;
             }
             let restarted = std::mem::take(&mut feed.restart);
             if chunk.bytes.is_empty() && !restarted {
                 continue;
             }
-            if let Some((seq, _)) = chunk.records.last() {
-                feed.last_seq = *seq;
+            if let Some(seq) = chunk.last_seq {
+                feed.last_seq = seq;
             }
             send_file(conn, shard, LogFile::Wal, offset, &chunk.bytes)?;
             // The mark follows the bytes it covers: after a (re)start, the

@@ -250,7 +250,10 @@ impl Event {
     }
 
     /// Decodes the wire layout produced by [`Event::encode_words`]. Returns
-    /// `None` on an unknown tag (e.g. an all-zero or corrupt slot).
+    /// `None` on an unknown tag (e.g. an all-zero or corrupt slot) and on
+    /// any word [`Event::encode_words`] would not have written: a value out
+    /// of its field's range, a flag other than 0 or 1, or a bit in a field
+    /// the kind does not use. What it accepts re-encodes to `words` exactly.
     pub fn decode_words(words: &[u64; EVENT_WORDS]) -> Option<Event> {
         let ts_ns = words[0];
         let packed = words[1];
@@ -299,16 +302,17 @@ impl Event {
             11 => EventKind::Unpark { token: a },
             12 => EventKind::Wakeup { token: a },
             13 => EventKind::NetRecv {
-                conn: a as u32,
+                conn: u32::try_from(a).ok()?,
                 req: b,
             },
             14 => EventKind::NetExec {
-                conn: a as u32,
+                conn: u32::try_from(a).ok()?,
                 req: b,
             },
             _ => return None,
         };
-        Some(Event { ts_ns, kind })
+        let event = Event { ts_ns, kind };
+        (event.encode_words() == *words).then_some(event)
     }
 
     /// Renders the event as one dump line (no trailing newline), e.g.
@@ -569,11 +573,31 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_words_are_refused() {
+        // An object id and a connection id past u32 would narrow to 5 and 3.
+        assert_eq!(Event::decode_words(&[1, 8, (1 << 32) | 5, 7, 0]), None);
+        assert_eq!(Event::decode_words(&[1, 13, (1 << 40) | 3, 9, 0]), None);
+        assert!(Event::decode_words(&[1, 8, 5, 7, 0]).is_some());
+        // A flag of 2, a pool id on a lock event, a word an expiry does not
+        // use, a length on an attach.
+        assert_eq!(
+            Event::decode_words(&[1, 1 | (3 << 8) | (2 << 24), 4, 0, 0]),
+            None
+        );
+        assert_eq!(Event::decode_words(&[1, 8 | (3 << 8), 5, 7, 0]), None);
+        assert_eq!(Event::decode_words(&[1, 5 | (3 << 8), 0, 0, 6]), None);
+        assert_eq!(
+            Event::decode_words(&[1, 1 | (3 << 8) | (9 << 32), 4, 0, 0]),
+            None
+        );
+    }
+
+    #[test]
     fn retired_tags_and_mnemonics_are_refused() {
         // Tags 1..=14 are live; 0 is an empty slot, and 15 and 16 (the
         // replication ship/apply events) are retired.
         for tag in 0..=16u64 {
-            let words = [1, tag | (3 << 8), 4, 5, 6];
+            let words = [1, tag, 0, 0, 0];
             let decoded = Event::decode_words(&words);
             if (1..=14).contains(&tag) {
                 let event = decoded.unwrap_or_else(|| panic!("live tag {tag} refused"));

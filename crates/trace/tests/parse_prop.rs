@@ -5,8 +5,14 @@
 //! accepts must be exactly what `Event::render_line` writes for the event
 //! it returns. An [`Event`] owns no heap memory at all, so no line can make
 //! it allocate.
+//!
+//! The ring slot decoder, `Event::decode_words`, is held to the same rule:
+//! every event's words decode back to it, and a word array it accepts —
+//! an event's words with a bit flipped, or a tag beside arbitrary words —
+//! is exactly what `Event::encode_words` writes for the event it returns.
 
 use proptest::prelude::*;
+use terp_trace::event::EVENT_WORDS;
 use terp_trace::{Event, EventKind};
 
 const MNEMONICS: [&str; 14] = [
@@ -96,8 +102,44 @@ fn refused_or_exact(line: &str) {
     }
 }
 
+/// Refused, or accepted and re-encoded to the same words.
+fn refused_or_same(words: &[u64; EVENT_WORDS]) {
+    if let Some(event) = Event::decode_words(words) {
+        assert_eq!(&event.encode_words(), words, "decoded as {event:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every event's words decode to that event.
+    #[test]
+    fn encoded_words_decode_to_their_event(seed in any::<u64>()) {
+        let rng = &mut TestRng::new(seed);
+        let event = Event { ts_ns: rng.next_u64(), kind: kind(rng) };
+        prop_assert_eq!(Event::decode_words(&event.encode_words()), Some(event));
+    }
+
+    /// An event's words with one bit flipped, and a tag (live or not)
+    /// beside words that are each zero or arbitrary: refused, or read
+    /// exactly.
+    #[test]
+    fn accepted_words_re_encode_to_themselves(seed in any::<u64>()) {
+        let rng = &mut TestRng::new(seed);
+        let mut words = Event { ts_ns: rng.next_u64(), kind: kind(rng) }.encode_words();
+        let bit = rng.below(64 * EVENT_WORDS as u64);
+        words[(bit / 64) as usize] ^= 1 << (bit % 64);
+        refused_or_same(&words);
+
+        let mut words = [0u64; EVENT_WORDS];
+        for w in &mut words {
+            if rng.below(2) == 0 {
+                *w = rng.next_u64() >> rng.below(64);
+            }
+        }
+        words[1] = (words[1] & !0xff) | rng.below(17);
+        refused_or_same(&words);
+    }
 
     /// Arbitrary text, including invalid UTF-8 made lossy.
     #[test]
