@@ -27,11 +27,13 @@
 //!
 //! ## When a request reaches the socket
 //!
-//! A request submitted while the connection owes no reply is written at
-//! once: sync calls, depth-1 loops and open-loop callers pay one socket
-//! write per request. A request submitted behind an unanswered one joins
-//! the connection's outbox instead, and the whole outbox leaves in one
-//! write as soon as
+//! The connection owes a reply from a request's submit until its ticket
+//! takes it (a [`Pending::wait`] that returns) or is dropped; a reply read
+//! but not yet taken is still owed. A request submitted while the
+//! connection owes nothing is written at once: sync calls, depth-1 loops
+//! and open-loop callers below saturation pay one socket write per request.
+//! Behind any owed reply it joins the connection's outbox instead, and the
+//! whole outbox leaves in one write as soon as
 //!
 //! * a [`Pending::wait`] on this connection is about to block, in a socket
 //!   read or a park (never on entry: replies already read are taken first),
@@ -40,34 +42,30 @@
 //! * the last [`Client`] handle is dropped (best effort, before the socket
 //!   shuts down).
 //!
-//! So a queued request is on the wire by the time its own ticket is waited
-//! on or dropped, and whenever any wait on the connection blocks. A caller
-//! that holds a ticket and blocks on something else — another connection, a
-//! channel — must wait on or drop that ticket first if what it blocks on
-//! depends on the request. [`Client::wire_counts`] shows the effect: at
-//! depth 1 writes equal requests; behind a busy pipeline they fall.
+//! So a pipeline turn costs one write, made by its first wait that blocks.
+//! A caller that holds a ticket and blocks on something else — another
+//! connection, a channel — must wait on or drop that ticket first if what
+//! it blocks on depends on the request. [`Client::wire_counts`] shows
+//! requests against writes.
 //!
-//! Reads and writes never wait on each other. When the server has stopped
-//! reading (its in-flight gate is full because the client is not reading
-//! its replies), a write can finish only after someone reads. So the thread
-//! holding the read half only try-locks the outbox, and a write the socket
-//! refuses does not block: it polls for both directions and reads the
-//! replies itself when it holds the read half or finds it free. If another
-//! thread holds it, that thread is reading. A reader that finds the outbox
-//! held does not read blind: the holder either writes everything queued,
-//! or is a submit that only queued, and that submit sends the outbox as it
-//! lets go because the reader flagged that it is about to block.
+//! Reads and writes never wait on each other: while the server's in-flight
+//! gate is full, a write finishes only after someone reads. So the holder
+//! of the read half only try-locks the outbox, and a write the socket
+//! refuses reads the replies itself, or lets the holder of the read half
+//! read them, instead of blocking. A reader that finds the outbox held
+//! flags that it is about to block, and the submit holding the outbox then
+//! sends it as it lets go.
 //!
 //! ## What a request costs between caller and socket
 //!
-//! A request is framed in place into the outbox (no payload or frame
-//! buffer of its own; one that would exceed [`crate::frame::MAX_FRAME`] is
-//! taken back out and refused). Its reply lands in a slot the ticket
-//! shares with the reply map — waiting, done or dead — decoded straight
-//! from the read buffer. A waiter parks on the slot only if the reply is
-//! not already there and another thread is reading, and the reader unparks
-//! only a parked waiter: a reply that beats its wait costs no wake-up
-//! syscall and no channel.
+//! A request [`Request::check`] passes is framed in place into the outbox
+//! and takes one entry of the connection's ticket slab, under the lock that
+//! also tells whether the connection is idle; a [`Pending`] is that entry's
+//! id and a handle on the connection. The
+//! reader decodes replies straight from its read buffer, settles all of one
+//! socket read under one lock of the slab, and unparks only waiters that
+//! parked, after letting it go. Once the slab and buffers have grown to the
+//! pipeline, a pipelined request allocates nothing.
 //!
 //! Connection death (peer reset, protocol violation, server shutdown racing
 //! a read, a failed write — the queued requests of other callers included)
@@ -77,10 +75,9 @@
 //! values" rule. The read or write that sees it settles every ticket,
 //! which unparks every parked waiter.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::Thread;
 use std::time::Duration;
@@ -101,93 +98,123 @@ fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
     }
 }
 
-/// Where one request's reply lands: whichever thread reads the reply
-/// settles it once, and the ticket's waiter parks on it only while it is
-/// still waiting.
-struct Slot(Mutex<SlotState>);
-
-enum SlotState {
-    /// No reply yet; holds the waiter once it has parked.
+/// Where a ticket stands: whichever thread reads its reply settles it once,
+/// and its waiter parks on it only while it is still waiting.
+enum State {
+    /// Not in use; listed in [`Tickets::free`].
+    Free,
+    /// No reply yet; holds the waiter while it is parked for the read half.
     Waiting(Option<Thread>),
     Done(Response),
-    /// The connection died first; [`PendingMap::dead`] says why.
+    /// The connection died first; [`Tickets::dead`] says why.
     Dead,
+    /// Dropped unwaited: freed when its reply arrives or the connection dies.
+    Dropped,
 }
 
-impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot(Mutex::new(SlotState::Waiting(None))))
-    }
-
-    /// Settles the slot, unparking its waiter if one is parked: the only
-    /// wake-up syscall a reply costs.
-    fn settle(&self, to: SlotState) {
-        if let SlotState::Waiting(Some(waiter)) = std::mem::replace(&mut *lock(&self.0), to) {
-            waiter.unpark();
-        }
-    }
-
-    fn is_settled(&self) -> bool {
-        !matches!(*lock(&self.0), SlotState::Waiting(_))
-    }
-
-    /// The reply once settled: `Some(None)` when the connection died.
-    fn take(&self) -> Option<Option<Response>> {
-        let mut st = lock(&self.0);
-        match std::mem::replace(&mut *st, SlotState::Dead) {
-            SlotState::Done(resp) => Some(Some(resp)),
-            SlotState::Dead => Some(None),
-            waiting => {
-                *st = waiting;
-                None
-            }
-        }
-    }
-
-    /// Records the calling thread as the one to unpark; false if the slot
-    /// is already settled.
-    fn register(&self) -> bool {
-        match &mut *lock(&self.0) {
-            SlotState::Waiting(waiter) => {
-                *waiter = Some(std::thread::current());
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Unparks the slot's waiter if it is still waiting; false if the slot
-    /// is settled.
-    fn wake(&self) -> bool {
-        match &*lock(&self.0) {
-            SlotState::Waiting(waiter) => {
-                if let Some(w) = waiter {
-                    w.unpark();
-                }
-                true
-            }
-            _ => false,
-        }
-    }
+struct Entry {
+    /// The high half of the entry's id, bumped each time it is freed.
+    gen: u32,
+    state: State,
 }
 
-struct PendingMap {
-    /// In-flight tickets by request id. A reader removes an entry to
-    /// settle it with its reply; connection death settles every entry left
-    /// as dead.
-    map: HashMap<u64, Arc<Slot>>,
+/// Every ticket of a connection, one slab entry each. Its id is the entry's
+/// generation above its index: unique per connection (a spent generation
+/// retires its entry), never 0 (the server's channel) and never 1 (hello).
+#[derive(Default)]
+struct Tickets {
+    slab: Vec<Entry>,
+    free: Vec<u32>,
+    /// Tickets submitted and neither taken nor dropped: the replies the
+    /// connection owes. A submit finding none writes at once.
+    owed: usize,
+    /// Waiters registered as parked for the read half: giving it up wakes
+    /// one, which is then registered no longer.
+    parked: usize,
+    /// Requests framed, for [`Client::wire_counts`].
+    requests: u64,
     /// Set once on connection death; every later submit/wait returns it.
     dead: Option<ServiceError>,
-    /// The slots of waiters that parked because another thread held the
-    /// read half: giving the half up wakes one still waiting.
-    parked: Vec<Arc<Slot>>,
-    /// Set by the holder of the read half when it found the outbox held
-    /// right before a blocking read: the submit holding it, if it only
-    /// queued, sends the outbox as soon as it lets go.
-    flush_wanted: bool,
 }
 
-/// The write half and the frames queued behind an unanswered request.
+impl Tickets {
+    /// `id`'s state while its ticket lives.
+    fn state(&mut self, id: u64) -> Option<&mut State> {
+        let e = self.slab.get_mut(id as u32 as usize)?;
+        let live = e.gen == (id >> 32) as u32 && !matches!(e.state, State::Free);
+        live.then_some(&mut e.state)
+    }
+
+    /// A new ticket: its id, and whether the connection owed nothing before
+    /// it.
+    fn open(&mut self) -> Result<(u64, bool), ServiceError> {
+        if let Some(e) = &self.dead {
+            return Err(e.clone());
+        }
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(Entry {
+                gen: 1,
+                state: State::Free,
+            });
+            u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 requests in flight")
+        });
+        let e = &mut self.slab[idx as usize];
+        e.state = State::Waiting(None);
+        self.owed += 1;
+        self.requests += 1;
+        Ok(((u64::from(e.gen) << 32) | u64::from(idx), self.owed == 1))
+    }
+
+    fn free(&mut self, idx: u32) {
+        let e = &mut self.slab[idx as usize];
+        e.state = State::Free;
+        if let Some(gen) = e.gen.checked_add(1) {
+            e.gen = gen;
+            self.free.push(idx);
+        }
+    }
+
+    /// `id`'s reply once settled, which frees its entry.
+    fn take(&mut self, id: u64) -> Option<Result<Response, ServiceError>> {
+        let state = self.state(id).expect("a ticket's entry lives until taken");
+        let reply = match std::mem::replace(state, State::Free) {
+            State::Done(resp) => Ok(resp),
+            State::Dead => Err(self.dead.clone().expect("set before any entry dies")),
+            waiting => {
+                *state = waiting;
+                return None;
+            }
+        };
+        self.owed -= 1;
+        self.free(id as u32);
+        Some(reply)
+    }
+
+    /// `id`'s ticket is gone unwaited: owed no longer, its entry awaits the reply.
+    fn drop_ticket(&mut self, id: u64) {
+        match self.state(id) {
+            Some(state @ State::Waiting(_)) => *state = State::Dropped,
+            Some(_) => self.free(id as u32),
+            None => return,
+        }
+        self.owed -= 1;
+    }
+
+    /// Every waiter wakes to a dead entry and reads `dead` for the cause.
+    fn fail_all(&mut self, err: ServiceError) {
+        self.dead.get_or_insert(err);
+        self.parked = 0;
+        for idx in 0..self.slab.len() {
+            match std::mem::replace(&mut self.slab[idx].state, State::Dead) {
+                State::Waiting(waiter) => waiter.iter().for_each(Thread::unpark),
+                State::Dropped => self.free(idx as u32),
+                other => self.slab[idx].state = other,
+            }
+        }
+    }
+}
+
+/// The write half and the frames queued behind an owed reply.
 struct Outbox {
     sock: TcpStream,
     queued: Vec<u8>,
@@ -199,68 +226,57 @@ struct Inbox {
     sock: TcpStream,
     dec: FrameDecoder,
     buf: Vec<u8>,
+    /// Waiters of replies just settled, unparked once the tickets' lock goes.
+    wake: Vec<Thread>,
 }
 
 /// What submitters and tickets share. Blocking lock order is outbox, then
-/// the pending map, then a slot; the read half is only try-locked, and its
-/// holder only try-locks the outbox ([`Wire::try_outbox`]).
+/// the tickets; the read half is only try-locked, and its holder only
+/// try-locks the outbox ([`Wire::try_outbox`]).
 struct Wire {
-    pending: Mutex<PendingMap>,
-    /// Requests submitted and not yet answered. A reader decrements it
-    /// before it settles the ticket, so the caller's next submit finds the
-    /// connection idle and writes at once.
-    owed: AtomicU64,
+    tickets: Mutex<Tickets>,
+    /// Set by the holder of the read half when it found the outbox held
+    /// right before a blocking read: the submit holding it, if it only
+    /// queued, sends the outbox as soon as it lets go.
+    flush_wanted: AtomicBool,
     out: Mutex<Outbox>,
     inbox: Mutex<Inbox>,
-    requests: AtomicU64,
     writes: AtomicU64,
 }
 
 impl Wire {
-    fn outbox(&self) -> MutexGuard<'_, Outbox> {
-        lock(&self.out)
-    }
-
-    /// Frames request `id` in place into the outbox and files `slot` for
-    /// its reply. It leaves at once when the connection owed nothing before
-    /// it, or when it fills the outbox. A request too large for a frame, or
-    /// one on a dead connection, is taken back out of the outbox.
-    fn send(&self, id: u64, req: &Request, slot: &Arc<Slot>) -> Result<(), ServiceError> {
-        let mut out = self.outbox();
-        let start = out.queued.len();
+    /// Frames `req` in place into the outbox under a new ticket and returns
+    /// its id. It leaves at once when the connection owed nothing before
+    /// it, or when it fills the outbox.
+    fn send(&self, req: &Request) -> Result<u64, ServiceError> {
+        req.check()?;
+        let mut out = lock(&self.out);
+        let (id, idle) = lock(&self.tickets).open()?;
         frame_into(&mut out.queued, |o| req.encode_into(id, o))
-            .map_err(|e| ServiceError::Protocol(format!("request refused: {e}")))?;
-        {
-            let mut p = lock(&self.pending);
-            if let Some(e) = &p.dead {
-                out.queued.truncate(start);
-                return Err(e.clone());
-            }
-            p.map.insert(id, Arc::clone(slot));
-        }
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        let idle = self.owed.fetch_add(1, Ordering::AcqRel) == 0;
+            .expect("a request `check` passes fits a frame");
         if !idle && out.queued.len() < WRITE_COALESCE {
             drop(out);
             // The holder of the read half may have found the outbox held
             // here and be blocked in a read that waits on what is queued.
-            if std::mem::take(&mut lock(&self.pending).flush_wanted) {
+            // This fence pairs with the one in `try_outbox`.
+            fence(Ordering::SeqCst);
+            if self.flush_wanted.load(Ordering::Relaxed)
+                && self.flush_wanted.swap(false, Ordering::Relaxed)
+            {
                 self.flush();
             }
-            return Ok(());
+            return Ok(id);
         }
-        let sent = self.write_out(&mut out, None);
-        drop(out);
-        if sent {
-            Ok(())
-        } else {
-            Err(self.dead())
+        if !self.write_out(&mut out, None) {
+            let _ = lock(&self.tickets).take(id);
+            return Err(self.dead());
         }
+        Ok(id)
     }
 
     /// Writes whatever is queued.
     fn flush(&self) {
-        let mut out = self.outbox();
+        let mut out = lock(&self.out);
         if !out.queued.is_empty() {
             self.write_out(&mut out, None);
         }
@@ -297,7 +313,7 @@ impl Wire {
             }
             match half.as_deref_mut().or(taken.as_mut()) {
                 Some(reader) => {
-                    if !reader.read_once() || !reader.settle_decoded() {
+                    if !reader.read_once() || reader.settle_decoded(0).is_none() {
                         break Err(self.dead());
                     }
                 }
@@ -310,7 +326,7 @@ impl Wire {
         match result {
             Ok(()) => true,
             Err(e) => {
-                self.fail_all(e);
+                lock(&self.tickets).fail_all(e);
                 false
             }
         }
@@ -324,13 +340,14 @@ impl Wire {
         if let Some(out) = try_lock(&self.out) {
             return Some(out);
         }
-        // Under the map's lock, where a queuing submit reads the flag after
-        // it lets the outbox go: either it sees the flag, or it let go
-        // before the second try below, which then cannot fail on it.
-        lock(&self.pending).flush_wanted = true;
+        // With the fence a queuing submit makes after it lets the outbox
+        // go: either it sees the flag, or it let go before the second try
+        // below, which then cannot fail on it.
+        self.flush_wanted.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
         let out = try_lock(&self.out)?;
         // This thread sends what is queued itself.
-        lock(&self.pending).flush_wanted = false;
+        self.flush_wanted.store(false, Ordering::Relaxed);
         Some(out)
     }
 
@@ -341,30 +358,27 @@ impl Wire {
         })
     }
 
-    /// Blocks until `slot` is settled: reading for every ticket while this
-    /// thread holds the read half, parked while another thread does.
-    /// `None` when the connection died.
-    fn wait_for(&self, slot: &Arc<Slot>) -> Option<Response> {
+    /// Blocks until `id` is settled and takes its reply: reading for every
+    /// ticket while this thread holds the read half, parked while another
+    /// thread does.
+    fn wait_for(&self, id: u64) -> Result<Response, ServiceError> {
         loop {
-            if let Some(settled) = slot.take() {
-                return settled;
-            }
-            // Under the map's lock, so a holder giving the read half up
-            // either is seen here or sees this waiter in `parked`.
             let half = {
-                let mut p = lock(&self.pending);
+                let mut t = lock(&self.tickets);
+                if let Some(reply) = t.take(id) {
+                    return reply;
+                }
+                // Under the tickets' lock, so a holder giving the read half
+                // up either is seen here or sees this waiter registered.
                 let half = self.try_read_half();
-                if half.is_none() {
-                    if !slot.register() {
-                        continue;
-                    }
-                    p.parked.retain(|s| !s.is_settled());
-                    p.parked.push(Arc::clone(slot));
+                if let (None, Some(State::Waiting(waiter @ None))) = (&half, t.state(id)) {
+                    *waiter = Some(std::thread::current());
+                    t.parked += 1;
                 }
                 half
             };
             match half {
-                Some(mut half) => half.read_until(slot),
+                Some(mut half) => half.read_until(id),
                 None => {
                     // Right before a park: what this thread queued may be
                     // what the holder's read is waiting on.
@@ -375,39 +389,8 @@ impl Wire {
         }
     }
 
-    /// The read half was given up: wakes one waiter still parked for it.
-    fn hand_off(&self) {
-        let mut p = lock(&self.pending);
-        while let Some(slot) = p.parked.pop() {
-            if slot.wake() {
-                break;
-            }
-        }
-    }
-
-    /// Settles reply `id`; false if no ticket is waiting for it.
-    fn settle(&self, id: u64, resp: Response) -> bool {
-        let Some(slot) = lock(&self.pending).map.remove(&id) else {
-            return false;
-        };
-        self.owed.fetch_sub(1, Ordering::AcqRel);
-        slot.settle(SlotState::Done(resp));
-        true
-    }
-
-    fn fail_all(&self, err: ServiceError) {
-        let mut p = lock(&self.pending);
-        if p.dead.is_none() {
-            p.dead = Some(err);
-        }
-        // Every waiter wakes to a dead slot and reads `dead` for the cause.
-        for (_, slot) in p.map.drain() {
-            slot.settle(SlotState::Dead);
-        }
-    }
-
     fn dead(&self) -> ServiceError {
-        lock(&self.pending)
+        lock(&self.tickets)
             .dead
             .clone()
             .unwrap_or_else(|| ServiceError::Disconnected("connection closed".to_string()))
@@ -426,7 +409,15 @@ impl Drop for ReadHalf<'_> {
         // Let go first: a waiter woken while the half is still held would
         // find it taken and park again, with no one left to wake it.
         drop(self.inbox.take());
-        self.wire.hand_off();
+        let mut t = lock(&self.wire.tickets);
+        if t.parked > 0 {
+            t.parked -= 1;
+            let parked = t.slab.iter_mut().find_map(|e| match &mut e.state {
+                State::Waiting(waiter) => waiter.take(),
+                _ => None,
+            });
+            parked.iter().for_each(Thread::unpark);
+        }
     }
 }
 
@@ -435,12 +426,12 @@ impl ReadHalf<'_> {
         self.inbox.as_mut().expect("held until dropped")
     }
 
-    /// Reads and settles every ticket's replies until `slot` is settled.
+    /// Reads and settles every ticket's replies until `id` is settled.
     /// Before each blocking read it sends what is queued, unless another
     /// thread holds the outbox: then that thread sends it.
-    fn read_until(&mut self, slot: &Slot) {
+    fn read_until(&mut self, id: u64) {
         let wire = self.wire;
-        while self.settle_decoded() && !slot.is_settled() {
+        while self.settle_decoded(id) == Some(true) {
             if let Some(mut out) = wire.try_outbox() {
                 if !out.queued.is_empty() {
                     // It may read while it writes.
@@ -471,39 +462,58 @@ impl ReadHalf<'_> {
                 Err(e) => break io_err("recv", e),
             }
         };
-        self.wire.fail_all(err);
+        lock(&self.wire.tickets).fail_all(err);
         false
     }
 
-    /// Settles every reply the decoder holds, decoding each straight from
-    /// its buffer; false, after failing every ticket, when the stream is
-    /// broken or the server reported a connection-level error.
-    fn settle_decoded(&mut self) -> bool {
+    /// Settles every reply the decoder holds, decoded straight from its
+    /// buffer, under one lock of the tickets, then unparks their parked
+    /// waiters. Whether ticket `mine` (0: none) is still waiting; `None`
+    /// once the connection is dead, failed here if the stream broke.
+    fn settle_decoded(&mut self, mine: u64) -> Option<bool> {
         let wire = self.wire;
-        let inbox = self.inbox();
+        let Inbox { dec, wake, .. } = self.inbox();
+        let mut t = lock(&wire.tickets);
         let err = loop {
-            let payload = match inbox.dec.next_frame() {
+            let payload = match dec.next_frame() {
                 Ok(Some(p)) => p,
-                Ok(None) => return true,
-                Err(e) => break ServiceError::Protocol(e.to_string()),
+                Ok(None) => break None,
+                Err(e) => break Some(ServiceError::Protocol(e.to_string())),
             };
             match Response::decode(payload) {
                 // Id 0 is the server's connection-level error channel:
                 // fatal.
-                Ok((0, Response::Err(e))) => break e,
-                Ok((0, other)) => break unexpected(&other),
-                Ok((id, resp)) => {
-                    if !wire.settle(id, resp) {
-                        break ServiceError::Protocol(format!(
-                            "response for unknown request id {id}"
-                        ));
+                Ok((0, Response::Err(e))) => break Some(e),
+                Ok((0, other)) => break Some(unexpected(&other)),
+                Ok((id, resp)) => match t.state(id) {
+                    Some(state @ State::Waiting(_)) => {
+                        if let State::Waiting(Some(waiter)) =
+                            std::mem::replace(state, State::Done(resp))
+                        {
+                            t.parked -= 1;
+                            wake.push(waiter);
+                        }
                     }
-                }
-                Err(e) => break e,
+                    Some(State::Dropped) => t.free(id as u32),
+                    _ => {
+                        break Some(ServiceError::Protocol(format!(
+                            "response for unknown request id {id}"
+                        )))
+                    }
+                },
+                Err(e) => break Some(e),
             }
         };
-        wire.fail_all(err);
-        false
+        if let Some(err) = err {
+            t.fail_all(err);
+        }
+        let waiting = t
+            .dead
+            .is_none()
+            .then(|| matches!(t.state(mine), Some(State::Waiting(_))));
+        drop(t);
+        wake.drain(..).for_each(|waiter| waiter.unpark());
+        waiting
     }
 }
 
@@ -511,7 +521,6 @@ struct Mux {
     wire: Arc<Wire>,
     /// Original stream, for shutdown on drop.
     stream: TcpStream,
-    next_id: AtomicU64,
     server_version: u16,
     server_scheme: String,
     server_shards: u16,
@@ -540,16 +549,17 @@ pub struct WireCounts {
 /// redeem with [`Pending::wait`] or a typed `wait_*` helper. Dropping it
 /// unwaited discards the response but still sends the request.
 pub struct Pending {
+    /// 0 once [`Pending::wait`] has taken the reply.
     id: u64,
-    slot: Arc<Slot>,
     wire: Arc<Wire>,
-    waited: bool,
 }
 
 impl Drop for Pending {
     fn drop(&mut self) {
-        // Its request may still be in the outbox, and nobody will wait for it.
-        if !self.waited {
+        if self.id != 0 {
+            lock(&self.wire.tickets).drop_ticket(self.id);
+            // Its request may still be in the outbox, and nobody will wait
+            // for it.
             self.wire.flush();
         }
     }
@@ -567,11 +577,11 @@ impl Pending {
     /// has queued before it blocks. A [`Response::Err`] becomes the `Err`
     /// branch, so protocol- and service-level failures read the same.
     pub fn wait(mut self) -> Result<Response, ServiceError> {
-        self.waited = true;
-        match self.wire.wait_for(&self.slot) {
-            Some(Response::Err(e)) => Err(e),
-            Some(r) => Ok(r),
-            None => Err(self.wire.dead()),
+        let reply = self.wire.wait_for(self.id);
+        self.id = 0;
+        match reply? {
+            Response::Err(e) => Err(e),
+            r => Ok(r),
         }
     }
 
@@ -696,13 +706,8 @@ impl Client {
         Ok(Client {
             mux: Arc::new(Mux {
                 wire: Arc::new(Wire {
-                    pending: Mutex::new(PendingMap {
-                        map: HashMap::new(),
-                        dead: None,
-                        parked: Vec::new(),
-                        flush_wanted: false,
-                    }),
-                    owed: AtomicU64::new(0),
+                    tickets: Mutex::default(),
+                    flush_wanted: AtomicBool::new(false),
                     out: Mutex::new(Outbox {
                         sock: write,
                         queued: Vec::new(),
@@ -711,12 +716,11 @@ impl Client {
                         sock: handshake,
                         dec,
                         buf: vec![0; 16 * 1024],
+                        wake: Vec::new(),
                     }),
-                    requests: AtomicU64::new(0),
                     writes: AtomicU64::new(0),
                 }),
                 stream,
-                next_id: AtomicU64::new(2),
                 server_version,
                 server_scheme,
                 server_shards,
@@ -744,30 +748,26 @@ impl Client {
     pub fn wire_counts(&self) -> WireCounts {
         let wire = &self.mux.wire;
         WireCounts {
-            requests: wire.requests.load(Ordering::Relaxed),
+            requests: lock(&wire.tickets).requests,
             writes: wire.writes.load(Ordering::Relaxed),
         }
     }
 
     /// Submits a raw request without waiting: written at once on an idle
-    /// connection, queued behind an unanswered request otherwise (see the
-    /// module doc for when it leaves). Prefer the typed wrappers.
+    /// connection, queued behind an owed reply otherwise (see the module
+    /// doc for when it leaves). Prefer the typed wrappers.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Disconnected`] when the connection is already dead or
-    /// the write this submit issued fails; [`ServiceError::Protocol`] for an
-    /// oversized request.
+    /// the write this submit issued fails; [`ServiceError::Protocol`] for a
+    /// request [`Request::check`] refuses or one too large for a frame.
     pub fn submit(&self, req: Request) -> Result<Pending, ServiceError> {
-        let id = self.mux.next_id.fetch_add(1, Ordering::Relaxed);
         let wire = &self.mux.wire;
-        let slot = Slot::new();
-        wire.send(id, &req, &slot)?;
+        let id = wire.send(&req)?;
         Ok(Pending {
             id,
-            slot,
             wire: Arc::clone(wire),
-            waited: false,
         })
     }
 

@@ -6,9 +6,9 @@
 //! [kind: u8] [req_id: u64 LE] [body...]
 //! ```
 //!
-//! Request ids are assigned by the client, strictly increasing per
-//! connection, and echoed verbatim in the matching response — that is the
-//! whole pipelining contract. The server may complete requests *out of
+//! Request ids are assigned by the client, unique per connection and never
+//! 0, and echoed verbatim in the matching response — that is the whole
+//! pipelining contract. The server may complete requests *out of
 //! order* (a Basic-semantics attach that blocks on an exposure window must
 //! not head-of-line-block later ops on the same connection), so clients
 //! match responses by id, never by position.
@@ -18,13 +18,23 @@
 //! as. Any other first message — or a magic/version mismatch — is a
 //! protocol error and the server closes the stream.
 //!
-//! Every decode is bounds-checked and total: malformed bodies produce
-//! [`ServiceError::Protocol`], never a panic, and trailing bytes after a
-//! well-formed body are rejected (they would mean a framing bug).
+//! Every decode is bounds-checked, total and exact: malformed bodies produce
+//! [`ServiceError::Protocol`], never a panic; trailing bytes after a
+//! well-formed body are rejected (they would mean a framing bug); and so is
+//! any field the decoded value would not encode back the same way, so a
+//! payload either decodes to a value that re-encodes to it or is refused.
+//! The one encoding that is not exact is on the sending side: a string's
+//! length travels as a `u16`, so a pool name longer than [`MAX_STRING`] is
+//! refused before it is framed ([`Request::check`]), and only a message the
+//! server composes itself is cut, at a character boundary.
+
+use std::borrow::Cow;
 
 use terp_persist::{ReadError, Reader};
 use terp_pmo::{AccessKind, ObjectId, OpenMode, Permission, PmoId};
 use terp_service::{ClientId, ServiceError};
+
+use crate::frame::MAX_FRAME;
 
 /// Protocol magic, first field of the hello body (`"TERP"` little-endian).
 pub const MAGIC: u32 = 0x5052_4554;
@@ -33,9 +43,13 @@ pub const MAGIC: u32 = 0x5052_4554;
 /// server refuses hellos carrying a different version.
 pub const VERSION: u16 = 1;
 
+/// Longest string a message carries, in bytes: its length travels as a
+/// `u16`.
+pub const MAX_STRING: usize = u16::MAX as usize;
+
 /// Cap on one read's requested length: the response data must fit a frame
 /// alongside its header.
-pub const MAX_READ: u32 = (crate::frame::MAX_FRAME - 64) as u32;
+pub const MAX_READ: u32 = (MAX_FRAME - 64) as u32;
 
 // Request kinds.
 const K_HELLO: u8 = 0x01;
@@ -212,11 +226,21 @@ fn get_string(r: &mut Reader<'_>) -> Result<String, Malformed> {
     String::from_utf8(bytes.to_vec()).map_err(|_| bad("non-UTF-8 string on the wire"))
 }
 
+/// A `u16`-length-prefixed string of at most [`MAX_STRING`] bytes.
 fn put_string(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(u16::MAX as usize);
-    out.extend_from_slice(&(len as u16).to_le_bytes());
-    out.extend_from_slice(&bytes[..len]);
+    let len = u16::try_from(s.len()).expect("names are checked and texts clipped to MAX_STRING");
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Text the server composes — an error message, its scheme tag — cut to
+/// [`MAX_STRING`] bytes at a character boundary, so it still decodes.
+fn clip(s: &str) -> &str {
+    let mut end = s.len().min(MAX_STRING);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    &s[..end]
 }
 
 fn mode_byte(mode: OpenMode) -> u8 {
@@ -267,7 +291,40 @@ fn kind_from(b: u8) -> Result<AccessKind, Malformed> {
 }
 
 impl Request {
+    /// Refuses a request the server would not take as it stands: a pool
+    /// name over [`MAX_STRING`] bytes, which no message can carry whole, a
+    /// write too large for one frame, or a read over [`MAX_READ`], which
+    /// the server's decoder refuses as a fatal protocol error.
+    /// [`crate::Client::submit`] checks before it frames.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Protocol`] naming the field.
+    pub fn check(&self) -> Result<(), ServiceError> {
+        match self {
+            Request::CreatePool { name, .. } if name.len() > MAX_STRING => {
+                Err(ServiceError::Protocol(format!(
+                    "pool name of {} bytes exceeds {MAX_STRING}",
+                    name.len()
+                )))
+            }
+            // Kind, request id and object id ahead of the data.
+            Request::Write { data, .. } if 17 + data.len() > MAX_FRAME => Err(
+                ServiceError::Protocol(format!("write of {} bytes exceeds a frame", data.len())),
+            ),
+            Request::Read { len, .. } if *len > MAX_READ => Err(ServiceError::Protocol(format!(
+                "read length {len} exceeds {MAX_READ}"
+            ))),
+            _ => Ok(()),
+        }
+    }
+
     /// Serializes the request as one frame payload.
+    ///
+    /// # Panics
+    ///
+    /// On a pool name [`Request::check`] refuses: it cannot be encoded
+    /// whole, and it is never truncated.
     pub fn encode(&self, req_id: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
         self.encode_into(req_id, &mut out);
@@ -276,6 +333,10 @@ impl Request {
 
     /// [`Request::encode`] appended to `out`: with
     /// [`crate::frame::frame_into`], a request framed in place.
+    ///
+    /// # Panics
+    ///
+    /// As [`Request::encode`].
     pub fn encode_into(&self, req_id: u64, out: &mut Vec<u8>) {
         let kind = match self {
             Request::Hello { .. } => K_HELLO,
@@ -383,39 +444,42 @@ impl Request {
     }
 }
 
-fn encode_err(out: &mut Vec<u8>, e: &ServiceError) {
-    let (code, a, b, msg) = match e {
-        ServiceError::UnknownPmo(p) => (E_UNKNOWN_PMO, u64::from(p.raw()), 0, String::new()),
+/// An error body's fields: code, two words and a message.
+fn err_fields(e: &ServiceError) -> (u16, u64, u64, Cow<'_, str>) {
+    let none = Cow::Borrowed("");
+    match e {
+        ServiceError::UnknownPmo(p) => (E_UNKNOWN_PMO, u64::from(p.raw()), 0, none),
         ServiceError::AlreadyAttached { client, pmo } => (
             E_ALREADY_ATTACHED,
             *client as u64,
             u64::from(pmo.raw()),
-            String::new(),
+            none,
         ),
-        ServiceError::NotAttached { client, pmo } => (
-            E_NOT_ATTACHED,
-            *client as u64,
-            u64::from(pmo.raw()),
-            String::new(),
-        ),
+        ServiceError::NotAttached { client, pmo } => {
+            (E_NOT_ATTACHED, *client as u64, u64::from(pmo.raw()), none)
+        }
         ServiceError::PermissionDenied { client, pmo, kind } => (
             E_PERMISSION,
             *client as u64,
             u64::from(pmo.raw()) | (u64::from(kind_byte(*kind)) << 32),
-            String::new(),
+            none,
         ),
-        ServiceError::ShuttingDown => (E_SHUTTING_DOWN, 0, 0, String::new()),
-        ServiceError::Substrate(e) => (E_SUBSTRATE, 0, 0, e.to_string()),
-        ServiceError::RemoteSubstrate(msg) => (E_SUBSTRATE, 0, 0, msg.clone()),
-        ServiceError::Persist(msg) => (E_PERSIST, 0, 0, msg.clone()),
-        ServiceError::Protocol(msg) => (E_PROTOCOL, 0, 0, msg.clone()),
-        ServiceError::Disconnected(msg) => (E_DISCONNECTED, 0, 0, msg.clone()),
-        ServiceError::ReadOnly => (E_READ_ONLY, 0, 0, String::new()),
-    };
+        ServiceError::ShuttingDown => (E_SHUTTING_DOWN, 0, 0, none),
+        ServiceError::Substrate(e) => (E_SUBSTRATE, 0, 0, Cow::Owned(e.to_string())),
+        ServiceError::RemoteSubstrate(msg) => (E_SUBSTRATE, 0, 0, Cow::Borrowed(msg)),
+        ServiceError::Persist(msg) => (E_PERSIST, 0, 0, Cow::Borrowed(msg)),
+        ServiceError::Protocol(msg) => (E_PROTOCOL, 0, 0, Cow::Borrowed(msg)),
+        ServiceError::Disconnected(msg) => (E_DISCONNECTED, 0, 0, Cow::Borrowed(msg)),
+        ServiceError::ReadOnly => (E_READ_ONLY, 0, 0, none),
+    }
+}
+
+fn encode_err(out: &mut Vec<u8>, e: &ServiceError) {
+    let (code, a, b, msg) = err_fields(e);
     out.extend_from_slice(&code.to_le_bytes());
     out.extend_from_slice(&a.to_le_bytes());
     out.extend_from_slice(&b.to_le_bytes());
-    put_string(out, &msg);
+    put_string(out, clip(&msg));
 }
 
 fn decode_err(r: &mut Reader<'_>) -> Result<ServiceError, Malformed> {
@@ -423,23 +487,29 @@ fn decode_err(r: &mut Reader<'_>) -> Result<ServiceError, Malformed> {
     let a = r.u64()?;
     let b = r.u64()?;
     let msg = get_string(r)?;
+    let msg_len = msg.len();
     let wire_pmo = |raw: u64| {
-        PmoId::new(raw as u16).ok_or_else(|| bad(format!("invalid pool id {raw} in error body")))
+        u16::try_from(raw)
+            .ok()
+            .and_then(PmoId::new)
+            .ok_or_else(|| bad(format!("invalid pool id {raw} in error body")))
     };
-    Ok(match code {
+    let client =
+        |raw: u64| ClientId::try_from(raw).map_err(|_| bad(format!("invalid client id {raw}")));
+    let e = match code {
         E_UNKNOWN_PMO => ServiceError::UnknownPmo(wire_pmo(a)?),
         E_ALREADY_ATTACHED => ServiceError::AlreadyAttached {
-            client: a as ClientId,
+            client: client(a)?,
             pmo: wire_pmo(b)?,
         },
         E_NOT_ATTACHED => ServiceError::NotAttached {
-            client: a as ClientId,
+            client: client(a)?,
             pmo: wire_pmo(b)?,
         },
         E_PERMISSION => ServiceError::PermissionDenied {
-            client: a as ClientId,
+            client: client(a)?,
             pmo: wire_pmo(b & 0xFFFF_FFFF)?,
-            kind: kind_from((b >> 32) as u8)?,
+            kind: kind_from(u8::try_from(b >> 32).map_err(|_| bad("invalid access kind"))?)?,
         },
         E_SHUTTING_DOWN => ServiceError::ShuttingDown,
         E_SUBSTRATE => ServiceError::RemoteSubstrate(msg),
@@ -448,7 +518,16 @@ fn decode_err(r: &mut Reader<'_>) -> Result<ServiceError, Malformed> {
         E_DISCONNECTED => ServiceError::Disconnected(msg),
         E_READ_ONLY => ServiceError::ReadOnly,
         other => return Err(bad(format!("unknown error code {other}"))),
-    })
+    };
+    // Exact: a word or message the code does not carry, or bits beside a
+    // field, would not encode back.
+    let (_, ea, eb, emsg) = err_fields(&e);
+    if (ea, eb, emsg.len()) != (a, b, msg_len) {
+        return Err(bad(format!(
+            "error code {code} with fields it does not carry"
+        )));
+    }
+    Ok(e)
 }
 
 impl Response {
@@ -486,7 +565,7 @@ impl Response {
             } => {
                 out.extend_from_slice(&version.to_le_bytes());
                 out.extend_from_slice(&shards.to_le_bytes());
-                put_string(out, scheme);
+                put_string(out, clip(scheme));
             }
             Response::Err(e) => encode_err(out, e),
         }
@@ -686,5 +765,112 @@ mod tests {
             Request::decode(&wire),
             Err(ServiceError::Protocol(_))
         ));
+    }
+
+    /// An error body `(code, a, b, msg)` as the wire carries it.
+    fn err_body(code: u16, a: u64, b: u64, msg: &str) -> Vec<u8> {
+        let mut wire = vec![K_ERR];
+        wire.extend_from_slice(&3u64.to_le_bytes());
+        wire.extend_from_slice(&code.to_le_bytes());
+        wire.extend_from_slice(&a.to_le_bytes());
+        wire.extend_from_slice(&b.to_le_bytes());
+        put_string(&mut wire, msg);
+        wire
+    }
+
+    #[test]
+    fn error_bodies_decode_exactly_or_refuse() {
+        assert_eq!(
+            Response::decode(&err_body(E_UNKNOWN_PMO, 5, 0, "")).unwrap(),
+            (3, Response::Err(ServiceError::UnknownPmo(pmo(5))))
+        );
+        let permission = 9 | (1 << 32);
+        assert_eq!(
+            Response::decode(&err_body(E_PERMISSION, 2, permission, "")).unwrap(),
+            (
+                3,
+                Response::Err(ServiceError::PermissionDenied {
+                    client: 2,
+                    pmo: pmo(9),
+                    kind: AccessKind::Write,
+                })
+            )
+        );
+        for (code, a, b, msg) in [
+            // A pool id past a `u16`, which a narrowing cast would read as 5.
+            (E_UNKNOWN_PMO, (1 << 16) | 5, 0, ""),
+            (E_NOT_ATTACHED, 1, (1 << 16) | 5, ""),
+            // Bits between the pool id and the access kind, or above it.
+            (E_PERMISSION, 2, permission | (1 << 20), ""),
+            (E_PERMISSION, 2, permission | (1 << 48), ""),
+            // Words and messages the code does not carry.
+            (E_UNKNOWN_PMO, 5, 1, ""),
+            (E_SHUTTING_DOWN, 1, 0, ""),
+            (E_READ_ONLY, 0, 0, "stray"),
+            (E_ALREADY_ATTACHED, 1, 5, "stray"),
+            (E_PERSIST, 0, 7, "wal"),
+        ] {
+            assert!(
+                matches!(
+                    Response::decode(&err_body(code, a, b, msg)),
+                    Err(ServiceError::Protocol(_))
+                ),
+                "code {code}, words {a:#x} {b:#x}, message {msg:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_oversized_name_is_refused_before_it_is_framed() {
+        for name in ["n".repeat(70_000), "é".repeat(40_000)] {
+            let req = Request::CreatePool {
+                name,
+                size: 1 << 12,
+                mode: OpenMode::ReadWrite,
+            };
+            assert!(matches!(req.check(), Err(ServiceError::Protocol(_))));
+        }
+        let longest = Request::CreatePool {
+            name: "é".repeat(MAX_STRING / 2) + "a",
+            size: 1 << 12,
+            mode: OpenMode::ReadWrite,
+        };
+        assert!(longest.check().is_ok());
+        assert_eq!(Request::decode(&longest.encode(2)).unwrap(), (2, longest));
+        let read = |len| Request::Read {
+            oid: ObjectId::new(pmo(1), 0),
+            len,
+        };
+        let write = |len| Request::Write {
+            oid: ObjectId::new(pmo(1), 0),
+            data: vec![7; len],
+        };
+        let largest = write(MAX_FRAME - 17);
+        assert!(largest.check().is_ok());
+        assert_eq!(largest.encode(2).len(), MAX_FRAME);
+        assert!(matches!(
+            write(MAX_FRAME - 16).check(),
+            Err(ServiceError::Protocol(_))
+        ));
+        assert!(read(MAX_READ).check().is_ok());
+        assert!(matches!(
+            read(MAX_READ + 1).check(),
+            Err(ServiceError::Protocol(_))
+        ));
+    }
+
+    /// A message the server composes — here one quoting a name as long as
+    /// a message carries — is cut at a character boundary, so it decodes.
+    #[test]
+    fn an_overlong_message_is_cut_at_a_character_boundary() {
+        let msg = "é".repeat(MAX_STRING);
+        let wire = Response::Err(ServiceError::Persist(msg.clone())).encode(4);
+        match Response::decode(&wire).unwrap() {
+            (4, Response::Err(ServiceError::Persist(cut))) => {
+                assert_eq!(cut.len(), MAX_STRING - 1);
+                assert!(msg.starts_with(&cut));
+            }
+            other => panic!("{other:?}"),
+        }
     }
 }

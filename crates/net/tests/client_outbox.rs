@@ -1,12 +1,13 @@
 //! The client's outbox. A request submitted on an idle connection is
-//! written at once; one submitted behind an unanswered request is queued
-//! and leaves with the rest of the outbox in one write when a wait would
-//! block, a ticket is dropped unwaited, 64 KiB are queued or the last handle
-//! goes. The connection has no reader thread: a waiting caller reads for
-//! everyone. A reader never blocks on the outbox, and a write the socket
-//! refuses reads while it waits, so a pipeline deeper than the server's
-//! in-flight gate cannot deadlock it. Requests are framed in place, so one
-//! too large for a frame is taken back out.
+//! written at once; one submitted behind an owed reply — one whose ticket
+//! has not taken it yet, read or not — is queued and leaves with the rest
+//! of the outbox in one write when a wait would block, a ticket is dropped
+//! unwaited, 64 KiB are queued or the last handle goes. The connection has
+//! no reader thread: a waiting caller reads for everyone. A reader never
+//! blocks on the outbox, and a write the socket refuses reads while it
+//! waits, so a pipeline deeper than the server's in-flight gate cannot
+//! deadlock it. Requests are framed in place, so one too large for a frame
+//! is refused before it reaches the outbox.
 
 mod common;
 
@@ -21,8 +22,8 @@ use common::watchdog;
 use terp_core::Scheme;
 use terp_net::server::MAX_INFLIGHT;
 use terp_net::{
-    encode_frame, Client, FrameDecoder, NetServer, Pending, Response, ServiceError, WireCounts,
-    MAX_FRAME, VERSION,
+    encode_frame, Client, FrameDecoder, NetServer, Pending, Request, Response, ServiceError,
+    WireCounts, MAX_FRAME, VERSION,
 };
 use terp_pmo::{ObjectId, OpenMode, Permission, PmoId};
 use terp_service::config::ServiceConfig;
@@ -141,8 +142,8 @@ fn depth_one_writes_each_request_as_it_is_submitted() {
     let client = Client::connect(net.local_addr(), 7).expect("connect");
     for n in 1..=50 {
         let ticket = client.ping_pipelined().expect("submit");
-        // The reply to the previous ping was counted off before its waiter
-        // woke, so this one found the connection idle.
+        // The previous ping's reply was taken by its wait, so this one
+        // found the connection idle.
         assert_eq!(
             client.wire_counts(),
             WireCounts {
@@ -153,6 +154,71 @@ fn depth_one_writes_each_request_as_it_is_submitted() {
         ticket.wait_unit().expect("ping");
     }
     net.shutdown();
+}
+
+/// A reply that was read but not taken is still owed. t2's wait reads
+/// both replies, so t1 is settled but not taken: t3 and t4 then queue, and
+/// leave together when t3's wait blocks. The turn costs one write, where
+/// writing t3 at once because nothing was unread cost two.
+#[test]
+fn a_settled_reply_not_yet_taken_keeps_the_next_submits_queued() {
+    watchdog(Duration::from_secs(60), || {
+        let net = net_server(Scheme::terp_full());
+        let client = Client::connect(net.local_addr(), 7).expect("connect");
+        let base = client.wire_counts().writes;
+        let t1 = client.ping_pipelined().expect("submit t1");
+        let t2 = client.ping_pipelined().expect("submit t2");
+        t2.wait_unit().expect("t2, read with t1's reply");
+        assert_eq!(client.wire_counts().writes, base + 2);
+        let t3 = client.ping_pipelined().expect("submit t3");
+        let t4 = client.ping_pipelined().expect("submit t4");
+        assert_eq!(
+            client.wire_counts().writes,
+            base + 2,
+            "t1 is settled but not taken, so t3 and t4 queue"
+        );
+        t1.wait_unit().expect("t1, already read");
+        t3.wait_unit().expect("t3");
+        t4.wait_unit().expect("t4");
+        assert_eq!(
+            client.wire_counts(),
+            WireCounts {
+                requests: 4,
+                writes: base + 3
+            }
+        );
+        net.shutdown();
+    });
+}
+
+/// The owed reply that keeps a submit queued may belong to another thread,
+/// which holds its settled ticket without taking it. The submit's own wait
+/// still gets the request out: it flushes before it blocks.
+#[test]
+fn a_settled_ticket_another_thread_holds_does_not_stall_a_submit() {
+    watchdog(Duration::from_secs(60), || {
+        let net = net_server(Scheme::terp_full());
+        let client = Client::connect(net.local_addr(), 7).expect("connect");
+        let held = client.ping_pipelined().expect("submit the held ticket");
+        // Queued behind `held`; its wait sends it and reads both replies.
+        client
+            .ping_pipelined()
+            .expect("submit")
+            .wait_unit()
+            .expect("ping");
+        let writes = client.wire_counts().writes;
+        let other = client.clone();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let ticket = other.ping_pipelined().expect("submit");
+                assert_eq!(other.wire_counts().writes, writes, "queued, not sent");
+                ticket.wait_unit().expect("the blocking wait sent it");
+                assert_eq!(other.wire_counts().writes, writes + 1);
+            });
+        });
+        held.wait_unit().expect("the held ping");
+        net.shutdown();
+    });
 }
 
 #[test]
@@ -197,10 +263,10 @@ fn behind_a_parked_attach_a_hundred_pings_and_one_wait_are_one_write() {
     p.release();
 }
 
-/// A request too large for one frame is framed in place into the outbox,
-/// so refusing it must take it back out: behind a queued ping, the refusal
-/// leaves the counts as they were, the ping goes out whole, and the next
-/// request round-trips.
+/// A request too large for one frame must never reach the outbox, where
+/// requests are framed in place: behind a queued ping, the refusal leaves
+/// the counts as they were, the ping goes out whole, and the next request
+/// round-trips.
 #[test]
 fn an_oversized_request_is_refused_and_leaves_the_outbox_as_it_was() {
     let p = parked();
@@ -568,6 +634,70 @@ fn a_close_with_every_request_unanswered_reaches_every_waiter() {
                 matches!(verdict, Err(ServiceError::Disconnected(_))),
                 "{verdict:?}"
             );
+        }
+    });
+}
+
+/// A reply for an id no live ticket holds — a second reply to an id
+/// already answered, or an id never issued — is a protocol violation: the
+/// connection dies with `Protocol`, and a ticket still waiting gets it. The
+/// ticket answered first still gets its own reply.
+#[test]
+fn a_reply_for_a_stale_or_unknown_id_is_fatal() {
+    watchdog(Duration::from_secs(60), || {
+        for stale in [true, false] {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+            let addr = listener.local_addr().expect("address");
+            let peer = std::thread::spawn(move || {
+                let (mut sock, _) = listener.accept().expect("accept");
+                let mut dec = FrameDecoder::new();
+                let mut buf = [0u8; 4096];
+                let mut ids = Vec::new();
+                // The hello, then the two pings.
+                while ids.len() < 3 {
+                    while let Some(payload) = dec.next_frame().expect("clean stream") {
+                        ids.push(Request::decode(payload).expect("a request").0);
+                        if ids.len() == 1 {
+                            let hello = Response::Hello {
+                                version: VERSION,
+                                scheme: "TT".to_string(),
+                                shards: 1,
+                            };
+                            sock.write_all(&encode_frame(&hello.encode(1)))
+                                .expect("answer the hello");
+                        }
+                    }
+                    if ids.len() < 3 {
+                        let n = sock.read(&mut buf).expect("read requests");
+                        assert!(n > 0, "client closed early");
+                        dec.push(&buf[..n]);
+                    }
+                }
+                let (first, second) = (ids[1], ids[2]);
+                let bogus = if stale {
+                    first
+                } else {
+                    first ^ second ^ (1 << 40)
+                };
+                assert!(bogus != second);
+                let mut out = encode_frame(&Response::Unit.encode(first));
+                out.extend_from_slice(&encode_frame(&Response::Unit.encode(bogus)));
+                sock.write_all(&out).expect("answer");
+                // Hold the socket open until the client lets go.
+                while sock.read(&mut buf).is_ok_and(|n| n > 0) {}
+            });
+            let client = Client::connect(addr, 3).expect("connect");
+            let first = client.ping_pipelined().expect("submit");
+            let second = client.ping_pipelined().expect("submit");
+            first.wait_unit().expect("the first reply is its own");
+            let verdict = second.wait();
+            assert!(
+                matches!(verdict, Err(ServiceError::Protocol(_))),
+                "stale {stale}: {verdict:?}"
+            );
+            assert!(matches!(client.ping(), Err(ServiceError::Protocol(_))));
+            drop(client);
+            peer.join().expect("peer");
         }
     });
 }

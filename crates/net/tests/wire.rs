@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use terp_core::Scheme;
+use terp_net::proto::MAX_STRING;
 use terp_net::{Client, NetServer, ServiceError};
 use terp_persist::{read_log, WalRecord, WAL_FILE};
 use terp_pmo::{ObjectId, OpenMode, Permission};
@@ -180,6 +181,40 @@ fn protocol_violations_are_connection_fatal_and_typed() {
     // A well-behaved client on the same server still works.
     let client = Client::connect(addr, 9).expect("connect");
     client.ping().expect("healthy connection unaffected");
+    net.shutdown();
+}
+
+/// A pool name crosses the wire whole or not at all. One no message can
+/// carry is refused before it is framed, and nothing is created under a
+/// cut-down name. The longest that fits arrives whole, and the server's
+/// refusal of a duplicate, which quotes it and so is longer than a message
+/// carries, arrives cut at a character boundary on a live connection.
+#[test]
+fn pool_names_cross_the_wire_whole_or_not_at_all() {
+    let net = net_server(Scheme::terp_full());
+    let client = Client::connect(net.local_addr(), 7).expect("connect");
+    let rw = OpenMode::ReadWrite;
+    for name in ["n".repeat(70_000), "é".repeat(40_000)] {
+        assert!(matches!(
+            client.create_pool(&name, 1 << 12, rw),
+            Err(ServiceError::Protocol(_))
+        ));
+    }
+    assert_eq!(client.wire_counts().requests, 0, "refused before framing");
+    client
+        .create_pool(&"n".repeat(MAX_STRING), 1 << 12, rw)
+        .expect("no pool was created under the first name cut short");
+    let longest = "é".repeat(MAX_STRING / 2) + "a";
+    client
+        .create_pool(&longest, 1 << 12, rw)
+        .expect("the longest name");
+    match client.create_pool(&longest, 1 << 12, rw) {
+        Err(ServiceError::RemoteSubstrate(msg)) => {
+            assert!(msg.len() <= MAX_STRING && msg.contains("éé"), "{msg}")
+        }
+        other => panic!("a duplicate name: {other:?}"),
+    }
+    client.ping().expect("the connection is alive");
     net.shutdown();
 }
 
