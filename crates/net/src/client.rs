@@ -61,10 +61,10 @@
 //! A request [`Request::check`] passes is framed in place into the outbox
 //! and takes one entry of the connection's ticket slab, under the lock that
 //! also tells whether the connection is idle; a [`Pending`] is that entry's
-//! id and a handle on the connection. The
-//! reader decodes replies straight from its read buffer, settles all of one
-//! socket read under one lock of the slab, and unparks only waiters that
-//! parked, after letting it go. Once the slab and buffers have grown to the
+//! id and a handle on the connection. The reader reads each chunk straight
+//! into its frame decoder and decodes replies where they lie, settles all
+//! of one socket read under one lock of the slab, and unparks only waiters
+//! that parked, after letting it go. Once the slab and buffers have grown to the
 //! pipeline, a pipelined request allocates nothing.
 //!
 //! Connection death (peer reset, protocol violation, server shutdown racing
@@ -75,7 +75,7 @@
 //! values" rule. The read or write that sees it settles every ticket,
 //! which unparks every parked waiter.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
@@ -220,12 +220,11 @@ struct Outbox {
     queued: Vec<u8>,
 }
 
-/// The read half: the socket, the decoder and its read buffer. Only ever
+/// The read half: the socket and the decoder it reads into. Only ever
 /// try-locked; whoever holds it reads for every ticket.
 struct Inbox {
     sock: TcpStream,
     dec: FrameDecoder,
-    buf: Vec<u8>,
     /// Waiters of replies just settled, unparked once the tickets' lock goes.
     wake: Vec<Thread>,
 }
@@ -448,19 +447,11 @@ impl ReadHalf<'_> {
     /// One socket read into the decoder; false, after failing every
     /// ticket, when the connection is gone.
     fn read_once(&mut self) -> bool {
-        let inbox = self.inbox();
-        let err = loop {
-            match inbox.sock.read(&mut inbox.buf) {
-                Ok(0) => {
-                    break ServiceError::Disconnected("server closed the connection".to_string())
-                }
-                Ok(n) => {
-                    inbox.dec.push(&inbox.buf[..n]);
-                    return true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => break io_err("recv", e),
-            }
+        let Inbox { sock, dec, .. } = self.inbox();
+        let err = match dec.read_from(sock) {
+            Ok(0) => ServiceError::Disconnected("server closed the connection".to_string()),
+            Ok(_) => return true,
+            Err(e) => io_err("recv", e),
         };
         lock(&self.wire.tickets).fail_all(err);
         false
@@ -669,23 +660,17 @@ impl Client {
             .map_err(|e| io_err("handshake send", e))?;
         let _ = handshake.set_read_timeout(Some(Duration::from_secs(10)));
         let mut dec = FrameDecoder::new();
-        let mut buf = [0u8; 4096];
         let (id, resp) = loop {
-            if let Some(p) = dec
-                .next_frame()
-                .map_err(|e| ServiceError::Protocol(e.to_string()))?
-            {
-                break Response::decode(p)?;
+            match dec.next_frame() {
+                Ok(Some(p)) => break Response::decode(p)?,
+                Ok(None) => {}
+                Err(e) => return Err(ServiceError::Protocol(e.to_string())),
             }
-            let n = handshake
-                .read(&mut buf)
-                .map_err(|e| io_err("handshake recv", e))?;
-            if n == 0 {
-                return Err(ServiceError::Disconnected(
-                    "server closed during handshake".to_string(),
-                ));
+            let read = dec.read_from(&mut handshake);
+            if read.map_err(|e| io_err("handshake recv", e))? == 0 {
+                let closed = "server closed during handshake".to_string();
+                return Err(ServiceError::Disconnected(closed));
             }
-            dec.push(&buf[..n]);
         };
         let _ = handshake.set_read_timeout(None);
         if id != 1 {
@@ -715,7 +700,6 @@ impl Client {
                     inbox: Mutex::new(Inbox {
                         sock: handshake,
                         dec,
-                        buf: vec![0; 16 * 1024],
                         wake: Vec::new(),
                     }),
                     writes: AtomicU64::new(0),

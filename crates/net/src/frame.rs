@@ -13,7 +13,7 @@
 //! a garbage length prefix must not turn into a giant allocation.
 //!
 //! Decoding is *incremental*: [`FrameDecoder`] consumes arbitrary byte
-//! chunks ([`FrameDecoder::push`]) exactly as a socket delivers them —
+//! chunks ([`FrameDecoder::read_from`]) exactly as a socket delivers them —
 //! partial length prefixes, payloads split across reads, many frames per
 //! read — and lends out complete payloads via [`FrameDecoder::next_frame`],
 //! borrowed from its buffer rather than copied. Corruption (CRC mismatch,
@@ -138,9 +138,11 @@ pub fn frame_into(
 /// ```
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    /// `buf[..end]` is received bytes, `buf[end..]` zeroed room for more.
     buf: Vec<u8>,
-    /// Consumed prefix of `buf`, dropped by the next [`FrameDecoder::push`]
-    /// once it is at least as long as what remains.
+    end: usize,
+    /// Consumed prefix of `buf`, dropped by the next push or read once it
+    /// is at least as long as what remains.
     pos: usize,
 }
 
@@ -156,22 +158,42 @@ impl FrameDecoder {
     /// right after a push the decoder holds at most twice its pending bytes,
     /// and each byte moves O(1) times on average.
     pub fn push(&mut self, bytes: &[u8]) {
-        if self.pos > 0 && self.pos >= self.buf.len() - self.pos {
-            self.buf.drain(..self.pos);
+        self.room(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// One read from `src` straight into 16 KiB or more of room, retried if
+    /// interrupted: the bytes read, 0 at the end of the stream.
+    pub fn read_from<R: std::io::Read + ?Sized>(&mut self, src: &mut R) -> std::io::Result<usize> {
+        loop {
+            match src.read(self.room(16 << 10)) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                read => return read.inspect(|n| self.end += n),
+            }
+        }
+    }
+
+    /// Drops the consumed prefix if it is at least as long as what remains,
+    /// then the room behind the received bytes, at least `want` long.
+    fn room(&mut self, want: usize) -> &mut [u8] {
+        if self.pos > 0 && self.pos >= self.end - self.pos {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
             self.pos = 0;
         }
-        self.buf.extend_from_slice(bytes);
+        self.buf.resize(self.buf.len().max(self.end + want), 0);
+        &mut self.buf[self.end..]
     }
 
     /// Bytes buffered but not yet returned as part of a complete frame.
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.pos
     }
 
     /// Bytes the decoder holds, the consumed frames not yet dropped by
     /// [`FrameDecoder::push`] included.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.end
     }
 
     /// The next complete payload, borrowed from the decoder until the next
@@ -179,7 +201,7 @@ impl FrameDecoder {
     /// corruption (fatal: the decoder must be discarded with its
     /// connection).
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameError> {
-        let avail = &self.buf[self.pos..];
+        let avail = &self.buf[self.pos..self.end];
         if avail.len() < 4 {
             return Ok(None);
         }
@@ -205,6 +227,7 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{self, Read};
 
     #[test]
     fn roundtrip_single_and_back_to_back() {
@@ -270,6 +293,51 @@ mod tests {
         dec.push(&out);
         assert_eq!(dec.next_frame().unwrap(), Some(&b"kept"[..]));
         assert_eq!(dec.next_frame().unwrap(), Some(&[9][..]));
+    }
+
+    /// Yields its bytes one per read, then one `Interrupted`, then EOF.
+    struct Drip {
+        bytes: Vec<u8>,
+        at: usize,
+        interrupted: bool,
+    }
+
+    impl Read for Drip {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if let Some(&b) = self.bytes.get(self.at) {
+                buf[0] = b;
+                self.at += 1;
+                return Ok(1);
+            }
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            Ok(0)
+        }
+    }
+
+    #[test]
+    fn read_from_takes_one_byte_reads_retries_an_interrupt_and_sees_eof() {
+        let mut wire = encode_frame(b"first");
+        wire.extend_from_slice(&encode_frame(b"second"));
+        let mut src = Drip {
+            bytes: wire.clone(),
+            at: 0,
+            interrupted: false,
+        };
+        let mut dec = FrameDecoder::new();
+        let mut got = Vec::new();
+        for _ in 0..wire.len() {
+            assert_eq!(dec.read_from(&mut src).unwrap(), 1);
+            while let Some(p) = dec.next_frame().unwrap() {
+                got.push(p.to_vec());
+            }
+        }
+        assert_eq!(got, [b"first".to_vec(), b"second".to_vec()]);
+        assert_eq!(dec.read_from(&mut src).unwrap(), 0, "retried, then EOF");
+        assert!(src.interrupted);
+        assert_eq!(dec.pending(), 0);
     }
 
     #[test]

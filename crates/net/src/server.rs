@@ -75,7 +75,7 @@
 //! edge for the offline checker, so cross-thread windows driven by network
 //! requests order through their dispatch points.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -781,15 +781,7 @@ impl Reader {
 
     fn read_all(&mut self, mut sock: TcpStream) -> Option<Fatal> {
         let mut dec = FrameDecoder::new();
-        let mut buf = vec![0u8; 16 * 1024];
-        loop {
-            let n = match sock.read(&mut buf) {
-                Ok(0) => return None,
-                Ok(n) => n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return None,
-            };
-            dec.push(&buf[..n]);
+        while let Ok(1..) = dec.read_from(&mut sock) {
             loop {
                 match dec.next_frame() {
                     Ok(Some(payload)) => {
@@ -804,6 +796,7 @@ impl Reader {
             // Nothing decoded waits behind the next read.
             self.hand_off();
         }
+        None
     }
 
     /// Decodes one request and routes it: onto its batch's list, or, for an

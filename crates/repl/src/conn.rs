@@ -8,7 +8,7 @@
 //! a `try_clone` for that), never by a timeout. Dropping a [`Conn`] shuts
 //! the socket down too, so such a clone cannot keep the connection open.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
@@ -25,6 +25,7 @@ pub(crate) fn disconnected(e: impl std::fmt::Display) -> ServiceError {
 pub(crate) struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
+    out: Vec<u8>,
 }
 
 impl Conn {
@@ -36,6 +37,7 @@ impl Conn {
         Ok(Conn {
             stream,
             decoder: FrameDecoder::new(),
+            out: Vec::new(),
         })
     }
 
@@ -49,14 +51,15 @@ impl Conn {
         Ok(Conn {
             stream: self.stream.try_clone().map_err(disconnected)?,
             decoder: FrameDecoder::new(),
+            out: Vec::new(),
         })
     }
 
     pub(crate) fn send(&mut self, msg: &ReplMsg) -> Result<(), ServiceError> {
-        let mut frame = Vec::new();
-        frame_into(&mut frame, |o| msg.encode_into(o))
+        self.out.clear();
+        frame_into(&mut self.out, |o| msg.encode_into(o))
             .map_err(|e| ServiceError::Protocol(e.to_string()))?;
-        self.stream.write_all(&frame).map_err(disconnected)
+        self.stream.write_all(&self.out).map_err(disconnected)
     }
 
     /// Receives one message. A handshake that outlives its timeout is a
@@ -68,12 +71,9 @@ impl Conn {
                 Ok(None) => {}
                 Err(e) => return Err(ServiceError::Protocol(e.to_string())),
             }
-            let mut buf = [0u8; 64 * 1024];
-            match self.stream.read(&mut buf) {
-                Ok(0) => return Err(disconnected("peer closed the stream")),
-                Ok(n) => self.decoder.push(&buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(disconnected(e)),
+            let read = self.decoder.read_from(&mut self.stream);
+            if read.map_err(disconnected)? == 0 {
+                return Err(disconnected("peer closed the stream"));
             }
         }
     }

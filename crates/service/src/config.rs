@@ -2,7 +2,8 @@
 //!
 //! The simulator half of the workspace measures everything in *cycles* under
 //! [`SimParams`]; the service half runs on real OS threads and therefore
-//! measures in *nanoseconds* since the service epoch ([`crate::ServiceClock`]).
+//! measures in *nanoseconds* on the process clock
+//! ([`terp_trace::time::now_ns`]).
 //! [`CostModel::from_sim`] is the bridge: it converts the paper's syscall /
 //! conditional / randomization cycle charges into busy-wait durations so a
 //! load generator observes latency distributions with the same shape the

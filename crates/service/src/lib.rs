@@ -20,9 +20,11 @@
 //!   on a per-shard condvar (MM and the basic-semantics ablation); TERP
 //!   schemes lower inner attaches/detaches to silent thread-permission
 //!   updates through the `CondEngine`.
-//! * **Time** — nanoseconds since service start stand in for simulator
-//!   cycles (1 ns ≡ 1 cycle); the [`CostModel`] busy-waits convert the
-//!   paper's syscall/conditional cycle charges into real latency.
+//! * **Time** — nanoseconds on the process clock
+//!   ([`terp_trace::time::now_ns`], the flight recorder's clock too) stand
+//!   in for simulator cycles (1 ns ≡ 1 cycle); the [`CostModel`] busy-waits
+//!   convert the paper's syscall/conditional cycle charges into real
+//!   latency.
 //!
 //! ```
 //! use terp_core::config::Scheme;
@@ -44,7 +46,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod clock;
 pub mod config;
 pub mod error;
 mod fastpath;
@@ -59,7 +60,6 @@ pub mod sweeper;
 /// to be stable per logical client.
 pub type ClientId = usize;
 
-pub use clock::ServiceClock;
 pub use config::{CostModel, ServiceConfig, Visibility};
 pub use error::ServiceError;
 pub use metrics::{LatencyHistogram, OpCounters, RecoveryStats, ServiceReport, WalStats};

@@ -5,6 +5,7 @@ use std::sync::atomic::Ordering;
 
 use terp_arch::CondStats;
 use terp_pmo::PmoId;
+use terp_trace::time;
 
 use super::PmoService;
 use crate::error::ServiceError;
@@ -48,7 +49,7 @@ impl PmoService {
     pub fn drain(&self) {
         for shard in &self.shards {
             let mut state = self.lock(shard);
-            let now = self.clock.now_ns();
+            let now = time::now_ns();
             // TERP: retire every tracked entry, live holders included.
             for pmo in state.engine.drain() {
                 let done = state.unmap_pool(pmo, now);

@@ -51,9 +51,8 @@ use std::time::Duration;
 use terp_core::config::Scheme;
 use terp_persist::DurableStore;
 use terp_pmo::{AccessKind, ObjectId, PmoId};
-use terp_trace::{EventKind, TraceRecorder};
+use terp_trace::{time, EventKind, TraceRecorder};
 
-use crate::clock::ServiceClock;
 use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::fastpath::{PoolIndex, PoolSlot};
@@ -156,7 +155,6 @@ impl Drop for StateGuard<'_> {
 #[derive(Debug)]
 pub struct PmoService {
     config: ServiceConfig,
-    clock: ServiceClock,
     /// Hash-sharded name → id maps: pool creation in different name shards
     /// never contends (the old global registry mutex is gone).
     names: Vec<Mutex<HashMap<String, PmoId>>>,
@@ -220,7 +218,7 @@ impl PmoService {
     pub fn try_new(config: ServiceConfig) -> Result<Self, ServiceError> {
         let n = config.effective_shards();
         let mask = n - 1;
-        let clock = ServiceClock::start();
+        time::calibrate();
         let tracer = config.trace.map(|tc| Arc::new(TraceRecorder::new(tc)));
         let shards: Vec<Shard> = (0..n)
             .map(|i| {
@@ -293,7 +291,6 @@ impl PmoService {
             recovery = Some(stats);
         }
         Ok(PmoService {
-            clock,
             names,
             next_id: AtomicU64::new(u64::from(max_raw) + 1),
             index,
@@ -326,11 +323,6 @@ impl PmoService {
     /// The scheme in force.
     pub fn scheme(&self) -> Scheme {
         self.config.scheme
-    }
-
-    /// The service clock (nanoseconds since start).
-    pub fn clock(&self) -> &ServiceClock {
-        &self.clock
     }
 
     /// Number of shards.

@@ -6,6 +6,7 @@ use std::time::Duration;
 
 use terp_core::config::Scheme;
 use terp_pmo::{AccessKind, ObjectId, OpenMode, Permission, PmoError, PmoId};
+use terp_trace::time;
 
 use super::{Batch, PmoService};
 use crate::config::ServiceConfig;
@@ -383,7 +384,7 @@ fn durable_visibility_leaves_no_unsynced_record_behind_any_entry_point() {
     let slot = svc.index.get(p).unwrap();
     for _ in 0..3 {
         let snap = slot.snapshot().unwrap();
-        svc.clock.charge(svc.config.ew_target_ns());
+        time::spin_ns(svc.config.ew_target_ns());
         assert_eq!(svc.sweep_all(), 1, "held window is past its 1 us target");
         assert!(slot.epoch() > snap.epoch() && !slot.still_valid(&snap));
     }
@@ -527,7 +528,7 @@ fn sweeper_expiry_rides_the_next_commit_or_waits_one_target() {
     let due = svc.next_expiry_ns().expect("the leftover is a deadline");
     let (appended, syncs, own, _) = counts();
     std::thread::sleep(target);
-    assert!(svc.clock.now_ns() >= due);
+    assert!(time::now_ns() >= due);
     assert_eq!(svc.sweep_all(), 0);
     assert_eq!(counts(), (appended, syncs + 1, own + 1, 0));
     assert!(

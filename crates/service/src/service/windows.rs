@@ -8,7 +8,7 @@ use std::time::Duration;
 use terp_arch::{AttachOutcome, DetachOutcome, SweepAction};
 use terp_core::config::Scheme;
 use terp_pmo::{Permission, PmoId};
-use terp_trace::EventKind;
+use terp_trace::{time, EventKind};
 
 use super::{Batch, PmoService, PASS_RUNNING};
 use crate::error::ServiceError;
@@ -83,7 +83,7 @@ impl PmoService {
             self.sweeper_plan.store(u64::MAX, Ordering::Release);
             return None;
         };
-        let now = self.clock.now_ns();
+        let now = time::now_ns();
         let wait = deadline.saturating_sub(now).max(floor_ns);
         self.sweeper_plan
             .store(now.saturating_add(wait), Ordering::Release);
@@ -111,7 +111,7 @@ impl PmoService {
         if self.config.scheme.has_thread_permissions() {
             for shard in &self.shards {
                 let mut state = self.lock(shard);
-                let now = self.clock.now_ns();
+                let now = time::now_ns();
                 let actions = state.engine.sweep(now);
                 total += actions.len();
                 let mut expired = false;
@@ -121,7 +121,7 @@ impl PmoService {
                             expired = true;
                             let done = state.unmap_pool(pmo, now);
                             state.trace(EventKind::Expire { pmo: pmo.raw() });
-                            self.clock.charge(self.config.cost.detach_ns);
+                            time::spin_ns(self.config.cost.detach_ns);
                             done
                         }
                         SweepAction::Randomize(pmo) => {
@@ -129,7 +129,7 @@ impl PmoService {
                             // The charge runs under the shard lock: every
                             // client of the pool stalls during a relocation,
                             // as in the paper's multithreaded model.
-                            self.clock.charge(self.config.cost.randomize_ns);
+                            time::spin_ns(self.config.cost.randomize_ns);
                             done
                         }
                     };
@@ -240,7 +240,7 @@ impl Batch<'_> {
                 (self.attach_terp(client, pmo, perm)?, 0)
             }
         };
-        svc.clock.charge(cost);
+        time::spin_ns(cost);
         Ok(waited)
     }
 
@@ -260,7 +260,7 @@ impl Batch<'_> {
         }
         let mut cost = 0;
         if !state.space.is_attached(pmo) {
-            state.map_pool(pmo, perm, svc.clock.now_ns())?;
+            state.map_pool(pmo, perm, time::now_ns())?;
             cost = svc.config.cost.attach_ns;
         }
         state.add_holder(client, pmo, perm);
@@ -297,7 +297,7 @@ impl Batch<'_> {
             // Basic semantics: serialize on the owner's window. Sleep on the
             // shard condvar; the timeout bounds shutdown latency.
             if waited_from.is_none() {
-                waited_from = Some(svc.clock.now_ns());
+                waited_from = Some(time::now_ns());
                 svc.metrics
                     .with_slab(|s| ThreadSlab::bump(&s.attach_conflicts));
             }
@@ -305,7 +305,7 @@ impl Batch<'_> {
         }
         let mut waited = 0;
         if let Some(from) = waited_from {
-            waited = svc.clock.now_ns().saturating_sub(from);
+            waited = time::now_ns().saturating_sub(from);
             svc.metrics.with_slab(|s| {
                 s.blocked_ns.fetch_add(waited, Ordering::Relaxed);
                 s.queue_wait
@@ -314,7 +314,7 @@ impl Batch<'_> {
                     .record(waited);
             });
         }
-        state.map_pool(pmo, perm, svc.clock.now_ns())?;
+        state.map_pool(pmo, perm, time::now_ns())?;
         // The owner is the pool's only holder: never a crowded mirror.
         state.add_holder(client, pmo, perm);
         state.trace(EventKind::Attach {
@@ -341,7 +341,7 @@ impl Batch<'_> {
         if state.is_holder(client, pmo) {
             return Err(ServiceError::AlreadyAttached { client, pmo });
         }
-        let now = svc.clock.now_ns();
+        let now = time::now_ns();
         let outcome = state.engine.condat(pmo, now);
         if outcome.needs_syscall() && !state.space.is_attached(pmo) {
             if let Err(e) = state.map_pool(pmo, perm, now) {
@@ -384,7 +384,7 @@ impl Batch<'_> {
             Scheme::Merr | Scheme::BasicSemantics => self.detach_basic(client, pmo)?,
             Scheme::TerpSoftware | Scheme::TerpFull { .. } => self.detach_terp(client, pmo)?,
         };
-        svc.clock.charge(cost);
+        time::spin_ns(cost);
         Ok(())
     }
 
@@ -412,7 +412,7 @@ impl Batch<'_> {
         if !state.is_holder(client, pmo) {
             return Err(ServiceError::NotAttached { client, pmo });
         }
-        state.unmap_pool(pmo, svc.clock.now_ns())?;
+        state.unmap_pool(pmo, time::now_ns())?;
         state.remove_holder(client, pmo);
         state.trace(EventKind::Detach {
             pmo: pmo.raw(),
@@ -430,7 +430,7 @@ impl Batch<'_> {
         if !state.is_holder(client, pmo) {
             return Err(ServiceError::NotAttached { client, pmo });
         }
-        let now = svc.clock.now_ns();
+        let now = time::now_ns();
         let mut outcome = state.engine.conddt(pmo, now);
         if matches!(
             svc.config.scheme,

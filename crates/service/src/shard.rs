@@ -121,7 +121,8 @@ pub(crate) struct ShardState {
     pub space: ProcessAddressSpace,
     /// CONDAT/CONDDT engine with the circular buffer (TERP schemes).
     pub engine: CondEngine,
-    /// EW/TEW tracker; times are nanoseconds since the service epoch.
+    /// EW/TEW tracker; times are process-clock nanoseconds
+    /// ([`terp_trace::time::now_ns`]).
     pub windows: WindowTracker,
     /// Root directory for this shard's pools: `(pool, key) → packed
     /// ObjectId` of a persistent data structure's root. Journaled as

@@ -19,8 +19,8 @@ use std::sync::{Arc, Barrier};
 use terp_analysis::hb::{check_trace, cross_check};
 use terp_core::config::Scheme;
 use terp_pmo::{OpenMode, Permission};
-use terp_service::{PmoServer, ServiceConfig, TraceConfig, TraceRecorder};
-use terp_trace::TraceSet;
+use terp_service::{PmoServer, PmoService, ServiceConfig, TraceConfig, TraceRecorder};
+use terp_trace::{time, EventKind, TraceSet};
 
 const THREADS: usize = 4;
 
@@ -203,6 +203,45 @@ fn dump_roundtrips_through_trace_dir() {
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.stats.races(), 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One axis: the service and the recorder read one clock, so an attach's
+/// event is stamped inside the call, between two `time::now_ns` reads that
+/// bracket it. The thread is fresh, so its cached stamp cannot predate the
+/// call, and its ring is small, so registering it keeps the bracket tight
+/// (a 1 ms offset between the two clocks falls outside it).
+#[test]
+fn one_axis_an_attach_event_is_stamped_inside_its_call() {
+    let svc = PmoService::new(
+        ServiceConfig::for_tests(Scheme::terp_full())
+            .with_trace(TraceConfig::full().with_capacity(64)),
+    );
+    let pmo = svc
+        .create_pool("axis", 1 << 16, OpenMode::ReadWrite)
+        .unwrap();
+    let (before, after) = std::thread::scope(|s| {
+        s.spawn(|| {
+            let before = time::now_ns();
+            svc.attach(7, pmo, Permission::ReadWrite).unwrap();
+            (before, time::now_ns())
+        })
+        .join()
+        .unwrap()
+    });
+    let set = svc.tracer().expect("tracing is on").snapshot();
+    let stamps: Vec<u64> = set
+        .threads
+        .iter()
+        .flat_map(|t| &t.events)
+        .filter(|e| matches!(e.kind, EventKind::Attach { client: 7, .. }))
+        .map(|e| e.ts_ns)
+        .collect();
+    assert_eq!(stamps.len(), 1, "one attach recorded");
+    assert!(
+        (before..=after).contains(&stamps[0]),
+        "attach stamped {} outside its call [{before}, {after}]",
+        stamps[0]
+    );
 }
 
 /// Flight-mode stress: bounded rings under a mixed shared/partitioned load.

@@ -1,7 +1,7 @@
 //! Trace events: the flight recorder's vocabulary.
 //!
-//! Every event carries a nanosecond timestamp from the service clock plus an
-//! [`EventKind`]. Events serialize two ways:
+//! Every event carries a nanosecond timestamp from the process clock
+//! ([`crate::time`]) plus an [`EventKind`]. Events serialize two ways:
 //!
 //! * **wire words** — a fixed `[u64; 5]` encoding stored in the lock-free
 //!   ring slots ([`Event::encode_words`] / [`Event::decode_words`]), so ring
@@ -150,11 +150,11 @@ pub enum EventKind {
     },
 }
 
-/// One recorded event: a service-clock timestamp plus the operation.
+/// One recorded event: a process-clock timestamp plus the operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
-    /// Nanoseconds since service start when the event was recorded. Per
-    /// thread, timestamps are monotonically non-decreasing in ring order.
+    /// [`crate::time::now_ns`] when the event was recorded. Per thread,
+    /// timestamps are monotonically non-decreasing in ring order.
     pub ts_ns: u64,
     /// What happened.
     pub kind: EventKind,

@@ -20,10 +20,12 @@
 //!   overflow drops the *oldest* events and counts them, so a dump is
 //!   always a truthful suffix of each thread's history.
 //! * **No runtime clocks** — vector clocks are reconstructed offline by
-//!   the checker; the recorder stamps raw monotonic ticks (`rdtsc` where
-//!   available) and calibrates them to nanoseconds only at snapshot time.
-//!   Flight mode additionally samples data events 1-in-16 (window and sync
-//!   events are always recorded), keeping the hot-path cost a few ns/op.
+//!   the checker; the recorder stamps nanoseconds from the process clock
+//!   ([`time`]: a calibrated `rdtsc` where the TSC is invariant), the one
+//!   the service times its windows with, and a snapshot copies the stamps
+//!   as they are. Flight mode additionally samples data events 1-in-16
+//!   (window and sync events are always recorded), keeping the hot-path
+//!   cost a few ns/op.
 //!
 //! ```
 //! use terp_trace::{EventKind, TraceConfig, TraceRecorder};
@@ -43,9 +45,10 @@ pub mod dump;
 pub mod event;
 pub mod recorder;
 pub mod ring;
+pub mod time;
 
 pub use clock::VectorClock;
 pub use dump::{ThreadTrace, TraceSet};
 pub use event::{Event, EventKind, PoolId};
 pub use recorder::{TraceConfig, TraceRecorder};
-pub use ring::{EventRing, RingSnapshot};
+pub use ring::EventRing;

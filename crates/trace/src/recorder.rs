@@ -9,19 +9,17 @@
 //!
 //! ## Timestamps
 //!
-//! The recorder stamps events itself from the cheapest monotonic source the
-//! target offers (`rdtsc` on x86-64, `Instant` elsewhere): calling
-//! `clock_gettime` per event would cost more than the ring push it
-//! timestamps. Even `rdtsc` is a large fraction of a push, so each thread
-//! caches its last tick and refreshes it only every `TICK_REFRESH`-th
-//! record: an event's stamp may be up to `TICK_REFRESH - 1` events stale,
-//! but never goes backwards on its thread. Events carry raw *ticks* in the
-//! ring; `snapshot` / `dump` calibrate ticks against wall time over the
-//! recorder's lifetime and convert to nanoseconds-since-recorder-start.
-//! The happens-before checker only uses timestamps for the consistency cut
-//! and stuck-event tie-breaks — per-thread order comes from ring order and
-//! cross-thread order from sync edges — so neither the staleness nor the
-//! calibration precision is load-bearing.
+//! Events are stamped in nanoseconds on the process clock
+//! ([`crate::time::now_ns`]), the clock the service times its windows
+//! with, so an event's `ts_ns` and the open time of the window it belongs
+//! to are on one axis; `snapshot` copies stamps as they are. Even a TSC
+//! read is a large fraction of a ring push, so each thread caches its last
+//! stamp and refreshes it only every `TICK_REFRESH`-th record: an event's
+//! stamp may be up to `TICK_REFRESH - 1` events stale, but never goes
+//! backwards on its thread. The happens-before checker only uses
+//! timestamps for the consistency cut and stuck-event tie-breaks —
+//! per-thread order comes from ring order and cross-thread order from sync
+//! edges — so the staleness is not load-bearing.
 //!
 //! ## Data-op sampling
 //!
@@ -39,31 +37,11 @@ use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use crate::dump::{ThreadTrace, TraceSet};
 use crate::event::{Event, EventKind};
 use crate::ring::EventRing;
-
-/// Raw monotonic tick counter. On x86-64 this is `rdtsc` (~a few ns, not
-/// serializing — event timestamps are advisory, see the module docs); on
-/// other targets it falls back to nanoseconds from a process-wide
-/// [`Instant`] epoch, in which case ticks *are* nanoseconds and the
-/// snapshot-time calibration factor comes out ≈ 1.
-#[inline]
-fn raw_ticks() -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: rdtsc has no memory or validity preconditions.
-    unsafe {
-        core::arch::x86_64::_rdtsc()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        use std::sync::OnceLock;
-        static EPOCH: OnceLock<Instant> = OnceLock::new();
-        EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-    }
-}
+use crate::time;
 
 /// Flight-recorder sizing. The capacity bounds memory per thread ring
 /// (`capacity * 64` bytes — one cache line per slot); when a ring fills,
@@ -114,9 +92,9 @@ impl TraceConfig {
 
 static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Records between tick-cache refreshes (see the module docs): every
+/// Records between stamp-cache refreshes (see the module docs): every
 /// `TICK_REFRESH`-th event on a thread pays the real clock read, the rest
-/// reuse the cached tick.
+/// reuse the cached stamp.
 const TICK_REFRESH: u32 = 4;
 
 thread_local! {
@@ -125,23 +103,23 @@ thread_local! {
     /// Per-thread data-op counter driving the sampling decision. Shared
     /// across recorders — sampling only needs the *rate* to hold.
     static TLS_DATA_SEQ: Cell<u64> = const { Cell::new(0) };
-    /// Per-thread (refresh countdown, cached tick) pair for event stamps.
-    static TLS_TICK: Cell<(u32, u64)> = const { Cell::new((0, 0)) };
+    /// Per-thread (refresh countdown, cached stamp) pair for event stamps.
+    static TLS_STAMP: Cell<(u32, u64)> = const { Cell::new((0, 0)) };
 }
 
-/// This thread's event-stamp tick: refreshed from [`raw_ticks`] every
+/// This thread's event stamp: refreshed from [`time::now_ns`] every
 /// `TICK_REFRESH`-th call, cached (never decreasing) in between.
 #[inline]
-fn cached_ticks() -> u64 {
-    TLS_TICK.with(|c| {
-        let (left, tick) = c.get();
+fn cached_stamp() -> u64 {
+    TLS_STAMP.with(|c| {
+        let (left, stamp) = c.get();
         if left == 0 {
-            let fresh = raw_ticks();
+            let fresh = time::now_ns();
             c.set((TICK_REFRESH - 1, fresh));
             fresh
         } else {
-            c.set((left - 1, tick));
-            tick
+            c.set((left - 1, stamp));
+            stamp
         }
     })
 }
@@ -155,10 +133,6 @@ pub struct TraceRecorder {
     /// `2^data_sample_shift - 1`; a data op is recorded when
     /// `seq & data_mask == 0`.
     data_mask: u64,
-    /// Tick value at construction; event timestamps are relative to it.
-    epoch_ticks: u64,
-    /// Wall-clock partner of `epoch_ticks`, for snapshot-time calibration.
-    epoch: Instant,
     rings: Mutex<Vec<Arc<EventRing>>>,
 }
 
@@ -175,12 +149,11 @@ impl std::fmt::Debug for TraceRecorder {
 impl TraceRecorder {
     /// Creates a recorder whose per-thread rings follow `config`.
     pub fn new(config: TraceConfig) -> Self {
+        time::calibrate();
         TraceRecorder {
             id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
             capacity: config.capacity,
             data_mask: (1u64 << config.data_sample_shift.min(63)) - 1,
-            epoch_ticks: raw_ticks(),
-            epoch: Instant::now(),
             rings: Mutex::new(Vec::new()),
         }
     }
@@ -191,15 +164,13 @@ impl TraceRecorder {
     }
 
     /// Records one event on the calling thread's ring (registering the
-    /// thread on first use), stamped from the recorder's tick source.
+    /// thread on first use), stamped from the process clock.
     /// Window and sync events go through here unconditionally; data ops
     /// should use [`Self::record_data`] so flight-mode sampling applies.
     #[inline]
     pub fn record(&self, kind: EventKind) {
-        // saturating: a cached tick can predate a just-created recorder's
-        // epoch by a few events; clamp those stamps to the epoch.
         let ev = Event {
-            ts_ns: cached_ticks().saturating_sub(self.epoch_ticks),
+            ts_ns: cached_stamp(),
             kind,
         };
         TLS_RINGS.with(|cache| {
@@ -254,42 +225,15 @@ impl TraceRecorder {
         ring
     }
 
-    /// Copies every thread ring into an in-memory [`TraceSet`], converting
-    /// raw tick timestamps to nanoseconds since recorder start (ticks are
-    /// calibrated against wall time over the recorder's lifetime). For race
+    /// Copies every thread ring into an in-memory [`TraceSet`]. For race
     /// checking, snapshot after the traced workload has quiesced — a live
     /// producer shows up as torn/dropped slots, which degrade the checker
     /// to coverage warnings (TERP-D204).
     pub fn snapshot(&self) -> TraceSet {
-        let elapsed_ticks = raw_ticks().wrapping_sub(self.epoch_ticks);
-        let elapsed_ns = self.epoch.elapsed().as_nanos() as u64;
-        let ns_per_tick = if elapsed_ticks == 0 {
-            1.0
-        } else {
-            elapsed_ns as f64 / elapsed_ticks as f64
-        };
         let rings: Vec<Arc<EventRing>> =
             self.rings.lock().unwrap_or_else(|e| e.into_inner()).clone();
         TraceSet {
-            threads: rings
-                .iter()
-                .map(|r| {
-                    let snap = r.snapshot();
-                    ThreadTrace {
-                        tid: snap.tid,
-                        events: snap
-                            .events
-                            .into_iter()
-                            .map(|mut ev| {
-                                ev.ts_ns = (ev.ts_ns as f64 * ns_per_tick).round() as u64;
-                                ev
-                            })
-                            .collect(),
-                        dropped: snap.dropped,
-                        torn: snap.torn,
-                    }
-                })
-                .collect(),
+            threads: rings.iter().map(|r| r.snapshot()).collect(),
         }
     }
 
@@ -389,14 +333,14 @@ mod tests {
         for w in evs.windows(2) {
             assert!(w[0].ts_ns <= w[1].ts_ns, "timestamps went backwards");
         }
-        // The 5 ms sleep must survive tick→ns calibration within 50 %.
-        // Stamps can be up to TICK_REFRESH - 1 events stale, so measure
-        // across the 4 post-sleep events: at least one refreshed its tick
-        // after the sleep, and ticks never decrease.
+        // The 5 ms sleep shows in the stamps within 50 %. Stamps can be up
+        // to TICK_REFRESH - 1 events stale, so measure across the 4
+        // post-sleep events: at least one refreshed its stamp after the
+        // sleep, and stamps never decrease.
         let gap = evs[503].ts_ns - evs[499].ts_ns;
         assert!(
             (2_500_000..50_000_000).contains(&gap),
-            "calibrated gap {gap} ns, expected ≈5 ms"
+            "gap {gap} ns, expected ≈5 ms"
         );
     }
 

@@ -16,6 +16,7 @@
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
+use crate::dump::ThreadTrace;
 use crate::event::{Event, EVENT_WORDS};
 
 /// One ring slot: a version word plus the event's wire words.
@@ -62,23 +63,6 @@ impl std::fmt::Debug for EventRing {
             .field("pushed", &self.pushed())
             .finish()
     }
-}
-
-/// The result of one ring snapshot: the surviving suffix of the event
-/// stream plus loss accounting.
-#[derive(Debug, Clone)]
-pub struct RingSnapshot {
-    /// Recorder-assigned thread id of the producing thread.
-    pub tid: u32,
-    /// Retained events, oldest first, in push order (a contiguous suffix of
-    /// the stream when the producer is quiescent).
-    pub events: Vec<Event>,
-    /// Events lost to overwriting before this snapshot (including slots the
-    /// producer lapped mid-snapshot).
-    pub dropped: u64,
-    /// Slots discarded because a concurrent push left them inconsistent.
-    /// Zero when the producer is quiescent.
-    pub torn: u64,
 }
 
 impl EventRing {
@@ -149,7 +133,7 @@ impl EventRing {
     /// any thread while the producer is still pushing; slots the producer is
     /// mid-write on (or laps during the copy) are counted as torn/dropped
     /// instead of being returned inconsistently.
-    pub fn snapshot(&self) -> RingSnapshot {
+    pub fn snapshot(&self) -> ThreadTrace {
         let head = self.head.load(Ordering::Acquire);
         let cap = self.capacity() as u64;
         let start = head.saturating_sub(cap);
@@ -185,7 +169,7 @@ impl EventRing {
                 None => torn += 1,
             }
         }
-        RingSnapshot {
+        ThreadTrace {
             tid: self.tid,
             events,
             dropped,
